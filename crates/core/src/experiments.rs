@@ -1522,10 +1522,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "minutes-long unoptimized; CI runs it in release"
-    )]
     fn thermal_rows_throttle_every_generation() {
         let rows = thermal_decode_rows();
         assert_eq!(rows.len(), 3, "Qwen-3B b8 shards onto all devices");
@@ -1552,7 +1548,7 @@ mod tests {
     #[test]
     #[cfg_attr(
         debug_assertions,
-        ignore = "minutes-long unoptimized; CI runs it in release"
+        ignore = "serves a 540-request trace on the fleet twice: minutes unoptimized; CI runs it in release"
     )]
     fn thermal_aware_dispatch_beats_blind_on_the_pinned_trace() {
         let rows = fleet_thermal_rows(20260808).unwrap();

@@ -9,7 +9,8 @@
 //! figures:
 //!
 //! - a **decode step** costs the steady-state critical path of its
-//!   recorded stages ([`steady_state_step_secs`]);
+//!   recorded stages, read off the same [`steady_state`] schedule as the
+//!   step's NPU-lane utilization;
 //! - a **chunked prefill** rides the decode walk: the chunk's stages are
 //!   fused with the decode step's via [`StepStages::merged`] and the
 //!   combined walk is charged once — per-walk overheads (dispatch ring,
@@ -31,8 +32,7 @@
 use edgellm::config::ModelConfig;
 use edgellm::model::Model;
 use edgellm::overlap::{
-    lane, single_pass_secs, steady_state_lane_utilization, steady_state_step_secs, DispatchMode,
-    StepStages,
+    lane, single_pass_secs, steady_state, steady_state_lane_utilization, DispatchMode, StepStages,
 };
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
@@ -620,7 +620,7 @@ impl SimState<'_> {
         let has_prefill = sess.prefilling_count() > 0;
         let mut emitted: Vec<(SeqId, u32)> = Vec::new();
         let mut chunk_done: Option<SeqId> = None;
-        let (dur, charged) = match self.prefill {
+        let (dur, npu_util) = match self.prefill {
             PrefillMode::Monolithic if has_prefill => {
                 // The whole prompt was registered as one chunk: this
                 // pass completes it while every active decode stalls.
@@ -630,7 +630,10 @@ impl SimState<'_> {
                     chunk_done = Some(chunk.id);
                 }
                 let s = throttle(&chunk.stages);
-                (single_pass_secs(&s), s)
+                (
+                    single_pass_secs(&s),
+                    steady_state_lane_utilization(&s, lane::NPU),
+                )
             }
             _ => {
                 let decode_stages: Option<StepStages> = if has_active {
@@ -652,16 +655,19 @@ impl SimState<'_> {
                 match (&decode_stages, &chunk) {
                     // Chunk rides the decode walk: one fused schedule.
                     (Some(d), Some(c)) => {
-                        let s = throttle(&d.merged(&c.stages));
-                        (steady_state_step_secs(&s), s)
+                        let ss = steady_state(&throttle(&d.merged(&c.stages)));
+                        (ss.period_secs, ss.lane_util[lane::NPU])
                     }
                     (Some(d), None) => {
-                        let s = throttle(d);
-                        (steady_state_step_secs(&s), s)
+                        let ss = steady_state(&throttle(d));
+                        (ss.period_secs, ss.lane_util[lane::NPU])
                     }
                     (None, Some(c)) => {
                         let s = throttle(&c.stages);
-                        (single_pass_secs(&s), s)
+                        (
+                            single_pass_secs(&s),
+                            steady_state_lane_utilization(&s, lane::NPU),
+                        )
                     }
                     (None, None) => unreachable!("stepped an idle worker"),
                 }
@@ -674,7 +680,7 @@ impl SimState<'_> {
         state.steps += 1;
         // Duration-weighted lane utilization: every executed schedule
         // counts for as long as it ran, not just the last one.
-        state.npu_util_x_secs += steady_state_lane_utilization(&charged, lane::NPU) * dur;
+        state.npu_util_x_secs += npu_util * dur;
         if self.thermal != ThermalPolicy::Disabled {
             // The step's joules flow into the die at the operating point
             // the governor chose for it.

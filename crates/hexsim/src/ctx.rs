@@ -1,10 +1,19 @@
 //! The NPU execution context: storage + datapath + cost accounting.
 //!
 //! [`NpuContext`] is the single handle kernels program against. Every method
-//! that corresponds to an NPU instruction or engine transfer both *executes*
-//! it functionally (bytes really move, lanes really compute) and *charges*
-//! its cost, so the latency figures reported by the benchmark harness are
-//! derived from the same code path the correctness tests exercise.
+//! that corresponds to an NPU instruction or engine transfer *charges* its
+//! cost, and in [`ExecMode::Functional`] also *executes* it (bytes really
+//! move, lanes really compute), so the latency figures reported by the
+//! benchmark harness are derived from the same code path the correctness
+//! tests exercise.
+//!
+//! In [`ExecMode::CostOnly`] the same methods charge but do not compute.
+//! They issue exactly the charges functional mode issues, in the same
+//! order, and keep their TCM bounds and alignment assertions; then they
+//! return zeroed registers without computing lanes or writing TCM, so a
+//! cost-only context keeps no TCM storage at all. Charges depend only on
+//! shapes, so both modes report the same simulated time while paper-scale
+//! sweeps skip arithmetic whose results they discard.
 //!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
@@ -30,9 +39,21 @@ pub enum ExecMode {
     Functional,
     /// Shape-level simulation: DDR buffers track sizes only and
     /// [`NpuContext::replay`] extrapolates one representative block's cost.
-    /// Use for paper-scale latency sweeps.
+    /// Every datapath method issues exactly its functional charges and
+    /// keeps its bounds and alignment assertions, but computes no lanes and
+    /// writes no TCM: registers come back zeroed, and the context holds no
+    /// TCM data (peeks read zeros). Use for paper-scale latency sweeps.
     CostOnly,
 }
+
+/// Largest TCM a cost-only context can model (every device profile has
+/// 8 MiB).
+const COST_ONLY_TCM_BYTES: usize = 8 * 1024 * 1024;
+
+/// What every cost-only context reads as TCM. Cost-only mode never writes
+/// TCM, so instead of one zeroed buffer per context they share this static
+/// one, which costs no resident memory.
+static COST_ONLY_TCM: [u8; COST_ONLY_TCM_BYTES] = [0; COST_ONLY_TCM_BYTES];
 
 /// Saved TCM allocator position, for stack-discipline scratch reuse.
 #[derive(Clone, Copy, Debug)]
@@ -45,6 +66,8 @@ pub struct NpuContext {
     pub mode: ExecMode,
     /// Cost accounting for everything this context executed.
     pub cost: CostModel,
+    /// TCM contents; empty in cost-only mode, which reads
+    /// [`COST_ONLY_TCM`] instead.
     tcm: Vec<u8>,
     tcm_top: u32,
     ddr: DdrHeap,
@@ -69,8 +92,22 @@ impl NpuContext {
     /// planner upstairs. Everything else (TCM, datapaths, cost model) is
     /// shared, because the Hexagon hardware behind every session is the
     /// same physical NPU.
+    ///
+    /// # Panics
+    ///
+    /// Panics in cost-only mode if the device's TCM exceeds the 8 MiB a
+    /// cost-only context can model.
     pub fn new_sharded(device: DeviceProfile, mode: ExecMode, max_sessions: usize) -> Self {
-        let tcm = vec![0u8; device.tcm_bytes as usize];
+        let tcm = match mode {
+            ExecMode::Functional => vec![0u8; device.tcm_bytes as usize],
+            ExecMode::CostOnly => {
+                assert!(
+                    device.tcm_bytes as usize <= COST_ONLY_TCM_BYTES,
+                    "cost-only contexts model at most {COST_ONLY_TCM_BYTES} bytes of TCM"
+                );
+                Vec::new()
+            }
+        };
         let ddr = DdrHeap::with_sessions(device.session_va_bytes, max_sessions);
         let cost = CostModel::new(device.clone());
         NpuContext {
@@ -87,6 +124,31 @@ impl NpuContext {
     /// The device profile this context simulates.
     pub fn device(&self) -> &DeviceProfile {
         &self.device
+    }
+
+    /// Runs a datapath computation in functional mode. In cost-only mode
+    /// the caller has already issued the charge, and the zeroed register
+    /// (or register pair) stands in for the result.
+    #[inline]
+    fn lanes<T: Default>(&self, compute: impl FnOnce() -> T) -> T {
+        match self.mode {
+            ExecMode::Functional => compute(),
+            ExecMode::CostOnly => T::default(),
+        }
+    }
+
+    /// The bounds check of a TCM access, which cost-only mode keeps even
+    /// though it moves no bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range exceeds TCM.
+    fn assert_in_tcm(&self, addr: TcmAddr, len: usize) {
+        assert!(
+            addr.0 as usize + len <= self.device.tcm_bytes as usize,
+            "TCM range {:#x}+{len} outside TCM",
+            addr.0
+        );
     }
 
     // ------------------------------------------------------------------
@@ -125,21 +187,35 @@ impl NpuContext {
 
     /// Simulation-side helper: reads TCM bytes without charging cost (used
     /// by tests and by host-side staging that is charged separately).
+    /// Cost-only contexts hold no TCM data and read zeros.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
     pub fn tcm_peek(&self, addr: TcmAddr, len: usize) -> &[u8] {
-        &self.tcm[addr.0 as usize..addr.0 as usize + len]
+        let range = addr.0 as usize..addr.0 as usize + len;
+        match self.mode {
+            ExecMode::Functional => &self.tcm[range],
+            ExecMode::CostOnly => {
+                self.assert_in_tcm(addr, len);
+                &COST_ONLY_TCM[range]
+            }
+        }
     }
 
     /// Simulation-side helper: writes TCM bytes without charging cost.
+    /// Cost-only contexts hold no TCM data and drop the write.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
     pub fn tcm_poke(&mut self, addr: TcmAddr, bytes: &[u8]) {
-        self.tcm[addr.0 as usize..addr.0 as usize + bytes.len()].copy_from_slice(bytes);
+        match self.mode {
+            ExecMode::Functional => {
+                self.tcm[addr.0 as usize..addr.0 as usize + bytes.len()].copy_from_slice(bytes)
+            }
+            ExecMode::CostOnly => self.assert_in_tcm(addr, bytes.len()),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -259,14 +335,15 @@ impl NpuContext {
     pub fn dma_t2h(&mut self, src: TcmAddr, dst: DdrBuffer, dst_off: u64, len: u32) {
         self.cost.charge_dma(len as u64);
         assert!(src.0 + len <= self.device.tcm_bytes, "dma_t2h source OOB");
-        let tcm_slice = self.tcm[src.0 as usize..(src.0 + len) as usize].to_vec();
         let state = self.ddr.get_mut(dst);
         assert!(
             dst_off + len as u64 <= state.size,
             "dma_t2h destination OOB"
         );
+        // Only functional contexts materialize DDR, and only they hold TCM.
         if let Some(data) = state.data.as_mut() {
-            data[dst_off as usize..dst_off as usize + len as usize].copy_from_slice(&tcm_slice);
+            data[dst_off as usize..dst_off as usize + len as usize]
+                .copy_from_slice(&self.tcm[src.0 as usize..(src.0 + len) as usize]);
         }
     }
 
@@ -321,7 +398,13 @@ impl NpuContext {
     /// Panics if the range exceeds TCM.
     pub fn vmem_ld_tcm(&mut self, addr: TcmAddr) -> HvxVec {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
-        HvxVec::from_bytes(self.tcm_peek(addr, HVX_BYTES))
+        match self.mode {
+            ExecMode::Functional => HvxVec::from_bytes(self.tcm_peek(addr, HVX_BYTES)),
+            ExecMode::CostOnly => {
+                self.assert_in_tcm(addr, HVX_BYTES);
+                HvxVec::zero()
+            }
+        }
     }
 
     /// Vector store of one 128-byte register to TCM.
@@ -331,8 +414,10 @@ impl NpuContext {
     /// Panics if the range exceeds TCM.
     pub fn vmem_st_tcm(&mut self, addr: TcmAddr, v: &HvxVec) {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
-        let bytes = v.0;
-        self.tcm_poke(addr, &bytes);
+        match self.mode {
+            ExecMode::Functional => self.tcm_poke(addr, &v.0),
+            ExecMode::CostOnly => self.assert_in_tcm(addr, HVX_BYTES),
+        }
     }
 
     /// Vector load over the slow core path from DDR/L2 (Table 2: 26 GB/s on
@@ -359,6 +444,7 @@ impl NpuContext {
     /// Panics if any gathered element is outside TCM.
     pub fn vgather_h(&mut self, base: TcmAddr, offsets: &HvxVec, pipelined: bool) -> HvxVec {
         self.cost.charge_vgather(pipelined);
+        let functional = self.mode == ExecMode::Functional;
         let mut out = HvxVec::zero();
         for i in 0..HVX_HALVES {
             let off = offsets.get_h(i) as u32;
@@ -367,9 +453,11 @@ impl NpuContext {
                 addr + 2 <= self.device.tcm_bytes,
                 "vgather element outside TCM"
             );
-            let lo = self.tcm[addr as usize];
-            let hi = self.tcm[addr as usize + 1];
-            out.set_h(i, u16::from_le_bytes([lo, hi]));
+            if functional {
+                let lo = self.tcm[addr as usize];
+                let hi = self.tcm[addr as usize + 1];
+                out.set_h(i, u16::from_le_bytes([lo, hi]));
+            }
         }
         out
     }
@@ -382,6 +470,7 @@ impl NpuContext {
     /// Panics if any scattered element is outside TCM.
     pub fn vscatter_h(&mut self, base: TcmAddr, offsets: &HvxVec, v: &HvxVec, pipelined: bool) {
         self.cost.charge_vgather(pipelined);
+        let functional = self.mode == ExecMode::Functional;
         for i in 0..HVX_HALVES {
             let off = offsets.get_h(i) as u32;
             let addr = base.0 + off;
@@ -389,9 +478,11 @@ impl NpuContext {
                 addr + 2 <= self.device.tcm_bytes,
                 "vscatter element outside TCM"
             );
-            let bytes = v.get_h(i).to_le_bytes();
-            self.tcm[addr as usize] = bytes[0];
-            self.tcm[addr as usize + 1] = bytes[1];
+            if functional {
+                let bytes = v.get_h(i).to_le_bytes();
+                self.tcm[addr as usize] = bytes[0];
+                self.tcm[addr as usize + 1] = bytes[1];
+            }
         }
     }
 
@@ -402,44 +493,44 @@ impl NpuContext {
     /// Broadcast an FP16 scalar to all 64 half-float lanes.
     pub fn vsplat_hf(&mut self, v: F16) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        HvxVec::splat_h(v.0)
+        self.lanes(|| HvxVec::splat_h(v.0))
     }
 
     /// Broadcast a byte to all 128 lanes.
     pub fn vsplat_b(&mut self, v: u8) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        HvxVec::splat_b(v)
+        self.lanes(|| HvxVec::splat_b(v))
     }
 
     /// Elementwise FP16 add. Pre-V79 the result is in qfloat format; call
     /// [`NpuContext::vconv_qf16`] before storing or bit-reinterpreting.
     pub fn vadd_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.add(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.add(y)))
     }
 
     /// Elementwise FP16 subtract (qfloat result pre-V79).
     pub fn vsub_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.sub(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.sub(y)))
     }
 
     /// Elementwise FP16 multiply (qfloat result pre-V79).
     pub fn vmpy_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.mul(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.mul(y)))
     }
 
     /// Elementwise FP16 max (IEEE semantics, NaN loses).
     pub fn vmax_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.max(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.max(y)))
     }
 
     /// Elementwise FP16 min.
     pub fn vmin_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_hf(a, b, |x, y| x.min(y))
+        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.min(y)))
     }
 
     /// Converts a qfloat-format register to IEEE FP16. Charges the
@@ -456,92 +547,92 @@ impl NpuContext {
     /// Elementwise FP32 add over 32 word lanes.
     pub fn vadd_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_sf(a, b, |x, y| x + y)
+        self.lanes(|| hvx::map2_sf(a, b, |x, y| x + y))
     }
 
     /// Elementwise FP32 multiply over 32 word lanes.
     pub fn vmpy_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_sf(a, b, |x, y| x * y)
+        self.lanes(|| hvx::map2_sf(a, b, |x, y| x * y))
     }
 
     /// Widens 64 FP16 lanes to an FP32 register pair.
     pub fn vcvt_hf_sf(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_hf_sf(v)
+        self.lanes(|| hvx::vcvt_hf_sf(v))
     }
 
     /// Narrows an FP32 register pair to 64 FP16 lanes (RTNE).
     pub fn vcvt_sf_hf(&mut self, lo: &HvxVec, hi: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_sf_hf(lo, hi)
+        self.lanes(|| hvx::vcvt_sf_hf(lo, hi))
     }
 
     /// Converts signed 16-bit integer lanes to FP16 (qfloat pre-V79).
     pub fn vcvt_h_hf(&mut self, v: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vcvt_h_hf(v)
+        self.lanes(|| hvx::vcvt_h_hf(v))
     }
 
     /// Sign-extends byte lanes to halfword lanes (register pair).
     pub fn vunpack_b_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vunpack_b_h(v)
+        self.lanes(|| hvx::vunpack_b_h(v))
     }
 
     /// Zero-extends byte lanes to halfword lanes (register pair).
     pub fn vunpack_ub_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vunpack_ub_h(v)
+        self.lanes(|| hvx::vunpack_ub_h(v))
     }
 
     /// Bitwise AND of byte lanes.
     pub fn vand_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x & y)
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x & y))
     }
 
     /// Bitwise OR of byte lanes.
     pub fn vor_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x | y)
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x | y))
     }
 
     /// Byte-lane subtract with wrapping (used for the INT4 bias of 8).
     pub fn vsub_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::map2_b(a, b, |x, y| x.wrapping_sub(y))
+        self.lanes(|| hvx::map2_b(a, b, |x, y| x.wrapping_sub(y)))
     }
 
     /// Logical shift right of byte lanes.
     pub fn vshr_b(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshr_b(v, n)
+        self.lanes(|| hvx::vshr_b(v, n))
     }
 
     /// Logical shift right of halfword lanes.
     pub fn vshr_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshr_h(v, n)
+        self.lanes(|| hvx::vshr_h(v, n))
     }
 
     /// Logical shift left of halfword lanes.
     pub fn vshl_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        hvx::vshl_h(v, n)
+        self.lanes(|| hvx::vshl_h(v, n))
     }
 
     /// Interleaves halfword lanes of two registers (cross-lane shuffle used
     /// for the HMX two-row layout, paper Figure 4a).
     pub fn vshuff_h(&mut self, a: &HvxVec, b: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vshuff_h(a, b)
+        self.lanes(|| hvx::vshuff_h(a, b))
     }
 
     /// Deinterleaves halfword lanes (inverse of [`NpuContext::vshuff_h`]).
     pub fn vdeal_h(&mut self, lo: &HvxVec, hi: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
-        hvx::vdeal_h(lo, hi)
+        self.lanes(|| hvx::vdeal_h(lo, hi))
     }
 
     /// `vlut16` with an FP16 table: 128 byte indices -> 128 FP16 lanes as a
@@ -549,8 +640,10 @@ impl NpuContext {
     /// IEEE FP16 directly — no qfloat conversion needed.
     pub fn vlut16_hf(&mut self, idx: &HvxVec, table: &[F16; 16]) -> (HvxVec, HvxVec) {
         self.cost.charge_vlut16();
-        let raw: [u16; 16] = std::array::from_fn(|i| table[i].0);
-        hvx::vlut16(idx, &raw)
+        self.lanes(|| {
+            let raw: [u16; 16] = std::array::from_fn(|i| table[i].0);
+            hvx::vlut16(idx, &raw)
+        })
     }
 
     /// Charges explicit pipeline-stall cycles (used to model the sequential
@@ -576,9 +669,17 @@ impl NpuContext {
             act.0.is_multiple_of(2) && wgt.0.is_multiple_of(2),
             "tiles must be aligned"
         );
-        let act_tile = hmx::unpack_tile(self.tcm_peek(act, TILE_BYTES));
-        let wgt_tile = hmx::unpack_tile(self.tcm_peek(wgt, TILE_BYTES));
-        acc.mac(&act_tile, &wgt_tile);
+        match self.mode {
+            ExecMode::Functional => {
+                let act_tile = hmx::unpack_tile(self.tcm_peek(act, TILE_BYTES));
+                let wgt_tile = hmx::unpack_tile(self.tcm_peek(wgt, TILE_BYTES));
+                acc.mac(&act_tile, &wgt_tile);
+            }
+            ExecMode::CostOnly => {
+                self.assert_in_tcm(act, TILE_BYTES);
+                self.assert_in_tcm(wgt, TILE_BYTES);
+            }
+        }
     }
 
     /// Shape-level HMX charge: `n` tile-ops without data movement. Used by
@@ -603,9 +704,13 @@ impl NpuContext {
     ) {
         // Writeback is part of the tile-op pipeline; charge token cost.
         self.cost.charge_hmx_tile_ops(0);
-        let tile = acc.to_tile(scale, bias);
-        let bytes = hmx::pack_tile(&tile);
-        self.tcm_poke(out, &bytes);
+        match self.mode {
+            ExecMode::Functional => {
+                let tile = acc.to_tile(scale, bias);
+                self.tcm_poke(out, &hmx::pack_tile(&tile));
+            }
+            ExecMode::CostOnly => self.assert_in_tcm(out, TILE_BYTES),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -727,6 +832,40 @@ mod tests {
         let back = c.vmem_ld_tcm(t);
         assert_eq!(v, back);
         assert_eq!(c.cost.counters().tcm_bytes, 256);
+    }
+
+    #[test]
+    fn cost_only_lane_ops_charge_without_computing() {
+        // One instruction sequence in both modes: identical charges, but
+        // only functional mode computes lanes and writes TCM.
+        let run = |mode| {
+            let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+            let t = c.tcm_alloc(128, 128).unwrap();
+            let one = c.vsplat_hf(F16::ONE);
+            let two = c.vadd_hf(&one, &one);
+            c.vmem_st_tcm(t, &two);
+            let back = c.vmem_ld_tcm(t);
+            let charges = (
+                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                *c.cost.counters(),
+            );
+            (charges, back, c.tcm_peek(t, HVX_BYTES).to_vec())
+        };
+        let (functional, back, tcm) = run(ExecMode::Functional);
+        assert_eq!(back, HvxVec::splat_h(F16::from_f32(2.0).0));
+        assert_eq!(tcm, back.0.to_vec());
+        let (cost_only, back, tcm) = run(ExecMode::CostOnly);
+        assert_eq!(cost_only, functional);
+        assert_eq!(back, HvxVec::zero());
+        assert!(tcm.iter().all(|&b| b == 0), "cost-only mode wrote TCM");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside TCM")]
+    fn cost_only_load_past_the_end_of_tcm_panics() {
+        let mut c = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+        let last = c.device().tcm_bytes - HVX_BYTES as u32 / 2;
+        c.vmem_ld_tcm(TcmAddr(last));
     }
 
     #[test]

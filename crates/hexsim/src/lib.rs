@@ -17,10 +17,11 @@
 //!   instruction traces rather than hardcoded.
 //!
 //! The two models share one code path: kernels emit operations through
-//! [`ctx::NpuContext`], which executes them functionally and charges their
-//! cost. For paper-scale shapes, [`ctx::NpuContext::replay`] measures one
-//! representative block and scales the cost delta, keeping simulation time
-//! bounded while preserving cost exactness for data-independent kernels.
+//! [`ctx::NpuContext`], which charges their cost and, in functional mode,
+//! executes them. For paper-scale shapes, cost-only mode charges without
+//! computing, and [`ctx::NpuContext::replay`] measures one representative
+//! block and scales the cost delta, keeping simulation time bounded while
+//! preserving cost exactness for data-independent kernels.
 //!
 //! # Examples
 //!

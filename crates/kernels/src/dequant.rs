@@ -357,6 +357,53 @@ mod tests {
     }
 
     #[test]
+    fn functional_and_cost_only_charge_identically() {
+        // Cost-only dequantization computes no lanes and writes no TCM, yet
+        // issues the same charges in the same order: on fresh contexts every
+        // engine's seconds agree to the bit.
+        let q8: [BlockQ8_0; 8] = std::array::from_fn(|g| {
+            let vals: Vec<f32> = (0..32).map(|i| ((g * 32 + i) as f32 * 0.2).sin()).collect();
+            BlockQ8_0::quantize(&vals)
+        });
+        type Kernel = fn(&mut NpuContext, &DequantEnv, TcmAddr, TcmAddr);
+        let cases: [(&str, Kernel, Vec<u8>); 2] = [
+            (
+                "q4",
+                dequant_super_q4_lut,
+                SuperBlockQ4::from_blocks(&test_blocks(5))
+                    .to_bytes()
+                    .to_vec(),
+            ),
+            (
+                "q8",
+                dequant_super_q8_lut,
+                tilequant::super_group::SuperBlockQ8::from_blocks(&q8)
+                    .to_bytes()
+                    .to_vec(),
+            ),
+        ];
+        for (name, kernel, block) in cases {
+            let run = |mode| {
+                let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+                let env = DequantEnv::new(&mut c);
+                let src = c.tcm_alloc(384, 128).unwrap();
+                let dst = c.tcm_alloc(512, 128).unwrap();
+                c.tcm_poke(src, &block);
+                kernel(&mut c, &env, src, dst);
+                let charges = (
+                    Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                    *c.cost.counters(),
+                );
+                (charges, c.tcm_peek(dst, 512).iter().any(|&b| b != 0))
+            };
+            let (functional, wrote) = run(ExecMode::Functional);
+            let (cost_only, cost_only_wrote) = run(ExecMode::CostOnly);
+            assert_eq!(cost_only, functional, "{name}");
+            assert!(wrote && !cost_only_wrote, "{name}: only functional writes");
+        }
+    }
+
+    #[test]
     fn naive_hmx_matches_lut_values() {
         let mut c = ctx();
         let env = DequantEnv::new(&mut c);

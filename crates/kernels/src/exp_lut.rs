@@ -51,16 +51,19 @@ impl ExpLut16 {
     /// Allocates and fills the table: entry `m` (an FP16 bit pattern with
     /// sign cleared) holds `exp(-value(m))` computed in f64 and rounded once
     /// to FP16. Runs at system initialization; charges no inference-time
-    /// cost (paper Section 5.2.1).
+    /// cost (paper Section 5.2.1). A cost-only context reserves the TCM but
+    /// leaves the table unfilled, since its gathers compute no lanes.
     pub fn build(ctx: &mut NpuContext) -> SimResult<Self> {
         let base = ctx.tcm_alloc(LUT_BYTES as u32, 128)?;
-        let mut bytes = vec![0u8; LUT_BYTES];
-        for m in 0..LUT_ENTRIES as u16 {
-            let magnitude = F16(m).to_f32() as f64;
-            let value = F16::from_f64((-magnitude).exp());
-            bytes[2 * m as usize..2 * m as usize + 2].copy_from_slice(&value.0.to_le_bytes());
+        if ctx.mode == ExecMode::Functional {
+            let mut bytes = vec![0u8; LUT_BYTES];
+            for m in 0..LUT_ENTRIES as u16 {
+                let magnitude = F16(m).to_f32() as f64;
+                let value = F16::from_f64((-magnitude).exp());
+                bytes[2 * m as usize..2 * m as usize + 2].copy_from_slice(&value.0.to_le_bytes());
+            }
+            ctx.tcm_poke(base, &bytes);
         }
-        ctx.tcm_poke(base, &bytes);
         let mask = HvxVec::splat_h(0x7fff);
         Ok(ExpLut16 { base, mask })
     }

@@ -570,6 +570,40 @@ mod tests {
     }
 
     #[test]
+    fn functional_and_cost_only_charge_identically() {
+        // One 32x32 weight tile: functional mode runs the single block that
+        // cost-only mode replays once, so both issue the same charges and
+        // every engine's seconds agree to the bit on fresh contexts.
+        let (m, k, n) = (2, 32, 32);
+        let w = gaussian_matrix(k, n, 21, 0.7, 0.0);
+        let qm =
+            QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, WeightLayout::HmxTileGroups);
+        let cfg = GemmConfig {
+            m,
+            k,
+            n,
+            scheme: QuantScheme::Q4_0,
+            variant: DequantVariant::CoalescedLut,
+            threads: 6,
+        };
+        let run = |mode| {
+            let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+            let prepared = prepare_weights(&mut c, &qm, cfg.variant).unwrap();
+            let act = if mode == ExecMode::Functional {
+                act_f16(m, k, 3)
+            } else {
+                Vec::new()
+            };
+            gemm_mixed(&mut c, &cfg, &prepared, &act);
+            (
+                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                *c.cost.counters(),
+            )
+        };
+        assert_eq!(run(ExecMode::CostOnly), run(ExecMode::Functional));
+    }
+
+    #[test]
     fn gemv_speedups_match_figure_15_ranges() {
         // Cost-only at a paper shape: 2048x2048 Q4 GEMV on V75 with the
         // device's full thread pool.

@@ -5,6 +5,10 @@
 //! Section 5.2.1) but the end-to-end pipeline still executes and charges
 //! them, so their smallness is a measured property rather than an
 //! assumption.
+//!
+//! Charges depend only on row lengths. In [`ExecMode::CostOnly`] every
+//! kernel issues the same charges in the same order and skips its scalar
+//! loop, leaving its row untouched.
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
@@ -12,24 +16,32 @@ use hexsim::prelude::*;
 /// RMS normalization of a length-`n` FP16 row: `y = x / rms(x) * w`.
 ///
 /// FP32 accumulation for the sum of squares (one widen + two FMA-ish ops
-/// per register), scalar rsqrt, then an FP16 scale pass.
+/// per register), scalar rsqrt, then an FP16 scale pass. The length comes
+/// from `w`, so cost-only callers may pass an empty `x`.
+///
+/// # Panics
+///
+/// Panics in functional mode if `x` and `w` differ in length.
 pub fn rmsnorm(ctx: &mut NpuContext, x: &mut [F16], w: &[F16], eps: f32) {
-    assert_eq!(x.len(), w.len());
-    let n = x.len();
+    let n = w.len();
     let regs = n.div_ceil(64) as u64;
     // Pass 1: sum of squares in FP32.
     ctx.cost.charge_tcm_bytes(regs * 128);
     ctx.cost.charge_hvx_packets(regs * 3 + 12 + 6);
+    // Pass 2: scale by inv_rms and the elementwise weight.
+    let qf = 2 * ctx.device().qf16_convert_ops();
+    ctx.cost.charge_tcm_bytes(regs * 256);
+    ctx.cost.charge_hvx_packets(regs * (2 + qf) + 1);
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
+    assert_eq!(x.len(), n);
     let mut ss = 0.0f32;
     for v in x.iter() {
         let f = v.to_f32();
         ss += f * f;
     }
     let inv_rms = 1.0 / (ss / n as f32 + eps).sqrt();
-    // Pass 2: scale by inv_rms and the elementwise weight.
-    let qf = 2 * ctx.device().qf16_convert_ops();
-    ctx.cost.charge_tcm_bytes(regs * 256);
-    ctx.cost.charge_hvx_packets(regs * (2 + qf) + 1);
     for (xi, wi) in x.iter_mut().zip(w) {
         let scaled = F16::from_f32(xi.to_f32() * inv_rms);
         *xi = scaled.mul(*wi);
@@ -48,6 +60,9 @@ pub fn rope(ctx: &mut NpuContext, x: &mut [F16], pos: usize, theta_base: f32) {
     let qf = 2 * ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 256);
     ctx.cost.charge_hvx_packets(regs * (6 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for i in 0..half {
         let freq = theta_base.powf(-2.0 * (i as f32) / d as f32);
         let angle = pos as f32 * freq;
@@ -69,6 +84,9 @@ pub fn silu(ctx: &mut NpuContext, x: &mut [F16]) {
     ctx.cost.charge_tcm_bytes(regs * 256);
     ctx.cost.charge_hvx_packets(regs * 12);
     ctx.stall(4);
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for v in x.iter_mut() {
         let f = v.to_f32();
         *v = F16::from_f32(f / (1.0 + (-f).exp()));
@@ -82,6 +100,9 @@ pub fn mul_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
     let qf = ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 384);
     ctx.cost.charge_hvx_packets(regs * (1 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.mul(*y);
     }
@@ -94,6 +115,9 @@ pub fn add_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
     let qf = ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 384);
     ctx.cost.charge_hvx_packets(regs * (1 + qf));
+    if ctx.mode == ExecMode::CostOnly {
+        return;
+    }
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.add(*y);
     }
@@ -175,6 +199,49 @@ mod tests {
         assert_eq!(a[2].to_f32(), 3.5);
         mul_inplace(&mut c, &mut a, &vecf(&[2.0, 2.0, 2.0]));
         assert_eq!(a[0].to_f32(), 3.0);
+    }
+
+    #[test]
+    fn functional_and_cost_only_charge_identically() {
+        // Cost-only kernels skip their scalar loops but issue the same
+        // charges in the same order, so every engine's seconds agree to the
+        // bit. 200 elements leave a partial final register.
+        type Kernel = fn(&mut NpuContext, &mut [F16], &[F16]);
+        let rms: Kernel = |c, x, w| rmsnorm(c, x, w, 1e-5);
+        let kernels: [(&str, Kernel); 5] = [
+            ("rmsnorm", rms),
+            ("rope", |c, x, _| rope(c, x, 7, 10000.0)),
+            ("silu", |c, x, _| silu(c, x)),
+            ("mul_inplace", mul_inplace),
+            ("add_inplace", add_inplace),
+        ];
+        let vals: Vec<f32> = (0..200).map(|i| (i % 13) as f32 * 0.25 - 1.5).collect();
+        let x0 = vecf(&vals);
+        let w: Vec<F16> = x0.iter().rev().copied().collect();
+        let run = |mode, kernel: Kernel, x: &mut [F16]| {
+            let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+            kernel(&mut c, x, &w);
+            (
+                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                *c.cost.counters(),
+            )
+        };
+        for (name, kernel) in kernels {
+            let functional = run(ExecMode::Functional, kernel, &mut x0.clone());
+            let mut x = x0.clone();
+            assert_eq!(
+                run(ExecMode::CostOnly, kernel, &mut x),
+                functional,
+                "{name}"
+            );
+            assert_eq!(x, x0, "{name}: cost-only mode wrote its row");
+        }
+        // RMSNorm takes its length from the weights, so cost-only callers
+        // pass no row at all.
+        assert_eq!(
+            run(ExecMode::CostOnly, rms, &mut []),
+            run(ExecMode::Functional, rms, &mut x0.clone())
+        );
     }
 
     #[test]

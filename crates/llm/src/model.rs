@@ -10,7 +10,8 @@
 //!
 //! In functional mode (tiny models) every value is computed bit-faithfully
 //! through the kernel crate; in cost-only mode (paper-scale models) the
-//! same code path charges identical per-shape costs via `replay`.
+//! same code path charges identical per-shape costs via `replay`, while the
+//! kernels skip their arithmetic and the walk carries no activations.
 
 use std::cell::RefCell;
 
@@ -415,24 +416,20 @@ impl Model {
         (r.out, r.cost.wall_secs)
     }
 
-    /// Runs misc row kernels over `rows` rows: functional mode applies `f`
-    /// to each real row; cost-only replays one dummy row.
-    fn per_row(
-        ctx: &mut NpuContext,
-        functional: bool,
-        rows: usize,
-        row_len: usize,
-        mut f: impl FnMut(&mut NpuContext, usize, &mut [F16]),
-        data: &mut [F16],
-    ) {
-        if functional {
-            for r in 0..rows {
-                let (lo, hi) = (r * row_len, (r + 1) * row_len);
-                f(ctx, r, &mut data[lo..hi]);
+    /// RMSNorm over `rows` rows of `x` with weight row `w`: functional mode
+    /// normalizes each real row; cost-only replays one row's charges (`x`
+    /// is empty there, and the kernel takes its length from `w`).
+    fn rmsnorm_rows(ctx: &mut NpuContext, rows: usize, w: &[F16], x: &mut [F16]) {
+        match ctx.mode {
+            ExecMode::Functional => {
+                let n = w.len();
+                for r in 0..rows {
+                    misc::rmsnorm(ctx, &mut x[r * n..(r + 1) * n], w, 1e-5);
+                }
             }
-        } else {
-            let mut dummy = vec![F16::ONE; row_len];
-            ctx.replay(rows as u64, |ctx| f(ctx, 0, &mut dummy));
+            ExecMode::CostOnly => {
+                ctx.replay(rows as u64, |ctx| misc::rmsnorm(ctx, &mut [], w, 1e-5));
+            }
         }
     }
 
@@ -494,15 +491,7 @@ impl Model {
         // Attention RMSNorm.
         let snap = ctx.cost.snapshot();
         let mut normed = x.to_vec();
-        let norm_w = lw.attn_norm.clone();
-        Self::per_row(
-            ctx,
-            functional,
-            rows,
-            hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &norm_w, 1e-5),
-            &mut normed,
-        );
+        Self::rmsnorm_rows(ctx, rows, &lw.attn_norm, &mut normed);
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
         // QKV projections.
@@ -575,7 +564,11 @@ impl Model {
         // Attention per sequence, per KV head, GQA-group batched.
         let g = cfg.gqa_group();
         let fa = FlashAttention::new(&self.lut, self.exp_method, g);
-        let mut attn_out = vec![F16::ZERO; rows * q_dim];
+        let mut attn_out = if functional {
+            vec![F16::ZERO; rows * q_dim]
+        } else {
+            Vec::new()
+        };
         if prefill {
             // One sequence, `rows` query positions.
             let s = seqs[0];
@@ -666,15 +659,7 @@ impl Model {
         // FFN: norm, gate/up, SiLU, mul, down (Q8), residual.
         let snap = ctx.cost.snapshot();
         let mut ffn_in = x.to_vec();
-        let ffn_norm = lw.ffn_norm.clone();
-        Self::per_row(
-            ctx,
-            functional,
-            rows,
-            hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &ffn_norm, 1e-5),
-            &mut ffn_in,
-        );
+        Self::rmsnorm_rows(ctx, rows, &lw.ffn_norm, &mut ffn_in);
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
         let (mut gate, tg) = self.gemm(ctx, &lw.w_gate, &ffn_in, rows);
@@ -682,22 +667,18 @@ impl Model {
         cost.gemm_secs += tg + tu;
 
         let snap = ctx.cost.snapshot();
-        Self::per_row(
-            ctx,
-            functional,
-            rows,
-            cfg.ffn,
-            |ctx, _, row| misc::silu(ctx, row),
-            &mut gate,
-        );
         if functional {
+            for r in 0..rows {
+                misc::silu(ctx, &mut gate[r * cfg.ffn..(r + 1) * cfg.ffn]);
+            }
             misc::mul_inplace(ctx, &mut gate, &up);
         } else {
-            let mut dummy = vec![F16::ONE; cfg.ffn];
-            let dummy2 = dummy.clone();
-            ctx.replay(rows as u64, |ctx| {
-                misc::mul_inplace(ctx, &mut dummy, &dummy2)
-            });
+            // SiLU and the gate multiply take their length from one
+            // gate/up row pair.
+            let mut pair = vec![F16::ZERO; 2 * cfg.ffn];
+            let (gate_row, up_row) = pair.split_at_mut(cfg.ffn);
+            ctx.replay(rows as u64, |ctx| misc::silu(ctx, gate_row));
+            ctx.replay(rows as u64, |ctx| misc::mul_inplace(ctx, gate_row, up_row));
         }
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
@@ -808,13 +789,10 @@ impl Model {
         let head_rows = if all_logits { rows } else { 1 };
         let first_row = rows - head_rows;
         let snap = ctx.cost.snapshot();
-        let final_norm = self.weights.final_norm.clone();
-        Self::per_row(
+        Self::rmsnorm_rows(
             ctx,
-            functional,
             head_rows,
-            hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &final_norm, 1e-5),
+            &self.weights.final_norm,
             if functional {
                 &mut x[first_row * hidden..]
             } else {
@@ -934,15 +912,7 @@ impl Model {
         )?;
 
         let snap = ctx.cost.snapshot();
-        let final_norm = self.weights.final_norm.clone();
-        Self::per_row(
-            ctx,
-            functional,
-            batch,
-            hidden,
-            |ctx, _, row| misc::rmsnorm(ctx, row, &final_norm, 1e-5),
-            &mut x,
-        );
+        Self::rmsnorm_rows(ctx, batch, &self.weights.final_norm, &mut x);
         let final_npu_secs = ctx.cost.delta_since(&snap, "").wall_secs;
         cost.misc_secs += final_npu_secs;
 

@@ -470,12 +470,20 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
 /// Iterations scheduled to reach (and measure) the steady state.
 const STEADY_ITERS: usize = 10;
 
-/// Steady-state wall seconds of one decode step under the pipelined
-/// schedule: identical iterations are scheduled until the per-iteration
-/// period settles, and the period between the last two is returned. The
-/// result never exceeds [`StepStages::serial_secs`] (every dependency path
-/// visits each stage at most once per iteration).
-pub fn steady_state_step_secs(st: &StepStages) -> f64 {
+/// The steady state of the pipelined decode schedule, read off one
+/// timeline.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SteadyState {
+    /// Wall seconds of one step ([`steady_state_step_secs`]).
+    pub period_secs: f64,
+    /// Busy fraction of each lane, indexed by the [`lane`] constants
+    /// ([`steady_state_lane_utilization`]).
+    pub lane_util: [f64; lane::COUNT],
+}
+
+/// Schedules the steady-state iterations once; returns the timeline and
+/// the period between its last two iterations.
+fn schedule_steady_state(st: &StepStages) -> (Timeline, f64) {
     let mut tl = Timeline::new(lane::COUNT);
     let mut prev: Option<IterTasks> = None;
     let mut marks = [0.0f64; STEADY_ITERS];
@@ -488,7 +496,29 @@ pub fn steady_state_step_secs(st: &StepStages) -> f64 {
     // The CPU tail of the final step is part of every period (it is the
     // head of the next iteration's CPU block); nothing to add. Guard
     // against float drift pushing past the serial bound.
-    period.min(st.serial_secs())
+    (tl, period.min(st.serial_secs()))
+}
+
+/// The step period and every lane's utilization from a single schedule,
+/// for callers that need both (the serving gateway, once per step).
+/// Scheduling is eager and both values are reads of the same timeline, so
+/// they equal what [`steady_state_step_secs`] and
+/// [`steady_state_lane_utilization`] return, bit for bit.
+pub fn steady_state(st: &StepStages) -> SteadyState {
+    let (tl, period_secs) = schedule_steady_state(st);
+    SteadyState {
+        period_secs,
+        lane_util: std::array::from_fn(|l| tl.lane_utilization(l)),
+    }
+}
+
+/// Steady-state wall seconds of one decode step under the pipelined
+/// schedule: identical iterations are scheduled until the per-iteration
+/// period settles, and the period between the last two is returned. The
+/// result never exceeds [`StepStages::serial_secs`] (every dependency path
+/// visits each stage at most once per iteration).
+pub fn steady_state_step_secs(st: &StepStages) -> f64 {
+    schedule_steady_state(st).1
 }
 
 /// Steady-state busy fraction of one lane under the pipelined schedule:
@@ -498,13 +528,7 @@ pub fn steady_state_step_secs(st: &StepStages) -> f64 {
 /// reports per device; the DMA lane's fraction shows how close weight
 /// streaming runs to bandwidth-bound.
 pub fn steady_state_lane_utilization(st: &StepStages, lane_idx: usize) -> f64 {
-    let mut tl = Timeline::new(lane::COUNT);
-    let mut prev: Option<IterTasks> = None;
-    for _ in 0..STEADY_ITERS {
-        let it = submit_iteration(&mut tl, st, prev.as_ref());
-        prev = Some(it);
-    }
-    tl.lane_utilization(lane_idx)
+    schedule_steady_state(st).0.lane_utilization(lane_idx)
 }
 
 /// Wall seconds of one *standalone* pass (prefill): a single iteration
@@ -713,6 +737,30 @@ mod tests {
         assert!(npu > 0.85, "npu lane {npu}");
         assert!(disp < npu, "dispatch {disp} vs npu {npu}");
         assert!((0.0..=1.0).contains(&npu) && (0.0..=1.0).contains(&disp));
+    }
+
+    #[test]
+    fn steady_state_reads_period_and_every_lane_off_one_schedule() {
+        let mut streamed = stages(8);
+        streamed.layers[1].weight_fetch_secs = 5e-3;
+        streamed.draft_cpu_secs = 2e-3;
+        let mut sharded = stages(1);
+        sharded.layers[1].switch_before = true;
+        sharded.wrap_switch = true;
+        sharded.switch_secs = 30e-6;
+        for st in [stages(8), streamed, sharded] {
+            let ss = steady_state(&st);
+            assert_eq!(
+                ss.period_secs.to_bits(),
+                steady_state_step_secs(&st).to_bits()
+            );
+            for (l, util) in ss.lane_util.iter().enumerate() {
+                assert_eq!(
+                    util.to_bits(),
+                    steady_state_lane_utilization(&st, l).to_bits()
+                );
+            }
+        }
     }
 
     #[test]
