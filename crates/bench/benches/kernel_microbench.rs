@@ -15,21 +15,12 @@ use tilequant::block::BlockQ4_0;
 use tilequant::super_group::SuperBlockQ4;
 
 fn bench_f16_conversion(c: &mut Criterion) {
+    // The chunked slice converters, the hot path of the CPU lm_head and
+    // embedding staging. Scalar `from_f32`/`to_f32` run the same
+    // branch-free conversions one element at a time.
     let mut group = c.benchmark_group("f16");
     group.throughput(Throughput::Elements(4096));
     let values: Vec<f32> = (0..4096).map(|i| (i as f32) * 0.37 - 700.0).collect();
-    group.bench_function("from_f32_rtne_4096", |b| {
-        b.iter(|| {
-            let mut acc = 0u32;
-            for &v in &values {
-                acc = acc.wrapping_add(F16::from_f32(std::hint::black_box(v)).0 as u32);
-            }
-            acc
-        })
-    });
-    // The chunked SIMD-friendly slice converters (bit-identical results,
-    // pinned by hexsim's exhaustive tests) against the scalar loops above
-    // — the hot path of the CPU lm_head and embedding staging.
     let mut half = vec![F16::ZERO; 4096];
     group.bench_function("from_f32_slice_4096", |b| {
         b.iter(|| {
@@ -38,15 +29,6 @@ fn bench_f16_conversion(c: &mut Criterion) {
         })
     });
     F16::from_f32_slice(&values, &mut half);
-    group.bench_function("to_f32_scalar_4096", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            for &h in &half {
-                acc += std::hint::black_box(h).to_f32();
-            }
-            acc
-        })
-    });
     let mut floats = vec![0.0f32; 4096];
     group.bench_function("to_f32_slice_4096", |b| {
         b.iter(|| {
@@ -108,8 +90,7 @@ fn bench_softmax(c: &mut Criterion) {
     }
     // The pass-2 host lane sum in isolation: per-lane scalar conversion
     // against the chunked slice converter now used by softmax_rows (both
-    // bit-identical, pinned by the exhaustive htpops test) — the same
-    // scalar-vs-chunked pin pattern as the f16 group above.
+    // bit-identical, pinned by the exhaustive htpops test).
     let vecs: Vec<HvxVec> = (0..64)
         .map(|r| {
             let mut v = HvxVec::zero();

@@ -156,17 +156,22 @@ impl NpuContext {
     // ------------------------------------------------------------------
 
     /// Allocates `bytes` of TCM with the given alignment (bump allocator).
+    /// A request that does not fit (even one whose end would overflow
+    /// `u32`) fails without moving the allocator.
     pub fn tcm_alloc(&mut self, bytes: u32, align: u32) -> SimResult<TcmAddr> {
         let align = align.max(1);
-        let base = self.tcm_top.div_ceil(align) * align;
-        if base + bytes > self.device.tcm_bytes {
-            return Err(SimError::TcmExhausted {
+        let base = self.tcm_top.div_ceil(align).checked_mul(align);
+        let end = base.and_then(|base| base.checked_add(bytes));
+        match (base, end) {
+            (Some(base), Some(end)) if end <= self.device.tcm_bytes => {
+                self.tcm_top = end;
+                Ok(TcmAddr(base))
+            }
+            _ => Err(SimError::TcmExhausted {
                 capacity: self.device.tcm_bytes,
                 requested: bytes,
-            });
+            }),
         }
-        self.tcm_top = base + bytes;
-        Ok(TcmAddr(base))
     }
 
     /// Saves the allocator position; restore with [`NpuContext::tcm_release`].
@@ -322,8 +327,8 @@ impl NpuContext {
             "dma_h2t destination OOB"
         );
         if let Some(data) = &state.data {
-            let src_slice = data[src_off as usize..(src_off + len as u64) as usize].to_vec();
-            self.tcm[dst.0 as usize..(dst.0 + len) as usize].copy_from_slice(&src_slice);
+            self.tcm[dst.0 as usize..(dst.0 + len) as usize]
+                .copy_from_slice(&data[src_off as usize..(src_off + len as u64) as usize]);
         }
     }
 
@@ -506,19 +511,19 @@ impl NpuContext {
     /// [`NpuContext::vconv_qf16`] before storing or bit-reinterpreting.
     pub fn vadd_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.add(y)))
+        self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x + y))
     }
 
     /// Elementwise FP16 subtract (qfloat result pre-V79).
     pub fn vsub_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.sub(y)))
+        self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x - y))
     }
 
     /// Elementwise FP16 multiply (qfloat result pre-V79).
     pub fn vmpy_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.mul(y)))
+        self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x * y))
     }
 
     /// Elementwise FP16 max (IEEE semantics, NaN loses).
@@ -671,9 +676,9 @@ impl NpuContext {
         );
         match self.mode {
             ExecMode::Functional => {
-                let act_tile = hmx::unpack_tile(self.tcm_peek(act, TILE_BYTES));
-                let wgt_tile = hmx::unpack_tile(self.tcm_peek(wgt, TILE_BYTES));
-                acc.mac(&act_tile, &wgt_tile);
+                let act_tile = hmx::unpack_tile_f32(self.tcm_peek(act, TILE_BYTES));
+                let wgt_tile = hmx::unpack_tile_f32(self.tcm_peek(wgt, TILE_BYTES));
+                acc.mac_f32(&act_tile, &wgt_tile);
             }
             ExecMode::CostOnly => {
                 self.assert_in_tcm(act, TILE_BYTES);
@@ -774,6 +779,67 @@ mod tests {
         assert_eq!(b.0 % 128, 0);
         let err = c.tcm_alloc(9 * 1024 * 1024, 1).unwrap_err();
         assert!(matches!(err, SimError::TcmExhausted { .. }));
+    }
+
+    #[test]
+    fn tcm_alloc_that_would_wrap_u32_fails_without_moving_the_allocator() {
+        let mut c = ctx();
+        c.tcm_alloc(100, 1).unwrap();
+        // `base + bytes` overflows u32.
+        let err = c.tcm_alloc(u32::MAX - 50, 1).unwrap_err();
+        assert!(matches!(err, SimError::TcmExhausted { .. }));
+        assert_eq!(c.tcm_used(), 100);
+        // A base aligned up to near u32::MAX overflows on adding `bytes`.
+        let err = c.tcm_alloc(20, u32::MAX - 10).unwrap_err();
+        assert!(matches!(err, SimError::TcmExhausted { .. }));
+        assert_eq!(c.tcm_used(), 100);
+        assert_eq!(c.tcm_alloc(28, 128).unwrap(), TcmAddr(128));
+    }
+
+    #[test]
+    fn half_float_lane_ops_equal_per_lane_f16_arithmetic() {
+        // Random registers whose lanes mix arbitrary bit patterns with NaN,
+        // ±Inf, subnormals and ±0.
+        const SPECIAL: [u16; 8] = [
+            0x7e00, 0xfd01, 0x7c00, 0xfc00, 0x0001, 0x83ff, 0x0000, 0x8000,
+        ];
+        let mut state = 0x9e37_79b9u32;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let mut register = || {
+            let mut v = HvxVec::zero();
+            for lane in 0..HVX_HALVES {
+                let r = next();
+                let bits = match r % 4 {
+                    0 => SPECIAL[(r >> 8) as usize % SPECIAL.len()],
+                    _ => (r >> 16) as u16,
+                };
+                v.set_h(lane, bits);
+            }
+            v
+        };
+        // Rust leaves the sign of a NaN result open when both operands are
+        // NaN (codegen may return either one), so NaN lanes compare as NaN.
+        let nan_blind = |v: &HvxVec| hvx::map_hf(v, |h| if h.is_nan() { F16::NAN } else { h });
+        type LaneOp = fn(&mut NpuContext, &HvxVec, &HvxVec) -> HvxVec;
+        type PerLane = fn(F16, F16) -> F16;
+        let ops: [(LaneOp, PerLane); 3] = [
+            (NpuContext::vadd_hf, F16::add),
+            (NpuContext::vsub_hf, F16::sub),
+            (NpuContext::vmpy_hf, F16::mul),
+        ];
+        let mut c = ctx();
+        for _ in 0..64 {
+            let (a, b) = (register(), register());
+            for (lanes, per_lane) in ops {
+                let got = lanes(&mut c, &a, &b);
+                assert_eq!(nan_blind(&got), nan_blind(&hvx::map2_hf(&a, &b, per_lane)));
+            }
+        }
     }
 
     #[test]

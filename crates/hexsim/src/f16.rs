@@ -9,6 +9,14 @@
 //! widening to `f32` (which is exact for binary16 add/sub/mul because an f32
 //! significand holds the full double-width product of two 11-bit
 //! significands).
+//!
+//! Every functional datapath converts through [`F16::from_f32`] and
+//! [`F16::to_f32`], so both are branch-free bit arithmetic; the f32 ->
+//! binary16 direction rounds subnormal results with the FPU's own RTNE add
+//! (the "denormal magic" trick). The unit tests pin them bit for bit
+//! against readable field-by-field oracles: on all 2^16 halves, on a
+//! structured f32 sweep, and (as an ignored test run in release) on all
+//! 2^32 floats, NaN payloads included.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -71,99 +79,16 @@ impl F16 {
     ///
     /// Overflow produces infinity; underflow produces (signed) zero or a
     /// subnormal; NaN maps to the canonical quiet NaN with the input sign.
+    #[inline]
     pub fn from_f32(value: f32) -> Self {
-        let x = value.to_bits();
-        let sign = ((x >> 16) & 0x8000) as u16;
-        let exp = ((x >> 23) & 0xff) as i32;
-        let mant = x & 0x007f_ffff;
-
-        if exp == 0xff {
-            // Infinity or NaN.
-            return if mant == 0 {
-                F16(sign | EXP_MASK)
-            } else {
-                F16(sign | 0x7e00)
-            };
-        }
-        if exp == 0 {
-            // f32 subnormals are below 2^-126, far under the f16 underflow
-            // threshold of 2^-25, so they round to signed zero.
-            return F16(sign);
-        }
-
-        // 24-bit significand with the implicit leading one made explicit.
-        let sig = mant | 0x0080_0000;
-        let unbiased = exp - 127;
-
-        if unbiased > 15 {
-            // Magnitude >= 2^16 > 65504: overflow to infinity.
-            return F16(sign | EXP_MASK);
-        }
-        if unbiased >= -14 {
-            // Normal result. Re-bias so that adding the 11-bit shifted
-            // significand (which contains the implicit bit at position 10)
-            // lands the exponent field correctly, then round RTNE on the 13
-            // discarded bits. A mantissa carry naturally increments the
-            // exponent, and a carry out of exponent 30 correctly yields
-            // infinity (0x7c00).
-            let base = ((unbiased + 14) as u32) << 10;
-            let mut h = base + (sig >> 13);
-            let rem = sig & 0x1fff;
-            if rem > 0x1000 || (rem == 0x1000 && (h & 1) == 1) {
-                h += 1;
-            }
-            return F16(sign | (h as u16));
-        }
-
-        // Subnormal (or zero) result: value = sig * 2^(unbiased - 23), and the
-        // f16 subnormal unit is 2^-24, so the stored mantissa is
-        // sig >> (-unbiased - 1), rounded RTNE. For unbiased < -25 the shift
-        // discards everything including the rounding bit.
-        let shift = (-unbiased - 1) as u32;
-        if shift > 25 {
-            return F16(sign);
-        }
-        let shifted = if shift >= 32 { 0 } else { sig >> shift };
-        let rem = sig & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let mut h = shifted;
-        if rem > half || (rem == half && (h & 1) == 1) {
-            h += 1;
-        }
-        F16(sign | (h as u16))
+        F16(f32_bits_to_f16_bits(value.to_bits()))
     }
 
     /// Converts to `f32` exactly (every binary16 value is representable).
+    /// NaN keeps its sign and payload and becomes quiet.
+    #[inline]
     pub fn to_f32(self) -> f32 {
-        let sign = ((self.0 & SIGN_MASK) as u32) << 16;
-        let exp = ((self.0 & EXP_MASK) >> 10) as u32;
-        let mant = (self.0 & MANT_MASK) as u32;
-
-        let bits = if exp == 0x1f {
-            // Infinity or NaN.
-            if mant == 0 {
-                sign | 0x7f80_0000
-            } else {
-                sign | 0x7fc0_0000 | (mant << 13)
-            }
-        } else if exp == 0 {
-            if mant == 0 {
-                sign
-            } else {
-                // Subnormal: normalize into an f32, which has ample range.
-                let mut e = -14i32;
-                let mut m = mant;
-                while m & 0x0400 == 0 {
-                    m <<= 1;
-                    e -= 1;
-                }
-                m &= MANT_MASK as u32;
-                sign | (((e + 127) as u32) << 23) | (m << 13)
-            }
-        } else {
-            sign | ((exp + 127 - 15) << 23) | (mant << 13)
-        };
-        f32::from_bits(bits)
+        f16_bits_to_f32(self.0)
     }
 
     /// Converts from `f64` by first rounding to `f32`.
@@ -285,86 +210,75 @@ impl F16 {
 }
 
 // ---------------------------------------------------------------------
-// Chunked slice conversions.
+// Conversions on raw bits.
 //
-// The scalar `from_f32`/`to_f32` above are the readable reference; the
-// functions below are the hot-loop versions. They process fixed-size
-// chunks with branch-reduced integer/float arithmetic so LLVM can
-// auto-vectorize the inner loops (the crate denies `unsafe`, so explicit
-// intrinsics are off the table), and they are pinned bit-identical to the
-// scalar paths by exhaustive tests. `kernel_microbench` tracks the
-// speedup; the CPU-side lm_head and embedding paths in `edgellm` are the
-// main consumers.
+// Every functional lane, HMX tile and host staging loop converts through
+// the two functions below, so they are branch-free: each computes the
+// candidate results of its input classes and selects one, which lets
+// LLVM keep the loops over them vectorized (the crate denies `unsafe`,
+// so explicit intrinsics are off the table). Readable field-by-field
+// versions are kept as test oracles, and the tests pin these two bit for
+// bit against them (exhaustively for binary16 -> f32).
+// The slice converters loop over the same functions in fixed-size
+// chunks; the CPU-side lm_head and embedding paths in `edgellm` are
+// their main consumers.
 // ---------------------------------------------------------------------
 
 /// Elements per inner chunk of the slice converters (two HVX-width rows;
 /// also a comfortable width for NEON/AVX2 autovectorization).
 const CONVERT_CHUNK: usize = 16;
 
-/// Branch-reduced f32 -> binary16 conversion on raw bits, RTNE. Exactly
-/// matches [`F16::from_f32`] for every input (including NaN payloads
-/// canonicalizing to the quiet NaN with the input sign).
+/// f32 -> binary16 conversion on raw bits, round-to-nearest-even.
 #[inline(always)]
 fn f32_bits_to_f16_bits(x: u32) -> u16 {
     let sign = ((x >> 16) & 0x8000) as u16;
     let a = x & 0x7fff_ffff;
-    if a >= 0x3880_0000 {
-        // Normal f16 range, overflow, infinity or NaN.
-        if a >= 0x4780_0000 {
-            // >= 2^16: overflow to infinity; NaN canonicalizes to 0x7e00.
-            return if a > 0x7f80_0000 {
-                sign | 0x7e00
-            } else {
-                sign | EXP_MASK
-            };
-        }
-        // Rebias the exponent by -112 and round to nearest-even on the 13
-        // discarded mantissa bits: adding 0xFFF plus the ties-to-even bit
-        // carries into the mantissa (and, on overflow, the exponent)
-        // exactly when RTNE rounds up.
-        let mant_odd = (a >> 13) & 1;
-        let b = a.wrapping_add(0xC800_0FFF).wrapping_add(mant_odd);
-        sign | ((b >> 13) as u16)
+    // Normal result: rebias the exponent by -112 and round to nearest-even
+    // on the 13 discarded mantissa bits. Adding 0xFFF plus the ties-to-even
+    // bit carries into the mantissa (and, on overflow, the exponent)
+    // exactly when RTNE rounds up.
+    let normal = (a.wrapping_add(0xC800_0FFF).wrapping_add((a >> 13) & 1) >> 13) as u16;
+    // Subnormal or zero result (the "denormal magic" add): the f32 ulp of
+    // 0.5 + |v| is 2^-24, the binary16 subnormal unit, so the FPU's own
+    // RTNE add rounds |v| to whole units, which land in the low mantissa
+    // bits. A round-up to 2^-14 yields 0x0400, the smallest normal, and
+    // f32 subnormal inputs round to zero.
+    let subnormal = (f32::from_bits(a) + 0.5)
+        .to_bits()
+        .wrapping_sub(0x3f00_0000) as u16;
+    // At or above 2^16: overflow to infinity; NaN canonicalizes to 0x7e00.
+    let special = if a > 0x7f80_0000 { 0x7e00 } else { EXP_MASK };
+    let magnitude = if a >= 0x4780_0000 {
+        special
+    } else if a >= 0x3880_0000 {
+        normal
     } else {
-        // Subnormal or zero result.
-        if a < 0x3280_0000 {
-            // Below 2^-26: underflows to signed zero even after rounding
-            // (f32 subnormal inputs land here too).
-            return sign;
-        }
-        let shift = 126 - (a >> 23);
-        let sig = (a & 0x007f_ffff) | 0x0080_0000;
-        let shifted = sig >> shift;
-        let rem = sig & ((1u32 << shift) - 1);
-        let half = 1u32 << (shift - 1);
-        let round = (rem > half || (rem == half && (shifted & 1) == 1)) as u32;
-        sign | ((shifted + round) as u16)
-    }
+        subnormal
+    };
+    sign | magnitude
 }
 
-/// Branch-reduced binary16 -> f32 conversion on raw bits. Exactly matches
-/// [`F16::to_f32`] for every one of the 65536 bit patterns.
+/// binary16 -> f32 conversion on raw bits (exact).
 #[inline(always)]
 fn f16_bits_to_f32(h: u16) -> f32 {
-    if (h & EXP_MASK) == EXP_MASK {
-        // Infinity / NaN: take the readable path (rare and the float
-        // trick below cannot produce the infinite exponent).
-        return F16(h).to_f32();
-    }
-    // Place the f16 exponent/mantissa in the f32 fields and rescale by
-    // 2^112 (= 2^(127-15)); the multiply is exact for both normals and
-    // subnormals (a power-of-two scale only shifts the exponent, and every
-    // subnormal f16 value is a normal f32 after scaling).
     let sign = ((h & SIGN_MASK) as u32) << 16;
-    let magnitude = f32::from_bits(((h & 0x7fff) as u32) << 13) * f32::from_bits(0x7780_0000);
-    f32::from_bits(magnitude.to_bits() | sign)
+    // The f16 exponent and mantissa, placed in the f32 fields.
+    let bits = ((h & 0x7fff) as u32) << 13;
+    // Finite: rescale by 2^112 (= 2^(127-15)). The multiply is exact for
+    // normals and subnormals alike (a power-of-two scale only shifts the
+    // exponent, and every f16 subnormal is an f32 normal after scaling).
+    let finite = (f32::from_bits(bits) * f32::from_bits(0x7780_0000)).to_bits();
+    // Infinity / NaN: all-ones exponent, payload kept, NaN made quiet.
+    let quiet = u32::from(bits & 0x007f_ffff != 0) << 22;
+    let special = 0x7f80_0000 | bits | quiet;
+    let magnitude = if bits >= 0x0f80_0000 { special } else { finite };
+    f32::from_bits(sign | magnitude)
 }
 
 impl F16 {
-    /// Converts `src` into `dst` with round-to-nearest-even, bit-identical
-    /// to elementwise [`F16::from_f32`] but in chunked, SIMD-friendly
-    /// inner loops (the host-side hot path for embeddings and activation
-    /// staging).
+    /// Converts `src` into `dst` with round-to-nearest-even: elementwise
+    /// [`F16::from_f32`] in chunked, SIMD-friendly inner loops (the
+    /// host-side hot path for embeddings and activation staging).
     ///
     /// # Panics
     ///
@@ -383,9 +297,9 @@ impl F16 {
         }
     }
 
-    /// Converts `src` into `dst` exactly, bit-identical to elementwise
-    /// [`F16::to_f32`] but in chunked, SIMD-friendly inner loops (the
-    /// host-side hot path for the CPU lm_head).
+    /// Converts `src` into `dst` exactly: elementwise [`F16::to_f32`] in
+    /// chunked, SIMD-friendly inner loops (the host-side hot path for the
+    /// CPU lm_head).
     ///
     /// # Panics
     ///
@@ -464,6 +378,104 @@ pub fn f16_to_le_bytes(v: F16, out: &mut [u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Readable f32 -> binary16 conversion (RTNE), field by field: the
+    /// oracle the branch-free [`F16::from_f32`] is pinned to.
+    fn from_f32_oracle(value: f32) -> F16 {
+        let x = value.to_bits();
+        let sign = ((x >> 16) & 0x8000) as u16;
+        let exp = ((x >> 23) & 0xff) as i32;
+        let mant = x & 0x007f_ffff;
+
+        if exp == 0xff {
+            // Infinity or NaN.
+            return if mant == 0 {
+                F16(sign | EXP_MASK)
+            } else {
+                F16(sign | 0x7e00)
+            };
+        }
+        if exp == 0 {
+            // f32 subnormals are below 2^-126, far under the f16 underflow
+            // threshold of 2^-25, so they round to signed zero.
+            return F16(sign);
+        }
+
+        // 24-bit significand with the implicit leading one made explicit.
+        let sig = mant | 0x0080_0000;
+        let unbiased = exp - 127;
+
+        if unbiased > 15 {
+            // Magnitude >= 2^16 > 65504: overflow to infinity.
+            return F16(sign | EXP_MASK);
+        }
+        if unbiased >= -14 {
+            // Normal result. Re-bias so that adding the 11-bit shifted
+            // significand (which contains the implicit bit at position 10)
+            // lands the exponent field correctly, then round RTNE on the 13
+            // discarded bits. A mantissa carry naturally increments the
+            // exponent, and a carry out of exponent 30 correctly yields
+            // infinity (0x7c00).
+            let base = ((unbiased + 14) as u32) << 10;
+            let mut h = base + (sig >> 13);
+            let rem = sig & 0x1fff;
+            if rem > 0x1000 || (rem == 0x1000 && (h & 1) == 1) {
+                h += 1;
+            }
+            return F16(sign | (h as u16));
+        }
+
+        // Subnormal (or zero) result: value = sig * 2^(unbiased - 23), and the
+        // f16 subnormal unit is 2^-24, so the stored mantissa is
+        // sig >> (-unbiased - 1), rounded RTNE. For unbiased < -25 the shift
+        // discards everything including the rounding bit.
+        let shift = (-unbiased - 1) as u32;
+        if shift > 25 {
+            return F16(sign);
+        }
+        let shifted = sig >> shift;
+        let rem = sig & ((1u32 << shift) - 1);
+        let half = 1u32 << (shift - 1);
+        let mut h = shifted;
+        if rem > half || (rem == half && (h & 1) == 1) {
+            h += 1;
+        }
+        F16(sign | (h as u16))
+    }
+
+    /// Readable binary16 -> f32 conversion, field by field: the oracle the
+    /// branch-free [`F16::to_f32`] is pinned to.
+    fn to_f32_oracle(h: F16) -> f32 {
+        let sign = ((h.0 & SIGN_MASK) as u32) << 16;
+        let exp = ((h.0 & EXP_MASK) >> 10) as u32;
+        let mant = (h.0 & MANT_MASK) as u32;
+
+        let bits = if exp == 0x1f {
+            // Infinity or NaN.
+            if mant == 0 {
+                sign | 0x7f80_0000
+            } else {
+                sign | 0x7fc0_0000 | (mant << 13)
+            }
+        } else if exp == 0 {
+            if mant == 0 {
+                sign
+            } else {
+                // Subnormal: normalize into an f32, which has ample range.
+                let mut e = -14i32;
+                let mut m = mant;
+                while m & 0x0400 == 0 {
+                    m <<= 1;
+                    e -= 1;
+                }
+                m &= MANT_MASK as u32;
+                sign | (((e + 127) as u32) << 23) | (m << 13)
+            }
+        } else {
+            sign | ((exp + 127 - 15) << 23) | (mant << 13)
+        };
+        f32::from_bits(bits)
+    }
 
     #[test]
     fn roundtrip_all_bit_patterns() {
@@ -581,32 +593,38 @@ mod tests {
     }
 
     #[test]
-    fn to_f32_slice_matches_scalar_for_all_bit_patterns() {
-        // The chunked converter must be bit-identical to the readable
-        // scalar path for every one of the 65536 binary16 patterns
-        // (including NaN payloads, which callers may bit-compare).
+    fn to_f32_matches_oracle_for_all_bit_patterns() {
+        // Scalar and chunked conversion must equal the readable oracle on
+        // every one of the 65536 binary16 patterns, bit for bit (including
+        // NaN payloads, which callers may bit-compare).
         let src: Vec<F16> = (0..=u16::MAX).map(F16).collect();
         let batch = F16::vec_to_f32(&src);
-        for (h, &got) in src.iter().zip(&batch) {
-            let want = h.to_f32();
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "bits {:#06x}: batch {got} vs scalar {want}",
-                h.0
-            );
+        for (&h, &got) in src.iter().zip(&batch) {
+            let want = to_f32_oracle(h).to_bits();
+            assert_eq!(h.to_f32().to_bits(), want, "scalar, bits {:#06x}", h.0);
+            assert_eq!(got.to_bits(), want, "slice, bits {:#06x}", h.0);
+        }
+    }
+
+    /// Asserts that scalar and chunked `from_f32` equal the oracle on
+    /// every input.
+    fn assert_from_f32_matches_oracle(inputs: &[f32]) {
+        let batch = F16::vec_from_f32(inputs);
+        for (&v, got) in inputs.iter().zip(&batch) {
+            let want = from_f32_oracle(v).0;
+            let bits = v.to_bits();
+            assert_eq!(F16::from_f32(v).0, want, "scalar, input {bits:#010x}");
+            assert_eq!(got.0, want, "slice, input {bits:#010x}");
         }
     }
 
     #[test]
-    fn from_f32_slice_matches_scalar_on_structured_sweep() {
+    fn from_f32_matches_oracle_on_structured_sweep() {
         // Every f16 value, every half-ulp midpoint around it, values just
-        // above/below the midpoints, and a dense pseudorandom sweep: the
-        // chunked RTNE converter must agree with the scalar path bitwise.
+        // above/below the midpoints, and a dense pseudorandom sweep.
         let mut inputs: Vec<f32> = Vec::new();
         for bits in 0..=u16::MAX {
-            let h = F16(bits);
-            let f = h.to_f32();
+            let f = to_f32_oracle(F16(bits));
             inputs.push(f);
             let fb = f.to_bits();
             // Perturb around the exact value in f32 ulps (crosses the
@@ -623,17 +641,18 @@ mod tests {
             state = state.wrapping_mul(1664525).wrapping_add(1013904223);
             inputs.push(f32::from_bits(state));
         }
-        let batch = F16::vec_from_f32(&inputs);
-        for (&v, got) in inputs.iter().zip(&batch) {
-            let want = F16::from_f32(v);
-            assert_eq!(
-                got.0,
-                want.0,
-                "input {v} ({:#010x}): batch {:#06x} vs scalar {:#06x}",
-                v.to_bits(),
-                got.0,
-                want.0
-            );
+        assert_from_f32_matches_oracle(&inputs);
+    }
+
+    #[test]
+    #[ignore = "all 2^32 floats: ~20 s in release; run with --ignored"]
+    fn from_f32_matches_oracle_on_every_f32() {
+        let mut inputs = vec![0.0f32; 1 << 16];
+        for high in 0..=u16::MAX as u32 {
+            for (low, v) in inputs.iter_mut().enumerate() {
+                *v = f32::from_bits(high << 16 | low as u32);
+            }
+            assert_from_f32_matches_oracle(&inputs);
         }
     }
 

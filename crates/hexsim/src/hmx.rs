@@ -36,14 +36,40 @@ pub fn tile_elem_offset(row: usize, col: usize) -> usize {
     (pair * (TILE_DIM * 2) + within) * 2
 }
 
+/// Bytes one row pair occupies in an interleaved tile.
+const PAIR_BYTES: usize = 2 * TILE_DIM * 2;
+
+/// A tile widened to FP32, the precision the MAC runs at.
+pub(crate) type WideTile = [[f32; TILE_DIM]; TILE_DIM];
+
 /// Packs a row-major 32x32 FP16 matrix into the interleaved tile byte
 /// layout.
 pub fn pack_tile(rows: &[[F16; TILE_DIM]; TILE_DIM]) -> [u8; TILE_BYTES] {
     let mut out = [0u8; TILE_BYTES];
-    for (r, row) in rows.iter().enumerate() {
-        for (c, v) in row.iter().enumerate() {
-            let off = tile_elem_offset(r, c);
-            out[off..off + 2].copy_from_slice(&v.0.to_le_bytes());
+    for (pair, dst) in rows.chunks_exact(2).zip(out.chunks_exact_mut(PAIR_BYTES)) {
+        for ((d, even), odd) in dst.chunks_exact_mut(4).zip(&pair[0]).zip(&pair[1]) {
+            d[..2].copy_from_slice(&even.0.to_le_bytes());
+            d[2..].copy_from_slice(&odd.0.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// Unpacks an interleaved tile row pair by row pair into a row-major
+/// matrix, mapping each FP16 bit pattern through `elem`.
+fn unpack_with<T: Copy + Default>(
+    bytes: &[u8],
+    elem: impl Fn(u16) -> T,
+) -> [[T; TILE_DIM]; TILE_DIM] {
+    let mut out = [[T::default(); TILE_DIM]; TILE_DIM];
+    for (pair, src) in out
+        .chunks_exact_mut(2)
+        .zip(bytes[..TILE_BYTES].chunks_exact(PAIR_BYTES))
+    {
+        let (even, odd) = pair.split_at_mut(1);
+        for ((e, o), s) in even[0].iter_mut().zip(&mut odd[0]).zip(src.chunks_exact(4)) {
+            *e = elem(u16::from_le_bytes([s[0], s[1]]));
+            *o = elem(u16::from_le_bytes([s[2], s[3]]));
         }
     }
     out
@@ -55,14 +81,17 @@ pub fn pack_tile(rows: &[[F16; TILE_DIM]; TILE_DIM]) -> [u8; TILE_BYTES] {
 ///
 /// Panics if `bytes` is shorter than [`TILE_BYTES`].
 pub fn unpack_tile(bytes: &[u8]) -> [[F16; TILE_DIM]; TILE_DIM] {
-    let mut out = [[F16::ZERO; TILE_DIM]; TILE_DIM];
-    for (r, row) in out.iter_mut().enumerate() {
-        for (c, v) in row.iter_mut().enumerate() {
-            let off = tile_elem_offset(r, c);
-            *v = F16(u16::from_le_bytes([bytes[off], bytes[off + 1]]));
-        }
-    }
-    out
+    unpack_with(bytes, F16)
+}
+
+/// Unpacks an interleaved tile straight to a row-major FP32 matrix (the
+/// FP16 values widen exactly).
+///
+/// # Panics
+///
+/// Panics if `bytes` is shorter than [`TILE_BYTES`].
+pub(crate) fn unpack_tile_f32(bytes: &[u8]) -> WideTile {
+    unpack_with(bytes, |h| F16(h).to_f32())
 }
 
 /// Linear tile index of weight tile `(k_tile, n_tile)` in the column-major
@@ -102,16 +131,26 @@ impl HmxAccumulator {
 
     /// Accumulates `act x wgt` (both row-major 32x32, FP16 inputs upcast to
     /// FP32 for the MAC, like the hardware's internal precision).
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Each tile widens once, then every entry `(i, j)` adds the products
+    /// `act[i][k] * wgt[k][j]` for `k` in ascending order. A product of two
+    /// FP16 values is exact in FP32, so only the adds round, in that fixed
+    /// order. Zero activations are skipped, so a zero times an infinite or
+    /// NaN weight adds nothing and a `-0.0` entry stays `-0.0`.
     pub fn mac(&mut self, act: &[[F16; TILE_DIM]; TILE_DIM], wgt: &[[F16; TILE_DIM]; TILE_DIM]) {
-        for i in 0..TILE_DIM {
-            for k in 0..TILE_DIM {
-                let a = act[i][k].to_f32();
+        let widen = |t: &[[F16; TILE_DIM]; TILE_DIM]| t.map(|row| row.map(F16::to_f32));
+        self.mac_f32(&widen(act), &widen(wgt));
+    }
+
+    /// [`HmxAccumulator::mac`] on tiles already widened to FP32.
+    pub(crate) fn mac_f32(&mut self, act: &WideTile, wgt: &WideTile) {
+        for (acc_row, act_row) in self.0.iter_mut().zip(act) {
+            for (&a, wgt_row) in act_row.iter().zip(wgt) {
                 if a == 0.0 {
                     continue;
                 }
-                for j in 0..TILE_DIM {
-                    self.0[i][j] += a * wgt[k][j].to_f32();
+                for (acc, &w) in acc_row.iter_mut().zip(wgt_row) {
+                    *acc += a * w;
                 }
             }
         }
@@ -120,26 +159,24 @@ impl HmxAccumulator {
     /// Converts the accumulator to an FP16 tile, applying optional
     /// per-column (output channel) scale and bias first — the HMX writeback
     /// path of paper Section 3.1.2.
-    #[allow(clippy::needless_range_loop)]
     pub fn to_tile(
         &self,
         scale: Option<&[f32; TILE_DIM]>,
         bias: Option<&[f32; TILE_DIM]>,
     ) -> [[F16; TILE_DIM]; TILE_DIM] {
-        let mut out = [[F16::ZERO; TILE_DIM]; TILE_DIM];
-        for i in 0..TILE_DIM {
-            for j in 0..TILE_DIM {
-                let mut v = self.0[i][j];
-                if let Some(s) = scale {
-                    v *= s[j];
+        self.0.map(|mut row| {
+            if let Some(s) = scale {
+                for (v, s) in row.iter_mut().zip(s) {
+                    *v *= s;
                 }
-                if let Some(b) = bias {
-                    v += b[j];
-                }
-                out[i][j] = F16::from_f32(v);
             }
-        }
-        out
+            if let Some(b) = bias {
+                for (v, b) in row.iter_mut().zip(b) {
+                    *v += b;
+                }
+            }
+            row.map(F16::from_f32)
+        })
     }
 }
 
@@ -194,6 +231,132 @@ mod tests {
                 assert_eq!(t[r][c], back[r][c]);
             }
         }
+    }
+
+    /// A deterministic xorshift32 stream.
+    fn xorshift(mut state: u32) -> impl FnMut() -> u32 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        }
+    }
+
+    #[test]
+    fn pack_and_unpack_follow_tile_elem_offset() {
+        let mut next = xorshift(0x1234_5678);
+        let tile: [[F16; TILE_DIM]; TILE_DIM] =
+            std::array::from_fn(|_| std::array::from_fn(|_| F16(next() as u16)));
+        let packed = pack_tile(&tile);
+        let raw: [u8; TILE_BYTES] = std::array::from_fn(|_| next() as u8);
+        let (halves, wide) = (unpack_tile(&raw), unpack_tile_f32(&raw));
+        for r in 0..TILE_DIM {
+            for c in 0..TILE_DIM {
+                let off = tile_elem_offset(r, c);
+                assert_eq!(
+                    u16::from_le_bytes([packed[off], packed[off + 1]]),
+                    tile[r][c].0
+                );
+                let h = F16(u16::from_le_bytes([raw[off], raw[off + 1]]));
+                assert_eq!(halves[r][c], h, "({r},{c})");
+                assert_eq!(wide[r][c].to_bits(), h.to_f32().to_bits(), "({r},{c})");
+            }
+        }
+    }
+
+    /// The naive triple loop `mac` must reproduce bit for bit: each weight
+    /// element widens once per use, `k` ascends, zero activations skip.
+    #[allow(clippy::needless_range_loop)]
+    fn mac_naive(
+        acc: &mut WideTile,
+        act: &[[F16; TILE_DIM]; TILE_DIM],
+        wgt: &[[F16; TILE_DIM]; TILE_DIM],
+    ) {
+        for i in 0..TILE_DIM {
+            for k in 0..TILE_DIM {
+                let a = act[i][k].to_f32();
+                if a == 0.0 {
+                    continue;
+                }
+                for j in 0..TILE_DIM {
+                    acc[i][j] += a * wgt[k][j].to_f32();
+                }
+            }
+        }
+    }
+
+    /// Runs `act x wgt` through `mac`, through the TCM path of
+    /// `hmx_matmul` (packed bytes widened straight to f32) and through
+    /// [`mac_naive`], from the same starting accumulator, and asserts all
+    /// three agree bitwise. Returns the result.
+    fn assert_mac_is_naive(
+        start: &WideTile,
+        act: &[[F16; TILE_DIM]; TILE_DIM],
+        wgt: &[[F16; TILE_DIM]; TILE_DIM],
+    ) -> WideTile {
+        let mut want = *start;
+        mac_naive(&mut want, act, wgt);
+        let mut acc = HmxAccumulator(*start);
+        acc.mac(act, wgt);
+        let mut tcm = HmxAccumulator(*start);
+        tcm.mac_f32(
+            &unpack_tile_f32(&pack_tile(act)),
+            &unpack_tile_f32(&pack_tile(wgt)),
+        );
+        for i in 0..TILE_DIM {
+            for j in 0..TILE_DIM {
+                let want = want[i][j].to_bits();
+                assert_eq!(acc.0[i][j].to_bits(), want, "mac ({i},{j})");
+                assert_eq!(tcm.0[i][j].to_bits(), want, "mac_f32 ({i},{j})");
+            }
+        }
+        acc.0
+    }
+
+    #[test]
+    fn mac_is_bitwise_the_naive_triple_loop() {
+        // Random finite tiles with a quarter of the activations ±0,
+        // accumulated onto entries that start at -0.0 or random values.
+        let mut next = xorshift(0x9e37_79b9);
+        let finite = |r: u32| F16::from_f32((r % 4001) as f32 / 500.0 - 4.0);
+        let mut acc: WideTile = [[-0.0; TILE_DIM]; TILE_DIM];
+        for v in acc.iter_mut().skip(16).flatten() {
+            *v = finite(next()).to_f32() * 100.0;
+        }
+        for _ in 0..3 {
+            let act = std::array::from_fn(|_| {
+                std::array::from_fn(|_| {
+                    let r = next();
+                    match r % 8 {
+                        0 => F16::ZERO,
+                        1 => F16::NEG_ZERO,
+                        _ => finite(r >> 3),
+                    }
+                })
+            });
+            let wgt = std::array::from_fn(|_| std::array::from_fn(|_| finite(next())));
+            acc = assert_mac_is_naive(&acc, &act, &wgt);
+        }
+    }
+
+    #[test]
+    fn zero_activations_skip_infinite_and_nan_weights() {
+        // Weight rows 0 and 1 are Inf and NaN. Activation row 0 is all ±0;
+        // rows 1.. have ±0 only in columns 0 and 1, so every product that
+        // touches a non-finite weight is skipped.
+        let mut wgt = seq_tile(0.25);
+        wgt[0] = [F16::INFINITY; TILE_DIM];
+        wgt[1] = [F16::NAN; TILE_DIM];
+        let mut act = seq_tile(0.5);
+        act[0] = std::array::from_fn(|k| if k % 2 == 0 { F16::ZERO } else { F16::NEG_ZERO });
+        for row in act.iter_mut().skip(1) {
+            row[0] = F16::NEG_ZERO;
+            row[1] = F16::ZERO;
+        }
+        let acc = assert_mac_is_naive(&[[-0.0; TILE_DIM]; TILE_DIM], &act, &wgt);
+        assert!(acc[0].iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
+        assert!(acc.iter().flatten().all(|v| v.is_finite()));
     }
 
     #[test]

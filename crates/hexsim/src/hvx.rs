@@ -159,6 +159,28 @@ pub fn map2_hf(a: &HvxVec, b: &HvxVec, f: impl Fn(F16, F16) -> F16) -> HvxVec {
     out
 }
 
+/// Widens the 64 half-float lanes of `v` to FP32 (exactly).
+fn widen_hf(v: &HvxVec) -> [f32; HVX_HALVES] {
+    let mut out = [0.0f32; HVX_HALVES];
+    for (o, h) in out.iter_mut().zip(v.0.chunks_exact(2)) {
+        *o = F16(u16::from_le_bytes([h[0], h[1]])).to_f32();
+    }
+    out
+}
+
+/// Elementwise FP32 op over half-float lanes: both registers widen to FP32
+/// (exactly), `f` runs on every lane, and each result rounds once to FP16.
+/// With `+`, `-` or `*` this is [`map2_hf`] with [`F16::add`],
+/// [`F16::sub`] or [`F16::mul`], which are defined as exactly that.
+pub(crate) fn map2_hf_f32(a: &HvxVec, b: &HvxVec, f: impl Fn(f32, f32) -> f32) -> HvxVec {
+    let (a, b) = (widen_hf(a), widen_hf(b));
+    let mut out = HvxVec::zero();
+    for ((o, &x), &y) in out.0.chunks_exact_mut(2).zip(&a).zip(&b) {
+        o.copy_from_slice(&F16::from_f32(f(x, y)).0.to_le_bytes());
+    }
+    out
+}
+
 /// Elementwise unary op over half-float lanes.
 pub fn map_hf(a: &HvxVec, f: impl Fn(F16) -> F16) -> HvxVec {
     let mut out = HvxVec::zero();
@@ -194,17 +216,13 @@ pub fn map2_b(a: &HvxVec, b: &HvxVec, f: impl Fn(u8, u8) -> u8) -> HvxVec {
 /// models the architectural effect (16-entry LUT, byte indices, pair
 /// output), which is what the paper's Figure 9 dequantization path uses.
 pub fn vlut16(idx: &HvxVec, table: &[u16; 16]) -> (HvxVec, HvxVec) {
-    let mut lo = HvxVec::zero();
-    let mut hi = HvxVec::zero();
-    for i in 0..HVX_BYTES {
-        let t = table[(idx.0[i] & 0x0f) as usize];
-        if i < HVX_HALVES {
-            lo.set_h(i, t);
-        } else {
-            hi.set_h(i - HVX_HALVES, t);
+    let mut out = [HvxVec::zero(); 2];
+    for (dst, idx) in out.iter_mut().zip(idx.0.chunks_exact(HVX_HALVES)) {
+        for (d, &i) in dst.0.chunks_exact_mut(2).zip(idx) {
+            d.copy_from_slice(&table[(i & 0x0f) as usize].to_le_bytes());
         }
     }
-    (lo, hi)
+    (out[0], out[1])
 }
 
 /// Interleave ("shuffle") the halfword lanes of two registers:
@@ -212,20 +230,22 @@ pub fn vlut16(idx: &HvxVec, table: &[u16; 16]) -> (HvxVec, HvxVec) {
 /// `.1` from the high half. This is the primitive used to build the HMX
 /// two-row interleaved tile layout (paper Figure 4a).
 pub fn vshuff_h(a: &HvxVec, b: &HvxVec) -> (HvxVec, HvxVec) {
-    let mut lo = HvxVec::zero();
-    let mut hi = HvxVec::zero();
-    for i in 0..HVX_HALVES {
-        let (av, bv) = (a.get_h(i), b.get_h(i));
-        let pos = 2 * i;
-        if pos < HVX_HALVES {
-            lo.set_h(pos, av);
-            lo.set_h(pos + 1, bv);
-        } else {
-            hi.set_h(pos - HVX_HALVES, av);
-            hi.set_h(pos - HVX_HALVES + 1, bv);
+    let mut out = [HvxVec::zero(); 2];
+    let halves =
+        a.0.chunks_exact(HVX_BYTES / 2)
+            .zip(b.0.chunks_exact(HVX_BYTES / 2));
+    for (dst, (a, b)) in out.iter_mut().zip(halves) {
+        for ((d, a), b) in dst
+            .0
+            .chunks_exact_mut(4)
+            .zip(a.chunks_exact(2))
+            .zip(b.chunks_exact(2))
+        {
+            d[..2].copy_from_slice(a);
+            d[2..].copy_from_slice(b);
         }
     }
-    (lo, hi)
+    (out[0], out[1])
 }
 
 /// Deinterleave ("deal") halfword lanes: inverse of [`vshuff_h`].

@@ -395,14 +395,10 @@ pub fn gemm_mixed(
                     acc.clear();
                 }
             }
-            // Stream this tile's quantized bytes from DDR.
-            let tile_idx = match cfg.variant {
-                // Column-major tile stream for HMX layouts; the baseline's
-                // conventional stream interleaves per-column groups, which
-                // the DMA gathers with a 2D descriptor.
-                DequantVariant::BaselineScatter => nt * k_tiles + kt,
-                _ => nt * k_tiles + kt,
-            };
+            // Stream this tile's quantized bytes from DDR: a column-major
+            // tile stream for HMX layouts, while the baseline's
+            // conventional stream interleaves per-column groups, which the
+            // DMA gathers with a 2D descriptor.
             if cfg.variant == DequantVariant::BaselineScatter {
                 // 2D DMA: 32 groups, one per column, strided by k/32 blocks.
                 let block_bytes = cfg.scheme.block_bytes() as u64;
@@ -418,6 +414,7 @@ pub fn gemm_mixed(
                 )
                 .expect("baseline weight DMA");
             } else {
+                let tile_idx = nt * k_tiles + kt;
                 ctx.dma_h2t(
                     weights.buf,
                     (tile_idx * weights.tile_bytes) as u64,
