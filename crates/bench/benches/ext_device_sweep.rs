@@ -7,7 +7,7 @@
 
 use edgellm::config::ModelId;
 use hexsim::device::DeviceProfile;
-use npuscale::backend::{decode_sweep, npu_backends_all, SweepOutcome};
+use npuscale::backend::{baselines, decode_sweep, Backend, NpuSimBackend, SweepOutcome};
 use npuscale::memory::measure_overhead;
 use npuscale::power::PowerModel;
 
@@ -34,8 +34,12 @@ fn main() {
         );
         let pm = PowerModel::new(device.clone());
         // All three runtime variants (serial, async, streamed) plus the
-        // analytic baselines, from the shared construction point.
-        let backends = npu_backends_all(&device);
+        // analytic baselines.
+        let mut backends: Vec<Box<dyn Backend>> = NpuSimBackend::variants(&device)
+            .into_iter()
+            .map(|b| Box::new(b) as Box<dyn Backend>)
+            .collect();
+        backends.extend(baselines());
         for model in [
             ModelId::Llama1B,
             ModelId::Qwen1_5B,

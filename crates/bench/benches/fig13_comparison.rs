@@ -3,16 +3,17 @@
 //! Section 7.2.2 overlap-aware dispatch on top of the paper's legend.
 
 use hexsim::device::DeviceProfile;
-use npuscale::backend::{figure13_backends, Backend, NpuSimBackend};
+use npuscale::backend::{baselines, Backend, NpuSimBackend};
 
 fn main() {
     benchutil::banner(
         "Figure 13 - inference throughput vs llama.cpp-OpenCL and QNN FP16",
         "paper Fig 13: GPU wins batch-1 decode; ours wins batched decode + prefill",
     );
-    let mut backends = figure13_backends(&DeviceProfile::v75());
-    let [_, overlapped, _] = NpuSimBackend::variants(&DeviceProfile::v75());
-    backends.push(Box::new(overlapped) as Box<dyn Backend>);
+    // The paper's legend (ours, GPU, QNN), then "Ours (async)".
+    let [serial, overlapped, _] = NpuSimBackend::variants(&DeviceProfile::v75());
+    let [gpu, qnn, _] = baselines();
+    let backends: Vec<Box<dyn Backend>> = vec![Box::new(serial), gpu, qnn, Box::new(overlapped)];
     println!("--- decode (tok/s) ---");
     let rows = npuscale::experiments::fig13_decode_rows(&backends);
     println!(

@@ -5,14 +5,15 @@
 //! step).
 
 use hexsim::device::DeviceProfile;
-use npuscale::backend::npu_backends_both;
+use npuscale::backend::{Backend, NpuSimBackend};
 
 fn main() {
     benchutil::banner(
         "Figure 16 - CPU memory and utilization during decode",
         "paper Fig 16 + Sec 7.5: RSS ~250-300 MiB; dmabuf 1056/2090 MiB; CPU 320-340%",
     );
-    let backends = npu_backends_both(&DeviceProfile::v75());
+    let [serial, overlapped, _] = NpuSimBackend::variants(&DeviceProfile::v75());
+    let backends: Vec<Box<dyn Backend>> = vec![Box::new(serial), Box::new(overlapped)];
     println!(
         "{:<8} {:<6} {:>6} {:>12} {:>12} {:>10}",
         "system", "model", "batch", "CPU RSS", "dmabuf", "CPU util"

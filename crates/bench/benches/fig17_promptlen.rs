@@ -3,14 +3,15 @@
 //! side by side.
 
 use hexsim::device::DeviceProfile;
-use npuscale::backend::npu_backends_both;
+use npuscale::backend::{Backend, NpuSimBackend};
 
 fn main() {
     benchutil::banner(
         "Figure 17 - decode throughput vs prompt length",
         "paper Fig 17: mild decline from 512 to 4096 tokens",
     );
-    let backends = npu_backends_both(&DeviceProfile::v75());
+    let [serial, overlapped, _] = NpuSimBackend::variants(&DeviceProfile::v75());
+    let backends: Vec<Box<dyn Backend>> = vec![Box::new(serial), Box::new(overlapped)];
     println!(
         "{:<8} {:<6} {:>8} {:>6} {:>10}",
         "system", "model", "prompt", "batch", "tok/s"

@@ -59,10 +59,7 @@ use hexsim::cost::NUM_ENGINES;
 use hexsim::prelude::*;
 
 use crate::baselines::{CpuRefBackend, GpuBaseline, QnnFp16Baseline};
-use crate::pipeline::{
-    measure_decode_sharded_with, measure_decode_with, measure_prefill_sharded_with,
-    measure_prefill_with, DecodePoint, DispatchMode, PrefillPoint,
-};
+use crate::pipeline::{DecodePoint, Deployment, DispatchMode, PrefillPoint};
 use crate::session::ShardPlan;
 
 /// Result of a [`Backend::fits`] capacity probe.
@@ -136,8 +133,8 @@ fn analytic_prefill_point(
 }
 
 /// The paper's runtime on the simulated Hexagon NPU — the "Ours" series
-/// of every figure, wrapping the [`crate::pipeline`] measurement
-/// functions. [`NpuSimBackend::overlapped`] builds the async-dispatch
+/// of every figure: it plans each deployment and measures it through a
+/// [`Deployment`]. [`NpuSimBackend::overlapped`] builds the async-dispatch
 /// variant ("Ours (async)"): same kernels, same logits, but wall time is
 /// the critical path of the Section 7.2.2 pipelined schedule instead of
 /// the serial stage sum. [`NpuSimBackend::streamed`] adds the hot/cold
@@ -197,10 +194,9 @@ impl NpuSimBackend {
 
     /// The three runtime variants on one device, in fixed order: serial
     /// ("Ours"), overlap-aware ("Ours (async)"), weight-streamed
-    /// ("Ours (streamed)"). The single construction point behind
-    /// [`npu_backends_both`], [`npu_backends_all`] and the
-    /// row-generators in [`crate::experiments`] — destructure and pick
-    /// the ones an exhibit needs.
+    /// ("Ours (streamed)"). With [`baselines`], the single construction
+    /// point of every exhibit's backend set — destructure and pick the
+    /// ones an exhibit needs.
     pub fn variants(device: &DeviceProfile) -> [NpuSimBackend; 3] {
         [
             NpuSimBackend::new(device.clone()),
@@ -213,8 +209,9 @@ impl NpuSimBackend {
     /// (each layer's weights plus its KV slice) across as many 32-bit
     /// sessions as the device needs (1 for everything that fits — the
     /// common case), or the hot/cold streaming placement when this
-    /// backend streams. This is the plan [`Backend::decode`] and
-    /// [`Backend::prefill`] execute.
+    /// backend streams. This is the plan [`Backend::decode`] executes;
+    /// [`Backend::prefill`] of `n` tokens executes the plan for one
+    /// sequence at context `n`.
     pub fn shard_plan(&self, model: ModelId, batch: usize, ctx_len: usize) -> SimResult<ShardPlan> {
         let cfg = ModelConfig::for_id(model);
         if self.streaming {
@@ -224,17 +221,18 @@ impl NpuSimBackend {
         }
     }
 
-    fn prefill_plan(&self, model: ModelId, prompt_len: usize) -> SimResult<ShardPlan> {
-        let cfg = ModelConfig::for_id(model);
-        if self.streaming {
-            ShardPlan::build_streaming_with_kv_budget(
-                &cfg,
-                self.device.session_va_bytes,
-                prompt_len + 2,
-            )
-        } else {
-            ShardPlan::build_with_kv_budget(&cfg, self.device.session_va_bytes, prompt_len + 2)
-        }
+    /// Plans `model` for `batch` sequences of `ctx_len` tokens, holds the
+    /// plan to the device's session cap, and builds it under this
+    /// backend's dispatch mode.
+    pub(crate) fn deployment(
+        &self,
+        model: ModelId,
+        batch: usize,
+        ctx_len: usize,
+    ) -> SimResult<Deployment> {
+        let plan = self.shard_plan(model, batch, ctx_len)?;
+        self.check_session_cap(&plan)?;
+        Deployment::new(&self.device, model, &plan, self.dispatch)
     }
 
     /// Rejects plans that need more concurrent NPU sessions than the
@@ -286,31 +284,18 @@ impl Backend for NpuSimBackend {
         })
     }
 
-    /// Decodes through the shard plan automatically: single-session
-    /// resident deployments take the historical path bit-for-bit; larger
-    /// ones run the paper's Section 8 multi-session execution (e.g.
-    /// Qwen-3B on the 8 Gen 2 decodes across 2 sessions instead of
-    /// erroring); streaming plans run the hot/cold layer walk whatever
-    /// their session count, since the walk must know which layers to
-    /// fetch.
+    /// Decodes through the shard plan: a one-session resident plan is
+    /// the paper's single-session deployment, larger ones run the
+    /// Section 8 multi-session execution (e.g. Qwen-3B on the 8 Gen 2
+    /// decodes across 2 sessions instead of erroring), and streaming
+    /// plans run the hot/cold layer walk.
     fn decode(&self, model: ModelId, batch: usize, ctx_len: usize) -> SimResult<DecodePoint> {
-        let plan = self.shard_plan(model, batch, ctx_len)?;
-        self.check_session_cap(&plan)?;
-        if plan.sessions() > 1 || plan.is_streaming() {
-            measure_decode_sharded_with(&self.device, model, batch, ctx_len, &plan, self.dispatch)
-        } else {
-            measure_decode_with(&self.device, model, batch, ctx_len, self.dispatch)
-        }
+        self.deployment(model, batch, ctx_len)?
+            .decode(batch, ctx_len)
     }
 
     fn prefill(&self, model: ModelId, prompt_len: usize) -> SimResult<PrefillPoint> {
-        let plan = self.prefill_plan(model, prompt_len)?;
-        self.check_session_cap(&plan)?;
-        if plan.sessions() > 1 || plan.is_streaming() {
-            measure_prefill_sharded_with(&self.device, model, prompt_len, &plan, self.dispatch)
-        } else {
-            measure_prefill_with(&self.device, model, prompt_len, self.dispatch)
-        }
+        self.deployment(model, 1, prompt_len)?.prefill(prompt_len)
     }
 }
 
@@ -417,49 +402,12 @@ impl Backend for CpuRefBackend {
     }
 }
 
-/// The Figure 13 comparison set on one device: the NPU runtime plus the
-/// two paper baselines, in the paper's legend order.
-pub fn figure13_backends(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
-    vec![
-        Box::new(NpuSimBackend::new(device.clone())),
-        Box::new(GpuBaseline::default()),
-        Box::new(QnnFp16Baseline::default()),
-    ]
-}
-
-/// Every available execution backend on one device, the NPU runtime
-/// first (the device-sweep set).
-pub fn all_backends(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
-    let mut v = figure13_backends(device);
-    v.push(Box::new(CpuRefBackend::default()));
-    v
-}
-
-/// Just the simulated NPU runtime, for NPU-specific exhibits (Figures 16
-/// and 17 measure *our* runtime's overheads and context sensitivity).
-pub fn npu_backend(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
-    vec![Box::new(NpuSimBackend::new(device.clone()))]
-}
-
-/// The NPU runtime under both dispatch modes — serial ("Ours") first,
-/// then overlap-aware async dispatch ("Ours (async)") — for exhibits
-/// that show the Section 7.2.2 pipelining win side by side.
-pub fn npu_backends_both(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
-    let [serial, overlapped, _] = NpuSimBackend::variants(device);
-    vec![Box::new(serial), Box::new(overlapped)]
-}
-
-/// Every backend on one device: the three NPU runtime variants (serial,
-/// overlap-aware, weight-streamed) followed by the analytic baselines —
-/// the single construction point the sweep surfaces and the serving
-/// gateway's fleet builder share, so a new variant shows up everywhere
-/// at once.
-pub fn npu_backends_all(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
-    let [serial, overlapped, streamed] = NpuSimBackend::variants(device);
-    vec![
-        Box::new(serial),
-        Box::new(overlapped),
-        Box::new(streamed),
+/// The analytic comparison systems, in the paper's legend order:
+/// llama.cpp-OpenCL on the GPU, QNN FP16, then the CPU fallback. An
+/// exhibit's backend set is the [`NpuSimBackend::variants`] it needs
+/// followed by the baselines it compares against.
+pub fn baselines() -> [Box<dyn Backend>; 3] {
+    [
         Box::new(GpuBaseline::default()),
         Box::new(QnnFp16Baseline::default()),
         Box::new(CpuRefBackend::default()),
@@ -538,7 +486,14 @@ pub fn decode_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{measure_decode, measure_prefill};
+
+    /// The Figure 13 comparison set: the serial NPU runtime plus the GPU
+    /// and QNN baselines, in legend order.
+    fn figure13_set(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
+        let [serial, _, _] = NpuSimBackend::variants(device);
+        let [gpu, qnn, _] = baselines();
+        vec![Box::new(serial), gpu, qnn]
+    }
 
     // -----------------------------------------------------------------
     // Golden parity: every Backend impl must reproduce the pre-redesign
@@ -547,16 +502,24 @@ mod tests {
 
     #[test]
     fn npu_backend_matches_pipeline_bit_for_bit() {
+        // The backend's plan for a model that fits is the paper's
+        // single-session deployment, measured bit-for-bit.
         let device = DeviceProfile::v75();
+        let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+        let deploy = |batch, ctx_len| {
+            let plan =
+                ShardPlan::single_session(&cfg, device.session_va_bytes, batch, ctx_len).unwrap();
+            Deployment::new(&device, ModelId::Qwen1_5B, &plan, DispatchMode::Serial).unwrap()
+        };
         let b = NpuSimBackend::new(device.clone());
         let via_trait = b.decode(ModelId::Qwen1_5B, 8, 1024).unwrap();
-        let direct = measure_decode(&device, ModelId::Qwen1_5B, 8, 1024).unwrap();
+        let direct = deploy(8, 1024).decode(8, 1024).unwrap();
         assert_eq!(via_trait.step_secs, direct.step_secs);
         assert_eq!(via_trait.tokens_per_sec, direct.tokens_per_sec);
         assert_eq!(via_trait.cpu_share, direct.cpu_share);
         assert_eq!(via_trait.engine_secs, direct.engine_secs);
         let p_trait = b.prefill(ModelId::Qwen1_5B, 512).unwrap();
-        let p_direct = measure_prefill(&device, ModelId::Qwen1_5B, 512).unwrap();
+        let p_direct = deploy(1, 512).prefill(512).unwrap();
         assert_eq!(p_trait.total_secs, p_direct.total_secs);
         assert_eq!(p_trait.tokens_per_sec, p_direct.tokens_per_sec);
     }
@@ -616,7 +579,7 @@ mod tests {
 
     #[test]
     fn gpu_wins_batch_1_ours_wins_batched() {
-        let backends = figure13_backends(&DeviceProfile::v75());
+        let backends = figure13_set(&DeviceProfile::v75());
         let tps = |name: &str, batch: usize| {
             backends
                 .iter()
@@ -634,7 +597,7 @@ mod tests {
 
     #[test]
     fn qnn_decode_pays_the_fp16_penalty() {
-        let backends = figure13_backends(&DeviceProfile::v75());
+        let backends = figure13_set(&DeviceProfile::v75());
         let qnn = backends.iter().find(|b| b.name() == "QNN FP16").unwrap();
         let ours = backends.iter().find(|b| b.name() == "Ours").unwrap();
         let qnn_b1 = qnn
@@ -707,10 +670,15 @@ mod tests {
     #[test]
     fn sharded_decode_replaces_the_va_gate() {
         // The Figure 11 gate: Qwen3B exceeds the 8G2's per-session VA
-        // space. The raw single-session pipeline still errors, but the
-        // backend plans a 2-session shard and decodes through it.
+        // space. The single-session gate still refuses its plan, but the
+        // backend decodes through the 2-session shard.
         let v73 = NpuSimBackend::new(DeviceProfile::v73());
-        assert!(measure_decode(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 1024).is_err());
+        let cfg = ModelConfig::for_id(ModelId::Qwen3B);
+        let va = DeviceProfile::v73().session_va_bytes;
+        assert!(matches!(
+            ShardPlan::single_session(&cfg, va, 1, 1024),
+            Err(SimError::VaSpaceExceeded { .. })
+        ));
         let fit = v73.fits(ModelId::Qwen3B, 1, 1024).unwrap();
         assert_eq!(fit.sessions, 2, "needs sharding: {fit:?}");
         let point = v73.decode(ModelId::Qwen3B, 1, 1024).unwrap();
@@ -718,8 +686,7 @@ mod tests {
         assert!(point.tokens_per_sec > 0.5);
         let prefill = v73.prefill(ModelId::Qwen3B, 512).unwrap();
         assert_eq!(prefill.sessions, 2);
-        // On the paper's primary device one session suffices and the
-        // historical single-session path is taken bit-for-bit.
+        // On the paper's primary device one session suffices.
         let v75 = NpuSimBackend::new(DeviceProfile::v75());
         assert_eq!(v75.fits(ModelId::Qwen3B, 1, 1024).unwrap().sessions, 1);
         assert_eq!(v75.decode(ModelId::Qwen3B, 1, 1024).unwrap().sessions, 1);
@@ -889,19 +856,15 @@ mod tests {
 
     #[test]
     fn streamed_backend_matches_streaming_measure_bit_for_bit() {
-        use crate::pipeline::measure_decode_streaming_with;
         let device = DeviceProfile::v73();
         let b = NpuSimBackend::streamed(device.clone());
         assert_eq!(b.name(), "Ours (streamed)");
         let via_trait = b.decode(ModelId::Qwen7B, 8, 1024).unwrap();
-        let direct = measure_decode_streaming_with(
-            &device,
-            ModelId::Qwen7B,
-            8,
-            1024,
-            DispatchMode::Overlapped,
-        )
-        .unwrap();
+        let cfg = ModelConfig::for_id(ModelId::Qwen7B);
+        let plan = ShardPlan::build_streaming(&cfg, device.session_va_bytes, 8, 1024).unwrap();
+        let direct = Deployment::new(&device, ModelId::Qwen7B, &plan, DispatchMode::Overlapped)
+            .and_then(|dep| dep.decode(8, 1024))
+            .unwrap();
         assert_eq!(via_trait.step_secs, direct.step_secs);
         assert_eq!(via_trait.tokens_per_sec, direct.tokens_per_sec);
         assert_eq!(via_trait.engine_secs, direct.engine_secs);

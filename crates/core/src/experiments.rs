@@ -32,12 +32,13 @@ use ttscale::verifier::SimOrm;
 use crate::backend::Backend;
 use crate::memory::{measure_overhead, OverheadPoint};
 use crate::pareto::{pareto_panel, Method, ParetoPoint};
-use crate::pipeline::measure_decode;
+use crate::pipeline::{Deployment, DispatchMode};
 use crate::power::{PowerModel, PowerPoint};
 use crate::serve::{
     poisson_trace, FleetGateway, FleetSpec, GatewayConfig, Request, ServingReport, TenantSpec,
     ThermalPolicy,
 };
+use crate::session::ShardPlan;
 use crate::thermal::sustained_decode_curve;
 
 // ---------------------------------------------------------------------
@@ -370,13 +371,17 @@ pub struct Fig11Row {
     pub tokens_per_sec: Option<f64>,
 }
 
-/// Regenerates Figure 11 (context 1024).
+/// Regenerates Figure 11 (context 1024): serial decode in the paper's
+/// single-session deployment, empty where the VA gate refuses the model.
 pub fn fig11_rows() -> Vec<Fig11Row> {
     let mut out = Vec::new();
     for device in DeviceProfile::all() {
         for model in ModelId::on_device() {
+            let cfg = ModelConfig::for_id(model);
             for batch in [1usize, 2, 4, 6, 8, 12, 16] {
-                let tps = measure_decode(&device, model, batch, 1024)
+                let tps = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, 1024)
+                    .and_then(|plan| Deployment::new(&device, model, &plan, DispatchMode::Serial))
+                    .and_then(|dep| dep.decode(batch, 1024))
                     .ok()
                     .map(|p| p.tokens_per_sec);
                 out.push(Fig11Row {
@@ -395,14 +400,19 @@ pub fn fig11_rows() -> Vec<Fig11Row> {
 // Figure 12 — power and energy.
 // ---------------------------------------------------------------------
 
-/// Regenerates Figure 12 (OnePlus 12, performance mode).
+/// Regenerates Figure 12 (OnePlus 12, performance mode): serial decode
+/// in the paper's single-session deployment.
 pub fn fig12_rows() -> Vec<PowerPoint> {
     let device = DeviceProfile::v75();
     let pm = PowerModel::new(device.clone());
     let mut out = Vec::new();
     for model in [ModelId::Qwen1_5B, ModelId::Qwen3B] {
+        let cfg = ModelConfig::for_id(model);
         for batch in [1usize, 2, 4, 8, 16] {
-            if let Ok(point) = measure_decode(&device, model, batch, 1024) {
+            let point = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, 1024)
+                .and_then(|plan| Deployment::new(&device, model, &plan, DispatchMode::Serial))
+                .and_then(|dep| dep.decode(batch, 1024));
+            if let Ok(point) = point {
                 out.push(pm.measure(&point));
             }
         }
@@ -441,7 +451,8 @@ pub struct Fig13PrefillRow {
 }
 
 /// Regenerates Figure 13's decode panels over a backend set
-/// (conventionally [`crate::backend::figure13_backends`]). Configurations
+/// (conventionally the serial [`crate::backend::NpuSimBackend`] followed
+/// by the GPU and QNN [`crate::backend::baselines`]). Configurations
 /// a backend cannot run — the VA gate, QNN's batch-1 static graphs — are
 /// skipped, exactly as they are absent from the paper's plot.
 pub fn fig13_decode_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig13DecodeRow> {
@@ -639,7 +650,8 @@ pub fn fig15_rows() -> Vec<Fig15Row> {
 // ---------------------------------------------------------------------
 
 /// Regenerates Figure 16 (decode-stage CPU memory and utilization) over a
-/// backend set (conventionally [`crate::backend::npu_backend`]). The
+/// backend set (conventionally the serial
+/// [`crate::backend::NpuSimBackend`] alone). The
 /// overhead model describes *our* runtime's CPU/dmabuf placement, so
 /// analytic points without engine activity are skipped rather than
 /// fabricated.
@@ -1163,8 +1175,8 @@ pub struct Fig17Row {
     pub tokens_per_sec: f64,
 }
 
-/// Regenerates Figure 17 over a backend set (conventionally
-/// [`crate::backend::npu_backend`]).
+/// Regenerates Figure 17 over a backend set (conventionally the serial
+/// [`crate::backend::NpuSimBackend`] alone).
 pub fn fig17_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig17Row> {
     let mut out = Vec::new();
     for b in backends {

@@ -12,9 +12,10 @@
 //!   sharding: [`session::MultiSession`] VA placement lowered to an
 //!   executable [`session::ShardPlan`]. Re-exports the
 //!   continuous-batching [`session::DecodeSession`] decode API.
-//! - [`pipeline`] — decode/prefill measurement pipelines over the full
-//!   model forward (Figures 11, 13, 17), including the sharded variants
-//!   that walk a [`session::ShardPlan`] across sessions.
+//! - [`pipeline`] — the one way a deployment is built: a
+//!   [`pipeline::Deployment`] of a [`session::ShardPlan`] under a dispatch
+//!   mode, consumed by decode/prefill measurements over the full model
+//!   forward (Figures 11, 13, 17).
 //! - [`power`] — activity-based power/energy accounting (Figure 12).
 //! - [`memory`] — dmabuf/CPU-RSS/CPU-utilization accounting (Figure 16).
 //! - [`baselines`] — analytic llama.cpp-OpenCL (Adreno GPU), QNN-FP16 and

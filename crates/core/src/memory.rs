@@ -96,12 +96,17 @@ pub fn measure_overhead_planned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::measure_decode;
+    use crate::pipeline::{Deployment, DispatchMode};
     use hexsim::prelude::*;
 
+    /// Serial single-session decode on the paper's primary device.
     fn point(model: ModelId, batch: usize) -> OverheadPoint {
         let d = DeviceProfile::v75();
-        let p = measure_decode(&d, model, batch, 1024).unwrap();
+        let p =
+            ShardPlan::single_session(&ModelConfig::for_id(model), d.session_va_bytes, batch, 1024)
+                .and_then(|plan| Deployment::new(&d, model, &plan, DispatchMode::Serial))
+                .and_then(|dep| dep.decode(batch, 1024))
+                .unwrap();
         measure_overhead(model, &p, 4096, "Ours")
     }
 
@@ -142,7 +147,6 @@ mod tests {
     #[test]
     fn streaming_moves_cold_weights_from_dmabuf_to_cpu() {
         use crate::backend::{Backend, NpuSimBackend};
-        use edgellm::config::ModelConfig;
         let d = DeviceProfile::v73();
         let b = NpuSimBackend::streamed(d.clone());
         let p = b.decode(ModelId::Qwen7B, 8, 1024).unwrap();

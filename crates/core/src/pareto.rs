@@ -8,7 +8,7 @@
 //! its cost axis "accounts for the increased context length introduced by
 //! TTS").
 
-use edgellm::config::ModelId;
+use edgellm::config::{ModelConfig, ModelId};
 use hexsim::prelude::*;
 use mathsynth::mathgen::{DatasetKind, TaskGenerator};
 use serde::{Deserialize, Serialize};
@@ -18,7 +18,8 @@ use ttscale::calib::mean_completion_tokens;
 use ttscale::policy::CalibratedPolicy;
 use ttscale::verifier::{SimOrm, SimPrm};
 
-use crate::pipeline::{measure_decode, measure_prefill};
+use crate::pipeline::{Deployment, DispatchMode};
+use crate::session::ShardPlan;
 use crate::thermal::sustained_decode_curve;
 
 /// Scaling method of a Pareto point.
@@ -67,7 +68,9 @@ pub const TASKS_PER_POINT: usize = 400;
 /// Prompt length assumed for the latency coupling.
 pub const PROMPT_LEN: usize = 256;
 
-/// Decode latency per token at a batch size, with TTS context growth.
+/// Decode latency per token at a batch size, with TTS context growth, in
+/// the paper's single-session serial deployment (errors where the VA
+/// gate refuses the model).
 fn per_token_latency(
     device: &DeviceProfile,
     model: ModelId,
@@ -77,7 +80,9 @@ fn per_token_latency(
     // Mid-generation context: prompt plus half the mean completion per
     // sample (every sample lengthens its own context).
     let ctx = PROMPT_LEN + mean_completion_tokens(dataset) / 2;
-    let point = measure_decode(device, model, batch, ctx)?;
+    let cfg = ModelConfig::for_id(model);
+    let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, ctx)?;
+    let point = Deployment::new(device, model, &plan, DispatchMode::Serial)?.decode(batch, ctx)?;
     Ok(point.step_secs)
 }
 
@@ -85,7 +90,10 @@ fn per_token_latency(
 /// Skywork-1.5B-class scorer) prefills every candidate's new tokens, so the
 /// amortized per-token overhead is `batch / prm_prefill_tps`.
 fn scorer_overhead_per_token(device: &DeviceProfile, batch: usize) -> SimResult<f64> {
-    let prm = measure_prefill(device, ModelId::Qwen1_5B, 256)?;
+    let scorer = ModelId::Qwen1_5B;
+    let cfg = ModelConfig::for_id(scorer);
+    let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, 1, 256)?;
+    let prm = Deployment::new(device, scorer, &plan, DispatchMode::Serial)?.prefill(256)?;
     Ok(batch as f64 / prm.tokens_per_sec)
 }
 

@@ -1,26 +1,28 @@
-//! Decode and prefill measurement pipelines over the full model forward.
+//! Decode and prefill measurements over the full model forward.
 //!
-//! Each pipeline builds a cost-only model on the requested device, sets up
-//! the KV state, runs the real forward pass (every kernel charging the
-//! calibrated cost model), and reports throughput plus engine-level busy
-//! times — the raw material for Figures 11, 12, 13, 16 and 17. These are
-//! the measurement engine behind [`crate::backend::NpuSimBackend`]; the
-//! comparison exhibits reach them through the
-//! [`crate::backend::Backend`] trait.
+//! A [`Deployment`] builds the paper's runtime one way: plan the model
+//! across 32-bit NPU sessions (a [`ShardPlan`], Section 8), map its
+//! weights into a cost-only context that opens the plan's sessions (cold
+//! layers parked in DDR staging when the plan streams), and walk the
+//! plan's schedule under a [`DispatchMode`] (Section 7.2.2). Its two
+//! consuming methods run the real forward pass, every kernel charging
+//! the calibrated cost model, and report throughput plus engine-level
+//! busy times: the raw material for Figures 11, 12, 13, 16 and 17.
+//! [`crate::backend::NpuSimBackend`] plans and measures through it, and
+//! the serving gateway builds its workers with it.
 //!
-//! Deployments that exceed one session's 32-bit VA space run through the
-//! sharded variants ([`measure_decode_sharded`], [`measure_prefill_sharded`]):
-//! the context opens the [`crate::session::ShardPlan`]'s session count,
-//! and the model's layer walk charges a CPU-side session switch at every
-//! shard boundary (plus the wrap-around back to the first shard), so the
-//! Section 8 workaround shows up in the latency model rather than as an
-//! error.
+//! A plan spanning several sessions charges a CPU-side session switch at
+//! every shard boundary of the walk (plus the wrap-around back to the
+//! first shard), so the Section 8 workaround shows up in the latency
+//! model rather than as an error. Callers that want the paper's
+//! single-session deployment, with its Section 7.2.1 VA gate, build from
+//! [`ShardPlan::single_session`].
 
 use edgellm::config::ModelId;
 use edgellm::kv_cache::KvCache;
-use edgellm::model::{LayerSchedule, Model};
+use edgellm::model::{Model, StepCost};
 pub use edgellm::overlap::DispatchMode;
-use hexsim::cost::{Engine, NUM_ENGINES};
+use hexsim::cost::NUM_ENGINES;
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
 use serde::{Deserialize, Serialize};
@@ -83,277 +85,117 @@ impl DecodePoint {
     }
 }
 
-/// Errors from the pipeline (model does not fit the device, ...).
-pub type PipelineResult<T> = SimResult<T>;
-
-/// Measures one decode step of `model_id` on `device` at the given batch
-/// and per-sequence context length, in a single NPU session. Errors with
-/// [`SimError::VaSpaceExceeded`] when the deployment does not fit one
-/// session — use [`measure_decode_sharded`] with a
-/// [`crate::session::ShardPlan`] for those (or go through
-/// [`crate::backend::NpuSimBackend`], which plans automatically).
-pub fn measure_decode(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-) -> PipelineResult<DecodePoint> {
-    measure_decode_with(device, model_id, batch, ctx_len, DispatchMode::Serial)
-}
-
-/// Like [`measure_decode`] but with an explicit [`DispatchMode`]:
-/// [`DispatchMode::Overlapped`] reports the steady-state critical path of
-/// the pipelined schedule (CPU lm_head hidden behind the next step's
-/// layers, dispatch riding the double-buffered ring) instead of the
-/// serial stage sum. Functional behavior and per-engine busy seconds are
-/// identical in both modes.
-pub fn measure_decode_with(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-    dispatch: DispatchMode,
-) -> PipelineResult<DecodePoint> {
-    measure_decode_impl(
-        device,
-        model_id,
-        batch,
-        ctx_len,
-        1,
-        LayerSchedule::single_session(),
-        dispatch,
-    )
-}
-
-/// Measures one decode step across the sessions of a
-/// [`crate::session::ShardPlan`] — the paper's Section 8 multi-session
-/// execution. The context opens the plan's session count, the layer walk
-/// crosses each shard boundary in order, and every crossing (plus the
-/// wrap-around back to the first shard) charges the plan's session-switch
-/// cost into the step latency.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different architecture than
-/// `model_id` (its shard boundaries must split `model_id`'s layer
-/// range).
-pub fn measure_decode_sharded(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-    plan: &ShardPlan,
-) -> PipelineResult<DecodePoint> {
-    measure_decode_sharded_with(device, model_id, batch, ctx_len, plan, DispatchMode::Serial)
-}
-
-/// Like [`measure_decode_sharded`] with an explicit [`DispatchMode`];
-/// under [`DispatchMode::Overlapped`] the plan's session switches overlap
-/// the previous shard's tail kernels instead of serializing.
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different architecture than
-/// `model_id`.
-pub fn measure_decode_sharded_with(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-    plan: &ShardPlan,
-    dispatch: DispatchMode,
-) -> PipelineResult<DecodePoint> {
-    measure_decode_impl(
-        device,
-        model_id,
-        batch,
-        ctx_len,
-        plan.sessions(),
-        plan.schedule(),
-        dispatch,
-    )
-}
-
-/// Measures one decode step under the weight-streaming deployment: a
-/// [`ShardPlan::build_streaming`] placement where hot layers (first/last)
-/// stay session-resident and cold layers stream from DDR staging through
-/// a double-buffered window, each fetch charged at the device's sustained
-/// streaming bandwidth and — under [`DispatchMode::Overlapped`] — hidden
-/// behind other layers' compute on the timeline's DMA lane.
-pub fn measure_decode_streaming(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-) -> PipelineResult<DecodePoint> {
-    measure_decode_streaming_with(device, model_id, batch, ctx_len, DispatchMode::Serial)
-}
-
-/// Like [`measure_decode_streaming`] with an explicit [`DispatchMode`].
-pub fn measure_decode_streaming_with(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
-    dispatch: DispatchMode,
-) -> PipelineResult<DecodePoint> {
-    let cfg = edgellm::config::ModelConfig::for_id(model_id);
-    let plan = ShardPlan::build_streaming(&cfg, device.session_va_bytes, batch, ctx_len)?;
-    measure_decode_sharded_with(device, model_id, batch, ctx_len, &plan, dispatch)
-}
-
-fn measure_decode_impl(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    batch: usize,
-    ctx_len: usize,
+/// One model planned and built on one device: a cost-only context that
+/// opens the plan's sessions, and the model mapped into it walking the
+/// plan's schedule under a dispatch mode. The one place a deployment is
+/// built; [`Deployment::decode`] and [`Deployment::prefill`] consume it
+/// into a measurement, and the serving gateway takes its context and
+/// model apart to drive a decode session.
+pub struct Deployment {
+    /// The simulated NPU context, opened with the plan's session count.
+    pub ctx: NpuContext,
+    /// The cost-only model bound to `ctx`.
+    pub model: Model,
     sessions: usize,
-    schedule: LayerSchedule,
-    dispatch: DispatchMode,
-) -> PipelineResult<DecodePoint> {
-    let mut ctx = NpuContext::new_sharded(device.clone(), ExecMode::CostOnly, sessions);
-    // The schedule's `streamed` list doubles as the build-time hot/cold
-    // split: cold layers park in DDR staging, resident schedules (empty
-    // list) build bit-identically to the historical path.
-    let mut model = Model::new_streamed(
-        &mut ctx,
-        model_id,
-        DequantVariant::CoalescedLut,
-        1,
-        &schedule.streamed,
-    )?;
-    model.set_layer_schedule(schedule);
-    model.set_dispatch_mode(dispatch);
-    let budget = batch * (ctx_len + 2);
-    let mut cache = KvCache::new(&mut ctx, &model.cfg, batch, budget)?;
-    for s in 0..batch {
-        cache.fast_fill(s, ctx_len);
+}
+
+impl Deployment {
+    /// Builds `model_id` on `device` under `plan` and `dispatch`. The
+    /// plan's cold layers (if it streams) park in DDR staging; a resident
+    /// plan builds exactly like [`Model::new`]. Errors when the weights do
+    /// not map into the plan's sessions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `plan` was built for a different architecture than
+    /// `model_id` (its shard boundaries must split `model_id`'s layer
+    /// range).
+    pub fn new(
+        device: &DeviceProfile,
+        model_id: ModelId,
+        plan: &ShardPlan,
+        dispatch: DispatchMode,
+    ) -> SimResult<Self> {
+        let mut ctx = NpuContext::new_sharded(device.clone(), ExecMode::CostOnly, plan.sessions());
+        let schedule = plan.schedule();
+        let mut model = Model::new_streamed(
+            &mut ctx,
+            model_id,
+            DequantVariant::CoalescedLut,
+            1,
+            &schedule.streamed,
+        )?;
+        model.set_layer_schedule(schedule);
+        model.set_dispatch_mode(dispatch);
+        Ok(Deployment {
+            ctx,
+            model,
+            sessions: plan.sessions(),
+        })
     }
-    let snap = ctx.cost.snapshot();
-    let out = model.decode_step(&mut ctx, &mut cache, &vec![0u32; batch])?;
-    let delta = ctx.cost.delta_since(&snap, "decode");
-    // Serial mode keeps the historical additive wall time bit-for-bit;
-    // overlapped mode reports the schedule's steady-state critical path.
-    let step_secs = match dispatch {
-        DispatchMode::Serial => out.cost.wall_secs(),
-        DispatchMode::Overlapped => out.cost.overlapped_secs,
-    };
-    Ok(DecodePoint {
-        model: model.cfg.id.label().to_string(),
-        device: device.arch.soc_label().to_string(),
-        batch,
-        ctx_len,
-        step_secs,
-        tokens_per_sec: batch as f64 / step_secs,
-        cpu_share: (out.cost.cpu_secs + out.cost.switch_secs) / step_secs,
-        engine_secs: delta.engine_secs,
-        sessions,
-    })
-}
 
-/// Measures a full prefill of `prompt_len` tokens in a single NPU
-/// session (see [`measure_prefill_sharded`] for deployments that need
-/// the Section 8 workaround).
-pub fn measure_prefill(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    prompt_len: usize,
-) -> PipelineResult<PrefillPoint> {
-    measure_prefill_with(device, model_id, prompt_len, DispatchMode::Serial)
-}
+    /// Measures one decode step at `batch` sequences of `ctx_len` tokens
+    /// each. Under [`DispatchMode::Overlapped`] the step time is the
+    /// steady-state critical path of the pipelined schedule (CPU lm_head
+    /// hidden behind the next step's layers, dispatch riding the
+    /// double-buffered ring, session switches and weight fetches behind
+    /// other layers' kernels) instead of the serial stage sum; per-engine
+    /// busy seconds are the same in both modes.
+    pub fn decode(mut self, batch: usize, ctx_len: usize) -> SimResult<DecodePoint> {
+        let budget = batch * (ctx_len + 2);
+        let mut cache = KvCache::new(&mut self.ctx, &self.model.cfg, batch, budget)?;
+        for s in 0..batch {
+            cache.fast_fill(s, ctx_len);
+        }
+        let snap = self.ctx.cost.snapshot();
+        let out = self
+            .model
+            .decode_step(&mut self.ctx, &mut cache, &vec![0u32; batch])?;
+        let delta = self.ctx.cost.delta_since(&snap, "decode");
+        let step_secs = self.secs(&out.cost);
+        Ok(DecodePoint {
+            model: self.model.cfg.id.label().to_string(),
+            device: self.ctx.device().arch.soc_label().to_string(),
+            batch,
+            ctx_len,
+            step_secs,
+            tokens_per_sec: batch as f64 / step_secs,
+            cpu_share: (out.cost.cpu_secs + out.cost.switch_secs) / step_secs,
+            engine_secs: delta.engine_secs,
+            sessions: self.sessions,
+        })
+    }
 
-/// Like [`measure_prefill`] with an explicit [`DispatchMode`]: prefill is
-/// one standalone pass, so overlap hides dispatch and session switches
-/// behind the walk but there is no next step to pipeline into.
-pub fn measure_prefill_with(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    prompt_len: usize,
-    dispatch: DispatchMode,
-) -> PipelineResult<PrefillPoint> {
-    measure_prefill_impl(
-        device,
-        model_id,
-        prompt_len,
-        1,
-        LayerSchedule::single_session(),
-        dispatch,
-    )
-}
+    /// Measures a full prefill of `prompt_len` tokens: one layer walk for
+    /// the whole prompt, so the plan's session switches amortize over
+    /// every prompt token. Under [`DispatchMode::Overlapped`] dispatch
+    /// and switches hide behind the walk, but there is no next step to
+    /// pipeline into.
+    pub fn prefill(mut self, prompt_len: usize) -> SimResult<PrefillPoint> {
+        let mut cache = KvCache::new(&mut self.ctx, &self.model.cfg, 1, prompt_len + 2)?;
+        let out = self
+            .model
+            .prefill(&mut self.ctx, &mut cache, 0, &vec![0u32; prompt_len])?;
+        let total_secs = self.secs(&out.cost);
+        Ok(PrefillPoint {
+            model: self.model.cfg.id.label().to_string(),
+            device: self.ctx.device().arch.soc_label().to_string(),
+            prompt_len,
+            total_secs,
+            tokens_per_sec: prompt_len as f64 / total_secs,
+            sessions: self.sessions,
+        })
+    }
 
-/// Measures a full prefill across the sessions of a
-/// [`crate::session::ShardPlan`] (one sharded layer walk for the whole
-/// prompt — prefill amortizes the switches over every prompt token).
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different architecture than
-/// `model_id` (its shard boundaries must split `model_id`'s layer
-/// range).
-pub fn measure_prefill_sharded(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    prompt_len: usize,
-    plan: &ShardPlan,
-) -> PipelineResult<PrefillPoint> {
-    measure_prefill_sharded_with(device, model_id, prompt_len, plan, DispatchMode::Serial)
-}
-
-/// Like [`measure_prefill_sharded`] with an explicit [`DispatchMode`].
-///
-/// # Panics
-///
-/// Panics if `plan` was built for a different architecture than
-/// `model_id`.
-pub fn measure_prefill_sharded_with(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    prompt_len: usize,
-    plan: &ShardPlan,
-    dispatch: DispatchMode,
-) -> PipelineResult<PrefillPoint> {
-    measure_prefill_impl(
-        device,
-        model_id,
-        prompt_len,
-        plan.sessions(),
-        plan.schedule(),
-        dispatch,
-    )
-}
-
-fn measure_prefill_impl(
-    device: &DeviceProfile,
-    model_id: ModelId,
-    prompt_len: usize,
-    sessions: usize,
-    schedule: LayerSchedule,
-    dispatch: DispatchMode,
-) -> PipelineResult<PrefillPoint> {
-    let mut ctx = NpuContext::new_sharded(device.clone(), ExecMode::CostOnly, sessions);
-    let mut model = Model::new_streamed(
-        &mut ctx,
-        model_id,
-        DequantVariant::CoalescedLut,
-        1,
-        &schedule.streamed,
-    )?;
-    model.set_layer_schedule(schedule);
-    model.set_dispatch_mode(dispatch);
-    let mut cache = KvCache::new(&mut ctx, &model.cfg, 1, prompt_len + 2)?;
-    let out = model.prefill(&mut ctx, &mut cache, 0, &vec![0u32; prompt_len])?;
-    let total_secs = match dispatch {
-        DispatchMode::Serial => out.cost.wall_secs(),
-        DispatchMode::Overlapped => out.cost.overlapped_secs,
-    };
-    Ok(PrefillPoint {
-        model: model.cfg.id.label().to_string(),
-        device: device.arch.soc_label().to_string(),
-        prompt_len,
-        total_secs,
-        tokens_per_sec: prompt_len as f64 / total_secs,
-        sessions,
-    })
+    /// Wall seconds of a pass under the installed dispatch mode: the
+    /// additive stage sum when serial, the schedule's critical path when
+    /// overlapped.
+    fn secs(&self, cost: &StepCost) -> f64 {
+        match self.model.dispatch_mode() {
+            DispatchMode::Serial => cost.wall_secs(),
+            DispatchMode::Overlapped => cost.overlapped_secs,
+        }
+    }
 }
 
 /// Engine utilization (busy fraction of the step wall time), used by the
@@ -366,34 +208,53 @@ pub fn engine_utilization(point: &DecodePoint) -> [f64; NUM_ENGINES] {
     util
 }
 
-/// Convenience: HVX busy fraction of a decode point.
-pub fn hvx_utilization(point: &DecodePoint) -> f64 {
-    engine_utilization(point)[Engine::Hvx.idx_pub()]
-}
-
-/// Extension trait exposing the engine index (kept for API continuity;
-/// [`Engine::index`] is the underlying accessor).
-pub trait EngineIdx {
-    /// Stable array index of the engine.
-    fn idx_pub(self) -> usize;
-}
-
-impl EngineIdx for Engine {
-    fn idx_pub(self) -> usize {
-        self.index()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edgellm::config::ModelConfig;
+    use hexsim::cost::Engine;
+
+    fn resident(d: &DeviceProfile, model: ModelId, batch: usize, ctx_len: usize) -> ShardPlan {
+        ShardPlan::build(
+            &ModelConfig::for_id(model),
+            d.session_va_bytes,
+            batch,
+            ctx_len,
+        )
+        .unwrap()
+    }
+
+    /// The paper's deployment: serial dispatch in one session, refused by
+    /// the Section 7.2.1 VA gate when the model does not fit one.
+    fn single_session(
+        d: &DeviceProfile,
+        model: ModelId,
+        batch: usize,
+        ctx_len: usize,
+    ) -> SimResult<Deployment> {
+        let cfg = ModelConfig::for_id(model);
+        let plan = ShardPlan::single_session(&cfg, d.session_va_bytes, batch, ctx_len)?;
+        Deployment::new(d, model, &plan, DispatchMode::Serial)
+    }
+
+    fn decode(d: &DeviceProfile, model: ModelId, batch: usize, ctx_len: usize) -> DecodePoint {
+        single_session(d, model, batch, ctx_len)
+            .and_then(|dep| dep.decode(batch, ctx_len))
+            .unwrap()
+    }
+
+    fn prefill(d: &DeviceProfile, model: ModelId, prompt_len: usize) -> PrefillPoint {
+        single_session(d, model, 1, prompt_len)
+            .and_then(|dep| dep.prefill(prompt_len))
+            .unwrap()
+    }
 
     #[test]
     fn decode_throughput_increases_with_batch_figure_11() {
         let d = DeviceProfile::v75();
-        let t1 = measure_decode(&d, ModelId::Qwen1_5B, 1, 1024).unwrap();
-        let t4 = measure_decode(&d, ModelId::Qwen1_5B, 4, 1024).unwrap();
-        let t16 = measure_decode(&d, ModelId::Qwen1_5B, 16, 1024).unwrap();
+        let t1 = decode(&d, ModelId::Qwen1_5B, 1, 1024);
+        let t4 = decode(&d, ModelId::Qwen1_5B, 4, 1024);
+        let t16 = decode(&d, ModelId::Qwen1_5B, 16, 1024);
         assert!(t4.tokens_per_sec > t1.tokens_per_sec * 2.0);
         assert!(t16.tokens_per_sec > t4.tokens_per_sec * 1.5);
         // Paper Figure 11 (8G3, Qwen2.5-1.5B): ~10 tok/s at batch 1 rising
@@ -413,23 +274,25 @@ mod tests {
     #[test]
     fn devices_order_by_generation() {
         let b = 4;
-        let t73 = measure_decode(&DeviceProfile::v73(), ModelId::Llama1B, b, 1024).unwrap();
-        let t75 = measure_decode(&DeviceProfile::v75(), ModelId::Llama1B, b, 1024).unwrap();
-        let t79 = measure_decode(&DeviceProfile::v79(), ModelId::Llama1B, b, 1024).unwrap();
+        let t73 = decode(&DeviceProfile::v73(), ModelId::Llama1B, b, 1024);
+        let t75 = decode(&DeviceProfile::v75(), ModelId::Llama1B, b, 1024);
+        let t79 = decode(&DeviceProfile::v79(), ModelId::Llama1B, b, 1024);
         assert!(t79.tokens_per_sec > t75.tokens_per_sec);
         assert!(t75.tokens_per_sec > t73.tokens_per_sec);
     }
 
     #[test]
     fn v73_rejects_3b_models() {
-        let err = measure_decode(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 1024).unwrap_err();
+        let err = single_session(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 1024)
+            .err()
+            .unwrap();
         assert!(matches!(err, SimError::VaSpaceExceeded { .. }));
     }
 
     #[test]
     fn prefill_speed_matches_figure_13_scale() {
         let d = DeviceProfile::v75();
-        let p = measure_prefill(&d, ModelId::Qwen1_5B, 512).unwrap();
+        let p = prefill(&d, ModelId::Qwen1_5B, 512);
         // Paper Figure 13: Qwen2.5-1.5B prefill in the hundreds to ~1500
         // tokens/s range.
         assert!(
@@ -437,15 +300,15 @@ mod tests {
             "prefill {}",
             p.tokens_per_sec
         );
-        let p3 = measure_prefill(&d, ModelId::Qwen3B, 512).unwrap();
+        let p3 = prefill(&d, ModelId::Qwen3B, 512);
         assert!(p3.tokens_per_sec < p.tokens_per_sec);
     }
 
     #[test]
     fn longer_context_slows_decode_mildly_figure_17() {
         let d = DeviceProfile::v75();
-        let short = measure_decode(&d, ModelId::Qwen1_5B, 8, 512).unwrap();
-        let long = measure_decode(&d, ModelId::Qwen1_5B, 8, 4096).unwrap();
+        let short = decode(&d, ModelId::Qwen1_5B, 8, 512);
+        let long = decode(&d, ModelId::Qwen1_5B, 8, 4096);
         let drop = 1.0 - long.tokens_per_sec / short.tokens_per_sec;
         // Paper: "relatively subtle" decline from 512 to 4096.
         assert!(drop > 0.01, "some decline expected, got {drop}");
@@ -459,13 +322,15 @@ mod tests {
         // single-session measurement on the same device: the step must
         // cost exactly the plan's switch overhead more.
         let d = DeviceProfile::v75();
-        let cfg = edgellm::config::ModelConfig::for_id(ModelId::Qwen1_5B);
+        let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
         let half = cfg.npu_weight_bytes() / 2 + cfg.npu_layer_weight_bytes();
         let plan = ShardPlan::build(&cfg, half, 4, 1024).unwrap();
         assert!(plan.is_sharded(), "plan must shard: {plan:?}");
 
-        let base = measure_decode(&d, ModelId::Qwen1_5B, 4, 1024).unwrap();
-        let sharded = measure_decode_sharded(&d, ModelId::Qwen1_5B, 4, 1024, &plan).unwrap();
+        let base = decode(&d, ModelId::Qwen1_5B, 4, 1024);
+        let sharded = Deployment::new(&d, ModelId::Qwen1_5B, &plan, DispatchMode::Serial)
+            .and_then(|dep| dep.decode(4, 1024))
+            .unwrap();
         assert_eq!(sharded.sessions, plan.sessions());
         assert_eq!(base.sessions, 1);
         let extra = sharded.step_secs - base.step_secs;
@@ -484,13 +349,13 @@ mod tests {
         // The headline scenario: Qwen-3B decoding on the Snapdragon 8
         // Gen 2 through a 2-session plan (single-session errors above).
         let d = DeviceProfile::v73();
-        let cfg = edgellm::config::ModelConfig::for_id(ModelId::Qwen3B);
-        let plan = ShardPlan::build(&cfg, d.session_va_bytes, 1, 1024).unwrap();
+        let plan = resident(&d, ModelId::Qwen3B, 1, 1024);
         assert_eq!(plan.sessions(), 2);
-        let p = measure_decode_sharded(&d, ModelId::Qwen3B, 1, 1024, &plan).unwrap();
+        let deploy = || Deployment::new(&d, ModelId::Qwen3B, &plan, DispatchMode::Serial);
+        let p = deploy().and_then(|dep| dep.decode(1, 1024)).unwrap();
         assert_eq!(p.sessions, 2);
         assert!(p.tokens_per_sec > 0.5, "3B on 8G2: {}", p.tokens_per_sec);
-        let pf = measure_prefill_sharded(&d, ModelId::Qwen3B, 512, &plan).unwrap();
+        let pf = deploy().and_then(|dep| dep.prefill(512)).unwrap();
         assert!(pf.tokens_per_sec > 50.0, "prefill {}", pf.tokens_per_sec);
     }
 
@@ -500,14 +365,19 @@ mod tests {
         // dispatch pays every fetch in full; the overlapped schedule hides
         // them behind compute, keeping throughput near the resident plan.
         let d = DeviceProfile::v73();
-        let cfg = edgellm::config::ModelConfig::for_id(ModelId::Qwen7B);
-        let resident_plan = ShardPlan::build(&cfg, d.session_va_bytes, 8, 1024).unwrap();
+        let cfg = ModelConfig::for_id(ModelId::Qwen7B);
+        let resident_plan = resident(&d, ModelId::Qwen7B, 8, 1024);
         assert_eq!(resident_plan.sessions(), 3);
+        let streaming_plan = ShardPlan::build_streaming(&cfg, d.session_va_bytes, 8, 1024).unwrap();
+        let run = |plan: &ShardPlan, dispatch| {
+            Deployment::new(&d, ModelId::Qwen7B, plan, dispatch)
+                .and_then(|dep| dep.decode(8, 1024))
+                .unwrap()
+        };
 
-        let serial = measure_decode_streaming(&d, ModelId::Qwen7B, 8, 1024).unwrap();
+        let serial = run(&streaming_plan, DispatchMode::Serial);
         assert_eq!(serial.sessions, 1);
-        let resident_serial =
-            measure_decode_sharded(&d, ModelId::Qwen7B, 8, 1024, &resident_plan).unwrap();
+        let resident_serial = run(&resident_plan, DispatchMode::Serial);
         // Serial streaming pays 26 full fetches, minus the 3-session
         // plan's switch overhead the 1-session deployment no longer pays.
         let fetch_secs = 26.0 * cfg.npu_layer_weight_bytes() as f64 / d.ddr_stream_bw;
@@ -518,18 +388,8 @@ mod tests {
             "extra {extra} vs expected {expect}"
         );
 
-        let overlapped =
-            measure_decode_streaming_with(&d, ModelId::Qwen7B, 8, 1024, DispatchMode::Overlapped)
-                .unwrap();
-        let resident_overlapped = measure_decode_sharded_with(
-            &d,
-            ModelId::Qwen7B,
-            8,
-            1024,
-            &resident_plan,
-            DispatchMode::Overlapped,
-        )
-        .unwrap();
+        let overlapped = run(&streaming_plan, DispatchMode::Overlapped);
+        let resident_overlapped = run(&resident_plan, DispatchMode::Overlapped);
         assert!(
             overlapped.tokens_per_sec >= 0.9 * resident_overlapped.tokens_per_sec,
             "streamed {} vs resident {}",
@@ -543,15 +403,15 @@ mod tests {
     #[test]
     fn utilization_fractions_are_sane() {
         let d = DeviceProfile::v75();
-        let p = measure_decode(&d, ModelId::Qwen1_5B, 2, 512).unwrap();
+        let p = decode(&d, ModelId::Qwen1_5B, 2, 512);
         let util = engine_utilization(&p);
         for (i, u) in util.iter().enumerate() {
             assert!((0.0..=1.0).contains(u), "engine {i} utilization {u}");
         }
         // Dequantization keeps the HVX the busiest *compute* engine, though
         // dispatch overheads dilute its absolute share.
-        let hvx = util[Engine::Hvx.idx_pub()];
+        let hvx = util[Engine::Hvx.index()];
         assert!(hvx > 0.15, "hvx utilization {hvx}");
-        assert!(hvx > util[Engine::Hmx.idx_pub()]);
+        assert!(hvx > util[Engine::Hmx.index()]);
     }
 }

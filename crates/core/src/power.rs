@@ -12,7 +12,7 @@ use hexsim::cost::{Engine, NUM_ENGINES};
 use hexsim::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::pipeline::{engine_utilization, DecodePoint, EngineIdx};
+use crate::pipeline::{engine_utilization, DecodePoint};
 
 /// One power/energy measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -55,7 +55,7 @@ impl PowerModel {
     /// capacitance integration.
     pub fn power_from_utilization(&self, util: &[f64; NUM_ENGINES]) -> f64 {
         let d = &self.device;
-        let lane = |e: Engine| util[e.idx_pub()].clamp(0.0, 1.0);
+        let lane = |e: Engine| util[e.index()].clamp(0.0, 1.0);
         let dma = lane(Engine::Dma) + lane(Engine::L2fetch);
         d.base_power_w
             + d.hvx_power_w * lane(Engine::Hvx)
@@ -81,15 +81,24 @@ impl PowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::measure_decode;
-    use edgellm::config::ModelId;
+    use crate::pipeline::{Deployment, DispatchMode};
+    use crate::session::ShardPlan;
+    use edgellm::config::{ModelConfig, ModelId};
+
+    /// Serial single-session decode on the paper's primary device.
+    fn decode(model: ModelId, batch: usize) -> DecodePoint {
+        let d = DeviceProfile::v75();
+        ShardPlan::single_session(&ModelConfig::for_id(model), d.session_va_bytes, batch, 1024)
+            .and_then(|plan| Deployment::new(&d, model, &plan, DispatchMode::Serial))
+            .and_then(|dep| dep.decode(batch, 1024))
+            .unwrap()
+    }
 
     fn points(model: ModelId, batches: &[usize]) -> Vec<PowerPoint> {
-        let d = DeviceProfile::v75();
-        let pm = PowerModel::new(d.clone());
+        let pm = PowerModel::new(DeviceProfile::v75());
         batches
             .iter()
-            .map(|&b| pm.measure(&measure_decode(&d, model, b, 1024).unwrap()))
+            .map(|&b| pm.measure(&decode(model, b)))
             .collect()
     }
 
@@ -142,10 +151,9 @@ mod tests {
         // Paper: the 1.5B model decoding at batch 8 spends less energy per
         // generated token than the 3B model at batch 1, while test-time
         // scaling brings its math accuracy to parity — the Pareto argument.
-        let d = DeviceProfile::v75();
-        let pm = PowerModel::new(d.clone());
-        let q15_b8 = pm.measure(&measure_decode(&d, ModelId::Qwen1_5B, 8, 1024).unwrap());
-        let q3_b1 = pm.measure(&measure_decode(&d, ModelId::Qwen3B, 1, 1024).unwrap());
+        let pm = PowerModel::new(DeviceProfile::v75());
+        let q15_b8 = pm.measure(&decode(ModelId::Qwen1_5B, 8));
+        let q3_b1 = pm.measure(&decode(ModelId::Qwen3B, 1));
         assert!(
             q15_b8.energy_per_token_j < q3_b1.energy_per_token_j / 2.0,
             "1.5B@8 {} J/tok vs 3B@1 {} J/tok",
@@ -177,7 +185,7 @@ mod tests {
                 );
                 // Scalar lane carries no power increment; all others must
                 // grow strictly while unsaturated.
-                if lane != Engine::Scalar.idx_pub() {
+                if lane != Engine::Scalar.index() {
                     assert!(
                         p > prev || step == 0,
                         "lane {lane}: power flat at util {}",
@@ -203,8 +211,8 @@ mod tests {
         let d = DeviceProfile::v75();
         let pm = PowerModel::new(d.clone());
         let mut util = [0.0f64; NUM_ENGINES];
-        util[Engine::Dma.idx_pub()] = 1.0;
-        util[Engine::L2fetch.idx_pub()] = 1.0;
+        util[Engine::Dma.index()] = 1.0;
+        util[Engine::L2fetch.index()] = 1.0;
         let p = pm.power_from_utilization(&util);
         assert!(
             (p - d.base_power_w - 2.0 * d.dma_power_w).abs() < 1e-12,

@@ -2,11 +2,11 @@
 //!
 //! [`FleetGateway::serve_trace`] drives a request trace through a fleet
 //! of simulated NPU workers. Each worker is a real
-//! [`DecodeSession`] over a cost-only model built exactly the way
-//! [`crate::pipeline`] builds its measurement deployments (shard plan,
-//! streamed weight hierarchy, overlap-aware dispatch), so every charged
-//! duration comes from the same calibrated cost model as the paper
-//! figures:
+//! [`DecodeSession`] over a cost-only model built as a
+//! [`crate::pipeline::Deployment`] of the plan its dispatch oracle
+//! measured (shard plan, streamed weight hierarchy, overlap-aware
+//! dispatch), so every charged duration comes from the same calibrated
+//! cost model as the paper figures:
 //!
 //! - a **decode step** costs the steady-state critical path of its
 //!   recorded stages, read off the same [`steady_state`] schedule as the
@@ -29,13 +29,11 @@
 //! a `(fleet, config, trace)` triple always produces the identical
 //! [`ServingReport`] (the CI regression gate pins its numbers).
 
-use edgellm::config::ModelConfig;
 use edgellm::model::Model;
 use edgellm::overlap::{
-    lane, single_pass_secs, steady_state, steady_state_lane_utilization, DispatchMode, StepStages,
+    lane, single_pass_secs, steady_state, steady_state_lane_utilization, StepStages,
 };
 use hexsim::prelude::*;
-use htpops::gemm::DequantVariant;
 
 use crate::serve::arrivals::Request;
 use crate::serve::metrics::{jain_index, percentile};
@@ -44,7 +42,7 @@ use crate::serve::scheduler::{
     wfq_before, AdmissionQueue, FleetSpec, GatewayConfig, PreemptionPolicy, PrefillMode,
     QueueEntry, SchedulingPolicy, ThermalPolicy, WfqState, WorkerOracle,
 };
-use crate::session::{DecodeSession, PreemptedSeq, SeqId, ShardPlan};
+use crate::session::{DecodeSession, PreemptedSeq, SeqId};
 use crate::thermal::{DvfsGovernor, ThermalState};
 
 /// Per-worker outcome of a serving run.
@@ -272,34 +270,17 @@ impl FleetGateway {
     /// report.
     pub fn serve_trace(&self, trace: &[Request]) -> SimResult<ServingReport> {
         let n = self.fleet.workers.len();
-        // Build each worker's runtime exactly like the measurement
-        // pipeline: shard plan -> sharded cost-only context -> streamed
-        // model under overlap-aware dispatch -> decode session.
-        let cfg = ModelConfig::for_id(self.fleet.model);
+        // Each worker runs the deployment its oracle measured, its context
+        // and model split apart so a decode session can borrow the model
+        // while the event loop drives the context.
         let mut ctxs: Vec<NpuContext> = Vec::with_capacity(n);
         let mut models: Vec<Model> = Vec::with_capacity(n);
-        let mut plan_sessions = Vec::with_capacity(n);
         for w in &self.fleet.workers {
-            let plan = if w.streaming {
-                ShardPlan::build_streaming(&cfg, w.device.session_va_bytes, w.max_batch, w.max_ctx)?
-            } else {
-                ShardPlan::build(&cfg, w.device.session_va_bytes, w.max_batch, w.max_ctx)?
-            };
-            let mut ctx =
-                NpuContext::new_sharded(w.device.clone(), ExecMode::CostOnly, plan.sessions());
-            let schedule = plan.schedule();
-            let mut model = Model::new_streamed(
-                &mut ctx,
-                self.fleet.model,
-                DequantVariant::CoalescedLut,
-                1,
-                &schedule.streamed,
-            )?;
-            model.set_layer_schedule(schedule);
-            model.set_dispatch_mode(DispatchMode::Overlapped);
-            plan_sessions.push(plan.sessions());
-            ctxs.push(ctx);
-            models.push(model);
+            let deployment = w
+                .backend()
+                .deployment(self.fleet.model, w.max_batch, w.max_ctx)?;
+            ctxs.push(deployment.ctx);
+            models.push(deployment.model);
         }
         let mut sessions: Vec<DecodeSession<'_>> = Vec::with_capacity(n);
         for (i, model) in models.iter().enumerate() {
@@ -462,7 +443,7 @@ impl FleetGateway {
             sim.try_dispatch(now, &mut queue, &mut sessions, &self.fleet)?;
         }
 
-        let report = self.build_report(&sim, &queue, &sessions, &plan_sessions);
+        let report = self.build_report(&sim, &queue, &sessions);
         for (sess, ctx) in sessions.into_iter().zip(ctxs.iter_mut()) {
             sess.release(ctx);
         }
@@ -474,7 +455,6 @@ impl FleetGateway {
         sim: &SimState<'_>,
         queue: &AdmissionQueue,
         sessions: &[DecodeSession<'_>],
-        plan_sessions: &[usize],
     ) -> ServingReport {
         let trace = sim.trace;
         let makespan_secs = sim.states.iter().map(|s| s.clock).fold(0.0f64, f64::max);
@@ -532,7 +512,7 @@ impl FleetGateway {
                 let st = &sim.states[i];
                 WorkerReport {
                     name: self.oracles[i].name.clone(),
-                    sessions: plan_sessions[i],
+                    sessions: self.oracles[i].sessions,
                     served: st.served,
                     steps: st.steps,
                     busy_secs: st.busy_secs,

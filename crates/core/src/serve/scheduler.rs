@@ -78,6 +78,18 @@ impl WorkerSpec {
             ..WorkerSpec::resident(device)
         }
     }
+
+    /// The overlap-aware NPU runtime this worker deploys: the streamed
+    /// backend or the resident one, whose
+    /// [`NpuSimBackend::shard_plan`] both the dispatch oracle and the
+    /// serving loop build from.
+    pub(crate) fn backend(&self) -> NpuSimBackend {
+        if self.streaming {
+            NpuSimBackend::streamed(self.device.clone())
+        } else {
+            NpuSimBackend::overlapped(self.device.clone())
+        }
+    }
 }
 
 /// The fleet: one model served across a set of workers.
@@ -298,26 +310,20 @@ pub struct WorkerOracle {
 pub fn plan_worker(model: ModelId, spec: &WorkerSpec) -> SimResult<WorkerOracle> {
     assert!(spec.max_batch >= 1, "worker needs at least one KV slot");
     assert!(spec.max_ctx >= 8, "worker context capacity too small");
-    let backend = if spec.streaming {
-        NpuSimBackend::streamed(spec.device.clone())
-    } else {
-        NpuSimBackend::overlapped(spec.device.clone())
-    };
+    let backend = spec.backend();
     let fit = backend.fits(model, spec.max_batch, spec.max_ctx)?;
     let decode = backend.decode(model, spec.max_batch, spec.max_ctx)?;
     let prefill = backend.prefill(model, 256.min(spec.max_ctx / 2))?;
     // The same deployment repriced at the sustained DVFS point: every
     // engine rate scales by the clock multiplier, dynamic power by its
     // cube, fixed session-switch costs stay fixed.
-    let hot_device = spec.device.at_clock(spec.device.sustained_clock_mult);
-    let hot_backend = if spec.streaming {
-        NpuSimBackend::streamed(hot_device.clone())
-    } else {
-        NpuSimBackend::overlapped(hot_device.clone())
+    let hot_backend = NpuSimBackend {
+        device: spec.device.at_clock(spec.device.sustained_clock_mult),
+        ..backend
     };
     let sustained = hot_backend.decode(model, spec.max_batch, spec.max_ctx)?;
     let burst_power_w = PowerModel::new(spec.device.clone()).step_power(&decode);
-    let sustained_power_w = PowerModel::new(hot_device).step_power(&sustained);
+    let sustained_power_w = PowerModel::new(hot_backend.device).step_power(&sustained);
     let variant = if spec.streaming { " streamed" } else { "" };
     Ok(WorkerOracle {
         name: format!("{}{variant}", spec.device.arch.soc_label()),

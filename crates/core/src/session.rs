@@ -14,7 +14,7 @@
 //! sessions, each with its own VA budget. [`ShardPlan`] turns that
 //! allocator into an executable placement — contiguous layer ranges per
 //! session plus a KV-cache home — which [`crate::backend::Backend::fits`]
-//! reports as a shard count and [`crate::pipeline::measure_decode_sharded`]
+//! reports as a shard count and a [`crate::pipeline::Deployment`]
 //! actually runs, charging [`SESSION_SWITCH_SECS`] at every shard
 //! boundary of the walk.
 //!
@@ -202,23 +202,15 @@ pub struct ShardPlan {
 impl ShardPlan {
     /// Plans a decode deployment: layer weights plus a KV cache sized for
     /// `batch` sequences at `ctx_len` context (the same `batch * (ctx_len
-    /// + 2)` budget the measurement pipelines allocate).
+    /// + 2)` budget a [`crate::pipeline::Deployment`] allocates; a prefill
+    /// of `n` tokens plans as one sequence at context `n`).
     pub fn build(
         cfg: &edgellm::config::ModelConfig,
         va_per_session: u64,
         batch: usize,
         ctx_len: usize,
     ) -> SimResult<Self> {
-        Self::build_with_kv_budget(cfg, va_per_session, batch * (ctx_len + 2))
-    }
-
-    /// Plans a deployment at an explicit total KV token budget (prefill
-    /// sizes the cache by prompt length instead of batch x context).
-    pub fn build_with_kv_budget(
-        cfg: &edgellm::config::ModelConfig,
-        va_per_session: u64,
-        kv_budget: usize,
-    ) -> SimResult<Self> {
+        let kv_budget = batch * (ctx_len + 2);
         let mut ms = MultiSession::new(va_per_session);
         // A layer travels as one unit: its weights plus its slice of the
         // per-layer KV cache, so attention never reaches across sessions.
@@ -249,6 +241,28 @@ impl ShardPlan {
         })
     }
 
+    /// Plans the paper's single-session deployment: the resident plan of
+    /// [`ShardPlan::build`], rejected with [`SimError::VaSpaceExceeded`]
+    /// when it needs more than one session. This is the Section 7.2.1 VA
+    /// gate, the refusal the Snapdragon 8 Gen 2 gives a 3B model without
+    /// the Section 8 sharding workaround.
+    pub fn single_session(
+        cfg: &edgellm::config::ModelConfig,
+        va_per_session: u64,
+        batch: usize,
+        ctx_len: usize,
+    ) -> SimResult<Self> {
+        let plan = Self::build(cfg, va_per_session, batch, ctx_len)?;
+        if plan.sessions() > 1 {
+            return Err(SimError::VaSpaceExceeded {
+                capacity: va_per_session,
+                mapped: 0,
+                requested: plan.bytes,
+            });
+        }
+        Ok(plan)
+    }
+
     /// Plans a *streaming* decode deployment: hot layers (the first and
     /// last, whose weights sandwich the CPU embedding / lm_head work)
     /// stay session-resident, while the cold middle layers park their
@@ -265,19 +279,11 @@ impl ShardPlan {
         batch: usize,
         ctx_len: usize,
     ) -> SimResult<Self> {
-        Self::build_streaming_with_kv_budget(cfg, va_per_session, batch * (ctx_len + 2))
-    }
-
-    /// Plans a streaming deployment at an explicit total KV token budget.
-    pub fn build_streaming_with_kv_budget(
-        cfg: &edgellm::config::ModelConfig,
-        va_per_session: u64,
-        kv_budget: usize,
-    ) -> SimResult<Self> {
         if cfg.layers < 3 {
             // Nothing between the hot first and last layer to stream.
-            return Self::build_with_kv_budget(cfg, va_per_session, kv_budget);
+            return Self::build(cfg, va_per_session, batch, ctx_len);
         }
+        let kv_budget = batch * (ctx_len + 2);
         let weight_bytes = cfg.npu_layer_weight_bytes();
         let kv_bytes = cfg.kv_cache_layer_bytes(kv_budget);
         let window_bytes = 2 * weight_bytes;
@@ -469,6 +475,51 @@ mod tests {
         // placement at all.
         let err = ShardPlan::build(&cfg, cfg.npu_layer_weight_bytes() - 1, 1, 1024).unwrap_err();
         assert!(matches!(err, SimError::VaSpaceExceeded { .. }));
+    }
+
+    #[test]
+    fn single_session_plans_agree_with_the_heap() {
+        // The planner bins whole layers first-fit, the DDR heap enforces
+        // an aggregate envelope: on one session both must draw the same
+        // line. A resident plan needs exactly one session when a
+        // 1-session cost-only context can map the model plus its KV cache
+        // at the plan's budget, and the gate refuses the rest.
+        use edgellm::config::{ModelConfig, ModelId};
+        use edgellm::kv_cache::KvCache;
+        use edgellm::model::Model;
+        use htpops::gemm::DequantVariant;
+        let mut seen = [false; 2];
+        for device in DeviceProfile::all() {
+            let va = device.session_va_bytes;
+            for model in ModelId::on_device() {
+                let cfg = ModelConfig::for_id(model);
+                for (batch, ctx_len) in [(1, 1024), (8, 2048), (16, 4096), (32, 8192)] {
+                    let plan = ShardPlan::build(&cfg, va, batch, ctx_len);
+                    let one = plan.as_ref().is_ok_and(|p| p.sessions() == 1);
+                    let mut ctx = NpuContext::new(device.clone(), ExecMode::CostOnly);
+                    let heap_fits = Model::new(&mut ctx, model, DequantVariant::CoalescedLut, 1)
+                        .and_then(|m| KvCache::new(&mut ctx, &m.cfg, batch, batch * (ctx_len + 2)))
+                        .is_ok();
+                    assert_eq!(
+                        one,
+                        heap_fits,
+                        "{}/{} b{batch} ctx{ctx_len}: plan {:?}",
+                        device.arch.soc_label(),
+                        model.label(),
+                        plan.as_ref().map(ShardPlan::sessions)
+                    );
+                    match ShardPlan::single_session(&cfg, va, batch, ctx_len) {
+                        Ok(gated) => assert_eq!(Ok(gated), plan),
+                        Err(err) => {
+                            assert!(!one);
+                            assert!(matches!(err, SimError::VaSpaceExceeded { .. }));
+                        }
+                    }
+                    seen[usize::from(one)] = true;
+                }
+            }
+        }
+        assert_eq!(seen, [true, true], "the grid must cross the gate");
     }
 
     #[test]

@@ -33,7 +33,7 @@ use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
 use serde::{Deserialize, Serialize};
 use ttscale::spec_decode::{
-    charge_accept_loop, draft_round_lanes, AcceptanceTrace, DraftLenController,
+    charge_accept_loop, draft_round_lanes, spec_round_secs, AcceptanceTrace, DraftLenController,
 };
 
 use crate::backend::{Backend, NpuSimBackend};
@@ -161,13 +161,10 @@ pub fn measure_spec_decode(
         let accept_secs = charge_accept_loop(&mut ctx, k + 1, vocab);
 
         serial_secs += v.cost.wall_secs() + accept_secs + k as f64 * draft_step_secs;
-        // Overlapped: the next speculation round rides the verify step's
-        // draft lanes; steady state of the combined graph is the period.
-        let mut combined = v.stages.clone();
-        combined.cpu_head_secs += accept_secs;
-        combined.draft_cpu_secs = k as f64 * draft_cpu;
-        combined.draft_npu_secs = k as f64 * draft_npu;
-        overlapped_secs += steady_state_step_secs(&combined);
+        // Overlapped: the next speculation round (k draft steps) rides
+        // the verify step's draft lanes.
+        let draft_lanes = (k as f64 * draft_cpu, k as f64 * draft_npu);
+        overlapped_secs += spec_round_secs(&v.stages, accept_secs, draft_lanes);
 
         let accepted = trace.round_accepts(k);
         ctrl.record_round(k, accepted);

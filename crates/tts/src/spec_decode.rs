@@ -487,6 +487,20 @@ pub fn draft_round_lanes(stages: &[StepStages]) -> (f64, f64) {
     (cpu, npu)
 }
 
+/// Overlap-aware period of one speculative round: the verify step's
+/// stages with the accept loop appended to its CPU tail and the next
+/// draft round's `(cpu, npu)` seconds (see [`draft_round_lanes`]) on its
+/// draft lanes, so draft CPU hides behind the verify kernels while draft
+/// NPU kernels queue behind them on the shared accelerator. Speculation
+/// alternates identical rounds, so the period is the steady state of
+/// this combined stage graph.
+pub fn spec_round_secs(verify: &StepStages, accept_secs: f64, draft_lanes: (f64, f64)) -> f64 {
+    let mut combined = verify.clone();
+    combined.cpu_head_secs += accept_secs;
+    (combined.draft_cpu_secs, combined.draft_npu_secs) = draft_lanes;
+    steady_state_step_secs(&combined)
+}
+
 /// Runs the full two-model speculative pipeline: a small draft [`Model`]
 /// autoregressively proposes `k` tokens (its KV cache co-resident with
 /// the target's in the same [`NpuContext`]), and the target verifies the
@@ -579,17 +593,12 @@ pub fn speculative_decode_pipeline(
         target_cost.cpu_secs += accept_secs;
         serial_secs += verify.cost.wall_secs() + accept_secs;
         // Overlap-aware round time: the *next* draft round rides the
-        // verify step's draft lanes — draft CPU hides behind the verify
-        // kernels, draft NPU kernels queue behind them on the shared
-        // accelerator. Steady-state speculation alternates identical
-        // rounds, so the per-round period is the steady state of this
-        // combined stage graph.
-        let (draft_cpu, draft_npu) = draft_round_lanes(&draft_stages);
-        let mut combined = verify.stages.clone();
-        combined.cpu_head_secs += accept_secs;
-        combined.draft_cpu_secs = draft_cpu;
-        combined.draft_npu_secs = draft_npu;
-        overlapped_secs += steady_state_step_secs(&combined);
+        // verify step's draft lanes.
+        overlapped_secs += spec_round_secs(
+            &verify.stages,
+            accept_secs,
+            draft_round_lanes(&draft_stages),
+        );
         target_steps += 1;
 
         // --- Accept the agreeing prefix.

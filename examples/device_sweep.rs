@@ -24,7 +24,7 @@
 //! Run with: `cargo run --release --example device_sweep`
 
 use benchutil::json::Json;
-use npuscale::backend::{all_backends, decode_sweep, SweepOutcome};
+use npuscale::backend::{decode_sweep, SweepOutcome};
 use npuscale::experiments::{decode_overlap_rows, decode_stream_rows};
 use npuscale::memory::measure_overhead;
 use npuscale_repro::prelude::*;
@@ -36,7 +36,10 @@ fn main() {
             device.name, device.soc, device.arch
         );
         let pm = PowerModel::new(device.clone());
-        let backends = all_backends(&device);
+        // The serial NPU runtime, then every analytic baseline.
+        let [serial, _, _] = NpuSimBackend::variants(&device);
+        let mut backends: Vec<Box<dyn Backend>> = vec![Box::new(serial)];
+        backends.extend(baselines());
         for model in [
             ModelId::Llama1B,
             ModelId::Qwen1_5B,

@@ -73,10 +73,15 @@ fn main() {
     }
 
     // The headline effect: the same step at batch 1 vs batch 16 on a
-    // paper-scale model (cost-only mode).
+    // paper-scale model (cost-only mode), in the paper's single-session
+    // deployment with serial dispatch.
     println!("\nfree-compute effect on Qwen2.5-1.5B (simulated 8G3):");
+    let device = DeviceProfile::v75();
+    let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
     for batch in [1usize, 4, 16] {
-        let p = measure_decode(&DeviceProfile::v75(), ModelId::Qwen1_5B, batch, 1024).unwrap();
+        let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, 1024).unwrap();
+        let deployment = Deployment::new(&device, ModelId::Qwen1_5B, &plan, DispatchMode::Serial);
+        let p = deployment.unwrap().decode(batch, 1024).unwrap();
         println!(
             "  batch {batch:>2}: {:>6.1} ms/step -> {:>6.1} tok/s",
             p.step_secs * 1e3,

@@ -18,8 +18,12 @@
 //! ```
 //! use npuscale_repro::prelude::*;
 //!
+//! // Plan the paper's single-session deployment, build it, measure it.
 //! let device = DeviceProfile::v75();
-//! let point = measure_decode(&device, ModelId::Qwen1_5B, 8, 1024).unwrap();
+//! let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+//! let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, 8, 1024).unwrap();
+//! let deployment = Deployment::new(&device, ModelId::Qwen1_5B, &plan, DispatchMode::Serial);
+//! let point = deployment.unwrap().decode(8, 1024).unwrap();
 //! assert!(point.tokens_per_sec > 10.0);
 //! ```
 
@@ -43,15 +47,8 @@ pub mod prelude {
     pub use htpops::exp_lut::ExpMethod;
     pub use htpops::gemm::DequantVariant;
     pub use mathsynth::mathgen::{DatasetKind, TaskGenerator};
-    pub use npuscale::backend::{
-        all_backends, figure13_backends, npu_backend, npu_backends_all, npu_backends_both, Backend,
-        FitReport, NpuSimBackend,
-    };
-    pub use npuscale::pipeline::{
-        measure_decode, measure_decode_sharded, measure_decode_sharded_with, measure_decode_with,
-        measure_prefill, measure_prefill_sharded, measure_prefill_sharded_with,
-        measure_prefill_with,
-    };
+    pub use npuscale::backend::{baselines, Backend, FitReport, NpuSimBackend};
+    pub use npuscale::pipeline::Deployment;
     pub use npuscale::power::PowerModel;
     pub use npuscale::serve::{
         poisson_trace, FleetGateway, FleetSpec, GatewayConfig, PrefillMode, Request, ServingReport,

@@ -39,7 +39,12 @@ fn different_seeds_differ() {
 #[test]
 fn cost_measurements_are_exactly_repeatable() {
     let measure = || {
-        let p = measure_decode(&DeviceProfile::v75(), ModelId::Qwen1_5B, 8, 1024).unwrap();
+        let device = DeviceProfile::v75();
+        let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+        let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, 8, 1024).unwrap();
+        let p = Deployment::new(&device, ModelId::Qwen1_5B, &plan, DispatchMode::Serial)
+            .and_then(|deployment| deployment.decode(8, 1024))
+            .unwrap();
         (p.step_secs, p.cpu_share)
     };
     let (a_secs, a_share) = measure();

@@ -2,8 +2,22 @@
 //! Best-of-N answers, on one simulated device.
 
 use npuscale::session::{NpuSession, OpCode, SessionConfig};
+use npuscale::DecodePoint;
 use npuscale_repro::prelude::*;
 use ttscale::llm_policy::llm_best_of_n;
+
+/// Serial decode in the paper's single-session deployment: the plan must
+/// pass the Section 7.2.1 VA gate.
+fn single_session_decode(
+    device: &DeviceProfile,
+    model: ModelId,
+    batch: usize,
+    ctx_len: usize,
+) -> SimResult<DecodePoint> {
+    let cfg = ModelConfig::for_id(model);
+    let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, ctx_len)?;
+    Deployment::new(device, model, &plan, DispatchMode::Serial)?.decode(batch, ctx_len)
+}
 
 #[test]
 fn session_protocol_drives_a_model_step() {
@@ -48,8 +62,8 @@ fn tts_scaling_holds_on_every_device_generation() {
     // The accuracy side is device-independent; the latency side must show
     // the free-compute effect on all three generations.
     for device in DeviceProfile::all() {
-        let b1 = measure_decode(&device, ModelId::Llama1B, 1, 512).unwrap();
-        let b8 = measure_decode(&device, ModelId::Llama1B, 8, 512).unwrap();
+        let b1 = single_session_decode(&device, ModelId::Llama1B, 1, 512).unwrap();
+        let b8 = single_session_decode(&device, ModelId::Llama1B, 8, 512).unwrap();
         let speedup = b8.tokens_per_sec / b1.tokens_per_sec;
         assert!(
             speedup > 3.0,
@@ -64,15 +78,21 @@ fn tts_scaling_holds_on_every_device_generation() {
 #[test]
 fn va_gate_and_multi_session_workaround() {
     // Qwen3B cannot map on a single 8G2 session...
-    let err = measure_decode(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 512).unwrap_err();
+    let err = single_session_decode(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 512).unwrap_err();
     assert!(matches!(err, SimError::VaSpaceExceeded { .. }));
     // ...but the Section 8 multi-session workaround places its layers
     // across two sessions and decodes through them end to end.
     let cfg = ModelConfig::for_id(ModelId::Qwen3B);
     let plan = ShardPlan::build(&cfg, DeviceProfile::v73().session_va_bytes, 1, 512).unwrap();
     assert_eq!(plan.sessions(), 2, "3B weights need 2 sessions");
-    let point = measure_decode_sharded(&DeviceProfile::v73(), ModelId::Qwen3B, 1, 512, &plan)
-        .expect("sharded decode must run where single-session cannot");
+    let point = Deployment::new(
+        &DeviceProfile::v73(),
+        ModelId::Qwen3B,
+        &plan,
+        DispatchMode::Serial,
+    )
+    .and_then(|deployment| deployment.decode(1, 512))
+    .expect("sharded decode must run where single-session cannot");
     assert_eq!(point.sessions, 2);
     assert!(point.tokens_per_sec > 0.0);
     // The backend takes the same path automatically.

@@ -7,6 +7,13 @@ use npuscale::experiments;
 use npuscale::pareto::Method;
 use npuscale_repro::prelude::*;
 
+/// The serial NPU runtime alone: Figures 16 and 17 measure *our*
+/// runtime's overheads and context sensitivity.
+fn serial_npu(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
+    let [serial, _, _] = NpuSimBackend::variants(device);
+    vec![Box::new(serial)]
+}
+
 #[test]
 fn fig5_accuracy_is_monotone_in_budget() {
     let rows = experiments::fig5_rows(2);
@@ -60,7 +67,11 @@ fn fig11_throughput_ordering() {
 
 #[test]
 fn fig13_crossover_gpu_vs_npu() {
-    let backends = figure13_backends(&DeviceProfile::v75());
+    // The Figure 13 set: the serial NPU runtime, then the GPU and QNN
+    // baselines in the paper's legend order.
+    let [gpu, qnn, _] = baselines();
+    let mut backends = serial_npu(&DeviceProfile::v75());
+    backends.extend([gpu, qnn]);
     let rows = experiments::fig13_decode_rows(&backends);
     let get = |system: &str, batch: usize| {
         rows.iter()
@@ -94,7 +105,7 @@ fn fig13_crossover_gpu_vs_npu() {
 
 #[test]
 fn fig16_dmabuf_constant_and_rss_mild() {
-    let rows = experiments::fig16_rows(&npu_backend(&DeviceProfile::v75()));
+    let rows = experiments::fig16_rows(&serial_npu(&DeviceProfile::v75()));
     let q15: Vec<_> = rows.iter().filter(|r| r.model == "Q1.5").collect();
     let dmabuf0 = q15[0].dmabuf_mib;
     for r in &q15 {
@@ -112,7 +123,7 @@ fn fig16_dmabuf_constant_and_rss_mild() {
 
 #[test]
 fn fig17_prompt_length_effect_is_mild() {
-    let rows = experiments::fig17_rows(&npu_backend(&DeviceProfile::v75()));
+    let rows = experiments::fig17_rows(&serial_npu(&DeviceProfile::v75()));
     for model in ["Q1.5", "Q3"] {
         for batch in [1usize, 8] {
             let get = |p: usize| {

@@ -12,14 +12,29 @@
 //!   8, and the sharded Qwen-7B session-switch overhead is at least
 //!   partially hidden.
 
-use edgellm::config::ModelId;
+use edgellm::config::{ModelConfig, ModelId};
 use edgellm::kv_cache::KvCache;
 use edgellm::model::{LayerSchedule, Model};
 use edgellm::overlap::{self, DispatchMode};
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
 use npuscale::backend::{Backend, NpuSimBackend};
-use npuscale::pipeline::{measure_decode, measure_decode_with, measure_prefill_with};
+use npuscale::pipeline::Deployment;
+use npuscale::session::ShardPlan;
+
+/// The single-session deployment of `id` planned for `batch` sequences of
+/// `ctx_len` tokens (a prefill of `n` tokens plans as `(1, n)`).
+fn deployment(
+    device: &DeviceProfile,
+    id: ModelId,
+    batch: usize,
+    ctx_len: usize,
+    dispatch: DispatchMode,
+) -> Deployment {
+    let cfg = ModelConfig::for_id(id);
+    let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, ctx_len).unwrap();
+    Deployment::new(device, id, &plan, dispatch).unwrap()
+}
 
 fn cost_model(device: DeviceProfile, id: ModelId, dispatch: DispatchMode) -> (NpuContext, Model) {
     let mut ctx = NpuContext::new(device, ExecMode::CostOnly);
@@ -57,16 +72,19 @@ fn serial_mode_overlapped_equals_wall() {
     );
     let out = decode_once(&mut ctx, &model, 8, 1024);
     assert_eq!(out.cost.overlapped_secs, out.cost.wall_secs());
-    // And the measurement pipeline's explicit-serial entry point matches
-    // the historical function bit-for-bit.
-    let a = measure_decode(&DeviceProfile::v75(), ModelId::Qwen1_5B, 8, 1024).unwrap();
-    let b = measure_decode_with(
+    // And an explicitly serial deployment measures the serial backend's
+    // point bit-for-bit.
+    let a = NpuSimBackend::new(DeviceProfile::v75())
+        .decode(ModelId::Qwen1_5B, 8, 1024)
+        .unwrap();
+    let b = deployment(
         &DeviceProfile::v75(),
         ModelId::Qwen1_5B,
         8,
         1024,
         DispatchMode::Serial,
     )
+    .decode(8, 1024)
     .unwrap();
     assert_eq!(a.step_secs, b.step_secs);
     assert_eq!(a.tokens_per_sec, b.tokens_per_sec);
@@ -136,9 +154,13 @@ fn cpu_lm_head_share_hides_at_batch_8() {
     // is a large share of the serial step; the pipelined schedule hides
     // most of it behind the next step's layers.
     let d = DeviceProfile::v75();
-    let serial = measure_decode(&d, ModelId::Qwen1_5B, 8, 1024).unwrap();
-    let over =
-        measure_decode_with(&d, ModelId::Qwen1_5B, 8, 1024, DispatchMode::Overlapped).unwrap();
+    let decode = |dispatch| {
+        deployment(&d, ModelId::Qwen1_5B, 8, 1024, dispatch)
+            .decode(8, 1024)
+            .unwrap()
+    };
+    let serial = decode(DispatchMode::Serial);
+    let over = decode(DispatchMode::Overlapped);
     // A measurable wall-time win (the acceptance bar), driven by hiding
     // both the CPU tail and the per-layer dispatch overhead.
     assert!(
@@ -271,13 +293,22 @@ fn overlapped_prefill_wins_but_less_than_decode() {
     // no cross-step pipelining, so the relative win is smaller than the
     // decode win at the same shapes.
     let d = DeviceProfile::v75();
-    let ps = measure_prefill_with(&d, ModelId::Qwen1_5B, 512, DispatchMode::Serial).unwrap();
-    let po = measure_prefill_with(&d, ModelId::Qwen1_5B, 512, DispatchMode::Overlapped).unwrap();
+    let prefill = |dispatch| {
+        deployment(&d, ModelId::Qwen1_5B, 1, 512, dispatch)
+            .prefill(512)
+            .unwrap()
+    };
+    let decode = |dispatch| {
+        deployment(&d, ModelId::Qwen1_5B, 8, 1024, dispatch)
+            .decode(8, 1024)
+            .unwrap()
+    };
+    let ps = prefill(DispatchMode::Serial);
+    let po = prefill(DispatchMode::Overlapped);
     assert!(po.total_secs <= ps.total_secs);
     assert!(po.tokens_per_sec >= ps.tokens_per_sec);
-    let ds = measure_decode(&d, ModelId::Qwen1_5B, 8, 1024).unwrap();
-    let do_ =
-        measure_decode_with(&d, ModelId::Qwen1_5B, 8, 1024, DispatchMode::Overlapped).unwrap();
+    let ds = decode(DispatchMode::Serial);
+    let do_ = decode(DispatchMode::Overlapped);
     let prefill_win = ps.total_secs / po.total_secs;
     let decode_win = ds.step_secs / do_.step_secs;
     assert!(

@@ -18,7 +18,7 @@ use edgellm::overlap::{self, DispatchMode};
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
 use npuscale::backend::{Backend, NpuSimBackend};
-use npuscale::pipeline::{measure_decode, measure_decode_streaming_with, measure_decode_with};
+use npuscale::pipeline::Deployment;
 use npuscale::session::ShardPlan;
 
 fn decode_once(
@@ -110,10 +110,10 @@ fn streamed_period_is_the_recomputed_critical_path() {
             assert_eq!(stage.weight_fetch_secs, 0.0, "hot layer {l} fetched");
         }
     }
-    // And the pipeline entry point reports exactly this period.
-    let point =
-        measure_decode_streaming_with(&device, ModelId::Qwen7B, 8, 1024, DispatchMode::Overlapped)
-            .unwrap();
+    // And a deployment of the same plan reports exactly this period.
+    let point = Deployment::new(&device, ModelId::Qwen7B, &plan, DispatchMode::Overlapped)
+        .and_then(|deployment| deployment.decode(8, 1024))
+        .unwrap();
     assert_eq!(point.step_secs, out.cost.overlapped_secs);
 }
 
@@ -123,14 +123,20 @@ fn streaming_disabled_reproduces_pinned_numbers() {
     // reproduce the pinned BENCH_decode.json anchors exactly: streaming
     // is additive, not a re-timing of existing plans.
     let v73 = DeviceProfile::v73();
-    let s = measure_decode(&v73, ModelId::Qwen1_5B, 8, 1024).unwrap();
+    let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+    let plan = ShardPlan::single_session(&cfg, v73.session_va_bytes, 8, 1024).unwrap();
+    let decode = |dispatch| {
+        Deployment::new(&v73, ModelId::Qwen1_5B, &plan, dispatch)
+            .and_then(|deployment| deployment.decode(8, 1024))
+            .unwrap()
+    };
+    let s = decode(DispatchMode::Serial);
     assert!(
         (s.tokens_per_sec - 68.33).abs() < 0.01,
         "{}",
         s.tokens_per_sec
     );
-    let o =
-        measure_decode_with(&v73, ModelId::Qwen1_5B, 8, 1024, DispatchMode::Overlapped).unwrap();
+    let o = decode(DispatchMode::Overlapped);
     assert!(
         (o.tokens_per_sec - 171.39).abs() < 0.01,
         "{}",
@@ -145,8 +151,8 @@ fn streaming_disabled_reproduces_pinned_numbers() {
         q7.tokens_per_sec
     );
     assert_eq!(q7.sessions, 3);
-    // The backends still route resident plans through the historical
-    // measurement functions bit-for-bit.
+    // The serial backend measures the same single-session deployment
+    // bit-for-bit.
     let via_trait = NpuSimBackend::new(v73)
         .decode(ModelId::Qwen1_5B, 8, 1024)
         .unwrap();

@@ -20,7 +20,6 @@
 //!    while fixed session-switch costs do not dilate.
 
 use npuscale::experiments::thermal_decode_rows;
-use npuscale::pipeline::EngineIdx;
 use npuscale::serve::{
     poisson_trace, FleetGateway, FleetSpec, GatewayConfig, TenantSpec, ThermalPolicy,
 };
@@ -208,7 +207,7 @@ fn throttled_pipeline_matches_the_scalar_dilation_reference() {
             // Structure checks: the scalar lane is pure fixed overhead,
             // the NPU data lanes are pure clock-scaled work.
             let lane = |p: &npuscale::pipeline::DecodePoint, e: hexsim::cost::Engine| {
-                p.engine_secs[e.idx_pub()]
+                p.engine_secs[e.index()]
             };
             use hexsim::cost::Engine;
             assert_eq!(
@@ -234,7 +233,7 @@ fn throttled_pipeline_matches_the_scalar_dilation_reference() {
         let streamed = NpuSimBackend::streamed(device.clone())
             .decode(ModelId::Qwen1_5B, 8, 1024)
             .unwrap();
-        let dma = streamed.engine_secs[hexsim::cost::Engine::Dma.idx_pub()];
+        let dma = streamed.engine_secs[hexsim::cost::Engine::Dma.index()];
         assert!(
             dma > 0.0,
             "{}: streaming left the DMA lane idle",
