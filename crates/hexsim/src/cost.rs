@@ -188,7 +188,6 @@ pub struct CostModel {
     clock_mult: f64,
     engine_secs: [f64; NUM_ENGINES],
     counters: Counters,
-    phases: Vec<PhaseCost>,
     phase_start: Option<(String, [f64; NUM_ENGINES])>,
     /// Divisor applied to HVX charges: number of vector threads the current
     /// kernel declared it spreads across (1 = single-threaded).
@@ -204,7 +203,6 @@ impl CostModel {
             clock_mult: 1.0,
             engine_secs: [0.0; NUM_ENGINES],
             counters: Counters::default(),
-            phases: Vec::new(),
             phase_start: None,
             hvx_parallelism: 1.0,
         }
@@ -248,28 +246,11 @@ impl CostModel {
         self.engine_secs[e.idx()]
     }
 
-    /// Sum of recorded phase wall times (sequential composition).
-    pub fn wall_secs(&self) -> f64 {
-        self.phases.iter().map(|p| p.wall_secs).sum()
-    }
-
-    /// All recorded phases in order.
-    pub fn phases(&self) -> &[PhaseCost] {
-        &self.phases
-    }
-
-    /// Drops recorded phase history (engine totals and counters are kept).
-    /// Long-running pipelines call this per step to bound memory.
-    pub fn clear_phases(&mut self) {
-        self.phases.clear();
-    }
-
-    /// Clears all accumulated time, counters and phases, and returns the
-    /// clock to burst (multiplier 1.0).
+    /// Clears all accumulated time and counters, closes any open phase,
+    /// and returns the clock to burst (multiplier 1.0).
     pub fn reset(&mut self) {
         self.engine_secs = [0.0; NUM_ENGINES];
         self.counters = Counters::default();
-        self.phases.clear();
         self.phase_start = None;
         self.hvx_parallelism = 1.0;
         self.device = self.base_device.clone();
@@ -305,7 +286,7 @@ impl CostModel {
         self.phase_start = Some((label.to_string(), self.engine_secs));
     }
 
-    /// Closes the open phase and records its engine/wall breakdown.
+    /// Closes the open phase and returns its engine/wall breakdown.
     ///
     /// # Panics
     ///
@@ -320,13 +301,11 @@ impl CostModel {
             engine_secs[i] = self.engine_secs[i] - start[i];
         }
         let wall_secs = engine_secs.iter().fold(0.0f64, |acc, &s| acc.max(s));
-        let phase = PhaseCost {
+        PhaseCost {
             label,
             engine_secs,
             wall_secs,
-        };
-        self.phases.push(phase.clone());
-        phase
+        }
     }
 
     /// Charges `packets` instruction packets to the HVX engine, honoring the
@@ -535,7 +514,8 @@ mod tests {
         m.charge_hvx_packets(230_000); // 0.2 ms on HVX.
         let p = m.end_phase();
         assert!((p.wall_secs - 0.2e-3).abs() < 1e-8);
-        assert!((m.wall_secs() - 0.2e-3).abs() < 1e-8);
+        assert!((p.engine(Engine::Dma) - 0.1e-3).abs() < 1e-8);
+        assert_eq!(p.wall_secs, p.engine(Engine::Hvx));
     }
 
     #[test]

@@ -15,6 +15,14 @@
 //! shapes, so both modes report the same simulated time while paper-scale
 //! sweeps skip arithmetic whose results they discard.
 //!
+//! [`NpuContext::charge_only`] applies the cost-only semantics to one
+//! closure in either mode. A fused functional kernel runs its instruction
+//! sequence under it for the charges and the TCM bounds checks, then
+//! computes the sequence's result over contiguous host lanes in one pass.
+//! The instruction trace stays the only source of charges, so functional
+//! and cost-only runs of the kernel still charge the same, in the same
+//! order.
+//!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
 //!   `vgather`, which charges the device's published 24-48 packets);
@@ -30,6 +38,7 @@ use crate::f16::F16;
 use crate::hmx::{self, HmxAccumulator, TILE_BYTES, TILE_DIM};
 use crate::hvx::{self, HvxVec, HVX_BYTES, HVX_HALVES};
 use crate::mem::{DdrBuffer, DdrHeap, TcmAddr};
+use std::ops::Range;
 
 /// How the context executes kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,18 +146,33 @@ impl NpuContext {
         }
     }
 
-    /// The bounds check of a TCM access, which cost-only mode keeps even
-    /// though it moves no bytes.
+    /// The bounds check of a `len`-byte TCM access at byte `start`, which
+    /// cost-only mode keeps even though it moves no bytes. The arithmetic is
+    /// in `usize`, so no range end wraps past `u32::MAX`. Returns the range.
     ///
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
-    fn assert_in_tcm(&self, addr: TcmAddr, len: usize) {
+    fn assert_in_tcm(&self, start: usize, len: usize) -> Range<usize> {
         assert!(
-            addr.0 as usize + len <= self.device.tcm_bytes as usize,
-            "TCM range {:#x}+{len} outside TCM",
-            addr.0
+            start + len <= self.device.tcm_bytes as usize,
+            "TCM range {start:#x}+{len} outside TCM"
         );
+        start..start + len
+    }
+
+    /// Runs `f` with cost-only semantics in either mode: every datapath
+    /// method it calls issues its charges and keeps its bounds and
+    /// alignment checks, but computes no lanes, writes no TCM and moves no
+    /// DMA bytes, and [`NpuContext::replay`] extrapolates one block.
+    ///
+    /// Fused kernels run their instruction sequence under this for its
+    /// charges, then compute the sequence's result in one pass.
+    pub fn charge_only<R>(&mut self, f: impl FnOnce(&mut Self) -> R) -> R {
+        let mode = std::mem::replace(&mut self.mode, ExecMode::CostOnly);
+        let r = f(self);
+        self.mode = mode;
+        r
     }
 
     // ------------------------------------------------------------------
@@ -198,13 +222,10 @@ impl NpuContext {
     ///
     /// Panics if the range exceeds TCM.
     pub fn tcm_peek(&self, addr: TcmAddr, len: usize) -> &[u8] {
-        let range = addr.0 as usize..addr.0 as usize + len;
+        let range = self.assert_in_tcm(addr.0 as usize, len);
         match self.mode {
             ExecMode::Functional => &self.tcm[range],
-            ExecMode::CostOnly => {
-                self.assert_in_tcm(addr, len);
-                &COST_ONLY_TCM[range]
-            }
+            ExecMode::CostOnly => &COST_ONLY_TCM[range],
         }
     }
 
@@ -215,11 +236,9 @@ impl NpuContext {
     ///
     /// Panics if the range exceeds TCM.
     pub fn tcm_poke(&mut self, addr: TcmAddr, bytes: &[u8]) {
-        match self.mode {
-            ExecMode::Functional => {
-                self.tcm[addr.0 as usize..addr.0 as usize + bytes.len()].copy_from_slice(bytes)
-            }
-            ExecMode::CostOnly => self.assert_in_tcm(addr, bytes.len()),
+        let range = self.assert_in_tcm(addr.0 as usize, bytes.len());
+        if self.mode == ExecMode::Functional {
+            self.tcm[range].copy_from_slice(bytes);
         }
     }
 
@@ -322,12 +341,10 @@ impl NpuContext {
         self.cost.charge_dma(len as u64);
         let state = self.ddr.get(src);
         assert!(src_off + len as u64 <= state.size, "dma_h2t source OOB");
-        assert!(
-            dst.0 + len <= self.device.tcm_bytes,
-            "dma_h2t destination OOB"
-        );
-        if let Some(data) = &state.data {
-            self.tcm[dst.0 as usize..(dst.0 + len) as usize]
+        let range = self.assert_in_tcm(dst.0 as usize, len as usize);
+        // Only functional contexts materialize DDR, and only they hold TCM.
+        if let (ExecMode::Functional, Some(data)) = (self.mode, &state.data) {
+            self.tcm[range]
                 .copy_from_slice(&data[src_off as usize..(src_off + len as u64) as usize]);
         }
     }
@@ -339,16 +356,16 @@ impl NpuContext {
     /// Panics if either range is out of bounds.
     pub fn dma_t2h(&mut self, src: TcmAddr, dst: DdrBuffer, dst_off: u64, len: u32) {
         self.cost.charge_dma(len as u64);
-        assert!(src.0 + len <= self.device.tcm_bytes, "dma_t2h source OOB");
+        let range = self.assert_in_tcm(src.0 as usize, len as usize);
         let state = self.ddr.get_mut(dst);
         assert!(
             dst_off + len as u64 <= state.size,
             "dma_t2h destination OOB"
         );
         // Only functional contexts materialize DDR, and only they hold TCM.
-        if let Some(data) = state.data.as_mut() {
+        if let (ExecMode::Functional, Some(data)) = (self.mode, state.data.as_mut()) {
             data[dst_off as usize..dst_off as usize + len as usize]
-                .copy_from_slice(&self.tcm[src.0 as usize..(src.0 + len) as usize]);
+                .copy_from_slice(&self.tcm[range]);
         }
     }
 
@@ -403,13 +420,8 @@ impl NpuContext {
     /// Panics if the range exceeds TCM.
     pub fn vmem_ld_tcm(&mut self, addr: TcmAddr) -> HvxVec {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
-        match self.mode {
-            ExecMode::Functional => HvxVec::from_bytes(self.tcm_peek(addr, HVX_BYTES)),
-            ExecMode::CostOnly => {
-                self.assert_in_tcm(addr, HVX_BYTES);
-                HvxVec::zero()
-            }
-        }
+        let range = self.assert_in_tcm(addr.0 as usize, HVX_BYTES);
+        self.lanes(|| HvxVec::from_bytes(&self.tcm[range]))
     }
 
     /// Vector store of one 128-byte register to TCM.
@@ -419,10 +431,7 @@ impl NpuContext {
     /// Panics if the range exceeds TCM.
     pub fn vmem_st_tcm(&mut self, addr: TcmAddr, v: &HvxVec) {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
-        match self.mode {
-            ExecMode::Functional => self.tcm_poke(addr, &v.0),
-            ExecMode::CostOnly => self.assert_in_tcm(addr, HVX_BYTES),
-        }
+        self.tcm_poke(addr, &v.0);
     }
 
     /// Vector load over the slow core path from DDR/L2 (Table 2: 26 GB/s on
@@ -452,16 +461,10 @@ impl NpuContext {
         let functional = self.mode == ExecMode::Functional;
         let mut out = HvxVec::zero();
         for i in 0..HVX_HALVES {
-            let off = offsets.get_h(i) as u32;
-            let addr = base.0 + off;
-            assert!(
-                addr + 2 <= self.device.tcm_bytes,
-                "vgather element outside TCM"
-            );
+            let elem = self.assert_in_tcm(base.0 as usize + offsets.get_h(i) as usize, 2);
             if functional {
-                let lo = self.tcm[addr as usize];
-                let hi = self.tcm[addr as usize + 1];
-                out.set_h(i, u16::from_le_bytes([lo, hi]));
+                let h = &self.tcm[elem];
+                out.set_h(i, u16::from_le_bytes([h[0], h[1]]));
             }
         }
         out
@@ -477,16 +480,9 @@ impl NpuContext {
         self.cost.charge_vgather(pipelined);
         let functional = self.mode == ExecMode::Functional;
         for i in 0..HVX_HALVES {
-            let off = offsets.get_h(i) as u32;
-            let addr = base.0 + off;
-            assert!(
-                addr + 2 <= self.device.tcm_bytes,
-                "vscatter element outside TCM"
-            );
+            let elem = self.assert_in_tcm(base.0 as usize + offsets.get_h(i) as usize, 2);
             if functional {
-                let bytes = v.get_h(i).to_le_bytes();
-                self.tcm[addr as usize] = bytes[0];
-                self.tcm[addr as usize + 1] = bytes[1];
+                self.tcm[elem].copy_from_slice(&v.get_h(i).to_le_bytes());
             }
         }
     }
@@ -674,16 +670,10 @@ impl NpuContext {
             act.0.is_multiple_of(2) && wgt.0.is_multiple_of(2),
             "tiles must be aligned"
         );
-        match self.mode {
-            ExecMode::Functional => {
-                let act_tile = hmx::unpack_tile_f32(self.tcm_peek(act, TILE_BYTES));
-                let wgt_tile = hmx::unpack_tile_f32(self.tcm_peek(wgt, TILE_BYTES));
-                acc.mac_f32(&act_tile, &wgt_tile);
-            }
-            ExecMode::CostOnly => {
-                self.assert_in_tcm(act, TILE_BYTES);
-                self.assert_in_tcm(wgt, TILE_BYTES);
-            }
+        let act = self.tcm_peek(act, TILE_BYTES);
+        let wgt = self.tcm_peek(wgt, TILE_BYTES);
+        if self.mode == ExecMode::Functional {
+            acc.mac_f32(&hmx::unpack_tile_f32(act), &hmx::unpack_tile_f32(wgt));
         }
     }
 
@@ -714,7 +704,9 @@ impl NpuContext {
                 let tile = acc.to_tile(scale, bias);
                 self.tcm_poke(out, &hmx::pack_tile(&tile));
             }
-            ExecMode::CostOnly => self.assert_in_tcm(out, TILE_BYTES),
+            ExecMode::CostOnly => {
+                self.assert_in_tcm(out.0 as usize, TILE_BYTES);
+            }
         }
     }
 
@@ -911,11 +903,7 @@ mod tests {
             let two = c.vadd_hf(&one, &one);
             c.vmem_st_tcm(t, &two);
             let back = c.vmem_ld_tcm(t);
-            let charges = (
-                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
-                *c.cost.counters(),
-            );
-            (charges, back, c.tcm_peek(t, HVX_BYTES).to_vec())
+            (charges(&c), back, c.tcm_peek(t, HVX_BYTES).to_vec())
         };
         let (functional, back, tcm) = run(ExecMode::Functional);
         assert_eq!(back, HvxVec::splat_h(F16::from_f32(2.0).0));
@@ -1096,6 +1084,85 @@ mod tests {
         });
         assert_eq!(p.label, "load");
         assert!((p.engine(Engine::Dma) - 1e-6).abs() < 1e-12);
-        assert_eq!(c.cost.phases().len(), 1);
+        assert_eq!(p.wall_secs, p.engine(Engine::Dma));
+    }
+
+    fn charges(c: &NpuContext) -> ([u64; crate::cost::NUM_ENGINES], crate::cost::Counters) {
+        (
+            Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+            *c.cost.counters(),
+        )
+    }
+
+    #[test]
+    fn charge_only_charges_without_computing_and_restores_the_mode() {
+        // One sequence, run directly in a cost-only context and under
+        // `charge_only` in a functional one whose DDR holds data.
+        fn sequence(c: &mut NpuContext, buf: DdrBuffer, t: TcmAddr) -> HvxVec {
+            c.dma_h2t(buf, 0, t, 128);
+            let v = c.vmem_ld_tcm(t);
+            let two = c.vadd_hf(&v, &v);
+            c.vmem_st_tcm(t.offset(128), &two);
+            c.replay(3, |c| c.stall(2));
+            two
+        }
+        let setup = |mode| {
+            let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+            let buf = c.ddr_alloc_from(&[0x3c; 128]).unwrap();
+            let t = c.tcm_alloc(256, 128).unwrap();
+            (c, buf, t)
+        };
+        let (mut cost_only, buf, t) = setup(ExecMode::CostOnly);
+        sequence(&mut cost_only, buf, t);
+        let (mut f, buf, t) = setup(ExecMode::Functional);
+        let two = f.charge_only(|c| sequence(c, buf, t));
+        assert_eq!(f.mode, ExecMode::Functional);
+        assert_eq!(two, HvxVec::zero());
+        assert!(
+            f.tcm_peek(t, 256).iter().all(|&b| b == 0),
+            "charge_only moved DMA bytes or stored lanes"
+        );
+        assert_eq!(charges(&f), charges(&cost_only));
+        // The functional datapath is back: the same DMA now moves bytes.
+        f.dma_h2t(buf, 0, t, 128);
+        assert_eq!(f.tcm_peek(t, 128), &[0x3c; 128]);
+    }
+
+    /// `#[should_panic(expected = "outside TCM")]` tests, one per access
+    /// and mode: each access's TCM range ends past `u32::MAX`, which a `u32`
+    /// bounds check would wrap back into TCM.
+    macro_rules! tcm_range_wrapping_u32_panics {
+        ($($name:ident: $mode:ident, $access:expr;)*) => {$(
+            #[test]
+            #[should_panic(expected = "outside TCM")]
+            fn $name() {
+                let mut c = NpuContext::new(DeviceProfile::v75(), ExecMode::$mode);
+                let buf = c.ddr_alloc(256).unwrap();
+                let access: fn(&mut NpuContext, DdrBuffer) = $access;
+                access(&mut c, buf);
+            }
+        )*};
+    }
+
+    const WRAP_DMA: TcmAddr = TcmAddr(u32::MAX - 63);
+    const WRAP_HALF: TcmAddr = TcmAddr(u32::MAX - 1);
+
+    tcm_range_wrapping_u32_panics! {
+        dma_h2t_wrapping_u32_panics_functional: Functional,
+            |c, buf| c.dma_h2t(buf, 0, WRAP_DMA, 128);
+        dma_h2t_wrapping_u32_panics_cost_only: CostOnly,
+            |c, buf| c.dma_h2t(buf, 0, WRAP_DMA, 128);
+        dma_t2h_wrapping_u32_panics_functional: Functional,
+            |c, buf| c.dma_t2h(WRAP_DMA, buf, 0, 128);
+        dma_t2h_wrapping_u32_panics_cost_only: CostOnly,
+            |c, buf| c.dma_t2h(WRAP_DMA, buf, 0, 128);
+        vgather_h_wrapping_u32_panics_functional: Functional,
+            |c, _| { c.vgather_h(WRAP_HALF, &HvxVec::zero(), true); };
+        vgather_h_wrapping_u32_panics_cost_only: CostOnly,
+            |c, _| { c.vgather_h(WRAP_HALF, &HvxVec::zero(), true); };
+        vscatter_h_wrapping_u32_panics_functional: Functional,
+            |c, _| c.vscatter_h(WRAP_HALF, &HvxVec::zero(), &HvxVec::zero(), true);
+        vscatter_h_wrapping_u32_panics_cost_only: CostOnly,
+            |c, _| c.vscatter_h(WRAP_HALF, &HvxVec::zero(), &HvxVec::zero(), true);
     }
 }

@@ -39,8 +39,8 @@ pub fn tile_elem_offset(row: usize, col: usize) -> usize {
 /// Bytes one row pair occupies in an interleaved tile.
 const PAIR_BYTES: usize = 2 * TILE_DIM * 2;
 
-/// A tile widened to FP32, the precision the MAC runs at.
-pub(crate) type WideTile = [[f32; TILE_DIM]; TILE_DIM];
+/// A row-major tile widened to FP32, the precision the MAC runs at.
+pub type WideTile = [[f32; TILE_DIM]; TILE_DIM];
 
 /// Packs a row-major 32x32 FP16 matrix into the interleaved tile byte
 /// layout.
@@ -85,12 +85,14 @@ pub fn unpack_tile(bytes: &[u8]) -> [[F16; TILE_DIM]; TILE_DIM] {
 }
 
 /// Unpacks an interleaved tile straight to a row-major FP32 matrix (the
-/// FP16 values widen exactly).
+/// FP16 values widen exactly). A kernel that multiplies one tile against
+/// several others widens it once with this and calls
+/// [`HmxAccumulator::mac_f32`].
 ///
 /// # Panics
 ///
 /// Panics if `bytes` is shorter than [`TILE_BYTES`].
-pub(crate) fn unpack_tile_f32(bytes: &[u8]) -> WideTile {
+pub fn unpack_tile_f32(bytes: &[u8]) -> WideTile {
     unpack_with(bytes, |h| F16(h).to_f32())
 }
 
@@ -143,8 +145,16 @@ impl HmxAccumulator {
     }
 
     /// [`HmxAccumulator::mac`] on tiles already widened to FP32.
-    pub(crate) fn mac_f32(&mut self, act: &WideTile, wgt: &WideTile) {
+    ///
+    /// An activation row of only ±0 would skip every product, so it is
+    /// skipped whole after one branch-free test (the padded rows of a
+    /// decode batch below 32 rows are such rows).
+    pub fn mac_f32(&mut self, act: &WideTile, wgt: &WideTile) {
         for (acc_row, act_row) in self.0.iter_mut().zip(act) {
+            // Every entry's bits with the sign shifted out, OR-ed together.
+            if act_row.iter().fold(0, |bits, a| bits | a.to_bits() << 1) == 0 {
+                continue;
+            }
             for (&a, wgt_row) in act_row.iter().zip(wgt) {
                 if a == 0.0 {
                     continue;
@@ -316,16 +326,19 @@ mod tests {
 
     #[test]
     fn mac_is_bitwise_the_naive_triple_loop() {
-        // Random finite tiles with a quarter of the activations ±0,
-        // accumulated onto entries that start at -0.0 or random values.
+        // Random finite tiles with a quarter of the activations ±0, one
+        // all-±0 row per tile, and one row that is ±0 but for a single ±2.0
+        // or subnormal entry (few set bits, so the row's zero test must
+        // look at all of them), accumulated onto entries that start at
+        // -0.0 or random values.
         let mut next = xorshift(0x9e37_79b9);
         let finite = |r: u32| F16::from_f32((r % 4001) as f32 / 500.0 - 4.0);
         let mut acc: WideTile = [[-0.0; TILE_DIM]; TILE_DIM];
         for v in acc.iter_mut().skip(16).flatten() {
             *v = finite(next()).to_f32() * 100.0;
         }
-        for _ in 0..3 {
-            let act = std::array::from_fn(|_| {
+        for round in 0..3 {
+            let mut act: [[F16; TILE_DIM]; TILE_DIM] = std::array::from_fn(|_| {
                 std::array::from_fn(|_| {
                     let r = next();
                     match r % 8 {
@@ -335,6 +348,9 @@ mod tests {
                     }
                 })
             });
+            act[7 * round + 3] = std::array::from_fn(|_| F16(next() as u16 & F16::NEG_ZERO.0));
+            act[7 * round + 4] = act[7 * round + 3];
+            act[7 * round + 4][5 * round] = [F16(0xc000), F16(0x4000), F16::MIN_SUBNORMAL][round];
             let wgt = std::array::from_fn(|_| std::array::from_fn(|_| finite(next())));
             acc = assert_mac_is_naive(&acc, &act, &wgt);
         }

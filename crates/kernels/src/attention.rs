@@ -323,30 +323,42 @@ impl<'a> FlashAttention<'a> {
             // values in the same order — bit-identical to the elementwise
             // loops (pinned by `staged_block_math_is_bit_identical_*`).
             let qf = F16::vec_to_f32(&q[..rows * d]);
-            let kf = F16::vec_to_f32(&k[kv_lo * d..kv_hi * d]);
+            // K transposed to `[d][cols]` and V as contiguous `[cols][d]`
+            // rows: a query row's scores, and a P row's outputs, then
+            // accumulate side by side over contiguous lanes, each still
+            // summing its products in ascending order.
+            let mut kt = vec![0.0f32; d * cols];
+            for (jj, k_row) in k[kv_lo * d..kv_hi * d].chunks_exact(d).enumerate() {
+                for (p, &x) in k_row.iter().enumerate() {
+                    kt[p * cols + jj] = x.to_f32();
+                }
+            }
             let vf = F16::vec_to_f32(&v[kv_lo * d..kv_hi * d]);
             let mut s_row = vec![0.0f32; cols];
             let mut p_half = vec![F16::ZERO; cols];
             let mut p_row = vec![0.0f32; cols];
+            let mut pv = vec![0.0f32; d];
             let mut o_row = vec![0.0f32; d];
             let mut o_half = vec![F16::ZERO; d];
             for gh in 0..g {
                 let mut s_block = vec![F16::ZERO; nq * cols];
                 for i in 0..nq {
-                    for (jj, j) in (kv_lo..kv_hi).enumerate() {
+                    let q_row = &qf[(gh * nq + i) * d..][..d];
+                    s_row.fill(0.0);
+                    for (&qp, k_col) in q_row.iter().zip(kt.chunks_exact(cols)) {
+                        for (dot, &kp) in s_row.iter_mut().zip(k_col) {
+                            *dot += qp * kp;
+                        }
+                    }
+                    for (jj, dot) in s_row.iter_mut().enumerate() {
                         // Causal mask: query at absolute position
                         // `start + i` must not see KV positions beyond it.
-                        if let Some(start) = causal_start {
-                            if j > start + i {
-                                s_row[jj] = f32::NEG_INFINITY;
-                                continue;
-                            }
-                        }
-                        let mut dot = 0.0f32;
-                        for p in 0..d {
-                            dot += qf[(gh * nq + i) * d + p] * kf[jj * d + p];
-                        }
-                        s_row[jj] = dot * scale as f32;
+                        let masked = causal_start.is_some_and(|start| kv_lo + jj > start + i);
+                        *dot = if masked {
+                            f32::NEG_INFINITY
+                        } else {
+                            *dot * scale as f32
+                        };
                     }
                     F16::from_f32_slice(&s_row, &mut s_block[i * cols..(i + 1) * cols]);
                 }
@@ -379,15 +391,18 @@ impl<'a> FlashAttention<'a> {
                     let e_dm = exp_scalar(ctx, self.lut, self.method, m[row].sub(row_max));
                     // l update: FP16 state, FP32 accumulate (Algorithm 1).
                     l[row] = F16::from_f32(e_dm.to_f32() * l[row].to_f32() + rowsum);
-                    // O rescale, then the PV accumulate (HMX writeback
+                    // PV accumulate, then the O rescale (HMX writeback
                     // rounds the combined FP32 update to FP16 once).
-                    let e_dm_f = e_dm.to_f32();
-                    for (p, slot) in o_row.iter_mut().enumerate() {
-                        let mut acc = 0.0f32;
-                        for jj in 0..cols {
-                            acc += p_row[jj] * vf[jj * d + p];
+                    pv.fill(0.0);
+                    for (&pj, v_row) in p_row.iter().zip(vf.chunks_exact(d)) {
+                        for (acc, &vp) in pv.iter_mut().zip(v_row) {
+                            *acc += pj * vp;
                         }
-                        *slot = o[row * d + p] * e_dm_f + acc;
+                    }
+                    let e_dm_f = e_dm.to_f32();
+                    let o_old = &o[row * d..(row + 1) * d];
+                    for ((slot, &o_old), &acc) in o_row.iter_mut().zip(o_old).zip(&pv) {
+                        *slot = o_old * e_dm_f + acc;
                     }
                     F16::from_f32_slice(&o_row, &mut o_half);
                     F16::to_f32_slice(&o_half, &mut o[row * d..(row + 1) * d]);
@@ -574,33 +589,67 @@ mod tests {
     fn staged_block_math_is_bit_identical_to_elementwise() {
         // Differential sweep over GQA group sizes, multi-block and
         // partial-tail KV lengths, causal masks with fully-masked rows,
-        // value ranges that round to infinities, and all three exp
-        // methods: the staged kernel must match the per-element reference
-        // bit-for-bit everywhere.
+        // value ranges that round to infinities, K/V holding subnormals or
+        // ±Inf and NaN, and all three exp methods: the staged kernel must
+        // match the per-element reference bit-for-bit everywhere. With NaN
+        // inputs, NaN lanes compare by NaN-ness: Rust leaves the sign of a
+        // NaN result open when both operands are NaN.
         let mut c = ctx();
         let lut = ExpLut16::build(&mut c).unwrap();
-        // (g, nq, nkv, d, causal_start, seed, amp)
-        type Case = (usize, usize, usize, usize, Option<usize>, u64, f32);
-        let cases: &[Case] = &[
-            (1, 4, 160, 64, None, 3, 1.0),
-            (2, 3, 100, 32, None, 5, 1.0),
-            (6, 2, 300, 64, None, 9, 1.0),
-            (1, 8, 256, 128, Some(248), 11, 1.0),
-            (2, 5, 130, 32, Some(125), 13, 1.0),
-            (1, 1, 1, 32, Some(0), 17, 1.0),
-            (2, 4, 200, 64, None, 19, 16.0),
-            (1, 6, 140, 32, Some(134), 23, 16.0),
+        // (g, nq, nkv, d, causal_start, seed, amp, K/V fill)
+        type Case = (usize, usize, usize, usize, Option<usize>, u64, f32, Fill);
+        #[derive(Clone, Copy, Debug)]
+        enum Fill {
+            Plain,
+            Subnormal,
+            NonFinite,
+        }
+        let mut cases: Vec<Case> = vec![
+            (1, 4, 160, 64, None, 3, 1.0, Fill::Plain),
+            (2, 3, 100, 32, None, 5, 1.0, Fill::Plain),
+            (6, 2, 300, 64, None, 9, 1.0, Fill::Plain),
+            (1, 8, 256, 128, Some(248), 11, 1.0, Fill::Plain),
+            (2, 5, 130, 32, Some(125), 13, 1.0, Fill::Plain),
+            (1, 1, 1, 32, Some(0), 17, 1.0, Fill::Plain),
+            (2, 4, 200, 64, None, 19, 16.0, Fill::Plain),
+            (1, 6, 140, 32, Some(134), 23, 16.0, Fill::Plain),
         ];
-        for &(g, nq, nkv, d, causal, seed, amp) in cases {
+        // Three KV blocks, the last one partial. Causal start 120 leaves
+        // rows 0..8 fully masked in the second block and every row in the
+        // third; start `nkv - nq` ends the last row at the last key.
+        let nkv = 300;
+        for g in [1, 2, 6] {
+            for nq in [1, 3, 16] {
+                for causal in [None, Some(120), Some(nkv - nq)] {
+                    for fill in [Fill::Plain, Fill::Subnormal, Fill::NonFinite] {
+                        let seed = (cases.len() as u64) * 2 + 29;
+                        cases.push((g, nq, nkv, 32, causal, seed, 1.0, fill));
+                    }
+                }
+            }
+        }
+        const NON_FINITE: [F16; 3] = [F16::INFINITY, F16::NEG_INFINITY, F16::NAN];
+        const SUBNORMAL: [F16; 3] = [F16(0x0001), F16(0x83ff), F16(0x0200)];
+        for (g, nq, nkv, d, causal, seed, amp, fill) in cases {
+            let shape = AttnShape {
+                nq,
+                nkv,
+                head_dim: d,
+            };
+            let q = rand_f16(g * nq * d, seed, amp);
+            let mut k = rand_f16(nkv * d, seed ^ 0xA5, amp);
+            let mut v = rand_f16(nkv * d, seed ^ 0x5A, amp);
+            let (specials, step) = match fill {
+                Fill::Plain => (&[][..], 1),
+                Fill::Subnormal => (&SUBNORMAL[..], 7),
+                Fill::NonFinite => (&NON_FINITE[..], 331),
+            };
+            for kv in [&mut k, &mut v] {
+                for (x, &special) in kv.iter_mut().step_by(step).zip(specials.iter().cycle()) {
+                    *x = special;
+                }
+            }
             for method in [ExpMethod::F32Poly, ExpMethod::F16Poly, ExpMethod::Lut16] {
-                let shape = AttnShape {
-                    nq,
-                    nkv,
-                    head_dim: d,
-                };
-                let q = rand_f16(g * nq * d, seed, amp);
-                let k = rand_f16(nkv * d, seed ^ 0xA5, amp);
-                let v = rand_f16(nkv * d, seed ^ 0x5A, amp);
                 let fa = FlashAttention {
                     lut: &lut,
                     method,
@@ -611,11 +660,12 @@ mod tests {
                 let reference =
                     flash_elementwise_ref(&mut c, &lut, method, 128, g, shape, &q, &k, &v, causal);
                 assert_eq!(out.len(), reference.len());
+                let nan_blind = matches!(fill, Fill::NonFinite);
                 for (idx, (a, b)) in out.iter().zip(&reference).enumerate() {
-                    assert_eq!(
-                        a.0, b.0,
-                        "element {idx}: g={g} nq={nq} nkv={nkv} d={d} \
-                         causal={causal:?} amp={amp} {method:?}"
+                    assert!(
+                        a == b || (nan_blind && a.is_nan() && b.is_nan()),
+                        "element {idx}: {a:?} vs {b:?}: g={g} nq={nq} nkv={nkv} d={d} \
+                         causal={causal:?} amp={amp} {fill:?} {method:?}"
                     );
                 }
             }

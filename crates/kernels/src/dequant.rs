@@ -18,6 +18,16 @@
 //!    column-major group quantization: after the naive conversion chain,
 //!    each group's 32 values must be *scattered* to their interleaved
 //!    positions in the HMX tile (Figure 6), costing a `vscatter` per group.
+//!
+//! The coalesced-LUT kernels are fused. Each keeps its Figure 9
+//! instruction sequence as a private trace function and runs it under
+//! [`NpuContext::charge_only`], so the trace stays the only source of
+//! charges and TCM bounds checks in both modes. A functional context then
+//! computes the 256 outputs from the staged bytes in one loop: the table
+//! and the eight scales widen once, every product rounds once through one
+//! `F16::from_f32_slice`, and one `tcm_poke` stores the 512 bytes. The
+//! tests run each trace with lanes as the oracle, over every scale bit
+//! pattern and code.
 
 use hexsim::f16::F16;
 use hexsim::hmx::tile_elem_offset;
@@ -73,10 +83,10 @@ fn scale_table(scales: &[F16]) -> [F16; 16] {
     t
 }
 
-/// Reads the eight super-group scales that trail the quants register
-/// (simulation-side view of the already-loaded scales register).
-fn read_scales(ctx: &NpuContext, addr: TcmAddr) -> [F16; 8] {
-    let bytes = ctx.tcm_peek(addr, 16);
+/// The eight little-endian FP16 super-group scales at the start of
+/// `bytes`: the simulation-side view of the scales register that trails
+/// the quants.
+fn group_scales(bytes: &[u8]) -> [F16; 8] {
     std::array::from_fn(|g| F16(u16::from_le_bytes([bytes[2 * g], bytes[2 * g + 1]])))
 }
 
@@ -85,12 +95,40 @@ fn read_scales(ctx: &NpuContext, addr: TcmAddr) -> [F16; 8] {
 ///
 /// Instruction trace per super-block: 2 loads, `vand`+`vshr`, 2 value
 /// `vlut16`, 2 `vshuff`, 2 scale `vlut16`, 4 `vmpy` (+4 qfloat converts on
-/// pre-V79), 4 stores.
+/// pre-V79), 4 stores. The trace runs under [`NpuContext::charge_only`]
+/// for its charges and TCM bounds checks; a functional context then
+/// computes its result from the staged bytes in one pass, output `n`
+/// being `table[code n] * scale[n / 32]` rounded once to FP16, like the
+/// trace's `vmpy`.
 pub fn dequant_super_q4_lut(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr, dst: TcmAddr) {
+    ctx.charge_only(|ctx| q4_lut_trace(ctx, env, src, dst));
+    if ctx.mode == ExecMode::Functional {
+        let staged = ctx.tcm_peek(src, SUPER_Q4_BYTES);
+        let table = env.lut.map(F16::to_f32);
+        let mut wide = [0.0f32; SUPER_ELEMS];
+        for ((out, codes), scale) in wide
+            .chunks_exact_mut(GROUP_SIZE)
+            .zip(staged.chunks_exact(GROUP_SIZE / 2))
+            .zip(group_scales(&staged[128..]).map(F16::to_f32))
+        {
+            // Byte i holds element 2i (low nibble) and 2i+1 (high nibble).
+            for (pair, &b) in out.chunks_exact_mut(2).zip(codes) {
+                pair[0] = table[(b & 0x0f) as usize] * scale;
+                pair[1] = table[(b >> 4) as usize] * scale;
+            }
+        }
+        store_f16(ctx, dst, &wide);
+    }
+}
+
+/// The Figure 9 instruction sequence of [`dequant_super_q4_lut`]. Run with
+/// lanes in a functional context, it is the reference the fused kernel
+/// matches bit for bit.
+fn q4_lut_trace(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr, dst: TcmAddr) {
     // Load the coalesced quants register and the scales register.
     let quants = ctx.vmem_ld_tcm(src);
     let _scales_reg = ctx.vmem_ld_tcm(src.offset(128));
-    let scales = read_scales(ctx, src.offset(128));
+    let scales = group_scales(ctx.tcm_peek(src.offset(128), 16));
 
     // Nibble split: byte i holds element 2i (low) and 2i+1 (high).
     let lo_idx = ctx.vand_b(&quants, &env.mask0f);
@@ -130,11 +168,36 @@ pub fn dequant_super_q4_lut(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr
 /// bytes of FP16 at `dst`. INT8 cannot use a 16-entry LUT, so values take
 /// the sign-extend + convert path, but scale broadcast still uses `vlut16`
 /// and stores remain contiguous.
+///
+/// Like [`dequant_super_q4_lut`], the instruction trace runs for its
+/// charges only, and a functional context computes output `n` as
+/// `code n * scale[n / 32]` rounded once to FP16 (every INT8 code is exact
+/// in FP16, so the trace's convert rounds nothing).
 pub fn dequant_super_q8_lut(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr, dst: TcmAddr) {
+    ctx.charge_only(|ctx| q8_lut_trace(ctx, env, src, dst));
+    if ctx.mode == ExecMode::Functional {
+        let staged = ctx.tcm_peek(src, SUPER_Q8_BYTES);
+        let mut wide = [0.0f32; SUPER_ELEMS];
+        for ((out, codes), scale) in wide
+            .chunks_exact_mut(GROUP_SIZE)
+            .zip(staged.chunks_exact(GROUP_SIZE))
+            .zip(group_scales(&staged[256..]).map(F16::to_f32))
+        {
+            for (o, &b) in out.iter_mut().zip(codes) {
+                *o = f32::from(b as i8) * scale;
+            }
+        }
+        store_f16(ctx, dst, &wide);
+    }
+}
+
+/// The instruction sequence of [`dequant_super_q8_lut`], and the reference
+/// its fused computation matches bit for bit.
+fn q8_lut_trace(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr, dst: TcmAddr) {
     let q_lo = ctx.vmem_ld_tcm(src);
     let q_hi = ctx.vmem_ld_tcm(src.offset(128));
     let _scales_reg = ctx.vmem_ld_tcm(src.offset(256));
-    let scales = read_scales(ctx, src.offset(256));
+    let scales = group_scales(ctx.tcm_peek(src.offset(256), 16));
 
     // Sign-extend INT8 -> INT16, then convert to FP16.
     let (a0, a1) = ctx.vunpack_b_h(&q_lo); // Elements 0..63, 64..127.
@@ -164,6 +227,21 @@ pub fn dequant_super_q8_lut(ctx: &mut NpuContext, env: &DequantEnv, src: TcmAddr
     ctx.vmem_st_tcm(dst.offset(128), &r1);
     ctx.vmem_st_tcm(dst.offset(256), &r2);
     ctx.vmem_st_tcm(dst.offset(384), &r3);
+}
+
+/// Elements per super-block: eight groups of [`GROUP_SIZE`].
+const SUPER_ELEMS: usize = 8 * GROUP_SIZE;
+
+/// Rounds a super-block's FP32 products to FP16 and writes them to TCM as
+/// one 512-byte store.
+fn store_f16(ctx: &mut NpuContext, dst: TcmAddr, wide: &[f32; SUPER_ELEMS]) {
+    let mut halves = [F16::ZERO; SUPER_ELEMS];
+    F16::from_f32_slice(wide, &mut halves);
+    let mut bytes = [0u8; 2 * SUPER_ELEMS];
+    for (b, h) in bytes.chunks_exact_mut(2).zip(halves) {
+        b.copy_from_slice(&h.0.to_le_bytes());
+    }
+    ctx.tcm_poke(dst, &bytes);
 }
 
 /// Bytes of quantized input consumed per super-block for a scheme.
@@ -356,50 +434,159 @@ mod tests {
         }
     }
 
+    type Kernel = fn(&mut NpuContext, &DequantEnv, TcmAddr, TcmAddr);
+
+    /// Every engine's seconds (as bits) and the activity counters.
+    fn charges(c: &NpuContext) -> ([u64; hexsim::cost::NUM_ENGINES], hexsim::cost::Counters) {
+        (
+            Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+            *c.cost.counters(),
+        )
+    }
+
+    /// Asserts two FP16 outputs are equal lane by lane, bit for bit, except
+    /// that a NaN lane only has to be NaN in both: Rust leaves the sign of a
+    /// NaN product open when both operands are NaN.
+    fn assert_same_lanes(got: &[u8], want: &[u8], what: impl Fn() -> String) {
+        assert_eq!(got.len(), want.len());
+        for (lane, (g, w)) in got.chunks_exact(2).zip(want.chunks_exact(2)).enumerate() {
+            let (g, w) = (
+                F16(u16::from_le_bytes([g[0], g[1]])),
+                F16(u16::from_le_bytes([w[0], w[1]])),
+            );
+            assert!(
+                g == w || (g.is_nan() && w.is_nan()),
+                "lane {lane}: fused {g:?} vs trace {w:?} ({})",
+                what()
+            );
+        }
+    }
+
+    /// Stages `blocks` super-blocks, each written by `fill`, in one
+    /// functional context, and requires `fused` to match `trace` on each.
+    fn sweep_against_trace(
+        table: [F16; 16],
+        fused: Kernel,
+        trace: Kernel,
+        len: usize,
+        blocks: usize,
+        fill: impl Fn(usize, &mut [u8]),
+    ) {
+        let mut c = ctx();
+        let env = DequantEnv::with_table(&mut c, table);
+        let src = c.tcm_alloc(384, 128).unwrap();
+        let want = c.tcm_alloc(512, 128).unwrap();
+        let got = c.tcm_alloc(512, 128).unwrap();
+        let mut block = vec![0u8; len];
+        for b in 0..blocks {
+            fill(b, &mut block);
+            c.tcm_poke(src, &block);
+            trace(&mut c, &env, src, want);
+            fused(&mut c, &env, src, got);
+            assert_same_lanes(c.tcm_peek(got, 512), c.tcm_peek(want, 512), || {
+                format!("super-block {b}")
+            });
+        }
+    }
+
+    /// Writes scale bit patterns `8 * chunk .. 8 * chunk + 8` as the eight
+    /// group scales at the start of `bytes`.
+    fn fill_scales(chunk: usize, bytes: &mut [u8]) {
+        for (g, scale) in bytes.chunks_exact_mut(2).take(8).enumerate() {
+            scale.copy_from_slice(&((8 * chunk + g) as u16).to_le_bytes());
+        }
+    }
+
+    #[test]
+    fn fused_q4_matches_its_trace_on_every_scale_and_code() {
+        // All 65,536 scale bit patterns (±0, subnormals, ±Inf and NaNs
+        // included), eight per super-block, each against all 16 codes in
+        // both nibble positions, with the Q4_0 table and the NF4 one.
+        for table in [q4_0_lut(), tilequant::block::nf4_lut()] {
+            sweep_against_trace(
+                table,
+                dequant_super_q4_lut,
+                q4_lut_trace,
+                SUPER_Q4_BYTES,
+                1 << 13,
+                |chunk, sb| {
+                    for (g, codes) in sb[..128].chunks_exact_mut(16).enumerate() {
+                        for (b, byte) in codes.iter_mut().enumerate() {
+                            *byte = (b | ((b + chunk + g) % 16) << 4) as u8;
+                        }
+                    }
+                    fill_scales(chunk, &mut sb[128..]);
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn fused_q8_matches_its_trace_on_every_scale_and_code() {
+        // All 65,536 scale bit patterns against all 256 codes: eight
+        // super-blocks per eight scales, rotating which 32 codes each
+        // group holds.
+        sweep_against_trace(
+            q4_0_lut(),
+            dequant_super_q8_lut,
+            q8_lut_trace,
+            SUPER_Q8_BYTES,
+            1 << 16,
+            |b, sb| {
+                let (chunk, turn) = (b / 8, b % 8);
+                for (g, codes) in sb[..256].chunks_exact_mut(32).enumerate() {
+                    let first = 32 * ((turn + g) % 8);
+                    for (i, code) in codes.iter_mut().enumerate() {
+                        *code = (first + i) as u8;
+                    }
+                }
+                fill_scales(chunk, &mut sb[256..]);
+            },
+        );
+    }
+
     #[test]
     fn functional_and_cost_only_charge_identically() {
-        // Cost-only dequantization computes no lanes and writes no TCM, yet
-        // issues the same charges in the same order: on fresh contexts every
-        // engine's seconds agree to the bit.
-        let q8: [BlockQ8_0; 8] = std::array::from_fn(|g| {
-            let vals: Vec<f32> = (0..32).map(|i| ((g * 32 + i) as f32 * 0.2).sin()).collect();
-            BlockQ8_0::quantize(&vals)
-        });
-        type Kernel = fn(&mut NpuContext, &DequantEnv, TcmAddr, TcmAddr);
-        let cases: [(&str, Kernel, Vec<u8>); 2] = [
-            (
-                "q4",
-                dequant_super_q4_lut,
-                SuperBlockQ4::from_blocks(&test_blocks(5))
-                    .to_bytes()
-                    .to_vec(),
-            ),
-            (
-                "q8",
-                dequant_super_q8_lut,
-                tilequant::super_group::SuperBlockQ8::from_blocks(&q8)
-                    .to_bytes()
-                    .to_vec(),
-            ),
+        // On random super-blocks (random scales include NaN, Inf and
+        // subnormal bit patterns), the fused kernel in a functional and in
+        // a cost-only context and the per-instruction trace with lanes all
+        // issue the same charges in the same order: on fresh contexts every
+        // engine's seconds agree to the bit, and the counters agree. Only
+        // functional mode writes TCM.
+        let mut state = 0x2545_f491u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        let kernels: [(&str, Kernel, Kernel, usize); 2] = [
+            ("q4", dequant_super_q4_lut, q4_lut_trace, SUPER_Q4_BYTES),
+            ("q8", dequant_super_q8_lut, q8_lut_trace, SUPER_Q8_BYTES),
         ];
-        for (name, kernel, block) in cases {
-            let run = |mode| {
-                let mut c = NpuContext::new(DeviceProfile::v75(), mode);
-                let env = DequantEnv::new(&mut c);
-                let src = c.tcm_alloc(384, 128).unwrap();
-                let dst = c.tcm_alloc(512, 128).unwrap();
-                c.tcm_poke(src, &block);
-                kernel(&mut c, &env, src, dst);
-                let charges = (
-                    Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
-                    *c.cost.counters(),
-                );
-                (charges, c.tcm_peek(dst, 512).iter().any(|&b| b != 0))
-            };
-            let (functional, wrote) = run(ExecMode::Functional);
-            let (cost_only, cost_only_wrote) = run(ExecMode::CostOnly);
-            assert_eq!(cost_only, functional, "{name}");
-            assert!(wrote && !cost_only_wrote, "{name}: only functional writes");
+        for device in [DeviceProfile::v75(), DeviceProfile::v79()] {
+            for (name, fused, trace, len) in kernels {
+                for _ in 0..8 {
+                    let block: Vec<u8> = (0..len).map(|_| next() as u8).collect();
+                    let run = |mode, kernel: Kernel| {
+                        let mut c = NpuContext::new(device.clone(), mode);
+                        let env = DequantEnv::new(&mut c);
+                        let src = c.tcm_alloc(384, 128).unwrap();
+                        let dst = c.tcm_alloc(512, 128).unwrap();
+                        c.tcm_poke(src, &block);
+                        kernel(&mut c, &env, src, dst);
+                        (charges(&c), c.tcm_peek(dst, 512).to_vec())
+                    };
+                    let (fused_charges, fused_out) = run(ExecMode::Functional, fused);
+                    let (trace_charges, trace_out) = run(ExecMode::Functional, trace);
+                    let (cost_only_charges, cost_only_out) = run(ExecMode::CostOnly, fused);
+                    let what = || format!("{name} on {}", device.name);
+                    assert_eq!(fused_charges, trace_charges, "{}", what());
+                    assert_eq!(cost_only_charges, trace_charges, "{}", what());
+                    assert_same_lanes(&fused_out, &trace_out, what);
+                    assert!(cost_only_out.iter().all(|&b| b == 0), "{}", what());
+                }
+            }
         }
     }
 

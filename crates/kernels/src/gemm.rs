@@ -18,7 +18,9 @@
 //! | `NoDequantBound`   | HMX tile groups    | none (copy only; perf bound)|
 
 use hexsim::f16::F16;
-use hexsim::hmx::{pack_tile, unpack_tile, HmxAccumulator, TILE_BYTES, TILE_DIM};
+use hexsim::hmx::{
+    pack_tile, unpack_tile, unpack_tile_f32, HmxAccumulator, WideTile, TILE_BYTES, TILE_DIM,
+};
 use hexsim::prelude::*;
 use tilequant::block::{BlockQ4_0, BlockQ8_0, Q4_0_BLOCK_BYTES, Q8_0_BLOCK_BYTES};
 use tilequant::super_group::{
@@ -385,6 +387,15 @@ pub fn gemm_mixed(
     let env = DequantEnv::new(ctx);
     let (_, cost) = ctx.phase("gemm", |ctx| {
         stage_activations(ctx, act, cfg.m, cfg.k, act_area);
+        // The staged activation tiles, widened to FP32 once per call.
+        let act_wide: Vec<WideTile> = match act_area {
+            Some(area) => (0..m_tiles * k_tiles)
+                .map(|t| {
+                    unpack_tile_f32(ctx.tcm_peek(area.offset((t * TILE_BYTES) as u32), TILE_BYTES))
+                })
+                .collect(),
+            None => Vec::new(),
+        };
         let mut accs: Vec<HmxAccumulator> = (0..m_tiles).map(|_| HmxAccumulator::new()).collect();
         let tiles = (n_tiles * k_tiles) as u64;
         ctx.replay_indexed(tiles, |ctx, idx| {
@@ -424,14 +435,22 @@ pub fn gemm_mixed(
             }
             dequant_tile(ctx, &env, cfg, staging, wgt_tile);
             // Multiply-accumulate every activation row-tile against this
-            // weight tile.
-            for (mt, acc) in accs.iter_mut().enumerate() {
-                match act_area {
-                    Some(area) => {
-                        let act_tile = area.offset(((mt * k_tiles + kt) * TILE_BYTES) as u32);
-                        ctx.hmx_matmul(acc, act_tile, wgt_tile);
+            // weight tile, which widens once for all of them. Each MAC's
+            // `hmx_matmul` runs for its charge and bounds checks only.
+            match act_area {
+                Some(area) => {
+                    let wgt_wide = unpack_tile_f32(ctx.tcm_peek(wgt_tile, TILE_BYTES));
+                    for (mt, acc) in accs.iter_mut().enumerate() {
+                        let t = mt * k_tiles + kt;
+                        let act_tile = area.offset((t * TILE_BYTES) as u32);
+                        ctx.charge_only(|ctx| ctx.hmx_matmul(acc, act_tile, wgt_tile));
+                        acc.mac_f32(&act_wide[t], &wgt_wide);
                     }
-                    None => ctx.hmx_charge(1),
+                }
+                None => {
+                    for _ in 0..m_tiles {
+                        ctx.hmx_charge(1);
+                    }
                 }
             }
             if kt == k_tiles - 1 {
@@ -564,6 +583,126 @@ mod tests {
             .sum::<f32>()
             .sqrt();
         assert!(rmse8 < 0.05, "q8 rmse {rmse8}");
+    }
+
+    /// `gemm_mixed` with the plain MAC loop: every MAC reads both tiles
+    /// back from TCM through `hmx_matmul`, which widens them again.
+    /// Functional mode and HMX-layout weights only. The kernel must match
+    /// it bitwise, charge for charge.
+    #[allow(clippy::needless_range_loop)]
+    fn gemm_tcm_mac_oracle(
+        ctx: &mut NpuContext,
+        cfg: &GemmConfig,
+        weights: &PreparedWeights,
+        act: &[F16],
+    ) -> Vec<F16> {
+        let m_tiles = cfg.m.div_ceil(TILE_DIM);
+        let k_tiles = cfg.k / TILE_DIM;
+        let n_tiles = cfg.n / TILE_DIM;
+        let mark = ctx.tcm_mark();
+        let area = ctx
+            .tcm_alloc((m_tiles * k_tiles * TILE_BYTES) as u32, 2048)
+            .unwrap();
+        let staging = ctx
+            .tcm_alloc((weights.tile_bytes + 128) as u32, 128)
+            .unwrap();
+        let wgt_tile = ctx.tcm_alloc(TILE_BYTES as u32, 2048).unwrap();
+        let out_area = ctx.tcm_alloc((m_tiles * TILE_BYTES) as u32, 2048).unwrap();
+        let mut out = vec![F16::ZERO; cfg.m * cfg.n];
+        let prev = ctx.cost.set_hvx_parallelism(cfg.threads);
+        let env = DequantEnv::new(ctx);
+        ctx.phase("gemm", |ctx| {
+            stage_activations(ctx, act, cfg.m, cfg.k, Some(area));
+            let mut accs = vec![HmxAccumulator::new(); m_tiles];
+            for nt in 0..n_tiles {
+                for kt in 0..k_tiles {
+                    if kt == 0 {
+                        accs.iter_mut().for_each(HmxAccumulator::clear);
+                    }
+                    let tile_idx = nt * k_tiles + kt;
+                    ctx.dma_h2t(
+                        weights.buf,
+                        (tile_idx * weights.tile_bytes) as u64,
+                        staging,
+                        weights.tile_bytes as u32,
+                    );
+                    dequant_tile(ctx, &env, cfg, staging, wgt_tile);
+                    for (mt, acc) in accs.iter_mut().enumerate() {
+                        let act_tile = area.offset(((mt * k_tiles + kt) * TILE_BYTES) as u32);
+                        ctx.hmx_matmul(acc, act_tile, wgt_tile);
+                    }
+                }
+                for (mt, acc) in accs.iter().enumerate() {
+                    let out_tile = out_area.offset((mt * TILE_BYTES) as u32);
+                    ctx.hmx_store_acc(acc, out_tile, None, None);
+                    ctx.cost.charge_dma(TILE_BYTES as u64);
+                    let tile = unpack_tile(ctx.tcm_peek(out_tile, TILE_BYTES));
+                    for r in 0..TILE_DIM.min(cfg.m - mt * TILE_DIM) {
+                        for c in 0..TILE_DIM {
+                            out[(mt * TILE_DIM + r) * cfg.n + nt * TILE_DIM + c] = tile[r][c];
+                        }
+                    }
+                }
+            }
+        });
+        ctx.cost.restore_hvx_parallelism(prev);
+        ctx.tcm_release(mark);
+        out
+    }
+
+    #[test]
+    fn gemm_matches_the_tcm_mac_loop_bitwise_and_in_charges() {
+        // Batches around the 32-row tile edge, each with one all-(-0.0)
+        // activation row, and again with ±Inf and NaN activations.
+        let (k, n) = (64, 96);
+        let w = gaussian_matrix(k, n, 31, 0.7, 0.0);
+        for scheme in [QuantScheme::Q4_0, QuantScheme::Q8_0] {
+            let qm = QuantizedMatrix::quantize(&w, k, n, scheme, WeightLayout::HmxTileGroups);
+            for m in [1, 31, 32, 33, 45] {
+                let mut zero_row = act_f16(m, k, 7);
+                zero_row[m / 2 * k..(m / 2 + 1) * k].fill(F16::NEG_ZERO);
+                let mut specials = act_f16(m, k, 9);
+                for (i, a) in specials.iter_mut().step_by(13).enumerate() {
+                    *a = [F16::INFINITY, F16::NEG_INFINITY, F16::NAN][i % 3];
+                }
+                for (pattern, act) in [("-0.0 row", zero_row), ("±Inf/NaN", specials)] {
+                    let cfg = GemmConfig {
+                        m,
+                        k,
+                        n,
+                        scheme,
+                        variant: DequantVariant::CoalescedLut,
+                        threads: 4,
+                    };
+                    let run = |kernel: &dyn Fn(&mut NpuContext, &PreparedWeights) -> Vec<F16>| {
+                        let mut c = ctx();
+                        let prepared = prepare_weights(&mut c, &qm, cfg.variant).unwrap();
+                        let out = kernel(&mut c, &prepared);
+                        let charges = (
+                            Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                            *c.cost.counters(),
+                        );
+                        (out, charges)
+                    };
+                    let (got, got_charges) = run(&|c, w| gemm_mixed(c, &cfg, w, &act).out);
+                    let (want, want_charges) = run(&|c, w| gemm_tcm_mac_oracle(c, &cfg, w, &act));
+                    let what = format!("{scheme:?} m={m} {pattern}");
+                    assert_eq!(got_charges, want_charges, "{what}");
+                    assert_eq!(got.len(), want.len(), "{what}");
+                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        // NaN lanes compare by NaN-ness: Rust leaves the
+                        // sign of a NaN sum open when both operands are NaN.
+                        assert!(
+                            g == w || (g.is_nan() && w.is_nan()),
+                            "{what} [{i}]: {g:?} vs {w:?}"
+                        );
+                    }
+                    // Only the ±Inf/NaN activations reach the output as NaN.
+                    let nan_out = want.iter().any(|v| v.is_nan());
+                    assert_eq!(nan_out, pattern == "±Inf/NaN", "{what}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -810,7 +810,6 @@ impl Model {
         };
         let head_secs = ctx.cost.delta_since(&snap, "").wall_secs;
         cost.cpu_secs += head_secs;
-        ctx.cost.clear_phases();
         let stages = StepStages {
             cpu_embed_secs: embed_secs,
             layers: layer_stages,
@@ -920,7 +919,6 @@ impl Model {
         let logits = self.lm_head(ctx, &x, batch, functional);
         let head_secs = ctx.cost.delta_since(&snap, "").wall_secs;
         cost.cpu_secs += head_secs;
-        ctx.cost.clear_phases();
         let stages = StepStages {
             cpu_embed_secs: embed_secs,
             layers: layer_stages,
