@@ -25,19 +25,12 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Wall-clock timing of the harness itself (host time, not simulated).
-pub fn host_timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = std::time::Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
 pub mod json {
     //! Minimal JSON emitter for machine-readable `BENCH_*.json` bench
     //! artifacts.
     //!
-    //! The build environment has no crates.io access and the vendored
-    //! `serde` shim carries no `serde_json`, so this is a small
+    //! The build environment has no crates.io access and the workspace
+    //! vendors no serialization framework, so this is a small
     //! hand-rolled value tree + serializer: enough to persist bench rows
     //! (numbers, strings, arrays, objects) deterministically across PRs.
     //! Object keys keep insertion order so emitted artifacts diff cleanly.

@@ -16,10 +16,9 @@
 //! [`crate::backend::Backend`].
 
 use edgellm::config::{ModelConfig, ModelId};
-use serde::{Deserialize, Serialize};
 
 /// llama.cpp OpenCL (Adreno GPU) baseline.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct GpuBaseline {
     /// Effective memory bandwidth achieved by the Q4_0 GEMV kernels, B/s.
     /// (Shared LPDDR5x peaks near 70 GB/s; mobile GPU kernels sustain a
@@ -87,7 +86,7 @@ impl GpuBaseline {
 }
 
 /// QNN FP16 deployment baseline (closed-source; static-graph NPU path).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct QnnFp16Baseline {
     /// Fraction of HMX peak QNN's FP16 prefill sustains.
     pub prefill_efficiency: f64,
@@ -137,7 +136,7 @@ impl QnnFp16Baseline {
 /// (every operator on the big cores, the placement `edgellm::cpu_ref`
 /// implements functionally), modelled as a roofline over the four big
 /// cores' FLOP/s and their LPDDR bandwidth share.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CpuRefBackend {
     /// Sustained CPU GEMV read bandwidth during decode, B/s (the big-core
     /// cluster's share of LPDDR5x under a streaming Q4 GEMV).

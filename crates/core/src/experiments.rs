@@ -19,7 +19,6 @@ use htpops::gemm::{gemm_mixed, prepare_weights, DequantVariant, GemmConfig};
 use htpops::softmax::{softmax_rows, SoftmaxConfig};
 use mathsynth::choice::{evaluate as choice_eval, generate_items, ChoiceKind};
 use mathsynth::mathgen::{DatasetKind, TaskGenerator};
-use serde::{Deserialize, Serialize};
 use tilequant::channel::PerChannelQ4;
 use tilequant::metrics::QuantError;
 use tilequant::synth::{activation_amax, gaussian_matrix};
@@ -46,7 +45,7 @@ use crate::thermal::sustained_decode_curve;
 // ---------------------------------------------------------------------
 
 /// One Table 1 row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table1Row {
     /// Quantization scheme label.
     pub scheme: String,
@@ -203,7 +202,7 @@ pub fn table1_rows(seed: u64) -> Vec<Table1Row> {
 // ---------------------------------------------------------------------
 
 /// One Table 2 row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table2Row {
     /// Hardware unit label.
     pub unit: String,
@@ -268,7 +267,7 @@ pub fn table2_rows() -> Vec<Table2Row> {
 // ---------------------------------------------------------------------
 
 /// One Figure 5 point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig5Row {
     /// Model label.
     pub model: String,
@@ -301,7 +300,7 @@ pub fn fig5_rows(seed: u64) -> Vec<Fig5Row> {
 // ---------------------------------------------------------------------
 
 /// One Figure 8 bar.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig8Row {
     /// Query length (decode batch).
     pub q_len: usize,
@@ -358,7 +357,7 @@ pub fn fig10_rows(
 // ---------------------------------------------------------------------
 
 /// One Figure 11 point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig11Row {
     /// Device SoC label.
     pub device: String,
@@ -425,7 +424,7 @@ pub fn fig12_rows() -> Vec<PowerPoint> {
 // ---------------------------------------------------------------------
 
 /// One Figure 13 decode point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig13DecodeRow {
     /// System label.
     pub system: String,
@@ -438,7 +437,7 @@ pub struct Fig13DecodeRow {
 }
 
 /// One Figure 13 prefill point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig13PrefillRow {
     /// System label.
     pub system: String,
@@ -499,7 +498,7 @@ pub fn fig13_prefill_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig13PrefillRow>
 // ---------------------------------------------------------------------
 
 /// One Figure 14 point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig14Row {
     /// KV length.
     pub nkv: usize,
@@ -561,7 +560,7 @@ pub fn fig14_rows() -> Vec<Fig14Row> {
 // ---------------------------------------------------------------------
 
 /// One Figure 15 point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig15Row {
     /// Weight matrix configuration label ("1536*8960, Q4").
     pub config: String,
@@ -677,7 +676,7 @@ pub fn fig16_rows(backends: &[Box<dyn Backend>]) -> Vec<OverheadPoint> {
 
 /// One serial-vs-overlapped decode comparison point (the rows behind the
 /// `BENCH_decode.json` artifact).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecodeOverlapRow {
     /// Device SoC label.
     pub device: String,
@@ -746,7 +745,7 @@ pub fn decode_overlap_rows() -> Vec<DecodeOverlapRow> {
 /// of the `BENCH_decode.json` artifact). Both sides run overlap-aware
 /// dispatch, so the row isolates the *placement* change: hot/cold weight
 /// hierarchy with DMA-lane prefetch versus everything resident.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecodeStreamRow {
     /// Device SoC label.
     pub device: String,
@@ -837,7 +836,7 @@ pub const THERMAL_WORKLOAD: (ModelId, usize, usize) = (ModelId::Qwen3B, 8, 1024)
 pub const THERMAL_WINDOW_SECS: f64 = 120.0;
 
 /// One sustained-vs-burst decode row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ThermalDecodeRow {
     /// Device SoC label.
     pub device: String,
@@ -923,7 +922,7 @@ pub fn thermal_fleet_trace(seed: u64) -> Vec<Request> {
 }
 
 /// One thermal fleet-dispatch comparison row.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FleetThermalRow {
     /// Dispatch policy label ("blind" / "aware").
     pub policy: String,
@@ -1017,7 +1016,7 @@ pub const SPEC_TRACE_SEED: u64 = 20260808;
 
 /// One plain-vs-speculative decode row (the headline rows of the
 /// `BENCH_spec.json` artifact).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpecDecodeRow {
     /// Device SoC label.
     pub device: String,
@@ -1096,7 +1095,7 @@ pub fn spec_decode_rows() -> Vec<SpecDecodeRow> {
 
 /// One adaptive-vs-fixed draft-length comparison row: identical device,
 /// pair, context and acceptance trace — only the controller differs.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpecAdaptiveRow {
     /// Device SoC label.
     pub device: String,
@@ -1161,7 +1160,7 @@ pub fn spec_adaptive_rows() -> Vec<SpecAdaptiveRow> {
 // ---------------------------------------------------------------------
 
 /// One Figure 17 point.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Fig17Row {
     /// System label.
     pub system: String,
@@ -1204,7 +1203,7 @@ pub fn fig17_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig17Row> {
 // ---------------------------------------------------------------------
 
 /// One Table 4 column.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table4Row {
     /// Variant label.
     pub variant: String,
@@ -1281,7 +1280,7 @@ pub fn table4_rows(seed: u64) -> Vec<Table4Row> {
 // ---------------------------------------------------------------------
 
 /// One Table 5 column.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Table5Row {
     /// Attention implementation label.
     pub variant: String,
@@ -1341,7 +1340,7 @@ pub fn table5_rows(seed: u64) -> Vec<Table5Row> {
 
 /// One row of the method-comparison extension (not a paper exhibit; an
 /// ablation across the TTS algorithms the paper describes in Section 2.1).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ExtMethodRow {
     /// Model label.
     pub model: String,

@@ -50,5 +50,5 @@ pub mod thermal;
 pub use backend::{Backend, FitReport, NpuSimBackend};
 pub use pipeline::{DecodePoint, PrefillPoint};
 pub use power::PowerModel;
-pub use session::{DecodeSession, LayerShard, NpuSession, SessionConfig, ShardPlan};
+pub use session::{DecodeSession, LayerShard, NpuSession, ShardPlan};
 pub use thermal::{sustained_decode_curve, DvfsGovernor, SustainedCurve, ThermalState};

@@ -7,13 +7,12 @@
 //! with the vocabulary-projection load).
 
 use edgellm::config::{ModelConfig, ModelId};
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::DecodePoint;
 use crate::session::ShardPlan;
 
 /// One memory/CPU overhead measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct OverheadPoint {
     /// System label (the backend the decode point came from).
     pub system: String,

@@ -11,7 +11,6 @@
 use edgellm::config::{ModelConfig, ModelId};
 use hexsim::prelude::*;
 use mathsynth::mathgen::{DatasetKind, TaskGenerator};
-use serde::{Deserialize, Serialize};
 use ttscale::beam_search::{self, BeamSearchConfig};
 use ttscale::best_of_n;
 use ttscale::calib::mean_completion_tokens;
@@ -23,7 +22,7 @@ use crate::session::ShardPlan;
 use crate::thermal::sustained_decode_curve;
 
 /// Scaling method of a Pareto point.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Method {
     /// Conventional single-sample decoding.
     Base,
@@ -45,7 +44,7 @@ impl Method {
 }
 
 /// One point of the Figure 10 trade-off space.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ParetoPoint {
     /// Series label as in the paper's legend ("Q1.5-TTS", "Q3-base", ...).
     pub series: String,
@@ -188,7 +187,7 @@ pub fn pareto_panel(
 /// Burst is the paper's snapshot; sustained is what the die delivers once
 /// the thermal capacitance has filled (see [`crate::thermal`]). The
 /// per-watt axis is what battery-bound test-time scaling actually buys.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct EfficiencyPoint {
     /// Device SoC label.
     pub device: String,
@@ -241,7 +240,7 @@ pub fn efficiency_panel(
 /// survives with probability `alpha`, plus the verifier's own bonus
 /// token), so accepted-tokens/joule sits beside the raw tokens/joule of
 /// [`EfficiencyPoint`] on the same per-watt axis.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpecEfficiencyPoint {
     /// Device SoC label.
     pub device: String,

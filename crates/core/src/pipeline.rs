@@ -25,12 +25,11 @@ pub use edgellm::overlap::DispatchMode;
 use hexsim::cost::NUM_ENGINES;
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
-use serde::{Deserialize, Serialize};
 
 use crate::session::ShardPlan;
 
 /// One decode measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DecodePoint {
     /// Model label ("Q1.5", ...).
     pub model: String,
@@ -58,7 +57,7 @@ pub struct DecodePoint {
 }
 
 /// One prefill measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PrefillPoint {
     /// Model label.
     pub model: String,

@@ -10,12 +10,11 @@
 
 use hexsim::cost::{Engine, NUM_ENGINES};
 use hexsim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::pipeline::{engine_utilization, DecodePoint};
 
 /// One power/energy measurement.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PowerPoint {
     /// Model label.
     pub model: String,

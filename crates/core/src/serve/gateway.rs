@@ -66,8 +66,7 @@ pub struct WorkerReport {
     pub npu_lane_utilization: f64,
     /// Tokens emitted by decode steps on this worker.
     pub decoded_tokens: usize,
-    /// Hottest die temperature reached (ambient when thermals are
-    /// disabled).
+    /// Hottest die temperature reached.
     pub peak_temp_c: f64,
     /// Steps executed at the sustained (throttled) clock point.
     pub throttled_steps: usize,
@@ -187,8 +186,7 @@ struct WorkerState {
     steps: usize,
     served: usize,
     seqs: Vec<SeqTrack>,
-    /// Die temperature (lumped RC model; stays at ambient when the
-    /// thermal policy is [`ThermalPolicy::Disabled`]).
+    /// Die temperature (lumped RC model).
     thermal: ThermalState,
     /// Simulated time `thermal` is integrated up to.
     temp_at: f64,
@@ -241,11 +239,18 @@ pub struct FleetGateway {
 
 impl FleetGateway {
     /// Validates the fleet (every worker must pass the `fits` gate) and
-    /// measures the dispatch oracle for each worker.
+    /// measures the dispatch oracle for each worker. An empty fleet or a
+    /// zero-token prefill chunk is [`SimError::InvalidConfig`].
     pub fn new(fleet: FleetSpec, config: GatewayConfig) -> SimResult<Self> {
-        assert!(!fleet.workers.is_empty(), "fleet needs at least one worker");
-        if let PrefillMode::Chunked { chunk_tokens } = config.prefill {
-            assert!(chunk_tokens >= 1, "prefill chunks carry at least one token");
+        if fleet.workers.is_empty() {
+            return Err(SimError::InvalidConfig {
+                reason: "fleet needs at least one worker".into(),
+            });
+        }
+        if config.prefill == (PrefillMode::Chunked { chunk_tokens: 0 }) {
+            return Err(SimError::InvalidConfig {
+                reason: "prefill chunks carry at least one token".into(),
+            });
         }
         let oracles = fleet
             .workers
@@ -577,14 +582,10 @@ impl SimState<'_> {
         let t0 = self.states[w].clock;
         // Settle the DVFS governor on the pre-step die temperature and
         // pick this step's clock multiplier.
-        let mult = if self.thermal == ThermalPolicy::Disabled {
-            1.0
-        } else {
-            let device = &self.oracles[w].device;
-            let st = &mut self.states[w];
-            st.governor.observe(device, st.thermal.temp_c);
-            st.governor.clock_mult(device)
-        };
+        let device = &self.oracles[w].device;
+        let st = &mut self.states[w];
+        st.governor.observe(device, st.thermal.temp_c);
+        let mult = st.governor.clock_mult(device);
         // Throttled steps run the same recorded schedule with every stage
         // dilated by 1/mult except fixed session switches — the exact
         // repricing `StepStages::at_clock` defines. At burst clocks the
@@ -661,21 +662,19 @@ impl SimState<'_> {
         // Duration-weighted lane utilization: every executed schedule
         // counts for as long as it ran, not just the last one.
         state.npu_util_x_secs += npu_util * dur;
-        if self.thermal != ThermalPolicy::Disabled {
-            // The step's joules flow into the die at the operating point
-            // the governor chose for it.
-            let oracle = &self.oracles[w];
-            let throttled = state.governor.is_throttled();
-            let power_w = if throttled {
-                oracle.sustained_power_w
-            } else {
-                oracle.burst_power_w
-            };
-            state.thermal.step(&oracle.device, power_w, dur);
-            state.temp_at = t_end;
-            state.peak_temp_c = state.peak_temp_c.max(state.thermal.temp_c);
-            state.throttled_steps += usize::from(throttled);
-        }
+        // The step's joules flow into the die at the operating point the
+        // governor chose for it.
+        let oracle = &self.oracles[w];
+        let throttled = state.governor.is_throttled();
+        let power_w = if throttled {
+            oracle.sustained_power_w
+        } else {
+            oracle.burst_power_w
+        };
+        state.thermal.step(&oracle.device, power_w, dur);
+        state.temp_at = t_end;
+        state.peak_temp_c = state.peak_temp_c.max(state.thermal.temp_c);
+        state.throttled_steps += usize::from(throttled);
 
         // First token of a request whose prompt just completed.
         if let Some(sid) = chunk_done {
@@ -776,23 +775,19 @@ impl SimState<'_> {
                     r,
                 )
             }
-            _ => predicted_completion_secs(&self.oracles[w], free, r),
+            ThermalPolicy::Blind => predicted_completion_secs(&self.oracles[w], free, r),
         }
     }
 
     /// Jumps an idle worker's clock forward to `now`, relaxing its die
-    /// toward ambient over the gap when thermal physics is on.
+    /// toward ambient over the gap.
     fn touch_idle_worker(&mut self, w: usize, now: f64) {
         let jump = self.states[w].clock.max(now);
-        if self.thermal != ThermalPolicy::Disabled {
-            // The worker sat idle until now: its die relaxed toward
-            // ambient over the gap.
-            let cooled = self.projected_temp(w, jump);
-            let st = &mut self.states[w];
-            st.thermal.temp_c = cooled;
-            st.temp_at = jump;
-        }
-        self.states[w].clock = jump;
+        let cooled = self.projected_temp(w, jump);
+        let st = &mut self.states[w];
+        st.thermal.temp_c = cooled;
+        st.temp_at = jump;
+        st.clock = jump;
     }
 
     /// The best preemption victim for `cand` among `workers`: an active
@@ -1161,34 +1156,36 @@ mod tests {
 
     #[test]
     fn thermal_physics_is_inert_below_the_throttle_cap() {
-        use crate::serve::scheduler::ThermalPolicy;
-        // A short trace never fills the thermal capacitance: with physics
-        // on (Blind) the dies warm but never throttle, so every latency
-        // number matches the Disabled gateway bit-for-bit — the
-        // "thermals change nothing until they must" guarantee.
+        // A short trace never fills the thermal capacitance: the die
+        // warms but never throttles, so every number matches a die whose
+        // cap is out of reach bit-for-bit — the "thermals change nothing
+        // until they must" guarantee.
         let trace = poisson_trace(&tenants(), 4.0, 10, 11);
-        let fleet = FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false);
-        let disabled = FleetGateway::new(fleet.clone(), GatewayConfig::default()).unwrap();
-        let blind = FleetGateway::new(
-            fleet,
-            GatewayConfig {
-                thermal: ThermalPolicy::Blind,
-                ..GatewayConfig::default()
-            },
-        )
-        .unwrap();
-        let rd = disabled.serve_trace(&trace).unwrap();
-        let rb = blind.serve_trace(&trace).unwrap();
-        assert_eq!(rd.makespan_secs, rb.makespan_secs);
-        assert_eq!(rd.ttft_p99_secs, rb.ttft_p99_secs);
-        assert_eq!(rd.tbt_p99_secs, rb.tbt_p99_secs);
-        assert_eq!(rd.completed, rb.completed);
-        assert_eq!(rb.workers[0].throttled_steps, 0);
-        // Physics ran in one and not the other.
-        let ambient = DeviceProfile::v75().ambient_temp_c;
-        assert_eq!(rd.workers[0].peak_temp_c, ambient);
-        assert!(rb.workers[0].peak_temp_c > ambient);
-        assert!(rb.workers[0].peak_temp_c < DeviceProfile::v75().throttle_temp_c);
+        let v75 = DeviceProfile::v75();
+        let uncapped = DeviceProfile {
+            throttle_temp_c: f64::INFINITY,
+            ..v75.clone()
+        };
+        let serve = |device: DeviceProfile| {
+            FleetGateway::new(
+                FleetSpec::single(ModelId::Qwen1_5B, device, false),
+                GatewayConfig::default(),
+            )
+            .unwrap()
+            .serve_trace(&trace)
+            .unwrap()
+        };
+        let rc = serve(v75.clone());
+        let ru = serve(uncapped);
+        assert_eq!(rc.makespan_secs, ru.makespan_secs);
+        assert_eq!(rc.ttft_p99_secs, ru.ttft_p99_secs);
+        assert_eq!(rc.tbt_p99_secs, ru.tbt_p99_secs);
+        assert_eq!(rc.completed, ru.completed);
+        assert_eq!(rc.workers[0].peak_temp_c, ru.workers[0].peak_temp_c);
+        // The physics ran: the die warmed, short of the cap.
+        assert_eq!(rc.workers[0].throttled_steps, 0);
+        assert!(rc.workers[0].peak_temp_c > v75.ambient_temp_c);
+        assert!(rc.workers[0].peak_temp_c < v75.throttle_temp_c);
     }
 
     #[test]
@@ -1212,6 +1209,33 @@ mod tests {
     }
 
     #[test]
+    fn new_rejects_an_empty_fleet() {
+        let fleet = FleetSpec {
+            model: ModelId::Qwen1_5B,
+            workers: Vec::new(),
+        };
+        let err = FleetGateway::new(fleet, GatewayConfig::default()).err();
+        assert!(
+            matches!(err, Some(SimError::InvalidConfig { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn new_rejects_zero_token_prefill_chunks() {
+        let config = GatewayConfig {
+            prefill: PrefillMode::Chunked { chunk_tokens: 0 },
+            ..GatewayConfig::default()
+        };
+        let fleet = FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false);
+        let err = FleetGateway::new(fleet, config).err();
+        assert!(
+            matches!(err, Some(SimError::InvalidConfig { .. })),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     #[should_panic(expected = "unique request ids")]
     fn serve_trace_rejects_duplicate_ids() {
         let t = TenantSpec::interactive("chat");
@@ -1226,9 +1250,10 @@ mod tests {
     }
 
     #[test]
-    fn defaults_are_strict_priority_without_preemption() {
+    fn defaults_are_strict_priority_thermal_blind_without_preemption() {
         let cfg = GatewayConfig::default();
         assert_eq!(cfg.scheduling, SchedulingPolicy::StrictPriority);
+        assert_eq!(cfg.thermal, ThermalPolicy::Blind);
         assert_eq!(cfg.preemption, PreemptionPolicy::Disabled);
     }
 

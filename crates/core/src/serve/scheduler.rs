@@ -125,21 +125,18 @@ impl FleetSpec {
     }
 }
 
-/// How the gateway treats worker die temperature.
+/// How the dispatcher treats worker die temperature. The physics runs
+/// under both policies: dies heat per step and each worker's DVFS
+/// governor throttles at the cap. Below the cap it changes no number.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum ThermalPolicy {
-    /// No thermal physics at all: dies never heat, clocks never drop.
-    /// Every pre-thermal serving number reproduces bit-for-bit.
+    /// The dispatcher predicts with burst-clock oracles: it cannot see
+    /// temperature. The baseline the CI gate compares against.
     #[default]
-    Disabled,
-    /// Physics on — dies heat per step, the per-worker DVFS governor
-    /// throttles at the cap — but the dispatcher still predicts with
-    /// burst-clock oracles (it cannot see temperature). The baseline the
-    /// CI gate compares against.
     Blind,
-    /// Physics on *and* the dispatcher projects each worker's
-    /// temperature trajectory when predicting completion, steering
-    /// sustained load toward workers with thermal headroom.
+    /// The dispatcher projects each worker's temperature trajectory when
+    /// predicting completion, steering sustained load toward workers
+    /// with thermal headroom.
     Aware,
 }
 
@@ -184,7 +181,7 @@ pub struct GatewayConfig {
     pub prefill: PrefillMode,
     /// Latency targets goodput is measured against.
     pub slo: SloConfig,
-    /// Thermal/DVFS treatment of the worker dies.
+    /// Whether the dispatcher sees die temperature.
     pub thermal: ThermalPolicy,
     /// Queue ordering discipline.
     pub scheduling: SchedulingPolicy,

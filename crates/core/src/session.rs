@@ -56,13 +56,12 @@
 //! ```
 
 use hexsim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 pub use edgellm::decode_session::{DecodeSession, FinishedSeq, PreemptedSeq, SeqId};
 // The command-ring transport lives in the device substrate (`hexsim::ring`)
 // since `edgellm`'s layer walk started driving it per dispatched op; the
 // types are re-exported here so runtime code keeps one import path.
-pub use hexsim::ring::{NpuSession, OpCode, Request, SessionConfig};
+pub use hexsim::ring::{NpuSession, OpCode, Request};
 
 /// Multiple NPU sessions splitting a weight set across VA spaces — the
 /// paper's Section 8 workaround for models that exceed one session's
@@ -118,7 +117,7 @@ impl MultiSession {
 pub const SESSION_SWITCH_SECS: f64 = 30e-6;
 
 /// One contiguous run of transformer layers resident in one NPU session.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LayerShard {
     /// Session index holding these layers' weights.
     pub session: usize,
@@ -170,7 +169,7 @@ impl LayerShard {
 /// // Two shards: one boundary switch + one wrap-around per decode step.
 /// assert_eq!(plan.schedule().switches_per_pass(), 2);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ShardPlan {
     /// Contiguous layer ranges in execution order, one per shard (each
     /// shard holds its layers' weights and KV slices).
@@ -184,18 +183,14 @@ pub struct ShardPlan {
     /// Ascending indices of cold layers whose weights live in the DDR
     /// staging region and stream through the double-buffered window;
     /// empty for fully resident plans (the historical layout).
-    #[serde(default)]
     pub streamed: Vec<usize>,
     /// Weight bytes fetched per streamed layer.
-    #[serde(default)]
     pub stream_layer_bytes: u64,
     /// Session-resident bytes of the double-buffered streaming window
     /// (two cold-layer slots); zero for resident plans.
-    #[serde(default)]
     pub window_bytes: u64,
     /// Bytes parked in the CPU-owned DDR staging region (cold weights);
     /// zero for resident plans.
-    #[serde(default)]
     pub staged_bytes: u64,
 }
 

@@ -31,7 +31,6 @@ use edgellm::model::{DecodeOutput, Model};
 use edgellm::overlap::steady_state_step_secs;
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
-use serde::{Deserialize, Serialize};
 use ttscale::spec_decode::{
     charge_accept_loop, draft_round_lanes, spec_round_secs, AcceptanceTrace, DraftLenController,
 };
@@ -41,7 +40,7 @@ use crate::backend::{Backend, NpuSimBackend};
 /// One paper-scale speculative-decoding measurement: a draft/target pair
 /// on one device, decoded for a fixed number of verify rounds against a
 /// seeded acceptance trace.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SpecDecodePoint {
     /// Device SoC label.
     pub device: String,

@@ -23,14 +23,13 @@
 
 use edgellm::config::ModelId;
 use hexsim::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::backend::{Backend, NpuSimBackend};
 use crate::pipeline::DecodePoint;
 use crate::power::PowerModel;
 
 /// Lumped die temperature state for one device.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ThermalState {
     /// Current die temperature in Celsius.
     pub temp_c: f64,
@@ -68,7 +67,7 @@ impl ThermalState {
 /// throttle cap, and returns to burst clocks only once the die has cooled
 /// `throttle_hysteresis_c` below the cap — the guard band that prevents
 /// clock flapping right at the threshold.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DvfsGovernor {
     throttled: bool,
 }
@@ -106,7 +105,7 @@ impl DvfsGovernor {
 }
 
 /// One decimated sample of a sustained-decode trajectory.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TracePoint {
     /// Simulated seconds since decode started.
     pub time_secs: f64,
@@ -117,7 +116,7 @@ pub struct TracePoint {
 }
 
 /// Burst-vs-sustained decode summary for one (device, model, batch) cell.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SustainedCurve {
     /// Device SoC label.
     pub device: String,

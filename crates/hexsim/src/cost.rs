@@ -8,12 +8,10 @@
 //! breakdown, which is exactly the data behind the paper's Figure 8 latency
 //! decomposition and the Figure 14/15 ablations.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceProfile;
 
 /// A hardware engine that can be busy concurrently with the others.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Scalar VLIW control core(s).
     Scalar,
@@ -76,7 +74,7 @@ impl Engine {
 }
 
 /// Raw activity counters, useful for reports and calibration checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Counters {
     /// HVX vector instructions issued.
     pub hvx_instructions: u64,
@@ -135,7 +133,7 @@ impl Counters {
 }
 
 /// Busy time per engine plus the wall-clock composition of one phase.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseCost {
     /// Phase label (e.g. `"softmax"`, `"matmul"`, `"qkvo load/store"`).
     pub label: String,

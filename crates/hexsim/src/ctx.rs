@@ -528,12 +528,6 @@ impl NpuContext {
         self.lanes(|| hvx::map2_hf(a, b, |x, y| x.max(y)))
     }
 
-    /// Elementwise FP16 min.
-    pub fn vmin_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
-        self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_hf(a, b, |x, y| x.min(y)))
-    }
-
     /// Converts a qfloat-format register to IEEE FP16. Charges the
     /// conversion instruction on pre-V79 devices and nothing on V79+
     /// (paper Section 5.2.2: the LUT path exists to avoid these).
@@ -543,18 +537,6 @@ impl NpuContext {
             self.cost.charge_hvx_packets(ops);
         }
         v
-    }
-
-    /// Elementwise FP32 add over 32 word lanes.
-    pub fn vadd_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
-        self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_sf(a, b, |x, y| x + y))
-    }
-
-    /// Elementwise FP32 multiply over 32 word lanes.
-    pub fn vmpy_sf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
-        self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_sf(a, b, |x, y| x * y))
     }
 
     /// Widens 64 FP16 lanes to an FP32 register pair.
@@ -591,18 +573,6 @@ impl NpuContext {
     pub fn vand_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_b(a, b, |x, y| x & y))
-    }
-
-    /// Bitwise OR of byte lanes.
-    pub fn vor_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
-        self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_b(a, b, |x, y| x | y))
-    }
-
-    /// Byte-lane subtract with wrapping (used for the INT4 bias of 8).
-    pub fn vsub_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
-        self.cost.charge_hvx_packets(1);
-        self.lanes(|| hvx::map2_b(a, b, |x, y| x.wrapping_sub(y)))
     }
 
     /// Logical shift right of byte lanes.

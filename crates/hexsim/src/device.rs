@@ -13,10 +13,8 @@
 //! 24-48 instruction packets). V73 and V79 are scaled from public generation
 //! deltas and the relative throughput ordering visible in Figure 11.
 
-use serde::{Deserialize, Serialize};
-
 /// Hexagon NPU architecture generation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum NpuArch {
     /// Snapdragon 8 Gen 2 (OnePlus Ace3).
     V73,
@@ -42,7 +40,7 @@ impl NpuArch {
 /// All rate constants are expressed in base SI units (bytes/s, flops/s, Hz)
 /// so the cost model can convert instruction and byte counts into seconds
 /// without unit juggling.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DeviceProfile {
     /// Human-readable device name (paper Table 3).
     pub name: &'static str,
@@ -283,15 +281,6 @@ impl DeviceProfile {
     /// All three evaluation devices in paper order (Table 3).
     pub fn all() -> Vec<DeviceProfile> {
         vec![Self::v73(), Self::v75(), Self::v79()]
-    }
-
-    /// Returns the profile for an architecture generation.
-    pub fn for_arch(arch: NpuArch) -> Self {
-        match arch {
-            NpuArch::V73 => Self::v73(),
-            NpuArch::V75 => Self::v75(),
-            NpuArch::V79 => Self::v79(),
-        }
     }
 
     /// HMX tile-op throughput in 32x32x32 FP16 tile multiply-accumulates

@@ -54,6 +54,12 @@ pub enum SimError {
         /// Human-readable description of the gate.
         reason: String,
     },
+    /// A caller-supplied configuration is malformed (an empty fleet, a
+    /// zero-token prefill chunk, ...).
+    InvalidConfig {
+        /// Human-readable description of the problem.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -85,6 +91,7 @@ impl fmt::Display for SimError {
             }
             SimError::BadDma { reason } => write!(f, "bad DMA descriptor: {reason}"),
             SimError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
+            SimError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
         }
     }
 }

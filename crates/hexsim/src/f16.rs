@@ -119,18 +119,6 @@ impl F16 {
         (self.0 & EXP_MASK) != EXP_MASK
     }
 
-    /// Returns `true` for subnormal values (nonzero with a zero exponent).
-    #[inline]
-    pub fn is_subnormal(self) -> bool {
-        (self.0 & EXP_MASK) == 0 && (self.0 & MANT_MASK) != 0
-    }
-
-    /// Returns `true` if the sign bit is set (including -0.0 and NaN).
-    #[inline]
-    pub fn is_sign_negative(self) -> bool {
-        self.0 & SIGN_MASK != 0
-    }
-
     /// Absolute value (clears the sign bit).
     #[inline]
     pub fn abs(self) -> Self {

@@ -107,20 +107,6 @@ impl HvxVec {
         self.set_w(i, v.to_bits());
     }
 
-    /// Builds a register holding 64 half floats.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `vals` is not exactly 64 elements.
-    pub fn from_hf_slice(vals: &[F16]) -> Self {
-        assert_eq!(vals.len(), HVX_HALVES);
-        let mut v = HvxVec::zero();
-        for (i, &x) in vals.iter().enumerate() {
-            v.set_hf(i, x);
-        }
-        v
-    }
-
     /// Extracts all 64 half-float lanes.
     pub fn to_hf_vec(&self) -> Vec<F16> {
         (0..HVX_HALVES).map(|i| self.get_hf(i)).collect()
@@ -138,15 +124,6 @@ impl HvxVec {
     /// Broadcast a byte to all 128 lanes.
     pub fn splat_b(v: u8) -> Self {
         HvxVec([v; HVX_BYTES])
-    }
-
-    /// Broadcast a word pattern to all 32 lanes.
-    pub fn splat_w(v: u32) -> Self {
-        let mut out = HvxVec::zero();
-        for i in 0..HVX_WORDS {
-            out.set_w(i, v);
-        }
-        out
     }
 }
 
@@ -186,15 +163,6 @@ pub fn map_hf(a: &HvxVec, f: impl Fn(F16) -> F16) -> HvxVec {
     let mut out = HvxVec::zero();
     for i in 0..HVX_HALVES {
         out.set_hf(i, f(a.get_hf(i)));
-    }
-    out
-}
-
-/// Elementwise binary op over single-float lanes.
-pub fn map2_sf(a: &HvxVec, b: &HvxVec, f: impl Fn(f32, f32) -> f32) -> HvxVec {
-    let mut out = HvxVec::zero();
-    for i in 0..HVX_WORDS {
-        out.set_sf(i, f(a.get_sf(i), b.get_sf(i)));
     }
     out
 }

@@ -56,7 +56,7 @@ pub mod prelude {
     pub use crate::hmx::{HmxAccumulator, TILE_BYTES, TILE_DIM};
     pub use crate::hvx::{HvxVec, HVX_BYTES, HVX_HALVES, HVX_WORDS};
     pub use crate::mem::{DdrBuffer, TcmAddr};
-    pub use crate::ring::{NpuSession, OpCode, Request, SessionConfig};
+    pub use crate::ring::{NpuSession, OpCode, Request};
     pub use crate::shared::SharedBuffer;
     pub use crate::timeline::{TaskId, Timeline};
 }

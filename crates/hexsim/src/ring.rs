@@ -6,7 +6,7 @@
 //! coherence), and an NPU-side thread polls the region for work. Responses
 //! flow back without maintenance because NPU writes are CPU-visible. This
 //! module reproduces that protocol over [`crate::shared::SharedBuffer`],
-//! including the failure mode the strict coherence model catches: skipping
+//! including the failure mode the coherence model catches: skipping
 //! `cache_clean` delivers stale descriptors.
 //!
 //! The ring lives in `hexsim` (rather than the system crate upstairs)
@@ -14,15 +14,11 @@
 //! drives one descriptor through [`NpuSession`] per dispatched op, so the
 //! transport protocol and the cost model share a single code path.
 
-use serde::{Deserialize, Serialize};
-
-use crate::cost::Engine;
-use crate::ctx::NpuContext;
 use crate::error::{SimError, SimResult};
 use crate::shared::SharedBuffer;
 
 /// Command opcodes the CPU can enqueue.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpCode {
     /// No operation (used for liveness checks).
     Nop,
@@ -69,75 +65,25 @@ fn decode(bytes: &[u8]) -> Request {
     Request { seq, op, arg }
 }
 
-/// Session tuning knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct SessionConfig {
-    /// Whether stale reads fault (strict) or return garbage (lenient).
-    pub strict_coherence: bool,
-    /// One-way CPU->NPU submission latency over the polling channel,
-    /// seconds (shared-memory polling beats default FastRPC; ~10 us).
-    pub submit_latency: f64,
-    /// Completion-notification latency, seconds.
-    pub complete_latency: f64,
-    /// Double-buffered dispatch: when the CPU submitted the next request
-    /// while the current one executed (the request was already queued
-    /// when the previous dispatch finished), the NPU-side poller's
-    /// completion overhead hides behind that execution and is not charged
-    /// — the paper's Section 7.2.2 async-dispatch direction. Off by
-    /// default so every historical number reproduces.
-    ///
-    /// This is the *transport-level* knob on the explicit command ring
-    /// that `edgellm`'s layer walk drives per dispatched op; the
-    /// measurement pipelines model the same depth-2 ring analytically at
-    /// step level (`edgellm::overlap` schedules each layer's
-    /// `dispatch_secs` one layer ahead of its compute). The layer walk
-    /// keeps the knob off so the per-op completion charges it pays equal
-    /// the serial dispatch overhead the pinned figures were measured
-    /// with; "Ours (async)" hides that overhead at the schedule level
-    /// instead.
-    pub double_buffered: bool,
-}
-
-impl Default for SessionConfig {
-    fn default() -> Self {
-        SessionConfig {
-            strict_coherence: true,
-            submit_latency: 10e-6,
-            complete_latency: 8e-6,
-            double_buffered: false,
-        }
-    }
-}
-
 /// One CPU <-> NPU command session over shared memory.
 pub struct NpuSession {
     ring: SharedBuffer,
-    cfg: SessionConfig,
     next_seq: u32,
     head: u32,
     tail: u32,
-    /// Whether the next request to dispatch was already in the ring when
-    /// the previous dispatch finished (its descriptor prefetched into the
-    /// second buffer, so a double-buffered poller picks it up for free).
-    primed: bool,
-    /// Completed requests, in order.
-    pub completed: Vec<Request>,
 }
 
 impl NpuSession {
     /// Opens a session: allocates the command ring and "starts" the NPU
-    /// poller (modelled synchronously; the polling thread's work is charged
-    /// per dispatch).
-    pub fn open(cfg: SessionConfig) -> Self {
-        let ring = SharedBuffer::new(1, HDR_BYTES + RING_SLOTS * REQ_BYTES, cfg.strict_coherence);
+    /// poller (modelled synchronously). The ring charges nothing itself:
+    /// its cost is folded into the calibrated per-op dispatch overhead
+    /// the layer walk charges per completed descriptor.
+    pub fn open() -> Self {
         NpuSession {
-            ring,
-            cfg,
+            ring: SharedBuffer::new(1, HDR_BYTES + RING_SLOTS * REQ_BYTES),
             next_seq: 1,
             head: 0,
             tail: 0,
-            primed: false,
-            completed: Vec::new(),
         }
     }
 
@@ -148,14 +94,8 @@ impl NpuSession {
 
     /// CPU side: enqueues a request descriptor. `clean` controls whether
     /// the cache maintenance step is performed — passing `false` models the
-    /// bug the strict coherence check exists to catch.
-    pub fn submit(
-        &mut self,
-        ctx: &mut NpuContext,
-        op: OpCode,
-        arg: u32,
-        clean: bool,
-    ) -> SimResult<u32> {
+    /// bug the coherence check exists to catch.
+    pub fn submit(&mut self, op: OpCode, arg: u32, clean: bool) -> SimResult<u32> {
         if self.pending() as usize >= RING_SLOTS {
             return Err(SimError::Unsupported {
                 reason: "command ring full".to_string(),
@@ -176,13 +116,12 @@ impl NpuSession {
         if clean {
             self.ring.cache_clean();
         }
-        ctx.cost.charge_secs(Engine::Cpu, self.cfg.submit_latency);
         Ok(req.seq)
     }
 
     /// NPU side: polls the ring and dispatches at most one request.
     /// Returns the request if one was executed.
-    pub fn poll_dispatch(&mut self, ctx: &mut NpuContext) -> SimResult<Option<Request>> {
+    pub fn poll_dispatch(&mut self) -> SimResult<Option<Request>> {
         // The poller reads the head pointer from shared memory.
         let head_bytes = self.ring.npu_read(0, 4)?;
         let head = u32::from_le_bytes([head_bytes[0], head_bytes[1], head_bytes[2], head_bytes[3]]);
@@ -198,16 +137,6 @@ impl NpuSession {
         // Completion: NPU writes are CPU-visible without maintenance.
         let tail = self.tail;
         self.ring.npu_write(4, &tail.to_le_bytes());
-        // A double-buffered ring hides the poller's completion overhead
-        // for requests that were already queued while the previous one
-        // executed (the CPU submitted layer N+1 during layer N); only the
-        // pipeline-fill dispatch pays it.
-        if !(self.cfg.double_buffered && self.primed) {
-            ctx.cost
-                .charge_secs(Engine::Scalar, self.cfg.complete_latency);
-        }
-        self.primed = head != self.tail;
-        self.completed.push(req);
         Ok(Some(req))
     }
 }
@@ -215,120 +144,47 @@ impl NpuSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctx::ExecMode;
-    use crate::device::DeviceProfile;
-
-    fn ctx() -> NpuContext {
-        NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly)
-    }
 
     #[test]
     fn submit_then_poll_roundtrip() {
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
-        let seq = s.submit(&mut c, OpCode::MatMul, 42, true).unwrap();
-        let req = s.poll_dispatch(&mut c).unwrap().unwrap();
+        let mut s = NpuSession::open();
+        let seq = s.submit(OpCode::MatMul, 42, true).unwrap();
+        let req = s.poll_dispatch().unwrap().unwrap();
         assert_eq!(req.seq, seq);
         assert_eq!(req.op, OpCode::MatMul);
         assert_eq!(req.arg, 42);
-        assert!(s.poll_dispatch(&mut c).unwrap().is_none());
+        assert!(s.poll_dispatch().unwrap().is_none());
     }
 
     #[test]
     fn skipping_cache_clean_faults_in_strict_mode() {
         // The bug class Section 6 warns about: CPU writes the descriptor
         // but does not clean the cache before the NPU polls.
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
-        s.submit(&mut c, OpCode::Attention, 7, false).unwrap();
-        let err = s.poll_dispatch(&mut c).unwrap_err();
+        let mut s = NpuSession::open();
+        s.submit(OpCode::Attention, 7, false).unwrap();
+        let err = s.poll_dispatch().unwrap_err();
         assert!(matches!(err, SimError::CoherenceViolation { .. }));
     }
 
     #[test]
     fn requests_dispatch_in_order() {
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
+        let mut s = NpuSession::open();
         for i in 0..5 {
-            s.submit(&mut c, OpCode::Misc, i, true).unwrap();
+            s.submit(OpCode::Misc, i, true).unwrap();
         }
         for i in 0..5 {
-            let req = s.poll_dispatch(&mut c).unwrap().unwrap();
+            let req = s.poll_dispatch().unwrap().unwrap();
             assert_eq!(req.arg, i);
         }
     }
 
     #[test]
     fn ring_capacity_is_enforced() {
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
+        let mut s = NpuSession::open();
         for i in 0..64 {
-            s.submit(&mut c, OpCode::Nop, i, true).unwrap();
+            s.submit(OpCode::Nop, i, true).unwrap();
         }
-        let err = s.submit(&mut c, OpCode::Nop, 99, true).unwrap_err();
+        let err = s.submit(OpCode::Nop, 99, true).unwrap_err();
         assert!(matches!(err, SimError::Unsupported { .. }));
-    }
-
-    #[test]
-    fn double_buffered_ring_hides_back_to_back_completion_overhead() {
-        let cfg = SessionConfig {
-            double_buffered: true,
-            ..SessionConfig::default()
-        };
-        // A burst of 8 requests submitted ahead (layer N+1 queued while N
-        // executes): only the pipeline-fill dispatch pays the poller's
-        // completion overhead.
-        let mut c = ctx();
-        let mut s = NpuSession::open(cfg);
-        for i in 0..8 {
-            s.submit(&mut c, OpCode::MatMul, i, true).unwrap();
-        }
-        let before = c.cost.engine_secs(Engine::Scalar);
-        for _ in 0..8 {
-            s.poll_dispatch(&mut c).unwrap().unwrap();
-        }
-        let charged = c.cost.engine_secs(Engine::Scalar) - before;
-        assert!(
-            (charged - cfg.complete_latency).abs() < 1e-15,
-            "burst of 8 must pay one completion: {charged}"
-        );
-
-        // Strictly alternating submit/poll gives the poller nothing to
-        // prefetch — no lookahead, no overlap, full serial charges.
-        let mut c2 = ctx();
-        let mut s2 = NpuSession::open(cfg);
-        let before = c2.cost.engine_secs(Engine::Scalar);
-        for i in 0..8 {
-            s2.submit(&mut c2, OpCode::MatMul, i, true).unwrap();
-            s2.poll_dispatch(&mut c2).unwrap().unwrap();
-        }
-        let charged = c2.cost.engine_secs(Engine::Scalar) - before;
-        assert!((charged - 8.0 * cfg.complete_latency).abs() < 1e-15);
-    }
-
-    #[test]
-    fn serial_ring_charges_are_unchanged_by_default() {
-        // The knob off reproduces the historical accounting exactly,
-        // even for a submitted-ahead burst.
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
-        for i in 0..8 {
-            s.submit(&mut c, OpCode::MatMul, i, true).unwrap();
-        }
-        let before = c.cost.engine_secs(Engine::Scalar);
-        for _ in 0..8 {
-            s.poll_dispatch(&mut c).unwrap().unwrap();
-        }
-        let charged = c.cost.engine_secs(Engine::Scalar) - before;
-        let expect = 8.0 * SessionConfig::default().complete_latency;
-        assert!((charged - expect).abs() < 1e-15);
-    }
-
-    #[test]
-    fn submission_charges_cpu_time() {
-        let mut c = ctx();
-        let mut s = NpuSession::open(SessionConfig::default());
-        s.submit(&mut c, OpCode::Nop, 0, true).unwrap();
-        assert!(c.cost.engine_secs(Engine::Cpu) >= 10e-6);
     }
 }

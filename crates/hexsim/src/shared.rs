@@ -5,9 +5,9 @@
 //! Snapdragon SoCs coherence is one-way: NPU writes become visible to the
 //! CPU, but after the CPU writes, the NPU's cache must be explicitly
 //! invalidated ("we manually clear the cache before NPU polls", Section 6).
-//! [`SharedBuffer`] models that protocol and, in strict mode, faults any NPU
-//! read of a region the CPU dirtied but did not clean — turning a class of
-//! silent data-corruption bugs into test failures.
+//! [`SharedBuffer`] models that protocol and faults any NPU read of a
+//! region the CPU dirtied but did not clean — turning a class of silent
+//! data-corruption bugs into test failures.
 
 use crate::error::{SimError, SimResult};
 
@@ -18,25 +18,17 @@ pub struct SharedBuffer {
     data: Vec<u8>,
     /// CPU wrote since the last cache clean; NPU reads are stale.
     cpu_dirty: bool,
-    /// Whether stale NPU reads are errors (true) or silently allowed with
-    /// the stale data returned (false, like real hardware).
-    strict: bool,
     /// Total cache-maintenance operations performed (for overhead reports).
     maintenance_ops: u64,
 }
 
 impl SharedBuffer {
     /// Allocates a zeroed shared buffer of `size` bytes.
-    ///
-    /// `strict` enables coherence-violation detection: NPU reads of
-    /// CPU-dirtied data return [`SimError::CoherenceViolation`] instead of
-    /// stale bytes.
-    pub fn new(id: u64, size: usize, strict: bool) -> Self {
+    pub fn new(id: u64, size: usize) -> Self {
         SharedBuffer {
             id,
             data: vec![0u8; size],
             cpu_dirty: false,
-            strict,
             maintenance_ops: 0,
         }
     }
@@ -85,14 +77,15 @@ impl SharedBuffer {
 
     /// Reads from the NPU side.
     ///
-    /// In strict mode, returns [`SimError::CoherenceViolation`] if the CPU
-    /// wrote since the last [`SharedBuffer::cache_clean`].
+    /// Returns [`SimError::CoherenceViolation`] if the CPU wrote since the
+    /// last [`SharedBuffer::cache_clean`]: real hardware would silently
+    /// return stale bytes.
     ///
     /// # Panics
     ///
     /// Panics if the range is out of bounds.
     pub fn npu_read(&self, offset: usize, len: usize) -> SimResult<&[u8]> {
-        if self.cpu_dirty && self.strict {
+        if self.cpu_dirty {
             return Err(SimError::CoherenceViolation { buffer: self.id });
         }
         Ok(&self.data[offset..offset + len])
@@ -124,7 +117,7 @@ mod tests {
 
     #[test]
     fn clean_handoff_roundtrips() {
-        let mut buf = SharedBuffer::new(7, 64, true);
+        let mut buf = SharedBuffer::new(7, 64);
         buf.cpu_write(0, &[1, 2, 3, 4]);
         buf.cache_clean();
         assert_eq!(buf.npu_read(0, 4).unwrap(), &[1, 2, 3, 4]);
@@ -132,31 +125,22 @@ mod tests {
 
     #[test]
     fn strict_mode_faults_stale_reads() {
-        let mut buf = SharedBuffer::new(9, 64, true);
+        let mut buf = SharedBuffer::new(9, 64);
         buf.cpu_write(0, &[1]);
         let err = buf.npu_read(0, 1).unwrap_err();
         assert_eq!(err, SimError::CoherenceViolation { buffer: 9 });
     }
 
     #[test]
-    fn lenient_mode_returns_possibly_stale_bytes() {
-        let mut buf = SharedBuffer::new(3, 64, false);
-        buf.cpu_write(0, &[5]);
-        // Real hardware would return whatever is in the NPU cache; the model
-        // returns the latest bytes but does not fault.
-        assert_eq!(buf.npu_read(0, 1).unwrap(), &[5]);
-    }
-
-    #[test]
     fn npu_writes_are_cpu_visible_without_maintenance() {
-        let mut buf = SharedBuffer::new(1, 16, true);
+        let mut buf = SharedBuffer::new(1, 16);
         buf.npu_write(4, &[9, 9]);
         assert_eq!(buf.cpu_read(4, 2), &[9, 9]);
     }
 
     #[test]
     fn maintenance_counter_increments() {
-        let mut buf = SharedBuffer::new(1, 16, true);
+        let mut buf = SharedBuffer::new(1, 16);
         buf.cpu_write(0, &[1]);
         buf.cache_clean();
         buf.cpu_write(0, &[2]);
@@ -168,7 +152,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn out_of_bounds_cpu_write_panics() {
-        let mut buf = SharedBuffer::new(1, 4, true);
+        let mut buf = SharedBuffer::new(1, 4);
         buf.cpu_write(2, &[0, 0, 0]);
     }
 }

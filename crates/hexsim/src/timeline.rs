@@ -55,7 +55,6 @@ pub struct TaskId(usize);
 struct Task {
     start: f64,
     finish: f64,
-    lane: usize,
 }
 
 /// A deterministic multi-lane list scheduler (see module docs).
@@ -107,11 +106,7 @@ impl Timeline {
         let finish = start + duration;
         self.lane_free[lane] = finish;
         self.lane_busy[lane] += duration;
-        self.tasks.push(Task {
-            start,
-            finish,
-            lane,
-        });
+        self.tasks.push(Task { start, finish });
         TaskId(self.tasks.len() - 1)
     }
 
@@ -123,11 +118,6 @@ impl Timeline {
     /// Finish time of a task.
     pub fn finish(&self, t: TaskId) -> f64 {
         self.tasks[t.0].finish
-    }
-
-    /// Lane a task was submitted to.
-    pub fn lane_of(&self, t: TaskId) -> usize {
-        self.tasks[t.0].lane
     }
 
     /// Latest finish time across all tasks (0 when empty) — the schedule's

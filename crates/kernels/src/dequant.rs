@@ -244,14 +244,6 @@ fn store_f16(ctx: &mut NpuContext, dst: TcmAddr, wide: &[f32; SUPER_ELEMS]) {
     ctx.tcm_poke(dst, &bytes);
 }
 
-/// Bytes of quantized input consumed per super-block for a scheme.
-pub fn super_block_bytes(scheme: tilequant::QuantScheme) -> usize {
-    match scheme {
-        tilequant::QuantScheme::Q4_0 => SUPER_Q4_BYTES,
-        tilequant::QuantScheme::Q8_0 => SUPER_Q8_BYTES,
-    }
-}
-
 /// Naive dequantization of two Q4 groups (64 elements) already in HMX
 /// stream order but stored as plain 18-byte AoS blocks at `src`; writes 128
 /// bytes of FP16 to `dst`.

@@ -5,11 +5,9 @@
 //! 3072x8192, ...) fall out exactly and what drives every latency and
 //! memory result.
 
-use serde::{Deserialize, Serialize};
-
 /// The models evaluated in the paper (Section 7.1), plus a tiny functional
 /// test model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelId {
     /// Llama 3.2 1B Instruct ("L1").
     Llama1B,
@@ -56,7 +54,7 @@ impl ModelId {
 }
 
 /// Architecture hyperparameters of one model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ModelConfig {
     /// Which model this is.
     pub id: ModelId,

@@ -52,6 +52,13 @@ const LAYER_OPS: [OpCode; 14] = [
 /// NPU op submissions per transformer layer (see [`LAYER_OPS`]).
 const LAYER_DISPATCH_OPS: f64 = LAYER_OPS.len() as f64;
 
+/// Per-operator dispatch overhead in seconds: command submission over the
+/// shared-memory ring, cache maintenance, and inter-op synchronization.
+/// Calibrated at 100 us so end-to-end decode matches the paper's Figure 11
+/// absolute throughput (the paper notes decode is constrained by per-step
+/// overheads beyond raw kernel time).
+const OP_DISPATCH_SECS: f64 = 100e-6;
+
 /// Wall-time cost of one model step, by operator class.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StepCost {
@@ -183,17 +190,9 @@ pub struct Model {
     pub weights: ModelWeights,
     /// The TCM-resident exp LUT.
     pub lut: ExpLut16,
-    /// Exp method used inside attention.
-    pub exp_method: ExpMethod,
     /// HVX threads for weight dequantization (the op library's thread
     /// pool; kernels saturate the six scalar contexts).
     pub threads: u32,
-    /// Per-operator dispatch overhead in seconds: command submission over
-    /// the shared-memory ring, cache maintenance, and inter-op
-    /// synchronization. Calibrated at 100 us so end-to-end decode matches
-    /// the paper's Figure 11 absolute throughput (the paper notes decode
-    /// is constrained by per-step overheads beyond raw kernel time).
-    pub op_dispatch_secs: f64,
     /// Session walk schedule for multi-session sharded weights (paper
     /// Section 8). Defaults to single-session (no switches); set via
     /// [`Model::set_layer_schedule`].
@@ -204,24 +203,11 @@ pub struct Model {
     /// time model changes — logits and per-engine busy totals do not.
     dispatch: DispatchMode,
     /// The rpcmem command ring every layer's op descriptors travel
-    /// (transport protocol; the calibrated per-op cost is charged per
-    /// completed descriptor in the walk). `RefCell` because the forward
-    /// pass takes `&self` and the ring mutates per dispatch.
+    /// (transport protocol; the calibrated per-op cost,
+    /// [`OP_DISPATCH_SECS`], is charged per completed descriptor in the
+    /// walk). `RefCell` because the forward pass takes `&self` and the
+    /// ring mutates per dispatch.
     ring: RefCell<NpuSession>,
-}
-
-/// Ring configuration the layer walk dispatches through: the transport's
-/// own latency knobs are zeroed because the walk charges the *calibrated*
-/// per-op overhead ([`Model::op_dispatch_secs`], which folds submission,
-/// cache maintenance and completion into one measured 100 us figure) per
-/// descriptor the ring completes.
-fn walk_ring_config() -> SessionConfig {
-    SessionConfig {
-        strict_coherence: true,
-        submit_latency: 0.0,
-        complete_latency: 0.0,
-        double_buffered: false,
-    }
 }
 
 impl Model {
@@ -239,12 +225,10 @@ impl Model {
             cfg,
             weights,
             lut,
-            exp_method: ExpMethod::Lut16,
             threads: 6,
-            op_dispatch_secs: 100e-6,
             schedule: LayerSchedule::single_session(),
             dispatch: DispatchMode::Serial,
-            ring: RefCell::new(NpuSession::open(walk_ring_config())),
+            ring: RefCell::new(NpuSession::open()),
         })
     }
 
@@ -270,12 +254,10 @@ impl Model {
             cfg,
             weights,
             lut,
-            exp_method: ExpMethod::Lut16,
             threads: 6,
-            op_dispatch_secs: 100e-6,
             schedule: LayerSchedule::single_session(),
             dispatch: DispatchMode::Serial,
-            ring: RefCell::new(NpuSession::open(walk_ring_config())),
+            ring: RefCell::new(NpuSession::open()),
         })
     }
 
@@ -321,11 +303,6 @@ impl Model {
             assert!(last < self.cfg.layers, "streamed layer out of range");
         }
         self.schedule = schedule;
-    }
-
-    /// The installed session walk schedule.
-    pub fn layer_schedule(&self) -> &LayerSchedule {
-        &self.schedule
     }
 
     /// Charges one CPU-side session switch (sharded execution only):
@@ -377,7 +354,7 @@ impl Model {
             };
             let before = *cost;
             self.layer_forward(ctx, layer, x, rows, cache, seqs, positions, prefill, cost)?;
-            let dispatch_secs = LAYER_DISPATCH_OPS * self.op_dispatch_secs;
+            let dispatch_secs = LAYER_DISPATCH_OPS * OP_DISPATCH_SECS;
             let npu_secs = ((cost.gemm_secs - before.gemm_secs)
                 + (cost.attn_secs - before.attn_secs)
                 + (cost.misc_secs - before.misc_secs)
@@ -563,7 +540,7 @@ impl Model {
 
         // Attention per sequence, per KV head, GQA-group batched.
         let g = cfg.gqa_group();
-        let fa = FlashAttention::new(&self.lut, self.exp_method, g);
+        let fa = FlashAttention::new(&self.lut, ExpMethod::Lut16, g);
         let mut attn_out = if functional {
             vec![F16::ZERO; rows * q_dim]
         } else {
@@ -705,13 +682,12 @@ impl Model {
         let mut ring = self.ring.borrow_mut();
         let mut dispatched = 0u64;
         for &op in &LAYER_OPS {
-            ring.submit(ctx, op, layer as u32, true)?;
-            while ring.poll_dispatch(ctx)?.is_some() {
+            ring.submit(op, layer as u32, true)?;
+            while ring.poll_dispatch()?.is_some() {
                 dispatched += 1;
             }
         }
-        ring.completed.clear();
-        let overhead = dispatched as f64 * self.op_dispatch_secs;
+        let overhead = dispatched as f64 * OP_DISPATCH_SECS;
         ctx.cost.charge_secs(hexsim::cost::Engine::Scalar, overhead);
         cost.misc_secs += overhead;
         Ok(())

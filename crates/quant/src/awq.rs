@@ -9,7 +9,6 @@
 //! the group-vs-channel accuracy comparison on synthetic weights.
 
 use crate::layout::{QuantScheme, QuantizedMatrix, WeightLayout};
-use crate::metrics::QuantError;
 
 /// Result of AWQ scaling: the chosen per-input-channel scales and the
 /// dequantized (already de-scaled) weights.
@@ -119,16 +118,10 @@ pub fn awq_quantize(
     best.expect("grid search is non-empty")
 }
 
-/// Plain round-to-nearest group quantization error, for the comparison
-/// column of Table 1 experiments.
-pub fn rtn_group_error(weights: &[f32], k: usize, n: usize, scheme: QuantScheme) -> QuantError {
-    let qm = QuantizedMatrix::quantize(weights, k, n, scheme, WeightLayout::ColumnMajorGroups);
-    QuantError::measure(weights, &qm.dequantize())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::QuantError;
     use crate::synth::{activation_amax, gaussian_matrix};
 
     #[test]

@@ -1,10 +1,8 @@
 //! Quantization error metrics used by the accuracy experiments.
 
-use serde::{Deserialize, Serialize};
-
 /// Reconstruction error statistics between an original tensor and its
 /// quantize-dequantize reconstruction.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct QuantError {
     /// Mean squared error.
     pub mse: f64,

@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One multiple-choice item.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ChoiceItem {
     /// Stable identifier.
     pub id: u64,
@@ -25,7 +24,7 @@ pub struct ChoiceItem {
 }
 
 /// Benchmark profile for choice items.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ChoiceKind {
     /// Binary commonsense items (WinoGrande analog: ~62-65% for small
     /// models, i.e. weak signal).

@@ -9,10 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Which benchmark profile to generate.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum DatasetKind {
     /// Competition-math profile: hard-skewed difficulty (MATH500 analog).
     Math500Like,
@@ -31,7 +30,7 @@ impl DatasetKind {
 }
 
 /// One verifiable task.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct MathTask {
     /// Stable identifier.
     pub id: u64,

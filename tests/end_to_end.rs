@@ -1,7 +1,7 @@
 //! Cross-crate integration: the full stack from rpcmem session to verified
 //! Best-of-N answers, on one simulated device.
 
-use npuscale::session::{NpuSession, OpCode, SessionConfig};
+use npuscale::session::{NpuSession, OpCode};
 use npuscale::DecodePoint;
 use npuscale_repro::prelude::*;
 use ttscale::llm_policy::llm_best_of_n;
@@ -21,17 +21,17 @@ fn single_session_decode(
 
 #[test]
 fn session_protocol_drives_a_model_step() {
-    // The runtime protocol (submit -> clean -> poll) and a real model step
-    // share one context; costs from both accumulate coherently.
+    // The runtime protocol (submit -> clean -> poll) carries op
+    // descriptors in order beside a real model step.
     let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-    let mut session = NpuSession::open(SessionConfig::default());
+    let mut session = NpuSession::open();
     let model = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 1).unwrap();
     let mut cache = KvCache::new(&mut ctx, &model.cfg, 2, 128).unwrap();
 
     // CPU submits the layer ops; NPU-side poller dispatches them.
     for op in [OpCode::MatMul, OpCode::Attention, OpCode::Misc] {
-        session.submit(&mut ctx, op, 0, true).unwrap();
-        let req = session.poll_dispatch(&mut ctx).unwrap().unwrap();
+        session.submit(op, 0, true).unwrap();
+        let req = session.poll_dispatch().unwrap().unwrap();
         assert_eq!(req.op, op);
     }
 
