@@ -6,13 +6,17 @@
 //! itself and as a regression guard for the hot loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use edgellm::config::{ModelConfig, ModelId};
 use hexsim::f16::F16;
 use hexsim::prelude::*;
 use htpops::dequant::{dequant_super_q4_lut, DequantEnv};
 use htpops::exp_lut::{ExpLut16, ExpMethod};
+use htpops::gemm::{gemm_mixed, prepare_weights, DequantVariant, GemmConfig};
 use htpops::softmax::{softmax_rows, SoftmaxConfig};
 use tilequant::block::BlockQ4_0;
 use tilequant::super_group::SuperBlockQ4;
+use tilequant::synth::gaussian_matrix;
+use tilequant::{QuantScheme, QuantizedMatrix, WeightLayout};
 
 fn bench_f16_conversion(c: &mut Criterion) {
     // The chunked slice converters, the hot path of the CPU lm_head and
@@ -272,6 +276,48 @@ fn bench_verify_argmax(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_gemm(c: &mut Criterion) {
+    // The tiny model's Q projection through the functional `gemm_mixed`,
+    // at one decode row and at a 16-row batch. Warm calls reuse one
+    // `PreparedWeights`, so every weight tile comes from its memo; cold
+    // calls prepare the weights afresh each iteration, so every tile
+    // dequantizes in full.
+    let cfg = ModelConfig::for_id(ModelId::Tiny);
+    let (k, n) = (cfg.hidden, cfg.q_dim());
+    let w = gaussian_matrix(k, n, 3, 1.0 / (k as f32).sqrt(), 0.0);
+    let qm = QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, WeightLayout::HmxTileGroups);
+    let variant = DequantVariant::CoalescedLut;
+    let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
+    let warm = prepare_weights(&mut ctx, &qm, variant).unwrap();
+    let mut group = c.benchmark_group("gemm");
+    for m in [1, 16] {
+        let gemm = GemmConfig {
+            m,
+            k,
+            n,
+            scheme: qm.scheme,
+            variant,
+            threads: 6,
+        };
+        let act: Vec<F16> = (0..m * k)
+            .map(|i| F16::from_f32(((i % 37) as f32) / 18.0 - 1.0))
+            .collect();
+        group.throughput(Throughput::Elements((m * k * n) as u64));
+        group.bench_function(format!("q_proj_m{m}_warm"), |b| {
+            b.iter(|| gemm_mixed(&mut ctx, &gemm, &warm, std::hint::black_box(&act)).out[0].0)
+        });
+        group.bench_function(format!("q_proj_m{m}_cold"), |b| {
+            b.iter(|| {
+                let cold = prepare_weights(&mut ctx, &qm, variant).unwrap();
+                let out = gemm_mixed(&mut ctx, &gemm, &cold, std::hint::black_box(&act)).out[0].0;
+                ctx.ddr_free(cold.buf);
+                out
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_hmx_tile(c: &mut Criterion) {
     let mut group = c.benchmark_group("hmx");
     group.throughput(Throughput::Elements(32 * 32 * 32));
@@ -300,6 +346,6 @@ fn bench_hmx_tile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_hmx_tile
+    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_gemm, bench_hmx_tile
 }
 criterion_main!(benches);

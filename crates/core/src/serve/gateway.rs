@@ -273,7 +273,13 @@ impl FleetGateway {
     /// need not be sorted; requests are processed in arrival order (ties
     /// by id). Deterministic: identical inputs produce an identical
     /// report.
+    ///
+    /// A trace with a duplicate id, an empty prompt, a zero decode
+    /// budget, an output length outside `1..=max_new`, a non-finite
+    /// arrival or a tenant weight that is not positive is
+    /// [`SimError::InvalidTrace`].
     pub fn serve_trace(&self, trace: &[Request]) -> SimResult<ServingReport> {
+        validate_trace(trace)?;
         let n = self.fleet.workers.len();
         // Each worker runs the deployment its oracle measured, its context
         // and model split apart so a decode session can borrow the model
@@ -299,17 +305,6 @@ impl FleetGateway {
                 budget,
             )?);
         }
-
-        // Duplicate ids would corrupt every deterministic tie-break in
-        // the queue and dispatcher — reject the trace outright (compose
-        // traces with `merge_traces`/`replay_trace_from`).
-        let mut ids: Vec<u64> = trace.iter().map(|r| r.id).collect();
-        ids.sort_unstable();
-        assert!(
-            ids.windows(2).all(|w| w[0] != w[1]),
-            "serve_trace requires unique request ids; compose traces with \
-             merge_traces or replay_trace_from instead of concatenating"
-        );
 
         // Tenant table in first-appearance (trace index) order — the
         // order TenantReport rows use — with each tenant's fair-share
@@ -566,6 +561,46 @@ impl FleetGateway {
             workers,
             tenants,
         }
+    }
+}
+
+/// Checks every request of a trace before any of it is served.
+fn validate_trace(trace: &[Request]) -> SimResult<()> {
+    let invalid = |r: &Request, problem: String| SimError::InvalidTrace {
+        reason: format!("request {}: {problem}", r.id),
+    };
+    for r in trace {
+        if r.prompt_len == 0 {
+            return Err(invalid(r, "empty prompt".into()));
+        }
+        if r.max_new == 0 {
+            return Err(invalid(r, "zero decode budget".into()));
+        }
+        if !(1..=r.max_new).contains(&r.output_len) {
+            let problem = format!("output length {} outside 1..={}", r.output_len, r.max_new);
+            return Err(invalid(r, problem));
+        }
+        if !r.arrival_secs.is_finite() {
+            return Err(invalid(r, format!("arrival at {} s", r.arrival_secs)));
+        }
+        if r.weight.is_nan() || r.weight <= 0.0 {
+            let problem = format!("tenant {:?} has weight {}", r.tenant, r.weight);
+            return Err(invalid(r, problem));
+        }
+    }
+    // Duplicate ids would corrupt every deterministic tie-break in the
+    // queue and dispatcher.
+    let mut ids: Vec<u64> = trace.iter().map(|r| r.id).collect();
+    ids.sort_unstable();
+    match ids.windows(2).find(|w| w[0] == w[1]) {
+        Some(w) => Err(SimError::InvalidTrace {
+            reason: format!(
+                "duplicate request id {}; compose traces with merge_traces or \
+                 replay_trace_from instead of concatenating",
+                w[0]
+            ),
+        }),
+        None => Ok(()),
     }
 }
 
@@ -1236,7 +1271,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unique request ids")]
     fn serve_trace_rejects_duplicate_ids() {
         let t = TenantSpec::interactive("chat");
         let mut trace = replay_trace(&t, &[(0.0, 32, 4)]);
@@ -1246,7 +1280,41 @@ mod tests {
             GatewayConfig::default(),
         )
         .unwrap();
-        let _ = gw.serve_trace(&trace);
+        let err = gw.serve_trace(&trace).unwrap_err();
+        assert!(matches!(err, SimError::InvalidTrace { .. }), "{err:?}");
+        assert!(err.to_string().contains("duplicate request id 0"), "{err}");
+    }
+
+    #[test]
+    fn serve_trace_rejects_malformed_requests() {
+        // One valid request, then one field of it broken per case.
+        let valid = replay_trace(&TenantSpec::interactive("chat"), &[(0.5, 32, 4)]);
+        let gw = FleetGateway::new(
+            FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false),
+            GatewayConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(gw.serve_trace(&valid).unwrap().completed, 1);
+        type Breaks = fn(&mut Request);
+        let cases: [(&str, Breaks); 10] = [
+            ("empty prompt", |r| r.prompt_len = 0),
+            ("zero decode budget", |r| r.max_new = 0),
+            ("output length 0 outside", |r| r.output_len = 0),
+            ("outside 1..=", |r| r.output_len = r.max_new + 1),
+            ("arrival at NaN s", |r| r.arrival_secs = f64::NAN),
+            ("arrival at inf s", |r| r.arrival_secs = f64::INFINITY),
+            ("arrival at -inf s", |r| r.arrival_secs = f64::NEG_INFINITY),
+            ("has weight 0", |r| r.weight = 0.0),
+            ("has weight -1", |r| r.weight = -1.0),
+            ("has weight NaN", |r| r.weight = f64::NAN),
+        ];
+        for (problem, break_it) in cases {
+            let mut trace = valid.clone();
+            break_it(&mut trace[0]);
+            let err = gw.serve_trace(&trace).unwrap_err();
+            assert!(matches!(err, SimError::InvalidTrace { .. }), "{err:?}");
+            assert!(err.to_string().contains(problem), "{problem}: {err}");
+        }
     }
 
     #[test]

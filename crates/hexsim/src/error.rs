@@ -60,6 +60,12 @@ pub enum SimError {
         /// Human-readable description of the problem.
         reason: String,
     },
+    /// A caller-supplied request trace is malformed (a duplicate id, an
+    /// empty prompt, a non-finite arrival, ...).
+    InvalidTrace {
+        /// Human-readable description of the problem.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -92,6 +98,7 @@ impl fmt::Display for SimError {
             SimError::BadDma { reason } => write!(f, "bad DMA descriptor: {reason}"),
             SimError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
             SimError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
+            SimError::InvalidTrace { reason } => write!(f, "invalid trace: {reason}"),
         }
     }
 }

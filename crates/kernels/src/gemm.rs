@@ -16,10 +16,28 @@
 //! | `HmxLayoutNaive`   | HMX tile groups    | naive chain, contiguous st  |
 //! | `CoalescedLut`     | HMX tile groups + super-blocks | `vlut16` path   |
 //! | `NoDequantBound`   | HMX tile groups    | none (copy only; perf bound)|
+//!
+//! A functional [`gemm_mixed`] keeps, per weight tile of its
+//! [`PreparedWeights`], the FP16 tile the dequantizer wrote and its FP32
+//! widening, keyed on the quantized bytes the DMA staged. When a later
+//! call stages the same bytes, the dequantizer's instruction trace runs
+//! for its charges only and the memoized tile goes into TCM, so TCM bytes,
+//! charges and output equal a full dequantization's; staged bytes that
+//! differ from the key (the stream was rewritten through
+//! [`NpuContext::ddr_write`]) dequantize again. Cost-only calls never
+//! touch the memo. A memoized tile takes about 7 KiB (the key, the 2 KiB
+//! FP16 tile and the 4 KiB FP32 one), several times its quantized bytes,
+//! which suits the small models functional contexts run. Activation and
+//! output tiles widen and convert only the batch's real rows: the
+//! padding rows are +0 in TCM and skip every MAC.
+
+use std::cell::RefCell;
+use std::fmt;
 
 use hexsim::f16::F16;
 use hexsim::hmx::{
-    pack_tile, unpack_tile, unpack_tile_f32, HmxAccumulator, WideTile, TILE_BYTES, TILE_DIM,
+    pack_tile, unpack_tile_f32, unpack_tile_f32_rows, HmxAccumulator, WideTile, TILE_BYTES,
+    TILE_DIM,
 };
 use hexsim::prelude::*;
 use tilequant::block::{BlockQ4_0, BlockQ8_0, Q4_0_BLOCK_BYTES, Q8_0_BLOCK_BYTES};
@@ -97,7 +115,6 @@ pub struct GemmResult {
 
 /// Weights prepared for the NPU: quantized bytes resident in DDR in the
 /// order the chosen variant streams them.
-#[derive(Debug)]
 pub struct PreparedWeights {
     /// DDR residency of the streaming byte layout.
     pub buf: DdrBuffer,
@@ -113,6 +130,37 @@ pub struct PreparedWeights {
     pub tile_bytes: usize,
     /// Total byte length.
     pub len: u64,
+    /// One slot per weight tile, in stream order: what the dequantizer
+    /// made of the bytes last staged for it. Empty until a functional
+    /// [`gemm_mixed`] call sizes it. `RefCell` because the forward pass
+    /// takes the weights by shared reference.
+    memo: RefCell<Vec<Option<TileMemo>>>,
+}
+
+/// The tile data stays out of the output: a model's weights print as
+/// their shapes.
+impl fmt::Debug for PreparedWeights {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PreparedWeights")
+            .field("buf", &self.buf)
+            .field("k", &self.k)
+            .field("n", &self.n)
+            .field("scheme", &self.scheme)
+            .field("variant", &self.variant)
+            .field("tile_bytes", &self.tile_bytes)
+            .field("len", &self.len)
+            .finish_non_exhaustive()
+    }
+}
+
+/// The dequantizer's output for one weight tile.
+struct TileMemo {
+    /// The staged quantized bytes it was computed from.
+    key: Vec<u8>,
+    /// The interleaved FP16 tile the dequantizer wrote to TCM.
+    fp16: [u8; TILE_BYTES],
+    /// `fp16` widened for the MAC.
+    wide: WideTile,
 }
 
 /// Bytes per 1024-element tile of quantized stream for a scheme/variant.
@@ -175,6 +223,7 @@ pub fn prepare_weights(
         variant,
         tile_bytes: tile_stream_bytes(qm.scheme, variant),
         len,
+        memo: RefCell::new(Vec::new()),
     })
 }
 
@@ -325,19 +374,53 @@ fn dequant_tile(
     }
 }
 
+/// [`dequant_tile`] in a functional context through the tile's memo
+/// `slot`: returns the dequantized tile widened for the MAC.
+///
+/// If the `staged_len` bytes at `staging` equal the slot's key, the
+/// dequantizer runs for its charges and TCM bounds checks only and the
+/// memoized FP16 tile is poked into `wgt_tile`. Otherwise it runs in
+/// full, and its output and the staged bytes refill the slot. Either way
+/// `wgt_tile` holds the same bytes and the context the same charges.
+fn dequant_tile_memo<'m>(
+    ctx: &mut NpuContext,
+    env: &DequantEnv,
+    cfg: &GemmConfig,
+    staging: TcmAddr,
+    staged_len: usize,
+    wgt_tile: TcmAddr,
+    slot: &'m mut Option<TileMemo>,
+) -> &'m WideTile {
+    match slot {
+        Some(memo) if memo.key == ctx.tcm_peek(staging, staged_len) => {
+            ctx.charge_only(|ctx| dequant_tile(ctx, env, cfg, staging, wgt_tile));
+            ctx.tcm_poke(wgt_tile, &memo.fp16);
+        }
+        _ => {
+            let key = ctx.tcm_peek(staging, staged_len).to_vec();
+            dequant_tile(ctx, env, cfg, staging, wgt_tile);
+            let fp16: [u8; TILE_BYTES] = ctx
+                .tcm_peek(wgt_tile, TILE_BYTES)
+                .try_into()
+                .expect("a peek of TILE_BYTES is one tile");
+            let wide = unpack_tile_f32(&fp16);
+            *slot = Some(TileMemo { key, fp16, wide });
+        }
+    }
+    &slot.as_ref().expect("a miss fills the slot").wide
+}
+
 /// Runs the mixed-precision GEMM `Y[m, n] = X[m, k] x W[k, n]`.
 ///
-/// (The output writeback loop indexes rows and columns directly — the
-/// 2-D index arithmetic is clearer than iterator chains here.)
-///
 /// `act` is row-major `[m, k]` FP16 (may be empty in cost-only mode).
-/// Returns the output and the overlapped-phase cost.
+/// Returns the output and the overlapped-phase cost. A functional call
+/// dequantizes each weight tile through the memo in `weights` (see the
+/// module documentation).
 ///
 /// # Panics
 ///
 /// Panics if shapes are inconsistent with `weights`, or if functional mode
 /// is used with a workload whose staging exceeds TCM.
-#[allow(clippy::needless_range_loop)]
 pub fn gemm_mixed(
     ctx: &mut NpuContext,
     cfg: &GemmConfig,
@@ -356,6 +439,8 @@ pub fn gemm_mixed(
     let m_tiles = cfg.m.div_ceil(TILE_DIM);
     let k_tiles = cfg.k / TILE_DIM;
     let n_tiles = cfg.n / TILE_DIM;
+    // Real rows of activation row-tile `mt`; the last one may be padded.
+    let real_rows = |mt: usize| TILE_DIM.min(cfg.m - mt * TILE_DIM);
     let mark = ctx.tcm_mark();
 
     // TCM areas (functional only for the big activation array).
@@ -382,16 +467,22 @@ pub fn gemm_mixed(
     } else {
         Vec::new()
     };
+    let mut memo = weights.memo.borrow_mut();
+    if functional && memo.is_empty() {
+        memo.resize_with(n_tiles * k_tiles, || None);
+    }
 
     let prev = ctx.cost.set_hvx_parallelism(cfg.threads);
     let env = DequantEnv::new(ctx);
     let (_, cost) = ctx.phase("gemm", |ctx| {
         stage_activations(ctx, act, cfg.m, cfg.k, act_area);
-        // The staged activation tiles, widened to FP32 once per call.
+        // The staged activation tiles, widened to FP32 once per call. Only
+        // the real rows widen: `stage_activations` wrote the padding as +0.
         let act_wide: Vec<WideTile> = match act_area {
             Some(area) => (0..m_tiles * k_tiles)
                 .map(|t| {
-                    unpack_tile_f32(ctx.tcm_peek(area.offset((t * TILE_BYTES) as u32), TILE_BYTES))
+                    let tile = ctx.tcm_peek(area.offset((t * TILE_BYTES) as u32), TILE_BYTES);
+                    unpack_tile_f32_rows(tile, real_rows(t / k_tiles))
                 })
                 .collect(),
             None => Vec::new(),
@@ -399,8 +490,9 @@ pub fn gemm_mixed(
         let mut accs: Vec<HmxAccumulator> = (0..m_tiles).map(|_| HmxAccumulator::new()).collect();
         let tiles = (n_tiles * k_tiles) as u64;
         ctx.replay_indexed(tiles, |ctx, idx| {
-            let nt = (idx as usize) / k_tiles;
-            let kt = (idx as usize) % k_tiles;
+            let tile_idx = idx as usize;
+            let nt = tile_idx / k_tiles;
+            let kt = tile_idx % k_tiles;
             if kt == 0 {
                 for acc in accs.iter_mut() {
                     acc.clear();
@@ -425,7 +517,6 @@ pub fn gemm_mixed(
                 )
                 .expect("baseline weight DMA");
             } else {
-                let tile_idx = nt * k_tiles + kt;
                 ctx.dma_h2t(
                     weights.buf,
                     (tile_idx * weights.tile_bytes) as u64,
@@ -433,42 +524,55 @@ pub fn gemm_mixed(
                     weights.tile_bytes as u32,
                 );
             }
-            dequant_tile(ctx, &env, cfg, staging, wgt_tile);
-            // Multiply-accumulate every activation row-tile against this
-            // weight tile, which widens once for all of them. Each MAC's
-            // `hmx_matmul` runs for its charge and bounds checks only.
+            // Dequantize, then multiply-accumulate every activation
+            // row-tile against the weight tile, widened once for all of
+            // them. Each MAC's `hmx_matmul` runs for its charge and bounds
+            // checks only.
             match act_area {
                 Some(area) => {
-                    let wgt_wide = unpack_tile_f32(ctx.tcm_peek(wgt_tile, TILE_BYTES));
+                    let wgt_wide = dequant_tile_memo(
+                        ctx,
+                        &env,
+                        cfg,
+                        staging,
+                        weights.tile_bytes,
+                        wgt_tile,
+                        &mut memo[tile_idx],
+                    );
                     for (mt, acc) in accs.iter_mut().enumerate() {
                         let t = mt * k_tiles + kt;
                         let act_tile = area.offset((t * TILE_BYTES) as u32);
                         ctx.charge_only(|ctx| ctx.hmx_matmul(acc, act_tile, wgt_tile));
-                        acc.mac_f32(&act_wide[t], &wgt_wide);
+                        acc.mac_f32(&act_wide[t], wgt_wide);
                     }
                 }
                 None => {
+                    dequant_tile(ctx, &env, cfg, staging, wgt_tile);
                     for _ in 0..m_tiles {
                         ctx.hmx_charge(1);
                     }
                 }
             }
             if kt == k_tiles - 1 {
-                // Write back this output tile column.
+                // Write back this output tile column. `hmx_store_acc` runs
+                // for its charge and bounds check; only the real rows
+                // convert. The padding rows skipped every MAC, so they
+                // stay +0.0 and pack to +0 exactly as `to_tile` would.
                 for (mt, acc) in accs.iter().enumerate() {
                     let out_tile = out_area.offset((mt * TILE_BYTES) as u32);
-                    ctx.hmx_store_acc(acc, out_tile, None, None);
+                    ctx.charge_only(|ctx| ctx.hmx_store_acc(acc, out_tile, None, None));
                     ctx.cost.charge_dma(TILE_BYTES as u64);
                     if functional {
-                        let tile = unpack_tile(ctx.tcm_peek(out_tile, TILE_BYTES));
-                        for r in 0..TILE_DIM {
-                            let row = mt * TILE_DIM + r;
-                            if row >= cfg.m {
-                                break;
-                            }
-                            for c in 0..TILE_DIM {
-                                out[row * cfg.n + nt * TILE_DIM + c] = tile[r][c];
-                            }
+                        let rows = real_rows(mt);
+                        debug_assert!(acc.0[rows..].iter().flatten().all(|v| v.to_bits() == 0));
+                        let mut tile = [[F16::ZERO; TILE_DIM]; TILE_DIM];
+                        for (dst, src) in tile.iter_mut().zip(&acc.0[..rows]) {
+                            F16::from_f32_slice(src, dst);
+                        }
+                        ctx.tcm_poke(out_tile, &pack_tile(&tile));
+                        for (r, row) in tile[..rows].iter().enumerate() {
+                            let o = (mt * TILE_DIM + r) * cfg.n + nt * TILE_DIM;
+                            out[o..o + TILE_DIM].copy_from_slice(row);
                         }
                     }
                 }
@@ -485,6 +589,7 @@ mod tests {
     use super::*;
     use crate::reference::gemm_ref_f32;
     use hexsim::cost::Engine;
+    use hexsim::hmx::unpack_tile;
     use tilequant::synth::gaussian_matrix;
 
     fn ctx() -> NpuContext {
@@ -520,6 +625,9 @@ mod tests {
             threads: 4,
         };
         let result = gemm_mixed(&mut c, &cfg, &prepared, &act);
+        // The second call dequantizes through the memo the first filled.
+        let again = gemm_mixed(&mut c, &cfg, &prepared, &act);
+        assert_eq!(again.out, result.out, "{variant:?} memo hit");
         let act_f32: Vec<f32> = act.iter().map(|v| v.to_f32()).collect();
         let reference = gemm_ref_f32(&act_f32, &deq, m, k, n);
         (result.out, reference, result.cost)
@@ -585,8 +693,9 @@ mod tests {
         assert!(rmse8 < 0.05, "q8 rmse {rmse8}");
     }
 
-    /// `gemm_mixed` with the plain MAC loop: every MAC reads both tiles
-    /// back from TCM through `hmx_matmul`, which widens them again.
+    /// `gemm_mixed` with the plain MAC loop and no memo: every tile
+    /// dequantizes from the bytes just staged, and every MAC reads both
+    /// tiles back from TCM through `hmx_matmul`, which widens them again.
     /// Functional mode and HMX-layout weights only. The kernel must match
     /// it bitwise, charge for charge.
     #[allow(clippy::needless_range_loop)]
@@ -650,12 +759,37 @@ mod tests {
         out
     }
 
+    /// Asserts two FP16 sequences agree bit for bit. NaN lanes compare by
+    /// NaN-ness: Rust leaves the sign of a NaN sum open when both operands
+    /// are NaN.
+    fn assert_same_halves(got: &[F16], want: &[F16], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g == w || (g.is_nan() && w.is_nan()),
+                "{what} [{i}]: {g:?} vs {w:?}"
+            );
+        }
+    }
+
     #[test]
     fn gemm_matches_the_tcm_mac_loop_bitwise_and_in_charges() {
         // Batches around the 32-row tile edge, each with one all-(-0.0)
-        // activation row, and again with ±Inf and NaN activations.
+        // activation row, and again with ±Inf and NaN activations. Each
+        // kernel runs twice on one `PreparedWeights`: the first
+        // `gemm_mixed` call fills the tile memo and the second hits it.
+        // Before each call all of TCM is scribbled over, so the call must
+        // write every byte it uses; after it, output, charges and all of
+        // TCM must match.
         let (k, n) = (64, 96);
         let w = gaussian_matrix(k, n, 31, 0.7, 0.0);
+        let scribble = vec![0xa5; DeviceProfile::v75().tcm_bytes as usize];
+        let halves = |bytes: &[u8]| -> Vec<F16> {
+            bytes
+                .chunks_exact(2)
+                .map(|h| F16(u16::from_le_bytes([h[0], h[1]])))
+                .collect()
+        };
         for scheme in [QuantScheme::Q4_0, QuantScheme::Q8_0] {
             let qm = QuantizedMatrix::quantize(&w, k, n, scheme, WeightLayout::HmxTileGroups);
             for m in [1, 31, 32, 33, 45] {
@@ -677,32 +811,101 @@ mod tests {
                     let run = |kernel: &dyn Fn(&mut NpuContext, &PreparedWeights) -> Vec<F16>| {
                         let mut c = ctx();
                         let prepared = prepare_weights(&mut c, &qm, cfg.variant).unwrap();
-                        let out = kernel(&mut c, &prepared);
-                        let charges = (
-                            Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
-                            *c.cost.counters(),
-                        );
-                        (out, charges)
+                        [(); 2].map(|_| {
+                            c.tcm_poke(TcmAddr(0), &scribble);
+                            let out = kernel(&mut c, &prepared);
+                            let charges = (
+                                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                                *c.cost.counters(),
+                            );
+                            let tcm = halves(c.tcm_peek(TcmAddr(0), c.device().tcm_bytes as usize));
+                            (out, charges, tcm)
+                        })
                     };
-                    let (got, got_charges) = run(&|c, w| gemm_mixed(c, &cfg, w, &act).out);
-                    let (want, want_charges) = run(&|c, w| gemm_tcm_mac_oracle(c, &cfg, w, &act));
-                    let what = format!("{scheme:?} m={m} {pattern}");
-                    assert_eq!(got_charges, want_charges, "{what}");
-                    assert_eq!(got.len(), want.len(), "{what}");
-                    for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-                        // NaN lanes compare by NaN-ness: Rust leaves the
-                        // sign of a NaN sum open when both operands are NaN.
-                        assert!(
-                            g == w || (g.is_nan() && w.is_nan()),
-                            "{what} [{i}]: {g:?} vs {w:?}"
-                        );
+                    let got = run(&|c, w| gemm_mixed(c, &cfg, w, &act).out);
+                    let want = run(&|c, w| gemm_tcm_mac_oracle(c, &cfg, w, &act));
+                    for (call, (g, w)) in got.iter().zip(&want).enumerate() {
+                        let what = format!("{scheme:?} m={m} {pattern} call {call}");
+                        assert_eq!(g.1, w.1, "{what}");
+                        assert_same_halves(&g.0, &w.0, &what);
+                        assert_same_halves(&g.2, &w.2, &format!("{what} TCM"));
                     }
                     // Only the ±Inf/NaN activations reach the output as NaN.
-                    let nan_out = want.iter().any(|v| v.is_nan());
-                    assert_eq!(nan_out, pattern == "±Inf/NaN", "{what}");
+                    let nan_out = want[0].0.iter().any(|v| v.is_nan());
+                    assert_eq!(nan_out, pattern == "±Inf/NaN", "{scheme:?} m={m}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_rewritten_weight_stream_misses_the_memo() {
+        // After a call fills the memo, the last three of the six tiles are
+        // overwritten with another matrix's through `ddr_write`. The next
+        // call must dequantize them again: it equals the TCM MAC loop,
+        // which has no memo and reads the new bytes.
+        let (m, k, n) = (3, 64, 96);
+        let act = act_f16(m, k, 4);
+        for scheme in [QuantScheme::Q4_0, QuantScheme::Q8_0] {
+            let quantize = |seed| {
+                let w = gaussian_matrix(k, n, seed, 0.7, 0.0);
+                QuantizedMatrix::quantize(&w, k, n, scheme, WeightLayout::HmxTileGroups)
+            };
+            let cfg = GemmConfig {
+                m,
+                k,
+                n,
+                scheme,
+                variant: DequantVariant::CoalescedLut,
+                threads: 4,
+            };
+            let mut c = ctx();
+            let prepared = prepare_weights(&mut c, &quantize(31), cfg.variant).unwrap();
+            let before = gemm_mixed(&mut c, &cfg, &prepared, &act).out;
+            let mut other_ctx = ctx();
+            let other = prepare_weights(&mut other_ctx, &quantize(32), cfg.variant).unwrap();
+            let from = 3 * prepared.tile_bytes as u64;
+            let tail = other_ctx.ddr_read(other.buf, from, (other.len - from) as usize);
+            c.ddr_write(prepared.buf, from, &tail);
+            let got = gemm_mixed(&mut c, &cfg, &prepared, &act).out;
+            let want = gemm_tcm_mac_oracle(&mut c, &cfg, &prepared, &act);
+            assert_ne!(got, before, "{scheme:?}: the rewrite changes the product");
+            assert_eq!(got, want, "{scheme:?}");
+        }
+    }
+
+    #[test]
+    fn only_functional_calls_fill_the_memo() {
+        let (m, k, n) = (2, 64, 64);
+        let w = gaussian_matrix(k, n, 5, 0.7, 0.0);
+        let qm =
+            QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, WeightLayout::HmxTileGroups);
+        let cfg = GemmConfig {
+            m,
+            k,
+            n,
+            scheme: QuantScheme::Q4_0,
+            variant: DequantVariant::CoalescedLut,
+            threads: 4,
+        };
+        let mut c = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+        let prepared = prepare_weights(&mut c, &qm, cfg.variant).unwrap();
+        gemm_mixed(&mut c, &cfg, &prepared, &[]);
+        assert!(prepared.memo.borrow().is_empty());
+
+        let mut c = ctx();
+        let prepared = prepare_weights(&mut c, &qm, cfg.variant).unwrap();
+        gemm_mixed(&mut c, &cfg, &prepared, &act_f16(m, k, 1));
+        let memo = prepared.memo.borrow();
+        assert_eq!(memo.len(), 4);
+        assert!(memo.iter().all(Option::is_some));
+        // `Debug` shows the shape, not the memoized tiles.
+        let debug = format!("{prepared:?}");
+        assert!(
+            debug.starts_with("PreparedWeights { buf: DdrBuffer("),
+            "{debug}"
+        );
+        assert!(debug.len() < 200, "{debug}");
     }
 
     #[test]

@@ -428,16 +428,8 @@ impl Model {
         // loop.
         let xf = F16::vec_to_f32(x);
         let mut logits = vec![0.0f32; rows * vocab];
-        for r in 0..rows {
-            let row = &xf[r * hidden..(r + 1) * hidden];
-            for v in 0..vocab {
-                let w = &self.weights.embed[v * hidden..(v + 1) * hidden];
-                let mut acc = 0.0f32;
-                for (xv, wv) in row.iter().zip(w) {
-                    acc += xv * wv;
-                }
-                logits[r * vocab + v] = acc;
-            }
+        for (row, out) in xf.chunks_exact(hidden).zip(logits.chunks_exact_mut(vocab)) {
+            dot_rows(row, &self.weights.embed, out);
         }
         logits
     }
@@ -923,12 +915,71 @@ impl Model {
     }
 }
 
+/// Vocabulary rows one pass of [`dot_rows`] computes together.
+const DOT_LANES: usize = 8;
+
+/// `out[v] = x · w[v]` for the first `out.len()` rows of the row-major
+/// matrix `w` with `x.len()` columns. Each pass over `x` serves
+/// [`DOT_LANES`] rows, one independent accumulator each, so the adds
+/// pipeline instead of waiting on one another. Every accumulator still
+/// adds its products in ascending column order, and Rust never fuses
+/// `acc += a * b` into an FMA, so each result equals the one-row loop's
+/// bit for bit.
+fn dot_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
+    let mut rows = w.chunks_exact(x.len());
+    let mut outs = out.chunks_exact_mut(DOT_LANES);
+    for lanes in &mut outs {
+        let w: [&[f32]; DOT_LANES] =
+            std::array::from_fn(|_| rows.next().expect("a row per output"));
+        let mut acc = [0.0f32; DOT_LANES];
+        for (i, &xv) in x.iter().enumerate() {
+            for (a, wl) in acc.iter_mut().zip(&w) {
+                *a += xv * wl[i];
+            }
+        }
+        lanes.copy_from_slice(&acc);
+    }
+    for (o, wv) in outs.into_remainder().iter_mut().zip(rows) {
+        let mut acc = 0.0f32;
+        for (xv, wv) in x.iter().zip(wv) {
+            acc += xv * wv;
+        }
+        *o = acc;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelId;
     use crate::cpu_ref::forward_reference;
     use crate::tokenizer::Tokenizer;
+
+    #[test]
+    fn interleaved_dot_rows_match_the_one_row_loop_bitwise() {
+        // Vocabularies below, at and around multiples of the lane count.
+        let hidden = 64;
+        let mut state = 0x9e37_79b9u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            (state % 20_001) as f32 / 1000.0 - 10.0
+        };
+        let x: Vec<f32> = (0..hidden).map(|_| next()).collect();
+        for vocab in [1, 7, 8, 13, 256, 261] {
+            let w: Vec<f32> = (0..vocab * hidden).map(|_| next()).collect();
+            let mut got = vec![0.0f32; vocab];
+            dot_rows(&x, &w, &mut got);
+            for (v, g) in got.iter().enumerate() {
+                let mut want = 0.0f32;
+                for (xv, wv) in x.iter().zip(&w[v * hidden..(v + 1) * hidden]) {
+                    want += xv * wv;
+                }
+                assert_eq!(g.to_bits(), want.to_bits(), "vocab={vocab} row {v}");
+            }
+        }
+    }
 
     fn functional_setup() -> (NpuContext, Model, KvCache) {
         let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);

@@ -61,15 +61,23 @@ impl LlmSampler {
                 v
             }
         };
-        // Top-k filter.
-        let mut idx: Vec<usize> = (0..logits.len()).collect();
-        idx.sort_by(|&a, &b| logit(b).total_cmp(&logit(a)));
+        // Top-k filter: the k best indices in the order a stable sort by
+        // descending logit leaves them, i.e. by logit descending, then by
+        // index. That order is total, so selecting the k first and sorting
+        // only them gives the same list.
+        let order = |a: &usize, b: &usize| logit(*b).total_cmp(&logit(*a)).then(a.cmp(b));
         let k = if self.top_k == 0 {
             logits.len()
         } else {
             self.top_k.min(logits.len())
         };
-        let kept = &idx[..k];
+        let mut idx: Vec<usize> = (0..logits.len()).collect();
+        if k < idx.len() {
+            idx.select_nth_unstable_by(k - 1, order);
+            idx.truncate(k);
+        }
+        idx.sort_unstable_by(order);
+        let kept = &idx[..];
         let maxv = logit(kept[0]);
         if !maxv.is_finite() {
             // Every candidate is NaN/-inf; nothing to weight.
@@ -515,6 +523,77 @@ mod tests {
         for _ in 0..200 {
             let t = s.sample(&[5.0, -100.0, 4.9, -100.0], &mut rng);
             assert!(t == 0 || t == 2, "sampled {t}");
+        }
+    }
+
+    /// Reference sampler: a stable sort of every index by descending
+    /// logit, then the same weighted draw over the first k.
+    fn sample_by_full_sort(s: &LlmSampler, logits: &[f32], rng: &mut StdRng) -> u32 {
+        let logit = |i: usize| {
+            let v = logits[i];
+            if v.is_nan() {
+                f32::NEG_INFINITY
+            } else {
+                v
+            }
+        };
+        let mut idx: Vec<usize> = (0..logits.len()).collect();
+        idx.sort_by(|&a, &b| logit(b).total_cmp(&logit(a)));
+        let k = if s.top_k == 0 {
+            logits.len()
+        } else {
+            s.top_k.min(logits.len())
+        };
+        let kept = &idx[..k];
+        let maxv = logit(kept[0]);
+        if !maxv.is_finite() {
+            return kept[0] as u32;
+        }
+        let weights: Vec<f64> = kept
+            .iter()
+            .map(|&i| (((logit(i) - maxv) / s.temperature) as f64).exp())
+            .collect();
+        let mut pick = rng.gen_range(0.0..weights.iter().sum());
+        for (w, &i) in weights.iter().zip(kept) {
+            if pick < *w {
+                return i as u32;
+            }
+            pick -= w;
+        }
+        kept[k - 1] as u32
+    }
+
+    #[test]
+    fn top_k_selection_samples_like_the_full_stable_sort() {
+        // Rows of heavily tied logits (±0.0 among them), then rows that
+        // add NaN and -Inf, then rows that add +Inf too.
+        let len = 256;
+        let mut gen = StdRng::seed_from_u64(17);
+        for top_k in [0, 1, 40, len - 1, len, len + 5] {
+            let s = LlmSampler {
+                temperature: 0.9,
+                top_k,
+            };
+            for row in 0..12 {
+                let logits: Vec<f32> = (0..len)
+                    .map(|_| match (gen.gen_range(0..32u32), row % 3) {
+                        (0, 1 | 2) => f32::NAN,
+                        (1, 1 | 2) => f32::NEG_INFINITY,
+                        (2, 2) => f32::INFINITY,
+                        (3, _) => -0.0,
+                        (r, _) => (r % 9) as f32 * 0.5 - 2.0,
+                    })
+                    .collect();
+                let mut a = StdRng::seed_from_u64(row);
+                let mut b = StdRng::seed_from_u64(row);
+                for draw in 0..40 {
+                    assert_eq!(
+                        s.sample(&logits, &mut a),
+                        sample_by_full_sort(&s, &logits, &mut b),
+                        "top_k={top_k} row={row} draw={draw}"
+                    );
+                }
+            }
         }
     }
 
