@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use edgellm::config::{ModelConfig, ModelId};
 use hexsim::f16::F16;
 use hexsim::prelude::*;
+use htpops::attention::{AttnShape, FlashAttention, KvBlocks};
 use htpops::dequant::{dequant_super_q4_lut, DequantEnv};
 use htpops::exp_lut::{ExpLut16, ExpMethod};
 use htpops::gemm::{gemm_mixed, prepare_weights, DequantVariant, GemmConfig};
@@ -138,61 +139,55 @@ fn bench_softmax(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_attention_host(c: &mut Criterion) {
-    // The attention host-staging hot loops: per-element F16 conversion in
-    // the QK^T / PV inner products against the chunked staged form the
-    // functional flash kernel now uses (bit-identical, pinned by the
-    // `staged_block_math_is_bit_identical_to_elementwise` sweep in
-    // htpops). Shapes mirror one KV block of a decode step.
-    let mut group = c.benchmark_group("attention_host");
-    let (nq, cols, d) = (4usize, 128usize, 64usize);
-    group.throughput(Throughput::Elements((nq * cols * d) as u64));
-    let q: Vec<F16> = (0..nq * d)
-        .map(|i| F16::from_f32(((i % 97) as f32) / 48.0 - 1.0))
-        .collect();
-    let k: Vec<F16> = (0..cols * d)
-        .map(|i| F16::from_f32(((i % 89) as f32) / 44.0 - 1.0))
-        .collect();
-    group.bench_function("qk_block_scalar_4x128x64", |b| {
-        b.iter(|| {
-            let mut acc = 0.0f32;
-            for i in 0..nq {
-                for j in 0..cols {
-                    let mut dot = 0.0f32;
-                    for p in 0..d {
-                        dot += std::hint::black_box(q[i * d + p]).to_f32() * k[j * d + p].to_f32();
-                    }
-                    acc += dot;
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function("qk_block_staged_4x128x64", |b| {
-        b.iter(|| {
-            let qf = F16::vec_to_f32(std::hint::black_box(&q));
-            let kf = F16::vec_to_f32(&k);
-            let mut acc = 0.0f32;
-            for i in 0..nq {
-                for j in 0..cols {
-                    let mut dot = 0.0f32;
-                    for p in 0..d {
-                        dot += qf[i * d + p] * kf[j * d + p];
-                    }
-                    acc += dot;
-                }
-            }
-            acc
-        })
-    });
+fn bench_decode_attention(c: &mut Criterion) {
+    // The tiny model's decode attention: one GQA group of 2 query heads,
+    // one query row, head_dim 32, LUT exp, at two KV lengths. `run` takes
+    // FP16 rows and packs them into KV blocks on every call; `run_blocks`
+    // reads a history built once, the way the functional KV cache keeps
+    // it. Both are bit-identical to the elementwise kernel (pinned by
+    // `staged_block_math_is_bit_identical_to_elementwise` in htpops).
+    let cfg = ModelConfig::for_id(ModelId::Tiny);
+    let (g, d) = (cfg.gqa_group(), cfg.head_dim);
+    let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
+    let lut = ExpLut16::build(&mut ctx).unwrap();
+    let fa = FlashAttention::new(&lut, ExpMethod::Lut16, g);
+    let f16s = |n: usize, salt: usize| -> Vec<F16> {
+        (0..n)
+            .map(|i| F16::from_f32((((i * 31 + salt) % 97) as f32) / 48.0 - 1.0))
+            .collect()
+    };
+    let q = f16s(g * d, 2);
+    let mut group = c.benchmark_group("decode_attention");
+    for nkv in [64, 160] {
+        let (k, v) = (f16s(nkv * d, 3), f16s(nkv * d, 4));
+        let mut blocks = KvBlocks::new(d);
+        for (k_row, v_row) in k.chunks_exact(d).zip(v.chunks_exact(d)) {
+            blocks.push(k_row, v_row);
+        }
+        let shape = AttnShape {
+            nq: 1,
+            nkv,
+            head_dim: d,
+        };
+        group.throughput(Throughput::Elements((g * nkv * d) as u64));
+        group.bench_function(format!("run_fp16_rows_kv{nkv}"), |b| {
+            b.iter(|| fa.run(&mut ctx, shape, std::hint::black_box(&q), &k, &v).0[0].0)
+        });
+        group.bench_function(format!("run_blocks_kv{nkv}"), |b| {
+            b.iter(|| {
+                let q = std::hint::black_box(&q);
+                fa.run_blocks(&mut ctx, shape, q, &blocks, None).0[0].0
+            })
+        });
+    }
     group.finish();
 }
 
 fn bench_lm_head_row(c: &mut Criterion) {
     // One lm_head row: hidden state against a vocabulary slice — scalar
-    // per-element conversion vs the hoisted chunked conversion the model
-    // uses (convert the hidden state once, dot in f32; `to_f32` is exact
-    // so both accumulate identically).
+    // per-element conversion vs the hoisted chunked conversion (convert
+    // the hidden state once, dot in f32; `to_f32` is exact so both
+    // accumulate identically), and the transposed layout the model uses.
     let mut group = c.benchmark_group("lm_head");
     let (hidden, vocab) = (256usize, 512usize);
     group.throughput(Throughput::Elements((hidden * vocab) as u64));
@@ -229,6 +224,27 @@ fn bench_lm_head_row(c: &mut Criterion) {
                 acc += dot;
             }
             acc
+        })
+    });
+    // The layout the model reads: the matrix transposed to
+    // `[hidden][vocab]` once, so each hidden element adds one product to
+    // every logit across contiguous lanes (same per-logit order).
+    let mut wt = vec![0.0f32; hidden * vocab];
+    for (v, row) in w.chunks_exact(hidden).enumerate() {
+        for (h, &wv) in row.iter().enumerate() {
+            wt[h * vocab + v] = wv;
+        }
+    }
+    group.bench_function("row_transposed_h256_v512", |b| {
+        b.iter(|| {
+            let xf = F16::vec_to_f32(std::hint::black_box(&x));
+            let mut logits = vec![0.0f32; vocab];
+            for (&h, col) in xf.iter().zip(wt.chunks_exact(vocab)) {
+                for (logit, &wv) in logits.iter_mut().zip(col) {
+                    *logit += h * wv;
+                }
+            }
+            logits.iter().sum::<f32>()
         })
     });
     group.finish();
@@ -346,6 +362,6 @@ fn bench_hmx_tile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_attention_host, bench_lm_head_row, bench_verify_argmax, bench_gemm, bench_hmx_tile
+    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_decode_attention, bench_lm_head_row, bench_verify_argmax, bench_gemm, bench_hmx_tile
 }
 criterion_main!(benches);

@@ -275,8 +275,9 @@ impl FleetGateway {
     /// report.
     ///
     /// A trace with a duplicate id, an empty prompt, a zero decode
-    /// budget, an output length outside `1..=max_new`, a non-finite
-    /// arrival or a tenant weight that is not positive is
+    /// budget, an output length outside `1..=max_new`, an arrival that
+    /// is not finite or is before the trace starts (below 0 s; -0.0 is
+    /// 0), or a tenant weight that is not positive is
     /// [`SimError::InvalidTrace`].
     pub fn serve_trace(&self, trace: &[Request]) -> SimResult<ServingReport> {
         validate_trace(trace)?;
@@ -580,7 +581,9 @@ fn validate_trace(trace: &[Request]) -> SimResult<()> {
             let problem = format!("output length {} outside 1..={}", r.output_len, r.max_new);
             return Err(invalid(r, problem));
         }
-        if !r.arrival_secs.is_finite() {
+        // A negative arrival would count time before the trace starts
+        // into its TTFT and queue wait.
+        if !r.arrival_secs.is_finite() || r.arrival_secs < 0.0 {
             return Err(invalid(r, format!("arrival at {} s", r.arrival_secs)));
         }
         if r.weight.is_nan() || r.weight <= 0.0 {
@@ -1295,8 +1298,12 @@ mod tests {
         )
         .unwrap();
         assert_eq!(gw.serve_trace(&valid).unwrap().completed, 1);
+        // -0.0 is the trace's start, not before it.
+        let mut at_start = valid.clone();
+        at_start[0].arrival_secs = -0.0;
+        assert_eq!(gw.serve_trace(&at_start).unwrap().completed, 1);
         type Breaks = fn(&mut Request);
-        let cases: [(&str, Breaks); 10] = [
+        let cases: [(&str, Breaks); 11] = [
             ("empty prompt", |r| r.prompt_len = 0),
             ("zero decode budget", |r| r.max_new = 0),
             ("output length 0 outside", |r| r.output_len = 0),
@@ -1304,6 +1311,7 @@ mod tests {
             ("arrival at NaN s", |r| r.arrival_secs = f64::NAN),
             ("arrival at inf s", |r| r.arrival_secs = f64::INFINITY),
             ("arrival at -inf s", |r| r.arrival_secs = f64::NEG_INFINITY),
+            ("arrival at -1 s", |r| r.arrival_secs = -1.0),
             ("has weight 0", |r| r.weight = 0.0),
             ("has weight -1", |r| r.weight = -1.0),
             ("has weight NaN", |r| r.weight = f64::NAN),

@@ -132,6 +132,7 @@ impl F16 {
     }
 
     /// IEEE maximum of two values; returns the other operand if one is NaN.
+    #[inline]
     pub fn max(self, other: Self) -> Self {
         if self.is_nan() {
             return other;
@@ -147,6 +148,7 @@ impl F16 {
     }
 
     /// IEEE minimum of two values; returns the other operand if one is NaN.
+    #[inline]
     pub fn min(self, other: Self) -> Self {
         if self.is_nan() {
             return other;
@@ -162,16 +164,19 @@ impl F16 {
     }
 
     /// Correctly rounded binary16 addition.
+    #[inline]
     pub fn add(self, other: Self) -> Self {
         F16::from_f32(self.to_f32() + other.to_f32())
     }
 
     /// Correctly rounded binary16 subtraction.
+    #[inline]
     pub fn sub(self, other: Self) -> Self {
         F16::from_f32(self.to_f32() - other.to_f32())
     }
 
     /// Correctly rounded binary16 multiplication.
+    #[inline]
     pub fn mul(self, other: Self) -> Self {
         F16::from_f32(self.to_f32() * other.to_f32())
     }
@@ -179,6 +184,7 @@ impl F16 {
     /// Binary16 division (via f32; double rounding is possible but only off
     /// by one ULP in rare cases, matching the tolerance of HVX reciprocal
     /// sequences on real hardware).
+    #[inline]
     pub fn div(self, other: Self) -> Self {
         F16::from_f32(self.to_f32() / other.to_f32())
     }

@@ -55,19 +55,16 @@ pub fn pack_tile(rows: &[[F16; TILE_DIM]; TILE_DIM]) -> [u8; TILE_BYTES] {
     out
 }
 
-/// Unpacks the first `rows` rows of an interleaved tile, rounded up to a
-/// whole row pair, into a row-major matrix, mapping each FP16 bit pattern
-/// through `elem`. The rows after them are left `T::default()`.
+/// Unpacks an interleaved tile into a row-major matrix, mapping each FP16
+/// bit pattern through `elem`.
 fn unpack_with<T: Copy + Default>(
     bytes: &[u8],
-    rows: usize,
     elem: impl Fn(u16) -> T,
 ) -> [[T; TILE_DIM]; TILE_DIM] {
     let mut out = [[T::default(); TILE_DIM]; TILE_DIM];
     for (pair, src) in out
         .chunks_exact_mut(2)
         .zip(bytes[..TILE_BYTES].chunks_exact(PAIR_BYTES))
-        .take(rows.div_ceil(2))
     {
         let (even, odd) = pair.split_at_mut(1);
         for ((e, o), s) in even[0].iter_mut().zip(&mut odd[0]).zip(src.chunks_exact(4)) {
@@ -84,7 +81,7 @@ fn unpack_with<T: Copy + Default>(
 ///
 /// Panics if `bytes` is shorter than [`TILE_BYTES`].
 pub fn unpack_tile(bytes: &[u8]) -> [[F16; TILE_DIM]; TILE_DIM] {
-    unpack_with(bytes, TILE_DIM, F16)
+    unpack_with(bytes, F16)
 }
 
 /// Unpacks an interleaved tile straight to a row-major FP32 matrix (the
@@ -96,19 +93,7 @@ pub fn unpack_tile(bytes: &[u8]) -> [[F16; TILE_DIM]; TILE_DIM] {
 ///
 /// Panics if `bytes` is shorter than [`TILE_BYTES`].
 pub fn unpack_tile_f32(bytes: &[u8]) -> WideTile {
-    unpack_tile_f32_rows(bytes, TILE_DIM)
-}
-
-/// [`unpack_tile_f32`] of only the first `rows` rows, rounded up to a whole
-/// row pair; the rest of the result is +0.0 without being read. Equal to
-/// [`unpack_tile_f32`] whenever those rows hold +0, as the padding rows of
-/// a partly filled activation tile do.
-///
-/// # Panics
-///
-/// Panics if `bytes` is shorter than [`TILE_BYTES`].
-pub fn unpack_tile_f32_rows(bytes: &[u8], rows: usize) -> WideTile {
-    unpack_with(bytes, rows, |h| F16(h).to_f32())
+    unpack_with(bytes, |h| F16(h).to_f32())
 }
 
 /// Linear tile index of weight tile `(k_tile, n_tile)` in the column-major
@@ -163,21 +148,25 @@ impl HmxAccumulator {
     ///
     /// An activation row of only ±0 would skip every product, so it is
     /// skipped whole after one branch-free test (the padded rows of a
-    /// decode batch below 32 rows are such rows).
+    /// decode batch below 32 rows are such rows). Each active row
+    /// accumulates in a local copy, stored back once, so it can stay in
+    /// registers across the `k` loop.
     pub fn mac_f32(&mut self, act: &WideTile, wgt: &WideTile) {
         for (acc_row, act_row) in self.0.iter_mut().zip(act) {
             // Every entry's bits with the sign shifted out, OR-ed together.
             if act_row.iter().fold(0, |bits, a| bits | a.to_bits() << 1) == 0 {
                 continue;
             }
+            let mut row = *acc_row;
             for (&a, wgt_row) in act_row.iter().zip(wgt) {
                 if a == 0.0 {
                     continue;
                 }
-                for (acc, &w) in acc_row.iter_mut().zip(wgt_row) {
+                for (acc, &w) in row.iter_mut().zip(wgt_row) {
                     *acc += a * w;
                 }
             }
+            *acc_row = row;
         }
     }
 
@@ -286,23 +275,6 @@ mod tests {
                 let h = F16(u16::from_le_bytes([raw[off], raw[off + 1]]));
                 assert_eq!(halves[r][c], h, "({r},{c})");
                 assert_eq!(wide[r][c].to_bits(), h.to_f32().to_bits(), "({r},{c})");
-            }
-        }
-    }
-
-    #[test]
-    fn row_bounded_unpack_reads_whole_pairs_and_leaves_the_rest_zero() {
-        let mut next = xorshift(0x2545_f491);
-        let raw: [u8; TILE_BYTES] = std::array::from_fn(|_| next() as u8);
-        let full = unpack_tile_f32(&raw);
-        for rows in 0..=TILE_DIM {
-            let got = unpack_tile_f32_rows(&raw, rows);
-            let read = rows.div_ceil(2) * 2;
-            for r in 0..TILE_DIM {
-                for c in 0..TILE_DIM {
-                    let want = if r < read { full[r][c].to_bits() } else { 0 };
-                    assert_eq!(got[r][c].to_bits(), want, "rows={rows} ({r},{c})");
-                }
             }
         }
     }

@@ -16,12 +16,132 @@
 //! mirrors the vector kernels bit-for-bit (the LUT path reads the actual
 //! TCM-resident table); the instruction trace is charged per stage from the
 //! same formulas the standalone kernels produce.
+//!
+//! The functional kernel reads K/V from [`KvBlocks`]: one KV head's
+//! history, widened to FP32 once per position when it is appended and kept
+//! in blocks of 32 positions, keys transposed. A decode step's KV never
+//! changes once appended, so a cache that keeps its history this way is
+//! read in place by every later step ([`FlashAttention::run_blocks`])
+//! instead of being copied, widened and transposed again on each call.
+//! Blocks are shared copy-on-write between clones, so N samples admitted
+//! over one prompt hold one copy of the prompt's blocks.
+
+use std::sync::Arc;
 
 use hexsim::cost::{PhaseCost, NUM_ENGINES};
 use hexsim::f16::F16;
 use hexsim::prelude::*;
 
-use crate::exp_lut::{charge_exp, exp_scalar, ExpLut16, ExpMethod};
+use crate::exp_lut::{charge_exp, ExpLut16, ExpMethod, RowExp};
+
+/// Positions per [`KvBlocks`] block.
+const BLOCK: usize = 32;
+
+/// One KV head's history for [`FlashAttention::run_blocks`]: each position
+/// widened to FP32 once, when it is pushed, and stored in blocks of 32
+/// positions. A block holds its keys transposed to `[head_dim][32]`, then
+/// its values as `[32][head_dim]` rows.
+///
+/// Blocks are reference-counted and copied on first write: a clone shares
+/// every block with its source until one side pushes into a shared block,
+/// which copies that block only.
+#[derive(Clone, Debug)]
+pub struct KvBlocks {
+    head_dim: usize,
+    len: usize,
+    blocks: Vec<Arc<[f32]>>,
+}
+
+impl KvBlocks {
+    /// An empty history for heads of `head_dim` values.
+    pub fn new(head_dim: usize) -> Self {
+        KvBlocks {
+            head_dim,
+            len: 0,
+            blocks: Vec::new(),
+        }
+    }
+
+    /// Positions stored.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Returns `true` if no position is stored.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Appends one position's key and value rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either row is not `head_dim` long.
+    pub fn push(&mut self, k: &[F16], v: &[F16]) {
+        let d = self.head_dim;
+        assert_eq!(k.len(), d, "key row length");
+        assert_eq!(v.len(), d, "value row length");
+        let j = self.len % BLOCK;
+        if j == 0 {
+            self.blocks
+                .push(std::iter::repeat_n(0.0, 2 * BLOCK * d).collect());
+        }
+        let last = self.blocks.last_mut().expect("a block holds position j");
+        let (keys, values) = Arc::make_mut(last).split_at_mut(BLOCK * d);
+        for (key_row, &x) in keys.chunks_exact_mut(BLOCK).zip(k) {
+            key_row[j] = x.to_f32();
+        }
+        F16::to_f32_slice(v, &mut values[j * d..(j + 1) * d]);
+        self.len += 1;
+    }
+
+    /// Keeps the first `len` positions (no-op if there are not more).
+    pub fn truncate(&mut self, len: usize) {
+        if len < self.len {
+            self.len = len;
+            self.blocks.truncate(len.div_ceil(BLOCK));
+        }
+    }
+
+    /// Drops every position.
+    pub fn clear(&mut self) {
+        self.truncate(0);
+    }
+
+    /// Position `j`'s key and value rows, as widened.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= len()`.
+    pub fn position(&self, j: usize) -> (Vec<f32>, Vec<f32>) {
+        assert!(j < self.len, "position {j} of {}", self.len);
+        let d = self.head_dim;
+        let (keys, values) = self.blocks[j / BLOCK].split_at(BLOCK * d);
+        let jj = j % BLOCK;
+        let k = keys
+            .chunks_exact(BLOCK)
+            .map(|key_row| key_row[jj])
+            .collect();
+        (k, values[jj * d..(jj + 1) * d].to_vec())
+    }
+}
+
+/// The per-call functional state of [`FlashAttention::run_blocks`]: the
+/// group's Q rows widened once, the running softmax state of each query
+/// row, and scratch rows every block reuses.
+struct BlockMath {
+    qf: Vec<f32>,
+    m: Vec<F16>,
+    l: Vec<F16>,
+    o: Vec<f32>,
+    s_block: Vec<F16>,
+    s_row: Vec<f32>,
+    p_half: Vec<F16>,
+    p_row: Vec<f32>,
+    pv: Vec<f32>,
+    o_row: Vec<f32>,
+    o_half: Vec<F16>,
+}
 
 /// Attention workload shape for one GQA group.
 #[derive(Clone, Copy, Debug)]
@@ -106,7 +226,9 @@ impl<'a> FlashAttention<'a> {
     ///
     /// `q`: `[G, nq, d]` (G = `q_heads_per_kv`), `k`/`v`: `[nkv, d]`, all
     /// row-major FP16. Returns the `[G, nq, d]` output and the Figure 8
-    /// breakdown. In cost-only mode the returned output is empty.
+    /// breakdown. In cost-only mode the returned output is empty. K/V are
+    /// packed into a [`KvBlocks`] per call; a caller that keeps its KV
+    /// history calls [`FlashAttention::run_blocks`] instead.
     ///
     /// # Panics
     ///
@@ -120,7 +242,8 @@ impl<'a> FlashAttention<'a> {
         k: &[F16],
         v: &[F16],
     ) -> (Vec<F16>, FlashAttentionBreakdown) {
-        self.run_with_mask(ctx, shape, q, k, v, None)
+        let kv = Self::pack(ctx, shape, k, v);
+        self.run_blocks(ctx, shape, q, &kv, None)
     }
 
     /// Causal variant for prefill: query row `i` (at absolute position
@@ -137,16 +260,45 @@ impl<'a> FlashAttention<'a> {
         v: &[F16],
         q_start: usize,
     ) -> (Vec<F16>, FlashAttentionBreakdown) {
-        self.run_with_mask(ctx, shape, q, k, v, Some(q_start))
+        let kv = Self::pack(ctx, shape, k, v);
+        self.run_blocks(ctx, shape, q, &kv, Some(q_start))
     }
 
-    fn run_with_mask(
+    /// Packs row-major `[nkv, d]` K/V into blocks (functional mode only;
+    /// cost-only calls carry no rows).
+    fn pack(ctx: &NpuContext, shape: AttnShape, k: &[F16], v: &[F16]) -> KvBlocks {
+        let d = shape.head_dim;
+        let mut kv = KvBlocks::new(d);
+        if ctx.mode == ExecMode::Functional {
+            assert_eq!(k.len(), shape.nkv * d);
+            assert_eq!(v.len(), shape.nkv * d);
+            for (k_row, v_row) in k.chunks_exact(d).zip(v.chunks_exact(d)) {
+                kv.push(k_row, v_row);
+            }
+        }
+        kv
+    }
+
+    /// Runs attention for one GQA group over a KV history read in place.
+    ///
+    /// `q` is `[G, nq, d]` row-major FP16 and `kv` holds the group's
+    /// `shape.nkv` positions (cost-only calls pass no rows and an empty
+    /// `kv`). With `causal_start`, query row `i` attends only to positions
+    /// `<= causal_start + i`, as in [`FlashAttention::run_causal`]. Every
+    /// score and output adds its products in the same order as an
+    /// elementwise loop over FP16 rows, so the result does not depend on
+    /// how the rows were stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes are inconsistent, `head_dim % 32 != 0`,
+    /// `kv_block % 32 != 0`, or `nkv == 0`.
+    pub fn run_blocks(
         &self,
         ctx: &mut NpuContext,
         shape: AttnShape,
         q: &[F16],
-        k: &[F16],
-        v: &[F16],
+        kv: &KvBlocks,
         causal_start: Option<usize>,
     ) -> (Vec<F16>, FlashAttentionBreakdown) {
         let AttnShape {
@@ -156,13 +308,32 @@ impl<'a> FlashAttention<'a> {
         } = shape;
         let g = self.q_heads_per_kv;
         assert!(d % 32 == 0, "head_dim must be a multiple of 32");
+        assert!(
+            self.kv_block.is_multiple_of(BLOCK),
+            "kv_block must be a multiple of 32"
+        );
         assert!(nkv > 0, "empty KV cache");
         let functional = ctx.mode == ExecMode::Functional;
-        if functional {
-            assert_eq!(q.len(), g * nq * d);
-            assert_eq!(k.len(), nkv * d);
-            assert_eq!(v.len(), nkv * d);
-        }
+        let rows = g * nq;
+        let mut math = functional.then(|| {
+            assert_eq!(q.len(), rows * d);
+            assert_eq!(kv.head_dim, d);
+            assert_eq!(kv.len(), nkv);
+            let cols = self.kv_block.min(nkv);
+            BlockMath {
+                qf: F16::vec_to_f32(q),
+                m: vec![F16::NEG_INFINITY; rows],
+                l: vec![F16::ZERO; rows],
+                o: vec![0.0; rows * d],
+                s_block: vec![F16::ZERO; nq * cols],
+                s_row: vec![0.0; cols],
+                p_half: vec![F16::ZERO; cols],
+                p_row: vec![0.0; cols],
+                pv: vec![0.0; d],
+                o_row: vec![0.0; d],
+                o_half: vec![F16::ZERO; d],
+            }
+        });
 
         let mut bd = FlashAttentionBreakdown::default();
         let scale = 1.0 / (d as f64).sqrt();
@@ -172,35 +343,18 @@ impl<'a> FlashAttention<'a> {
         ctx.cost.charge_dma((2 * g * nq * d * 2) as u64);
         FlashAttentionBreakdown::add_delta(&mut bd.load_store, &ctx.cost.delta_since(&snap, ""));
 
-        // Softmax running state per query head and row.
-        let mut m = vec![F16::NEG_INFINITY; g * nq];
-        let mut l = vec![F16::ZERO; g * nq];
-        let mut o = vec![0.0f32; if functional { g * nq * d } else { 0 }];
-
         let n_blocks = nkv.div_ceil(self.kv_block);
         let run_blocks: usize = if functional { n_blocks } else { 1 };
         let all_snap = ctx.cost.snapshot();
         let mut bd_blocks = FlashAttentionBreakdown::default();
 
         for b in 0..run_blocks {
-            let kv_lo = b * self.kv_block;
-            let kv_hi = ((b + 1) * self.kv_block).min(nkv);
-            self.process_block(
-                ctx,
-                shape,
-                scale,
-                q,
-                k,
-                v,
-                kv_lo,
-                kv_hi,
-                &mut m,
-                &mut l,
-                &mut o,
-                &mut bd_blocks,
-                functional,
-                causal_start,
-            );
+            self.charge_block(ctx, rows, d, &mut bd_blocks);
+            if let Some(math) = &mut math {
+                let kv_lo = b * self.kv_block;
+                let kv_hi = ((b + 1) * self.kv_block).min(nkv);
+                self.block_math(ctx, math, shape, scale, kv, kv_lo, kv_hi, causal_start);
+            }
         }
         if !functional && n_blocks > 1 {
             ctx.cost.scale_since(&all_snap, n_blocks as u64);
@@ -214,62 +368,47 @@ impl<'a> FlashAttention<'a> {
         let snap = ctx.cost.snapshot();
         let o_regs = (g * nq * d).div_ceil(64) as u64;
         ctx.cost.charge_hvx_packets(o_regs * 2 + (g * nq) as u64);
-        let out = if functional {
-            let mut out = vec![F16::ZERO; g * nq * d];
-            // Chunked O writeback: divide into an f32 scratch row, then
-            // round the whole row at once (bit-identical to per-element
-            // `from_f32`).
-            let mut row_f = vec![0.0f32; d];
-            for (row, &lv) in l.iter().enumerate() {
-                let denom = lv.to_f32();
-                for (p, slot) in row_f.iter_mut().enumerate() {
-                    *slot = if denom > 0.0 {
-                        o[row * d + p] / denom
-                    } else {
-                        0.0
-                    };
+        let out = match math {
+            Some(BlockMath { l, o, .. }) => {
+                let mut out = vec![F16::ZERO; g * nq * d];
+                // Chunked O writeback: divide into an f32 scratch row, then
+                // round the whole row at once (bit-identical to per-element
+                // `from_f32`).
+                let mut row_f = vec![0.0f32; d];
+                for (row, &lv) in l.iter().enumerate() {
+                    let denom = lv.to_f32();
+                    for (p, slot) in row_f.iter_mut().enumerate() {
+                        *slot = if denom > 0.0 {
+                            o[row * d + p] / denom
+                        } else {
+                            0.0
+                        };
+                    }
+                    F16::from_f32_slice(&row_f, &mut out[row * d..(row + 1) * d]);
                 }
-                F16::from_f32_slice(&row_f, &mut out[row * d..(row + 1) * d]);
+                out
             }
-            out
-        } else {
-            Vec::new()
+            None => Vec::new(),
         };
         FlashAttentionBreakdown::add_delta(&mut bd.softmax, &ctx.cost.delta_since(&snap, ""));
 
         (out, bd)
     }
 
-    /// Processes one KV block for every query head in the group, updating
-    /// running state and cost buckets.
-    #[allow(clippy::too_many_arguments)]
-    fn process_block(
+    /// Charges one KV block for every query head in the group: `rows`
+    /// query rows (`G * nq`) against `kv_block` keys of width `d`.
+    fn charge_block(
         &self,
         ctx: &mut NpuContext,
-        shape: AttnShape,
-        scale: f64,
-        q: &[F16],
-        k: &[F16],
-        v: &[F16],
-        kv_lo: usize,
-        kv_hi: usize,
-        m: &mut [F16],
-        l: &mut [F16],
-        o: &mut [f32],
+        rows: usize,
+        d: usize,
         bd: &mut FlashAttentionBreakdown,
-        functional: bool,
-        causal_start: Option<usize>,
     ) {
-        let AttnShape {
-            nq, head_dim: d, ..
-        } = shape;
-        let g = self.q_heads_per_kv;
         let kv_tiles = self.kv_block.div_ceil(32);
         let d_tiles = d / 32;
         // All query heads of the GQA group attend to the same KV head, so
         // the kernel batches their rows into shared tiles: `g * nq` query
         // rows per block. This is what keeps the Figure 8 matmul share tiny.
-        let rows = g * nq;
         let q_row_tiles = rows.div_ceil(32);
 
         // --- Stage 1: KV streaming (shared across the GQA group). ---
@@ -305,113 +444,132 @@ impl<'a> FlashAttention<'a> {
         let o_regs = (rows * d).div_ceil(64) as u64;
         ctx.cost.charge_hvx_packets(o_regs * 2);
         charge_exp(ctx, self.method);
-        let softmax_snap_end = ctx.cost.delta_since(&snap, "");
+        let softmax_delta = ctx.cost.delta_since(&snap, "");
 
         // --- Stage 2b cost: O += P V on the HMX. ---
         let snap_pv = ctx.cost.snapshot();
         ctx.cost
             .charge_hmx_tile_ops((q_row_tiles * kv_tiles * d_tiles) as u64);
         let pv_delta = ctx.cost.delta_since(&snap_pv, "");
+        FlashAttentionBreakdown::add_delta(&mut bd.softmax, &softmax_delta);
+        FlashAttentionBreakdown::add_delta(&mut bd.matmul, &pv_delta);
+    }
 
-        // --- Functional math (charge-free; per query head of the group).
-        if functional {
-            let cols = kv_hi - kv_lo;
-            // Host staging, chunked F16 treatment: convert the group's Q
-            // rows and this block's K/V rows to f32 once instead of once
-            // per inner-loop visit. `to_f32` is exact and `from_f32_slice`
-            // is bitwise RTNE, so every sum below accumulates the same
-            // values in the same order — bit-identical to the elementwise
-            // loops (pinned by `staged_block_math_is_bit_identical_*`).
-            let qf = F16::vec_to_f32(&q[..rows * d]);
-            // K transposed to `[d][cols]` and V as contiguous `[cols][d]`
-            // rows: a query row's scores, and a P row's outputs, then
-            // accumulate side by side over contiguous lanes, each still
-            // summing its products in ascending order.
-            let mut kt = vec![0.0f32; d * cols];
-            for (jj, k_row) in k[kv_lo * d..kv_hi * d].chunks_exact(d).enumerate() {
-                for (p, &x) in k_row.iter().enumerate() {
-                    kt[p * cols + jj] = x.to_f32();
-                }
-            }
-            let vf = F16::vec_to_f32(&v[kv_lo * d..kv_hi * d]);
-            let mut s_row = vec![0.0f32; cols];
-            let mut p_half = vec![F16::ZERO; cols];
-            let mut p_row = vec![0.0f32; cols];
-            let mut pv = vec![0.0f32; d];
-            let mut o_row = vec![0.0f32; d];
-            let mut o_half = vec![F16::ZERO; d];
-            for gh in 0..g {
-                let mut s_block = vec![F16::ZERO; nq * cols];
-                for i in 0..nq {
-                    let q_row = &qf[(gh * nq + i) * d..][..d];
-                    s_row.fill(0.0);
-                    for (&qp, k_col) in q_row.iter().zip(kt.chunks_exact(cols)) {
-                        for (dot, &kp) in s_row.iter_mut().zip(k_col) {
+    /// The functional math of KV positions `kv_lo..kv_hi` for every query
+    /// head of the group, updating the running state in `math`. Charges
+    /// nothing: [`FlashAttention::charge_block`] charged the block.
+    ///
+    /// QK^T reads each 32-key block's transposed keys, so a query row's 32
+    /// scores accumulate side by side; PV reads the value rows in position
+    /// order. Each score and each output still adds its products in
+    /// ascending order, exactly as the elementwise loops do.
+    #[allow(clippy::too_many_arguments)]
+    fn block_math(
+        &self,
+        ctx: &NpuContext,
+        math: &mut BlockMath,
+        shape: AttnShape,
+        scale: f64,
+        kv: &KvBlocks,
+        kv_lo: usize,
+        kv_hi: usize,
+        causal_start: Option<usize>,
+    ) {
+        let AttnShape {
+            nq, head_dim: d, ..
+        } = shape;
+        let cols = kv_hi - kv_lo;
+        let blocks = &kv.blocks[kv_lo / BLOCK..kv_hi.div_ceil(BLOCK)];
+        let BlockMath {
+            qf,
+            m,
+            l,
+            o,
+            s_block,
+            s_row,
+            p_half,
+            p_row,
+            pv,
+            o_row,
+            o_half,
+        } = math;
+        let (s_row, p_half, p_row) = (&mut s_row[..cols], &mut p_half[..cols], &mut p_row[..cols]);
+        for gh in 0..self.q_heads_per_kv {
+            for i in 0..nq {
+                let q_row = &qf[(gh * nq + i) * d..][..d];
+                for (s_chunk, block) in s_row.chunks_mut(BLOCK).zip(blocks) {
+                    // All 32 lanes accumulate, in registers; lanes past the
+                    // history's end are dropped below.
+                    let mut acc = [0.0f32; BLOCK];
+                    for (&qp, k_col) in q_row.iter().zip(block[..BLOCK * d].chunks_exact(BLOCK)) {
+                        for (dot, &kp) in acc.iter_mut().zip(k_col) {
                             *dot += qp * kp;
                         }
                     }
-                    for (jj, dot) in s_row.iter_mut().enumerate() {
-                        // Causal mask: query at absolute position
-                        // `start + i` must not see KV positions beyond it.
-                        let masked = causal_start.is_some_and(|start| kv_lo + jj > start + i);
-                        *dot = if masked {
-                            f32::NEG_INFINITY
-                        } else {
-                            *dot * scale as f32
-                        };
-                    }
-                    F16::from_f32_slice(&s_row, &mut s_block[i * cols..(i + 1) * cols]);
+                    s_chunk.copy_from_slice(&acc[..s_chunk.len()]);
                 }
-                for i in 0..nq {
-                    let row = gh * nq + i;
-                    let mut row_max = m[row];
-                    for jj in 0..cols {
-                        row_max = row_max.max(s_block[i * cols + jj]);
-                    }
-                    if row_max == F16::NEG_INFINITY {
-                        // Entire row masked so far (prefill rows whose
-                        // positions precede this block): state unchanged.
-                        continue;
-                    }
-                    // P = exp(S - m_new), FP16 subtraction like vsub_hf.
-                    for (jj, slot) in p_half.iter_mut().enumerate() {
-                        let s_val = s_block[i * cols + jj];
-                        *slot = if s_val == F16::NEG_INFINITY {
-                            F16::ZERO
-                        } else {
-                            exp_scalar(ctx, self.lut, self.method, s_val.sub(row_max))
-                        };
-                    }
-                    F16::to_f32_slice(&p_half, &mut p_row);
-                    let mut rowsum = 0.0f32;
-                    for &e in &p_row {
-                        rowsum += e;
-                    }
-                    // Correction factor exp(m_old - m_new) in FP16.
-                    let e_dm = exp_scalar(ctx, self.lut, self.method, m[row].sub(row_max));
-                    // l update: FP16 state, FP32 accumulate (Algorithm 1).
-                    l[row] = F16::from_f32(e_dm.to_f32() * l[row].to_f32() + rowsum);
-                    // PV accumulate, then the O rescale (HMX writeback
-                    // rounds the combined FP32 update to FP16 once).
-                    pv.fill(0.0);
-                    for (&pj, v_row) in p_row.iter().zip(vf.chunks_exact(d)) {
+                for (jj, dot) in s_row.iter_mut().enumerate() {
+                    // Causal mask: query at absolute position `start + i`
+                    // must not see KV positions beyond it.
+                    let masked = causal_start.is_some_and(|start| kv_lo + jj > start + i);
+                    *dot = if masked {
+                        f32::NEG_INFINITY
+                    } else {
+                        *dot * scale as f32
+                    };
+                }
+                F16::from_f32_slice(s_row, &mut s_block[i * cols..(i + 1) * cols]);
+            }
+            for i in 0..nq {
+                let row = gh * nq + i;
+                let s_vals = &s_block[i * cols..(i + 1) * cols];
+                let mut row_max = m[row];
+                for &s_val in s_vals {
+                    row_max = row_max.max(s_val);
+                }
+                if row_max == F16::NEG_INFINITY {
+                    // Entire row masked so far (prefill rows whose
+                    // positions precede this block): state unchanged.
+                    continue;
+                }
+                // P = exp(S - m_new), FP16 subtraction like vsub_hf.
+                let exp = RowExp::new(ctx, self.lut, self.method);
+                for (slot, &s_val) in p_half.iter_mut().zip(s_vals) {
+                    *slot = if s_val == F16::NEG_INFINITY {
+                        F16::ZERO
+                    } else {
+                        exp.exp(s_val.sub(row_max))
+                    };
+                }
+                F16::to_f32_slice(p_half, p_row);
+                let mut rowsum = 0.0f32;
+                for &e in p_row.iter() {
+                    rowsum += e;
+                }
+                // Correction factor exp(m_old - m_new) in FP16.
+                let e_dm = exp.exp(m[row].sub(row_max));
+                // l update: FP16 state, FP32 accumulate (Algorithm 1).
+                l[row] = F16::from_f32(e_dm.to_f32() * l[row].to_f32() + rowsum);
+                // PV accumulate, then the O rescale (HMX writeback
+                // rounds the combined FP32 update to FP16 once).
+                pv.fill(0.0);
+                for (p_chunk, block) in p_row.chunks(BLOCK).zip(blocks) {
+                    for (&pj, v_row) in p_chunk.iter().zip(block[BLOCK * d..].chunks_exact(d)) {
                         for (acc, &vp) in pv.iter_mut().zip(v_row) {
                             *acc += pj * vp;
                         }
                     }
-                    let e_dm_f = e_dm.to_f32();
-                    let o_old = &o[row * d..(row + 1) * d];
-                    for ((slot, &o_old), &acc) in o_row.iter_mut().zip(o_old).zip(&pv) {
-                        *slot = o_old * e_dm_f + acc;
-                    }
-                    F16::from_f32_slice(&o_row, &mut o_half);
-                    F16::to_f32_slice(&o_half, &mut o[row * d..(row + 1) * d]);
-                    m[row] = row_max;
                 }
+                let e_dm_f = e_dm.to_f32();
+                let o_old = &o[row * d..(row + 1) * d];
+                for ((slot, &o_old), &acc) in o_row.iter_mut().zip(o_old).zip(pv.iter()) {
+                    *slot = o_old * e_dm_f + acc;
+                }
+                F16::from_f32_slice(o_row, o_half);
+                F16::to_f32_slice(o_half, &mut o[row * d..(row + 1) * d]);
+                m[row] = row_max;
             }
         }
-        FlashAttentionBreakdown::add_delta(&mut bd.softmax, &softmax_snap_end);
-        FlashAttentionBreakdown::add_delta(&mut bd.matmul, &pv_delta);
     }
 }
 
@@ -468,6 +626,7 @@ pub fn attention_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exp_lut::exp_f16_scalar;
     use crate::reference::{attention_ref_f64, rmse};
 
     fn ctx() -> NpuContext {
@@ -487,10 +646,21 @@ mod tests {
         v.iter().map(|x| x.to_f32()).collect()
     }
 
+    /// One exponential per call, the LUT read through a 2-byte TCM peek.
+    fn exp_scalar(ctx: &NpuContext, lut: &ExpLut16, method: ExpMethod, x: F16) -> F16 {
+        match method {
+            ExpMethod::F32Poly => F16::from_f32(x.to_f32().exp()),
+            ExpMethod::F16Poly => exp_f16_scalar(x),
+            ExpMethod::Lut16 => lut.exp_scalar(ctx, x),
+        }
+    }
+
     /// The flash kernel's functional math with per-element conversions in
-    /// every inner loop — the shape the code had before the chunked-F16
-    /// staging. The kernel must reproduce this bit-for-bit: staging only
-    /// hoists exact `to_f32` conversions and batches the RTNE roundings.
+    /// every inner loop, over FP16 rows — the shape the code had before
+    /// the chunked-F16 staging and the FP32 KV blocks. The kernel must
+    /// reproduce this bit-for-bit: blocks and staging only hoist exact
+    /// `to_f32` conversions, lay the same values out differently and
+    /// batch the RTNE roundings.
     #[allow(clippy::too_many_arguments)]
     fn flash_elementwise_ref(
         ctx: &mut NpuContext,
@@ -590,10 +760,12 @@ mod tests {
         // Differential sweep over GQA group sizes, multi-block and
         // partial-tail KV lengths, causal masks with fully-masked rows,
         // value ranges that round to infinities, K/V holding subnormals or
-        // ±Inf and NaN, and all three exp methods: the staged kernel must
-        // match the per-element reference bit-for-bit everywhere. With NaN
-        // inputs, NaN lanes compare by NaN-ness: Rust leaves the sign of a
-        // NaN result open when both operands are NaN.
+        // ±Inf and NaN, and all three exp methods: both entry points (FP16
+        // rows through `run`/`run_causal`, and `run_blocks` on a `KvBlocks`
+        // built by `push`) must match the per-element reference
+        // bit-for-bit everywhere. With NaN inputs, NaN lanes compare by
+        // NaN-ness: Rust leaves the sign of a NaN result open when both
+        // operands are NaN.
         let mut c = ctx();
         let lut = ExpLut16::build(&mut c).unwrap();
         // (g, nq, nkv, d, causal_start, seed, amp, K/V fill)
@@ -614,6 +786,15 @@ mod tests {
             (2, 4, 200, 64, None, 19, 16.0, Fill::Plain),
             (1, 6, 140, 32, Some(134), 23, 16.0, Fill::Plain),
         ];
+        // KV lengths on and around the 32-position storage blocks and the
+        // 128-position kernel blocks.
+        for nkv in [
+            31, 32, 33, 63, 64, 65, 127, 128, 129, 159, 160, 161, 255, 256, 257,
+        ] {
+            let seed = nkv as u64 * 3 + 1;
+            cases.push((2, 1, nkv, 32, None, seed, 1.0, Fill::Plain));
+            cases.push((1, 4, nkv, 64, Some(nkv - 4), seed + 1, 1.0, Fill::Plain));
+        }
         // Three KV blocks, the last one partial. Causal start 120 leaves
         // rows 0..8 fully masked in the second block and every row in the
         // third; start `nkv - nq` ends the last row at the last key.
@@ -649,6 +830,10 @@ mod tests {
                     *x = special;
                 }
             }
+            let mut blocks = KvBlocks::new(d);
+            for (k_row, v_row) in k.chunks_exact(d).zip(v.chunks_exact(d)) {
+                blocks.push(k_row, v_row);
+            }
             for method in [ExpMethod::F32Poly, ExpMethod::F16Poly, ExpMethod::Lut16] {
                 let fa = FlashAttention {
                     lut: &lut,
@@ -656,20 +841,173 @@ mod tests {
                     kv_block: 128,
                     q_heads_per_kv: g,
                 };
-                let (out, _) = fa.run_with_mask(&mut c, shape, &q, &k, &v, causal);
+                let (via_rows, _) = match causal {
+                    Some(start) => fa.run_causal(&mut c, shape, &q, &k, &v, start),
+                    None => fa.run(&mut c, shape, &q, &k, &v),
+                };
+                let (via_blocks, _) = fa.run_blocks(&mut c, shape, &q, &blocks, causal);
                 let reference =
                     flash_elementwise_ref(&mut c, &lut, method, 128, g, shape, &q, &k, &v, causal);
-                assert_eq!(out.len(), reference.len());
                 let nan_blind = matches!(fill, Fill::NonFinite);
-                for (idx, (a, b)) in out.iter().zip(&reference).enumerate() {
-                    assert!(
-                        a == b || (nan_blind && a.is_nan() && b.is_nan()),
-                        "element {idx}: {a:?} vs {b:?}: g={g} nq={nq} nkv={nkv} d={d} \
-                         causal={causal:?} amp={amp} {fill:?} {method:?}"
-                    );
+                for (entry, out) in [("run", via_rows), ("run_blocks", via_blocks)] {
+                    assert_eq!(out.len(), reference.len());
+                    for (idx, (a, b)) in out.iter().zip(&reference).enumerate() {
+                        assert!(
+                            a == b || (nan_blind && a.is_nan() && b.is_nan()),
+                            "{entry} element {idx}: {a:?} vs {b:?}: g={g} nq={nq} nkv={nkv} \
+                             d={d} causal={causal:?} amp={amp} {fill:?} {method:?}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// A deterministic xorshift32 stream.
+    fn xorshift(mut state: u32) -> impl FnMut() -> u32 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        }
+    }
+
+    /// One random FP16 row; any bit pattern, NaN payloads included.
+    fn random_row(next: &mut impl FnMut() -> u32, d: usize) -> Vec<F16> {
+        (0..d).map(|_| F16(next() as u16)).collect()
+    }
+
+    /// `kv` must hold exactly `rows`, widened.
+    fn assert_holds(kv: &KvBlocks, rows: &[(Vec<F16>, Vec<F16>)], what: &str) {
+        assert_eq!(kv.len(), rows.len(), "{what}: length");
+        assert_eq!(kv.is_empty(), rows.is_empty(), "{what}: emptiness");
+        for (j, (k, v)) in rows.iter().enumerate() {
+            let (got_k, got_v) = kv.position(j);
+            for (want, got) in [(k, got_k), (v, got_v)] {
+                let want: Vec<u32> = want.iter().map(|x| x.to_f32().to_bits()).collect();
+                let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
+                assert_eq!(got, want, "{what}: position {j}");
+            }
+        }
+    }
+
+    #[test]
+    fn kv_blocks_hold_what_a_list_of_fp16_rows_holds() {
+        let d = 32;
+        let mut next = xorshift(0x9e37_79b9);
+        let mut kv = KvBlocks::new(d);
+        let mut rows = Vec::new();
+        let push = |next: &mut _, kv: &mut KvBlocks, rows: &mut Vec<_>| {
+            let (k, v) = (random_row(next, d), random_row(next, d));
+            kv.push(&k, &v);
+            rows.push((k, v));
+        };
+        // 40 positions: one full block and a partial one.
+        for _ in 0..40 {
+            push(&mut next, &mut kv, &mut rows);
+        }
+        // A clone that diverges: its pushes must not reach the source.
+        let (mut fork, mut fork_rows) = (kv.clone(), rows.clone());
+        for _ in 0..30 {
+            push(&mut next, &mut fork, &mut fork_rows);
+        }
+        assert_holds(&kv, &rows, "source after the clone diverged");
+        assert_holds(&fork, &fork_rows, "diverged clone");
+        // Truncating into a shared partial block, then pushing over the
+        // dropped positions, leaves the other side's rows alone.
+        let (mut cut, mut cut_rows) = (kv.clone(), rows.clone());
+        cut.truncate(35);
+        cut_rows.truncate(35);
+        push(&mut next, &mut cut, &mut cut_rows);
+        assert_holds(&kv, &rows, "source after a truncated clone pushed");
+        assert_holds(&cut, &cut_rows, "truncated clone");
+        // The source can do the same to a block its clone now shares.
+        kv.truncate(33);
+        rows.truncate(33);
+        push(&mut next, &mut kv, &mut rows);
+        assert_holds(&fork, &fork_rows, "diverged clone after the source pushed");
+        assert_holds(&kv, &rows, "source");
+
+        // Seeded random sequences of push, truncate, clear and clone over
+        // a few replicas, with lengths drawn on and around multiples of 32.
+        for seed in [1u32, 7, 31, 4242] {
+            let mut next = xorshift(seed.wrapping_mul(0x2545_f491) | 1);
+            let mut replicas = vec![(KvBlocks::new(d), Vec::new())];
+            for step in 0..300 {
+                let r = next() as usize % replicas.len();
+                match next() % 10 {
+                    0..=4 => {
+                        let (kv, rows) = &mut replicas[r];
+                        for _ in 0..next() % 40 {
+                            push(&mut next, kv, rows);
+                        }
+                    }
+                    5..=6 => {
+                        let (kv, rows) = &mut replicas[r];
+                        let len = rows.len();
+                        let to = match next() % 4 {
+                            0 => len.saturating_sub(1),
+                            1 => len / 32 * 32,
+                            2 => (len / 32 * 32).saturating_sub(1),
+                            _ => next() as usize % (len + 1),
+                        };
+                        kv.truncate(to);
+                        rows.truncate(to);
+                    }
+                    7 => {
+                        let (kv, rows) = &mut replicas[r];
+                        kv.clear();
+                        rows.clear();
+                    }
+                    _ => {
+                        if replicas.len() < 4 {
+                            let copy = replicas[r].clone();
+                            replicas.push(copy);
+                        } else {
+                            replicas.swap_remove(r);
+                        }
+                    }
+                }
+                for (i, (kv, rows)) in replicas.iter().enumerate() {
+                    assert_holds(kv, rows, &format!("seed {seed} step {step} replica {i}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_every_block_until_it_appends() {
+        let d = 32;
+        let mut next = xorshift(0x1234_5678);
+        let row = |next: &mut _| random_row(next, d);
+        let mut source = KvBlocks::new(d);
+        for _ in 0..70 {
+            source.push(&row(&mut next), &row(&mut next));
+        }
+        assert_eq!(source.blocks.len(), 3);
+        let shared = |a: &KvBlocks, b: &KvBlocks| -> Vec<bool> {
+            a.blocks
+                .iter()
+                .zip(&b.blocks)
+                .map(|(x, y)| Arc::ptr_eq(x, y))
+                .collect()
+        };
+        let mut clone = source.clone();
+        assert_eq!(shared(&source, &clone), [true, true, true]);
+        // An append into the shared partial block copies that block only.
+        clone.push(&row(&mut next), &row(&mut next));
+        assert_eq!(shared(&source, &clone), [true, true, false]);
+        // Once unshared, the block takes further appends in place.
+        let last = Arc::as_ptr(&clone.blocks[2]);
+        clone.push(&row(&mut next), &row(&mut next));
+        assert_eq!(Arc::as_ptr(&clone.blocks[2]), last);
+        // An append that opens a new block copies nothing.
+        let mut aligned = source.clone();
+        aligned.truncate(64);
+        aligned.push(&row(&mut next), &row(&mut next));
+        assert_eq!(shared(&source, &aligned), [true, true, false]);
+        assert_eq!(source.len(), 70);
     }
 
     #[test]

@@ -77,8 +77,9 @@ impl ExpLut16 {
         ctx.vgather_h(self.base, &offsets, true)
     }
 
-    /// Scalar view of the table for tile-level kernels: exact same entry a
-    /// `vgather` lane would fetch for input `x`.
+    /// Scalar view of the table: exact same entry a `vgather` lane would
+    /// fetch for input `x`, read with one 2-byte TCM peek. A kernel that
+    /// evaluates a whole row borrows the table once through [`RowExp`].
     pub fn exp_scalar(&self, ctx: &NpuContext, x: F16) -> F16 {
         let m = (x.0 & 0x7fff) as usize;
         let bytes = ctx.tcm_peek(self.base.offset(2 * m as u32), 2);
@@ -197,12 +198,46 @@ pub fn exp_vec(ctx: &mut NpuContext, lut: &ExpLut16, method: ExpMethod, v: &HvxV
     }
 }
 
-/// Scalar dispatch used by tile-level kernels (identical per-lane values).
-pub fn exp_scalar(ctx: &NpuContext, lut: &ExpLut16, method: ExpMethod, x: F16) -> F16 {
-    match method {
-        ExpMethod::F32Poly => F16::from_f32(x.to_f32().exp()),
-        ExpMethod::F16Poly => exp_f16_scalar(x),
-        ExpMethod::Lut16 => lut.exp_scalar(ctx, x),
+/// Scalar exponential for tile-level kernels, per method: the per-lane
+/// values of [`exp_vec`], with the operands a row needs fetched once. The
+/// LUT variant borrows the TCM-resident table with one bounds-checked
+/// read and then indexes it per element, reading exactly the entry
+/// [`ExpLut16::exp_scalar`] reads.
+#[derive(Clone, Copy)]
+pub enum RowExp<'a> {
+    /// [`ExpMethod::F32Poly`].
+    F32Poly,
+    /// [`ExpMethod::F16Poly`].
+    F16Poly,
+    /// [`ExpMethod::Lut16`]: the table's 64 KiB of TCM bytes.
+    Lut16(&'a [u8; LUT_BYTES]),
+}
+
+impl<'a> RowExp<'a> {
+    /// Fetches what `method` needs from `ctx`.
+    pub fn new(ctx: &'a NpuContext, lut: &ExpLut16, method: ExpMethod) -> Self {
+        match method {
+            ExpMethod::F32Poly => RowExp::F32Poly,
+            ExpMethod::F16Poly => RowExp::F16Poly,
+            ExpMethod::Lut16 => RowExp::Lut16(
+                ctx.tcm_peek(lut.base, LUT_BYTES)
+                    .try_into()
+                    .expect("a peek of LUT_BYTES is the table"),
+            ),
+        }
+    }
+
+    /// `exp(x)`, bit for bit the lane a vector kernel would compute.
+    #[inline]
+    pub fn exp(self, x: F16) -> F16 {
+        match self {
+            RowExp::F32Poly => F16::from_f32(x.to_f32().exp()),
+            RowExp::F16Poly => exp_f16_scalar(x),
+            RowExp::Lut16(table) => {
+                let m = 2 * (x.0 & 0x7fff) as usize;
+                F16(u16::from_le_bytes([table[m], table[m + 1]]))
+            }
+        }
     }
 }
 

@@ -27,18 +27,16 @@
 //! [`NpuContext::ddr_write`]) dequantize again. Cost-only calls never
 //! touch the memo. A memoized tile takes about 7 KiB (the key, the 2 KiB
 //! FP16 tile and the 4 KiB FP32 one), several times its quantized bytes,
-//! which suits the small models functional contexts run. Activation and
-//! output tiles widen and convert only the batch's real rows: the
-//! padding rows are +0 in TCM and skip every MAC.
+//! which suits the small models functional contexts run. Activation tiles
+//! widen straight from the rows they pack, not back out of TCM, and output
+//! tiles convert only the batch's real rows: the padding rows are +0 and
+//! skip every MAC.
 
 use std::cell::RefCell;
 use std::fmt;
 
 use hexsim::f16::F16;
-use hexsim::hmx::{
-    pack_tile, unpack_tile_f32, unpack_tile_f32_rows, HmxAccumulator, WideTile, TILE_BYTES,
-    TILE_DIM,
-};
+use hexsim::hmx::{pack_tile, unpack_tile_f32, HmxAccumulator, WideTile, TILE_BYTES, TILE_DIM};
 use hexsim::prelude::*;
 use tilequant::block::{BlockQ4_0, BlockQ8_0, Q4_0_BLOCK_BYTES, Q8_0_BLOCK_BYTES};
 use tilequant::super_group::{
@@ -229,8 +227,18 @@ pub fn prepare_weights(
 
 /// Packs activation rows `[m, k]` into interleaved HMX tiles in TCM
 /// (functional), charging the shuffle/store trace per tile.
-#[allow(clippy::needless_range_loop)]
-fn stage_activations(ctx: &mut NpuContext, act: &[F16], m: usize, k: usize, area: Option<TcmAddr>) {
+///
+/// Returns the same tiles widened to FP32, in TCM order, straight from
+/// `act`: the real rows widen and the padding rows stay +0.0, which is
+/// exactly what unpacking the packed tiles would give. Cost-only calls
+/// (no `area`) return nothing.
+fn stage_activations(
+    ctx: &mut NpuContext,
+    act: &[F16],
+    m: usize,
+    k: usize,
+    area: Option<TcmAddr>,
+) -> Vec<WideTile> {
     let m_tiles = m.div_ceil(TILE_DIM);
     let k_tiles = k / TILE_DIM;
     // Charges: per tile, 16 cross-lane shuffles plus a load+store sweep.
@@ -238,24 +246,27 @@ fn stage_activations(ctx: &mut NpuContext, act: &[F16], m: usize, k: usize, area
     ctx.cost.charge_dma((m * k * 2) as u64);
     ctx.cost.charge_hvx_packets(tiles * 16);
     ctx.cost.charge_tcm_bytes(tiles * 2 * TILE_BYTES as u64);
-    let Some(area) = area else { return };
-    for mt in 0..m_tiles {
+    let Some(area) = area else {
+        return Vec::new();
+    };
+    let mut wide = Vec::with_capacity(m_tiles * k_tiles);
+    for (mt, rows) in act[..m * k].chunks(TILE_DIM * k).enumerate() {
         for kt in 0..k_tiles {
             let mut tile = [[F16::ZERO; TILE_DIM]; TILE_DIM];
-            for r in 0..TILE_DIM {
-                let row = mt * TILE_DIM + r;
-                if row >= m {
-                    break;
-                }
-                for c in 0..TILE_DIM {
-                    tile[r][c] = act[row * k + kt * TILE_DIM + c];
-                }
+            let mut tile_f32: WideTile = [[0.0; TILE_DIM]; TILE_DIM];
+            for ((dst, dst_f32), row) in
+                tile.iter_mut().zip(&mut tile_f32).zip(rows.chunks_exact(k))
+            {
+                let src = &row[kt * TILE_DIM..(kt + 1) * TILE_DIM];
+                dst.copy_from_slice(src);
+                F16::to_f32_slice(src, dst_f32);
             }
             let off = ((mt * k_tiles + kt) * TILE_BYTES) as u32;
-            let bytes = pack_tile(&tile);
-            ctx.tcm_poke(area.offset(off), &bytes);
+            ctx.tcm_poke(area.offset(off), &pack_tile(&tile));
+            wide.push(tile_f32);
         }
     }
+    wide
 }
 
 /// Dequantizes one staged weight tile into `wgt_tile` via the variant's
@@ -475,18 +486,8 @@ pub fn gemm_mixed(
     let prev = ctx.cost.set_hvx_parallelism(cfg.threads);
     let env = DequantEnv::new(ctx);
     let (_, cost) = ctx.phase("gemm", |ctx| {
-        stage_activations(ctx, act, cfg.m, cfg.k, act_area);
-        // The staged activation tiles, widened to FP32 once per call. Only
-        // the real rows widen: `stage_activations` wrote the padding as +0.
-        let act_wide: Vec<WideTile> = match act_area {
-            Some(area) => (0..m_tiles * k_tiles)
-                .map(|t| {
-                    let tile = ctx.tcm_peek(area.offset((t * TILE_BYTES) as u32), TILE_BYTES);
-                    unpack_tile_f32_rows(tile, real_rows(t / k_tiles))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
+        // The staged activation tiles, widened to FP32 once per call.
+        let act_wide = stage_activations(ctx, act, cfg.m, cfg.k, act_area);
         let mut accs: Vec<HmxAccumulator> = (0..m_tiles).map(|_| HmxAccumulator::new()).collect();
         let tiles = (n_tiles * k_tiles) as u64;
         ctx.replay_indexed(tiles, |ctx, idx| {

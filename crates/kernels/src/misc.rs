@@ -49,9 +49,15 @@ pub fn rmsnorm(ctx: &mut NpuContext, x: &mut [F16], w: &[F16], eps: f32) {
 }
 
 /// Rotary position embedding applied in place to one head vector
-/// (`head_dim` FP16 values, rotated in half-split pairs) for position
-/// `pos`.
-pub fn rope(ctx: &mut NpuContext, x: &mut [F16], pos: usize, theta_base: f32) {
+/// (`head_dim` FP16 values, rotated in half-split pairs) with the `(sin,
+/// cos)` of each pair's angle at the token's position, as
+/// [`RopeTable::angles`] gives them. Cost-only callers may pass no angles.
+///
+/// # Panics
+///
+/// Panics if `x` has odd length, or in functional mode if `angles` does
+/// not hold one pair per rotated pair.
+pub fn rope(ctx: &mut NpuContext, x: &mut [F16], angles: &[(f32, f32)]) {
     let d = x.len();
     assert_eq!(d % 2, 0);
     let half = d / 2;
@@ -63,14 +69,61 @@ pub fn rope(ctx: &mut NpuContext, x: &mut [F16], pos: usize, theta_base: f32) {
     if ctx.mode == ExecMode::CostOnly {
         return;
     }
-    for i in 0..half {
-        let freq = theta_base.powf(-2.0 * (i as f32) / d as f32);
-        let angle = pos as f32 * freq;
-        let (sin, cos) = angle.sin_cos();
-        let a = x[i].to_f32();
-        let b = x[i + half].to_f32();
-        x[i] = F16::from_f32(a * cos - b * sin);
-        x[i + half] = F16::from_f32(a * sin + b * cos);
+    assert_eq!(angles.len(), half, "one angle per rotated pair");
+    let (lo, hi) = x.split_at_mut(half);
+    for ((a, b), &(sin, cos)) in lo.iter_mut().zip(hi).zip(angles) {
+        let (af, bf) = (a.to_f32(), b.to_f32());
+        *a = F16::from_f32(af * cos - bf * sin);
+        *b = F16::from_f32(af * sin + bf * cos);
+    }
+}
+
+/// The `(sin, cos)` of every RoPE angle at the positions grown so far, for
+/// one head dimension and frequency base, computed once per position:
+/// pair `i` of position `pos` rotates by `pos * theta_base^(-2i /
+/// head_dim)`, the same `f32` expression for every call.
+#[derive(Clone, Debug)]
+pub struct RopeTable {
+    head_dim: usize,
+    theta_base: f32,
+    /// `[pos][head_dim / 2]` pairs.
+    angles: Vec<(f32, f32)>,
+}
+
+impl RopeTable {
+    /// An empty table for heads of `head_dim` values.
+    pub fn new(head_dim: usize, theta_base: f32) -> Self {
+        RopeTable {
+            head_dim,
+            theta_base,
+            angles: Vec::new(),
+        }
+    }
+
+    /// Positions covered.
+    fn len(&self) -> usize {
+        self.angles.len() / (self.head_dim / 2).max(1)
+    }
+
+    /// Extends the table to cover positions `0..positions`.
+    pub fn grow(&mut self, positions: usize) {
+        let d = self.head_dim;
+        for pos in self.len()..positions {
+            self.angles.extend((0..d / 2).map(|i| {
+                let freq = self.theta_base.powf(-2.0 * (i as f32) / d as f32);
+                (pos as f32 * freq).sin_cos()
+            }));
+        }
+    }
+
+    /// The `head_dim / 2` angle pairs of position `pos`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table does not cover `pos`.
+    pub fn angles(&self, pos: usize) -> &[(f32, f32)] {
+        let half = self.head_dim / 2;
+        &self.angles[pos * half..(pos + 1) * half]
     }
 }
 
@@ -161,7 +214,9 @@ mod tests {
         let mut c = ctx();
         let mut x = vecf(&[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
         let orig = x.clone();
-        rope(&mut c, &mut x, 17, 10000.0);
+        let mut table = RopeTable::new(8, 10000.0);
+        table.grow(18);
+        rope(&mut c, &mut x, table.angles(17));
         // Rotation preserves the norm of each (i, i+half) pair.
         for i in 0..4 {
             let n0 = orig[i].to_f32().hypot(orig[i + 4].to_f32());
@@ -175,8 +230,56 @@ mod tests {
         let mut c = ctx();
         let mut x = vecf(&[1.0, 2.0, 3.0, 4.0]);
         let orig = x.clone();
-        rope(&mut c, &mut x, 0, 10000.0);
+        let mut table = RopeTable::new(4, 10000.0);
+        table.grow(1);
+        rope(&mut c, &mut x, table.angles(0));
         assert_eq!(x, orig);
+    }
+
+    /// RoPE as it was before the angle table: a `powf` and a `sin_cos`
+    /// per rotated pair of every call.
+    fn rope_per_element(x: &mut [F16], pos: usize, theta_base: f32) {
+        let d = x.len();
+        let half = d / 2;
+        for i in 0..half {
+            let freq = theta_base.powf(-2.0 * (i as f32) / d as f32);
+            let angle = pos as f32 * freq;
+            let (sin, cos) = angle.sin_cos();
+            let a = x[i].to_f32();
+            let b = x[i + half].to_f32();
+            x[i] = F16::from_f32(a * cos - b * sin);
+            x[i + half] = F16::from_f32(a * sin + b * cos);
+        }
+    }
+
+    #[test]
+    fn rope_table_matches_the_per_element_angles_bitwise() {
+        // Positions 0..1024, the table grown in uneven steps as a model
+        // grows it, against the per-element powf/sin_cos at every position.
+        let mut c = ctx();
+        let mut state = 0x2545_f491u32;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            F16::from_f32((state % 8001) as f32 / 1000.0 - 4.0)
+        };
+        for d in [32, 64, 128] {
+            let theta = if d == 64 { 1_000_000.0 } else { 10_000.0 };
+            let mut table = RopeTable::new(d, theta);
+            for pos in 0..1024 {
+                if pos >= table.len() {
+                    table.grow(pos + 1 + pos % 7);
+                }
+                let x: Vec<F16> = (0..d).map(|_| next()).collect();
+                let (mut got, mut want) = (x.clone(), x);
+                rope(&mut c, &mut got, table.angles(pos));
+                rope_per_element(&mut want, pos, theta);
+                for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(g.0, w.0, "d={d} pos={pos} element {i}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -210,7 +313,11 @@ mod tests {
         let rms: Kernel = |c, x, w| rmsnorm(c, x, w, 1e-5);
         let kernels: [(&str, Kernel); 5] = [
             ("rmsnorm", rms),
-            ("rope", |c, x, _| rope(c, x, 7, 10000.0)),
+            ("rope", |c, x, _| {
+                let mut table = RopeTable::new(x.len(), 10000.0);
+                table.grow(8);
+                rope(c, x, table.angles(7))
+            }),
             ("silu", |c, x, _| silu(c, x)),
             ("mul_inplace", mul_inplace),
             ("add_inplace", add_inplace),

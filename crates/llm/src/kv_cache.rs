@@ -3,26 +3,30 @@
 //! The runtime allocates the cache in NPU shared memory up front at a fixed
 //! token budget (the paper reports constant dmabuf totals at a 4096-token
 //! budget, Section 7.5), so capacity is reserved at construction and
-//! appends fail past the budget. Layout is `[layer][seq][pos][kv_dim]` with
-//! K and V separated; per-head contiguous `[nkv, head_dim]` views are
-//! materialized for the FlashAttention kernel.
+//! appends fail past the budget. A functional cache keeps one
+//! [`KvBlocks`] per (layer, sequence, KV head): each appended position is
+//! widened to FP32 once, and FlashAttention reads the blocks in place
+//! ([`FlashAttention::run_blocks`](htpops::attention::FlashAttention::run_blocks)).
+//! Blocks are shared copy-on-write, so a snapshot, a restore or a prompt
+//! broadcast copies no rows: a slot copies only the prompt's partial last
+//! block, on its first append. Cost-only caches hold no rows.
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
+use htpops::attention::KvBlocks;
 
 use crate::config::ModelConfig;
 
-/// Immutable copy of one sequence's KV rows — the shared-prompt state a
+/// One sequence's KV history — the shared-prompt state a
 /// continuous-batching scheduler re-installs into freed slots when it
-/// admits a queued sequence (see `decode_session`).
+/// admits a queued sequence (see `decode_session`). It shares its blocks
+/// with the cache it came from until either side appends.
 #[derive(Clone, Debug, Default)]
 pub struct KvSeqSnapshot {
     /// Tokens captured.
     len: usize,
-    /// Per-layer flat `[len, kv_dim]` K rows (empty in cost-only mode).
-    k: Vec<Vec<F16>>,
-    /// Same shape for values.
-    v: Vec<Vec<F16>>,
+    /// `[layer][kv_head]` histories, flattened (empty in cost-only mode).
+    heads: Vec<KvBlocks>,
 }
 
 impl KvSeqSnapshot {
@@ -39,10 +43,9 @@ pub struct KvCache {
     head_dim: usize,
     batch: usize,
     budget: usize,
-    /// `k[layer][seq]`: flat `[len, kv_dim]` rows.
-    k: Vec<Vec<Vec<F16>>>,
-    /// Same shape for values.
-    v: Vec<Vec<Vec<F16>>>,
+    /// `heads[(layer * batch + seq) * kv_heads + head]`: one KV head's
+    /// history (empty in cost-only mode).
+    heads: Vec<KvBlocks>,
     /// Tokens stored per sequence.
     len: Vec<usize>,
     /// Per-layer DDR residency handles (shape accounting; one buffer per
@@ -77,16 +80,10 @@ impl KvCache {
                 }
             }
         }
-        let functional = ctx.mode == ExecMode::Functional;
-        let (k, v) = if functional {
-            let mk = || {
-                (0..cfg.layers)
-                    .map(|_| (0..batch).map(|_| Vec::new()).collect())
-                    .collect()
-            };
-            (mk(), mk())
+        let heads = if ctx.mode == ExecMode::Functional {
+            vec![KvBlocks::new(cfg.head_dim); cfg.layers * batch * cfg.kv_heads]
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         Ok(KvCache {
             layers: cfg.layers,
@@ -94,8 +91,7 @@ impl KvCache {
             head_dim: cfg.head_dim,
             batch,
             budget,
-            k,
-            v,
+            heads,
             len: vec![0; batch],
             bufs,
         })
@@ -131,6 +127,29 @@ impl KvCache {
         self.len.iter().sum()
     }
 
+    /// Whether the cache holds rows (functional mode).
+    fn functional(&self) -> bool {
+        !self.heads.is_empty()
+    }
+
+    /// The histories of one sequence's KV heads at one layer.
+    fn seq_heads(&self, layer: usize, seq: usize) -> std::ops::Range<usize> {
+        let first = (layer * self.batch + seq) * self.kv_heads;
+        first..first + self.kv_heads
+    }
+
+    /// One KV head's history of one sequence at one layer — the
+    /// FlashAttention input, read in place. Functional mode only.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a cost-only cache, or if an index is out of range.
+    pub fn blocks(&self, layer: usize, seq: usize, head: usize) -> &KvBlocks {
+        assert!(self.functional(), "cost-only caches hold no rows");
+        assert!(layer < self.layers && seq < self.batch && head < self.kv_heads);
+        &self.heads[self.seq_heads(layer, seq)][head]
+    }
+
     /// Appends one position's K/V rows (`[kv_dim]` each) for a sequence at
     /// a layer. Length bookkeeping advances when `layer == 0`.
     ///
@@ -159,8 +178,15 @@ impl KvCache {
             let kv_dim = self.kv_heads * self.head_dim;
             assert_eq!(k_row.len(), kv_dim);
             assert_eq!(v_row.len(), kv_dim);
-            self.k[layer][seq].extend_from_slice(k_row);
-            self.v[layer][seq].extend_from_slice(v_row);
+            let d = self.head_dim;
+            let range = self.seq_heads(layer, seq);
+            for ((head, k), v) in self.heads[range]
+                .iter_mut()
+                .zip(k_row.chunks_exact(d))
+                .zip(v_row.chunks_exact(d))
+            {
+                head.push(k, v);
+            }
         }
         Ok(())
     }
@@ -174,7 +200,7 @@ impl KvCache {
     /// Panics if the fill would exceed the budget or the cache is
     /// functional (data-carrying caches must use `append`).
     pub fn fast_fill(&mut self, seq: usize, n: usize) {
-        assert!(self.k.is_empty(), "fast_fill is for cost-only caches");
+        assert!(!self.functional(), "fast_fill is for cost-only caches");
         let others: usize = self
             .len
             .iter()
@@ -191,13 +217,7 @@ impl KvCache {
     /// batching: a trajectory that finishes early frees its slot so a
     /// queued sample can be admitted in its place.
     pub fn reset_seq(&mut self, seq: usize) {
-        self.len[seq] = 0;
-        if !self.k.is_empty() {
-            for layer in 0..self.layers {
-                self.k[layer][seq].clear();
-                self.v[layer][seq].clear();
-            }
-        }
+        self.truncate_seq(seq, 0);
     }
 
     /// Truncates one sequence back to `new_len` tokens, returning the
@@ -216,37 +236,37 @@ impl KvCache {
             self.len[seq]
         );
         self.len[seq] = new_len;
-        if !self.k.is_empty() {
-            let kv_dim = self.kv_heads * self.head_dim;
+        if self.functional() {
             for layer in 0..self.layers {
-                self.k[layer][seq].truncate(new_len * kv_dim);
-                self.v[layer][seq].truncate(new_len * kv_dim);
+                let range = self.seq_heads(layer, seq);
+                for head in &mut self.heads[range] {
+                    head.truncate(new_len);
+                }
             }
         }
     }
 
-    /// Captures one sequence's KV rows (typically the shared prompt after
-    /// prefill) so they can be re-installed into freed slots later.
+    /// Captures one sequence's KV (typically the shared prompt after
+    /// prefill) so it can be re-installed into freed slots later. Copies
+    /// no rows: the snapshot shares the sequence's blocks.
     pub fn snapshot_seq(&self, seq: usize) -> KvSeqSnapshot {
-        let functional = !self.k.is_empty();
+        let heads = if self.functional() {
+            (0..self.layers)
+                .flat_map(|layer| self.heads[self.seq_heads(layer, seq)].iter().cloned())
+                .collect()
+        } else {
+            Vec::new()
+        };
         KvSeqSnapshot {
             len: self.len[seq],
-            k: if functional {
-                (0..self.layers).map(|l| self.k[l][seq].clone()).collect()
-            } else {
-                Vec::new()
-            },
-            v: if functional {
-                (0..self.layers).map(|l| self.v[l][seq].clone()).collect()
-            } else {
-                Vec::new()
-            },
+            heads,
         }
     }
 
     /// Replaces one sequence's KV with a snapshot (admission of a new
-    /// sequence into a freed slot). Returns an error when the shared
-    /// budget cannot absorb the snapshot's tokens.
+    /// sequence into a freed slot), sharing the snapshot's blocks. Returns
+    /// an error when the shared budget cannot absorb the snapshot's
+    /// tokens.
     pub fn restore_seq(&mut self, seq: usize, snap: &KvSeqSnapshot) -> SimResult<()> {
         let others: usize = self.total_tokens() - self.len[seq];
         if others + snap.len > self.budget {
@@ -255,21 +275,21 @@ impl KvCache {
             });
         }
         self.len[seq] = snap.len;
-        if !self.k.is_empty() {
+        if self.functional() {
             assert_eq!(
-                snap.k.len(),
-                self.layers,
+                snap.heads.len(),
+                self.layers * self.kv_heads,
                 "functional cache needs a functional snapshot"
             );
-            for layer in 0..self.layers {
-                self.k[layer][seq] = snap.k[layer].clone();
-                self.v[layer][seq] = snap.v[layer].clone();
+            for (layer, saved) in snap.heads.chunks_exact(self.kv_heads).enumerate() {
+                let range = self.seq_heads(layer, seq);
+                self.heads[range].clone_from_slice(saved);
             }
         }
         Ok(())
     }
 
-    /// Copies sequence 0's cache into every other sequence (prompt
+    /// Shares sequence 0's cache with every other sequence (prompt
     /// broadcast after a shared prefill; test-time scaling fans one prompt
     /// out to N samples).
     pub fn broadcast_prompt(&mut self, functional: bool) {
@@ -278,30 +298,13 @@ impl KvCache {
             self.len[s] = n0;
         }
         if functional {
-            for layer in 0..self.layers {
-                let (k0, v0) = (self.k[layer][0].clone(), self.v[layer][0].clone());
-                for s in 1..self.batch {
-                    self.k[layer][s] = k0.clone();
-                    self.v[layer][s] = v0.clone();
+            for layer_heads in self.heads.chunks_exact_mut(self.batch * self.kv_heads) {
+                let (first, rest) = layer_heads.split_at_mut(self.kv_heads);
+                for seq_heads in rest.chunks_exact_mut(self.kv_heads) {
+                    seq_heads.clone_from_slice(first);
                 }
             }
         }
-    }
-
-    /// Materializes contiguous `[nkv, head_dim]` K and V matrices for one
-    /// KV head of one sequence at one layer (the FlashAttention input
-    /// view). Functional mode only.
-    pub fn head_view(&self, layer: usize, seq: usize, head: usize) -> (Vec<F16>, Vec<F16>) {
-        let kv_dim = self.kv_heads * self.head_dim;
-        let n = self.len[seq];
-        let mut k_out = Vec::with_capacity(n * self.head_dim);
-        let mut v_out = Vec::with_capacity(n * self.head_dim);
-        for pos in 0..n {
-            let base = pos * kv_dim + head * self.head_dim;
-            k_out.extend_from_slice(&self.k[layer][seq][base..base + self.head_dim]);
-            v_out.extend_from_slice(&self.v[layer][seq][base..base + self.head_dim]);
-        }
-        (k_out, v_out)
     }
 }
 
@@ -333,10 +336,12 @@ mod tests {
         }
         assert_eq!(cache.len(0), 1);
         assert_eq!(cache.len(1), 0);
-        let (k, v) = cache.head_view(0, 0, 0);
+        assert_eq!(cache.blocks(0, 0, 0).len(), 1);
+        assert!(cache.blocks(0, 1, 0).is_empty());
+        let (k, v) = cache.blocks(0, 0, 0).position(0);
         assert_eq!(k.len(), cfg.head_dim);
-        assert_eq!(k[0].to_f32(), 1.0);
-        assert_eq!(v[0].to_f32(), 2.0);
+        assert_eq!(k[0], 1.0);
+        assert_eq!(v[0], 2.0);
     }
 
     #[test]
@@ -371,8 +376,8 @@ mod tests {
         cache.broadcast_prompt(true);
         for s in 0..3 {
             assert_eq!(cache.len(s), 1);
-            let (k, _) = cache.head_view(1, s, 0);
-            assert_eq!(k[0].to_f32(), 5.0);
+            let (k, _) = cache.blocks(1, s, 0).position(0);
+            assert_eq!(k[0], 5.0);
         }
     }
 
@@ -398,9 +403,9 @@ mod tests {
         cache.reset_seq(0);
         assert_eq!(cache.len(0), 0);
         cache.restore_seq(2, &snap).unwrap();
-        let (k, v) = cache.head_view(0, 2, 0);
-        assert_eq!(k[0].to_f32(), 1.0);
-        assert_eq!(v[0].to_f32(), 2.0);
+        let (k, v) = cache.blocks(0, 2, 0).position(0);
+        assert_eq!(k[0], 1.0);
+        assert_eq!(v[0], 2.0);
         assert_eq!(cache.total_tokens(), 4);
     }
 
@@ -423,9 +428,9 @@ mod tests {
         cache.truncate_seq(0, 2);
         assert_eq!(cache.len(0), 2);
         assert_eq!(cache.total_tokens(), 2);
-        let (k, _) = cache.head_view(0, 0, 0);
-        assert_eq!(k.len(), 2 * cfg.head_dim);
-        assert_eq!(k[cfg.head_dim].to_f32(), 1.0);
+        assert_eq!(cache.blocks(0, 0, 0).len(), 2);
+        let (k, _) = cache.blocks(0, 0, 0).position(1);
+        assert_eq!(k[0], 1.0);
         // The freed tail is re-appendable: budget 8 absorbs 6 more rows.
         for _ in 0..6 {
             for layer in 0..cfg.layers {
@@ -458,6 +463,48 @@ mod tests {
     }
 
     #[test]
+    fn an_append_leaves_every_other_slot_and_the_snapshot_unchanged() {
+        // 40 prompt positions fill one 32-position block and part of the
+        // next; every slot admitted over the prompt shares both.
+        let (_ctx, mut cache, cfg) = setup(4, 256);
+        for pos in 0..40 {
+            for layer in 0..cfg.layers {
+                let (k, v) = (row(&cfg, pos as f32), row(&cfg, -(pos as f32)));
+                cache.append(layer, 0, &k, &v, true).unwrap();
+            }
+        }
+        let snap = cache.snapshot_seq(0);
+        cache.reset_seq(0);
+        for slot in 0..4 {
+            cache.restore_seq(slot, &snap).unwrap();
+        }
+        let rows_of = |cache: &KvCache, seq: usize| -> Vec<(Vec<f32>, Vec<f32>)> {
+            (0..cfg.layers)
+                .flat_map(|layer| {
+                    let kv = cache.blocks(layer, seq, 0);
+                    (0..kv.len()).map(|j| kv.position(j)).collect::<Vec<_>>()
+                })
+                .collect()
+        };
+        let prompt = rows_of(&cache, 0);
+        for layer in 0..cfg.layers {
+            cache
+                .append(layer, 2, &row(&cfg, 99.0), &row(&cfg, -99.0), true)
+                .unwrap();
+        }
+        assert_eq!(cache.len(2), 41);
+        for slot in [0, 1, 3] {
+            assert_eq!(cache.len(slot), 40);
+            assert_eq!(rows_of(&cache, slot), prompt, "slot {slot}");
+        }
+        let (k, v) = cache.blocks(1, 2, 0).position(40);
+        assert_eq!((k[0], v[0]), (99.0, -99.0));
+        // The snapshot still restores the prompt alone.
+        cache.restore_seq(2, &snap).unwrap();
+        assert_eq!(rows_of(&cache, 2), prompt);
+    }
+
+    #[test]
     fn head_views_are_head_disjoint() {
         let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
         let mut cfg = ModelConfig::for_id(ModelId::Tiny);
@@ -469,9 +516,9 @@ mod tests {
             *x = F16::from_f32(i as f32);
         }
         cache.append(0, 0, &k_row, &k_row, true).unwrap();
-        let (k0, _) = cache.head_view(0, 0, 0);
-        let (k1, _) = cache.head_view(0, 0, 1);
-        assert_eq!(k0[0].to_f32(), 0.0);
-        assert_eq!(k1[0].to_f32(), cfg.head_dim as f32);
+        let (k0, _) = cache.blocks(0, 0, 0).position(0);
+        let (k1, _) = cache.blocks(0, 0, 1).position(0);
+        assert_eq!(k0[0], 0.0);
+        assert_eq!(k1[0], cfg.head_dim as f32);
     }
 }

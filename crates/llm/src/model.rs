@@ -17,10 +17,10 @@ use std::cell::RefCell;
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
-use htpops::attention::{AttnShape, FlashAttention};
+use htpops::attention::{AttnShape, FlashAttention, KvBlocks};
 use htpops::exp_lut::{ExpLut16, ExpMethod};
 use htpops::gemm::{gemm_mixed, DequantVariant, GemmConfig, PreparedWeights};
-use htpops::misc;
+use htpops::misc::{self, RopeTable};
 
 use crate::config::{ModelConfig, ModelId};
 use crate::kv_cache::KvCache;
@@ -208,6 +208,12 @@ pub struct Model {
     /// walk). `RefCell` because the forward pass takes `&self` and the
     /// ring mutates per dispatch.
     ring: RefCell<NpuSession>,
+    /// The tied embedding transposed to `[hidden][vocab]`, the layout the
+    /// CPU lm_head reads (functional mode only; built once here).
+    embed_t: Vec<f32>,
+    /// RoPE angles of every position a functional forward has reached,
+    /// grown as positions appear.
+    rope: RefCell<RopeTable>,
 }
 
 impl Model {
@@ -221,15 +227,7 @@ impl Model {
         let cfg = ModelConfig::for_id(id);
         let lut = ExpLut16::build(ctx)?;
         let weights = ModelWeights::build(ctx, &cfg, variant, seed)?;
-        Ok(Model {
-            cfg,
-            weights,
-            lut,
-            threads: 6,
-            schedule: LayerSchedule::single_session(),
-            dispatch: DispatchMode::Serial,
-            ring: RefCell::new(NpuSession::open()),
-        })
+        Ok(Model::assemble(cfg, weights, lut))
     }
 
     /// Builds a model with the hot/cold weight split: the layers in
@@ -250,7 +248,14 @@ impl Model {
         let cfg = ModelConfig::for_id(id);
         let lut = ExpLut16::build(ctx)?;
         let weights = ModelWeights::build_streamed(ctx, &cfg, variant, seed, streamed)?;
-        Ok(Model {
+        Ok(Model::assemble(cfg, weights, lut))
+    }
+
+    /// A single-session, serially dispatched model over built weights.
+    fn assemble(cfg: ModelConfig, weights: ModelWeights, lut: ExpLut16) -> Self {
+        let embed_t = transpose(&weights.embed, cfg.hidden);
+        let rope = RefCell::new(RopeTable::new(cfg.head_dim, cfg.rope_theta));
+        Model {
             cfg,
             weights,
             lut,
@@ -258,7 +263,9 @@ impl Model {
             schedule: LayerSchedule::single_session(),
             dispatch: DispatchMode::Serial,
             ring: RefCell::new(NpuSession::open()),
-        })
+            embed_t,
+            rope,
+        }
     }
 
     /// Selects how the step's stages compose into wall time (serial sum
@@ -413,7 +420,8 @@ impl Model {
     /// CPU logits pass: `rows` hidden states against the full vocabulary.
     /// Charges the CPU roofline (weights stream at ~1 byte/param, logits
     /// write in f32); functional mode computes real logits from the tied
-    /// embedding.
+    /// embedding, read through its `[hidden][vocab]` transpose built at
+    /// construction (see [`logits_transposed`]).
     fn lm_head(&self, ctx: &mut NpuContext, x: &[F16], rows: usize, functional: bool) -> Vec<f32> {
         let (hidden, vocab) = (self.cfg.hidden, self.cfg.vocab);
         let flops = 2 * rows as u64 * hidden as u64 * vocab as u64;
@@ -429,7 +437,7 @@ impl Model {
         let xf = F16::vec_to_f32(x);
         let mut logits = vec![0.0f32; rows * vocab];
         for (row, out) in xf.chunks_exact(hidden).zip(logits.chunks_exact_mut(vocab)) {
-            dot_rows(row, &self.weights.embed, out);
+            logits_transposed(row, &self.embed_t, out);
         }
         logits
     }
@@ -471,68 +479,59 @@ impl Model {
 
         // RoPE on Q and K per head, then cache append.
         let snap = ctx.cost.snapshot();
+        let pos_of = |r: usize| {
+            if prefill {
+                positions[0] + r
+            } else {
+                positions[r]
+            }
+        };
         if functional {
+            let mut rope = self.rope.borrow_mut();
+            rope.grow((0..rows).map(pos_of).max().map_or(0, |p| p + 1));
             for r in 0..rows {
-                let pos = if prefill {
-                    positions[0] + r
-                } else {
-                    positions[r]
-                };
-                for h in 0..cfg.heads {
-                    misc::rope(
-                        ctx,
-                        &mut q[r * q_dim + h * d..r * q_dim + (h + 1) * d],
-                        pos,
-                        cfg.rope_theta,
-                    );
+                let angles = rope.angles(pos_of(r));
+                for head in q[r * q_dim..(r + 1) * q_dim].chunks_exact_mut(d) {
+                    misc::rope(ctx, head, angles);
                 }
-                for h in 0..cfg.kv_heads {
-                    misc::rope(
-                        ctx,
-                        &mut k[r * kv_dim + h * d..r * kv_dim + (h + 1) * d],
-                        pos,
-                        cfg.rope_theta,
-                    );
+                for head in k[r * kv_dim..(r + 1) * kv_dim].chunks_exact_mut(d) {
+                    misc::rope(ctx, head, angles);
                 }
             }
         } else {
             let mut dummy = vec![F16::ONE; d];
             ctx.replay((rows * (cfg.heads + cfg.kv_heads)) as u64, |ctx| {
-                misc::rope(ctx, &mut dummy, 1, cfg.rope_theta)
+                misc::rope(ctx, &mut dummy, &[])
             });
         }
-        if prefill {
-            // All rows belong to the single prefilled sequence.
-            for r in 0..rows {
-                let (kr, vr) = if functional {
-                    (
-                        k[r * kv_dim..(r + 1) * kv_dim].to_vec(),
-                        v[r * kv_dim..(r + 1) * kv_dim].to_vec(),
-                    )
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                cache.append(layer, seqs[0], &kr, &vr, functional)?;
-            }
-        } else {
-            // Decode: one new row per sequence.
-            for (r, &s) in seqs.iter().enumerate() {
-                let (kr, vr) = if functional {
-                    (
-                        k[r * kv_dim..(r + 1) * kv_dim].to_vec(),
-                        v[r * kv_dim..(r + 1) * kv_dim].to_vec(),
-                    )
-                } else {
-                    (Vec::new(), Vec::new())
-                };
-                cache.append(layer, s, &kr, &vr, functional)?;
-            }
+        // Prefill rows all belong to the one prefilled sequence; decode
+        // appends one new row per sequence.
+        for r in 0..rows {
+            let seq = if prefill { seqs[0] } else { seqs[r] };
+            let (kr, vr) = if functional {
+                (
+                    &k[r * kv_dim..(r + 1) * kv_dim],
+                    &v[r * kv_dim..(r + 1) * kv_dim],
+                )
+            } else {
+                (&[][..], &[][..])
+            };
+            cache.append(layer, seq, kr, vr, functional)?;
         }
         cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
 
-        // Attention per sequence, per KV head, GQA-group batched.
+        // Attention per sequence, per KV head, GQA-group batched, reading
+        // the cache's KV blocks in place (cost-only caches hold none).
         let g = cfg.gqa_group();
         let fa = FlashAttention::new(&self.lut, ExpMethod::Lut16, g);
+        let no_rows = KvBlocks::new(d);
+        let kv = |s: usize, h: usize| {
+            if functional {
+                cache.blocks(layer, s, h)
+            } else {
+                &no_rows
+            }
+        };
         let mut attn_out = if functional {
             vec![F16::ZERO; rows * q_dim]
         } else {
@@ -548,20 +547,16 @@ impl Model {
                     nkv,
                     head_dim: d,
                 };
-                let (qs, ks, vs) = if functional {
-                    let mut qs = Vec::with_capacity(g * rows * d);
+                let mut qs = Vec::new();
+                if functional {
                     for gh in 0..g {
                         let qh = h * g + gh;
                         for r in 0..rows {
                             qs.extend_from_slice(&q[r * q_dim + qh * d..r * q_dim + (qh + 1) * d]);
                         }
                     }
-                    let (ks, vs) = cache.head_view(layer, s, h);
-                    (qs, ks, vs)
-                } else {
-                    (Vec::new(), Vec::new(), Vec::new())
-                };
-                let (out, bd) = fa.run_causal(ctx, shape, &qs, &ks, &vs, positions[0]);
+                }
+                let (out, bd) = fa.run_blocks(ctx, shape, &qs, kv(s, h), Some(positions[0]));
                 cost.attn_secs += bd.total_wall();
                 if functional {
                     for gh in 0..g {
@@ -585,25 +580,17 @@ impl Model {
                         nkv,
                         head_dim: d,
                     };
-                    let (qs, ks, vs) = if functional {
-                        let mut qs = Vec::with_capacity(g * d);
-                        for gh in 0..g {
-                            let qh = h * g + gh;
-                            qs.extend_from_slice(&q[r * q_dim + qh * d..r * q_dim + (qh + 1) * d]);
-                        }
-                        let (ks, vs) = cache.head_view(layer, s, h);
-                        (qs, ks, vs)
+                    // The group's query heads sit side by side in the row.
+                    let group = r * q_dim + h * g * d..r * q_dim + (h + 1) * g * d;
+                    let qs = if functional {
+                        &q[group.clone()]
                     } else {
-                        (Vec::new(), Vec::new(), Vec::new())
+                        &[][..]
                     };
-                    let (out, bd) = fa.run(ctx, shape, &qs, &ks, &vs);
+                    let (out, bd) = fa.run_blocks(ctx, shape, qs, kv(s, h), None);
                     cost.attn_secs += bd.total_wall();
                     if functional {
-                        for gh in 0..g {
-                            let qh = h * g + gh;
-                            attn_out[r * q_dim + qh * d..r * q_dim + (qh + 1) * d]
-                                .copy_from_slice(&out[gh * d..(gh + 1) * d]);
-                        }
+                        attn_out[group].copy_from_slice(&out);
                     }
                 }
             }
@@ -915,36 +902,31 @@ impl Model {
     }
 }
 
-/// Vocabulary rows one pass of [`dot_rows`] computes together.
-const DOT_LANES: usize = 8;
+/// `w` (row-major, `cols` columns) transposed: `[cols][rows]`.
+fn transpose(w: &[f32], cols: usize) -> Vec<f32> {
+    let rows = w.len() / cols.max(1);
+    let mut t = vec![0.0f32; w.len()];
+    for (r, row) in w.chunks_exact(cols).enumerate() {
+        for (c, &x) in row.iter().enumerate() {
+            t[c * rows + r] = x;
+        }
+    }
+    t
+}
 
-/// `out[v] = x · w[v]` for the first `out.len()` rows of the row-major
-/// matrix `w` with `x.len()` columns. Each pass over `x` serves
-/// [`DOT_LANES`] rows, one independent accumulator each, so the adds
-/// pipeline instead of waiting on one another. Every accumulator still
+/// `out[v] = x · w[v]` for the first `out.len()` rows of a row-major
+/// matrix `w` with `x.len()` columns, given its transpose `wt`
+/// (`[x.len()][out.len()]`). Each pass over `x` adds one product to every
+/// output across contiguous lanes. Every output still starts at 0.0 and
 /// adds its products in ascending column order, and Rust never fuses
 /// `acc += a * b` into an FMA, so each result equals the one-row loop's
 /// bit for bit.
-fn dot_rows(x: &[f32], w: &[f32], out: &mut [f32]) {
-    let mut rows = w.chunks_exact(x.len());
-    let mut outs = out.chunks_exact_mut(DOT_LANES);
-    for lanes in &mut outs {
-        let w: [&[f32]; DOT_LANES] =
-            std::array::from_fn(|_| rows.next().expect("a row per output"));
-        let mut acc = [0.0f32; DOT_LANES];
-        for (i, &xv) in x.iter().enumerate() {
-            for (a, wl) in acc.iter_mut().zip(&w) {
-                *a += xv * wl[i];
-            }
+fn logits_transposed(x: &[f32], wt: &[f32], out: &mut [f32]) {
+    out.fill(0.0);
+    for (&xv, w_col) in x.iter().zip(wt.chunks_exact(out.len())) {
+        for (o, &w) in out.iter_mut().zip(w_col) {
+            *o += xv * w;
         }
-        lanes.copy_from_slice(&acc);
-    }
-    for (o, wv) in outs.into_remainder().iter_mut().zip(rows) {
-        let mut acc = 0.0f32;
-        for (xv, wv) in x.iter().zip(wv) {
-            acc += xv * wv;
-        }
-        *o = acc;
     }
 }
 
@@ -956,8 +938,9 @@ mod tests {
     use crate::tokenizer::Tokenizer;
 
     #[test]
-    fn interleaved_dot_rows_match_the_one_row_loop_bitwise() {
-        // Vocabularies below, at and around multiples of the lane count.
+    fn transposed_lm_head_matches_the_one_row_loop_bitwise() {
+        // Vocabularies of one row, below, at and around multiples of 8,
+        // the tiny model's 256, and past it.
         let hidden = 64;
         let mut state = 0x9e37_79b9u32;
         let mut next = move || {
@@ -969,8 +952,9 @@ mod tests {
         let x: Vec<f32> = (0..hidden).map(|_| next()).collect();
         for vocab in [1, 7, 8, 13, 256, 261] {
             let w: Vec<f32> = (0..vocab * hidden).map(|_| next()).collect();
-            let mut got = vec![0.0f32; vocab];
-            dot_rows(&x, &w, &mut got);
+            let wt = transpose(&w, hidden);
+            let mut got = vec![f32::NAN; vocab];
+            logits_transposed(&x, &wt, &mut got);
             for (v, g) in got.iter().enumerate() {
                 let mut want = 0.0f32;
                 for (xv, wv) in x.iter().zip(&w[v * hidden..(v + 1) * hidden]) {

@@ -51,8 +51,12 @@ impl LlmSampler {
         if self.temperature <= 0.0 {
             return argmax(logits);
         }
-        // NaN-proof logit accessor: total_cmp orders NaN deterministically,
-        // and mapping NaN to -inf zeroes its sampling weight.
+        assert!(
+            u32::try_from(logits.len()).is_ok(),
+            "vocabulary must fit in 32 bits"
+        );
+        // NaN-proof logit accessor: mapping NaN to -inf zeroes its
+        // sampling weight.
         let logit = |i: usize| {
             let v = logits[i];
             if v.is_nan() {
@@ -62,22 +66,30 @@ impl LlmSampler {
             }
         };
         // Top-k filter: the k best indices in the order a stable sort by
-        // descending logit leaves them, i.e. by logit descending, then by
-        // index. That order is total, so selecting the k first and sorting
-        // only them gives the same list.
-        let order = |a: &usize, b: &usize| logit(*b).total_cmp(&logit(*a)).then(a.cmp(b));
+        // descending logit leaves them, i.e. by logit descending (in
+        // `total_cmp` order), then by index. Each index gets one integer
+        // key in that order: the logit's total-order bits, inverted, above
+        // the index. Keys are distinct, so selecting the k smallest and
+        // sorting only them gives the same list.
+        let key = |i: usize| {
+            let bits = logit(i).to_bits();
+            // Flip the magnitude of negatives and the sign of all, so
+            // unsigned order is `total_cmp` order.
+            let total = bits ^ (((bits as i32 >> 31) as u32) >> 1) ^ (1 << 31);
+            u64::from(!total) << 32 | i as u64
+        };
         let k = if self.top_k == 0 {
             logits.len()
         } else {
             self.top_k.min(logits.len())
         };
-        let mut idx: Vec<usize> = (0..logits.len()).collect();
-        if k < idx.len() {
-            idx.select_nth_unstable_by(k - 1, order);
-            idx.truncate(k);
+        let mut keys: Vec<u64> = (0..logits.len()).map(key).collect();
+        if k < keys.len() {
+            keys.select_nth_unstable(k - 1);
+            keys.truncate(k);
         }
-        idx.sort_unstable_by(order);
-        let kept = &idx[..];
+        keys.sort_unstable();
+        let kept: Vec<usize> = keys.iter().map(|&key| key as u32 as usize).collect();
         let maxv = logit(kept[0]);
         if !maxv.is_finite() {
             // Every candidate is NaN/-inf; nothing to weight.
@@ -89,7 +101,7 @@ impl LlmSampler {
             .collect();
         let total: f64 = weights.iter().sum();
         let mut pick = rng.gen_range(0.0..total);
-        for (w, &i) in weights.iter().zip(kept) {
+        for (w, &i) in weights.iter().zip(&kept) {
             if pick < *w {
                 return i as u32;
             }
