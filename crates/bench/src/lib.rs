@@ -74,7 +74,7 @@ pub mod json {
         }
 
         /// Serializes with two-space indentation and a trailing newline.
-        pub fn to_pretty(&self) -> String {
+        fn to_pretty(&self) -> String {
             let mut out = String::new();
             self.write(&mut out, 0);
             out.push('\n');

@@ -433,7 +433,7 @@ impl SweepOutcome {
     /// ascending — `[1]` for a single-session row, `[2]`/`[3]`/... for a
     /// uniformly sharded one, several values when KV growth forces more
     /// sessions at larger batches. Empty for [`SweepOutcome::CannotRun`].
-    pub fn session_counts(&self) -> Vec<usize> {
+    fn session_counts(&self) -> Vec<usize> {
         let SweepOutcome::Ran(points) = self else {
             return Vec::new();
         };

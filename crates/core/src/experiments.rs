@@ -573,7 +573,7 @@ pub struct Fig15Row {
 }
 
 /// The paper's eleven weight configurations.
-pub fn fig15_matrix_configs() -> Vec<(usize, usize, QuantScheme)> {
+fn fig15_matrix_configs() -> Vec<(usize, usize, QuantScheme)> {
     vec![
         (1536, 1536, QuantScheme::Q4_0),
         (1536, 8960, QuantScheme::Q4_0),
@@ -906,7 +906,7 @@ pub fn thermal_decode_rows() -> Vec<ThermalDecodeRow> {
 /// The seeded multi-minute trace the thermal fleet comparison serves:
 /// a sustained mixed-tenant stream heavy enough to keep the V79/V75/V73
 /// fleet busy past its thermal time constants.
-pub fn thermal_fleet_trace(seed: u64) -> Vec<Request> {
+fn thermal_fleet_trace(seed: u64) -> Vec<Request> {
     let tenants = [
         TenantSpec {
             output_lens: (16, 48),
@@ -976,8 +976,10 @@ fn fleet_thermal_row(
     Ok((row, r))
 }
 
-/// Serves [`thermal_fleet_trace`] through the heterogeneous fleet under
-/// thermal-blind and thermal-aware dispatch: identical physics, identical
+/// Serves the seeded thermal fleet trace (a sustained mixed-tenant stream
+/// heavy enough to keep the fleet busy past its thermal time constants)
+/// through the heterogeneous fleet under thermal-blind and thermal-aware
+/// dispatch: identical physics, identical
 /// trace, only the dispatcher's completion oracle differs. Returns
 /// `[blind, aware]`.
 pub fn fleet_thermal_rows(seed: u64) -> SimResult<Vec<FleetThermalRow>> {

@@ -9,7 +9,6 @@
 use edgellm::config::{ModelConfig, ModelId};
 
 use crate::pipeline::DecodePoint;
-use crate::session::ShardPlan;
 
 /// One memory/CPU overhead measurement.
 #[derive(Clone, Debug)]
@@ -68,34 +67,11 @@ pub fn measure_overhead(
     }
 }
 
-/// Computes the overhead point for a decode over a weight-streaming
-/// placement. The hot/cold hierarchy moves the footprint rather than
-/// shrinking it: cold transformer layers leave the NPU-mapped dmabuf (only
-/// the double-buffered stream window stays pinned there alongside the hot
-/// layers and KV) and live instead in the CPU-owned DDR staging region,
-/// which — like any malloc'd weight cache — counts toward CPU resident
-/// memory. Resident plans pass through [`measure_overhead`] unchanged.
-pub fn measure_overhead_planned(
-    model: ModelId,
-    point: &DecodePoint,
-    ctx_budget: usize,
-    system: &str,
-    plan: &ShardPlan,
-) -> OverheadPoint {
-    let mut out = measure_overhead(model, point, ctx_budget, system);
-    if plan.is_streaming() {
-        let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
-        out.dmabuf_mib =
-            (out.dmabuf_mib - mib(plan.staged_bytes) + mib(plan.window_bytes)).max(0.0);
-        out.cpu_rss_mib += mib(plan.staged_bytes);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::{Deployment, DispatchMode};
+    use crate::session::ShardPlan;
     use hexsim::prelude::*;
 
     /// Serial single-session decode on the paper's primary device.
@@ -141,36 +117,6 @@ mod tests {
         );
         assert!(b16.cpu_rss_mib > b1.cpu_rss_mib);
         assert!(b16.cpu_rss_mib - b1.cpu_rss_mib < 80.0);
-    }
-
-    #[test]
-    fn streaming_moves_cold_weights_from_dmabuf_to_cpu() {
-        use crate::backend::{Backend, NpuSimBackend};
-        let d = DeviceProfile::v73();
-        let b = NpuSimBackend::streamed(d.clone());
-        let p = b.decode(ModelId::Qwen7B, 8, 1024).unwrap();
-        let cfg = ModelConfig::for_id(ModelId::Qwen7B);
-        let plan = ShardPlan::build_streaming(&cfg, d.session_va_bytes, 8, 1024).unwrap();
-        let resident = measure_overhead(ModelId::Qwen7B, &p, 4096, "Ours (streamed)");
-        let streamed =
-            measure_overhead_planned(ModelId::Qwen7B, &p, 4096, "Ours (streamed)", &plan);
-        let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
-        // The dmabuf sheds exactly the staged cold layers and gains back
-        // the double-buffered window; the CPU picks the staged bytes up.
-        let delta = resident.dmabuf_mib - streamed.dmabuf_mib;
-        assert!(
-            (delta - (mib(plan.staged_bytes) - mib(plan.window_bytes))).abs() < 1e-9,
-            "dmabuf delta {delta} MiB"
-        );
-        assert!(streamed.dmabuf_mib < resident.dmabuf_mib / 2.0);
-        assert!(
-            (streamed.cpu_rss_mib - resident.cpu_rss_mib - mib(plan.staged_bytes)).abs() < 1e-9
-        );
-        // A resident plan is a no-op through the planned entry point.
-        let resident_plan = ShardPlan::build(&cfg, d.session_va_bytes, 8, 1024).unwrap();
-        let same = measure_overhead_planned(ModelId::Qwen7B, &p, 4096, "Ours", &resident_plan);
-        assert_eq!(same.dmabuf_mib, resident.dmabuf_mib);
-        assert_eq!(same.cpu_rss_mib, resident.cpu_rss_mib);
     }
 
     #[test]

@@ -231,84 +231,6 @@ pub fn efficiency_panel(
         .collect()
 }
 
-/// One cell of the speculative-decoding efficiency surface: the verify
-/// batch of a draft-length-`k` pipeline priced like any other decode
-/// batch, with the throughput axes discounted to *accepted* tokens.
-///
-/// A verify step runs `k + 1` rows but commits only the expected
-/// `1 + sum_{i=1..k} alpha^i` tokens per round (each drafted position
-/// survives with probability `alpha`, plus the verifier's own bonus
-/// token), so accepted-tokens/joule sits beside the raw tokens/joule of
-/// [`EfficiencyPoint`] on the same per-watt axis.
-#[derive(Clone, Debug)]
-pub struct SpecEfficiencyPoint {
-    /// Device SoC label.
-    pub device: String,
-    /// Model label (the verify/target model).
-    pub model: String,
-    /// Draft length: the verify batch is `draft_len + 1` rows.
-    pub draft_len: usize,
-    /// Per-token acceptance rate the discount assumes.
-    pub acceptance: f64,
-    /// Expected committed tokens per verify round.
-    pub committed_per_round: f64,
-    /// Raw verify-batch tokens/sec at the sustained operating point.
-    pub sustained_tokens_per_sec: f64,
-    /// Accepted tokens/sec at the sustained operating point.
-    pub sustained_accepted_per_sec: f64,
-    /// Accepted tokens/joule at burst clocks.
-    pub burst_accepted_per_joule: f64,
-    /// Accepted tokens/joule at the sustained operating point.
-    pub sustained_accepted_per_joule: f64,
-}
-
-/// Expected committed tokens per verify round at draft length `k` and
-/// per-token acceptance `alpha`: `1 + sum_{i=1..k} alpha^i` (position
-/// `i` commits only if all `i` draft tokens before it were accepted).
-pub fn expected_committed(draft_len: usize, acceptance: f64) -> f64 {
-    let mut committed = 1.0;
-    let mut run = 1.0;
-    for _ in 0..draft_len {
-        run *= acceptance;
-        committed += run;
-    }
-    committed
-}
-
-/// Computes the spec-decode operating points for one target model over a
-/// draft-length sweep, so accepted-tokens/joule appears beside the plain
-/// tokens/joule of [`efficiency_panel`]. Draft lengths whose verify batch
-/// does not fit the device are skipped.
-pub fn spec_efficiency_panel(
-    device: &DeviceProfile,
-    model: ModelId,
-    ks: &[usize],
-    ctx_len: usize,
-    acceptance: f64,
-) -> Vec<SpecEfficiencyPoint> {
-    ks.iter()
-        .filter_map(|&k| {
-            let curve = sustained_decode_curve(device, model, k + 1, ctx_len, 0.0).ok()?;
-            let committed = expected_committed(k, acceptance);
-            // The verify batch prices k+1 rows; only `committed` of them
-            // become output tokens, so every throughput axis shrinks by
-            // committed / (k + 1).
-            let discount = committed / (k + 1) as f64;
-            Some(SpecEfficiencyPoint {
-                device: curve.device,
-                model: curve.model,
-                draft_len: k,
-                acceptance,
-                committed_per_round: committed,
-                sustained_tokens_per_sec: curve.sustained_tokens_per_sec,
-                sustained_accepted_per_sec: curve.sustained_tokens_per_sec * discount,
-                burst_accepted_per_joule: curve.burst_tokens_per_joule * discount,
-                sustained_accepted_per_joule: curve.sustained_tokens_per_joule * discount,
-            })
-        })
-        .collect()
-}
-
 /// Maps a generation budget to a beam configuration (width x expansion =
 /// budget, following the common W = E = sqrt(N) split).
 pub fn beam_width_for_budget(budget: usize) -> BeamSearchConfig {
@@ -477,42 +399,6 @@ mod tests {
             panel[1].sustained_tokens_per_sec_per_watt
                 > 2.0 * panel[0].sustained_tokens_per_sec_per_watt
         );
-    }
-
-    #[test]
-    fn spec_efficiency_sits_beside_the_plain_panel() {
-        use edgellm::config::ModelId;
-        let d = DeviceProfile::v75();
-        let plain = efficiency_panel(&d, ModelId::Qwen1_5B, &[1], 1024);
-        let spec = spec_efficiency_panel(&d, ModelId::Qwen1_5B, &[1, 2, 3, 4], 1024, 0.7);
-        assert_eq!(spec.len(), 4);
-        for p in &spec {
-            // Committing fewer tokens than rows is a strict discount.
-            assert!(
-                p.sustained_accepted_per_sec < p.sustained_tokens_per_sec,
-                "k={}",
-                p.draft_len
-            );
-            assert!(p.burst_accepted_per_joule > 0.0);
-            assert!(p.sustained_accepted_per_joule > 0.0);
-            // Closed form: 1 + sum alpha^i.
-            let expect = expected_committed(p.draft_len, 0.7);
-            assert!((p.committed_per_round - expect).abs() < 1e-12);
-        }
-        // At a healthy acceptance the verify batch amortizes like any
-        // other batch: accepted-tokens/joule at k=3 beats plain batch-1
-        // decode even after the committed/(k+1) discount.
-        let k3 = spec.iter().find(|p| p.draft_len == 3).unwrap();
-        assert!(
-            k3.sustained_accepted_per_joule > plain[0].sustained_tokens_per_sec_per_watt,
-            "spec k=3 {} vs plain batch-1 {}",
-            k3.sustained_accepted_per_joule,
-            plain[0].sustained_tokens_per_sec_per_watt
-        );
-        // Zero acceptance degenerates to plain decode efficiency divided
-        // by the wasted rows.
-        let cold = spec_efficiency_panel(&d, ModelId::Qwen1_5B, &[3], 1024, 0.0);
-        assert!((cold[0].committed_per_round - 1.0).abs() < 1e-12);
     }
 
     #[test]

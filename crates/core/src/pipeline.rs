@@ -4,10 +4,11 @@
 //! across 32-bit NPU sessions (a [`ShardPlan`], Section 8), map its
 //! weights into a cost-only context that opens the plan's sessions (cold
 //! layers parked in DDR staging when the plan streams), and walk the
-//! plan's schedule under a [`DispatchMode`] (Section 7.2.2). Its two
-//! consuming methods run the real forward pass, every kernel charging
-//! the calibrated cost model, and report throughput plus engine-level
-//! busy times: the raw material for Figures 11, 12, 13, 16 and 17.
+//! plan's schedule. Its two consuming methods run the real forward pass,
+//! every kernel charging the calibrated cost model, price the stages the
+//! model records under a [`DispatchMode`] (Section 7.2.2), and report
+//! throughput plus engine-level busy times: the raw material for Figures
+//! 11, 12, 13, 16 and 17.
 //! [`crate::backend::NpuSimBackend`] plans and measures through it, and
 //! the serving gateway builds its workers with it.
 //!
@@ -20,8 +21,9 @@
 
 use edgellm::config::ModelId;
 use edgellm::kv_cache::KvCache;
-use edgellm::model::{Model, StepCost};
+use edgellm::model::{DecodeOutput, Model};
 pub use edgellm::overlap::DispatchMode;
+use edgellm::overlap::{single_pass_secs, steady_state_step_secs, StepStages};
 use hexsim::cost::NUM_ENGINES;
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
@@ -85,17 +87,20 @@ impl DecodePoint {
 }
 
 /// One model planned and built on one device: a cost-only context that
-/// opens the plan's sessions, and the model mapped into it walking the
-/// plan's schedule under a dispatch mode. The one place a deployment is
-/// built; [`Deployment::decode`] and [`Deployment::prefill`] consume it
-/// into a measurement, and the serving gateway takes its context and
-/// model apart to drive a decode session.
+/// opens the plan's sessions, the model mapped into it walking the plan's
+/// schedule, and the dispatch mode that prices its steps. The one place a
+/// deployment is built; [`Deployment::decode`] and [`Deployment::prefill`]
+/// consume it into a measurement, and the serving gateway takes its
+/// context and model apart to drive a decode session (and prices each
+/// step itself).
 pub struct Deployment {
     /// The simulated NPU context, opened with the plan's session count.
     pub ctx: NpuContext,
-    /// The cost-only model bound to `ctx`.
+    /// The cost-only model bound to `ctx`. It records each step's stages
+    /// and leaves their pricing to the deployment.
     pub model: Model,
     sessions: usize,
+    dispatch: DispatchMode,
 }
 
 impl Deployment {
@@ -125,11 +130,11 @@ impl Deployment {
             &schedule.streamed,
         )?;
         model.set_layer_schedule(schedule);
-        model.set_dispatch_mode(dispatch);
         Ok(Deployment {
             ctx,
             model,
             sessions: plan.sessions(),
+            dispatch,
         })
     }
 
@@ -151,7 +156,7 @@ impl Deployment {
             .model
             .decode_step(&mut self.ctx, &mut cache, &vec![0u32; batch])?;
         let delta = self.ctx.cost.delta_since(&snap, "decode");
-        let step_secs = self.secs(&out.cost);
+        let step_secs = self.secs(&out, steady_state_step_secs);
         Ok(DecodePoint {
             model: self.model.cfg.id.label().to_string(),
             device: self.ctx.device().arch.soc_label().to_string(),
@@ -175,7 +180,7 @@ impl Deployment {
         let out = self
             .model
             .prefill(&mut self.ctx, &mut cache, 0, &vec![0u32; prompt_len])?;
-        let total_secs = self.secs(&out.cost);
+        let total_secs = self.secs(&out, single_pass_secs);
         Ok(PrefillPoint {
             model: self.model.cfg.id.label().to_string(),
             device: self.ctx.device().arch.soc_label().to_string(),
@@ -186,13 +191,14 @@ impl Deployment {
         })
     }
 
-    /// Wall seconds of a pass under the installed dispatch mode: the
-    /// additive stage sum when serial, the schedule's critical path when
-    /// overlapped.
-    fn secs(&self, cost: &StepCost) -> f64 {
-        match self.model.dispatch_mode() {
-            DispatchMode::Serial => cost.wall_secs(),
-            DispatchMode::Overlapped => cost.overlapped_secs,
+    /// Wall seconds of a recorded pass under the deployment's dispatch
+    /// mode: the additive stage sum when serial, the critical path of the
+    /// recorded stages when overlapped (`overlapped`: the steady-state
+    /// period of a repeating decode step, or one standalone prefill pass).
+    fn secs(&self, out: &DecodeOutput, overlapped: fn(&StepStages) -> f64) -> f64 {
+        match self.dispatch {
+            DispatchMode::Serial => out.cost.wall_secs(),
+            DispatchMode::Overlapped => overlapped(&out.stages),
         }
     }
 }

@@ -52,7 +52,7 @@ impl PowerModel {
     /// the thermal integrator must never ingest). This is the single
     /// watts formula behind [`PowerModel::step_power`] and the thermal
     /// capacitance integration.
-    pub fn power_from_utilization(&self, util: &[f64; NUM_ENGINES]) -> f64 {
+    fn power_from_utilization(&self, util: &[f64; NUM_ENGINES]) -> f64 {
         let d = &self.device;
         let lane = |e: Engine| util[e.index()].clamp(0.0, 1.0);
         let dma = lane(Engine::Dma) + lane(Engine::L2fetch);

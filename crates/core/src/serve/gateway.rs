@@ -4,9 +4,10 @@
 //! of simulated NPU workers. Each worker is a real
 //! [`DecodeSession`] over a cost-only model built as a
 //! [`crate::pipeline::Deployment`] of the plan its dispatch oracle
-//! measured (shard plan, streamed weight hierarchy, overlap-aware
-//! dispatch), so every charged duration comes from the same calibrated
-//! cost model as the paper figures:
+//! measured (shard plan, streamed weight hierarchy), so every charged
+//! duration comes from the same calibrated cost model as the paper
+//! figures. The model only records each step's stages; the gateway prices
+//! them itself, overlap-aware, with one schedule per step:
 //!
 //! - a **decode step** costs the steady-state critical path of its
 //!   recorded stages, read off the same [`steady_state`] schedule as the

@@ -235,11 +235,6 @@ impl WfqState {
         self.vtime.len()
     }
 
-    /// The tenant's current virtual time (its dispatch ordering key).
-    pub fn vtime(&self, tenant: usize) -> f64 {
-        self.vtime[tenant]
-    }
-
     /// Tokens (prompt + generated) served to the tenant so far.
     pub fn served_tokens(&self, tenant: usize) -> u64 {
         self.served[tenant]
@@ -602,21 +597,21 @@ mod tests {
         let mut wfq = WfqState::new(&[2.0, 1.0]);
         wfq.charge(0, 10);
         wfq.charge(1, 10);
-        assert_eq!(wfq.vtime(0), 5.0);
-        assert_eq!(wfq.vtime(1), 10.0);
+        assert_eq!(wfq.vtimes()[0], 5.0);
+        assert_eq!(wfq.vtimes()[1], 10.0);
         assert_eq!(wfq.served_tokens(0), 10);
         assert_eq!(wfq.served_tokens(1), 10);
         // Tenant 0 idles while tenant 1 racks up service; on waking,
         // tenant 0's virtual time jumps to the floor (no banked credit)…
         wfq.charge(1, 90);
         wfq.wake(0);
-        assert_eq!(wfq.vtime(0), 100.0);
+        assert_eq!(wfq.vtimes()[0], 100.0);
         // …but a wake never rewinds a tenant already ahead.
         wfq.wake(1);
-        assert_eq!(wfq.vtime(1), 100.0);
+        assert_eq!(wfq.vtimes()[1], 100.0);
         wfq.charge(1, 1);
         wfq.wake(1);
-        assert_eq!(wfq.vtime(1), 101.0);
+        assert_eq!(wfq.vtimes()[1], 101.0);
     }
 
     #[test]

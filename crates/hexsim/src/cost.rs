@@ -148,15 +148,6 @@ impl PhaseCost {
     pub fn engine(&self, e: Engine) -> f64 {
         self.engine_secs[e.idx()]
     }
-
-    /// Merges another phase's engine times into this one (concurrent union:
-    /// engine times add, wall recomputed as max).
-    pub fn merge_concurrent(&mut self, other: &PhaseCost) {
-        for i in 0..NUM_ENGINES {
-            self.engine_secs[i] += other.engine_secs[i];
-        }
-        self.wall_secs = self.engine_secs.iter().fold(0.0f64, |acc, &s| acc.max(s));
-    }
 }
 
 /// Snapshot token for [`CostModel::snapshot`] / [`CostModel::scale_since`].
@@ -176,14 +167,9 @@ pub struct CostSnapshot {
 /// *counts*, which the kernels produce faithfully.
 #[derive(Clone, Debug)]
 pub struct CostModel {
-    /// Active profile all charges price against — the base device
-    /// re-derived at the current DVFS clock multiplier.
+    /// The profile all charges price against (a throttled operating
+    /// point is a profile of its own, [`DeviceProfile::at_clock`]).
     device: DeviceProfile,
-    /// The burst-clock profile as constructed, kept so the multiplier can
-    /// change mid-flight without compounding scale factors.
-    base_device: DeviceProfile,
-    /// Current DVFS clock multiplier (1.0 = burst).
-    clock_mult: f64,
     engine_secs: [f64; NUM_ENGINES],
     counters: Counters,
     phase_start: Option<(String, [f64; NUM_ENGINES])>,
@@ -196,9 +182,7 @@ impl CostModel {
     /// Creates an empty cost model for a device.
     pub fn new(device: DeviceProfile) -> Self {
         CostModel {
-            device: device.clone(),
-            base_device: device,
-            clock_mult: 1.0,
+            device,
             engine_secs: [0.0; NUM_ENGINES],
             counters: Counters::default(),
             phase_start: None,
@@ -206,32 +190,9 @@ impl CostModel {
         }
     }
 
-    /// The device this model charges against (at the current clock — see
-    /// [`CostModel::set_clock_mult`]).
+    /// The device this model charges against.
     pub fn device(&self) -> &DeviceProfile {
         &self.device
-    }
-
-    /// Moves the model to a DVFS operating point: subsequent charges are
-    /// priced against [`DeviceProfile::at_clock`]`(mult)` of the *base*
-    /// device, so repeated calls never compound. Already-accumulated time
-    /// is untouched — the multiplier applies from this call onward, which
-    /// is exactly how a mid-decode throttle event lands. Returns the
-    /// previous multiplier so callers can restore it.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < mult <= 1` (see [`DeviceProfile::at_clock`]).
-    pub fn set_clock_mult(&mut self, mult: f64) -> f64 {
-        let prev = self.clock_mult;
-        self.device = self.base_device.at_clock(mult);
-        self.clock_mult = mult;
-        prev
-    }
-
-    /// The current DVFS clock multiplier (1.0 = burst).
-    pub fn clock_mult(&self) -> f64 {
-        self.clock_mult
     }
 
     /// Raw activity counters.
@@ -244,15 +205,13 @@ impl CostModel {
         self.engine_secs[e.idx()]
     }
 
-    /// Clears all accumulated time and counters, closes any open phase,
-    /// and returns the clock to burst (multiplier 1.0).
+    /// Clears all accumulated time and counters and closes any open
+    /// phase.
     pub fn reset(&mut self) {
         self.engine_secs = [0.0; NUM_ENGINES];
         self.counters = Counters::default();
         self.phase_start = None;
         self.hvx_parallelism = 1.0;
-        self.device = self.base_device.clone();
-        self.clock_mult = 1.0;
     }
 
     /// Declares that subsequent HVX charges are spread over `threads` vector
@@ -602,8 +561,7 @@ mod tests {
     fn throttled_charges_match_the_scalar_reference_on_every_lane() {
         for base in DeviceProfile::all() {
             for mult in [1.0, 0.82, 0.65, 0.6] {
-                let mut m = CostModel::new(base.clone());
-                m.set_clock_mult(mult);
+                let mut m = CostModel::new(base.at_clock(mult));
                 throttled_charges(&mut m);
                 let want = throttled_reference(&base, mult);
                 for e in Engine::ALL {
@@ -629,8 +587,7 @@ mod tests {
         let mult = 0.6;
         let mut burst = CostModel::new(base.clone());
         throttled_charges(&mut burst);
-        let mut slow = CostModel::new(base);
-        slow.set_clock_mult(mult);
+        let mut slow = CostModel::new(base.at_clock(mult));
         throttled_charges(&mut slow);
         for e in Engine::ALL {
             let fixed = if e == Engine::Cpu { 30e-6 } else { 0.0 };
@@ -644,46 +601,5 @@ mod tests {
         }
         // Counters are clock-independent (same instructions, same bytes).
         assert_eq!(burst.counters(), slow.counters());
-    }
-
-    #[test]
-    fn set_clock_mult_does_not_compound_and_reset_restores_burst() {
-        let mut m = model();
-        let prev = m.set_clock_mult(0.5);
-        assert_eq!(prev, 1.0);
-        // Re-setting from the *base* device: 0.5 twice is still 0.5.
-        m.set_clock_mult(0.5);
-        m.charge_dma(30_000_000_000); // 1 s at burst, 2 s at half clock.
-        assert!((m.engine_secs(Engine::Dma) - 1.0).abs() < 1e-9);
-        assert_eq!(m.clock_mult(), 0.5);
-        m.reset();
-        assert_eq!(m.clock_mult(), 1.0);
-        m.charge_dma(60_000_000_000);
-        assert!((m.engine_secs(Engine::Dma) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mid_flight_throttle_prices_only_subsequent_charges() {
-        let mut m = model();
-        m.charge_dma(60_000_000_000); // 1 s at burst.
-        m.set_clock_mult(0.5);
-        m.charge_dma(60_000_000_000); // 2 s throttled.
-        assert!((m.engine_secs(Engine::Dma) - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_concurrent_recomputes_wall() {
-        let mut a = PhaseCost {
-            label: "a".into(),
-            engine_secs: [0.0; NUM_ENGINES],
-            wall_secs: 0.0,
-        };
-        a.engine_secs[Engine::Hvx.idx()] = 1.0;
-        a.wall_secs = 1.0;
-        let mut b = a.clone();
-        b.engine_secs[Engine::Dma.idx()] = 3.0;
-        a.merge_concurrent(&b);
-        assert!((a.wall_secs - 3.0).abs() < 1e-12);
-        assert!((a.engine(Engine::Hvx) - 2.0).abs() < 1e-12);
     }
 }

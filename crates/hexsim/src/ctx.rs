@@ -209,11 +209,6 @@ impl NpuContext {
         self.tcm_top = mark.0;
     }
 
-    /// Bytes of TCM currently allocated.
-    pub fn tcm_used(&self) -> u32 {
-        self.tcm_top
-    }
-
     /// Simulation-side helper: reads TCM bytes without charging cost (used
     /// by tests and by host-side staging that is charged separately).
     /// Cost-only contexts hold no TCM data and read zeros.
@@ -295,13 +290,6 @@ impl NpuContext {
     /// Bytes currently parked in the CPU-owned DDR staging region.
     pub fn ddr_staged_bytes(&self) -> u64 {
         self.ddr.staged_bytes
-    }
-
-    /// Number of NPU sessions currently open (1 unless the context was
-    /// created with [`NpuContext::new_sharded`] and an allocation spilled
-    /// past the first session's VA space).
-    pub fn ddr_sessions(&self) -> usize {
-        self.ddr.sessions()
     }
 
     /// Host-side write into DDR (no NPU cost; the host produced the data).
@@ -750,11 +738,11 @@ mod tests {
         // `base + bytes` overflows u32.
         let err = c.tcm_alloc(u32::MAX - 50, 1).unwrap_err();
         assert!(matches!(err, SimError::TcmExhausted { .. }));
-        assert_eq!(c.tcm_used(), 100);
+        assert_eq!(c.tcm_top, 100);
         // A base aligned up to near u32::MAX overflows on adding `bytes`.
         let err = c.tcm_alloc(20, u32::MAX - 10).unwrap_err();
         assert!(matches!(err, SimError::TcmExhausted { .. }));
-        assert_eq!(c.tcm_used(), 100);
+        assert_eq!(c.tcm_top, 100);
         assert_eq!(c.tcm_alloc(28, 128).unwrap(), TcmAddr(128));
     }
 
@@ -810,9 +798,9 @@ mod tests {
         let _keep = c.tcm_alloc(256, 1).unwrap();
         let mark = c.tcm_mark();
         c.tcm_alloc(1024, 1).unwrap();
-        assert_eq!(c.tcm_used(), 256 + 1024);
+        assert_eq!(c.tcm_top, 256 + 1024);
         c.tcm_release(mark);
-        assert_eq!(c.tcm_used(), 256);
+        assert_eq!(c.tcm_top, 256);
     }
 
     #[test]
@@ -1004,9 +992,7 @@ mod tests {
         // fine on a two-session context (paper Section 8).
         let mut c = NpuContext::new_sharded(DeviceProfile::v73(), ExecMode::CostOnly, 2);
         c.ddr_alloc(1_700_000_000).unwrap();
-        assert_eq!(c.ddr_sessions(), 1);
         c.ddr_alloc(1_000_000_000).unwrap();
-        assert_eq!(c.ddr_sessions(), 2);
         // The cap still holds: a third large mapping has nowhere to go.
         let err = c.ddr_alloc(1_500_000_000).unwrap_err();
         assert!(matches!(err, SimError::VaSpaceExceeded { .. }));

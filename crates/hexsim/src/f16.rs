@@ -181,14 +181,6 @@ impl F16 {
         F16::from_f32(self.to_f32() * other.to_f32())
     }
 
-    /// Binary16 division (via f32; double rounding is possible but only off
-    /// by one ULP in rare cases, matching the tolerance of HVX reciprocal
-    /// sequences on real hardware).
-    #[inline]
-    pub fn div(self, other: Self) -> Self {
-        F16::from_f32(self.to_f32() / other.to_f32())
-    }
-
     /// Total order comparison on finite values; NaN sorts greater than all.
     pub fn total_cmp(self, other: Self) -> Ordering {
         match (self.is_nan(), other.is_nan()) {
@@ -349,24 +341,6 @@ impl From<F16> for f32 {
     fn from(v: F16) -> Self {
         v.to_f32()
     }
-}
-
-/// Reads a little-endian `F16` from a 2-byte slice.
-///
-/// # Panics
-///
-/// Panics if `bytes` is shorter than 2 bytes.
-pub fn f16_from_le_bytes(bytes: &[u8]) -> F16 {
-    F16(u16::from_le_bytes([bytes[0], bytes[1]]))
-}
-
-/// Writes an `F16` as little-endian into a 2-byte slice.
-///
-/// # Panics
-///
-/// Panics if `out` is shorter than 2 bytes.
-pub fn f16_to_le_bytes(v: F16, out: &mut [u8]) {
-    out[..2].copy_from_slice(&v.0.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -550,7 +524,6 @@ mod tests {
         assert_eq!(a.add(b).to_f32(), 3.75);
         assert_eq!(a.mul(b).to_f32(), 3.375);
         assert_eq!(b.sub(a).to_f32(), 0.75);
-        assert_eq!(b.div(F16::from_f32(0.5)).to_f32(), 4.5);
         assert_eq!(a.max(b), b);
         assert_eq!(a.min(b), a);
     }
@@ -576,14 +549,6 @@ mod tests {
             let expected = bits as f32 * 2.0f32.powi(-24);
             assert_eq!(h.to_f32(), expected, "subnormal {bits:#06x}");
         }
-    }
-
-    #[test]
-    fn le_bytes_helpers() {
-        let v = F16::from_f32(1.5);
-        let mut buf = [0u8; 2];
-        f16_to_le_bytes(v, &mut buf);
-        assert_eq!(f16_from_le_bytes(&buf), v);
     }
 
     #[test]

@@ -96,14 +96,6 @@ pub fn unpack_tile_f32(bytes: &[u8]) -> WideTile {
     unpack_with(bytes, |h| F16(h).to_f32())
 }
 
-/// Linear tile index of weight tile `(k_tile, n_tile)` in the column-major
-/// tile layout of paper Figure 4b, for a weight matrix with `k_tiles` tiles
-/// along the accumulation dimension.
-#[inline]
-pub fn weight_tile_index(k_tile: usize, n_tile: usize, k_tiles: usize) -> usize {
-    n_tile * k_tiles + k_tile
-}
-
 /// The HMX internal accumulator: a 32x32 FP32 matrix.
 ///
 /// FP16 HMX accumulates in higher precision internally (paper Section
@@ -377,14 +369,6 @@ mod tests {
         let acc = assert_mac_is_naive(&[[-0.0; TILE_DIM]; TILE_DIM], &act, &wgt);
         assert!(acc[0].iter().all(|v| v.to_bits() == (-0.0f32).to_bits()));
         assert!(acc.iter().flatten().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn weight_tiles_column_major() {
-        // For k_tiles = 4: tile (k=1, n=2) sits at 2*4 + 1.
-        assert_eq!(weight_tile_index(1, 2, 4), 9);
-        assert_eq!(weight_tile_index(0, 0, 4), 0);
-        assert_eq!(weight_tile_index(3, 0, 4), 3);
     }
 
     #[test]

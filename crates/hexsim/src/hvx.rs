@@ -68,7 +68,7 @@ impl HvxVec {
 
     /// Reads word lane `i`.
     #[inline]
-    pub fn get_w(&self, i: usize) -> u32 {
+    fn get_w(&self, i: usize) -> u32 {
         u32::from_le_bytes([
             self.0[4 * i],
             self.0[4 * i + 1],
@@ -79,7 +79,7 @@ impl HvxVec {
 
     /// Writes word lane `i`.
     #[inline]
-    pub fn set_w(&mut self, i: usize, v: u32) {
+    fn set_w(&mut self, i: usize, v: u32) {
         self.0[4 * i..4 * i + 4].copy_from_slice(&v.to_le_bytes());
     }
 

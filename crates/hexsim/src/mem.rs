@@ -57,10 +57,9 @@ pub(crate) const STAGING_SESSION: usize = usize::MAX;
 /// va_per_session` — while bin-level placement is the shard planner's
 /// job (a loader maps buffers where the plan says, not in allocation
 /// order, and any plan-feasible placement refines to the heap's finer
-/// per-buffer granularity). Session labels are assigned first-fit for
-/// introspection ([`DdrHeap::sessions`]), falling back to the
-/// least-used session rather than failing, precisely because allocation
-/// order is not placement.
+/// per-buffer granularity). Session labels are assigned first-fit,
+/// falling back to the least-used session rather than failing, precisely
+/// because allocation order is not placement.
 pub(crate) struct DdrHeap {
     buffers: HashMap<u64, DdrBufferState>,
     next_id: u64,
@@ -87,11 +86,6 @@ impl DdrHeap {
             max_sessions,
             session_used: vec![0],
         }
-    }
-
-    /// Number of sessions currently open (>= 1).
-    pub fn sessions(&self) -> usize {
-        self.session_used.len()
     }
 
     /// Checks the session envelope and picks a session label for a new
@@ -257,12 +251,12 @@ mod tests {
         // with the third buffer backfilling nothing (first-fit).
         let mut heap = DdrHeap::with_sessions(1000, 3);
         heap.alloc(600, false).unwrap();
-        assert_eq!(heap.sessions(), 1);
+        assert_eq!(heap.session_used.len(), 1);
         heap.alloc(600, false).unwrap();
-        assert_eq!(heap.sessions(), 2);
+        assert_eq!(heap.session_used.len(), 2);
         // 300 bytes first-fits back into session 0's slack.
         let small = heap.alloc(300, false).unwrap();
-        assert_eq!(heap.sessions(), 2);
+        assert_eq!(heap.session_used.len(), 2);
         assert_eq!(heap.get(small).session, 0);
     }
 
@@ -304,7 +298,7 @@ mod tests {
         let staged = heap.alloc_staged(5000, true);
         assert_eq!(heap.staged_bytes, 5000);
         assert_eq!(heap.mapped_bytes, 900);
-        assert_eq!(heap.sessions(), 1);
+        assert_eq!(heap.session_used.len(), 1);
         assert_eq!(heap.get(staged).session, STAGING_SESSION);
         assert_eq!(heap.get(staged).data.as_ref().unwrap().len(), 5000);
         heap.free(staged);

@@ -10,9 +10,10 @@
 //! `cache_clean` delivers stale descriptors.
 //!
 //! The ring lives in `hexsim` (rather than the system crate upstairs)
-//! because it is part of the device substrate: `edgellm`'s layer walk
-//! drives one descriptor through [`NpuSession`] per dispatched op, so the
-//! transport protocol and the cost model share a single code path.
+//! because it is part of the device substrate. It models the protocol
+//! only and charges nothing: `edgellm`'s layer walk prices each dispatched
+//! op at a calibrated per-op overhead without passing descriptors through
+//! a ring, and `edgellm::overlap` models the depth-2 ring at step level.
 
 use crate::error::{SimError, SimResult};
 use crate::shared::SharedBuffer;
@@ -88,7 +89,7 @@ impl NpuSession {
     }
 
     /// Number of requests currently queued.
-    pub fn pending(&self) -> u32 {
+    fn pending(&self) -> u32 {
         self.head - self.tail
     }
 

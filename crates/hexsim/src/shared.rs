@@ -18,8 +18,6 @@ pub struct SharedBuffer {
     data: Vec<u8>,
     /// CPU wrote since the last cache clean; NPU reads are stale.
     cpu_dirty: bool,
-    /// Total cache-maintenance operations performed (for overhead reports).
-    maintenance_ops: u64,
 }
 
 impl SharedBuffer {
@@ -29,7 +27,6 @@ impl SharedBuffer {
             id,
             data: vec![0u8; size],
             cpu_dirty: false,
-            maintenance_ops: 0,
         }
     }
 
@@ -72,7 +69,6 @@ impl SharedBuffer {
     /// Flushes CPU caches so the NPU observes the latest CPU writes.
     pub fn cache_clean(&mut self) {
         self.cpu_dirty = false;
-        self.maintenance_ops += 1;
     }
 
     /// Reads from the NPU side.
@@ -98,16 +94,6 @@ impl SharedBuffer {
     /// Panics if the range is out of bounds.
     pub fn npu_write(&mut self, offset: usize, bytes: &[u8]) {
         self.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// Whether an NPU read right now would observe stale data.
-    pub fn is_cpu_dirty(&self) -> bool {
-        self.cpu_dirty
-    }
-
-    /// Number of cache maintenance operations performed so far.
-    pub fn maintenance_ops(&self) -> u64 {
-        self.maintenance_ops
     }
 }
 
@@ -136,17 +122,6 @@ mod tests {
         let mut buf = SharedBuffer::new(1, 16);
         buf.npu_write(4, &[9, 9]);
         assert_eq!(buf.cpu_read(4, 2), &[9, 9]);
-    }
-
-    #[test]
-    fn maintenance_counter_increments() {
-        let mut buf = SharedBuffer::new(1, 16);
-        buf.cpu_write(0, &[1]);
-        buf.cache_clean();
-        buf.cpu_write(0, &[2]);
-        buf.cache_clean();
-        assert_eq!(buf.maintenance_ops(), 2);
-        assert!(!buf.is_cpu_dirty());
     }
 
     #[test]

@@ -246,24 +246,6 @@ impl<'a> FlashAttention<'a> {
         self.run_blocks(ctx, shape, q, &kv, None)
     }
 
-    /// Causal variant for prefill: query row `i` (at absolute position
-    /// `q_start + i`) attends only to KV positions `<= q_start + i`. Tile
-    /// work is charged unmasked (the hardware computes full tiles; masking
-    /// happens in the softmax pass), matching the kernel the paper runs
-    /// during prefill.
-    pub fn run_causal(
-        &self,
-        ctx: &mut NpuContext,
-        shape: AttnShape,
-        q: &[F16],
-        k: &[F16],
-        v: &[F16],
-        q_start: usize,
-    ) -> (Vec<F16>, FlashAttentionBreakdown) {
-        let kv = Self::pack(ctx, shape, k, v);
-        self.run_blocks(ctx, shape, q, &kv, Some(q_start))
-    }
-
     /// Packs row-major `[nkv, d]` K/V into blocks (functional mode only;
     /// cost-only calls carry no rows).
     fn pack(ctx: &NpuContext, shape: AttnShape, k: &[F16], v: &[F16]) -> KvBlocks {
@@ -284,7 +266,7 @@ impl<'a> FlashAttention<'a> {
     /// `q` is `[G, nq, d]` row-major FP16 and `kv` holds the group's
     /// `shape.nkv` positions (cost-only calls pass no rows and an empty
     /// `kv`). With `causal_start`, query row `i` attends only to positions
-    /// `<= causal_start + i`, as in [`FlashAttention::run_causal`]. Every
+    /// `<= causal_start + i` (prefill). Every
     /// score and output adds its products in the same order as an
     /// elementwise loop over FP16 rows, so the result does not depend on
     /// how the rows were stored.
@@ -761,7 +743,7 @@ mod tests {
         // partial-tail KV lengths, causal masks with fully-masked rows,
         // value ranges that round to infinities, K/V holding subnormals or
         // ±Inf and NaN, and all three exp methods: both entry points (FP16
-        // rows through `run`/`run_causal`, and `run_blocks` on a `KvBlocks`
+        // rows packed per call, and `run_blocks` on a `KvBlocks`
         // built by `push`) must match the per-element reference
         // bit-for-bit everywhere. With NaN inputs, NaN lanes compare by
         // NaN-ness: Rust leaves the sign of a NaN result open when both
@@ -842,7 +824,10 @@ mod tests {
                     q_heads_per_kv: g,
                 };
                 let (via_rows, _) = match causal {
-                    Some(start) => fa.run_causal(&mut c, shape, &q, &k, &v, start),
+                    Some(start) => {
+                        let kv = FlashAttention::pack(&c, shape, &k, &v);
+                        fa.run_blocks(&mut c, shape, &q, &kv, Some(start))
+                    }
                     None => fa.run(&mut c, shape, &q, &k, &v),
                 };
                 let (via_blocks, _) = fa.run_blocks(&mut c, shape, &q, &blocks, causal);
@@ -1183,7 +1168,8 @@ mod tests {
         let k = rand_f16(8 * 32, 14, 1.0);
         let v = rand_f16(8 * 32, 15, 1.0);
         let fa = FlashAttention::new(&lut, ExpMethod::Lut16, 1);
-        let (out, _) = fa.run_causal(&mut c, shape, &q, &k, &v, 2);
+        let kv = FlashAttention::pack(&c, shape, &k, &v);
+        let (out, _) = fa.run_blocks(&mut c, shape, &q, &kv, Some(2));
         let reference = crate::reference::attention_causal_ref_f64(
             &to_f32(&q),
             &to_f32(&k),

@@ -56,7 +56,7 @@ impl DequantEnv {
     /// Builds the constants with a custom 16-entry value table — the
     /// paper's point that the LUT-centric design supports NF4/FP4/IQ4_NL
     /// "simply by adjusting the table contents" (Section 5.2.2).
-    pub fn with_table(ctx: &mut NpuContext, lut: [F16; 16]) -> Self {
+    fn with_table(ctx: &mut NpuContext, lut: [F16; 16]) -> Self {
         let mask0f = ctx.vsplat_b(0x0f);
         // Index pattern: byte i selects scale i/32; built with one splat
         // plus one add-offset instruction on hardware.

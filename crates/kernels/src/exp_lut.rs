@@ -93,7 +93,7 @@ impl ExpLut16 {
 /// carries >= 1e-7 relative error, below FP16 resolution). Cost: widen +
 /// two 20-instruction polynomial chains + narrow, plus 10 modeled stall
 /// cycles for the sequential dependences VLIW cannot hide (Section 5.2.1).
-pub fn exp_f32_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
+fn exp_f32_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
     let (lo, hi) = ctx.vcvt_hf_sf(v);
     // Modeled polynomial: range reduction, degree-5 poly, exponent insert
     // (20 instructions per 32-lane register; two registers).
@@ -112,7 +112,7 @@ pub fn exp_f32_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
 /// Taylor expansion of the fractional part, all arithmetic in genuine FP16
 /// (so its truncation error is visible to accuracy tests, matching the
 /// paper's note that the LUT beats the 16-bit polynomial on accuracy).
-pub fn exp_f16_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
+fn exp_f16_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
     // Cost: ~16 FP16 instructions (scale by log2e, floor split, 3-term
     // Horner, exponent stuffing) + qfloat converts + 20 stall cycles from
     // the serial Horner chain.
@@ -127,7 +127,7 @@ pub fn exp_f16_vec(ctx: &mut NpuContext, v: &HvxVec) -> HvxVec {
 }
 
 /// Scalar FP16 polynomial `exp` (the per-lane semantics of
-/// [`exp_f16_vec`]), public so tile-level kernels can share it.
+/// [`ExpMethod::F16Poly`]), public so tile-level kernels can share it.
 pub fn exp_f16_scalar(x: F16) -> F16 {
     if x.is_nan() {
         return F16::NAN;

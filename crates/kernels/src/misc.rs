@@ -1,4 +1,5 @@
-//! Miscellaneous transformer vector kernels: RMSNorm, RoPE, SiLU, add.
+//! Miscellaneous transformer vector kernels: RMSNorm, RoPE, SiLU and the
+//! SwiGLU gate multiply.
 //!
 //! The paper classifies these as minor contributors ("we neglect their
 //! impacts due to their small computation and memory access volumes",
@@ -49,16 +50,17 @@ pub fn rmsnorm(ctx: &mut NpuContext, x: &mut [F16], w: &[F16], eps: f32) {
 }
 
 /// Rotary position embedding applied in place to one head vector
-/// (`head_dim` FP16 values, rotated in half-split pairs) with the `(sin,
-/// cos)` of each pair's angle at the token's position, as
-/// [`RopeTable::angles`] gives them. Cost-only callers may pass no angles.
+/// (`head_dim` FP16 values, rotated in half-split pairs) by the table's
+/// angles at the token's position `pos`. The length comes from the table,
+/// so cost-only callers may pass an empty `x` and a table that does not
+/// cover `pos`.
 ///
 /// # Panics
 ///
-/// Panics if `x` has odd length, or in functional mode if `angles` does
-/// not hold one pair per rotated pair.
-pub fn rope(ctx: &mut NpuContext, x: &mut [F16], angles: &[(f32, f32)]) {
-    let d = x.len();
+/// Panics if the table's head dimension is odd, or in functional mode if
+/// `x` is not one head long or the table does not cover `pos`.
+pub fn rope(ctx: &mut NpuContext, x: &mut [F16], table: &RopeTable, pos: usize) {
+    let d = table.head_dim;
     assert_eq!(d % 2, 0);
     let half = d / 2;
     let regs = d.div_ceil(64).max(1) as u64;
@@ -69,9 +71,9 @@ pub fn rope(ctx: &mut NpuContext, x: &mut [F16], angles: &[(f32, f32)]) {
     if ctx.mode == ExecMode::CostOnly {
         return;
     }
-    assert_eq!(angles.len(), half, "one angle per rotated pair");
+    assert_eq!(x.len(), d, "one head of the table's head dimension");
     let (lo, hi) = x.split_at_mut(half);
-    for ((a, b), &(sin, cos)) in lo.iter_mut().zip(hi).zip(angles) {
+    for ((a, b), &(sin, cos)) in lo.iter_mut().zip(hi).zip(table.angles(pos)) {
         let (af, bf) = (a.to_f32(), b.to_f32());
         *a = F16::from_f32(af * cos - bf * sin);
         *b = F16::from_f32(af * sin + bf * cos);
@@ -121,7 +123,7 @@ impl RopeTable {
     /// # Panics
     ///
     /// Panics if the table does not cover `pos`.
-    pub fn angles(&self, pos: usize) -> &[(f32, f32)] {
+    fn angles(&self, pos: usize) -> &[(f32, f32)] {
         let half = self.head_dim / 2;
         &self.angles[pos * half..(pos + 1) * half]
     }
@@ -158,21 +160,6 @@ pub fn mul_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
     }
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.mul(*y);
-    }
-}
-
-/// Residual addition `a += b` in FP16.
-pub fn add_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
-    assert_eq!(a.len(), b.len());
-    let regs = a.len().div_ceil(64) as u64;
-    let qf = ctx.device().qf16_convert_ops();
-    ctx.cost.charge_tcm_bytes(regs * 384);
-    ctx.cost.charge_hvx_packets(regs * (1 + qf));
-    if ctx.mode == ExecMode::CostOnly {
-        return;
-    }
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = x.add(*y);
     }
 }
 
@@ -216,7 +203,7 @@ mod tests {
         let orig = x.clone();
         let mut table = RopeTable::new(8, 10000.0);
         table.grow(18);
-        rope(&mut c, &mut x, table.angles(17));
+        rope(&mut c, &mut x, &table, 17);
         // Rotation preserves the norm of each (i, i+half) pair.
         for i in 0..4 {
             let n0 = orig[i].to_f32().hypot(orig[i + 4].to_f32());
@@ -232,7 +219,7 @@ mod tests {
         let orig = x.clone();
         let mut table = RopeTable::new(4, 10000.0);
         table.grow(1);
-        rope(&mut c, &mut x, table.angles(0));
+        rope(&mut c, &mut x, &table, 0);
         assert_eq!(x, orig);
     }
 
@@ -273,7 +260,7 @@ mod tests {
                 }
                 let x: Vec<F16> = (0..d).map(|_| next()).collect();
                 let (mut got, mut want) = (x.clone(), x);
-                rope(&mut c, &mut got, table.angles(pos));
+                rope(&mut c, &mut got, &table, pos);
                 rope_per_element(&mut want, pos, theta);
                 for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                     assert_eq!(g.0, w.0, "d={d} pos={pos} element {i}");
@@ -295,13 +282,12 @@ mod tests {
     }
 
     #[test]
-    fn add_and_mul_inplace() {
+    fn mul_inplace_multiplies_elementwise() {
         let mut c = ctx();
-        let mut a = vecf(&[1.0, 2.0, 3.0]);
-        add_inplace(&mut c, &mut a, &vecf(&[0.5, 0.5, 0.5]));
-        assert_eq!(a[2].to_f32(), 3.5);
+        let mut a = vecf(&[1.5, 2.0, 3.5]);
         mul_inplace(&mut c, &mut a, &vecf(&[2.0, 2.0, 2.0]));
         assert_eq!(a[0].to_f32(), 3.0);
+        assert_eq!(a[2].to_f32(), 7.0);
     }
 
     #[test]
@@ -311,16 +297,15 @@ mod tests {
         // bit. 200 elements leave a partial final register.
         type Kernel = fn(&mut NpuContext, &mut [F16], &[F16]);
         let rms: Kernel = |c, x, w| rmsnorm(c, x, w, 1e-5);
-        let kernels: [(&str, Kernel); 5] = [
+        let kernels: [(&str, Kernel); 4] = [
             ("rmsnorm", rms),
             ("rope", |c, x, _| {
                 let mut table = RopeTable::new(x.len(), 10000.0);
                 table.grow(8);
-                rope(c, x, table.angles(7))
+                rope(c, x, &table, 7)
             }),
             ("silu", |c, x, _| silu(c, x)),
             ("mul_inplace", mul_inplace),
-            ("add_inplace", add_inplace),
         ];
         let vals: Vec<f32> = (0..200).map(|i| (i % 13) as f32 * 0.25 - 1.5).collect();
         let x0 = vecf(&vals);
@@ -343,11 +328,28 @@ mod tests {
             );
             assert_eq!(x, x0, "{name}: cost-only mode wrote its row");
         }
-        // RMSNorm takes its length from the weights, so cost-only callers
-        // pass no row at all.
+        // RMSNorm takes its length from the weights and RoPE from its
+        // table, so cost-only callers pass no row at all (and need not
+        // grow the table).
         assert_eq!(
             run(ExecMode::CostOnly, rms, &mut []),
             run(ExecMode::Functional, rms, &mut x0.clone())
+        );
+        let rope_charges = |mode, x: &mut [F16]| {
+            let mut c = NpuContext::new(DeviceProfile::v75(), mode);
+            let mut table = RopeTable::new(x0.len(), 10000.0);
+            if mode == ExecMode::Functional {
+                table.grow(8);
+            }
+            rope(&mut c, x, &table, 7);
+            (
+                Engine::ALL.map(|e| c.cost.engine_secs(e).to_bits()),
+                *c.cost.counters(),
+            )
+        };
+        assert_eq!(
+            rope_charges(ExecMode::CostOnly, &mut []),
+            rope_charges(ExecMode::Functional, &mut x0.clone())
         );
     }
 

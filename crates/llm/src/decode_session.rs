@@ -140,11 +140,6 @@ impl PreemptedSeq {
         self.emitted
     }
 
-    /// KV tokens the paused state carries (prompt + generated prefix).
-    pub fn kv_tokens(&self) -> usize {
-        self.snap.tokens()
-    }
-
     /// The generated prefix, in emission order.
     pub fn tokens(&self) -> &[u32] {
         &self.tokens
@@ -945,7 +940,6 @@ mod tests {
                     did_preempt = true;
                     let p = s.preempt(id).unwrap();
                     assert_eq!(p.emitted(), steps + 1);
-                    assert!(p.kv_tokens() > own.len());
                     // A distractor occupies (and dirties) the freed slot
                     // while the victim is paused.
                     let d = s.admit(77, 3).unwrap();

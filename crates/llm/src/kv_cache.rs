@@ -9,7 +9,9 @@
 //! ([`FlashAttention::run_blocks`](htpops::attention::FlashAttention::run_blocks)).
 //! Blocks are shared copy-on-write, so a snapshot, a restore or a prompt
 //! broadcast copies no rows: a slot copies only the prompt's partial last
-//! block, on its first append. Cost-only caches hold no rows.
+//! block, on its first append. A cache takes its execution mode from the
+//! context that builds it: a cost-only cache counts tokens but holds no
+//! rows, so every history it hands out is empty.
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
@@ -48,6 +50,8 @@ pub struct KvCache {
     heads: Vec<KvBlocks>,
     /// Tokens stored per sequence.
     len: Vec<usize>,
+    /// The history every head of a cost-only cache reads as.
+    no_rows: KvBlocks,
     /// Per-layer DDR residency handles (shape accounting; one buffer per
     /// layer so multi-session sharding can place each layer's KV slice in
     /// the session holding that layer's weights). Release with
@@ -93,6 +97,7 @@ impl KvCache {
             budget,
             heads,
             len: vec![0; batch],
+            no_rows: KvBlocks::new(cfg.head_dim),
             bufs,
         })
     }
@@ -139,32 +144,35 @@ impl KvCache {
     }
 
     /// One KV head's history of one sequence at one layer — the
-    /// FlashAttention input, read in place. Functional mode only.
+    /// FlashAttention input, read in place. Empty in a cost-only cache.
     ///
     /// # Panics
     ///
-    /// Panics on a cost-only cache, or if an index is out of range.
+    /// Panics if an index is out of range.
     pub fn blocks(&self, layer: usize, seq: usize, head: usize) -> &KvBlocks {
-        assert!(self.functional(), "cost-only caches hold no rows");
         assert!(layer < self.layers && seq < self.batch && head < self.kv_heads);
-        &self.heads[self.seq_heads(layer, seq)][head]
+        if self.functional() {
+            &self.heads[self.seq_heads(layer, seq)][head]
+        } else {
+            &self.no_rows
+        }
     }
 
     /// Appends one position's K/V rows (`[kv_dim]` each) for a sequence at
-    /// a layer. Length bookkeeping advances when `layer == 0`.
+    /// a layer. Length bookkeeping advances when `layer == 0`. A cost-only
+    /// cache stores no rows, so it ignores them (callers pass empty ones).
     ///
     /// Returns an error when the shared budget is exhausted.
     ///
     /// # Panics
     ///
-    /// Panics on shape mismatches in functional mode.
+    /// Panics on shape mismatches in a functional cache.
     pub fn append(
         &mut self,
         layer: usize,
         seq: usize,
         k_row: &[F16],
         v_row: &[F16],
-        functional: bool,
     ) -> SimResult<()> {
         if layer == 0 {
             if self.total_tokens() + 1 > self.budget {
@@ -174,7 +182,7 @@ impl KvCache {
             }
             self.len[seq] += 1;
         }
-        if functional {
+        if self.functional() {
             let kv_dim = self.kv_heads * self.head_dim;
             assert_eq!(k_row.len(), kv_dim);
             assert_eq!(v_row.len(), kv_dim);
@@ -292,17 +300,15 @@ impl KvCache {
     /// Shares sequence 0's cache with every other sequence (prompt
     /// broadcast after a shared prefill; test-time scaling fans one prompt
     /// out to N samples).
-    pub fn broadcast_prompt(&mut self, functional: bool) {
+    pub fn broadcast_prompt(&mut self) {
         let n0 = self.len[0];
         for s in 1..self.batch {
             self.len[s] = n0;
         }
-        if functional {
-            for layer_heads in self.heads.chunks_exact_mut(self.batch * self.kv_heads) {
-                let (first, rest) = layer_heads.split_at_mut(self.kv_heads);
-                for seq_heads in rest.chunks_exact_mut(self.kv_heads) {
-                    seq_heads.clone_from_slice(first);
-                }
+        for layer_heads in self.heads.chunks_exact_mut(self.batch * self.kv_heads) {
+            let (first, rest) = layer_heads.split_at_mut(self.kv_heads);
+            for seq_heads in rest.chunks_exact_mut(self.kv_heads) {
+                seq_heads.clone_from_slice(first);
             }
         }
     }
@@ -331,7 +337,7 @@ mod tests {
         let (_ctx, mut cache, cfg) = setup(2, 64);
         for layer in 0..cfg.layers {
             cache
-                .append(layer, 0, &row(&cfg, 1.0), &row(&cfg, 2.0), true)
+                .append(layer, 0, &row(&cfg, 1.0), &row(&cfg, 2.0))
                 .unwrap();
         }
         assert_eq!(cache.len(0), 1);
@@ -351,16 +357,16 @@ mod tests {
             let _ = seq_tok;
         }
         cache
-            .append(0, 0, &row(&cfg, 0.0), &row(&cfg, 0.0), true)
+            .append(0, 0, &row(&cfg, 0.0), &row(&cfg, 0.0))
             .unwrap();
         cache
-            .append(0, 1, &row(&cfg, 0.0), &row(&cfg, 0.0), true)
+            .append(0, 1, &row(&cfg, 0.0), &row(&cfg, 0.0))
             .unwrap();
         cache
-            .append(0, 0, &row(&cfg, 0.0), &row(&cfg, 0.0), true)
+            .append(0, 0, &row(&cfg, 0.0), &row(&cfg, 0.0))
             .unwrap();
         let err = cache
-            .append(0, 1, &row(&cfg, 0.0), &row(&cfg, 0.0), true)
+            .append(0, 1, &row(&cfg, 0.0), &row(&cfg, 0.0))
             .unwrap_err();
         assert!(matches!(err, SimError::Unsupported { .. }));
     }
@@ -370,10 +376,10 @@ mod tests {
         let (_ctx, mut cache, cfg) = setup(3, 64);
         for layer in 0..cfg.layers {
             cache
-                .append(layer, 0, &row(&cfg, 5.0), &row(&cfg, 6.0), true)
+                .append(layer, 0, &row(&cfg, 5.0), &row(&cfg, 6.0))
                 .unwrap();
         }
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         for s in 0..3 {
             assert_eq!(cache.len(s), 1);
             let (k, _) = cache.blocks(1, s, 0).position(0);
@@ -388,10 +394,10 @@ mod tests {
         let (_ctx, mut cache, cfg) = setup(3, 4);
         for layer in 0..cfg.layers {
             cache
-                .append(layer, 0, &row(&cfg, 1.0), &row(&cfg, 2.0), true)
+                .append(layer, 0, &row(&cfg, 1.0), &row(&cfg, 2.0))
                 .unwrap();
             cache
-                .append(layer, 0, &row(&cfg, 3.0), &row(&cfg, 4.0), true)
+                .append(layer, 0, &row(&cfg, 3.0), &row(&cfg, 4.0))
                 .unwrap();
         }
         let snap = cache.snapshot_seq(0);
@@ -415,13 +421,7 @@ mod tests {
         for tag in 0..4 {
             for layer in 0..cfg.layers {
                 cache
-                    .append(
-                        layer,
-                        0,
-                        &row(&cfg, tag as f32),
-                        &row(&cfg, -(tag as f32)),
-                        true,
-                    )
+                    .append(layer, 0, &row(&cfg, tag as f32), &row(&cfg, -(tag as f32)))
                     .unwrap();
             }
         }
@@ -435,7 +435,7 @@ mod tests {
         for _ in 0..6 {
             for layer in 0..cfg.layers {
                 cache
-                    .append(layer, 0, &row(&cfg, 9.0), &row(&cfg, 9.0), true)
+                    .append(layer, 0, &row(&cfg, 9.0), &row(&cfg, 9.0))
                     .unwrap();
             }
         }
@@ -450,6 +450,19 @@ mod tests {
     fn truncate_seq_past_length_panics() {
         let (_ctx, mut cache, _cfg) = setup(1, 8);
         cache.truncate_seq(0, 1);
+    }
+
+    #[test]
+    fn a_cost_only_cache_counts_tokens_and_hands_out_empty_histories() {
+        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+        let cfg = ModelConfig::for_id(ModelId::Tiny);
+        let mut cache = KvCache::new(&mut ctx, &cfg, 2, 8).unwrap();
+        for layer in 0..cfg.layers {
+            cache.append(layer, 0, &[], &[]).unwrap();
+        }
+        cache.broadcast_prompt();
+        assert_eq!((cache.len(0), cache.len(1)), (1, 1));
+        assert!(cache.blocks(1, 1, 0).is_empty());
     }
 
     #[test]
@@ -470,7 +483,7 @@ mod tests {
         for pos in 0..40 {
             for layer in 0..cfg.layers {
                 let (k, v) = (row(&cfg, pos as f32), row(&cfg, -(pos as f32)));
-                cache.append(layer, 0, &k, &v, true).unwrap();
+                cache.append(layer, 0, &k, &v).unwrap();
             }
         }
         let snap = cache.snapshot_seq(0);
@@ -489,7 +502,7 @@ mod tests {
         let prompt = rows_of(&cache, 0);
         for layer in 0..cfg.layers {
             cache
-                .append(layer, 2, &row(&cfg, 99.0), &row(&cfg, -99.0), true)
+                .append(layer, 2, &row(&cfg, 99.0), &row(&cfg, -99.0))
                 .unwrap();
         }
         assert_eq!(cache.len(2), 41);
@@ -515,7 +528,7 @@ mod tests {
         for (i, x) in k_row.iter_mut().enumerate() {
             *x = F16::from_f32(i as f32);
         }
-        cache.append(0, 0, &k_row, &k_row, true).unwrap();
+        cache.append(0, 0, &k_row, &k_row).unwrap();
         let (k0, _) = cache.blocks(0, 0, 0).position(0);
         let (k1, _) = cache.blocks(0, 0, 1).position(0);
         assert_eq!(k0[0], 0.0);

@@ -8,16 +8,20 @@
 //! caps decode throughput scaling at large batch (Figure 11's discussion:
 //! at batch 16 the CPU logits share approaches 50%).
 //!
-//! In functional mode (tiny models) every value is computed bit-faithfully
-//! through the kernel crate; in cost-only mode (paper-scale models) the
-//! same code path charges identical per-shape costs via `replay`, while the
-//! kernels skip their arithmetic and the walk carries no activations.
+//! Prefill and decode share one forward walk, which runs unchanged in both
+//! execution modes. In functional mode (tiny models) every value is
+//! computed bit-faithfully through the kernel crate. In cost-only mode
+//! (paper-scale models) the same walk charges identical per-shape costs:
+//! `replay` runs one representative block, the kernels skip their
+//! arithmetic, the activations are empty and the KV cache holds no rows.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
+use std::ops::Range;
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
-use htpops::attention::{AttnShape, FlashAttention, KvBlocks};
+use htpops::attention::{AttnShape, FlashAttention};
 use htpops::exp_lut::{ExpLut16, ExpMethod};
 use htpops::gemm::{gemm_mixed, DequantVariant, GemmConfig, PreparedWeights};
 use htpops::misc::{self, RopeTable};
@@ -29,9 +33,10 @@ use crate::weights::ModelWeights;
 
 /// The NPU ops one transformer layer dispatches, in submission order:
 /// 2 norms, 3 QKV projections, RoPE, attention, output projection,
-/// 2 residuals, gate/up/down projections, SwiGLU. Each op's descriptor
-/// travels the rpcmem command ring ([`hexsim::ring::NpuSession`]) and pays
-/// ring submission + cache maintenance + completion sync.
+/// 2 residuals, gate/up/down projections, SwiGLU. On the device each op's
+/// descriptor travels the rpcmem command ring; the walk charges
+/// [`OP_DISPATCH_SECS`] per op for ring submission, cache maintenance and
+/// completion sync.
 const LAYER_OPS: [OpCode; 14] = [
     OpCode::Misc,      // attention RMSNorm
     OpCode::MatMul,    // Q projection
@@ -49,15 +54,16 @@ const LAYER_OPS: [OpCode; 14] = [
     OpCode::Misc,      // FFN residual
 ];
 
-/// NPU op submissions per transformer layer (see [`LAYER_OPS`]).
-const LAYER_DISPATCH_OPS: f64 = LAYER_OPS.len() as f64;
-
 /// Per-operator dispatch overhead in seconds: command submission over the
 /// shared-memory ring, cache maintenance, and inter-op synchronization.
 /// Calibrated at 100 us so end-to-end decode matches the paper's Figure 11
 /// absolute throughput (the paper notes decode is constrained by per-step
 /// overheads beyond raw kernel time).
 const OP_DISPATCH_SECS: f64 = 100e-6;
+
+/// Dispatch seconds per transformer layer: every op in [`LAYER_OPS`] at
+/// [`OP_DISPATCH_SECS`].
+const LAYER_DISPATCH_SECS: f64 = LAYER_OPS.len() as f64 * OP_DISPATCH_SECS;
 
 /// Wall-time cost of one model step, by operator class.
 #[derive(Clone, Copy, Debug, Default)]
@@ -66,7 +72,9 @@ pub struct StepCost {
     pub gemm_secs: f64,
     /// Attention (FlashAttention incl. KV streaming), seconds.
     pub attn_secs: f64,
-    /// Norms, RoPE, activations, residuals, seconds.
+    /// Norms, RoPE, activations and residuals, plus the per-op command
+    /// dispatch overhead of every layer (each layer's share is also
+    /// recorded as [`LayerStage::dispatch_secs`]), seconds.
     pub misc_secs: f64,
     /// CPU work: embedding, lm_head, sampling, seconds.
     pub cpu_secs: f64,
@@ -197,17 +205,11 @@ pub struct Model {
     /// Section 8). Defaults to single-session (no switches); set via
     /// [`Model::set_layer_schedule`].
     schedule: LayerSchedule,
-    /// How stages compose into wall time: additive (the default, every
-    /// historical number bit-identical) or overlap-aware (paper Section
-    /// 7.2.2 pipelining). Set via [`Model::set_dispatch_mode`]. Only the
-    /// time model changes — logits and per-engine busy totals do not.
+    /// How stages compose into [`StepCost::overlapped_secs`]: additive
+    /// (the default) or overlap-aware (paper Section 7.2.2 pipelining).
+    /// Set via [`Model::set_dispatch_mode`]. Only that one field changes —
+    /// logits, per-engine busy totals and the recorded stages do not.
     dispatch: DispatchMode,
-    /// The rpcmem command ring every layer's op descriptors travel
-    /// (transport protocol; the calibrated per-op cost,
-    /// [`OP_DISPATCH_SECS`], is charged per completed descriptor in the
-    /// walk). `RefCell` because the forward pass takes `&self` and the
-    /// ring mutates per dispatch.
-    ring: RefCell<NpuSession>,
     /// The tied embedding transposed to `[hidden][vocab]`, the layout the
     /// CPU lm_head reads (functional mode only; built once here).
     embed_t: Vec<f32>,
@@ -262,22 +264,16 @@ impl Model {
             threads: 6,
             schedule: LayerSchedule::single_session(),
             dispatch: DispatchMode::Serial,
-            ring: RefCell::new(NpuSession::open()),
             embed_t,
             rope,
         }
     }
 
-    /// Selects how the step's stages compose into wall time (serial sum
-    /// vs. overlap-aware critical path). Functional results are identical
-    /// in both modes; only [`StepCost::overlapped_secs`] changes.
+    /// Selects how the step's stages compose into
+    /// [`StepCost::overlapped_secs`] (serial sum vs. overlap-aware critical
+    /// path). Nothing else a step records changes.
     pub fn set_dispatch_mode(&mut self, mode: DispatchMode) {
         self.dispatch = mode;
-    }
-
-    /// The installed dispatch mode.
-    pub fn dispatch_mode(&self) -> DispatchMode {
-        self.dispatch
     }
 
     /// Installs the session walk schedule for sharded execution. Every
@@ -321,24 +317,105 @@ impl Model {
         cost.switch_secs += self.schedule.switch_secs;
     }
 
+    /// The one forward walk: the CPU embedding, every layer, the final
+    /// norm and the CPU lm_head over `step`'s rows (`tokens[r]` is row
+    /// `r`'s token). Records each stage for the overlap scheduler and
+    /// prices [`StepCost::overlapped_secs`] under the dispatch mode.
+    fn forward(
+        &self,
+        ctx: &mut NpuContext,
+        cache: &mut KvCache,
+        step: &Step,
+        tokens: &[u32],
+    ) -> SimResult<DecodeOutput> {
+        let functional = ctx.mode == ExecMode::Functional;
+        let (hidden, vocab) = (self.cfg.hidden, self.cfg.vocab);
+        let rows = step.rows.len();
+        let mut cost = StepCost::default();
+
+        // Embedding on the CPU. A cost-only walk looks up no rows, so its
+        // activations stay empty, and it grows no RoPE angles.
+        let (mut x, cpu_embed_secs) = timed(ctx, |ctx| {
+            ctx.cost.charge_cpu(0, (rows * hidden * 2) as u64);
+            let mut x = Vec::new();
+            if functional {
+                x.reserve(rows * hidden);
+                for &t in tokens {
+                    x.extend(self.weights.embed_row(&self.cfg, t));
+                }
+            }
+            x
+        });
+        cost.cpu_secs += cpu_embed_secs;
+        if functional {
+            let end = step.rows.iter().map(|row| row.pos + 1).max();
+            self.rope.borrow_mut().grow(end.unwrap_or(0));
+        }
+
+        let layers = self.walk_layers(ctx, step, &mut x, cache, &mut cost)?;
+
+        // Final norm + logits over the trailing head rows: the last
+        // position for generation, every row for decode and verification.
+        let head_rows = step.head_rows;
+        let head_start = x.len().saturating_sub(head_rows * hidden);
+        let head = &mut x[head_start..];
+        let ((), final_npu_secs) = timed(ctx, |ctx| {
+            rmsnorm_rows(ctx, head_rows, &self.weights.final_norm, head)
+        });
+        cost.misc_secs += final_npu_secs;
+        // The CPU roofline: weights stream at ~1 byte/param, logits write
+        // in f32.
+        let (logits, cpu_head_secs) = timed(ctx, |ctx| {
+            let flops = 2 * head_rows as u64 * hidden as u64 * vocab as u64;
+            let bytes = (vocab * hidden) as u64 + (head_rows * vocab * 4) as u64;
+            ctx.cost.charge_cpu(flops, bytes);
+            self.logits(head)
+        });
+        cost.cpu_secs += cpu_head_secs;
+        let stages = StepStages {
+            cpu_embed_secs,
+            layers,
+            final_npu_secs,
+            cpu_head_secs,
+            switch_secs: self.schedule.switch_secs,
+            wrap_switch: self.schedule.is_sharded(),
+            batch: rows,
+            draft_cpu_secs: 0.0,
+            draft_npu_secs: 0.0,
+        };
+        // Decode steps repeat, so the overlap-aware wall time is the
+        // steady-state period of the pipelined schedule: the CPU tail of
+        // step t hides behind the first layers of step t+1 (Section
+        // 7.2.2), dispatch rides the double-buffered ring, and session
+        // switches hide behind the previous shard's tail kernels. A
+        // prefill is one standalone pass with no next step to pipeline
+        // into.
+        cost.overlapped_secs = match self.dispatch {
+            DispatchMode::Serial => cost.wall_secs(),
+            DispatchMode::Overlapped if step.repeats => overlap::steady_state_step_secs(&stages),
+            DispatchMode::Overlapped => overlap::single_pass_secs(&stages),
+        };
+        Ok(DecodeOutput {
+            logits,
+            cost,
+            stages,
+        })
+    }
+
     /// Walks every layer in shard order, charging a session switch at
     /// each shard boundary and one wrap-around switch at the end of a
     /// sharded walk. With a single-session schedule this is exactly the
-    /// historical `0..layers` loop. Each layer's kernel/dispatch seconds
-    /// are recorded into `stages` for the overlap scheduler.
-    #[allow(clippy::too_many_arguments)]
+    /// `0..layers` loop. Returns each layer's kernel/dispatch seconds for
+    /// the overlap scheduler.
     fn walk_layers(
         &self,
         ctx: &mut NpuContext,
+        step: &Step,
         x: &mut [F16],
-        rows: usize,
         cache: &mut KvCache,
-        seqs: &[usize],
-        positions: &[usize],
-        prefill: bool,
         cost: &mut StepCost,
-        stages: &mut Vec<LayerStage>,
-    ) -> SimResult<()> {
+    ) -> SimResult<Vec<LayerStage>> {
+        let mut stages = Vec::with_capacity(self.cfg.layers);
         let mut next_boundary = self.schedule.boundaries.iter().peekable();
         let mut next_stream = self.schedule.streamed.iter().peekable();
         for layer in 0..self.cfg.layers {
@@ -360,16 +437,15 @@ impl Model {
                 0.0
             };
             let before = *cost;
-            self.layer_forward(ctx, layer, x, rows, cache, seqs, positions, prefill, cost)?;
-            let dispatch_secs = LAYER_DISPATCH_OPS * OP_DISPATCH_SECS;
+            self.layer_forward(ctx, layer, step, x, cache, cost)?;
             let npu_secs = ((cost.gemm_secs - before.gemm_secs)
                 + (cost.attn_secs - before.attn_secs)
                 + (cost.misc_secs - before.misc_secs)
-                - dispatch_secs)
+                - LAYER_DISPATCH_SECS)
                 .max(0.0);
             stages.push(LayerStage {
                 npu_secs,
-                dispatch_secs,
+                dispatch_secs: LAYER_DISPATCH_SECS,
                 switch_before,
                 weight_fetch_secs,
             });
@@ -378,7 +454,7 @@ impl Model {
             // Return dispatch to the first shard for the next pass.
             self.charge_session_switch(ctx, cost);
         }
-        Ok(())
+        Ok(stages)
     }
 
     fn gemm(
@@ -400,76 +476,47 @@ impl Model {
         (r.out, r.cost.wall_secs)
     }
 
-    /// RMSNorm over `rows` rows of `x` with weight row `w`: functional mode
-    /// normalizes each real row; cost-only replays one row's charges (`x`
-    /// is empty there, and the kernel takes its length from `w`).
-    fn rmsnorm_rows(ctx: &mut NpuContext, rows: usize, w: &[F16], x: &mut [F16]) {
-        match ctx.mode {
-            ExecMode::Functional => {
-                let n = w.len();
-                for r in 0..rows {
-                    misc::rmsnorm(ctx, &mut x[r * n..(r + 1) * n], w, 1e-5);
-                }
-            }
-            ExecMode::CostOnly => {
-                ctx.replay(rows as u64, |ctx| misc::rmsnorm(ctx, &mut [], w, 1e-5));
-            }
-        }
-    }
-
-    /// CPU logits pass: `rows` hidden states against the full vocabulary.
-    /// Charges the CPU roofline (weights stream at ~1 byte/param, logits
-    /// write in f32); functional mode computes real logits from the tied
+    /// The logits of the hidden-state rows in `x` against the tied
     /// embedding, read through its `[hidden][vocab]` transpose built at
-    /// construction (see [`logits_transposed`]).
-    fn lm_head(&self, ctx: &mut NpuContext, x: &[F16], rows: usize, functional: bool) -> Vec<f32> {
+    /// construction (see [`logits_transposed`]). No rows give no logits.
+    fn logits(&self, x: &[F16]) -> Vec<f32> {
         let (hidden, vocab) = (self.cfg.hidden, self.cfg.vocab);
-        let flops = 2 * rows as u64 * hidden as u64 * vocab as u64;
-        let bytes = (vocab * hidden) as u64 + (rows * vocab * 4) as u64;
-        ctx.cost.charge_cpu(flops, bytes);
-        if !functional {
-            return Vec::new();
-        }
         // Convert each hidden state to f32 once (chunked, SIMD-friendly)
         // instead of once per vocabulary row; `to_f32` is exact, so the
         // accumulation below is bit-identical to converting in the inner
         // loop.
         let xf = F16::vec_to_f32(x);
-        let mut logits = vec![0.0f32; rows * vocab];
+        let mut logits = vec![0.0f32; x.len() / hidden * vocab];
         for (row, out) in xf.chunks_exact(hidden).zip(logits.chunks_exact_mut(vocab)) {
             logits_transposed(row, &self.embed_t, out);
         }
         logits
     }
 
-    /// One transformer layer over `rows` rows of `x`, appending KV and
-    /// attending per sequence. In prefill mode `positions[0]` is the start
-    /// of the prefilled span; in decode mode `positions[r]` is the absolute
-    /// position of row `r`'s token (sequences at different depths may share
-    /// one batch under continuous batching).
-    #[allow(clippy::too_many_arguments)]
+    /// One transformer layer over `step`'s rows of `x`: each row appends
+    /// its K/V to its slot, then each group of rows attends to its slot's
+    /// history.
     fn layer_forward(
         &self,
         ctx: &mut NpuContext,
         layer: usize,
+        step: &Step,
         x: &mut [F16],
-        rows: usize,
         cache: &mut KvCache,
-        seqs: &[usize],
-        positions: &[usize],
-        prefill: bool,
         cost: &mut StepCost,
     ) -> SimResult<()> {
         let cfg = &self.cfg;
-        let functional = ctx.mode == ExecMode::Functional;
         let lw = &self.weights.layers[layer];
+        let rows = step.rows.len();
         let (hidden, q_dim, kv_dim, d) = (cfg.hidden, cfg.q_dim(), cfg.kv_dim(), cfg.head_dim);
 
         // Attention RMSNorm.
-        let snap = ctx.cost.snapshot();
-        let mut normed = x.to_vec();
-        Self::rmsnorm_rows(ctx, rows, &lw.attn_norm, &mut normed);
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
+        let (normed, secs) = timed(ctx, |ctx| {
+            let mut normed = x.to_vec();
+            rmsnorm_rows(ctx, rows, &lw.attn_norm, &mut normed);
+            normed
+        });
+        cost.misc_secs += secs;
 
         // QKV projections.
         let (mut q, tq) = self.gemm(ctx, &lw.wq, &normed, rows);
@@ -477,120 +524,64 @@ impl Model {
         let (v, tv) = self.gemm(ctx, &lw.wv, &normed, rows);
         cost.gemm_secs += tq + tk + tv;
 
-        // RoPE on Q and K per head, then cache append.
-        let snap = ctx.cost.snapshot();
-        let pos_of = |r: usize| {
-            if prefill {
-                positions[0] + r
-            } else {
-                positions[r]
-            }
-        };
-        if functional {
-            let mut rope = self.rope.borrow_mut();
-            rope.grow((0..rows).map(pos_of).max().map_or(0, |p| p + 1));
-            for r in 0..rows {
-                let angles = rope.angles(pos_of(r));
-                for head in q[r * q_dim..(r + 1) * q_dim].chunks_exact_mut(d) {
-                    misc::rope(ctx, head, angles);
-                }
-                for head in k[r * kv_dim..(r + 1) * kv_dim].chunks_exact_mut(d) {
-                    misc::rope(ctx, head, angles);
-                }
-            }
-        } else {
-            let mut dummy = vec![F16::ONE; d];
-            ctx.replay((rows * (cfg.heads + cfg.kv_heads)) as u64, |ctx| {
-                misc::rope(ctx, &mut dummy, &[])
+        // RoPE on each row's Q heads, then its K heads, then the cache
+        // append.
+        let (appended, secs) = timed(ctx, |ctx| {
+            let rope = self.rope.borrow();
+            let heads = cfg.heads + cfg.kv_heads;
+            ctx.replay_indexed((rows * heads) as u64, |ctx, i| {
+                let (r, h) = (i as usize / heads, i as usize % heads);
+                let head = match h.checked_sub(cfg.heads) {
+                    None => part_mut(&mut q, r * q_dim + h * d, d),
+                    Some(kh) => part_mut(&mut k, r * kv_dim + kh * d, d),
+                };
+                misc::rope(ctx, head, &rope, step.rows[r].pos);
             });
-        }
-        // Prefill rows all belong to the one prefilled sequence; decode
-        // appends one new row per sequence.
-        for r in 0..rows {
-            let seq = if prefill { seqs[0] } else { seqs[r] };
-            let (kr, vr) = if functional {
-                (
-                    &k[r * kv_dim..(r + 1) * kv_dim],
-                    &v[r * kv_dim..(r + 1) * kv_dim],
-                )
-            } else {
-                (&[][..], &[][..])
-            };
-            cache.append(layer, seq, kr, vr, functional)?;
-        }
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
+            step.rows.iter().enumerate().try_for_each(|(r, row)| {
+                let (kr, vr) = (part(&k, r * kv_dim, kv_dim), part(&v, r * kv_dim, kv_dim));
+                cache.append(layer, row.slot, kr, vr)
+            })
+        });
+        appended?;
+        cost.misc_secs += secs;
 
-        // Attention per sequence, per KV head, GQA-group batched, reading
-        // the cache's KV blocks in place (cost-only caches hold none).
+        // Attention per group, per KV head, GQA-group batched, reading the
+        // cache's KV blocks in place.
         let g = cfg.gqa_group();
         let fa = FlashAttention::new(&self.lut, ExpMethod::Lut16, g);
-        let no_rows = KvBlocks::new(d);
-        let kv = |s: usize, h: usize| {
-            if functional {
-                cache.blocks(layer, s, h)
-            } else {
-                &no_rows
-            }
-        };
-        let mut attn_out = if functional {
-            vec![F16::ZERO; rows * q_dim]
-        } else {
-            Vec::new()
-        };
-        if prefill {
-            // One sequence, `rows` query positions.
-            let s = seqs[0];
-            let nkv = cache.len(s);
+        let mut attn_out = vec![F16::ZERO; q.len()];
+        for group in &step.groups {
+            let (first, n) = (group.rows.start, group.rows.len());
+            let slot = step.rows[first].slot;
+            let shape = AttnShape {
+                nq: n,
+                nkv: cache.len(slot),
+                head_dim: d,
+            };
+            let causal_start = group.causal.then_some(step.rows[first].pos);
             for h in 0..cfg.kv_heads {
-                let shape = AttnShape {
-                    nq: rows,
-                    nkv,
-                    head_dim: d,
+                // The group's query heads sit side by side in a row, from
+                // `col`. FlashAttention reads them head-major, `[g][n][d]`:
+                // one row's in place, several rows' gathered.
+                let col = h * g * d;
+                let qs = if n == 1 {
+                    Cow::Borrowed(part(&q, first * q_dim + col, g * d))
+                } else {
+                    let mut qs = Vec::new();
+                    for c in (col..col + g * d).step_by(d) {
+                        for row in q.chunks_exact(q_dim).skip(first).take(n) {
+                            qs.extend_from_slice(&row[c..c + d]);
+                        }
+                    }
+                    Cow::Owned(qs)
                 };
-                let mut qs = Vec::new();
-                if functional {
-                    for gh in 0..g {
-                        let qh = h * g + gh;
-                        for r in 0..rows {
-                            qs.extend_from_slice(&q[r * q_dim + qh * d..r * q_dim + (qh + 1) * d]);
-                        }
-                    }
-                }
-                let (out, bd) = fa.run_blocks(ctx, shape, &qs, kv(s, h), Some(positions[0]));
+                let kv = cache.blocks(layer, slot, h);
+                let (out, bd) = fa.run_blocks(ctx, shape, &qs, kv, causal_start);
                 cost.attn_secs += bd.total_wall();
-                if functional {
-                    for gh in 0..g {
-                        let qh = h * g + gh;
-                        for r in 0..rows {
-                            let src = (gh * rows + r) * d;
-                            attn_out[r * q_dim + qh * d..r * q_dim + (qh + 1) * d]
-                                .copy_from_slice(&out[src..src + d]);
-                        }
-                    }
-                }
-            }
-        } else {
-            // Decode: each sequence attends to its own cache, one query
-            // position per head.
-            for (r, &s) in seqs.iter().enumerate() {
-                let nkv = cache.len(s);
-                for h in 0..cfg.kv_heads {
-                    let shape = AttnShape {
-                        nq: 1,
-                        nkv,
-                        head_dim: d,
-                    };
-                    // The group's query heads sit side by side in the row.
-                    let group = r * q_dim + h * g * d..r * q_dim + (h + 1) * g * d;
-                    let qs = if functional {
-                        &q[group.clone()]
-                    } else {
-                        &[][..]
-                    };
-                    let (out, bd) = fa.run_blocks(ctx, shape, qs, kv(s, h), None);
-                    cost.attn_secs += bd.total_wall();
-                    if functional {
-                        attn_out[group].copy_from_slice(&out);
+                for (c, head_out) in (col..).step_by(d).zip(out.chunks_exact(n * d)) {
+                    let dst_rows = attn_out.chunks_exact_mut(q_dim).skip(first);
+                    for (dst, src) in dst_rows.zip(head_out.chunks_exact(d)) {
+                        dst[c..c + d].copy_from_slice(src);
                     }
                 }
             }
@@ -599,76 +590,29 @@ impl Model {
         // Output projection + residual.
         let (o, to) = self.gemm(ctx, &lw.wo, &attn_out, rows);
         cost.gemm_secs += to;
-        let snap = ctx.cost.snapshot();
-        if functional {
-            for (xi, oi) in x.iter_mut().zip(&o) {
-                *xi = xi.add(*oi);
-            }
-        }
-        ctx.replay(rows as u64, |ctx| {
-            ctx.cost
-                .charge_hvx_packets((hidden as u64).div_ceil(64) * 2);
-            ctx.cost.charge_tcm_bytes(hidden as u64 * 6);
-        });
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
+        cost.misc_secs += timed(ctx, |ctx| residual(ctx, x, &o, rows, hidden)).1;
 
-        // FFN: norm, gate/up, SiLU, mul, down (Q8), residual.
-        let snap = ctx.cost.snapshot();
-        let mut ffn_in = x.to_vec();
-        Self::rmsnorm_rows(ctx, rows, &lw.ffn_norm, &mut ffn_in);
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
+        // FFN: norm, gate/up, SwiGLU, down (Q8), residual.
+        let (ffn_in, secs) = timed(ctx, |ctx| {
+            let mut ffn_in = x.to_vec();
+            rmsnorm_rows(ctx, rows, &lw.ffn_norm, &mut ffn_in);
+            ffn_in
+        });
+        cost.misc_secs += secs;
 
         let (mut gate, tg) = self.gemm(ctx, &lw.w_gate, &ffn_in, rows);
         let (up, tu) = self.gemm(ctx, &lw.w_up, &ffn_in, rows);
         cost.gemm_secs += tg + tu;
-
-        let snap = ctx.cost.snapshot();
-        if functional {
-            for r in 0..rows {
-                misc::silu(ctx, &mut gate[r * cfg.ffn..(r + 1) * cfg.ffn]);
-            }
-            misc::mul_inplace(ctx, &mut gate, &up);
-        } else {
-            // SiLU and the gate multiply take their length from one
-            // gate/up row pair.
-            let mut pair = vec![F16::ZERO; 2 * cfg.ffn];
-            let (gate_row, up_row) = pair.split_at_mut(cfg.ffn);
-            ctx.replay(rows as u64, |ctx| misc::silu(ctx, gate_row));
-            ctx.replay(rows as u64, |ctx| misc::mul_inplace(ctx, gate_row, up_row));
-        }
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
+        cost.misc_secs += timed(ctx, |ctx| swiglu(ctx, &mut gate, &up, rows, cfg.ffn)).1;
 
         let (down, td) = self.gemm(ctx, &lw.w_down, &gate, rows);
         cost.gemm_secs += td;
+        cost.misc_secs += timed(ctx, |ctx| residual(ctx, x, &down, rows, hidden)).1;
 
-        let snap = ctx.cost.snapshot();
-        if functional {
-            for (xi, di) in x.iter_mut().zip(&down) {
-                *xi = xi.add(*di);
-            }
-        }
-        ctx.replay(rows as u64, |ctx| {
-            ctx.cost
-                .charge_hvx_packets((hidden as u64).div_ceil(64) * 2);
-            ctx.cost.charge_tcm_bytes(hidden as u64 * 6);
-        });
-        cost.misc_secs += ctx.cost.delta_since(&snap, "").wall_secs;
-
-        // Per-operator dispatch: every op's descriptor travels the rpcmem
-        // command ring — submission, cache clean, NPU-side poll — and the
-        // calibrated per-op overhead is charged per *completed* descriptor,
-        // so streamed and resident layers share the one transport path.
-        let mut ring = self.ring.borrow_mut();
-        let mut dispatched = 0u64;
-        for &op in &LAYER_OPS {
-            ring.submit(op, layer as u32, true)?;
-            while ring.poll_dispatch()?.is_some() {
-                dispatched += 1;
-            }
-        }
-        let overhead = dispatched as f64 * OP_DISPATCH_SECS;
-        ctx.cost.charge_secs(hexsim::cost::Engine::Scalar, overhead);
-        cost.misc_secs += overhead;
+        // Per-operator dispatch: the calibrated overhead of every op's
+        // descriptor on the command ring.
+        ctx.cost.charge_secs(Engine::Scalar, LAYER_DISPATCH_SECS);
+        cost.misc_secs += LAYER_DISPATCH_SECS;
         Ok(())
     }
 
@@ -681,7 +625,8 @@ impl Model {
         seq: usize,
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
-        self.prefill_impl(ctx, cache, seq, tokens, false)
+        let step = Step::prefill(seq, cache.len(seq), tokens.len(), 1);
+        self.forward(ctx, cache, &step, tokens)
     }
 
     /// Like [`Model::prefill`] but returns logits for *every* position —
@@ -694,99 +639,8 @@ impl Model {
         seq: usize,
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
-        self.prefill_impl(ctx, cache, seq, tokens, true)
-    }
-
-    fn prefill_impl(
-        &self,
-        ctx: &mut NpuContext,
-        cache: &mut KvCache,
-        seq: usize,
-        tokens: &[u32],
-        all_logits: bool,
-    ) -> SimResult<DecodeOutput> {
-        let functional = ctx.mode == ExecMode::Functional;
-        let rows = tokens.len();
-        let hidden = self.cfg.hidden;
-        let mut cost = StepCost::default();
-        let start_pos = cache.len(seq);
-
-        // Embedding on the CPU.
-        let snap = ctx.cost.snapshot();
-        ctx.cost.charge_cpu(0, (rows * hidden * 2) as u64);
-        let mut x = if functional {
-            let mut x = Vec::with_capacity(rows * hidden);
-            for &t in tokens {
-                x.extend(self.weights.embed_row(&self.cfg, t));
-            }
-            x
-        } else {
-            Vec::new()
-        };
-        let embed_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.cpu_secs += embed_secs;
-
-        let mut layer_stages = Vec::with_capacity(self.cfg.layers);
-        self.walk_layers(
-            ctx,
-            &mut x,
-            rows,
-            cache,
-            &[seq],
-            &[start_pos],
-            true,
-            &mut cost,
-            &mut layer_stages,
-        )?;
-
-        // Final norm + logits: last position only for generation, every
-        // position for speculative verification.
-        let head_rows = if all_logits { rows } else { 1 };
-        let first_row = rows - head_rows;
-        let snap = ctx.cost.snapshot();
-        Self::rmsnorm_rows(
-            ctx,
-            head_rows,
-            &self.weights.final_norm,
-            if functional {
-                &mut x[first_row * hidden..]
-            } else {
-                &mut []
-            },
-        );
-        let final_npu_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.misc_secs += final_npu_secs;
-
-        let snap = ctx.cost.snapshot();
-        let logits = if functional {
-            self.lm_head(ctx, &x[first_row * hidden..], head_rows, true)
-        } else {
-            self.lm_head(ctx, &[], head_rows, false)
-        };
-        let head_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.cpu_secs += head_secs;
-        let stages = StepStages {
-            cpu_embed_secs: embed_secs,
-            layers: layer_stages,
-            final_npu_secs,
-            cpu_head_secs: head_secs,
-            switch_secs: self.schedule.switch_secs,
-            wrap_switch: self.schedule.is_sharded(),
-            batch: rows,
-            draft_cpu_secs: 0.0,
-            draft_npu_secs: 0.0,
-        };
-        // Prefill is one standalone pass: dispatch and session switches
-        // overlap the walk, but there is no next step to pipeline into.
-        cost.overlapped_secs = match self.dispatch {
-            DispatchMode::Serial => cost.wall_secs(),
-            DispatchMode::Overlapped => overlap::single_pass_secs(&stages),
-        };
-        Ok(DecodeOutput {
-            logits,
-            cost,
-            stages,
-        })
+        let step = Step::prefill(seq, cache.len(seq), tokens.len(), tokens.len());
+        self.forward(ctx, cache, &step, tokens)
     }
 
     /// One batched decode step over the leading cache slots: `tokens[i]`
@@ -814,10 +668,8 @@ impl Model {
         seqs: &[usize],
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
-        let functional = ctx.mode == ExecMode::Functional;
-        let batch = tokens.len();
-        assert_eq!(batch, seqs.len(), "one token per decoded slot");
-        assert!(batch >= 1, "decode step needs at least one sequence");
+        assert_eq!(tokens.len(), seqs.len(), "one token per decoded slot");
+        assert!(!seqs.is_empty(), "decode step needs at least one sequence");
         assert!(
             seqs.iter().all(|&s| s < cache.batch()),
             "slot index out of range"
@@ -832,74 +684,139 @@ impl Model {
                 "decoded slots must be unique"
             );
         }
-        let hidden = self.cfg.hidden;
-        let mut cost = StepCost::default();
         // Each sequence decodes at its own current position (uniform in
         // plain test-time scaling; staggered under continuous batching).
-        let positions: Vec<usize> = seqs.iter().map(|&s| cache.len(s)).collect();
-
-        let snap = ctx.cost.snapshot();
-        ctx.cost.charge_cpu(0, (batch * hidden * 2) as u64);
-        let mut x = if functional {
-            let mut x = Vec::with_capacity(batch * hidden);
-            for &t in tokens {
-                x.extend(self.weights.embed_row(&self.cfg, t));
-            }
-            x
-        } else {
-            Vec::new()
-        };
-        let embed_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.cpu_secs += embed_secs;
-
-        let mut layer_stages = Vec::with_capacity(self.cfg.layers);
-        self.walk_layers(
-            ctx,
-            &mut x,
-            batch,
-            cache,
-            seqs,
-            &positions,
-            false,
-            &mut cost,
-            &mut layer_stages,
-        )?;
-
-        let snap = ctx.cost.snapshot();
-        Self::rmsnorm_rows(ctx, batch, &self.weights.final_norm, &mut x);
-        let final_npu_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.misc_secs += final_npu_secs;
-
-        let snap = ctx.cost.snapshot();
-        let logits = self.lm_head(ctx, &x, batch, functional);
-        let head_secs = ctx.cost.delta_since(&snap, "").wall_secs;
-        cost.cpu_secs += head_secs;
-        let stages = StepStages {
-            cpu_embed_secs: embed_secs,
-            layers: layer_stages,
-            final_npu_secs,
-            cpu_head_secs: head_secs,
-            switch_secs: self.schedule.switch_secs,
-            wrap_switch: self.schedule.is_sharded(),
-            batch,
-            draft_cpu_secs: 0.0,
-            draft_npu_secs: 0.0,
-        };
-        // Decode steps repeat, so the overlap-aware wall time is the
-        // steady-state period of the pipelined schedule: the CPU tail of
-        // step t hides behind the first layers of step t+1 (Section
-        // 7.2.2), dispatch rides the double-buffered ring, and session
-        // switches hide behind the previous shard's tail kernels.
-        cost.overlapped_secs = match self.dispatch {
-            DispatchMode::Serial => cost.wall_secs(),
-            DispatchMode::Overlapped => overlap::steady_state_step_secs(&stages),
-        };
-        Ok(DecodeOutput {
-            logits,
-            cost,
-            stages,
-        })
+        let step = Step::decode(seqs.iter().map(|&slot| StepRow {
+            slot,
+            pos: cache.len(slot),
+        }));
+        self.forward(ctx, cache, &step, tokens)
     }
+}
+
+/// The rows of one forward step, as the walk reads them: each row's KV
+/// slot and position, which rows attend together, and how many trailing
+/// rows reach the lm_head.
+struct Step {
+    rows: Vec<StepRow>,
+    /// Consecutive rows that attend together, on their first row's slot.
+    groups: Vec<RowGroup>,
+    /// Trailing rows that reach the final norm and the lm_head.
+    head_rows: usize,
+    /// Whether the step repeats (decode): its overlap-aware wall time is
+    /// then the pipelined steady-state period, not one pass.
+    repeats: bool,
+}
+
+/// One row of a [`Step`]: the KV slot it appends to and attends over, and
+/// its absolute position there.
+struct StepRow {
+    slot: usize,
+    pos: usize,
+}
+
+/// Rows of a [`Step`] that attend together.
+struct RowGroup {
+    rows: Range<usize>,
+    /// Whether the rows attend causally from the group's first position
+    /// (prefill) rather than to the slot's whole history (a decode row).
+    causal: bool,
+}
+
+impl Step {
+    /// `n` rows of slot `slot` from position `start`, attending causally
+    /// as one group; the last `head_rows` reach the lm_head.
+    fn prefill(slot: usize, start: usize, n: usize, head_rows: usize) -> Self {
+        Step {
+            rows: (start..start + n)
+                .map(|pos| StepRow { slot, pos })
+                .collect(),
+            groups: vec![RowGroup {
+                rows: 0..n,
+                causal: true,
+            }],
+            head_rows,
+            repeats: false,
+        }
+    }
+
+    /// One row per slot, each its own group; every row reaches the
+    /// lm_head.
+    fn decode(rows: impl Iterator<Item = StepRow>) -> Self {
+        let rows: Vec<StepRow> = rows.collect();
+        let groups = (0..rows.len())
+            .map(|r| RowGroup {
+                rows: r..r + 1,
+                causal: false,
+            })
+            .collect();
+        Step {
+            head_rows: rows.len(),
+            rows,
+            groups,
+            repeats: true,
+        }
+    }
+}
+
+/// Runs `f` and returns its result with the wall seconds it charged.
+fn timed<R>(ctx: &mut NpuContext, f: impl FnOnce(&mut NpuContext) -> R) -> (R, f64) {
+    let snap = ctx.cost.snapshot();
+    let r = f(ctx);
+    (r, ctx.cost.delta_since(&snap, "").wall_secs)
+}
+
+/// `len` values of `x` from `start`. A cost-only activation is empty, and
+/// so is every part of it: the kernels take their shapes from weights and
+/// tables, and a cost-only cache stores no rows.
+fn part(x: &[F16], start: usize, len: usize) -> &[F16] {
+    x.get(start..start + len).unwrap_or_default()
+}
+
+/// [`part`], mutably.
+fn part_mut(x: &mut [F16], start: usize, len: usize) -> &mut [F16] {
+    x.get_mut(start..start + len).unwrap_or_default()
+}
+
+/// RMSNorm over `rows` rows of `x` with weight row `w`, which gives the
+/// kernel its length.
+fn rmsnorm_rows(ctx: &mut NpuContext, rows: usize, w: &[F16], x: &mut [F16]) {
+    let n = w.len();
+    ctx.replay_indexed(rows as u64, |ctx, r| {
+        misc::rmsnorm(ctx, part_mut(x, r as usize * n, n), w, 1e-5)
+    });
+}
+
+/// Residual `x += y` over `rows` rows of `hidden` values, charged per row.
+fn residual(ctx: &mut NpuContext, x: &mut [F16], y: &[F16], rows: usize, hidden: usize) {
+    for (xi, yi) in x.iter_mut().zip(y) {
+        *xi = xi.add(*yi);
+    }
+    ctx.replay(rows as u64, |ctx| {
+        ctx.cost
+            .charge_hvx_packets((hidden as u64).div_ceil(64) * 2);
+        ctx.cost.charge_tcm_bytes(hidden as u64 * 6);
+    });
+}
+
+/// SwiGLU over `rows` gate/up row pairs of `ffn` values: SiLU on each
+/// gate row, then the gate multiply. Functional mode multiplies every row
+/// in one call. Cost-only mode has no rows, so it activates and multiplies
+/// one zeroed stand-in pair per row. The two charge sequences round
+/// differently, and the pinned numbers of each mode rest on its own.
+fn swiglu(ctx: &mut NpuContext, gate: &mut [F16], up: &[F16], rows: usize, ffn: usize) {
+    let mut stand_in = Vec::new();
+    let (gate, up, mul_calls) = if ctx.mode == ExecMode::Functional {
+        (gate, up, 1)
+    } else {
+        stand_in.resize(2 * ffn, F16::ZERO);
+        let (gate, up) = stand_in.split_at_mut(ffn);
+        (gate, &*up, rows as u64)
+    };
+    ctx.replay_indexed(rows as u64, |ctx, r| {
+        misc::silu(ctx, &mut gate[r as usize * ffn..][..ffn])
+    });
+    ctx.replay(mul_calls, |ctx| misc::mul_inplace(ctx, gate, up));
 }
 
 /// `w` (row-major, `cols` columns) transposed: `[cols][rows]`.
@@ -933,7 +850,6 @@ fn logits_transposed(x: &[f32], wt: &[f32], out: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelId;
     use crate::cpu_ref::forward_reference;
     use crate::tokenizer::Tokenizer;
 
@@ -996,7 +912,7 @@ mod tests {
         let tok = Tokenizer::new();
         let tokens = tok.encode_with_bos("12*4");
         model.prefill(&mut ctx, &mut cache, 0, &tokens).unwrap();
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         let out = model
             .decode_step(&mut ctx, &mut cache, &[100, 101, 102, 103])
             .unwrap();
@@ -1021,7 +937,7 @@ mod tests {
             for s in 0..batch {
                 for _ in 0..1024 {
                     for l in 0..model.cfg.layers {
-                        cache.append(l, s, &[], &[], false).unwrap();
+                        cache.append(l, s, &[], &[]).unwrap();
                     }
                 }
             }
@@ -1052,7 +968,7 @@ mod tests {
             for s in 0..batch {
                 for _ in 0..512 {
                     for l in 0..model.cfg.layers {
-                        cache.append(l, s, &[], &[], false).unwrap();
+                        cache.append(l, s, &[], &[]).unwrap();
                     }
                 }
             }
@@ -1094,7 +1010,7 @@ mod tests {
         let tok = Tokenizer::new();
         let tokens = tok.encode_with_bos("7*8=");
         let base_prefill = model.prefill(&mut ctx, &mut cache, 0, &tokens).unwrap();
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         let base_step = model
             .decode_step(&mut ctx, &mut cache, &[100, 101, 102, 103])
             .unwrap();
@@ -1109,7 +1025,7 @@ mod tests {
         });
         let mut cache2 = KvCache::new(&mut ctx2, &sharded.cfg, 4, 256).unwrap();
         let shard_prefill = sharded.prefill(&mut ctx2, &mut cache2, 0, &tokens).unwrap();
-        cache2.broadcast_prompt(true);
+        cache2.broadcast_prompt();
         let shard_step = sharded
             .decode_step(&mut ctx2, &mut cache2, &[100, 101, 102, 103])
             .unwrap();
@@ -1136,7 +1052,7 @@ mod tests {
         let tok = Tokenizer::new();
         let tokens = tok.encode_with_bos("6+6=");
         let base_prefill = model.prefill(&mut ctx, &mut cache, 0, &tokens).unwrap();
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         let base_step = model
             .decode_step(&mut ctx, &mut cache, &[100, 101, 102, 103])
             .unwrap();
@@ -1160,7 +1076,7 @@ mod tests {
         let s_prefill = streamed
             .prefill(&mut ctx2, &mut cache2, 0, &tokens)
             .unwrap();
-        cache2.broadcast_prompt(true);
+        cache2.broadcast_prompt();
         let s_step = streamed
             .decode_step(&mut ctx2, &mut cache2, &[100, 101, 102, 103])
             .unwrap();
@@ -1201,5 +1117,180 @@ mod tests {
             .prefill(&mut ctx, &mut tiny_cache, 0, &tokens)
             .unwrap_err();
         assert!(matches!(err, SimError::Unsupported { .. }));
+    }
+
+    /// Every float a step records, as bits: the seven `StepCost` fields,
+    /// the `StepStages` scalars, then each layer's three. A step that
+    /// computed logits appends an FNV-1a digest of their bits.
+    fn recorded_bits(out: &DecodeOutput) -> Vec<u64> {
+        let (c, s) = (&out.cost, &out.stages);
+        let mut secs = vec![
+            c.gemm_secs,
+            c.attn_secs,
+            c.misc_secs,
+            c.cpu_secs,
+            c.switch_secs,
+            c.stream_secs,
+            c.overlapped_secs,
+            s.cpu_embed_secs,
+            s.final_npu_secs,
+            s.cpu_head_secs,
+            s.switch_secs,
+            s.draft_cpu_secs,
+            s.draft_npu_secs,
+        ];
+        for l in &s.layers {
+            secs.extend([l.npu_secs, l.dispatch_secs, l.weight_fetch_secs]);
+        }
+        let mut bits: Vec<u64> = secs.into_iter().map(f64::to_bits).collect();
+        if !out.logits.is_empty() {
+            bits.push(out.logits.iter().fold(0xcbf2_9ce4_8422_2325, |h, v| {
+                (h ^ u64::from(v.to_bits())).wrapping_mul(0x100_0000_01b3)
+            }));
+        }
+        bits
+    }
+
+    /// The tiny model's prompt prefill and one batch-4 step under
+    /// `schedule`, whose cold layers are `streamed`.
+    fn scheduled_tiny_bits(
+        ctx: &mut NpuContext,
+        streamed: &[usize],
+        schedule: LayerSchedule,
+    ) -> [Vec<u64>; 2] {
+        let mut model = Model::new_streamed(
+            ctx,
+            ModelId::Tiny,
+            DequantVariant::CoalescedLut,
+            42,
+            streamed,
+        )
+        .unwrap();
+        model.set_layer_schedule(schedule);
+        let mut cache = KvCache::new(ctx, &model.cfg, 4, 256).unwrap();
+        let prompt = Tokenizer::new().encode_with_bos("7*8=");
+        let prefill = model.prefill(ctx, &mut cache, 0, &prompt).unwrap();
+        cache.broadcast_prompt();
+        let step = model
+            .decode_step(ctx, &mut cache, &[100, 101, 102, 103])
+            .unwrap();
+        [recorded_bits(&prefill), recorded_bits(&step)]
+    }
+
+    /// The recorded bits of every pinned step, labelled as in
+    /// `testdata/model_charges.txt`.
+    fn recorded_steps() -> Vec<(&'static str, Vec<u64>)> {
+        let mut bits = Vec::new();
+        // Tiny, functional: a prompt, a 4-row verify pass that extends
+        // slot 1 past it, then (after slot 3 steps alone) two batch-4
+        // steps over slots at three depths.
+        let (mut ctx, model, mut cache) = functional_setup();
+        let prompt = Tokenizer::new().encode_with_bos("12*4=");
+        bits.push(model.prefill(&mut ctx, &mut cache, 0, &prompt).unwrap());
+        cache.broadcast_prompt();
+        let verify = model.prefill_all_logits(&mut ctx, &mut cache, 1, &[7, 8, 9, 10]);
+        bits.push(verify.unwrap());
+        model
+            .decode_step_for(&mut ctx, &mut cache, &[3], &[11])
+            .unwrap();
+        for tokens in [[20, 21, 22, 23], [24, 25, 26, 27]] {
+            let step = model.decode_step_for(&mut ctx, &mut cache, &[2, 0, 3, 1], &tokens);
+            bits.push(step.unwrap());
+        }
+        let mut bits: Vec<Vec<u64>> = bits.iter().map(recorded_bits).collect();
+        let mut ctx = NpuContext::new_sharded(DeviceProfile::v75(), ExecMode::Functional, 2);
+        let sharded = LayerSchedule {
+            boundaries: vec![1],
+            switch_secs: 30e-6,
+            ..Default::default()
+        };
+        bits.extend(scheduled_tiny_bits(&mut ctx, &[], sharded));
+        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
+        let streamed = LayerSchedule {
+            streamed: vec![1],
+            stream_layer_bytes: 1 << 20,
+            ..Default::default()
+        };
+        bits.extend(scheduled_tiny_bits(&mut ctx, &[1], streamed));
+
+        // Qwen-1.5B, cost-only, priced overlapped: a 40-token prefill and
+        // a step over slots at three depths, under a 2-shard schedule and
+        // then under one streamed layer.
+        let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+        let schedules = [
+            LayerSchedule {
+                boundaries: vec![14],
+                switch_secs: 30e-6,
+                ..Default::default()
+            },
+            LayerSchedule {
+                streamed: vec![3],
+                stream_layer_bytes: cfg.npu_layer_weight_bytes(),
+                ..Default::default()
+            },
+        ];
+        for schedule in schedules {
+            let sessions = schedule.boundaries.len() + 1;
+            let mut ctx =
+                NpuContext::new_sharded(DeviceProfile::v75(), ExecMode::CostOnly, sessions);
+            let mut model = Model::new_streamed(
+                &mut ctx,
+                cfg.id,
+                DequantVariant::CoalescedLut,
+                1,
+                &schedule.streamed,
+            )
+            .unwrap();
+            model.set_layer_schedule(schedule);
+            model.set_dispatch_mode(DispatchMode::Overlapped);
+            let mut cache = KvCache::new(&mut ctx, &model.cfg, 3, 512).unwrap();
+            let prefill = model.prefill(&mut ctx, &mut cache, 0, &[0; 40]).unwrap();
+            cache.fast_fill(1, 100);
+            cache.fast_fill(2, 7);
+            let step = model.decode_step_for(&mut ctx, &mut cache, &[2, 0, 1], &[0; 3]);
+            bits.extend([recorded_bits(&prefill), recorded_bits(&step.unwrap())]);
+        }
+        let labels = [
+            "functional prefill",
+            "functional verify",
+            "functional step 1",
+            "functional step 2",
+            "functional 2-shard prefill",
+            "functional 2-shard step",
+            "functional streamed prefill",
+            "functional streamed step",
+            "cost-only 2-shard prefill",
+            "cost-only 2-shard step",
+            "cost-only streamed prefill",
+            "cost-only streamed step",
+        ];
+        labels.into_iter().zip(bits).collect()
+    }
+
+    #[test]
+    fn recorded_charges_match_the_pinned_bits() {
+        // Pins every charge a step records in both execution modes, bit
+        // for bit. A change that moves one re-pins the file and says so.
+        let pinned: Vec<(&str, Vec<u64>)> = include_str!("../testdata/model_charges.txt")
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (label, hex) = line.split_once(": ").unwrap();
+                let bits = hex.split(' ').map(|h| u64::from_str_radix(h, 16).unwrap());
+                (label, bits.collect())
+            })
+            .collect();
+        let recorded = recorded_steps();
+        assert_eq!(recorded.len(), pinned.len());
+        for ((label, got), (pinned_label, want)) in recorded.iter().zip(&pinned) {
+            assert_eq!(label, pinned_label);
+            let first = got.iter().zip(want).position(|(g, w)| g != w);
+            assert!(
+                got == want,
+                "{label}: {} values recorded, {} pinned, first difference at {first:?}",
+                got.len(),
+                want.len()
+            );
+        }
     }
 }

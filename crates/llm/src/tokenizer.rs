@@ -24,11 +24,6 @@ impl Tokenizer {
         Tokenizer
     }
 
-    /// Vocabulary size (256 bytes + control ids, padded to 260).
-    pub fn vocab_size(&self) -> usize {
-        260
-    }
-
     /// Encodes text to token ids (no BOS/EOS added).
     pub fn encode(&self, text: &str) -> Vec<u32> {
         text.bytes()
@@ -101,7 +96,6 @@ mod tests {
     #[test]
     fn vocab_covers_all_bytes() {
         let t = Tokenizer::new();
-        assert!(t.vocab_size() >= (BYTE_BASE as usize) + 256);
         let all: Vec<u8> = (0u8..=255).collect();
         let text: String = String::from_utf8_lossy(&all).into_owned();
         let decoded = t.decode(&t.encode(&text));

@@ -36,11 +36,6 @@ impl QuantScheme {
             QuantScheme::Q8_0 => Q8_0_BLOCK_BYTES,
         }
     }
-
-    /// Effective bits per weight including the scale.
-    pub fn bits_per_weight(self) -> f64 {
-        self.block_bytes() as f64 * 8.0 / GROUP_SIZE as f64
-    }
 }
 
 /// The element ordering that groups are formed over.
@@ -149,11 +144,6 @@ impl QuantizedMatrix {
     /// Number of 32-element blocks.
     pub fn num_blocks(&self) -> usize {
         self.k * self.n / GROUP_SIZE
-    }
-
-    /// Serialized size in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
     }
 
     /// Parses block `idx` as Q4_0.
@@ -312,20 +302,14 @@ mod tests {
     }
 
     #[test]
-    fn bits_per_weight() {
-        assert!((QuantScheme::Q4_0.bits_per_weight() - 4.5).abs() < 1e-12);
-        assert!((QuantScheme::Q8_0.bits_per_weight() - 8.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn byte_len_matches_scheme() {
         let (k, n) = (32, 32);
         let w = vec![0.5f32; k * n];
         let q4 =
             QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q4_0, WeightLayout::HmxTileGroups);
-        assert_eq!(q4.byte_len(), 32 * 18);
+        assert_eq!(q4.bytes.len(), 32 * 18);
         let q8 =
             QuantizedMatrix::quantize(&w, k, n, QuantScheme::Q8_0, WeightLayout::HmxTileGroups);
-        assert_eq!(q8.byte_len(), 32 * 34);
+        assert_eq!(q8.bytes.len(), 32 * 34);
     }
 }

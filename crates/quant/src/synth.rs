@@ -58,13 +58,6 @@ pub fn activation_amax(k: usize, seed: u64, hot_scale: f32) -> Vec<f32> {
         .collect()
 }
 
-/// Deterministic uniform values in `[-range, range]`, for activation test
-/// vectors where a flat distribution is preferable.
-pub fn uniform_vec(len: usize, seed: u64, range: f32) -> Vec<f32> {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0x5851_f42d_4c95_7f2d));
-    (0..len).map(|_| rng.gen_range(-range..=range)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +97,5 @@ mod tests {
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = sorted[48];
         assert!(act[0] > median * 3.0);
-    }
-
-    #[test]
-    fn uniform_respects_range() {
-        let v = uniform_vec(1000, 9, 2.5);
-        assert!(v.iter().all(|&x| (-2.5..=2.5).contains(&x)));
-        assert!(v.iter().any(|&x| x > 1.0));
-        assert!(v.iter().any(|&x| x < -1.0));
     }
 }

@@ -16,7 +16,7 @@ pub const SOLVE_STEEPNESS: f64 = 12.0;
 
 /// Paper-reported pass@1 baselines (percent), read from Figures 5/10 and
 /// Table 1: `(model, dataset) -> accuracy`.
-pub fn paper_base_accuracy(model: ModelId, dataset: DatasetKind) -> f64 {
+fn paper_base_accuracy(model: ModelId, dataset: DatasetKind) -> f64 {
     match (model, dataset) {
         (ModelId::Llama1B, DatasetKind::Math500Like) => 18.0,
         (ModelId::Llama1B, DatasetKind::Gsm8kLike) => 47.0,
@@ -39,7 +39,7 @@ pub fn paper_base_accuracy(model: ModelId, dataset: DatasetKind) -> f64 {
 
 /// Deterministic difficulty grid matching a dataset's distribution
 /// (inverse-CDF sampling; see `mathsynth::mathgen`).
-pub fn difficulty_grid(dataset: DatasetKind, n: usize) -> Vec<f64> {
+fn difficulty_grid(dataset: DatasetKind, n: usize) -> Vec<f64> {
     (0..n)
         .map(|i| {
             let u = (i as f64 + 0.5) / n as f64;
@@ -57,7 +57,7 @@ pub fn solve_prob(skill: f64, difficulty: f64) -> f64 {
 }
 
 /// Expected pass@1 (percent) of skill `s` over a dataset grid.
-pub fn expected_pass1(skill: f64, dataset: DatasetKind) -> f64 {
+fn expected_pass1(skill: f64, dataset: DatasetKind) -> f64 {
     let grid = difficulty_grid(dataset, 2000);
     let mean: f64 = grid.iter().map(|&d| solve_prob(skill, d)).sum::<f64>() / grid.len() as f64;
     mean * 100.0

@@ -127,7 +127,7 @@ fn argmax(logits: &[f32]) -> u32 {
 }
 
 /// Extracts the first integer (optionally negative) from generated text.
-pub fn extract_answer(text: &str) -> Option<i64> {
+fn extract_answer(text: &str) -> Option<i64> {
     let bytes = text.as_bytes();
     let mut i = 0usize;
     while i < bytes.len() {
@@ -326,7 +326,7 @@ pub fn llm_bon_fixed_batch(
         let mut cache = KvCache::new(ctx, &model.cfg, max_batch, budget)?;
         let prefill = model.prefill(ctx, &mut cache, 0, &prompt_tokens)?;
         total_cost.add(&prefill.cost);
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         let mut current: Vec<u32> = (0..max_batch)
             .map(|_| sampler.sample(&prefill.logits, &mut rng))
             .collect();

@@ -74,13 +74,6 @@ impl CalibratedPolicy {
         }
     }
 
-    /// Same policy with a capability multiplier applied (quantization
-    /// damage experiments, Table 1).
-    pub fn with_capability(mut self, capability: f64) -> Self {
-        self.capability = capability;
-        self
-    }
-
     /// Same policy with an additive skill penalty applied.
     pub fn with_skill_penalty(mut self, penalty: f64) -> Self {
         self.skill_penalty = penalty;
@@ -97,7 +90,7 @@ impl CalibratedPolicy {
 
     /// Per-step success rate such that a full trajectory of `n` steps
     /// succeeds with the task-level probability.
-    pub fn step_success_rate(&self, task: &MathTask) -> f64 {
+    fn step_success_rate(&self, task: &MathTask) -> f64 {
         let p = self.solve_prob(task).clamp(1e-9, 1.0 - 1e-12);
         let n = task.steps.max(1) as f64;
         p.powf(1.0 / n)
@@ -150,7 +143,7 @@ impl CalibratedPolicy {
 /// Generates a wrong answer distinct from the truth. Wrong answers are
 /// dispersed so that self-consistency's majority vote rarely collides on
 /// the same mistake (empirically true for numeric tasks).
-pub fn wrong_answer(truth: i64, rng: &mut StdRng) -> i64 {
+fn wrong_answer(truth: i64, rng: &mut StdRng) -> i64 {
     loop {
         let delta = rng.gen_range(-999i64..=999);
         if delta != 0 {
@@ -199,7 +192,8 @@ mod tests {
     #[test]
     fn capability_degrades_accuracy() {
         let full = policy();
-        let damaged = policy().with_capability(0.3);
+        let mut damaged = policy();
+        damaged.capability = 0.3;
         let tasks = TaskGenerator::new(DatasetKind::Math500Like, 5).take(1500);
         let acc = |p: &CalibratedPolicy| {
             tasks

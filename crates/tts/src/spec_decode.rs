@@ -263,7 +263,7 @@ impl AcceptanceTrace {
     }
 
     /// Whether the next drafted token is accepted.
-    pub fn next_accept(&mut self) -> bool {
+    fn next_accept(&mut self) -> bool {
         self.state = self
             .state
             .wrapping_mul(6364136223846793005)

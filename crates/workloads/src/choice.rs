@@ -44,7 +44,7 @@ impl ChoiceKind {
     }
 
     /// Option count for the profile.
-    pub fn options(self) -> usize {
+    fn options(self) -> usize {
         match self {
             ChoiceKind::WinoGrandeLike => 2,
             ChoiceKind::MmluLike => 4,

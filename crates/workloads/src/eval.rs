@@ -20,17 +20,6 @@ pub fn pass_at_1(tasks: &[MathTask], answers: &[i64]) -> f64 {
     correct as f64 / tasks.len() as f64 * 100.0
 }
 
-/// Mean and a crude 95% confidence half-width (normal approximation) of a
-/// Bernoulli accuracy estimate given `correct` out of `n`.
-pub fn accuracy_ci(correct: usize, n: usize) -> (f64, f64) {
-    if n == 0 {
-        return (0.0, 0.0);
-    }
-    let p = correct as f64 / n as f64;
-    let half = 1.96 * (p * (1.0 - p) / n as f64).sqrt();
-    (p * 100.0, half * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -43,13 +32,6 @@ mod tests {
         assert_eq!(pass_at_1(&tasks, &answers), 100.0);
         answers[0] += 1;
         assert_eq!(pass_at_1(&tasks, &answers), 75.0);
-    }
-
-    #[test]
-    fn ci_shrinks_with_n() {
-        let (_, w_small) = accuracy_ci(50, 100);
-        let (_, w_large) = accuracy_ci(500, 1000);
-        assert!(w_large < w_small);
     }
 
     #[test]

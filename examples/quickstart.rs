@@ -34,7 +34,7 @@ fn main() {
     let prefill = model
         .prefill(&mut ctx, &mut cache, 0, &prompt_tokens)
         .unwrap();
-    cache.broadcast_prompt(true);
+    cache.broadcast_prompt();
     println!(
         "\nprefill: {} tokens in {:.2} ms of simulated device time",
         prompt_tokens.len(),

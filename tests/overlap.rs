@@ -259,7 +259,7 @@ fn sharded_overlapped_logits_bit_identical_to_serial_single_session() {
     let base_pf = base
         .prefill(&mut base_ctx, &mut base_cache, 0, &tokens)
         .unwrap();
-    base_cache.broadcast_prompt(true);
+    base_cache.broadcast_prompt();
     let base_step = base
         .decode_step(&mut base_ctx, &mut base_cache, &[100, 101, 102, 103])
         .unwrap();
@@ -274,7 +274,7 @@ fn sharded_overlapped_logits_bit_identical_to_serial_single_session() {
     });
     let mut cache = KvCache::new(&mut ctx, &model.cfg, 4, 256).unwrap();
     let pf = model.prefill(&mut ctx, &mut cache, 0, &tokens).unwrap();
-    cache.broadcast_prompt(true);
+    cache.broadcast_prompt();
     let step = model
         .decode_step(&mut ctx, &mut cache, &[100, 101, 102, 103])
         .unwrap();

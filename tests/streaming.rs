@@ -65,7 +65,7 @@ fn streamed_logits_bit_identical_to_resident() {
         let mut cache = KvCache::new(&mut ctx, &model.cfg, 4, 256).unwrap();
         let tokens = [3u32, 11, 5, 8];
         let pf = model.prefill(&mut ctx, &mut cache, 0, &tokens).unwrap();
-        cache.broadcast_prompt(true);
+        cache.broadcast_prompt();
         let step = model
             .decode_step(&mut ctx, &mut cache, &[70, 71, 72, 73])
             .unwrap();
