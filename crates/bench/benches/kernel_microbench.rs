@@ -1,12 +1,16 @@
-//! Criterion microbenchmarks of the functional simulator kernels.
+//! Criterion microbenchmarks of the simulator kernels.
 //!
 //! Unlike the figure/table harnesses (which report *simulated device*
 //! latencies), these measure the host-side execution speed of the
-//! bit-exact functional paths — useful when optimizing the simulator
-//! itself and as a regression guard for the hot loops.
+//! bit-exact functional paths and of the cost-only paths paper-scale
+//! sweeps run — useful when optimizing the simulator itself and as a
+//! regression guard for the hot loops.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use edgellm::config::{ModelConfig, ModelId};
+use edgellm::kv_cache::KvCache;
+use edgellm::model::Model;
+use edgellm::overlap::steady_state_step_secs;
 use hexsim::f16::F16;
 use hexsim::prelude::*;
 use htpops::attention::{AttnShape, FlashAttention, KvBlocks};
@@ -334,6 +338,71 @@ fn bench_gemm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_cost_only(c: &mut Criterion) {
+    // Paper-scale kernels in a cost-only V75 context, which charges every
+    // instruction and computes no lanes: Qwen-1.5B's Q projection at one
+    // decode row and at a 16-row batch, one decode row's attention over a
+    // 300-position history (the empty one a cost-only cache hands it), and
+    // the steady-state schedule of a recorded batch-8 decode step.
+    let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
+    let variant = DequantVariant::CoalescedLut;
+    let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+    let qm = QuantizedMatrix {
+        k: cfg.hidden,
+        n: cfg.q_dim(),
+        scheme: QuantScheme::Q4_0,
+        layout: variant.required_layout(),
+        bytes: Vec::new(),
+    };
+    let wq = prepare_weights(&mut ctx, &qm, variant).unwrap();
+    let mut group = c.benchmark_group("cost_only");
+    for m in [1, 16] {
+        let gemm = GemmConfig {
+            m,
+            k: qm.k,
+            n: qm.n,
+            scheme: qm.scheme,
+            variant,
+            threads: 6,
+        };
+        group.bench_function(format!("qwen1_5b_q_proj_m{m}"), |b| {
+            b.iter(|| {
+                gemm_mixed(&mut ctx, std::hint::black_box(&gemm), &wq, &[])
+                    .cost
+                    .wall_secs
+            })
+        });
+    }
+    let lut = ExpLut16::build(&mut ctx).unwrap();
+    let fa = FlashAttention::new(&lut, ExpMethod::Lut16, cfg.gqa_group());
+    let shape = AttnShape {
+        nq: 1,
+        nkv: 300,
+        head_dim: cfg.head_dim,
+    };
+    let history = KvBlocks::new(cfg.head_dim);
+    group.bench_function("qwen1_5b_decode_attention_kv300", |b| {
+        b.iter(|| {
+            let shape = std::hint::black_box(shape);
+            fa.run_blocks(&mut ctx, shape, &[], &history, None)
+                .1
+                .total_wall()
+        })
+    });
+    let model = Model::new(&mut ctx, ModelId::Qwen1_5B, variant, 7).unwrap();
+    let mut cache = KvCache::new(&mut ctx, &cfg, 8, 8 * 320).unwrap();
+    model.prefill(&mut ctx, &mut cache, 0, &[1; 256]).unwrap();
+    cache.broadcast_prompt();
+    let stages = model
+        .decode_step(&mut ctx, &mut cache, &[1; 8])
+        .unwrap()
+        .stages;
+    group.bench_function("qwen1_5b_b8_steady_state_step", |b| {
+        b.iter(|| steady_state_step_secs(std::hint::black_box(&stages)))
+    });
+    group.finish();
+}
+
 fn bench_hmx_tile(c: &mut Criterion) {
     let mut group = c.benchmark_group("hmx");
     group.throughput(Throughput::Elements(32 * 32 * 32));
@@ -362,6 +431,6 @@ fn bench_hmx_tile(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(300)).measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_decode_attention, bench_lm_head_row, bench_verify_argmax, bench_gemm, bench_hmx_tile
+    targets = bench_f16_conversion, bench_lut_dequant, bench_softmax, bench_decode_attention, bench_lm_head_row, bench_verify_argmax, bench_gemm, bench_cost_only, bench_hmx_tile
 }
 criterion_main!(benches);

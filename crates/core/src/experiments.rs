@@ -1559,10 +1559,6 @@ mod tests {
     }
 
     #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "serves a 540-request trace on the fleet twice: minutes unoptimized; CI runs it in release"
-    )]
     fn thermal_aware_dispatch_beats_blind_on_the_pinned_trace() {
         let rows = fleet_thermal_rows(20260808).unwrap();
         let (blind, aware) = (&rows[0], &rows[1]);

@@ -240,12 +240,18 @@ pub struct FleetGateway {
 
 impl FleetGateway {
     /// Validates the fleet (every worker must pass the `fits` gate) and
-    /// measures the dispatch oracle for each worker. An empty fleet or a
-    /// zero-token prefill chunk is [`SimError::InvalidConfig`].
+    /// measures the dispatch oracle for each worker. An empty fleet, a
+    /// zero-capacity admission queue, a zero-token prefill chunk or a
+    /// worker [`plan_worker`] rejects is [`SimError::InvalidConfig`].
     pub fn new(fleet: FleetSpec, config: GatewayConfig) -> SimResult<Self> {
         if fleet.workers.is_empty() {
             return Err(SimError::InvalidConfig {
                 reason: "fleet needs at least one worker".into(),
+            });
+        }
+        if config.queue_capacity == 0 {
+            return Err(SimError::InvalidConfig {
+                reason: "the admission queue needs room for one request".into(),
             });
         }
         if config.prefill == (PrefillMode::Chunked { chunk_tokens: 0 }) {
@@ -1272,6 +1278,30 @@ mod tests {
             matches!(err, Some(SimError::InvalidConfig { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn new_rejects_bad_worker_specs_and_a_zero_capacity_queue() {
+        let single = || FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false);
+        let mut no_slots = single();
+        no_slots.workers[0].max_batch = 0;
+        let mut short_ctx = single();
+        short_ctx.workers[0].max_ctx = 7;
+        let zero_queue = GatewayConfig {
+            queue_capacity: 0,
+            ..GatewayConfig::default()
+        };
+        for (fleet, config) in [
+            (no_slots, GatewayConfig::default()),
+            (short_ctx, GatewayConfig::default()),
+            (single(), zero_queue),
+        ] {
+            let err = FleetGateway::new(fleet, config).err();
+            assert!(
+                matches!(err, Some(SimError::InvalidConfig { .. })),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

@@ -298,10 +298,19 @@ pub struct WorkerOracle {
 /// the deployment (propagating e.g. [`SimError::VaSpaceExceeded`] when
 /// the device cannot hold the model), then one decode step at the full
 /// batch and one representative prefill are measured as the dispatch
-/// oracle.
+/// oracle. A worker with no KV slot (`max_batch == 0`) or with room for
+/// fewer than 8 context tokens is [`SimError::InvalidConfig`].
 pub fn plan_worker(model: ModelId, spec: &WorkerSpec) -> SimResult<WorkerOracle> {
-    assert!(spec.max_batch >= 1, "worker needs at least one KV slot");
-    assert!(spec.max_ctx >= 8, "worker context capacity too small");
+    if spec.max_batch == 0 {
+        return Err(SimError::InvalidConfig {
+            reason: "worker needs at least one KV slot".into(),
+        });
+    }
+    if spec.max_ctx < 8 {
+        return Err(SimError::InvalidConfig {
+            reason: format!("worker context capacity {} is below 8 tokens", spec.max_ctx),
+        });
+    }
     let backend = spec.backend();
     let fit = backend.fits(model, spec.max_batch, spec.max_ctx)?;
     let decode = backend.decode(model, spec.max_batch, spec.max_ctx)?;

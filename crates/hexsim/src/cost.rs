@@ -112,6 +112,7 @@ impl Counters {
         self.cpu_bytes += other.cpu_bytes;
     }
 
+    #[inline]
     fn scale(&mut self, base: &Counters, factor: u64) {
         // self = base + (self - base) * factor, elementwise.
         macro_rules! sc {
@@ -267,6 +268,7 @@ impl CostModel {
 
     /// Charges `packets` instruction packets to the HVX engine, honoring the
     /// declared thread parallelism.
+    #[inline]
     pub fn charge_hvx_packets(&mut self, packets: u64) {
         self.counters.hvx_instructions += packets;
         let secs = packets as f64 / self.device.vector_clock_hz / self.hvx_parallelism;
@@ -275,6 +277,7 @@ impl CostModel {
 
     /// Charges one `vgather` (paper: 24-48 packets on V75). `pipelined`
     /// charges the lower bound, modelling multiple gathers in flight.
+    #[inline]
     pub fn charge_vgather(&mut self, pipelined: bool) {
         self.counters.vgathers += 1;
         let p = if pipelined {
@@ -286,12 +289,14 @@ impl CostModel {
     }
 
     /// Charges one `vlut16` instruction.
+    #[inline]
     pub fn charge_vlut16(&mut self) {
         self.counters.vluts += 1;
         self.charge_hvx_packets(1);
     }
 
     /// Charges `n` HMX 32x32x32 FP16 tile multiply-accumulates.
+    #[inline]
     pub fn charge_hmx_tile_ops(&mut self, n: u64) {
         self.counters.hmx_tile_ops += n;
         let secs = n as f64 / self.device.hmx_tile_ops_per_sec();
@@ -299,6 +304,7 @@ impl CostModel {
     }
 
     /// Charges a DMA transfer of `bytes` between DDR and TCM.
+    #[inline]
     pub fn charge_dma(&mut self, bytes: u64) {
         self.counters.dma_bytes += bytes;
         self.engine_secs[Engine::Dma.idx()] += bytes as f64 / self.device.dma_bw;
@@ -309,6 +315,7 @@ impl CostModel {
     /// sustained (compute-contended) streaming bandwidth — slower than the
     /// idle [`CostModel::charge_dma`] rate. Returns the charged seconds so
     /// the caller can record the fetch as an overlap-schedulable stage.
+    #[inline]
     pub fn charge_ddr_stream(&mut self, bytes: u64) -> f64 {
         self.counters.dma_bytes += bytes;
         let secs = bytes as f64 / self.device.ddr_stream_bw;
@@ -317,6 +324,7 @@ impl CostModel {
     }
 
     /// Charges an `l2fetch` prefetch of `bytes` from DDR into L2.
+    #[inline]
     pub fn charge_l2fetch(&mut self, bytes: u64) {
         self.counters.l2fetch_bytes += bytes;
         self.engine_secs[Engine::L2fetch.idx()] += bytes as f64 / self.device.l2fetch_bw;
@@ -324,6 +332,7 @@ impl CostModel {
 
     /// Charges an HVX load/store over the core path from DDR/L2 (the slow
     /// path, Table 2: 26 GB/s on V75).
+    #[inline]
     pub fn charge_hvx_ddr_bytes(&mut self, bytes: u64) {
         self.counters.hvx_ddr_load_bytes += bytes;
         let secs = bytes as f64 / self.device.hvx_load_bw / self.hvx_parallelism;
@@ -331,6 +340,7 @@ impl CostModel {
     }
 
     /// Charges HVX <-> TCM streaming of `bytes` (fast on-chip path).
+    #[inline]
     pub fn charge_tcm_bytes(&mut self, bytes: u64) {
         self.counters.tcm_bytes += bytes;
         let secs = bytes as f64 / self.device.tcm_bw / self.hvx_parallelism;
@@ -340,6 +350,7 @@ impl CostModel {
     /// Charges `flops` FP32 operations on the host CPU at its calibrated
     /// aggregate throughput, plus `bytes` of memory traffic; the slower of
     /// the two bounds the time (simple roofline).
+    #[inline]
     pub fn charge_cpu(&mut self, flops: u64, bytes: u64) {
         self.counters.cpu_flops += flops;
         self.counters.cpu_bytes += bytes;
@@ -350,11 +361,13 @@ impl CostModel {
 
     /// Charges raw seconds to an engine (escape hatch for modelled fixed
     /// overheads such as RPC handshakes).
+    #[inline]
     pub fn charge_secs(&mut self, e: Engine, secs: f64) {
         self.engine_secs[e.idx()] += secs;
     }
 
     /// Takes a snapshot for later [`CostModel::scale_since`].
+    #[inline]
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
             engine_secs: self.engine_secs,
@@ -364,6 +377,7 @@ impl CostModel {
 
     /// Difference between now and a snapshot, as a [`PhaseCost`].
     #[allow(clippy::needless_range_loop)]
+    #[inline]
     pub fn delta_since(&self, snap: &CostSnapshot, label: &str) -> PhaseCost {
         let mut engine_secs = [0.0; NUM_ENGINES];
         for i in 0..NUM_ENGINES {
@@ -380,6 +394,7 @@ impl CostModel {
     /// Multiplies everything charged since `snap` by `factor`. Used by
     /// [`crate::ctx::NpuContext::replay`] to extrapolate one representative
     /// block execution to `factor` identical blocks.
+    #[inline]
     pub fn scale_since(&mut self, snap: &CostSnapshot, factor: u64) {
         for i in 0..NUM_ENGINES {
             let delta = self.engine_secs[i] - snap.engine_secs[i];

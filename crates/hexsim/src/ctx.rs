@@ -23,6 +23,12 @@
 //! and cost-only runs of the kernel still charge the same, in the same
 //! order.
 //!
+//! Every method a kernel calls per simulated instruction (here and the
+//! `CostModel` charges it calls) is `#[inline]`. Kernels live in other
+//! crates, and without LTO rustc inlines a non-generic function across
+//! crates only when it is marked (or is a tiny leaf), so an unmarked op
+//! costs a cost-only run an out-of-line call per instruction.
+//!
 //! Cost conventions (see `crates/hexsim/src/cost.rs`):
 //! - compute instructions charge packets (1 vector-clock cycle each, except
 //!   `vgather`, which charges the device's published 24-48 packets);
@@ -153,6 +159,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     fn assert_in_tcm(&self, start: usize, len: usize) -> Range<usize> {
         assert!(
             start + len <= self.device.tcm_bytes as usize,
@@ -216,6 +223,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn tcm_peek(&self, addr: TcmAddr, len: usize) -> &[u8] {
         let range = self.assert_in_tcm(addr.0 as usize, len);
         match self.mode {
@@ -230,6 +238,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn tcm_poke(&mut self, addr: TcmAddr, bytes: &[u8]) {
         let range = self.assert_in_tcm(addr.0 as usize, bytes.len());
         if self.mode == ExecMode::Functional {
@@ -325,6 +334,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if either range is out of bounds.
+    #[inline]
     pub fn dma_h2t(&mut self, src: DdrBuffer, src_off: u64, dst: TcmAddr, len: u32) {
         self.cost.charge_dma(len as u64);
         let state = self.ddr.get(src);
@@ -342,6 +352,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if either range is out of bounds.
+    #[inline]
     pub fn dma_t2h(&mut self, src: TcmAddr, dst: DdrBuffer, dst_off: u64, len: u32) {
         self.cost.charge_dma(len as u64);
         let range = self.assert_in_tcm(src.0 as usize, len as usize);
@@ -360,6 +371,7 @@ impl NpuContext {
     /// 2D DMA: `rows` rows of `row_bytes` each, with `src_stride` bytes
     /// between DDR row starts, packed densely into TCM. The DMA engine
     /// supports exactly this 1D/2D regular pattern (paper Section 3.1.2).
+    #[inline]
     pub fn dma_h2t_2d(
         &mut self,
         src: DdrBuffer,
@@ -393,6 +405,7 @@ impl NpuContext {
     /// Issues an `l2fetch` prefetch hint for `len` DDR bytes. Charges the
     /// prefetch engine; subsequent core-path loads of the data are modelled
     /// as overlapping within the same phase.
+    #[inline]
     pub fn l2fetch(&mut self, len: u64) {
         self.cost.charge_l2fetch(len);
     }
@@ -406,6 +419,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn vmem_ld_tcm(&mut self, addr: TcmAddr) -> HvxVec {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
         let range = self.assert_in_tcm(addr.0 as usize, HVX_BYTES);
@@ -417,6 +431,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds TCM.
+    #[inline]
     pub fn vmem_st_tcm(&mut self, addr: TcmAddr, v: &HvxVec) {
         self.cost.charge_tcm_bytes(HVX_BYTES as u64);
         self.tcm_poke(addr, &v.0);
@@ -428,6 +443,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the range exceeds the buffer.
+    #[inline]
     pub fn vmem_ld_ddr(&mut self, buf: DdrBuffer, offset: u64) -> HvxVec {
         self.cost.charge_hvx_ddr_bytes(HVX_BYTES as u64);
         let bytes = self.ddr_read(buf, offset, HVX_BYTES);
@@ -444,6 +460,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if any gathered element is outside TCM.
+    #[inline]
     pub fn vgather_h(&mut self, base: TcmAddr, offsets: &HvxVec, pipelined: bool) -> HvxVec {
         self.cost.charge_vgather(pipelined);
         let functional = self.mode == ExecMode::Functional;
@@ -464,6 +481,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if any scattered element is outside TCM.
+    #[inline]
     pub fn vscatter_h(&mut self, base: TcmAddr, offsets: &HvxVec, v: &HvxVec, pipelined: bool) {
         self.cost.charge_vgather(pipelined);
         let functional = self.mode == ExecMode::Functional;
@@ -480,12 +498,14 @@ impl NpuContext {
     // ------------------------------------------------------------------
 
     /// Broadcast an FP16 scalar to all 64 half-float lanes.
+    #[inline]
     pub fn vsplat_hf(&mut self, v: F16) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| HvxVec::splat_h(v.0))
     }
 
     /// Broadcast a byte to all 128 lanes.
+    #[inline]
     pub fn vsplat_b(&mut self, v: u8) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| HvxVec::splat_b(v))
@@ -493,24 +513,28 @@ impl NpuContext {
 
     /// Elementwise FP16 add. Pre-V79 the result is in qfloat format; call
     /// [`NpuContext::vconv_qf16`] before storing or bit-reinterpreting.
+    #[inline]
     pub fn vadd_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x + y))
     }
 
     /// Elementwise FP16 subtract (qfloat result pre-V79).
+    #[inline]
     pub fn vsub_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x - y))
     }
 
     /// Elementwise FP16 multiply (qfloat result pre-V79).
+    #[inline]
     pub fn vmpy_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_hf_f32(a, b, |x, y| x * y))
     }
 
     /// Elementwise FP16 max (IEEE semantics, NaN loses).
+    #[inline]
     pub fn vmax_hf(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_hf(a, b, |x, y| x.max(y)))
@@ -519,6 +543,7 @@ impl NpuContext {
     /// Converts a qfloat-format register to IEEE FP16. Charges the
     /// conversion instruction on pre-V79 devices and nothing on V79+
     /// (paper Section 5.2.2: the LUT path exists to avoid these).
+    #[inline]
     pub fn vconv_qf16(&mut self, v: HvxVec) -> HvxVec {
         let ops = self.device.qf16_convert_ops();
         if ops > 0 {
@@ -528,54 +553,63 @@ impl NpuContext {
     }
 
     /// Widens 64 FP16 lanes to an FP32 register pair.
+    #[inline]
     pub fn vcvt_hf_sf(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vcvt_hf_sf(v))
     }
 
     /// Narrows an FP32 register pair to 64 FP16 lanes (RTNE).
+    #[inline]
     pub fn vcvt_sf_hf(&mut self, lo: &HvxVec, hi: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vcvt_sf_hf(lo, hi))
     }
 
     /// Converts signed 16-bit integer lanes to FP16 (qfloat pre-V79).
+    #[inline]
     pub fn vcvt_h_hf(&mut self, v: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vcvt_h_hf(v))
     }
 
     /// Sign-extends byte lanes to halfword lanes (register pair).
+    #[inline]
     pub fn vunpack_b_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vunpack_b_h(v))
     }
 
     /// Zero-extends byte lanes to halfword lanes (register pair).
+    #[inline]
     pub fn vunpack_ub_h(&mut self, v: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vunpack_ub_h(v))
     }
 
     /// Bitwise AND of byte lanes.
+    #[inline]
     pub fn vand_b(&mut self, a: &HvxVec, b: &HvxVec) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::map2_b(a, b, |x, y| x & y))
     }
 
     /// Logical shift right of byte lanes.
+    #[inline]
     pub fn vshr_b(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vshr_b(v, n))
     }
 
     /// Logical shift right of halfword lanes.
+    #[inline]
     pub fn vshr_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vshr_h(v, n))
     }
 
     /// Logical shift left of halfword lanes.
+    #[inline]
     pub fn vshl_h(&mut self, v: &HvxVec, n: u32) -> HvxVec {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vshl_h(v, n))
@@ -583,12 +617,14 @@ impl NpuContext {
 
     /// Interleaves halfword lanes of two registers (cross-lane shuffle used
     /// for the HMX two-row layout, paper Figure 4a).
+    #[inline]
     pub fn vshuff_h(&mut self, a: &HvxVec, b: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vshuff_h(a, b))
     }
 
     /// Deinterleaves halfword lanes (inverse of [`NpuContext::vshuff_h`]).
+    #[inline]
     pub fn vdeal_h(&mut self, lo: &HvxVec, hi: &HvxVec) -> (HvxVec, HvxVec) {
         self.cost.charge_hvx_packets(1);
         self.lanes(|| hvx::vdeal_h(lo, hi))
@@ -597,6 +633,7 @@ impl NpuContext {
     /// `vlut16` with an FP16 table: 128 byte indices -> 128 FP16 lanes as a
     /// register pair. One instruction (paper Figure 9) and the results are
     /// IEEE FP16 directly — no qfloat conversion needed.
+    #[inline]
     pub fn vlut16_hf(&mut self, idx: &HvxVec, table: &[F16; 16]) -> (HvxVec, HvxVec) {
         self.cost.charge_vlut16();
         self.lanes(|| {
@@ -607,6 +644,7 @@ impl NpuContext {
 
     /// Charges explicit pipeline-stall cycles (used to model the sequential
     /// dependency chains of polynomial evaluation under VLIW, Section 5.2.1).
+    #[inline]
     pub fn stall(&mut self, cycles: u64) {
         self.cost.charge_hvx_packets(cycles);
     }
@@ -622,6 +660,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if a tile range exceeds TCM or is not 2-byte aligned.
+    #[inline]
     pub fn hmx_matmul(&mut self, acc: &mut HmxAccumulator, act: TcmAddr, wgt: TcmAddr) {
         self.cost.charge_hmx_tile_ops(1);
         assert!(
@@ -638,6 +677,7 @@ impl NpuContext {
     /// Shape-level HMX charge: `n` tile-ops without data movement. Used by
     /// kernels inside [`NpuContext::replay`] blocks where the MAC work is
     /// proportional to a dimension that the block does not iterate.
+    #[inline]
     pub fn hmx_charge(&mut self, tile_ops: u64) {
         self.cost.charge_hmx_tile_ops(tile_ops);
     }
@@ -648,6 +688,7 @@ impl NpuContext {
     /// # Panics
     ///
     /// Panics if the output range exceeds TCM.
+    #[inline]
     pub fn hmx_store_acc(
         &mut self,
         acc: &HmxAccumulator,

@@ -112,7 +112,7 @@ impl Default for HmxAccumulator {
 
 impl HmxAccumulator {
     /// A zeroed accumulator.
-    pub fn new() -> Self {
+    pub const fn new() -> Self {
         HmxAccumulator([[0.0f32; TILE_DIM]; TILE_DIM])
     }
 

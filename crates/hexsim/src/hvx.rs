@@ -22,6 +22,7 @@ pub const HVX_WORDS: usize = 32;
 pub struct HvxVec(pub [u8; HVX_BYTES]);
 
 impl Default for HvxVec {
+    #[inline]
     fn default() -> Self {
         HvxVec([0u8; HVX_BYTES])
     }
@@ -39,6 +40,7 @@ impl std::fmt::Debug for HvxVec {
 
 impl HvxVec {
     /// The all-zeros register.
+    #[inline]
     pub fn zero() -> Self {
         Self::default()
     }

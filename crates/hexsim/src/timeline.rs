@@ -68,11 +68,17 @@ pub struct Timeline {
 impl Timeline {
     /// Creates a timeline with `lanes` serial resources, all free at t=0.
     pub fn new(lanes: usize) -> Self {
+        Self::with_capacity(lanes, 0)
+    }
+
+    /// Like [`Timeline::new`], with room for `tasks` submissions before
+    /// the task list reallocates.
+    pub fn with_capacity(lanes: usize, tasks: usize) -> Self {
         assert!(lanes >= 1, "a timeline needs at least one lane");
         Timeline {
             lane_free: vec![0.0; lanes],
             lane_busy: vec![0.0; lanes],
-            tasks: Vec::new(),
+            tasks: Vec::with_capacity(tasks),
         }
     }
 
@@ -90,10 +96,18 @@ impl Timeline {
     /// free and every dependency has finished, and occupies the lane for
     /// `duration` seconds. Returns the task's handle.
     ///
+    /// `deps` is any collection of handles (`&[a, b]`, `&vec`, an
+    /// `Option`), so callers can gather them without allocating.
+    ///
     /// # Panics
     ///
     /// Panics if `lane` is out of range or `duration` is negative/NaN.
-    pub fn submit(&mut self, lane: usize, duration: f64, deps: &[TaskId]) -> TaskId {
+    pub fn submit<'a>(
+        &mut self,
+        lane: usize,
+        duration: f64,
+        deps: impl IntoIterator<Item = &'a TaskId>,
+    ) -> TaskId {
         assert!(lane < self.lane_free.len(), "lane {lane} out of range");
         assert!(
             duration >= 0.0 && duration.is_finite(),

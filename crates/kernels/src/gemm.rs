@@ -421,6 +421,10 @@ fn dequant_tile_memo<'m>(
     &slot.as_ref().expect("a miss fills the slot").wide
 }
 
+/// What a cost-only `gemm_mixed` writes back: it accumulates nothing, and
+/// its `hmx_store_acc` only charges and bounds-checks.
+static COST_ONLY_ACC: HmxAccumulator = HmxAccumulator::new();
+
 /// Runs the mixed-precision GEMM `Y[m, n] = X[m, k] x W[k, n]`.
 ///
 /// `act` is row-major `[m, k]` FP16 (may be empty in cost-only mode).
@@ -488,7 +492,12 @@ pub fn gemm_mixed(
     let (_, cost) = ctx.phase("gemm", |ctx| {
         // The staged activation tiles, widened to FP32 once per call.
         let act_wide = stage_activations(ctx, act, cfg.m, cfg.k, act_area);
-        let mut accs: Vec<HmxAccumulator> = (0..m_tiles).map(|_| HmxAccumulator::new()).collect();
+        // Cost-only calls accumulate nothing, so they hold no accumulators.
+        let mut accs: Vec<HmxAccumulator> = if functional {
+            vec![HmxAccumulator::new(); m_tiles]
+        } else {
+            Vec::new()
+        };
         let tiles = (n_tiles * k_tiles) as u64;
         ctx.replay_indexed(tiles, |ctx, idx| {
             let tile_idx = idx as usize;
@@ -559,7 +568,8 @@ pub fn gemm_mixed(
                 // for its charge and bounds check; only the real rows
                 // convert. The padding rows skipped every MAC, so they
                 // stay +0.0 and pack to +0 exactly as `to_tile` would.
-                for (mt, acc) in accs.iter().enumerate() {
+                for mt in 0..m_tiles {
+                    let acc = accs.get(mt).unwrap_or(&COST_ONLY_ACC);
                     let out_tile = out_area.offset((mt * TILE_BYTES) as u32);
                     ctx.charge_only(|ctx| ctx.hmx_store_acc(acc, out_tile, None, None));
                     ctx.cost.charge_dma(TILE_BYTES as u64);

@@ -360,7 +360,7 @@ impl Model {
         let head_start = x.len().saturating_sub(head_rows * hidden);
         let head = &mut x[head_start..];
         let ((), final_npu_secs) = timed(ctx, |ctx| {
-            rmsnorm_rows(ctx, head_rows, &self.weights.final_norm, head)
+            rmsnorm_rows(ctx, head_rows, &self.weights.norm_gain, head)
         });
         cost.misc_secs += final_npu_secs;
         // The CPU roofline: weights stream at ~1 byte/param, logits write
@@ -513,7 +513,7 @@ impl Model {
         // Attention RMSNorm.
         let (normed, secs) = timed(ctx, |ctx| {
             let mut normed = x.to_vec();
-            rmsnorm_rows(ctx, rows, &lw.attn_norm, &mut normed);
+            rmsnorm_rows(ctx, rows, &self.weights.norm_gain, &mut normed);
             normed
         });
         cost.misc_secs += secs;
@@ -595,7 +595,7 @@ impl Model {
         // FFN: norm, gate/up, SwiGLU, down (Q8), residual.
         let (ffn_in, secs) = timed(ctx, |ctx| {
             let mut ffn_in = x.to_vec();
-            rmsnorm_rows(ctx, rows, &lw.ffn_norm, &mut ffn_in);
+            rmsnorm_rows(ctx, rows, &self.weights.norm_gain, &mut ffn_in);
             ffn_in
         });
         cost.misc_secs += secs;

@@ -329,6 +329,9 @@ struct IterTasks {
 /// Submits one decode iteration to the timeline. `prev` is the previous
 /// iteration (None for the pipeline fill, whose CPU block is only the
 /// embedding — there is no earlier lm_head to fold in).
+///
+/// Each task's dependencies are gathered on the stack. Their order does
+/// not matter: a task starts at the latest of their finish times.
 fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>) -> IterTasks {
     let b = st.batch.max(1) as f64;
     // The CPU block between two NPU walks: lm_head+sampling of the
@@ -338,12 +341,9 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
         None => st.cpu_embed_secs,
     };
     let first_share = block / b;
-    let mut first_deps: Vec<TaskId> = Vec::new();
-    if let Some(p) = prev {
-        first_deps.push(p.final_norm);
-    }
-    let cpu_first = tl.submit(lane::CPU, first_share, &first_deps);
+    let cpu_first = tl.submit(lane::CPU, first_share, prev.map(|p| &p.final_norm));
     let cpu_rest = tl.submit(lane::CPU, block - first_share, &[]);
+    let prev_draft = prev.and_then(|p| p.draft_done);
 
     let mut prev_layer: Option<TaskId> = prev.and_then(|p| p.last_layer);
     let mut penult_layer: Option<TaskId> = prev.and_then(|p| p.penultimate_layer);
@@ -356,22 +356,15 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
         // Session switch at a shard boundary: starts once the previous
         // shard's commands are queued, overlapping its tail kernels.
         let switch = if layer.switch_before && i > 0 {
-            let deps: Vec<TaskId> = prev_dispatch.into_iter().collect();
-            Some(tl.submit(lane::SWITCH, st.switch_secs, &deps))
+            Some(tl.submit(lane::SWITCH, st.switch_secs, &prev_dispatch))
         } else {
             None
         };
         // Command dispatch for layer i: depth-2 ring — submitted while
         // layer i-1 executes, i.e. after layer i-2 completed. Commands for
         // a new shard go to the new session's ring, after the switch.
-        let mut ddeps: Vec<TaskId> = Vec::new();
-        if let Some(two_back) = penult_layer {
-            ddeps.push(two_back);
-        }
-        if let Some(s) = switch {
-            ddeps.push(s);
-        }
-        let disp = tl.submit(lane::DISPATCH, layer.dispatch_secs, &ddeps);
+        let ddeps = [penult_layer, switch];
+        let disp = tl.submit(lane::DISPATCH, layer.dispatch_secs, ddeps.iter().flatten());
         // Weight prefetch for a streamed layer: DDR staging -> session
         // window. The fetch starts as soon as the DMA engine is free and
         // the slot it reuses was drained (the compute of the streamed
@@ -379,36 +372,28 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
         // (fetch == 0) submit nothing, keeping their task graph
         // bit-identical to the pre-streaming schedule.
         let fetch = if layer.weight_fetch_secs > 0.0 {
-            let fdeps: Vec<TaskId> = penult_stream.into_iter().collect();
-            Some(tl.submit(lane::DMA, layer.weight_fetch_secs, &fdeps))
+            Some(tl.submit(lane::DMA, layer.weight_fetch_secs, &penult_stream))
         } else {
             None
         };
         // NPU compute: after its commands, its shard's switch, its weight
         // fetch, the layer before it, and — for the walk's head — the CPU
-        // rows it consumes.
-        let mut ldeps: Vec<TaskId> = vec![disp];
-        if let Some(s) = switch {
-            ldeps.push(s);
-        }
-        if let Some(f) = fetch {
-            ldeps.push(f);
-        }
-        if let Some(pl) = prev_layer {
-            ldeps.push(pl);
-        }
-        if i == 0 {
-            ldeps.push(cpu_first);
-            if let Some(w) = prev.and_then(|p| p.wrap_switch) {
-                ldeps.push(w);
-            }
-            // A verify pass consumes the proposals drafted during the
-            // previous iteration.
-            if let Some(d) = prev.and_then(|p| p.draft_done) {
-                ldeps.push(d);
-            }
-        }
-        let lt = tl.submit(lane::NPU, layer.npu_secs, &ldeps);
+        // rows it consumes, the wrap-around switch and the proposals a
+        // verify pass consumes (drafted during the previous iteration).
+        let ldeps = [Some(disp), switch, fetch, prev_layer];
+        let head = match i {
+            0 => [
+                Some(cpu_first),
+                prev.and_then(|p| p.wrap_switch),
+                prev_draft,
+            ],
+            _ => [None; 3],
+        };
+        let lt = tl.submit(
+            lane::NPU,
+            layer.npu_secs,
+            ldeps.iter().chain(&head).flatten(),
+        );
         if fetch.is_some() {
             penult_stream = last_stream;
             last_stream = Some(lt);
@@ -426,8 +411,7 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
     let final_norm = tl.submit(lane::NPU, st.final_npu_secs, &[cpu_rest]);
     // Wrap-around switch back to shard 0, overlapping the CPU tail.
     let wrap_switch = if st.wrap_switch {
-        let deps: Vec<TaskId> = last_dispatch.into_iter().collect();
-        Some(tl.submit(lane::SWITCH, st.switch_secs, &deps))
+        Some(tl.submit(lane::SWITCH, st.switch_secs, &last_dispatch))
     } else {
         None
     };
@@ -442,11 +426,8 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
     // verify walk is longer. Plain decode (both fields 0) submits nothing
     // and builds the exact pre-speculation task graph.
     let draft_done = if st.draft_cpu_secs > 0.0 || st.draft_npu_secs > 0.0 {
-        let mut ddeps: Vec<TaskId> = vec![cpu_first];
-        if let Some(d) = prev.and_then(|p| p.draft_done) {
-            ddeps.push(d);
-        }
-        let draft_cpu = tl.submit(lane::DRAFT, st.draft_cpu_secs, &ddeps);
+        let ddeps = [Some(cpu_first), prev_draft];
+        let draft_cpu = tl.submit(lane::DRAFT, st.draft_cpu_secs, ddeps.iter().flatten());
         if st.draft_npu_secs > 0.0 {
             Some(tl.submit(lane::NPU, st.draft_npu_secs, &[draft_cpu]))
         } else {
@@ -467,6 +448,14 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
     }
 }
 
+/// At least as many tasks as one iteration submits: two CPU tasks, at
+/// most four per layer (switch, dispatch, fetch, compute), the final
+/// norm, the wrap-around switch and two draft tasks. Timelines reserve
+/// this up front, so scheduling never regrows their task lists.
+fn max_iteration_tasks(st: &StepStages) -> usize {
+    4 * st.layers.len() + 6
+}
+
 /// Iterations scheduled to reach (and measure) the steady state.
 const STEADY_ITERS: usize = 10;
 
@@ -484,7 +473,7 @@ pub struct SteadyState {
 /// Schedules the steady-state iterations once; returns the timeline and
 /// the period between its last two iterations.
 fn schedule_steady_state(st: &StepStages) -> (Timeline, f64) {
-    let mut tl = Timeline::new(lane::COUNT);
+    let mut tl = Timeline::with_capacity(lane::COUNT, STEADY_ITERS * max_iteration_tasks(st));
     let mut prev: Option<IterTasks> = None;
     let mut marks = [0.0f64; STEADY_ITERS];
     for mark in marks.iter_mut() {
@@ -535,7 +524,8 @@ pub fn steady_state_lane_utilization(st: &StepStages, lane_idx: usize) -> f64 {
 /// with its CPU tail, no cross-step pipelining — only dispatch, DMA and
 /// session-switch overlap apply.
 pub fn single_pass_secs(st: &StepStages) -> f64 {
-    let mut tl = Timeline::new(lane::COUNT);
+    // One iteration plus the CPU tail.
+    let mut tl = Timeline::with_capacity(lane::COUNT, max_iteration_tasks(st) + 1);
     let it = submit_iteration(&mut tl, st, None);
     tl.submit(lane::CPU, st.cpu_head_secs, &[it.final_norm]);
     tl.makespan().min(st.serial_secs())
@@ -952,5 +942,250 @@ mod tests {
         };
         assert!(steady_state_step_secs(&st) <= st.serial_secs() + 1e-15);
         assert!(single_pass_secs(&st) <= st.serial_secs() + 1e-15);
+    }
+
+    /// The oracle: `submit_iteration` as it was before its dependency
+    /// lists moved to the stack, every list a `Vec` and the timeline grown
+    /// on demand.
+    fn oracle_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>) -> IterTasks {
+        let b = st.batch.max(1) as f64;
+        // The CPU block between two NPU walks: lm_head+sampling of the
+        // previous step, then this step's embedding, streamed row by row.
+        let block = match prev {
+            Some(_) => st.cpu_head_secs + st.cpu_embed_secs,
+            None => st.cpu_embed_secs,
+        };
+        let first_share = block / b;
+        let mut first_deps: Vec<TaskId> = Vec::new();
+        if let Some(p) = prev {
+            first_deps.push(p.final_norm);
+        }
+        let cpu_first = tl.submit(lane::CPU, first_share, &first_deps);
+        let cpu_rest = tl.submit(lane::CPU, block - first_share, &[]);
+
+        let mut prev_layer: Option<TaskId> = prev.and_then(|p| p.last_layer);
+        let mut penult_layer: Option<TaskId> = prev.and_then(|p| p.penultimate_layer);
+        let mut prev_dispatch: Option<TaskId> = prev.and_then(|p| p.last_dispatch);
+        let mut last_stream: Option<TaskId> = prev.and_then(|p| p.last_stream_compute);
+        let mut penult_stream: Option<TaskId> = prev.and_then(|p| p.penult_stream_compute);
+        let mut last_layer = None;
+        let mut last_dispatch = None;
+        for (i, layer) in st.layers.iter().enumerate() {
+            // Session switch at a shard boundary: starts once the previous
+            // shard's commands are queued, overlapping its tail kernels.
+            let switch = if layer.switch_before && i > 0 {
+                let deps: Vec<TaskId> = prev_dispatch.into_iter().collect();
+                Some(tl.submit(lane::SWITCH, st.switch_secs, &deps))
+            } else {
+                None
+            };
+            // Command dispatch for layer i: depth-2 ring — submitted while
+            // layer i-1 executes, i.e. after layer i-2 completed. Commands for
+            // a new shard go to the new session's ring, after the switch.
+            let mut ddeps: Vec<TaskId> = Vec::new();
+            if let Some(two_back) = penult_layer {
+                ddeps.push(two_back);
+            }
+            if let Some(s) = switch {
+                ddeps.push(s);
+            }
+            let disp = tl.submit(lane::DISPATCH, layer.dispatch_secs, &ddeps);
+            // Weight prefetch for a streamed layer: DDR staging -> session
+            // window. The fetch starts as soon as the DMA engine is free and
+            // the slot it reuses was drained (the compute of the streamed
+            // layer two back — a two-slot double buffer). Resident layers
+            // (fetch == 0) submit nothing, keeping their task graph
+            // bit-identical to the pre-streaming schedule.
+            let fetch = if layer.weight_fetch_secs > 0.0 {
+                let fdeps: Vec<TaskId> = penult_stream.into_iter().collect();
+                Some(tl.submit(lane::DMA, layer.weight_fetch_secs, &fdeps))
+            } else {
+                None
+            };
+            // NPU compute: after its commands, its shard's switch, its weight
+            // fetch, the layer before it, and — for the walk's head — the CPU
+            // rows it consumes.
+            let mut ldeps: Vec<TaskId> = vec![disp];
+            if let Some(s) = switch {
+                ldeps.push(s);
+            }
+            if let Some(f) = fetch {
+                ldeps.push(f);
+            }
+            if let Some(pl) = prev_layer {
+                ldeps.push(pl);
+            }
+            if i == 0 {
+                ldeps.push(cpu_first);
+                if let Some(w) = prev.and_then(|p| p.wrap_switch) {
+                    ldeps.push(w);
+                }
+                // A verify pass consumes the proposals drafted during the
+                // previous iteration.
+                if let Some(d) = prev.and_then(|p| p.draft_done) {
+                    ldeps.push(d);
+                }
+            }
+            let lt = tl.submit(lane::NPU, layer.npu_secs, &ldeps);
+            if fetch.is_some() {
+                penult_stream = last_stream;
+                last_stream = Some(lt);
+            }
+            penult_layer = prev_layer;
+            prev_layer = Some(lt);
+            last_layer = Some(lt);
+            prev_dispatch = Some(disp);
+            last_dispatch = Some(disp);
+        }
+        // Final norm: the full-batch barrier. Row chunks stream through the
+        // layer walk as the CPU emits them, but the final norm (and the
+        // lm_head behind it) needs every row, so it waits for the whole CPU
+        // block on top of the NPU lane serialization.
+        let final_norm = tl.submit(lane::NPU, st.final_npu_secs, &[cpu_rest]);
+        // Wrap-around switch back to shard 0, overlapping the CPU tail.
+        let wrap_switch = if st.wrap_switch {
+            let deps: Vec<TaskId> = last_dispatch.into_iter().collect();
+            Some(tl.submit(lane::SWITCH, st.switch_secs, &deps))
+        } else {
+            None
+        };
+        // The draft model's next speculation round (speculative decoding
+        // only). Its CPU half runs on the dedicated draft worker, gated on the
+        // first rows of this iteration's CPU block (the accept decision of the
+        // previous verify streams out row by row) and on the draft's own
+        // previous round. Its NPU half shares the target's accelerator: being
+        // submitted after the final norm, it queues behind the verify kernels
+        // in lane order, so only this NPU share of the draft round can ever be
+        // exposed on the critical path — the CPU half hides whenever the
+        // verify walk is longer. Plain decode (both fields 0) submits nothing
+        // and builds the exact pre-speculation task graph.
+        let draft_done = if st.draft_cpu_secs > 0.0 || st.draft_npu_secs > 0.0 {
+            let mut ddeps: Vec<TaskId> = vec![cpu_first];
+            if let Some(d) = prev.and_then(|p| p.draft_done) {
+                ddeps.push(d);
+            }
+            let draft_cpu = tl.submit(lane::DRAFT, st.draft_cpu_secs, &ddeps);
+            if st.draft_npu_secs > 0.0 {
+                Some(tl.submit(lane::NPU, st.draft_npu_secs, &[draft_cpu]))
+            } else {
+                Some(draft_cpu)
+            }
+        } else {
+            None
+        };
+        IterTasks {
+            last_layer,
+            penultimate_layer: penult_layer,
+            last_dispatch,
+            final_norm,
+            wrap_switch,
+            last_stream_compute: last_stream,
+            penult_stream_compute: penult_stream,
+            draft_done,
+        }
+    }
+
+    /// [`schedule_steady_state`] over the oracle's iterations.
+    fn oracle_steady_state(st: &StepStages) -> (Timeline, f64) {
+        let mut tl = Timeline::new(lane::COUNT);
+        let mut prev: Option<IterTasks> = None;
+        let mut marks = [0.0f64; STEADY_ITERS];
+        for mark in marks.iter_mut() {
+            let it = oracle_iteration(&mut tl, st, prev.as_ref());
+            *mark = tl.finish(it.final_norm);
+            prev = Some(it);
+        }
+        let period = marks[STEADY_ITERS - 1] - marks[STEADY_ITERS - 2];
+        (tl, period.min(st.serial_secs()))
+    }
+
+    /// [`single_pass_secs`] over the oracle's iteration.
+    fn oracle_single_pass(st: &StepStages) -> f64 {
+        let mut tl = Timeline::new(lane::COUNT);
+        let it = oracle_iteration(&mut tl, st, None);
+        tl.submit(lane::CPU, st.cpu_head_secs, &[it.final_norm]);
+        tl.makespan().min(st.serial_secs())
+    }
+
+    /// A seeded xorshift64* stream for the differential test.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
+        }
+
+        /// A duration below 10 ms, exactly zero one time in four.
+        fn secs(&mut self) -> f64 {
+            match self.below(4) {
+                0 => 0.0,
+                _ => self.below(10_000_000) as f64 * 1e-9,
+            }
+        }
+    }
+
+    /// Random stages: batch 1–16 and 1–40 layers, with shard boundaries
+    /// (and the wrap switch), streamed layers and draft rounds each in
+    /// some of the draws.
+    fn random_stages(rng: &mut Rng) -> StepStages {
+        let sharded = rng.below(2) == 0;
+        let streamed = rng.below(3) == 0;
+        let draft = rng.below(3) == 0;
+        let layers = (0..1 + rng.below(40))
+            .map(|_| LayerStage {
+                npu_secs: rng.secs(),
+                dispatch_secs: rng.secs(),
+                switch_before: sharded && rng.below(5) == 0,
+                weight_fetch_secs: if streamed && rng.below(2) == 0 {
+                    rng.secs()
+                } else {
+                    0.0
+                },
+            })
+            .collect();
+        let batch = 1 + rng.below(16) as usize;
+        let mut pick = |on: bool| if on { rng.secs() } else { 0.0 };
+        StepStages {
+            cpu_embed_secs: pick(true),
+            layers,
+            final_npu_secs: pick(true),
+            cpu_head_secs: pick(true),
+            switch_secs: pick(sharded),
+            wrap_switch: sharded,
+            batch,
+            draft_cpu_secs: pick(draft),
+            draft_npu_secs: pick(draft),
+        }
+    }
+
+    #[test]
+    fn stack_scheduler_matches_the_vec_oracle_bit_for_bit() {
+        let mut rng = Rng(0x5eed_2026_0b0e_0001);
+        for case in 0..400 {
+            let st = random_stages(&mut rng);
+            let (want_tl, want_period) = oracle_steady_state(&st);
+            let (tl, _) = schedule_steady_state(&st);
+            assert_eq!(tl.task_count(), want_tl.task_count(), "case {case}");
+            assert!(tl.task_count() <= STEADY_ITERS * max_iteration_tasks(&st));
+            let ss = steady_state(&st);
+            assert_eq!(
+                ss.period_secs.to_bits(),
+                want_period.to_bits(),
+                "case {case}: {st:?}"
+            );
+            assert_eq!(steady_state_step_secs(&st).to_bits(), want_period.to_bits());
+            for (l, util) in ss.lane_util.iter().enumerate() {
+                let want = want_tl.lane_utilization(l);
+                assert_eq!(util.to_bits(), want.to_bits(), "case {case} lane {l}");
+            }
+            assert_eq!(
+                single_pass_secs(&st).to_bits(),
+                oracle_single_pass(&st).to_bits(),
+                "case {case}: {st:?}"
+            );
+        }
     }
 }

@@ -56,19 +56,20 @@ pub struct LayerNpuWeights {
     pub w_up: PreparedWeights,
     /// FFN down projection (Q8_0).
     pub w_down: PreparedWeights,
-    /// Attention RMSNorm weights.
-    pub attn_norm: Vec<F16>,
-    /// FFN RMSNorm weights.
-    pub ffn_norm: Vec<F16>,
 }
 
-/// All weights of a model instance.
+/// All weights of a model instance: seven quantized matrices per layer,
+/// one RMSNorm gain row that every norm shares, and in functional mode the
+/// embedding and the float reference copies.
 #[derive(Debug)]
 pub struct ModelWeights {
     /// Per-layer NPU weights.
     pub layers: Vec<LayerNpuWeights>,
-    /// Final RMSNorm weights.
-    pub final_norm: Vec<F16>,
+    /// The RMSNorm gain row (`hidden` values), shared by every norm of the
+    /// walk: each layer's attention and FFN norms and the final norm. The
+    /// synthetic gains are all 1.0, so one row serves them all, in both
+    /// modes; a cost-only norm reads only its length.
+    pub norm_gain: Vec<F16>,
     /// Embedding matrix `[vocab, hidden]` (CPU-resident; also the lm_head
     /// when embeddings are tied). Present in functional mode only.
     pub embed: Vec<f32>,
@@ -227,8 +228,6 @@ impl ModelWeights {
                 let staged = ctx.ddr_staged_bytes() - staged_before;
                 stream_layer_bytes = stream_layer_bytes.max(staged);
             }
-            let attn_norm = vec![F16::ONE; cfg.hidden];
-            let ffn_norm = vec![F16::ONE; cfg.hidden];
             layers.push(LayerNpuWeights {
                 wq,
                 wk,
@@ -237,8 +236,6 @@ impl ModelWeights {
                 w_gate,
                 w_up,
                 w_down,
-                attn_norm,
-                ffn_norm,
             });
             if functional {
                 float_layers.push(LayerFloatWeights {
@@ -252,7 +249,6 @@ impl ModelWeights {
                 });
             }
         }
-        let final_norm = vec![F16::ONE; cfg.hidden];
         let embed = if functional {
             gaussian_matrix(cfg.vocab, cfg.hidden, seed ^ 0xE3BED, 0.25, 0.0)
         } else {
@@ -267,7 +263,7 @@ impl ModelWeights {
         };
         Ok(ModelWeights {
             layers,
-            final_norm,
+            norm_gain: vec![F16::ONE; cfg.hidden],
             embed,
             float_layers,
             variant,
