@@ -6,12 +6,10 @@
 //!   implements (`fits`/`decode`/`prefill`), with the simulated NPU
 //!   runtime and the GPU/QNN/CPU rooflines behind one
 //!   `&[Box<dyn Backend>]` interface.
-//! - [`session`] — the FastRPC/rpcmem runtime protocol: shared-memory
-//!   command ring with explicit cache maintenance (one-way coherence), a
-//!   polling NPU dispatcher, and the paper's Section 8 multi-session
-//!   sharding: [`session::MultiSession`] VA placement lowered to an
-//!   executable [`session::ShardPlan`]. Re-exports the
-//!   continuous-batching [`session::DecodeSession`] decode API.
+//! - [`session`] — the paper's Section 8 multi-session sharding:
+//!   [`session::MultiSession`] VA placement lowered to an executable
+//!   [`session::ShardPlan`]. Re-exports the continuous-batching
+//!   [`session::DecodeSession`] decode API.
 //! - [`pipeline`] — the one way a deployment is built: a
 //!   [`pipeline::Deployment`] of a [`session::ShardPlan`] under a dispatch
 //!   mode, consumed by decode/prefill measurements over the full model
@@ -50,5 +48,5 @@ pub mod thermal;
 pub use backend::{Backend, FitReport, NpuSimBackend};
 pub use pipeline::{DecodePoint, PrefillPoint};
 pub use power::PowerModel;
-pub use session::{DecodeSession, LayerShard, NpuSession, ShardPlan};
+pub use session::{DecodeSession, LayerShard, ShardPlan};
 pub use thermal::{sustained_decode_curve, DvfsGovernor, SustainedCurve, ThermalState};

@@ -1,13 +1,12 @@
-//! FastRPC/rpcmem session: the CPU <-> NPU runtime protocol.
+//! NPU sessions: the paper's Section 8 multi-session workaround and the
+//! continuous-batching decode API.
 //!
 //! The paper's runtime (Section 6) starts a remote NPU session over
-//! FastRPC, then switches to a shared-memory command channel: the CPU
-//! writes a request descriptor into rpcmem, cleans the cache (one-way
-//! coherence), and an NPU-side thread polls the region for work. Responses
-//! flow back without maintenance because NPU writes are CPU-visible. That
-//! protocol is implemented in [`hexsim::ring`] (the layer walk drives one
-//! [`NpuSession`] descriptor per dispatched op, so transport and cost model
-//! share a single code path) and re-exported here for runtime callers.
+//! FastRPC, then passes each op's descriptor through a shared-memory
+//! command ring that an NPU-side thread polls. This reproduction prices
+//! that transport without modelling the ring itself: the layer walk in
+//! `edgellm::model` charges a calibrated per-op dispatch overhead, and
+//! `edgellm::overlap` schedules it as the DISPATCH lane.
 //!
 //! `MultiSession` implements the paper's sketched workaround (Section 8)
 //! for the 32-bit per-session VA limit: weights spread across several
@@ -18,11 +17,10 @@
 //! actually runs, charging [`SESSION_SWITCH_SECS`] at every shard
 //! boundary of the walk.
 //!
-//! On top of the command transport, this module re-exports the
-//! continuous-batching [`DecodeSession`] (implemented in
-//! `edgellm::decode_session`, where the model and KV cache live): the
-//! `admit`/`step`/`retire` decode API whose dynamic batches are the
-//! paper's argument for bypassing QNN's static graphs.
+//! This module also re-exports the continuous-batching [`DecodeSession`]
+//! (implemented in `edgellm::decode_session`, where the model and KV cache
+//! live): the `admit`/`step`/`retire` decode API whose dynamic batches are
+//! the paper's argument for bypassing QNN's static graphs.
 //!
 //! # Examples
 //!
@@ -58,10 +56,6 @@
 use hexsim::prelude::*;
 
 pub use edgellm::decode_session::{DecodeSession, FinishedSeq, PreemptedSeq, SeqId};
-// The command-ring transport lives in the device substrate (`hexsim::ring`)
-// since `edgellm`'s layer walk started driving it per dispatched op; the
-// types are re-exported here so runtime code keeps one import path.
-pub use hexsim::ring::{NpuSession, OpCode, Request};
 
 /// Multiple NPU sessions splitting a weight set across VA spaces — the
 /// paper's Section 8 workaround for models that exceed one session's

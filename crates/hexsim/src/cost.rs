@@ -4,9 +4,11 @@
 //! one of six engines. Within a *phase*, engines run concurrently (wall time
 //! is the maximum of the engine deltas — this models DMA double-buffering
 //! overlapped with HVX/HMX compute, which the paper's kernels rely on);
-//! across phases, time is sequential. Kernels report a [`PhaseCost`]
-//! breakdown, which is exactly the data behind the paper's Figure 8 latency
-//! decomposition and the Figure 14/15 ablations.
+//! across phases, time is sequential. A phase's cost is taken one way: a
+//! [`CostModel::snapshot`] before it and [`CostModel::delta_since`] after.
+//! Kernels report the resulting [`PhaseCost`] breakdown, which is exactly
+//! the data behind the paper's Figure 8 latency decomposition and the
+//! Figure 14/15 ablations.
 
 use crate::device::DeviceProfile;
 
@@ -99,19 +101,6 @@ pub struct Counters {
 }
 
 impl Counters {
-    fn add(&mut self, other: &Counters) {
-        self.hvx_instructions += other.hvx_instructions;
-        self.vgathers += other.vgathers;
-        self.vluts += other.vluts;
-        self.hmx_tile_ops += other.hmx_tile_ops;
-        self.dma_bytes += other.dma_bytes;
-        self.l2fetch_bytes += other.l2fetch_bytes;
-        self.hvx_ddr_load_bytes += other.hvx_ddr_load_bytes;
-        self.tcm_bytes += other.tcm_bytes;
-        self.cpu_flops += other.cpu_flops;
-        self.cpu_bytes += other.cpu_bytes;
-    }
-
     #[inline]
     fn scale(&mut self, base: &Counters, factor: u64) {
         // self = base + (self - base) * factor, elementwise.
@@ -136,8 +125,9 @@ impl Counters {
 /// Busy time per engine plus the wall-clock composition of one phase.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseCost {
-    /// Phase label (e.g. `"softmax"`, `"matmul"`, `"qkvo load/store"`).
-    pub label: String,
+    /// Phase label (e.g. `"gemm"`, `"lut16"`), or `""` when the caller
+    /// only reads the numbers.
+    pub label: &'static str,
     /// Busy seconds per engine during the phase.
     pub engine_secs: [f64; NUM_ENGINES],
     /// Wall-clock seconds: max over engines (they overlap within a phase).
@@ -151,7 +141,8 @@ impl PhaseCost {
     }
 }
 
-/// Snapshot token for [`CostModel::snapshot`] / [`CostModel::scale_since`].
+/// Snapshot token for [`CostModel::delta_since`] and
+/// [`CostModel::scale_since`].
 #[derive(Clone, Copy, Debug)]
 pub struct CostSnapshot {
     engine_secs: [f64; NUM_ENGINES],
@@ -173,7 +164,6 @@ pub struct CostModel {
     device: DeviceProfile,
     engine_secs: [f64; NUM_ENGINES],
     counters: Counters,
-    phase_start: Option<(String, [f64; NUM_ENGINES])>,
     /// Divisor applied to HVX charges: number of vector threads the current
     /// kernel declared it spreads across (1 = single-threaded).
     hvx_parallelism: f64,
@@ -186,7 +176,6 @@ impl CostModel {
             device,
             engine_secs: [0.0; NUM_ENGINES],
             counters: Counters::default(),
-            phase_start: None,
             hvx_parallelism: 1.0,
         }
     }
@@ -206,12 +195,10 @@ impl CostModel {
         self.engine_secs[e.idx()]
     }
 
-    /// Clears all accumulated time and counters and closes any open
-    /// phase.
+    /// Clears all accumulated time and counters.
     pub fn reset(&mut self) {
         self.engine_secs = [0.0; NUM_ENGINES];
         self.counters = Counters::default();
-        self.phase_start = None;
         self.hvx_parallelism = 1.0;
     }
 
@@ -228,42 +215,6 @@ impl CostModel {
     /// Restores a previously saved HVX parallelism divisor.
     pub fn restore_hvx_parallelism(&mut self, prev: f64) {
         self.hvx_parallelism = prev;
-    }
-
-    /// Opens a named phase. Phases must not nest.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a phase is already open.
-    pub fn begin_phase(&mut self, label: &str) {
-        assert!(
-            self.phase_start.is_none(),
-            "cost phases must not nest (open: {:?})",
-            self.phase_start.as_ref().map(|(l, _)| l.clone())
-        );
-        self.phase_start = Some((label.to_string(), self.engine_secs));
-    }
-
-    /// Closes the open phase and returns its engine/wall breakdown.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no phase is open.
-    pub fn end_phase(&mut self) -> PhaseCost {
-        let (label, start) = self
-            .phase_start
-            .take()
-            .expect("end_phase called with no open phase");
-        let mut engine_secs = [0.0; NUM_ENGINES];
-        for i in 0..NUM_ENGINES {
-            engine_secs[i] = self.engine_secs[i] - start[i];
-        }
-        let wall_secs = engine_secs.iter().fold(0.0f64, |acc, &s| acc.max(s));
-        PhaseCost {
-            label,
-            engine_secs,
-            wall_secs,
-        }
     }
 
     /// Charges `packets` instruction packets to the HVX engine, honoring the
@@ -366,7 +317,8 @@ impl CostModel {
         self.engine_secs[e.idx()] += secs;
     }
 
-    /// Takes a snapshot for later [`CostModel::scale_since`].
+    /// Takes a snapshot for a later [`CostModel::delta_since`] or
+    /// [`CostModel::scale_since`].
     #[inline]
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
@@ -375,17 +327,19 @@ impl CostModel {
         }
     }
 
-    /// Difference between now and a snapshot, as a [`PhaseCost`].
+    /// Difference between now and a snapshot, as a [`PhaseCost`]: the
+    /// busy seconds each engine gained, and their maximum as the wall
+    /// time. This is the one way to take a cost delta.
     #[allow(clippy::needless_range_loop)]
     #[inline]
-    pub fn delta_since(&self, snap: &CostSnapshot, label: &str) -> PhaseCost {
+    pub fn delta_since(&self, snap: &CostSnapshot, label: &'static str) -> PhaseCost {
         let mut engine_secs = [0.0; NUM_ENGINES];
         for i in 0..NUM_ENGINES {
             engine_secs[i] = self.engine_secs[i] - snap.engine_secs[i];
         }
         let wall_secs = engine_secs.iter().fold(0.0f64, |acc, &s| acc.max(s));
         PhaseCost {
-            label: label.to_string(),
+            label,
             engine_secs,
             wall_secs,
         }
@@ -401,15 +355,6 @@ impl CostModel {
             self.engine_secs[i] = snap.engine_secs[i] + delta * factor as f64;
         }
         self.counters.scale(&snap.counters, factor);
-    }
-
-    /// Adds the totals of another cost model (e.g. a per-thread context)
-    /// into this one.
-    pub fn absorb(&mut self, other: &CostModel) {
-        for i in 0..NUM_ENGINES {
-            self.engine_secs[i] += other.engine_secs[i];
-        }
-        self.counters.add(&other.counters);
     }
 }
 
@@ -481,21 +426,16 @@ mod tests {
     #[test]
     fn phase_wall_is_max_of_engines() {
         let mut m = model();
-        m.begin_phase("p");
+        m.charge_hmx_tile_ops(1000); // Before the snapshot: not in the delta.
+        let snap = m.snapshot();
         m.charge_dma(6_000_000); // 0.1 ms on DMA.
         m.charge_hvx_packets(230_000); // 0.2 ms on HVX.
-        let p = m.end_phase();
+        let p = m.delta_since(&snap, "p");
+        assert_eq!(p.label, "p");
         assert!((p.wall_secs - 0.2e-3).abs() < 1e-8);
         assert!((p.engine(Engine::Dma) - 0.1e-3).abs() < 1e-8);
+        assert_eq!(p.engine(Engine::Hmx), 0.0);
         assert_eq!(p.wall_secs, p.engine(Engine::Hvx));
-    }
-
-    #[test]
-    #[should_panic(expected = "must not nest")]
-    fn nested_phase_panics() {
-        let mut m = model();
-        m.begin_phase("a");
-        m.begin_phase("b");
     }
 
     #[test]

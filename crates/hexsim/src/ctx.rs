@@ -713,12 +713,17 @@ impl NpuContext {
     // Phases and replay.
     // ------------------------------------------------------------------
 
-    /// Runs `f` inside a named cost phase and returns the phase breakdown.
-    pub fn phase<R>(&mut self, label: &str, f: impl FnOnce(&mut Self) -> R) -> (R, PhaseCost) {
-        self.cost.begin_phase(label);
+    /// Runs `f` as one named cost phase and returns its breakdown: what
+    /// [`CostModel::delta_since`] reads against a snapshot taken before
+    /// `f`.
+    pub fn phase<R>(
+        &mut self,
+        label: &'static str,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> (R, PhaseCost) {
+        let snap = self.cost.snapshot();
         let r = f(self);
-        let p = self.cost.end_phase();
-        (r, p)
+        (r, self.cost.delta_since(&snap, label))
     }
 
     /// Executes `f` once and scales its cost by `times` in cost-only mode,

@@ -3,9 +3,9 @@
 //! Programmer errors (out-of-bounds TCM addresses, misaligned tiles) panic,
 //! mirroring how they would fault on silicon; *modelled* conditions that the
 //! paper's runtime must handle — allocation exhaustion, the 32-bit session
-//! address-space limit, cache-coherence violations — surface as [`SimError`]
-//! so callers can react the way the paper's system does (e.g. refusing to map
-//! a 3B model on Snapdragon 8 Gen 2).
+//! address-space limit — surface as [`SimError`] so callers can react the
+//! way the paper's system does (e.g. refusing to map a 3B model on
+//! Snapdragon 8 Gen 2).
 
 use std::fmt;
 
@@ -30,13 +30,6 @@ pub enum SimError {
         mapped: u64,
         /// Size of the failed mapping in bytes.
         requested: u64,
-    },
-    /// The NPU observed stale data in a shared buffer because the CPU did
-    /// not clean the cache before handing it off (one-way coherence,
-    /// paper Section 6).
-    CoherenceViolation {
-        /// Identifier of the offending shared buffer.
-        buffer: u64,
     },
     /// An operation required data in TCM but was given a DDR location
     /// (HMX and vector scatter/gather can only access TCM, Section 3.1.2).
@@ -86,11 +79,6 @@ impl fmt::Display for SimError {
                 f,
                 "NPU session VA space exceeded: {mapped} B mapped + {requested} B \
                  requested > {capacity} B"
-            ),
-            SimError::CoherenceViolation { buffer } => write!(
-                f,
-                "coherence violation: NPU read shared buffer {buffer} before the \
-                 CPU cleaned its cache"
             ),
             SimError::NotInTcm { op } => {
                 write!(f, "{op} requires operands in TCM")

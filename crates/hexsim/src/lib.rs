@@ -21,7 +21,13 @@
 //! executes them. For paper-scale shapes, cost-only mode charges without
 //! computing, and [`ctx::NpuContext::replay`] measures one representative
 //! block and scales the cost delta, keeping simulation time bounded while
-//! preserving cost exactness for data-independent kernels.
+//! preserving cost exactness for data-independent kernels. A kernel reads
+//! what a stretch of its work cost one way: [`cost::CostModel::snapshot`]
+//! before it, [`cost::CostModel::delta_since`] after.
+//!
+//! The host-to-NPU transport (the paper's rpcmem command ring, Section 6)
+//! is not simulated here: the runtime above charges a calibrated per-op
+//! dispatch overhead for it.
 //!
 //! # Examples
 //!
@@ -42,8 +48,6 @@ pub mod f16;
 pub mod hmx;
 pub mod hvx;
 pub mod mem;
-pub mod ring;
-pub mod shared;
 pub mod timeline;
 
 /// Commonly used items, re-exported for convenience.
@@ -56,7 +60,5 @@ pub mod prelude {
     pub use crate::hmx::{HmxAccumulator, TILE_BYTES, TILE_DIM};
     pub use crate::hvx::{HvxVec, HVX_BYTES, HVX_HALVES, HVX_WORDS};
     pub use crate::mem::{DdrBuffer, TcmAddr};
-    pub use crate::ring::{NpuSession, OpCode, Request};
-    pub use crate::shared::SharedBuffer;
     pub use crate::timeline::{TaskId, Timeline};
 }

@@ -31,28 +31,27 @@ use crate::kv_cache::KvCache;
 use crate::overlap::{self, DispatchMode, LayerStage, StepStages};
 use crate::weights::ModelWeights;
 
-/// The NPU ops one transformer layer dispatches, in submission order:
-/// 2 norms, 3 QKV projections, RoPE, attention, output projection,
-/// 2 residuals, gate/up/down projections, SwiGLU. On the device each op's
-/// descriptor travels the rpcmem command ring; the walk charges
-/// [`OP_DISPATCH_SECS`] per op for ring submission, cache maintenance and
-/// completion sync.
-const LAYER_OPS: [OpCode; 14] = [
-    OpCode::Misc,      // attention RMSNorm
-    OpCode::MatMul,    // Q projection
-    OpCode::MatMul,    // K projection
-    OpCode::MatMul,    // V projection
-    OpCode::Misc,      // RoPE
-    OpCode::Attention, // FlashAttention
-    OpCode::MatMul,    // output projection
-    OpCode::Misc,      // attention residual
-    OpCode::Misc,      // FFN RMSNorm
-    OpCode::MatMul,    // gate projection
-    OpCode::MatMul,    // up projection
-    OpCode::Misc,      // SwiGLU
-    OpCode::MatMul,    // down projection
-    OpCode::Misc,      // FFN residual
-];
+/// Number of NPU ops one transformer layer dispatches, in submission
+/// order:
+///  1. attention RMSNorm,
+///  2. Q projection,
+///  3. K projection,
+///  4. V projection,
+///  5. RoPE,
+///  6. FlashAttention,
+///  7. output projection,
+///  8. attention residual,
+///  9. FFN RMSNorm,
+/// 10. gate projection,
+/// 11. up projection,
+/// 12. SwiGLU,
+/// 13. down projection,
+/// 14. FFN residual.
+///
+/// On the device each op's descriptor travels the rpcmem command ring; the
+/// walk charges [`OP_DISPATCH_SECS`] per op for ring submission, cache
+/// maintenance and completion sync.
+const LAYER_OPS: usize = 14;
 
 /// Per-operator dispatch overhead in seconds: command submission over the
 /// shared-memory ring, cache maintenance, and inter-op synchronization.
@@ -63,7 +62,7 @@ const OP_DISPATCH_SECS: f64 = 100e-6;
 
 /// Dispatch seconds per transformer layer: every op in [`LAYER_OPS`] at
 /// [`OP_DISPATCH_SECS`].
-const LAYER_DISPATCH_SECS: f64 = LAYER_OPS.len() as f64 * OP_DISPATCH_SECS;
+const LAYER_DISPATCH_SECS: f64 = LAYER_OPS as f64 * OP_DISPATCH_SECS;
 
 /// Wall-time cost of one model step, by operator class.
 #[derive(Clone, Copy, Debug, Default)]

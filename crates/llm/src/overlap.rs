@@ -495,9 +495,18 @@ fn schedule_steady_state(st: &StepStages) -> (Timeline, f64) {
 /// [`steady_state_lane_utilization`] return, bit for bit.
 pub fn steady_state(st: &StepStages) -> SteadyState {
     let (tl, period_secs) = schedule_steady_state(st);
+    // What `Timeline::lane_utilization` returns per lane, bit for bit,
+    // from one makespan scan instead of one per lane.
+    let span = tl.makespan();
     SteadyState {
         period_secs,
-        lane_util: std::array::from_fn(|l| tl.lane_utilization(l)),
+        lane_util: std::array::from_fn(|l| {
+            if span > 0.0 {
+                tl.lane_busy_secs(l) / span
+            } else {
+                0.0
+            }
+        }),
     }
 }
 

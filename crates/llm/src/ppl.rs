@@ -3,13 +3,13 @@
 //! The paper's Tables 1/4/5 report Wikitext-2 perplexity for quantization
 //! and attention variants. This reproduction measures the same quantities
 //! on the tiny functional model over a synthetic token stream: perplexity
-//! via teacher forcing on the reference forward, and (the more sensitive
+//! via teacher forcing on the float forward, and (the more sensitive
 //! instrument at tiny scale) the KL divergence between variant logits and
 //! the FP32 baseline's.
 
 use crate::config::ModelConfig;
-use crate::cpu_ref::{forward_float, forward_reference};
-use crate::weights::{LayerFloatWeights, ModelWeights};
+use crate::cpu_ref::forward_float;
+use crate::weights::LayerFloatWeights;
 
 /// Softmax in f64.
 fn softmax_f64(logits: &[f32]) -> Vec<f64> {
@@ -17,18 +17,6 @@ fn softmax_f64(logits: &[f32]) -> Vec<f64> {
     let exps: Vec<f64> = logits.iter().map(|&x| ((x as f64) - m).exp()).collect();
     let sum: f64 = exps.iter().sum();
     exps.iter().map(|e| e / sum).collect()
-}
-
-/// Teacher-forced perplexity of a token stream under the reference forward
-/// with the given weights.
-///
-/// # Panics
-///
-/// Panics if `tokens` has fewer than two entries.
-pub fn perplexity(cfg: &ModelConfig, weights: &ModelWeights, tokens: &[u32]) -> f64 {
-    assert!(tokens.len() >= 2);
-    let logits = forward_reference(cfg, weights, tokens);
-    ppl_from_logits(cfg, &logits, tokens)
 }
 
 /// Teacher-forced perplexity over explicit float weight variants.
@@ -88,21 +76,14 @@ pub fn mean_kl(base_logits: &[f32], variant_logits: &[f32], vocab: usize) -> f64
 mod tests {
     use super::*;
     use crate::config::ModelId;
-    use hexsim::prelude::*;
-    use htpops::gemm::DequantVariant;
-
-    fn weights(seed: u64) -> (ModelConfig, ModelWeights) {
-        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-        let cfg = ModelConfig::for_id(ModelId::Tiny);
-        let w = ModelWeights::build(&mut ctx, &cfg, DequantVariant::CoalescedLut, seed).unwrap();
-        (cfg, w)
-    }
+    use crate::weights::ModelWeights;
 
     #[test]
     fn perplexity_is_finite_and_near_uniform_for_random_model() {
-        let (cfg, w) = weights(3);
+        let cfg = ModelConfig::for_id(ModelId::Tiny);
+        let (layers, embed) = ModelWeights::generate_float(&cfg, 3);
         let tokens: Vec<u32> = (0..48).map(|i| 4 + (i * 7) % 200).collect();
-        let ppl = perplexity(&cfg, &w, &tokens);
+        let ppl = perplexity_float(&cfg, &layers, &embed, &tokens);
         assert!(ppl.is_finite() && ppl > 1.0);
         // An untrained model should be within an order of magnitude of the
         // uniform bound (vocab = 260).

@@ -25,7 +25,7 @@ impl Tokenizer {
     }
 
     /// Encodes text to token ids (no BOS/EOS added).
-    pub fn encode(&self, text: &str) -> Vec<u32> {
+    fn encode(&self, text: &str) -> Vec<u32> {
         text.bytes()
             .map(|b| {
                 if b == b'\n' {

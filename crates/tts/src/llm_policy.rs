@@ -241,6 +241,26 @@ pub fn llm_bon_continuous(
     max_batch: usize,
     seed: u64,
 ) -> SimResult<BatchedBonReport> {
+    let (report, _) = run_continuous(ctx, model, task, lengths, max_batch, seed, |_| false)?;
+    Ok(report)
+}
+
+/// The continuous-batching loop behind [`llm_bon_continuous`] and
+/// [`llm_serve_eos`]: one shared prompt prefill, every sample admitted up
+/// front with its budget `lengths[i]` (admission token included), and
+/// decode steps until the pool drains. A sample retires early the moment
+/// `is_eos` fires on a token within its budget, and its slot is refilled
+/// from the queue in the same step. Returns the report and the finished
+/// sequences' tokens in admission order.
+fn run_continuous(
+    ctx: &mut NpuContext,
+    model: &Model,
+    task: &MathTask,
+    lengths: &[usize],
+    max_batch: usize,
+    seed: u64,
+    is_eos: impl Fn(u32) -> bool,
+) -> SimResult<(BatchedBonReport, Vec<Vec<u32>>)> {
     assert!(!lengths.is_empty());
     assert_eq!(
         ctx.mode,
@@ -258,10 +278,25 @@ pub fn llm_bon_continuous(
     let mut rng = StdRng::seed_from_u64(seed ^ task.id);
     for &len in lengths {
         let first = sampler.sample(session.prompt_logits(), &mut rng);
-        session.admit(first, len)?;
+        let id = session.admit(first, len)?;
+        // An EOS admission token ends the sample before it decodes at all
+        // (budget-1 samples already finished inside admit).
+        if len > 1 && is_eos(first) {
+            session.retire(id)?;
+        }
     }
+    // Tokens per sample including the admission token, to tell a budget
+    // auto-retire (already finished) from an EOS early retire.
+    let mut emitted = vec![1usize; lengths.len()];
     while session.active_count() > 0 {
-        session.step(ctx, |_, row| sampler.sample(row, &mut rng))?;
+        let sampled = session.step(ctx, |_, row| sampler.sample(row, &mut rng))?;
+        for (id, token) in sampled {
+            let i = id as usize;
+            emitted[i] += 1;
+            if is_eos(token) && emitted[i] < lengths[i] {
+                session.retire(id)?;
+            }
+        }
     }
 
     let useful_tokens = session.decoded_tokens();
@@ -269,13 +304,13 @@ pub fn llm_bon_continuous(
     let steps = session.steps();
     let mut total_cost = session.prefill_cost();
     total_cost.add(&session.decode_cost());
-    let completions = session
+    let finished: Vec<Vec<u32>> = session
         .into_finished(ctx)
-        .iter()
-        .map(|f| tok.decode(&f.tokens))
+        .into_iter()
+        .map(|f| f.tokens)
         .collect();
-    Ok(BatchedBonReport {
-        completions,
+    let report = BatchedBonReport {
+        completions: finished.iter().map(|t| tok.decode(t)).collect(),
         useful_tokens,
         decode_secs,
         tokens_per_sec: if decode_secs > 0.0 {
@@ -285,7 +320,8 @@ pub fn llm_bon_continuous(
         },
         steps,
         total_cost,
-    })
+    };
+    Ok((report, finished))
 }
 
 /// The same workload through a static fixed batch, the way a
@@ -409,68 +445,16 @@ pub fn llm_serve_eos(
 ) -> SimResult<ServeEosOutcome> {
     assert!(cfg.n >= 1);
     assert!(cfg.max_new_tokens >= 1);
-    assert_eq!(
-        ctx.mode,
-        ExecMode::Functional,
-        "end-to-end runs are functional"
-    );
-    let tok = Tokenizer::new();
-    let prompt = format!("{}\nAnswer: ", task.statement);
-    let prompt_tokens = tok.encode_with_bos(&prompt);
-    let budget =
-        cfg.max_batch * (prompt_tokens.len() + cfg.max_new_tokens + 2) + prompt_tokens.len();
-
-    let mut session = DecodeSession::new(ctx, model, &prompt_tokens, cfg.max_batch, budget)?;
-    let sampler = LlmSampler::default();
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ task.id);
-    for _ in 0..cfg.n {
-        let first = sampler.sample(session.prompt_logits(), &mut rng);
-        let id = session.admit(first, cfg.max_new_tokens)?;
-        // An EOS admission token ends the sample before it decodes at all
-        // (budget-1 samples already finished inside admit).
-        if cfg.max_new_tokens > 1 && is_eos(first) {
-            session.retire(id)?;
-        }
-    }
-    // Tokens per sample including the admission token, to tell a budget
-    // auto-retire (already finished) from an EOS early retire.
-    let mut emitted = vec![1usize; cfg.n];
-    while session.active_count() > 0 {
-        let sampled = session.step(ctx, |_, row| sampler.sample(row, &mut rng))?;
-        for (id, token) in sampled {
-            let i = id as usize;
-            emitted[i] += 1;
-            if is_eos(token) && emitted[i] < cfg.max_new_tokens {
-                session.retire(id)?;
-            }
-        }
-    }
-
-    let useful_tokens = session.decoded_tokens();
-    let decode_secs = session.decode_secs();
-    let steps = session.steps();
-    let mut total_cost = session.prefill_cost();
-    total_cost.add(&session.decode_cost());
-    let finished = session.into_finished(ctx);
-    let realized_lengths: Vec<usize> = finished.iter().map(|f| f.tokens.len()).collect();
+    let lengths = vec![cfg.max_new_tokens; cfg.n];
+    let (report, finished) =
+        run_continuous(ctx, model, task, &lengths, cfg.max_batch, cfg.seed, &is_eos)?;
+    let realized_lengths = finished.iter().map(Vec::len).collect();
     let eos_finishes = finished
         .iter()
-        .filter(|f| f.tokens.last().map(|&t| is_eos(t)).unwrap_or(false))
+        .filter(|t| t.last().map(|&t| is_eos(t)).unwrap_or(false))
         .count();
-    let completions = finished.iter().map(|f| tok.decode(&f.tokens)).collect();
     Ok(ServeEosOutcome {
-        report: BatchedBonReport {
-            completions,
-            useful_tokens,
-            decode_secs,
-            tokens_per_sec: if decode_secs > 0.0 {
-                useful_tokens as f64 / decode_secs
-            } else {
-                0.0
-            },
-            steps,
-            total_cost,
-        },
+        report,
         realized_lengths,
         eos_finishes,
     })

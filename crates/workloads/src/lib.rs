@@ -13,11 +13,8 @@
 //!   saturation shape).
 //! - [`choice`] — k-way multiple-choice items with latent signal strength,
 //!   the WinoGrande/MMLU analog used by the quantization accuracy tables.
-//! - [`eval`] — pass@1 and accuracy harnesses with deterministic seeding.
 
 pub mod choice;
-pub mod eval;
 pub mod mathgen;
 
-pub use eval::pass_at_1;
 pub use mathgen::{DatasetKind, MathTask, TaskGenerator};

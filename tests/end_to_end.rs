@@ -1,7 +1,6 @@
-//! Cross-crate integration: the full stack from rpcmem session to verified
+//! Cross-crate integration: the full stack from kernels to verified
 //! Best-of-N answers, on one simulated device.
 
-use npuscale::session::{NpuSession, OpCode};
 use npuscale::DecodePoint;
 use npuscale_repro::prelude::*;
 use ttscale::llm_policy::llm_best_of_n;
@@ -17,29 +16,6 @@ fn single_session_decode(
     let cfg = ModelConfig::for_id(model);
     let plan = ShardPlan::single_session(&cfg, device.session_va_bytes, batch, ctx_len)?;
     Deployment::new(device, model, &plan, DispatchMode::Serial)?.decode(batch, ctx_len)
-}
-
-#[test]
-fn session_protocol_drives_a_model_step() {
-    // The runtime protocol (submit -> clean -> poll) carries op
-    // descriptors in order beside a real model step.
-    let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-    let mut session = NpuSession::open();
-    let model = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 1).unwrap();
-    let mut cache = KvCache::new(&mut ctx, &model.cfg, 2, 128).unwrap();
-
-    // CPU submits the layer ops; NPU-side poller dispatches them.
-    for op in [OpCode::MatMul, OpCode::Attention, OpCode::Misc] {
-        session.submit(op, 0, true).unwrap();
-        let req = session.poll_dispatch().unwrap().unwrap();
-        assert_eq!(req.op, op);
-    }
-
-    let tok = Tokenizer::new();
-    let prompt = tok.encode_with_bos("1+1=");
-    let out = model.prefill(&mut ctx, &mut cache, 0, &prompt).unwrap();
-    assert_eq!(out.logits.len(), model.cfg.vocab);
-    assert!(out.cost.wall_secs() > 0.0);
 }
 
 #[test]
