@@ -1,9 +1,9 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! Every `[[bench]]` target regenerates one table or figure of the paper
-//! (see DESIGN.md's experiment index) by calling the corresponding
-//! `npuscale::experiments` row generator and printing the rows in the
-//! layout the paper reports. Run all of them with `cargo bench`.
+//! (README's "Regenerating paper figures and tables" lists them) by calling
+//! the corresponding `npuscale::experiments` row generator and printing the
+//! rows in the layout the paper reports. Run all of them with `cargo bench`.
 
 /// Prints a section banner.
 pub fn banner(title: &str, paper_ref: &str) {

@@ -2,11 +2,10 @@
 //!
 //! Every public `*_rows()` function regenerates the data behind one exhibit
 //! of the paper's evaluation (Section 7). The benchmark harness
-//! (`crates/bench`) prints these rows; EXPERIMENTS.md records them against
-//! the paper's numbers. Where a quantity cannot be measured without the
-//! real hardware or checkpoints, the row carries a *measured proxy* (weight
-//! RMSE, logit divergence) plus its calibrated mapping — never a bare
-//! constant (see DESIGN.md's substitution table).
+//! (`crates/bench`) prints these rows. Where a quantity cannot be measured
+//! without the real hardware or checkpoints, the row carries a *measured
+//! proxy* (weight RMSE, logit divergence) plus its calibrated mapping —
+//! never a bare constant.
 
 use edgellm::config::{ModelConfig, ModelId};
 use edgellm::ppl::{mean_kl, perplexity_float};
@@ -61,7 +60,7 @@ pub struct Table1Row {
     /// instrument model (the ordering instrument behind the PPL column).
     pub logit_kl: f64,
     /// Wikitext perplexity *mapped* from the measured RMSE through the
-    /// paper's two anchors (AWQ 19.42, QNN 28.99); see EXPERIMENTS.md.
+    /// paper's two anchors (AWQ 19.42, QNN 28.99).
     pub wiki_ppl_mapped: f64,
 }
 

@@ -642,62 +642,45 @@ impl SimState<'_> {
                 s.clone()
             }
         };
-        let has_active = sess.active_count() > 0;
         let has_prefill = sess.prefilling_count() > 0;
+        // A monolithic prompt was registered as one chunk: its pass
+        // completes it while every active decode stalls.
+        let monolithic = self.prefill == PrefillMode::Monolithic && has_prefill;
         let mut emitted: Vec<(SeqId, u32)> = Vec::new();
-        let mut chunk_done: Option<SeqId> = None;
-        let (dur, npu_util) = match self.prefill {
-            PrefillMode::Monolithic if has_prefill => {
-                // The whole prompt was registered as one chunk: this
-                // pass completes it while every active decode stalls.
-                let chunk = sess.prefill_step(ctx, |_| 0)?.expect("prefilling");
-                debug_assert!(chunk.completed, "monolithic prompts land in one pass");
-                if chunk.completed {
-                    chunk_done = Some(chunk.id);
-                }
-                let s = throttle(&chunk.stages);
+        let decode_stages = if sess.active_count() > 0 && !monolithic {
+            emitted = sess.step(ctx, |_, _| 0)?;
+            sess.last_step_stages().cloned()
+        } else {
+            None
+        };
+        let chunk = if has_prefill {
+            sess.prefill_step(ctx, |_| 0)?
+        } else {
+            None
+        };
+        let chunk_done = chunk.as_ref().filter(|c| c.completed).map(|c| c.id);
+        debug_assert!(
+            !monolithic || chunk_done.is_some(),
+            "monolithic prompts land in one pass"
+        );
+        let (dur, npu_util) = match (decode_stages, &chunk) {
+            // A decode step; a chunk rides its walk as one fused schedule.
+            (Some(d), c) => {
+                let fused = match c {
+                    Some(c) => d.merged(&c.stages),
+                    None => d,
+                };
+                let ss = steady_state(&throttle(&fused));
+                (ss.period_secs, ss.lane_util[lane::NPU])
+            }
+            (None, Some(c)) => {
+                let s = throttle(&c.stages);
                 (
                     single_pass_secs(&s),
                     steady_state_lane_utilization(&s, lane::NPU),
                 )
             }
-            _ => {
-                let decode_stages: Option<StepStages> = if has_active {
-                    emitted = sess.step(ctx, |_, _| 0)?;
-                    sess.last_step_stages().cloned()
-                } else {
-                    None
-                };
-                let chunk = if matches!(self.prefill, PrefillMode::Chunked { .. }) && has_prefill {
-                    sess.prefill_step(ctx, |_| 0)?
-                } else {
-                    None
-                };
-                if let Some(c) = &chunk {
-                    if c.completed {
-                        chunk_done = Some(c.id);
-                    }
-                }
-                match (&decode_stages, &chunk) {
-                    // Chunk rides the decode walk: one fused schedule.
-                    (Some(d), Some(c)) => {
-                        let ss = steady_state(&throttle(&d.merged(&c.stages)));
-                        (ss.period_secs, ss.lane_util[lane::NPU])
-                    }
-                    (Some(d), None) => {
-                        let ss = steady_state(&throttle(d));
-                        (ss.period_secs, ss.lane_util[lane::NPU])
-                    }
-                    (None, Some(c)) => {
-                        let s = throttle(&c.stages);
-                        (
-                            single_pass_secs(&s),
-                            steady_state_lane_utilization(&s, lane::NPU),
-                        )
-                    }
-                    (None, None) => unreachable!("stepped an idle worker"),
-                }
-            }
+            (None, None) => unreachable!("stepped an idle worker"),
         };
         let t_end = t0 + dur;
         let state = &mut self.states[w];

@@ -31,12 +31,6 @@ pub enum SimError {
         /// Size of the failed mapping in bytes.
         requested: u64,
     },
-    /// An operation required data in TCM but was given a DDR location
-    /// (HMX and vector scatter/gather can only access TCM, Section 3.1.2).
-    NotInTcm {
-        /// Description of the operation that was attempted.
-        op: &'static str,
-    },
     /// A DMA descriptor was malformed (zero rows, overlapping ranges, ...).
     BadDma {
         /// Human-readable description of the problem.
@@ -80,9 +74,6 @@ impl fmt::Display for SimError {
                 "NPU session VA space exceeded: {mapped} B mapped + {requested} B \
                  requested > {capacity} B"
             ),
-            SimError::NotInTcm { op } => {
-                write!(f, "{op} requires operands in TCM")
-            }
             SimError::BadDma { reason } => write!(f, "bad DMA descriptor: {reason}"),
             SimError::Unsupported { reason } => write!(f, "unsupported: {reason}"),
             SimError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
@@ -109,7 +100,5 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("VA space"));
-        let e = SimError::NotInTcm { op: "vgather" };
-        assert!(e.to_string().contains("vgather"));
     }
 }

@@ -4,7 +4,7 @@
 //! Provides the model zoo the paper evaluates — Qwen 2.5 (1.5B/3B/7B) and
 //! Llama 3.2 (1B/3B) with their *published* architectural dimensions — plus
 //! a tiny functional configuration for bit-level testing. Real checkpoints
-//! are unavailable (see DESIGN.md), so weights are seeded synthetic
+//! are unavailable, so weights are seeded synthetic
 //! Gaussians; throughput/latency/memory results depend only on shapes and
 //! layouts, which are exact.
 //!

@@ -1,6 +1,6 @@
 //! Synthetic LLM-like weight and activation generators.
 //!
-//! Real checkpoints are unavailable in this reproduction (see DESIGN.md);
+//! Real checkpoints are unavailable in this reproduction;
 //! the accuracy-bearing quantization experiments instead use weights whose
 //! *distributional* properties match what the quantization literature
 //! reports for transformer weights: approximately zero-mean Gaussian bulk

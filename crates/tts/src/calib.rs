@@ -4,7 +4,7 @@
 //! expected pass@1 over the dataset's difficulty distribution matches the
 //! paper's reported baseline accuracies (the "base" points in Figures 5
 //! and 10). The constants quoted below next to each target are the paper
-//! values; EXPERIMENTS.md records paper-vs-measured for each.
+//! values.
 
 use edgellm::config::ModelId;
 use mathsynth::mathgen::DatasetKind;

@@ -32,7 +32,7 @@ pub use policy::{CalibratedPolicy, Step, Trajectory};
 pub use self_consistency::self_consistency;
 pub use spec_decode::{
     charge_accept_loop, draft_round_lanes, greedy_generate, speculative_decode_pipeline,
-    speculative_generate, speculative_generate_with, AcceptanceTrace, BigramDraft,
-    DraftLenController, DraftModel, SpecPipelineOutcome, SpecRound,
+    speculative_generate, AcceptanceTrace, BigramDraft, DraftLenController, DraftModel,
+    SpecOutcome, SpecRound,
 };
 pub use verifier::{SimOrm, SimPrm};

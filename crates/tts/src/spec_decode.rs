@@ -6,25 +6,30 @@
 //! seamlessly": verifying `k` drafted tokens is one target-model forward
 //! over `k` positions — rows that ride in the same HMX tiles that
 //! Best-of-N samples would occupy. This module executes that extension
-//! end to end on the simulated NPU, in two tiers:
+//! end to end on the simulated NPU with one verify loop: each round the
+//! target's committed token plus `k` drafted tokens go through one
+//! batched chunked-prefill pass, greedy verification accepts the
+//! agreeing prefix plus one corrected token, and rejected KV rows are
+//! dropped in place with `KvCache::truncate_seq` — the O(1) rollback real
+//! runtimes do. Only the draft source varies between the two entry
+//! points:
 //!
 //! 1. [`speculative_generate`]: a host-side [`DraftModel`] proposer
-//!    (e.g. the deterministic [`BigramDraft`]) speculates `k` tokens, the
-//!    target scores all `k+1` positions in one batched chunked-prefill
-//!    pass, and greedy verification accepts the agreeing prefix plus one
-//!    corrected token. Rejected KV rows are dropped in place with
-//!    `KvCache::truncate_seq` — the O(1) rollback real runtimes do.
+//!    (e.g. the deterministic [`BigramDraft`]) at a fixed draft length.
+//!    It costs nothing on the simulated device and learns from every
+//!    accepted transition.
 //! 2. [`speculative_decode_pipeline`]: the real two-model pipeline — a
 //!    small *draft transformer* (its own [`Model`] with a co-resident KV
 //!    cache in the same [`NpuContext`]) autoregressively proposes the
-//!    chunk, and the target verifies it batched. Per round the draft's
-//!    stage breakdown is folded into the verify step's [`StepStages`] as
-//!    `draft_cpu_secs`/`draft_npu_secs`, so under
-//!    [`edgellm::overlap::DispatchMode::Overlapped`] the next speculation
-//!    round is scheduled *behind* the target's verify kernels on the
-//!    timeline critical path: the measured speedup is
+//!    chunk. Per round the draft's stage breakdown is folded into the
+//!    verify step's [`StepStages`] as `draft_cpu_secs`/`draft_npu_secs`,
+//!    so under [`edgellm::overlap::DispatchMode::Overlapped`] the next
+//!    speculation round is scheduled *behind* the target's verify kernels
+//!    on the timeline critical path: the measured speedup is
 //!    `accepted_per_step × 1/(1 + exposed_draft_fraction)`, not a
 //!    policy-level idealization.
+//!
+//! Both report a [`SpecOutcome`]; a host draft's `draft_cost` is zero.
 //!
 //! Draft length adapts to the observed acceptance rate via
 //! [`DraftLenController`]: a windowed acceptance estimate grows `k` when
@@ -287,20 +292,32 @@ impl AcceptanceTrace {
     }
 }
 
-/// Outcome of a speculative generation run.
-#[derive(Debug)]
-pub struct SpecDecodeOutcome {
-    /// The generated tokens (target-model-faithful: identical to greedy
-    /// decoding of the target).
+/// Outcome of a speculative decoding run, whatever proposed the drafts.
+#[derive(Debug, Default)]
+pub struct SpecOutcome {
+    /// The generated tokens — bit-identical to plain greedy decoding of
+    /// the *target* model (the draft can only accelerate, never alter).
     pub tokens: Vec<u32>,
-    /// Target-model steps executed.
+    /// Verify rounds executed (target batched passes).
     pub target_steps: usize,
-    /// Tokens committed per target step (the speedup over plain decode).
+    /// Tokens committed per verify round (the speedup over plain decode).
     pub mean_accepted: f64,
-    /// Total simulated cost.
-    pub cost: StepCost,
+    /// Target-side cost (prefill + verify passes + accept host loops).
+    pub target_cost: StepCost,
+    /// Draft-side cost (draft prefill + proposal decode steps); zero for
+    /// a host-side [`DraftModel`].
+    pub draft_cost: StepCost,
     /// Per-round bookkeeping (draft length, accepted count, KV length).
     pub rounds: Vec<SpecRound>,
+    /// Serial decode-phase seconds: every verify pass plus every draft
+    /// step, fully sequential (prompt prefills excluded from both
+    /// pipeline aggregates).
+    pub serial_secs: f64,
+    /// Overlap-aware decode-phase seconds: per round, the draft's stage
+    /// breakdown rides the verify step's [`StepStages`] draft lanes, so
+    /// draft CPU work hides behind verify kernels and only the draft's
+    /// NPU share serializes (the exposed draft fraction).
+    pub overlapped_secs: f64,
 }
 
 /// Charges the verification host loop (argmax + accept compare over
@@ -312,157 +329,6 @@ pub fn charge_accept_loop(ctx: &mut NpuContext, rows: usize, vocab: usize) -> f6
     ctx.cost
         .charge_cpu((rows * vocab) as u64, (rows * vocab * 4) as u64);
     ctx.cost.delta_since(&snap, "").wall_secs
-}
-
-/// Runs greedy speculative decoding with a fixed draft length: drafts
-/// `draft_len` tokens per round, verifies them with one batched target
-/// forward, accepts the agreeing prefix plus the target's correction.
-///
-/// The verification trick: each round the committed token plus the
-/// drafted chunk go through `prefill_all_logits` — one batched pass whose
-/// `k+1` rows score every draft position at once. Rejected positions'
-/// KV rows are dropped in place (`KvCache::truncate_seq`), the O(1)
-/// rollback of a real runtime, so nothing is recomputed.
-///
-/// Output equivalence: the accepted stream equals plain greedy decoding of
-/// the target model (tested).
-///
-/// # Panics
-///
-/// Panics in cost-only mode (this is a functional-path extension).
-pub fn speculative_generate(
-    ctx: &mut NpuContext,
-    model: &Model,
-    draft: &mut dyn DraftModel,
-    prompt: &[u32],
-    max_new_tokens: usize,
-    draft_len: usize,
-) -> SimResult<SpecDecodeOutcome> {
-    let mut ctrl = DraftLenController::fixed(draft_len);
-    speculative_generate_with(ctx, model, draft, prompt, max_new_tokens, &mut ctrl)
-}
-
-/// [`speculative_generate`] with an explicit [`DraftLenController`] —
-/// fixed or acceptance-adaptive draft length.
-pub fn speculative_generate_with(
-    ctx: &mut NpuContext,
-    model: &Model,
-    draft: &mut dyn DraftModel,
-    prompt: &[u32],
-    max_new_tokens: usize,
-    ctrl: &mut DraftLenController,
-) -> SimResult<SpecDecodeOutcome> {
-    assert_eq!(ctx.mode, ExecMode::Functional);
-    let vocab = model.cfg.vocab;
-    let mut cost = StepCost::default();
-
-    let budget = prompt.len() + max_new_tokens + ctrl.max_draft_len() + 4;
-    let mut cache = KvCache::new(ctx, &model.cfg, 1, budget)?;
-    let prefill = model.prefill(ctx, &mut cache, 0, prompt)?;
-    cost.add(&prefill.cost);
-
-    let mut generated: Vec<u32> = Vec::new();
-    let mut next_greedy = argmax(&prefill.logits);
-    let mut target_steps = 0usize;
-    let mut accepted_total = 0usize;
-    let mut rounds: Vec<SpecRound> = Vec::new();
-
-    while generated.len() < max_new_tokens {
-        // The target's committed token (from the previous verification).
-        generated.push(next_greedy);
-        if generated.len() >= max_new_tokens {
-            break;
-        }
-        let draft_len = ctrl.draft_len();
-        // Draft a chunk continuing after the committed token.
-        let mut chunk = vec![next_greedy];
-        let mut draft_ctx: Vec<u32> = prompt.iter().chain(generated.iter()).copied().collect();
-        for _ in 0..draft_len {
-            let proposal = draft.propose(&draft_ctx);
-            chunk.push(proposal);
-            draft_ctx.push(proposal);
-        }
-        // One target pass over the whole chunk (m = draft_len + 1 rows of
-        // free tile compute) — returns logits for every chunk position.
-        let verify = model.prefill_all_logits(ctx, &mut cache, 0, &chunk)?;
-        cost.add(&verify.cost);
-        cost.cpu_secs += charge_accept_loop(ctx, draft_len + 1, vocab);
-        target_steps += 1;
-
-        // Greedy verification: accept while target argmax == draft.
-        let mut accepted = 0usize;
-        for pos in 0..draft_len {
-            let target_tok = argmax(&verify.logits[pos * vocab..(pos + 1) * vocab]);
-            let draft_tok = chunk[pos + 1];
-            if target_tok == draft_tok && generated.len() + accepted + 1 < max_new_tokens {
-                draft.observe(chunk[pos], draft_tok);
-                accepted += 1;
-            } else {
-                // Reject: the target's own token replaces the draft here.
-                next_greedy = target_tok;
-                break;
-            }
-        }
-        if accepted == draft_len {
-            // Whole draft accepted; the target's next token comes from the
-            // final position's logits.
-            next_greedy = argmax(&verify.logits[draft_len * vocab..(draft_len + 1) * vocab]);
-        }
-        // Commit accepted draft tokens.
-        for a in 0..accepted {
-            generated.push(chunk[a + 1]);
-        }
-        accepted_total += accepted;
-        ctrl.record_round(draft_len, accepted);
-
-        // Roll the cache back past the rejected suffix: drop the stale KV
-        // rows in place (O(1) truncation, no recompute, no re-charge).
-        if accepted < draft_len {
-            cache.truncate_seq(0, prompt.len() + generated.len());
-        }
-        rounds.push(SpecRound {
-            draft_len,
-            accepted,
-            kv_len: cache.len(0),
-        });
-    }
-    generated.truncate(max_new_tokens);
-    cache.free(ctx);
-
-    Ok(SpecDecodeOutcome {
-        mean_accepted: 1.0 + accepted_total as f64 / target_steps.max(1) as f64,
-        tokens: generated,
-        target_steps,
-        cost,
-        rounds,
-    })
-}
-
-/// Outcome of a two-model speculative decoding run through the real stack.
-#[derive(Debug)]
-pub struct SpecPipelineOutcome {
-    /// The generated tokens — bit-identical to plain greedy decoding of
-    /// the *target* model (the draft can only accelerate, never alter).
-    pub tokens: Vec<u32>,
-    /// Verify rounds executed (target batched passes).
-    pub target_steps: usize,
-    /// Tokens committed per verify round.
-    pub mean_accepted: f64,
-    /// Target-side cost (prefill + verify passes + accept host loops).
-    pub target_cost: StepCost,
-    /// Draft-side cost (draft prefill + proposal decode steps).
-    pub draft_cost: StepCost,
-    /// Per-round bookkeeping.
-    pub rounds: Vec<SpecRound>,
-    /// Serial decode-phase seconds: every verify pass plus every draft
-    /// step, fully sequential (prompt prefills excluded from both
-    /// pipeline aggregates).
-    pub serial_secs: f64,
-    /// Overlap-aware decode-phase seconds: per round, the draft's stage
-    /// breakdown rides the verify step's [`StepStages`] draft lanes, so
-    /// draft CPU work hides behind verify kernels and only the draft's
-    /// NPU share serializes (the exposed draft fraction).
-    pub overlapped_secs: f64,
 }
 
 /// Folds a slice of draft-step stage breakdowns into the
@@ -501,6 +367,27 @@ pub fn spec_round_secs(verify: &StepStages, accept_secs: f64, draft_lanes: (f64,
     steady_state_step_secs(&combined)
 }
 
+/// Runs greedy speculative decoding with a host-side [`DraftModel`] and a
+/// fixed draft length: drafts `draft_len` tokens per round, verifies them
+/// with one batched target forward, accepts the agreeing prefix plus the
+/// target's correction, and reports each accepted transition to the
+/// draft's [`DraftModel::observe`].
+///
+/// # Panics
+///
+/// Panics in cost-only mode (this is a functional-path extension).
+pub fn speculative_generate(
+    ctx: &mut NpuContext,
+    model: &Model,
+    draft: &mut dyn DraftModel,
+    prompt: &[u32],
+    max_new_tokens: usize,
+    draft_len: usize,
+) -> SimResult<SpecOutcome> {
+    let mut ctrl = DraftLenController::fixed(draft_len);
+    speculate(ctx, model, draft, prompt, max_new_tokens, &mut ctrl)
+}
+
 /// Runs the full two-model speculative pipeline: a small draft [`Model`]
 /// autoregressively proposes `k` tokens (its KV cache co-resident with
 /// the target's in the same [`NpuContext`]), and the target verifies the
@@ -510,7 +397,7 @@ pub fn spec_round_secs(verify: &StepStages, accept_secs: f64, draft_lanes: (f64,
 ///
 /// The outcome carries both the serial decode-phase time and the
 /// overlap-aware time in which the draft round is scheduled behind the
-/// verify kernels (see [`SpecPipelineOutcome::overlapped_secs`]).
+/// verify kernels (see [`SpecOutcome::overlapped_secs`]).
 ///
 /// # Panics
 ///
@@ -524,134 +411,193 @@ pub fn speculative_decode_pipeline(
     prompt: &[u32],
     max_new_tokens: usize,
     ctrl: &mut DraftLenController,
-) -> SimResult<SpecPipelineOutcome> {
-    assert_eq!(ctx.mode, ExecMode::Functional);
+) -> SimResult<SpecOutcome> {
     assert_eq!(
         target.cfg.vocab, draft.cfg.vocab,
         "draft and target must share a vocabulary"
     );
+    let budget = kv_budget(prompt, max_new_tokens, ctrl);
+    let mut draft = ModelDraft {
+        model: draft,
+        cache: KvCache::new(ctx, &draft.cfg, 1, budget)?,
+        seen: 0,
+    };
+    let out = speculate(ctx, target, &mut draft, prompt, max_new_tokens, ctrl);
+    draft.cache.free(ctx);
+    out
+}
+
+/// KV positions a run needs: the prompt, every generated token and one
+/// round's longest draft, with slack.
+fn kv_budget(prompt: &[u32], max_new_tokens: usize, ctrl: &DraftLenController) -> usize {
+    prompt.len() + max_new_tokens + ctrl.max_draft_len() + 4
+}
+
+/// Where a round's draft tokens come from: the one thing the
+/// generate-then-verify loop ([`speculate`]) varies.
+trait Drafter {
+    /// Proposes `k` tokens continuing `committed` (the prompt and every
+    /// committed token) and returns them with the round's `(cpu, npu)`
+    /// draft lanes (see [`draft_round_lanes`]). A draft that runs on the
+    /// simulated NPU adds its cost to `out`.
+    fn draft(
+        &mut self,
+        ctx: &mut NpuContext,
+        committed: &[u32],
+        k: usize,
+        out: &mut SpecOutcome,
+    ) -> SimResult<(Vec<u32>, (f64, f64))>;
+
+    /// The target accepted the first `accepted` of `proposals`, which
+    /// were drafted after `committed`.
+    fn accept(&mut self, committed: &[u32], proposals: &[u32], accepted: usize);
+}
+
+/// A host-side proposer: free on the simulated device, and it learns
+/// from every accepted transition.
+impl Drafter for dyn DraftModel + '_ {
+    fn draft(
+        &mut self,
+        _ctx: &mut NpuContext,
+        committed: &[u32],
+        k: usize,
+        _out: &mut SpecOutcome,
+    ) -> SimResult<(Vec<u32>, (f64, f64))> {
+        let mut context = committed.to_vec();
+        for _ in 0..k {
+            let proposal = self.propose(&context);
+            context.push(proposal);
+        }
+        Ok((context.split_off(committed.len()), (0.0, 0.0)))
+    }
+
+    fn accept(&mut self, committed: &[u32], proposals: &[u32], accepted: usize) {
+        let mut prev = committed[committed.len() - 1];
+        for &next in &proposals[..accepted] {
+            self.observe(prev, next);
+            prev = next;
+        }
+    }
+}
+
+/// A draft transformer with its own KV cache in the target's context.
+struct ModelDraft<'a> {
+    model: &'a Model,
+    cache: KvCache,
+    /// Tokens of the committed sequence the cache has consumed.
+    seen: usize,
+}
+
+impl Drafter for ModelDraft<'_> {
+    fn draft(
+        &mut self,
+        ctx: &mut NpuContext,
+        committed: &[u32],
+        k: usize,
+        out: &mut SpecOutcome,
+    ) -> SimResult<(Vec<u32>, (f64, f64))> {
+        // The first pass catches the draft up on whatever the last round
+        // committed (the correction token and any accepted tail it had
+        // not consumed); the rest propose autoregressively.
+        let mut step = self
+            .model
+            .prefill(ctx, &mut self.cache, 0, &committed[self.seen..])?;
+        let mut proposals = Vec::with_capacity(k);
+        let mut stages = Vec::with_capacity(k);
+        loop {
+            out.draft_cost.add(&step.cost);
+            out.serial_secs += step.cost.wall_secs();
+            proposals.push(argmax(&step.logits));
+            stages.push(step.stages);
+            if proposals.len() == k {
+                return Ok((proposals, draft_round_lanes(&stages)));
+            }
+            let last = proposals[proposals.len() - 1];
+            step = self.model.decode_step(ctx, &mut self.cache, &[last])?;
+        }
+    }
+
+    fn accept(&mut self, committed: &[u32], proposals: &[u32], accepted: usize) {
+        // The draft consumed proposals p1..p_{k-1} while drafting; of
+        // those, only the accepted prefix stays committed.
+        self.seen = committed.len() + accepted.min(proposals.len() - 1);
+        self.cache.truncate_seq(0, self.seen);
+    }
+}
+
+/// The generate-then-verify loop both entry points share. Each round
+/// commits the target's greedy token, drafts `k` tokens after it, scores
+/// the committed token plus the draft with one batched
+/// `prefill_all_logits` pass (`k + 1` rows of free tile compute), and
+/// accepts the prefix on which the target's argmax agrees; the first
+/// disagreement (or the final row) is the next greedy token. Rejected KV
+/// rows are dropped in place (`KvCache::truncate_seq`), the O(1) rollback
+/// of a real runtime, so nothing is recomputed.
+fn speculate<D: Drafter + ?Sized>(
+    ctx: &mut NpuContext,
+    target: &Model,
+    draft: &mut D,
+    prompt: &[u32],
+    max_new_tokens: usize,
+    ctrl: &mut DraftLenController,
+) -> SimResult<SpecOutcome> {
+    assert_eq!(ctx.mode, ExecMode::Functional);
     let vocab = target.cfg.vocab;
-    let mut target_cost = StepCost::default();
-    let mut draft_cost = StepCost::default();
-    let mut serial_secs = 0.0;
-    let mut overlapped_secs = 0.0;
+    let mut out = SpecOutcome::default();
+    let mut cache = KvCache::new(ctx, &target.cfg, 1, kv_budget(prompt, max_new_tokens, ctrl))?;
+    let prefill = target.prefill(ctx, &mut cache, 0, prompt)?;
+    out.target_cost.add(&prefill.cost);
 
-    let budget = prompt.len() + max_new_tokens + ctrl.max_draft_len() + 4;
-    let mut target_cache = KvCache::new(ctx, &target.cfg, 1, budget)?;
-    let mut draft_cache = KvCache::new(ctx, &draft.cfg, 1, budget)?;
-    let prefill = target.prefill(ctx, &mut target_cache, 0, prompt)?;
-    target_cost.add(&prefill.cost);
-
-    let mut generated: Vec<u32> = Vec::new();
-    let mut next_greedy = argmax(&prefill.logits);
-    // Tokens of the committed sequence the draft's KV has consumed.
-    let mut draft_seen = 0usize;
-    let mut target_steps = 0usize;
+    let end = prompt.len() + max_new_tokens;
+    let mut committed = prompt.to_vec();
+    let mut next = argmax(&prefill.logits);
     let mut accepted_total = 0usize;
-    let mut rounds: Vec<SpecRound> = Vec::new();
-
-    while generated.len() < max_new_tokens {
-        generated.push(next_greedy);
-        if generated.len() >= max_new_tokens {
+    while committed.len() < end {
+        committed.push(next);
+        if committed.len() == end {
             break;
         }
         let k = ctrl.draft_len();
-        let committed_len = prompt.len() + generated.len();
-
-        // --- Draft round: feed unseen committed tokens, then propose k
-        // tokens autoregressively. The first pass catches the draft up on
-        // whatever the last round committed (correction token and/or the
-        // accepted tail it had not yet consumed).
-        let feed: Vec<u32> = prompt
-            .iter()
-            .chain(generated.iter())
-            .copied()
-            .skip(draft_seen)
-            .collect();
-        debug_assert!(!feed.is_empty());
-        let mut draft_stages: Vec<StepStages> = Vec::new();
-        let first = draft.prefill(ctx, &mut draft_cache, 0, &feed)?;
-        draft_cost.add(&first.cost);
-        serial_secs += first.cost.wall_secs();
-        draft_stages.push(first.stages.clone());
-        let mut proposals = vec![argmax(&first.logits)];
-        while proposals.len() < k {
-            let out = draft.decode_step(ctx, &mut draft_cache, &[*proposals.last().unwrap()])?;
-            draft_cost.add(&out.cost);
-            serial_secs += out.cost.wall_secs();
-            draft_stages.push(out.stages.clone());
-            proposals.push(argmax(&out.logits));
-        }
-
-        // --- Verify: one batched target pass over the committed token
-        // plus the k proposals (k+1 rows sharing the prefix cache).
-        let mut chunk = vec![next_greedy];
+        let (proposals, draft_lanes) = draft.draft(ctx, &committed, k, &mut out)?;
+        let mut chunk = vec![next];
         chunk.extend_from_slice(&proposals);
-        let verify = target.prefill_all_logits(ctx, &mut target_cache, 0, &chunk)?;
-        target_cost.add(&verify.cost);
+        let verify = target.prefill_all_logits(ctx, &mut cache, 0, &chunk)?;
+        out.target_cost.add(&verify.cost);
         let accept_secs = charge_accept_loop(ctx, k + 1, vocab);
-        target_cost.cpu_secs += accept_secs;
-        serial_secs += verify.cost.wall_secs() + accept_secs;
-        // Overlap-aware round time: the *next* draft round rides the
-        // verify step's draft lanes.
-        overlapped_secs += spec_round_secs(
-            &verify.stages,
-            accept_secs,
-            draft_round_lanes(&draft_stages),
-        );
-        target_steps += 1;
+        out.target_cost.cpu_secs += accept_secs;
+        out.serial_secs += verify.cost.wall_secs() + accept_secs;
+        // The next draft round rides the verify step's draft lanes.
+        out.overlapped_secs += spec_round_secs(&verify.stages, accept_secs, draft_lanes);
+        out.target_steps += 1;
 
-        // --- Accept the agreeing prefix.
-        let mut accepted = 0usize;
-        for pos in 0..k {
-            let target_tok = argmax(&verify.logits[pos * vocab..(pos + 1) * vocab]);
-            if target_tok == chunk[pos + 1] && generated.len() + accepted + 1 < max_new_tokens {
-                accepted += 1;
-            } else {
-                next_greedy = target_tok;
-                break;
+        // Accept while the target's argmax agrees, within the token
+        // budget; the row after the accepted prefix gives the next token.
+        let limit = k.min(end - committed.len() - 1);
+        let mut accepted = 0;
+        next = loop {
+            let tok = argmax(&verify.logits[accepted * vocab..(accepted + 1) * vocab]);
+            if accepted == limit || tok != proposals[accepted] {
+                break tok;
             }
-        }
-        if accepted == k {
-            next_greedy = argmax(&verify.logits[k * vocab..(k + 1) * vocab]);
-        }
-        for a in 0..accepted {
-            generated.push(chunk[a + 1]);
-        }
-        accepted_total += accepted;
+            accepted += 1;
+        };
+        draft.accept(&committed, &proposals, accepted);
         ctrl.record_round(k, accepted);
-
-        // --- Rollback, both sides in lockstep. The target drops the
-        // rejected verify rows; the draft drops its unaccepted proposals
-        // (it had consumed proposals p1..p_{k-1} while drafting — of
-        // those, only the accepted prefix stays committed).
+        committed.extend_from_slice(&proposals[..accepted]);
+        accepted_total += accepted;
         if accepted < k {
-            target_cache.truncate_seq(0, prompt.len() + generated.len());
+            cache.truncate_seq(0, committed.len());
         }
-        let draft_keep = committed_len + accepted.min(k.saturating_sub(1));
-        draft_cache.truncate_seq(0, draft_keep);
-        draft_seen = draft_keep;
-
-        rounds.push(SpecRound {
+        out.rounds.push(SpecRound {
             draft_len: k,
             accepted,
-            kv_len: target_cache.len(0),
+            kv_len: cache.len(0),
         });
     }
-    generated.truncate(max_new_tokens);
-    target_cache.free(ctx);
-    draft_cache.free(ctx);
-
-    Ok(SpecPipelineOutcome {
-        mean_accepted: 1.0 + accepted_total as f64 / target_steps.max(1) as f64,
-        tokens: generated,
-        target_steps,
-        target_cost,
-        draft_cost,
-        rounds,
-        serial_secs,
-        overlapped_secs,
-    })
+    cache.free(ctx);
+    out.tokens = committed.split_off(prompt.len());
+    out.mean_accepted = 1.0 + accepted_total as f64 / out.target_steps.max(1) as f64;
+    Ok(out)
 }
 
 /// Plain greedy decoding of the target model, for equivalence testing.
@@ -687,6 +633,36 @@ mod tests {
         (ctx, model)
     }
 
+    /// A host draft that replays the target's greedy stream, indexed by
+    /// context length so it stays in step through fully accepted rounds,
+    /// and records every transition it is told was accepted.
+    struct ContextOracle {
+        stream: Vec<u32>,
+        prompt_len: usize,
+        observed: Vec<(u32, u32)>,
+    }
+
+    impl ContextOracle {
+        fn new(stream: &[u32], prompt_len: usize) -> Self {
+            ContextOracle {
+                stream: stream.to_vec(),
+                prompt_len,
+                observed: Vec::new(),
+            }
+        }
+    }
+
+    impl DraftModel for ContextOracle {
+        fn propose(&mut self, context: &[u32]) -> u32 {
+            let pos = context.len() - self.prompt_len;
+            self.stream[pos.min(self.stream.len() - 1)]
+        }
+
+        fn observe(&mut self, prev: u32, next: u32) {
+            self.observed.push((prev, next));
+        }
+    }
+
     #[test]
     fn speculative_output_equals_greedy() {
         let (mut ctx, model) = setup();
@@ -701,27 +677,10 @@ mod tests {
     fn perfect_draft_accepts_everything() {
         // An oracle draft (clone of the target's greedy stream) should be
         // accepted wholesale: steps ~ tokens / (draft_len + 1).
-        struct Oracle {
-            stream: Vec<u32>,
-            pos: usize,
-        }
-        impl DraftModel for Oracle {
-            fn propose(&mut self, _context: &[u32]) -> u32 {
-                let t = self.stream[self.pos.min(self.stream.len() - 1)];
-                self.pos += 1;
-                t
-            }
-        }
         let (mut ctx, model) = setup();
         let prompt = vec![1u32, 30, 40];
         let (greedy, _) = greedy_generate(&mut ctx, &model, &prompt, 9).unwrap();
-        // The oracle replays greedy[1..] as its proposals. The proposal
-        // cursor must follow the *accepted* stream; with full acceptance it
-        // advances one per call.
-        let mut oracle = Oracle {
-            stream: greedy[1..].to_vec(),
-            pos: 0,
-        };
+        let mut oracle = ContextOracle::new(&greedy, prompt.len());
         let spec = speculative_generate(&mut ctx, &model, &mut oracle, &prompt, 9, 3).unwrap();
         assert_eq!(spec.tokens, greedy);
         assert!(
@@ -730,6 +689,15 @@ mod tests {
             spec.mean_accepted
         );
         assert!(spec.target_steps <= 4, "steps {}", spec.target_steps);
+        // The draft hears every accepted transition in order, starting
+        // from each round's committed token, and nothing else.
+        let mut accepted = Vec::new();
+        let mut pos = 0;
+        for r in &spec.rounds {
+            accepted.extend((pos..pos + r.accepted).map(|i| (greedy[i], greedy[i + 1])));
+            pos += r.accepted + 1;
+        }
+        assert_eq!(oracle.observed, accepted);
     }
 
     #[test]
@@ -958,6 +926,121 @@ mod tests {
         // Rounds may use different k, but every k stays in bounds.
         for r in &out.rounds {
             assert!((1..=5).contains(&r.draft_len));
+        }
+    }
+
+    fn cost_hex(c: &StepCost) -> String {
+        let secs = [
+            c.gemm_secs,
+            c.attn_secs,
+            c.misc_secs,
+            c.cpu_secs,
+            c.switch_secs,
+            c.stream_secs,
+            c.overlapped_secs,
+        ];
+        secs.map(|v| format!("{:x}", v.to_bits())).join(" ")
+    }
+
+    /// One line of `testdata/spec_outcomes.txt`; a pipeline run adds its
+    /// serial and overlapped seconds.
+    fn outcome_line(label: &str, out: &SpecOutcome, pipeline: bool) -> String {
+        let tokens: Vec<String> = out.tokens.iter().map(u32::to_string).collect();
+        let rounds: Vec<String> = out
+            .rounds
+            .iter()
+            .map(|r| format!("{}/{}/{}", r.draft_len, r.accepted, r.kv_len))
+            .collect();
+        let mut line = format!(
+            "{label}: tokens {} | steps {} | rounds {} | target {} | draft {} | mean {:x}",
+            tokens.join(" "),
+            out.target_steps,
+            rounds.join(" "),
+            cost_hex(&out.target_cost),
+            cost_hex(&out.draft_cost),
+            out.mean_accepted.to_bits()
+        );
+        if pipeline {
+            line += &format!(
+                " | serial {:x} overlapped {:x}",
+                out.serial_secs.to_bits(),
+                out.overlapped_secs.to_bits()
+            );
+        }
+        line
+    }
+
+    /// On two prompts, one context each: host drafts (a bigram that never
+    /// learns, one seeded with the first greedy token so it does, and an
+    /// oracle) at k = 1, 3 and 5, then the pipeline with a rejecting and
+    /// an accepting draft transformer under a fixed and an adaptive
+    /// controller, then the context's mapped DDR bytes. Every run must
+    /// equal greedy decoding; costs depend on the context's history, so
+    /// the order is part of what is pinned.
+    fn pinned_runs() -> Vec<String> {
+        let mut lines = Vec::new();
+        for (prompt, new_tokens) in [(vec![1u32, 50, 60, 70, 80], 32), (vec![1, 30, 40], 12)] {
+            let p = prompt.len();
+            let (mut ctx, target) = setup();
+            let (greedy, _) = greedy_generate(&mut ctx, &target, &prompt, new_tokens).unwrap();
+            for k in [1, 3, 5] {
+                let mut bigram = BigramDraft::new(4);
+                let mut learning = BigramDraft::new(greedy[0]);
+                let mut oracle = ContextOracle::new(&greedy, p);
+                let drafts: [(&str, &mut dyn DraftModel); 3] = [
+                    ("bigram", &mut bigram),
+                    ("learning bigram", &mut learning),
+                    ("oracle", &mut oracle),
+                ];
+                for (name, draft) in drafts {
+                    let out =
+                        speculative_generate(&mut ctx, &target, draft, &prompt, new_tokens, k)
+                            .unwrap();
+                    assert_eq!(out.tokens, greedy);
+                    lines.push(outcome_line(
+                        &format!("prompt {p} {name} k={k}"),
+                        &out,
+                        false,
+                    ));
+                }
+            }
+            for (name, seed) in [("rejecting", 7), ("accepting", 21)] {
+                let draft = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, seed)
+                    .unwrap();
+                let ctrls = [
+                    ("fixed 3", DraftLenController::fixed(3)),
+                    ("adaptive 3 in 1..=5", DraftLenController::adaptive(3, 1, 5)),
+                ];
+                for (policy, mut ctrl) in ctrls {
+                    let out = speculative_decode_pipeline(
+                        &mut ctx, &target, &draft, &prompt, new_tokens, &mut ctrl,
+                    )
+                    .unwrap();
+                    assert_eq!(out.tokens, greedy);
+                    let label = format!("prompt {p} {name} model, {policy}");
+                    lines.push(outcome_line(&label, &out, true));
+                }
+            }
+            lines.push(format!(
+                "prompt {p} mapped DDR bytes: {}",
+                ctx.ddr_mapped_bytes()
+            ));
+        }
+        lines
+    }
+
+    #[test]
+    fn outcomes_match_the_pinned_bits() {
+        // Pins tokens, rounds and every cost bit of both entry points. A
+        // change that moves one re-pins the file and says so.
+        let pinned: Vec<&str> = include_str!("../testdata/spec_outcomes.txt")
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .collect();
+        let runs = pinned_runs();
+        assert_eq!(runs.len(), pinned.len());
+        for (got, want) in runs.iter().zip(&pinned) {
+            assert_eq!(got, want);
         }
     }
 }

@@ -4,8 +4,12 @@
 Scans the non-test part (everything before the first `#[cfg(test)]`) of
 each .rs file under crates/*/src for `pub fn` declarations. A name counts
 as used when a whole-word match appears in another .rs file under crates,
-src, examples, tests or perfbench/src, outside `//` comment lines and
-`pub use` re-exports (neither is a call).
+src, examples, tests or perfbench/src. None of these is a call, so none
+counts: a `//` comment line, a whole `pub use ...;` re-export (every line
+of a multi-line one), and a `fn <name>` declaration.
+
+The scan matches names, not paths: a name shared with another type's
+method or function, such as `new`, still counts as a use.
 
 Prints the unused functions, then exits 1 if one is not on KEEP, or if a
 KEEP entry is no longer unused (so the list stays exact).
@@ -33,7 +37,7 @@ KEEP = {
 }
 
 USE_DIRS = ("crates", "src", "examples", "tests", "perfbench/src")
-NOT_A_USE = re.compile(r"\s*(//|pub use\b)")
+REEXPORT = re.compile(r"^\s*pub use\b[^;]*;", re.M)
 
 
 def rust_files(*dirs):
@@ -48,7 +52,9 @@ def main():
     os.chdir(os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."))
     raw = {p: open(p).read() for p in rust_files(*USE_DIRS)}
     uses = {
-        p: "\n".join(l for l in t.splitlines() if not NOT_A_USE.match(l))
+        p: "\n".join(
+            l for l in REEXPORT.sub("", t).splitlines() if not l.lstrip().startswith("//")
+        )
         for p, t in raw.items()
     }
     fns = [
@@ -60,7 +66,7 @@ def main():
     unused = [
         (p, n)
         for p, n in fns
-        if not any(re.search(rf"\b{n}\b", t) for q, t in uses.items() if q != p)
+        if not any(re.search(rf"(?<!\bfn )\b{n}\b", t) for q, t in uses.items() if q != p)
     ]
     print(f"{len(unused)} of {len(fns)} non-test pub fns unused outside their own file")
     failed = False

@@ -1,6 +1,6 @@
 //! Integration checks that every regenerated exhibit preserves the shape
 //! of the paper's result: who wins, by roughly what factor, and where the
-//! crossovers fall (the reproduction criteria from DESIGN.md).
+//! crossovers fall.
 
 use mathsynth::mathgen::DatasetKind;
 use npuscale::experiments;

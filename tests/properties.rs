@@ -445,6 +445,8 @@ proptest! {
     /// stream the draft proposes and whatever the draft length, the
     /// accepted sequence is bit-identical to plain greedy decoding, and
     /// the target KV advances by exactly accepted + 1 per verify round.
+    /// A host draft costs nothing on the device, and the overlapped
+    /// schedule never exceeds the serial stage sum.
     #[test]
     fn speculation_is_lossless_for_any_draft_stream(
         proposals in prop::collection::vec(0u32..256, 32),
@@ -463,6 +465,9 @@ proptest! {
             &mut ctx, &model, &mut draft, &prompt, new_tokens, draft_len,
         ).unwrap();
         prop_assert_eq!(&spec.tokens, &greedy, "speculation must be lossless");
+        let draft_cost = spec.draft_cost;
+        prop_assert!(draft_cost.wall_secs() == 0.0 && draft_cost.overlapped_secs == 0.0);
+        prop_assert!(spec.overlapped_secs <= spec.serial_secs + 1e-12);
         let mut expect = prompt.len();
         for r in &spec.rounds {
             prop_assert!(r.accepted <= r.draft_len);
