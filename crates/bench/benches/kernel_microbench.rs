@@ -342,8 +342,10 @@ fn bench_cost_only(c: &mut Criterion) {
     // Paper-scale kernels in a cost-only V75 context, which charges every
     // instruction and computes no lanes: Qwen-1.5B's Q projection at one
     // decode row and at a 16-row batch, one decode row's attention over a
-    // 300-position history (the empty one a cost-only cache hands it), and
-    // the steady-state schedule of a recorded batch-8 decode step.
+    // 300-position history (the empty one a cost-only cache hands it), one
+    // causal 256-row prefill attention call, the steady-state schedule of a
+    // recorded batch-8 decode step, and one whole batch-16 decode step
+    // whose slots each stay at a 300-token history.
     let cfg = ModelConfig::for_id(ModelId::Qwen1_5B);
     let variant = DequantVariant::CoalescedLut;
     let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
@@ -389,6 +391,19 @@ fn bench_cost_only(c: &mut Criterion) {
                 .total_wall()
         })
     });
+    let prefill_shape = AttnShape {
+        nq: 256,
+        nkv: 256,
+        head_dim: cfg.head_dim,
+    };
+    group.bench_function("qwen1_5b_prefill_attention_256", |b| {
+        b.iter(|| {
+            let shape = std::hint::black_box(prefill_shape);
+            fa.run_blocks(&mut ctx, shape, &[], &history, Some(0))
+                .1
+                .total_wall()
+        })
+    });
     let model = Model::new(&mut ctx, ModelId::Qwen1_5B, variant, 7).unwrap();
     let mut cache = KvCache::new(&mut ctx, &cfg, 8, 8 * 320).unwrap();
     model.prefill(&mut ctx, &mut cache, 0, &[1; 256]).unwrap();
@@ -399,6 +414,19 @@ fn bench_cost_only(c: &mut Criterion) {
         .stages;
     group.bench_function("qwen1_5b_b8_steady_state_step", |b| {
         b.iter(|| steady_state_step_secs(std::hint::black_box(&stages)))
+    });
+    cache.free(&mut ctx);
+    let mut cache = KvCache::new(&mut ctx, &cfg, 16, 16 * 301).unwrap();
+    model.prefill(&mut ctx, &mut cache, 0, &[1; 300]).unwrap();
+    cache.broadcast_prompt();
+    group.bench_function("qwen1_5b_decode_step_b16", |b| {
+        b.iter(|| {
+            let out = model.decode_step(&mut ctx, &mut cache, &[1; 16]).unwrap();
+            for slot in 0..16 {
+                cache.truncate_seq(slot, 300);
+            }
+            out.cost.overlapped_secs
+        })
     });
     group.finish();
 }

@@ -191,6 +191,7 @@ impl CostModel {
     }
 
     /// Total busy seconds of one engine since creation (or last reset).
+    #[inline]
     pub fn engine_secs(&self, e: Engine) -> f64 {
         self.engine_secs[e.idx()]
     }

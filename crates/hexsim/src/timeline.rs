@@ -27,8 +27,11 @@
 //!   graph (dependencies refer to already submitted tasks), which makes
 //!   scheduling a single forward pass with no solver.
 //!
-//! `edgellm::overlap` builds decode/prefill step graphs on top of this;
-//! the unit tests below pin the scheduling semantics in isolation.
+//! `edgellm::overlap` prices decode/prefill step graphs by this rule
+//! without keeping the task list (only lane state and the finish times
+//! the next step reads), and its tests build the same graphs on a
+//! `Timeline` as the oracle; the unit tests below pin the scheduling
+//! semantics in isolation.
 //!
 //! # Examples
 //!
@@ -68,17 +71,11 @@ pub struct Timeline {
 impl Timeline {
     /// Creates a timeline with `lanes` serial resources, all free at t=0.
     pub fn new(lanes: usize) -> Self {
-        Self::with_capacity(lanes, 0)
-    }
-
-    /// Like [`Timeline::new`], with room for `tasks` submissions before
-    /// the task list reallocates.
-    pub fn with_capacity(lanes: usize, tasks: usize) -> Self {
         assert!(lanes >= 1, "a timeline needs at least one lane");
         Timeline {
             lane_free: vec![0.0; lanes],
             lane_busy: vec![0.0; lanes],
-            tasks: Vec::with_capacity(tasks),
+            tasks: Vec::new(),
         }
     }
 

@@ -17,6 +17,15 @@
 //! TCM-resident table); the instruction trace is charged per stage from the
 //! same formulas the standalone kernels produce.
 //!
+//! Each stage charges exactly one engine: DMA for the Q/O and KV traffic,
+//! HMX for QK^T and PV, HVX for the softmax update and the final
+//! normalization. A stage's cost delta is therefore that engine's running
+//! total after the stage minus before it — the subtraction
+//! [`CostModel::delta_since`] makes, without snapshotting the other five —
+//! and the Figure 8 breakdown is built from those scalars. Cost-only calls
+//! charge one representative KV block and scale it by the block count
+//! ([`CostModel::scale_since`]); both modes run the same accounting.
+//!
 //! The functional kernel reads K/V from [`KvBlocks`]: one KV head's
 //! history, widened to FP32 once per position when it is appended and kept
 //! in blocks of 32 positions, keys transposed. A decode step's KV never
@@ -28,7 +37,7 @@
 
 use std::sync::Arc;
 
-use hexsim::cost::{PhaseCost, NUM_ENGINES};
+use hexsim::cost::NUM_ENGINES;
 use hexsim::f16::F16;
 use hexsim::prelude::*;
 
@@ -181,21 +190,52 @@ impl FlashAttentionBreakdown {
             self.softmax.wall_secs / t * 100.0,
         ]
     }
+}
 
-    fn scale(&mut self, factor: f64) {
-        for p in [&mut self.load_store, &mut self.matmul, &mut self.softmax] {
-            for i in 0..NUM_ENGINES {
-                p.engine_secs[i] *= factor;
-            }
-            p.wall_secs *= factor;
-        }
+/// The seconds one call's stages kept their engines busy: DMA for
+/// "QKVO Load/Store", HMX for "MatMul", HVX for "Softmax".
+#[derive(Clone, Copy, Default)]
+struct StageSecs {
+    load_store: f64,
+    matmul: f64,
+    softmax: f64,
+}
+
+/// Seconds `engine` gained while `charge` ran: its running total after
+/// minus before, the subtraction [`CostModel::delta_since`] makes for each
+/// engine. Every FlashAttention stage charges one engine only, so this is
+/// the stage's whole cost delta; debug builds check that no other engine
+/// moved.
+#[inline]
+fn stage_secs(ctx: &mut NpuContext, engine: Engine, charge: impl FnOnce(&mut NpuContext)) -> f64 {
+    #[cfg(debug_assertions)]
+    let snap = ctx.cost.snapshot();
+    let before = ctx.cost.engine_secs(engine);
+    charge(ctx);
+    #[cfg(debug_assertions)]
+    {
+        let delta = ctx.cost.delta_since(&snap, "");
+        let others_idle = Engine::ALL
+            .iter()
+            .all(|&e| e == engine || delta.engine(e) == 0.0);
+        debug_assert!(
+            others_idle,
+            "a {engine:?} stage charged another engine: {delta:?}"
+        );
     }
+    ctx.cost.engine_secs(engine) - before
+}
 
-    fn add_delta(bucket: &mut PhaseCost, delta: &PhaseCost) {
-        for i in 0..NUM_ENGINES {
-            bucket.engine_secs[i] += delta.engine_secs[i];
-        }
-        bucket.wall_secs += delta.wall_secs;
+/// The cost of stages that kept only `engine` busy, for `secs` in all:
+/// every other engine zero and the wall time that engine's, as in each
+/// such stage's [`CostModel::delta_since`].
+fn one_engine(engine: Engine, secs: f64) -> PhaseCost {
+    let mut engine_secs = [0.0; NUM_ENGINES];
+    engine_secs[engine.index()] = secs;
+    PhaseCost {
+        label: "",
+        engine_secs,
+        wall_secs: secs,
     }
 }
 
@@ -317,39 +357,48 @@ impl<'a> FlashAttention<'a> {
             }
         });
 
-        let mut bd = FlashAttentionBreakdown::default();
         let scale = 1.0 / (d as f64).sqrt();
 
         // Q load + O store traffic, once per call (part of "QKVO").
-        let snap = ctx.cost.snapshot();
-        ctx.cost.charge_dma((2 * g * nq * d * 2) as u64);
-        FlashAttentionBreakdown::add_delta(&mut bd.load_store, &ctx.cost.delta_since(&snap, ""));
+        let qo_secs = stage_secs(ctx, Engine::Dma, |ctx| {
+            ctx.cost.charge_dma((2 * g * nq * d * 2) as u64)
+        });
 
         let n_blocks = nkv.div_ceil(self.kv_block);
-        let run_blocks: usize = if functional { n_blocks } else { 1 };
-        let all_snap = ctx.cost.snapshot();
-        let mut bd_blocks = FlashAttentionBreakdown::default();
-
-        for b in 0..run_blocks {
-            self.charge_block(ctx, rows, d, &mut bd_blocks);
-            if let Some(math) = &mut math {
-                let kv_lo = b * self.kv_block;
-                let kv_hi = ((b + 1) * self.kv_block).min(nkv);
-                self.block_math(ctx, math, shape, scale, kv, kv_lo, kv_hi, causal_start);
+        let mut blocks = StageSecs::default();
+        match &mut math {
+            // Functional calls charge and compute every block.
+            Some(math) => {
+                for b in 0..n_blocks {
+                    self.charge_block(ctx, rows, d, &mut blocks);
+                    let kv_lo = b * self.kv_block;
+                    let kv_hi = ((b + 1) * self.kv_block).min(nkv);
+                    self.block_math(ctx, math, shape, scale, kv, kv_lo, kv_hi, causal_start);
+                }
+            }
+            // Cost-only calls charge one representative block and scale it.
+            // Kept apart from the functional loop, which calls `block_math`:
+            // the x86-64 calling convention preserves no SSE register across
+            // a call, and sharing that loop cost a cost-only decode row
+            // about a third of its host time.
+            None => {
+                let replay = (n_blocks > 1).then(|| ctx.cost.snapshot());
+                self.charge_block(ctx, rows, d, &mut blocks);
+                if let Some(snap) = replay {
+                    ctx.cost.scale_since(&snap, n_blocks as u64);
+                    let factor = n_blocks as f64;
+                    blocks.load_store *= factor;
+                    blocks.matmul *= factor;
+                    blocks.softmax *= factor;
+                }
             }
         }
-        if !functional && n_blocks > 1 {
-            ctx.cost.scale_since(&all_snap, n_blocks as u64);
-            bd_blocks.scale(n_blocks as f64);
-        }
-        FlashAttentionBreakdown::add_delta(&mut bd.load_store, &bd_blocks.load_store);
-        FlashAttentionBreakdown::add_delta(&mut bd.matmul, &bd_blocks.matmul);
-        FlashAttentionBreakdown::add_delta(&mut bd.softmax, &bd_blocks.softmax);
 
         // Final normalization O_i = diag(l)^-1 O (charged to softmax).
-        let snap = ctx.cost.snapshot();
-        let o_regs = (g * nq * d).div_ceil(64) as u64;
-        ctx.cost.charge_hvx_packets(o_regs * 2 + (g * nq) as u64);
+        let norm_secs = stage_secs(ctx, Engine::Hvx, |ctx| {
+            let o_regs = (g * nq * d).div_ceil(64) as u64;
+            ctx.cost.charge_hvx_packets(o_regs * 2 + (g * nq) as u64)
+        });
         let out = match math {
             Some(BlockMath { l, o, .. }) => {
                 let mut out = vec![F16::ZERO; g * nq * d];
@@ -372,69 +421,64 @@ impl<'a> FlashAttention<'a> {
             }
             None => Vec::new(),
         };
-        FlashAttentionBreakdown::add_delta(&mut bd.softmax, &ctx.cost.delta_since(&snap, ""));
-
+        let bd = FlashAttentionBreakdown {
+            load_store: one_engine(Engine::Dma, qo_secs + blocks.load_store),
+            matmul: one_engine(Engine::Hmx, blocks.matmul),
+            softmax: one_engine(Engine::Hvx, blocks.softmax + norm_secs),
+        };
         (out, bd)
     }
 
     /// Charges one KV block for every query head in the group: `rows`
-    /// query rows (`G * nq`) against `kv_block` keys of width `d`.
-    fn charge_block(
-        &self,
-        ctx: &mut NpuContext,
-        rows: usize,
-        d: usize,
-        bd: &mut FlashAttentionBreakdown,
-    ) {
+    /// query rows (`G * nq`) against `kv_block` keys of width `d`, adding
+    /// each stage's seconds to `secs`.
+    fn charge_block(&self, ctx: &mut NpuContext, rows: usize, d: usize, secs: &mut StageSecs) {
         let kv_tiles = self.kv_block.div_ceil(32);
         let d_tiles = d / 32;
         // All query heads of the GQA group attend to the same KV head, so
         // the kernel batches their rows into shared tiles: `g * nq` query
         // rows per block. This is what keeps the Figure 8 matmul share tiny.
         let q_row_tiles = rows.div_ceil(32);
+        let tile_ops = (q_row_tiles * kv_tiles * d_tiles) as u64;
 
         // --- Stage 1: KV streaming (shared across the GQA group). ---
-        let snap = ctx.cost.snapshot();
-        ctx.cost.charge_dma((2 * self.kv_block * d * 2) as u64);
-        FlashAttentionBreakdown::add_delta(&mut bd.load_store, &ctx.cost.delta_since(&snap, ""));
+        secs.load_store += stage_secs(ctx, Engine::Dma, |ctx| {
+            ctx.cost.charge_dma((2 * self.kv_block * d * 2) as u64)
+        });
 
         // --- Stage 2a cost: S = Q K^T on the HMX (FP32 accumulate). ---
         // S writeback flows through the HMX's dedicated converter path
         // (Figure 3), so only tile-ops are charged here.
-        let snap = ctx.cost.snapshot();
-        ctx.cost
-            .charge_hmx_tile_ops((q_row_tiles * kv_tiles * d_tiles) as u64);
-        FlashAttentionBreakdown::add_delta(&mut bd.matmul, &ctx.cost.delta_since(&snap, ""));
+        secs.matmul += stage_secs(ctx, Engine::Hmx, |ctx| {
+            ctx.cost.charge_hmx_tile_ops(tile_ops)
+        });
 
         // --- Stage 3 cost: softmax update (max, exp, sum, rescale). ---
-        let snap = ctx.cost.snapshot();
-        let row_pair_regs = rows.div_ceil(2) as u64;
-        for _tile in 0..kv_tiles {
-            // Per row-pair register: running max (1), subtract+convert (2),
-            // FP32 sum accumulate (2), plus the exponential.
-            for _reg in 0..row_pair_regs {
-                ctx.cost.charge_hvx_packets(5);
-                charge_exp(ctx, self.method);
+        secs.softmax += stage_secs(ctx, Engine::Hvx, |ctx| {
+            let row_pair_regs = rows.div_ceil(2) as u64;
+            for _tile in 0..kv_tiles {
+                // Per row-pair register: running max (1), subtract+convert
+                // (2), FP32 sum accumulate (2), plus the exponential.
+                for _reg in 0..row_pair_regs {
+                    ctx.cost.charge_hvx_packets(5);
+                    charge_exp(ctx, self.method);
+                }
+                // m/l running-state update for the tile.
+                ctx.cost.charge_hvx_packets(row_pair_regs * 2 + 6);
             }
-            // m/l running-state update for the tile.
-            ctx.cost.charge_hvx_packets(row_pair_regs * 2 + 6);
-        }
-        // S load + P store traffic for the rows actually occupied.
-        ctx.cost
-            .charge_tcm_bytes((2 * rows * self.kv_block * 2) as u64);
-        // O rescale by diag(exp(m_prev - m_new)) once per block.
-        let o_regs = (rows * d).div_ceil(64) as u64;
-        ctx.cost.charge_hvx_packets(o_regs * 2);
-        charge_exp(ctx, self.method);
-        let softmax_delta = ctx.cost.delta_since(&snap, "");
+            // S load + P store traffic for the rows actually occupied.
+            ctx.cost
+                .charge_tcm_bytes((2 * rows * self.kv_block * 2) as u64);
+            // O rescale by diag(exp(m_prev - m_new)) once per block.
+            let o_regs = (rows * d).div_ceil(64) as u64;
+            ctx.cost.charge_hvx_packets(o_regs * 2);
+            charge_exp(ctx, self.method);
+        });
 
         // --- Stage 2b cost: O += P V on the HMX. ---
-        let snap_pv = ctx.cost.snapshot();
-        ctx.cost
-            .charge_hmx_tile_ops((q_row_tiles * kv_tiles * d_tiles) as u64);
-        let pv_delta = ctx.cost.delta_since(&snap_pv, "");
-        FlashAttentionBreakdown::add_delta(&mut bd.softmax, &softmax_delta);
-        FlashAttentionBreakdown::add_delta(&mut bd.matmul, &pv_delta);
+        secs.matmul += stage_secs(ctx, Engine::Hmx, |ctx| {
+            ctx.cost.charge_hmx_tile_ops(tile_ops)
+        });
     }
 
     /// The functional math of KV positions `kv_lo..kv_hi` for every query
@@ -610,6 +654,7 @@ mod tests {
     use super::*;
     use crate::exp_lut::exp_f16_scalar;
     use crate::reference::{attention_ref_f64, rmse};
+    use hexsim::cost::PhaseCost;
 
     fn ctx() -> NpuContext {
         NpuContext::new(DeviceProfile::v75(), ExecMode::Functional)
@@ -873,6 +918,171 @@ mod tests {
                 let want: Vec<u32> = want.iter().map(|x| x.to_f32().to_bits()).collect();
                 let got: Vec<u32> = got.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(got, want, "{what}: position {j}");
+            }
+        }
+    }
+
+    /// The kernel's charges as they were taken before the one-engine
+    /// stage deltas: a full snapshot and `delta_since` around every stage,
+    /// whole-`PhaseCost` additions into the buckets, and the cost-only
+    /// block replay scaled by `scale_since` and `FlashAttentionBreakdown`
+    /// scaling. The kernel's math charges nothing, so this issues the
+    /// charges alone.
+    fn snapshot_charges(
+        fa: &FlashAttention,
+        ctx: &mut NpuContext,
+        shape: AttnShape,
+    ) -> FlashAttentionBreakdown {
+        fn add(bucket: &mut PhaseCost, delta: &PhaseCost) {
+            for (b, d) in bucket.engine_secs.iter_mut().zip(&delta.engine_secs) {
+                *b += d;
+            }
+            bucket.wall_secs += delta.wall_secs;
+        }
+        let AttnShape {
+            nq,
+            nkv,
+            head_dim: d,
+        } = shape;
+        let (g, method) = (fa.q_heads_per_kv, fa.method);
+        let rows = g * nq;
+        let mut bd = FlashAttentionBreakdown::default();
+        let snap = ctx.cost.snapshot();
+        ctx.cost.charge_dma((2 * g * nq * d * 2) as u64);
+        add(&mut bd.load_store, &ctx.cost.delta_since(&snap, ""));
+
+        let n_blocks = nkv.div_ceil(fa.kv_block);
+        let functional = ctx.mode == ExecMode::Functional;
+        let all_snap = ctx.cost.snapshot();
+        let mut blocks = FlashAttentionBreakdown::default();
+        for _ in 0..if functional { n_blocks } else { 1 } {
+            let kv_tiles = fa.kv_block.div_ceil(32);
+            let tile_ops = (rows.div_ceil(32) * kv_tiles * (d / 32)) as u64;
+            let snap = ctx.cost.snapshot();
+            ctx.cost.charge_dma((2 * fa.kv_block * d * 2) as u64);
+            add(&mut blocks.load_store, &ctx.cost.delta_since(&snap, ""));
+            let snap = ctx.cost.snapshot();
+            ctx.cost.charge_hmx_tile_ops(tile_ops);
+            add(&mut blocks.matmul, &ctx.cost.delta_since(&snap, ""));
+            let snap = ctx.cost.snapshot();
+            let row_pair_regs = rows.div_ceil(2) as u64;
+            for _ in 0..kv_tiles {
+                for _ in 0..row_pair_regs {
+                    ctx.cost.charge_hvx_packets(5);
+                    charge_exp(ctx, method);
+                }
+                ctx.cost.charge_hvx_packets(row_pair_regs * 2 + 6);
+            }
+            ctx.cost
+                .charge_tcm_bytes((2 * rows * fa.kv_block * 2) as u64);
+            ctx.cost
+                .charge_hvx_packets((rows * d).div_ceil(64) as u64 * 2);
+            charge_exp(ctx, method);
+            let softmax = ctx.cost.delta_since(&snap, "");
+            let snap = ctx.cost.snapshot();
+            ctx.cost.charge_hmx_tile_ops(tile_ops);
+            let pv = ctx.cost.delta_since(&snap, "");
+            add(&mut blocks.softmax, &softmax);
+            add(&mut blocks.matmul, &pv);
+        }
+        if !functional && n_blocks > 1 {
+            ctx.cost.scale_since(&all_snap, n_blocks as u64);
+            for p in [
+                &mut blocks.load_store,
+                &mut blocks.matmul,
+                &mut blocks.softmax,
+            ] {
+                for secs in &mut p.engine_secs {
+                    *secs *= n_blocks as f64;
+                }
+                p.wall_secs *= n_blocks as f64;
+            }
+        }
+        add(&mut bd.load_store, &blocks.load_store);
+        add(&mut bd.matmul, &blocks.matmul);
+        add(&mut bd.softmax, &blocks.softmax);
+
+        let snap = ctx.cost.snapshot();
+        let o_regs = (g * nq * d).div_ceil(64) as u64;
+        ctx.cost.charge_hvx_packets(o_regs * 2 + (g * nq) as u64);
+        add(&mut bd.softmax, &ctx.cost.delta_since(&snap, ""));
+        bd
+    }
+
+    #[test]
+    fn stage_deltas_match_the_snapshot_reference_bit_for_bit() {
+        // Seeded random shapes — decode rows and causal prefill groups,
+        // GQA groups 1-8, heads of 32-128, histories of 1-1100 with
+        // partial last blocks, every block length and exp method — on
+        // three devices and in both modes (small shapes in functional
+        // mode). Each context takes hundreds of calls, so the running
+        // totals every stage delta subtracts are deep; after every call
+        // the engine seconds, counters and breakdown match a twin context
+        // charged by the snapshot reference, bit for bit.
+        let bits = |p: &PhaseCost| {
+            (
+                p.label,
+                p.engine_secs.map(f64::to_bits),
+                p.wall_secs.to_bits(),
+            )
+        };
+        let mut next = xorshift(0x0b5e_55ed);
+        for device in [
+            DeviceProfile::v73(),
+            DeviceProfile::v75(),
+            DeviceProfile::v79(),
+        ] {
+            for mode in [ExecMode::CostOnly, ExecMode::Functional] {
+                let functional = mode == ExecMode::Functional;
+                let mut c = NpuContext::new(device.clone(), mode);
+                let mut reference = NpuContext::new(device.clone(), mode);
+                let lut = ExpLut16::build(&mut c).unwrap();
+                ExpLut16::build(&mut reference).unwrap();
+                let mut pick = |lo: usize, hi: usize| lo + next() as usize % (hi - lo + 1);
+                for call in 0..if functional { 150 } else { 400 } {
+                    let (g, d, nq, nkv) = if functional {
+                        (pick(1, 4), 32 * pick(1, 2), pick(1, 8), pick(1, 200))
+                    } else {
+                        (pick(1, 8), 32 * pick(1, 4), pick(1, 300), pick(1, 1100))
+                    };
+                    let fa = FlashAttention {
+                        lut: &lut,
+                        method: [ExpMethod::F32Poly, ExpMethod::F16Poly, ExpMethod::Lut16]
+                            [pick(0, 2)],
+                        kv_block: 32 << pick(0, 2),
+                        q_heads_per_kv: g,
+                    };
+                    let causal = (pick(0, 1) == 0).then(|| nkv.saturating_sub(nq));
+                    let shape = AttnShape {
+                        nq,
+                        nkv,
+                        head_dim: d,
+                    };
+                    let (mut q, mut kv) = (Vec::new(), KvBlocks::new(d));
+                    if functional {
+                        let seed = pick(0, 1 << 20) as u64;
+                        q = rand_f16(g * nq * d, seed, 1.0);
+                        let (k, v) = (
+                            rand_f16(nkv * d, seed ^ 0xA5, 1.0),
+                            rand_f16(nkv * d, seed ^ 0x5A, 1.0),
+                        );
+                        kv = FlashAttention::pack(&c, shape, &k, &v);
+                    }
+                    let (_, got) = fa.run_blocks(&mut c, shape, &q, &kv, causal);
+                    let want = snapshot_charges(&fa, &mut reference, shape);
+                    let what = format!(
+                        "{} {mode:?} call {call}: g={g} nq={nq} nkv={nkv} d={d} kv_block={} {:?}",
+                        device.name, fa.kv_block, fa.method
+                    );
+                    for e in Engine::ALL {
+                        let (a, b) = (c.cost.engine_secs(e), reference.cost.engine_secs(e));
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: {e:?} seconds");
+                    }
+                    assert_eq!(c.cost.counters(), reference.cost.counters(), "{what}");
+                    assert_eq!(bits(&got.load_store), bits(&want.load_store), "{what}");
+                    assert_eq!(bits(&got.matmul), bits(&want.matmul), "{what}");
+                    assert_eq!(bits(&got.softmax), bits(&want.softmax), "{what}");
+                }
             }
         }
     }

@@ -9,7 +9,11 @@
 //!
 //! Charges depend only on row lengths. In [`ExecMode::CostOnly`] every
 //! kernel issues the same charges in the same order and skips its scalar
-//! loop, leaving its row untouched.
+//! loop, leaving its row untouched. No kernel reads its length off the row
+//! it writes — [`rmsnorm`] takes it from its weights, [`rope`] from its
+//! angle table, [`silu`] and [`mul_inplace`] from an explicit `n` — so
+//! cost-only callers pass empty rows, and functional mode asserts that the
+//! rows have that length.
 
 use hexsim::f16::F16;
 use hexsim::prelude::*;
@@ -129,35 +133,49 @@ impl RopeTable {
     }
 }
 
-/// SiLU activation `x * sigmoid(x)` applied in place (gate path of SwiGLU).
+/// SiLU activation `x * sigmoid(x)` applied in place to a row of `n`
+/// values (gate path of SwiGLU).
 ///
 /// Modeled as a 12-instruction polynomial with a short dependency stall;
 /// functional values use libm through f32 (the hardware approximation error
-/// is below FP16 resolution).
-pub fn silu(ctx: &mut NpuContext, x: &mut [F16]) {
-    let regs = x.len().div_ceil(64) as u64;
+/// is below FP16 resolution). The length is `n`, so cost-only callers may
+/// pass an empty `x`.
+///
+/// # Panics
+///
+/// Panics in functional mode if `x` is not `n` long.
+pub fn silu(ctx: &mut NpuContext, x: &mut [F16], n: usize) {
+    let regs = n.div_ceil(64) as u64;
     ctx.cost.charge_tcm_bytes(regs * 256);
     ctx.cost.charge_hvx_packets(regs * 12);
     ctx.stall(4);
     if ctx.mode == ExecMode::CostOnly {
         return;
     }
+    assert_eq!(x.len(), n, "SiLU row length");
     for v in x.iter_mut() {
         let f = v.to_f32();
         *v = F16::from_f32(f / (1.0 + (-f).exp()));
     }
 }
 
-/// Elementwise FP16 multiply (SwiGLU gate application), in place on `a`.
-pub fn mul_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16]) {
-    assert_eq!(a.len(), b.len());
-    let regs = a.len().div_ceil(64) as u64;
+/// Elementwise FP16 multiply of `n` values (SwiGLU gate application), in
+/// place on `a`. The length is `n`, so cost-only callers may pass empty
+/// rows.
+///
+/// # Panics
+///
+/// Panics in functional mode if `a` or `b` is not `n` long.
+pub fn mul_inplace(ctx: &mut NpuContext, a: &mut [F16], b: &[F16], n: usize) {
+    let regs = n.div_ceil(64) as u64;
     let qf = ctx.device().qf16_convert_ops();
     ctx.cost.charge_tcm_bytes(regs * 384);
     ctx.cost.charge_hvx_packets(regs * (1 + qf));
     if ctx.mode == ExecMode::CostOnly {
         return;
     }
+    assert_eq!(a.len(), n, "multiplicand length");
+    assert_eq!(b.len(), n, "multiplier length");
     for (x, y) in a.iter_mut().zip(b) {
         *x = x.mul(*y);
     }
@@ -273,7 +291,7 @@ mod tests {
     fn silu_known_values() {
         let mut c = ctx();
         let mut x = vecf(&[0.0, 1.0, -1.0, 4.0]);
-        silu(&mut c, &mut x);
+        silu(&mut c, &mut x, 4);
         assert_eq!(x[0].to_f32(), 0.0);
         assert!((x[1].to_f32() - 0.7311).abs() < 0.001);
         assert!((x[2].to_f32() - -0.2689).abs() < 0.001);
@@ -285,7 +303,7 @@ mod tests {
     fn mul_inplace_multiplies_elementwise() {
         let mut c = ctx();
         let mut a = vecf(&[1.5, 2.0, 3.5]);
-        mul_inplace(&mut c, &mut a, &vecf(&[2.0, 2.0, 2.0]));
+        mul_inplace(&mut c, &mut a, &vecf(&[2.0, 2.0, 2.0]), 3);
         assert_eq!(a[0].to_f32(), 3.0);
         assert_eq!(a[2].to_f32(), 7.0);
     }
@@ -304,8 +322,8 @@ mod tests {
                 table.grow(8);
                 rope(c, x, &table, 7)
             }),
-            ("silu", |c, x, _| silu(c, x)),
-            ("mul_inplace", mul_inplace),
+            ("silu", |c, x, _| silu(c, x, 200)),
+            ("mul_inplace", |c, x, w| mul_inplace(c, x, w, 200)),
         ];
         let vals: Vec<f32> = (0..200).map(|i| (i % 13) as f32 * 0.25 - 1.5).collect();
         let x0 = vecf(&vals);
@@ -328,13 +346,17 @@ mod tests {
             );
             assert_eq!(x, x0, "{name}: cost-only mode wrote its row");
         }
-        // RMSNorm takes its length from the weights and RoPE from its
-        // table, so cost-only callers pass no row at all (and need not
-        // grow the table).
-        assert_eq!(
-            run(ExecMode::CostOnly, rms, &mut []),
-            run(ExecMode::Functional, rms, &mut x0.clone())
-        );
+        // RMSNorm takes its length from the weights, SiLU and the gate
+        // multiply from their argument and RoPE from its table, so
+        // cost-only callers pass no row at all (and need not grow the
+        // table).
+        for (name, kernel) in [kernels[0], kernels[2], kernels[3]] {
+            assert_eq!(
+                run(ExecMode::CostOnly, kernel, &mut []),
+                run(ExecMode::Functional, kernel, &mut x0.clone()),
+                "{name}"
+            );
+        }
         let rope_charges = |mode, x: &mut [F16]| {
             let mut c = NpuContext::new(DeviceProfile::v75(), mode);
             let mut table = RopeTable::new(x0.len(), 10000.0);
@@ -357,11 +379,24 @@ mod tests {
     fn costs_scale_with_length() {
         let mut c = ctx();
         let mut small = vec![F16::ONE; 64];
-        silu(&mut c, &mut small);
+        silu(&mut c, &mut small, 64);
         let t1 = c.cost.engine_secs(hexsim::cost::Engine::Hvx);
         let mut big = vec![F16::ONE; 640];
-        silu(&mut c, &mut big);
+        silu(&mut c, &mut big, 640);
         let t2 = c.cost.engine_secs(hexsim::cost::Engine::Hvx) - t1;
         assert!(t2 > t1 * 5.0, "10x data should cost >5x");
+    }
+
+    #[test]
+    #[should_panic(expected = "SiLU row length")]
+    fn functional_silu_rejects_a_row_of_another_length() {
+        silu(&mut ctx(), &mut [F16::ONE; 63], 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "multiplier length")]
+    fn functional_mul_rejects_rows_of_another_length() {
+        let mut a = vec![F16::ONE; 64];
+        mul_inplace(&mut ctx(), &mut a, &[F16::ONE; 65], 64);
     }
 }

@@ -72,7 +72,7 @@ use std::collections::VecDeque;
 use hexsim::prelude::*;
 
 use crate::kv_cache::{KvCache, KvSeqSnapshot};
-use crate::model::{Model, StepCost};
+use crate::model::{check_prompt, Model, StepCost};
 use crate::overlap::StepStages;
 
 /// Stable identifier of one admitted sequence, assigned in admission
@@ -208,7 +208,8 @@ impl<'m> DecodeSession<'m> {
     /// Opens a session: allocates a KV cache of `max_batch` slots with a
     /// shared `kv_budget` (total tokens across slots), prefills the prompt
     /// once, snapshots its KV as the shared admission state, and frees
-    /// every slot.
+    /// every slot. An empty prompt is [`SimError::InvalidConfig`],
+    /// returned before the cache is mapped or anything is charged.
     pub fn new(
         ctx: &mut NpuContext,
         model: &'m Model,
@@ -217,6 +218,7 @@ impl<'m> DecodeSession<'m> {
         kv_budget: usize,
     ) -> SimResult<Self> {
         assert!(max_batch >= 1, "session needs at least one slot");
+        check_prompt(prompt_tokens)?;
         let mut cache = KvCache::new(ctx, &model.cfg, max_batch, kv_budget)?;
         let out = match model.prefill(ctx, &mut cache, 0, prompt_tokens) {
             Ok(out) => out,
@@ -713,6 +715,26 @@ mod tests {
             per_step.push(session.step(ctx, |id, _| 4 + (id as u32 % 100)).unwrap());
         }
         per_step
+    }
+
+    #[test]
+    fn an_empty_prompt_opens_no_session_and_charges_nothing() {
+        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
+        let model =
+            Model::new(&mut ctx, ModelId::Qwen1_5B, DequantVariant::CoalescedLut, 1).unwrap();
+        let charged = |ctx: &NpuContext| {
+            let secs = Engine::ALL.map(|e| ctx.cost.engine_secs(e).to_bits());
+            (secs, *ctx.cost.counters(), ctx.ddr_mapped_bytes())
+        };
+        let before = charged(&ctx);
+        let err = DecodeSession::new(&mut ctx, &model, &[], 8, 8 * 320)
+            .err()
+            .expect("an empty prompt must not open a session");
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty prompt")),
+            "{err}"
+        );
+        assert_eq!(charged(&ctx), before);
     }
 
     #[test]

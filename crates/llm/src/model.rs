@@ -617,6 +617,9 @@ impl Model {
 
     /// Prefills one sequence with `tokens`, filling its KV cache. Returns
     /// the cost and (functional mode) the logits of the final position.
+    ///
+    /// An empty `tokens` is [`SimError::InvalidConfig`], returned before
+    /// anything is charged.
     pub fn prefill(
         &self,
         ctx: &mut NpuContext,
@@ -624,8 +627,7 @@ impl Model {
         seq: usize,
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
-        let step = Step::prefill(seq, cache.len(seq), tokens.len(), 1);
-        self.forward(ctx, cache, &step, tokens)
+        self.prefill_rows(ctx, cache, seq, tokens, 1)
     }
 
     /// Like [`Model::prefill`] but returns logits for *every* position —
@@ -638,7 +640,21 @@ impl Model {
         seq: usize,
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
-        let step = Step::prefill(seq, cache.len(seq), tokens.len(), tokens.len());
+        self.prefill_rows(ctx, cache, seq, tokens, tokens.len())
+    }
+
+    /// Prefills `tokens` into slot `seq` from its current length; the
+    /// last `head_rows` positions reach the lm_head.
+    fn prefill_rows(
+        &self,
+        ctx: &mut NpuContext,
+        cache: &mut KvCache,
+        seq: usize,
+        tokens: &[u32],
+        head_rows: usize,
+    ) -> SimResult<DecodeOutput> {
+        check_prompt(tokens)?;
+        let step = Step::prefill(seq, cache.len(seq), tokens.len(), head_rows);
         self.forward(ctx, cache, &step, tokens)
     }
 
@@ -758,6 +774,17 @@ impl Step {
     }
 }
 
+/// [`SimError::InvalidConfig`] for an empty prompt: a prefill has no
+/// position to attend from or to take logits at.
+pub(crate) fn check_prompt(tokens: &[u32]) -> SimResult<()> {
+    if tokens.is_empty() {
+        return Err(SimError::InvalidConfig {
+            reason: "empty prompt: a prefill needs at least one token".into(),
+        });
+    }
+    Ok(())
+}
+
 /// Runs `f` and returns its result with the wall seconds it charged.
 fn timed<R>(ctx: &mut NpuContext, f: impl FnOnce(&mut NpuContext) -> R) -> (R, f64) {
     let snap = ctx.cost.snapshot();
@@ -800,22 +827,19 @@ fn residual(ctx: &mut NpuContext, x: &mut [F16], y: &[F16], rows: usize, hidden:
 
 /// SwiGLU over `rows` gate/up row pairs of `ffn` values: SiLU on each
 /// gate row, then the gate multiply. Functional mode multiplies every row
-/// in one call. Cost-only mode has no rows, so it activates and multiplies
-/// one zeroed stand-in pair per row. The two charge sequences round
-/// differently, and the pinned numbers of each mode rest on its own.
+/// in one call; cost-only mode has no rows and charges one `ffn`-long
+/// multiply per row. The two charge sequences round differently, and the
+/// pinned numbers of each mode rest on its own.
 fn swiglu(ctx: &mut NpuContext, gate: &mut [F16], up: &[F16], rows: usize, ffn: usize) {
-    let mut stand_in = Vec::new();
-    let (gate, up, mul_calls) = if ctx.mode == ExecMode::Functional {
-        (gate, up, 1)
-    } else {
-        stand_in.resize(2 * ffn, F16::ZERO);
-        let (gate, up) = stand_in.split_at_mut(ffn);
-        (gate, &*up, rows as u64)
-    };
     ctx.replay_indexed(rows as u64, |ctx, r| {
-        misc::silu(ctx, &mut gate[r as usize * ffn..][..ffn])
+        misc::silu(ctx, part_mut(gate, r as usize * ffn, ffn), ffn)
     });
-    ctx.replay(mul_calls, |ctx| misc::mul_inplace(ctx, gate, up));
+    let (mul_calls, mul_len) = if ctx.mode == ExecMode::Functional {
+        (1, rows * ffn)
+    } else {
+        (rows as u64, ffn)
+    };
+    ctx.replay(mul_calls, |ctx| misc::mul_inplace(ctx, gate, up, mul_len));
 }
 
 /// `w` (row-major, `cols` columns) transposed: `[cols][rows]`.
@@ -1116,6 +1140,42 @@ mod tests {
             .prefill(&mut ctx, &mut tiny_cache, 0, &tokens)
             .unwrap_err();
         assert!(matches!(err, SimError::Unsupported { .. }));
+    }
+
+    /// What an entry point may not move when it rejects its input: every
+    /// engine's seconds, the counters and the mapped DDR bytes.
+    fn charged_state(ctx: &NpuContext) -> ([u64; 6], hexsim::cost::Counters, u64) {
+        let secs = Engine::ALL.map(|e| ctx.cost.engine_secs(e).to_bits());
+        (secs, *ctx.cost.counters(), ctx.ddr_mapped_bytes())
+    }
+
+    #[test]
+    fn an_empty_prompt_is_rejected_before_anything_is_charged() {
+        for (mode, id) in [
+            (ExecMode::CostOnly, ModelId::Qwen1_5B),
+            (ExecMode::Functional, ModelId::Tiny),
+        ] {
+            let mut ctx = NpuContext::new(DeviceProfile::v75(), mode);
+            let model = Model::new(&mut ctx, id, DequantVariant::CoalescedLut, 1).unwrap();
+            let mut cache = KvCache::new(&mut ctx, &model.cfg, 2, 64).unwrap();
+            model.prefill(&mut ctx, &mut cache, 1, &[1; 5]).unwrap();
+            let before = charged_state(&ctx);
+            for seq in [0, 1] {
+                let outcomes = [
+                    model.prefill(&mut ctx, &mut cache, seq, &[]),
+                    model.prefill_all_logits(&mut ctx, &mut cache, seq, &[]),
+                ];
+                for out in outcomes {
+                    let err = out.unwrap_err();
+                    assert!(
+                        matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty prompt")),
+                        "{mode:?} slot {seq}: {err}"
+                    );
+                }
+                assert_eq!(charged_state(&ctx), before, "{mode:?} slot {seq}");
+            }
+            assert_eq!((cache.len(0), cache.len(1)), (0, 5));
+        }
     }
 
     /// Every float a step records, as bits: the seven `StepCost` fields,

@@ -8,9 +8,10 @@
 //! lm_head/sampling of token *t* runs while the NPU computes the first
 //! layers of token *t+1*, command submission for layer *N+1* rides the
 //! double-buffered ring while layer *N* executes, and a session switch
-//! overlaps the previous shard's tail kernels. This module reproduces that
-//! schedule on [`hexsim::timeline::Timeline`] and reports its critical
-//! path as [`crate::model::StepCost::overlapped_secs`].
+//! overlaps the previous shard's tail kernels. This module prices that
+//! schedule with the list-scheduling rule of [`hexsim::timeline::Timeline`]
+//! and reports its critical path as
+//! [`crate::model::StepCost::overlapped_secs`].
 //!
 //! # Stage graph
 //!
@@ -107,8 +108,21 @@
 //! golden tests pin `overlapped <= serial` and `overlapped == serial` when
 //! overlap is disabled (the [`DispatchMode::Serial`] default keeps every
 //! pre-existing number bit-identical).
-
-use hexsim::timeline::{TaskId, Timeline};
+//!
+//! # Evaluation
+//!
+//! Every task starts at the latest of its lane's free time and its
+//! dependencies' finish times, and every dependency points back at most
+//! one iteration, at a task whose finish time the iteration carries. So
+//! pricing keeps no task list: it runs the graph over that carry alone —
+//! each lane's free time and busy seconds, a running makespan and the
+//! handful of finish times the next iteration reads — with the same `max`
+//! and `+` per task, in the same order, as a [`hexsim::timeline::Timeline`]
+//! holding every task. The period, every lane utilization and
+//! [`single_pass_secs`] equal that timeline's bit for bit; the unit tests
+//! keep the timeline-built graph as the oracle and compare the two on
+//! random stage vectors. A negative, infinite or NaN stage duration
+//! panics, as `Timeline::submit` does.
 
 /// How the runtime composes a step's stages in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -307,32 +321,79 @@ impl StepStages {
     }
 }
 
-/// Tasks of one scheduled iteration that later iterations depend on.
-struct IterTasks {
-    last_layer: Option<TaskId>,
-    penultimate_layer: Option<TaskId>,
-    last_dispatch: Option<TaskId>,
-    final_norm: TaskId,
-    wrap_switch: Option<TaskId>,
-    /// Compute tasks of the last two *streamed* layers, in walk order —
-    /// the current owners of the double-buffered window's two slots. The
-    /// next fetch waits for the older one to free its slot.
-    last_stream_compute: Option<TaskId>,
-    penult_stream_compute: Option<TaskId>,
-    /// Final task of the draft model's speculation round launched during
-    /// this iteration (speculative decoding only): the next iteration's
-    /// verify pass consumes its proposals, and the next draft round
-    /// continues from them.
-    draft_done: Option<TaskId>,
+/// The carry-only evaluation of the stage graph: each lane's free time and
+/// busy seconds, and the latest finish so far. A task runs as
+/// [`hexsim::timeline::Timeline::submit`] schedules it: it starts at the
+/// `max` of its lane's free time and its dependencies' finish times, in
+/// that order, and finishes `+ secs` later. Lane sums and the makespan
+/// accumulate in submission order, so every value is the one a timeline
+/// of the whole task list reports, bit for bit, without keeping the list.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lanes {
+    free: [f64; lane::COUNT],
+    busy: [f64; lane::COUNT],
+    makespan: f64,
 }
 
-/// Submits one decode iteration to the timeline. `prev` is the previous
+impl Lanes {
+    /// Runs a task of `secs` on `lane` after every finish time in
+    /// `after`, and returns its own. A task that never ran counts as
+    /// finished at 0.0: no start precedes it, so waiting on it is a no-op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `secs` is negative, infinite or NaN.
+    #[inline]
+    fn run(&mut self, lane: usize, secs: f64, after: impl IntoIterator<Item = f64>) -> f64 {
+        assert!(
+            secs >= 0.0 && secs.is_finite(),
+            "task duration must be finite and non-negative, got {secs}"
+        );
+        let start = after.into_iter().fold(self.free[lane], f64::max);
+        let finish = start + secs;
+        self.free[lane] = finish;
+        self.busy[lane] += secs;
+        self.makespan = self.makespan.max(finish);
+        finish
+    }
+
+    /// Busy fraction of one lane over the makespan (0 before any time
+    /// passed).
+    fn utilization(&self, lane: usize) -> f64 {
+        if self.makespan > 0.0 {
+            self.busy[lane] / self.makespan
+        } else {
+            0.0
+        }
+    }
+}
+
+/// Finish times of the tasks of one iteration that later iterations
+/// depend on; 0.0 for a task the iteration did not run.
+#[derive(Clone, Copy, Debug, Default)]
+struct IterCarry {
+    last_layer: f64,
+    penultimate_layer: f64,
+    last_dispatch: f64,
+    final_norm: f64,
+    wrap_switch: f64,
+    /// Compute of the last two *streamed* layers, in walk order — the
+    /// current owners of the double-buffered window's two slots. The next
+    /// fetch waits for the older one to free its slot.
+    last_stream_compute: f64,
+    penult_stream_compute: f64,
+    /// The draft model's speculation round launched during this iteration
+    /// (speculative decoding only): the next iteration's verify pass
+    /// consumes its proposals, and the next draft round continues from
+    /// them.
+    draft_done: f64,
+}
+
+/// Runs one decode iteration of the stage graph. `prev` is the previous
 /// iteration (None for the pipeline fill, whose CPU block is only the
 /// embedding — there is no earlier lm_head to fold in).
-///
-/// Each task's dependencies are gathered on the stack. Their order does
-/// not matter: a task starts at the latest of their finish times.
-fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>) -> IterTasks {
+fn run_iteration(lanes: &mut Lanes, st: &StepStages, prev: Option<&IterCarry>) -> IterCarry {
+    let p = prev.copied().unwrap_or_default();
     let b = st.batch.max(1) as f64;
     // The CPU block between two NPU walks: lm_head+sampling of the
     // previous step, then this step's embedding, streamed row by row.
@@ -341,102 +402,89 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
         None => st.cpu_embed_secs,
     };
     let first_share = block / b;
-    let cpu_first = tl.submit(lane::CPU, first_share, prev.map(|p| &p.final_norm));
-    let cpu_rest = tl.submit(lane::CPU, block - first_share, &[]);
-    let prev_draft = prev.and_then(|p| p.draft_done);
+    let cpu_first = lanes.run(lane::CPU, first_share, [p.final_norm]);
+    let cpu_rest = lanes.run(lane::CPU, block - first_share, []);
 
-    let mut prev_layer: Option<TaskId> = prev.and_then(|p| p.last_layer);
-    let mut penult_layer: Option<TaskId> = prev.and_then(|p| p.penultimate_layer);
-    let mut prev_dispatch: Option<TaskId> = prev.and_then(|p| p.last_dispatch);
-    let mut last_stream: Option<TaskId> = prev.and_then(|p| p.last_stream_compute);
-    let mut penult_stream: Option<TaskId> = prev.and_then(|p| p.penult_stream_compute);
-    let mut last_layer = None;
-    let mut last_dispatch = None;
+    let mut prev_layer = p.last_layer;
+    let mut penult_layer = p.penultimate_layer;
+    let mut prev_dispatch = p.last_dispatch;
+    let mut last_stream = p.last_stream_compute;
+    let mut penult_stream = p.penult_stream_compute;
+    let (mut last_layer, mut last_dispatch) = (0.0, 0.0);
     for (i, layer) in st.layers.iter().enumerate() {
         // Session switch at a shard boundary: starts once the previous
         // shard's commands are queued, overlapping its tail kernels.
         let switch = if layer.switch_before && i > 0 {
-            Some(tl.submit(lane::SWITCH, st.switch_secs, &prev_dispatch))
+            lanes.run(lane::SWITCH, st.switch_secs, [prev_dispatch])
         } else {
-            None
+            0.0
         };
         // Command dispatch for layer i: depth-2 ring — submitted while
         // layer i-1 executes, i.e. after layer i-2 completed. Commands for
         // a new shard go to the new session's ring, after the switch.
-        let ddeps = [penult_layer, switch];
-        let disp = tl.submit(lane::DISPATCH, layer.dispatch_secs, ddeps.iter().flatten());
+        let disp = lanes.run(lane::DISPATCH, layer.dispatch_secs, [penult_layer, switch]);
         // Weight prefetch for a streamed layer: DDR staging -> session
         // window. The fetch starts as soon as the DMA engine is free and
         // the slot it reuses was drained (the compute of the streamed
         // layer two back — a two-slot double buffer). Resident layers
-        // (fetch == 0) submit nothing, keeping their task graph
-        // bit-identical to the pre-streaming schedule.
-        let fetch = if layer.weight_fetch_secs > 0.0 {
-            Some(tl.submit(lane::DMA, layer.weight_fetch_secs, &penult_stream))
+        // (fetch == 0) run no DMA task.
+        let streamed = layer.weight_fetch_secs > 0.0;
+        let fetch = if streamed {
+            lanes.run(lane::DMA, layer.weight_fetch_secs, [penult_stream])
         } else {
-            None
+            0.0
         };
         // NPU compute: after its commands, its shard's switch, its weight
         // fetch, the layer before it, and — for the walk's head — the CPU
         // rows it consumes, the wrap-around switch and the proposals a
         // verify pass consumes (drafted during the previous iteration).
-        let ldeps = [Some(disp), switch, fetch, prev_layer];
         let head = match i {
-            0 => [
-                Some(cpu_first),
-                prev.and_then(|p| p.wrap_switch),
-                prev_draft,
-            ],
-            _ => [None; 3],
+            0 => [cpu_first, p.wrap_switch, p.draft_done],
+            _ => [0.0; 3],
         };
-        let lt = tl.submit(
-            lane::NPU,
-            layer.npu_secs,
-            ldeps.iter().chain(&head).flatten(),
-        );
-        if fetch.is_some() {
+        let ldeps = [disp, switch, fetch, prev_layer];
+        let lt = lanes.run(lane::NPU, layer.npu_secs, ldeps.into_iter().chain(head));
+        if streamed {
             penult_stream = last_stream;
-            last_stream = Some(lt);
+            last_stream = lt;
         }
         penult_layer = prev_layer;
-        prev_layer = Some(lt);
-        last_layer = Some(lt);
-        prev_dispatch = Some(disp);
-        last_dispatch = Some(disp);
+        prev_layer = lt;
+        last_layer = lt;
+        prev_dispatch = disp;
+        last_dispatch = disp;
     }
     // Final norm: the full-batch barrier. Row chunks stream through the
     // layer walk as the CPU emits them, but the final norm (and the
     // lm_head behind it) needs every row, so it waits for the whole CPU
     // block on top of the NPU lane serialization.
-    let final_norm = tl.submit(lane::NPU, st.final_npu_secs, &[cpu_rest]);
+    let final_norm = lanes.run(lane::NPU, st.final_npu_secs, [cpu_rest]);
     // Wrap-around switch back to shard 0, overlapping the CPU tail.
     let wrap_switch = if st.wrap_switch {
-        Some(tl.submit(lane::SWITCH, st.switch_secs, &last_dispatch))
+        lanes.run(lane::SWITCH, st.switch_secs, [last_dispatch])
     } else {
-        None
+        0.0
     };
     // The draft model's next speculation round (speculative decoding
     // only). Its CPU half runs on the dedicated draft worker, gated on the
     // first rows of this iteration's CPU block (the accept decision of the
     // previous verify streams out row by row) and on the draft's own
-    // previous round. Its NPU half shares the target's accelerator: being
-    // submitted after the final norm, it queues behind the verify kernels
-    // in lane order, so only this NPU share of the draft round can ever be
-    // exposed on the critical path — the CPU half hides whenever the
-    // verify walk is longer. Plain decode (both fields 0) submits nothing
-    // and builds the exact pre-speculation task graph.
+    // previous round. Its NPU half shares the target's accelerator: run
+    // after the final norm, it queues behind the verify kernels in lane
+    // order, so only this NPU share of the draft round can ever be exposed
+    // on the critical path — the CPU half hides whenever the verify walk
+    // is longer. Plain decode (both fields 0) runs no draft task.
     let draft_done = if st.draft_cpu_secs > 0.0 || st.draft_npu_secs > 0.0 {
-        let ddeps = [Some(cpu_first), prev_draft];
-        let draft_cpu = tl.submit(lane::DRAFT, st.draft_cpu_secs, ddeps.iter().flatten());
+        let draft_cpu = lanes.run(lane::DRAFT, st.draft_cpu_secs, [cpu_first, p.draft_done]);
         if st.draft_npu_secs > 0.0 {
-            Some(tl.submit(lane::NPU, st.draft_npu_secs, &[draft_cpu]))
+            lanes.run(lane::NPU, st.draft_npu_secs, [draft_cpu])
         } else {
-            Some(draft_cpu)
+            draft_cpu
         }
     } else {
-        None
+        0.0
     };
-    IterTasks {
+    IterCarry {
         last_layer,
         penultimate_layer: penult_layer,
         last_dispatch,
@@ -448,19 +496,11 @@ fn submit_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>
     }
 }
 
-/// At least as many tasks as one iteration submits: two CPU tasks, at
-/// most four per layer (switch, dispatch, fetch, compute), the final
-/// norm, the wrap-around switch and two draft tasks. Timelines reserve
-/// this up front, so scheduling never regrows their task lists.
-fn max_iteration_tasks(st: &StepStages) -> usize {
-    4 * st.layers.len() + 6
-}
-
 /// Iterations scheduled to reach (and measure) the steady state.
 const STEADY_ITERS: usize = 10;
 
 /// The steady state of the pipelined decode schedule, read off one
-/// timeline.
+/// evaluation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SteadyState {
     /// Wall seconds of one step ([`steady_state_step_secs`]).
@@ -470,43 +510,33 @@ pub struct SteadyState {
     pub lane_util: [f64; lane::COUNT],
 }
 
-/// Schedules the steady-state iterations once; returns the timeline and
-/// the period between its last two iterations.
-fn schedule_steady_state(st: &StepStages) -> (Timeline, f64) {
-    let mut tl = Timeline::with_capacity(lane::COUNT, STEADY_ITERS * max_iteration_tasks(st));
-    let mut prev: Option<IterTasks> = None;
-    let mut marks = [0.0f64; STEADY_ITERS];
-    for mark in marks.iter_mut() {
-        let it = submit_iteration(&mut tl, st, prev.as_ref());
-        *mark = tl.finish(it.final_norm);
-        prev = Some(it);
+/// Runs the steady-state iterations once; returns the lanes and the
+/// period between the final norms of the last two iterations.
+fn schedule_steady_state(st: &StepStages) -> (Lanes, f64) {
+    let mut lanes = Lanes::default();
+    let mut prev = run_iteration(&mut lanes, st, None);
+    let mut period = 0.0;
+    for _ in 1..STEADY_ITERS {
+        let it = run_iteration(&mut lanes, st, Some(&prev));
+        period = it.final_norm - prev.final_norm;
+        prev = it;
     }
-    let period = marks[STEADY_ITERS - 1] - marks[STEADY_ITERS - 2];
     // The CPU tail of the final step is part of every period (it is the
     // head of the next iteration's CPU block); nothing to add. Guard
     // against float drift pushing past the serial bound.
-    (tl, period.min(st.serial_secs()))
+    (lanes, period.min(st.serial_secs()))
 }
 
 /// The step period and every lane's utilization from a single schedule,
-/// for callers that need both (the serving gateway, once per step).
-/// Scheduling is eager and both values are reads of the same timeline, so
-/// they equal what [`steady_state_step_secs`] and
-/// [`steady_state_lane_utilization`] return, bit for bit.
+/// for callers that need both (the serving gateway, once per step). Both
+/// are reads of the same evaluation, so they equal what
+/// [`steady_state_step_secs`] and [`steady_state_lane_utilization`]
+/// return, bit for bit.
 pub fn steady_state(st: &StepStages) -> SteadyState {
-    let (tl, period_secs) = schedule_steady_state(st);
-    // What `Timeline::lane_utilization` returns per lane, bit for bit,
-    // from one makespan scan instead of one per lane.
-    let span = tl.makespan();
+    let (lanes, period_secs) = schedule_steady_state(st);
     SteadyState {
         period_secs,
-        lane_util: std::array::from_fn(|l| {
-            if span > 0.0 {
-                tl.lane_busy_secs(l) / span
-            } else {
-                0.0
-            }
-        }),
+        lane_util: std::array::from_fn(|l| lanes.utilization(l)),
     }
 }
 
@@ -525,24 +555,28 @@ pub fn steady_state_step_secs(st: &StepStages) -> f64 {
 /// NPU lane's fraction is the accelerator utilization a serving gateway
 /// reports per device; the DMA lane's fraction shows how close weight
 /// streaming runs to bandwidth-bound.
+///
+/// # Panics
+///
+/// Panics if `lane_idx` is not a [`lane`] index.
 pub fn steady_state_lane_utilization(st: &StepStages, lane_idx: usize) -> f64 {
-    schedule_steady_state(st).0.lane_utilization(lane_idx)
+    schedule_steady_state(st).0.utilization(lane_idx)
 }
 
 /// Wall seconds of one *standalone* pass (prefill): a single iteration
 /// with its CPU tail, no cross-step pipelining — only dispatch, DMA and
 /// session-switch overlap apply.
 pub fn single_pass_secs(st: &StepStages) -> f64 {
-    // One iteration plus the CPU tail.
-    let mut tl = Timeline::with_capacity(lane::COUNT, max_iteration_tasks(st) + 1);
-    let it = submit_iteration(&mut tl, st, None);
-    tl.submit(lane::CPU, st.cpu_head_secs, &[it.final_norm]);
-    tl.makespan().min(st.serial_secs())
+    let mut lanes = Lanes::default();
+    let it = run_iteration(&mut lanes, st, None);
+    lanes.run(lane::CPU, st.cpu_head_secs, [it.final_norm]);
+    lanes.makespan.min(st.serial_secs())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hexsim::timeline::{TaskId, Timeline};
 
     fn stages(batch: usize) -> StepStages {
         StepStages {
@@ -706,14 +740,17 @@ mod tests {
     #[test]
     fn zero_fetch_layers_build_the_identical_schedule() {
         // weight_fetch_secs == 0.0 must take the exact pre-streaming code
-        // path (no DMA task submitted), not merely a similar number.
+        // path (no DMA task run), not merely a similar number: the DMA
+        // lane never moves from t = 0 in any iteration.
         let st = stages(8);
+        let (lanes, period) = schedule_steady_state(&st);
+        assert_eq!((lanes.free[lane::DMA], lanes.busy[lane::DMA]), (0.0, 0.0));
+        assert!(period > 0.0);
+        // The oracle's graph: 2 CPU + 2 dispatch + 2 layers + final norm,
+        // nothing else.
         let mut tl = Timeline::new(lane::COUNT);
-        let it = submit_iteration(&mut tl, &st, None);
-        assert_eq!(tl.lane_busy_secs(lane::DMA), 0.0);
-        // 2 CPU + 2 dispatch + 2 layers + final norm, nothing else.
+        oracle_iteration(&mut tl, &st, None);
         assert_eq!(tl.task_count(), 7);
-        assert!(tl.finish(it.final_norm) > 0.0);
     }
 
     #[test]
@@ -903,13 +940,18 @@ mod tests {
     #[test]
     fn zero_draft_fields_leave_the_draft_lane_empty() {
         // Plain decode must take the exact pre-speculation code path: no
-        // draft task submitted, same task count as before the lane existed.
+        // draft task run, the same graph as before the lane existed.
         let st = stages(8);
+        let (lanes, _) = schedule_steady_state(&st);
+        assert_eq!(
+            (lanes.free[lane::DRAFT], lanes.busy[lane::DRAFT]),
+            (0.0, 0.0)
+        );
+        let it = run_iteration(&mut Lanes::default(), &st, None);
+        assert_eq!(it.draft_done, 0.0);
         let mut tl = Timeline::new(lane::COUNT);
-        let it = submit_iteration(&mut tl, &st, None);
-        assert_eq!(tl.lane_busy_secs(lane::DRAFT), 0.0);
+        assert!(oracle_iteration(&mut tl, &st, None).draft_done.is_none());
         assert_eq!(tl.task_count(), 7);
-        assert!(it.draft_done.is_none());
     }
 
     #[test]
@@ -953,9 +995,22 @@ mod tests {
         assert!(single_pass_secs(&st) <= st.serial_secs() + 1e-15);
     }
 
-    /// The oracle: `submit_iteration` as it was before its dependency
-    /// lists moved to the stack, every list a `Vec` and the timeline grown
-    /// on demand.
+    /// Tasks of one oracle iteration that later iterations depend on.
+    struct IterTasks {
+        last_layer: Option<TaskId>,
+        penultimate_layer: Option<TaskId>,
+        last_dispatch: Option<TaskId>,
+        final_norm: TaskId,
+        wrap_switch: Option<TaskId>,
+        last_stream_compute: Option<TaskId>,
+        penult_stream_compute: Option<TaskId>,
+        draft_done: Option<TaskId>,
+    }
+
+    /// The oracle: the stage graph as a task list on a
+    /// [`hexsim::timeline::Timeline`], every dependency list a `Vec`.
+    /// [`run_iteration`] must reproduce every finish time, lane sum and
+    /// makespan it yields bit for bit.
     fn oracle_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>) -> IterTasks {
         let b = st.batch.max(1) as f64;
         // The CPU block between two NPU walks: lm_head+sampling of the
@@ -1094,7 +1149,8 @@ mod tests {
         }
     }
 
-    /// [`schedule_steady_state`] over the oracle's iterations.
+    /// [`schedule_steady_state`] over the oracle's iterations, one
+    /// timeline of all ten.
     fn oracle_steady_state(st: &StepStages) -> (Timeline, f64) {
         let mut tl = Timeline::new(lane::COUNT);
         let mut prev: Option<IterTasks> = None;
@@ -1176,9 +1232,18 @@ mod tests {
         for case in 0..400 {
             let st = random_stages(&mut rng);
             let (want_tl, want_period) = oracle_steady_state(&st);
-            let (tl, _) = schedule_steady_state(&st);
-            assert_eq!(tl.task_count(), want_tl.task_count(), "case {case}");
-            assert!(tl.task_count() <= STEADY_ITERS * max_iteration_tasks(&st));
+            // The evaluator keeps no task list: its lane sums and makespan
+            // must be the timeline's, bit for bit.
+            let (lanes, _) = schedule_steady_state(&st);
+            assert_eq!(
+                lanes.makespan.to_bits(),
+                want_tl.makespan().to_bits(),
+                "case {case}"
+            );
+            for (l, busy) in lanes.busy.iter().enumerate() {
+                let want = want_tl.lane_busy_secs(l);
+                assert_eq!(busy.to_bits(), want.to_bits(), "case {case} lane {l}");
+            }
             let ss = steady_state(&st);
             assert_eq!(
                 ss.period_secs.to_bits(),
@@ -1189,6 +1254,8 @@ mod tests {
             for (l, util) in ss.lane_util.iter().enumerate() {
                 let want = want_tl.lane_utilization(l);
                 assert_eq!(util.to_bits(), want.to_bits(), "case {case} lane {l}");
+                let alone = steady_state_lane_utilization(&st, l);
+                assert_eq!(alone.to_bits(), want.to_bits(), "case {case} lane {l}");
             }
             assert_eq!(
                 single_pass_secs(&st).to_bits(),
@@ -1196,5 +1263,29 @@ mod tests {
                 "case {case}: {st:?}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_nan_stage_duration_panics() {
+        let mut st = stages(8);
+        st.layers[1].npu_secs = f64::NAN;
+        steady_state_step_secs(&st);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_negative_stage_duration_panics() {
+        let mut st = stages(8);
+        st.layers[0].dispatch_secs = -1e-6;
+        steady_state(&st);
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn a_negative_cpu_tail_panics_in_a_single_pass() {
+        let mut st = stages(8);
+        st.cpu_head_secs = -1e-3;
+        single_pass_secs(&st);
     }
 }
