@@ -1,29 +1,9 @@
-//! Shared helpers for the benchmark harness.
+//! Benchmark harness: the [`json`] emitter the gate examples write their
+//! `BENCH_*.json` artifacts with, and the `kernel_microbench` criterion
+//! target (host time of the kernels and of cost-only decode work).
 //!
-//! Every `[[bench]]` target regenerates one table or figure of the paper
-//! (README's "Regenerating paper figures and tables" lists them) by calling
-//! the corresponding `npuscale::experiments` row generator and printing the
-//! rows in the layout the paper reports. Run all of them with `cargo bench`.
-
-/// Prints a section banner.
-pub fn banner(title: &str, paper_ref: &str) {
-    println!();
-    println!("==================================================================");
-    println!("{title}");
-    println!("(reproduces {paper_ref})");
-    println!("==================================================================");
-}
-
-/// Formats seconds as an adaptive human unit.
-pub fn fmt_secs(s: f64) -> String {
-    if s >= 1.0 {
-        format!("{s:.2} s")
-    } else if s >= 1e-3 {
-        format!("{:.2} ms", s * 1e3)
-    } else {
-        format!("{:.1} us", s * 1e6)
-    }
-}
+//! The paper's tables and figures print from the `paper_figures` example
+//! (README's "Regenerating paper figures and tables").
 
 pub mod json {
     //! Minimal JSON emitter for machine-readable `BENCH_*.json` bench

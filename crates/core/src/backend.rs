@@ -6,7 +6,7 @@
 //! FP16 deployment — and the roadmap adds more (a CPU fallback today;
 //! real OpenCL/QNN backends in the llm.npu / PowerInfer-2 direction
 //! later). [`Backend`] is the trait they all implement, so row
-//! generators, the device-sweep example and the benches iterate one
+//! generators and the device-sweep and paper-figures examples iterate one
 //! `&[Box<dyn Backend>]` instead of hard-coding each engine:
 //!
 //! - [`Backend::fits`] — capacity probe. For the simulated NPU this
@@ -415,7 +415,8 @@ pub fn baselines() -> [Box<dyn Backend>; 3] {
 }
 
 /// One backend's decode sweep over several batch sizes — the shared
-/// row logic of the device-sweep surfaces (example and bench).
+/// row logic of the device-sweep surfaces (`device_sweep` and
+/// `paper_figures`).
 pub enum SweepOutcome {
     /// The smallest batch runs (possibly across several NPU sessions —
     /// multi-session sharded execution is a first-class outcome, not a

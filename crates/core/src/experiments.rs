@@ -1,11 +1,13 @@
 //! One row-generator per paper table and figure.
 //!
 //! Every public `*_rows()` function regenerates the data behind one exhibit
-//! of the paper's evaluation (Section 7). The benchmark harness
-//! (`crates/bench`) prints these rows. Where a quantity cannot be measured
-//! without the real hardware or checkpoints, the row carries a *measured
-//! proxy* (weight RMSE, logit divergence) plus its calibrated mapping —
-//! never a bare constant.
+//! of the paper's evaluation (Section 7); Figure 10's panels come from
+//! [`crate::pareto::pareto_panel`]. The `paper_figures` example prints
+//! these rows, and CI diffs its output against the committed copy in
+//! `tests/stdout/`. Where a quantity cannot be measured without the real
+//! hardware or checkpoints, the row carries a *measured proxy* (weight
+//! RMSE, logit divergence) plus its calibrated mapping — never a bare
+//! constant.
 
 use edgellm::config::{ModelConfig, ModelId};
 use edgellm::ppl::{mean_kl, perplexity_float};
@@ -29,7 +31,6 @@ use ttscale::verifier::SimOrm;
 
 use crate::backend::Backend;
 use crate::memory::{measure_overhead, OverheadPoint};
-use crate::pareto::{pareto_panel, Method, ParetoPoint};
 use crate::pipeline::{Deployment, DispatchMode};
 use crate::power::{PowerModel, PowerPoint};
 use crate::serve::{
@@ -335,20 +336,6 @@ pub fn fig8_rows() -> Vec<Fig8Row> {
             }
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 10 — accuracy/latency Pareto panels.
-// ---------------------------------------------------------------------
-
-/// Regenerates one Figure 10 panel.
-pub fn fig10_rows(
-    device: &DeviceProfile,
-    dataset: DatasetKind,
-    method: Method,
-    seed: u64,
-) -> Vec<ParetoPoint> {
-    pareto_panel(device, dataset, method, seed)
 }
 
 // ---------------------------------------------------------------------
@@ -995,17 +982,17 @@ pub fn fleet_thermal_rows(seed: u64) -> SimResult<Vec<FleetThermalRow>> {
 
 /// Target model of the speculative-decoding rows (the paper's primary
 /// on-device model).
-pub const SPEC_TARGET: ModelId = ModelId::Qwen1_5B;
+const SPEC_TARGET: ModelId = ModelId::Qwen1_5B;
 /// Draft model: the Qwen2.5-0.5B-class config that exists only to
 /// propose chunks for [`SPEC_TARGET`].
-pub const SPEC_DRAFT: ModelId = ModelId::Qwen0_5B;
+const SPEC_DRAFT: ModelId = ModelId::Qwen0_5B;
 /// Context length of every speculative row.
 pub const SPEC_CTX_LEN: usize = 1024;
 /// Verify rounds replayed per row (enough that the trace's empirical
 /// acceptance converges to its configured rate).
 pub const SPEC_ROUNDS: usize = 1024;
 /// Fixed draft length of the headline rows.
-pub const SPEC_DRAFT_LEN: usize = 3;
+const SPEC_DRAFT_LEN: usize = 3;
 /// Acceptance rate of the headline trace (a well-matched draft).
 pub const SPEC_ACCEPTANCE: f64 = 0.7;
 /// Acceptance rate of the adaptive-vs-fixed comparison (a cold draft —
@@ -1013,7 +1000,7 @@ pub const SPEC_ACCEPTANCE: f64 = 0.7;
 pub const SPEC_LOW_ACCEPTANCE: f64 = 0.25;
 /// Seed of the replayed acceptance trace (both policies of a comparison
 /// see the identical accept/reject stream).
-pub const SPEC_TRACE_SEED: u64 = 20260808;
+const SPEC_TRACE_SEED: u64 = 20260808;
 
 /// One plain-vs-speculative decode row (the headline rows of the
 /// `BENCH_spec.json` artifact).
@@ -1053,10 +1040,10 @@ pub struct SpecDecodeRow {
 }
 
 /// Measures plain vs spec-serial vs spec-overlapped decode on each
-/// Snapdragon generation: [`SPEC_TARGET`] verified chunks drafted by
-/// [`SPEC_DRAFT`], fixed draft length [`SPEC_DRAFT_LEN`], the seeded
-/// [`SPEC_ACCEPTANCE`] trace. CI regenerates these rows each push and
-/// fails if spec-overlapped stops beating plain decode anywhere.
+/// Snapdragon generation: Qwen-1.5B verifies chunks drafted by Qwen-0.5B,
+/// at a fixed draft length of 3, on the seeded [`SPEC_ACCEPTANCE`] trace.
+/// CI regenerates these rows each push and fails if spec-overlapped stops
+/// beating plain decode anywhere.
 pub fn spec_decode_rows() -> Vec<SpecDecodeRow> {
     use ttscale::spec_decode::{AcceptanceTrace, DraftLenController};
     DeviceProfile::all()

@@ -22,8 +22,9 @@
 //! - [`pareto`] — accuracy-vs-latency joins for the test-time-scaling
 //!   trade-off (Figure 10).
 //! - [`experiments`] — one typed row-generator per paper table/figure;
-//!   the bench harness prints exactly these rows. The system-comparison
-//!   generators (Figures 13, 16, 17) consume `&[Box<dyn Backend>]`.
+//!   the `paper_figures` example prints exactly these rows. The
+//!   system-comparison generators (Figures 13, 16, 17) consume
+//!   `&[Box<dyn Backend>]`.
 //! - [`serve`] — the fleet-scale serving gateway: seeded Poisson /
 //!   trace-replay arrivals, bounded priority admission, chunked prefill
 //!   interleaved with continuous-batching decode, SLO metrics

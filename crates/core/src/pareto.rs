@@ -63,9 +63,9 @@ pub struct ParetoPoint {
 }
 
 /// Number of tasks evaluated per accuracy point.
-pub const TASKS_PER_POINT: usize = 400;
+const TASKS_PER_POINT: usize = 400;
 /// Prompt length assumed for the latency coupling.
-pub const PROMPT_LEN: usize = 256;
+const PROMPT_LEN: usize = 256;
 
 /// Decode latency per token at a batch size, with TTS context growth, in
 /// the paper's single-session serial deployment (errors where the VA

@@ -14,7 +14,7 @@
 //! allocator into an executable placement — contiguous layer ranges per
 //! session plus a KV-cache home — which [`crate::backend::Backend::fits`]
 //! reports as a shard count and a [`crate::pipeline::Deployment`]
-//! actually runs, charging [`SESSION_SWITCH_SECS`] at every shard
+//! actually runs, charging a 30 µs session switch at every shard
 //! boundary of the walk.
 //!
 //! This module also re-exports the continuous-batching [`DecodeSession`]
@@ -108,7 +108,7 @@ impl MultiSession {
 /// price the paper's Section 8 workaround pays for breaking the 32-bit
 /// VA ceiling; it is small next to the ~1.4 ms of per-layer dispatch a
 /// 3B model already spends.
-pub const SESSION_SWITCH_SECS: f64 = 30e-6;
+const SESSION_SWITCH_SECS: f64 = 30e-6;
 
 /// One contiguous run of transformer layers resident in one NPU session.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -29,11 +29,11 @@ use std::fmt;
 pub struct F16(pub u16);
 
 /// Sign mask of a binary16 bit pattern.
-pub const SIGN_MASK: u16 = 0x8000;
+const SIGN_MASK: u16 = 0x8000;
 /// Exponent mask of a binary16 bit pattern.
-pub const EXP_MASK: u16 = 0x7c00;
+const EXP_MASK: u16 = 0x7c00;
 /// Significand (mantissa) mask of a binary16 bit pattern.
-pub const MANT_MASK: u16 = 0x03ff;
+const MANT_MASK: u16 = 0x03ff;
 
 // Arithmetic is exposed as named methods rather than operator overloads on
 // purpose: every call site is an explicit binary16 rounding step, mirroring
@@ -46,8 +46,6 @@ impl F16 {
     pub const NEG_ZERO: F16 = F16(0x8000);
     /// One.
     pub const ONE: F16 = F16(0x3c00);
-    /// Negative one.
-    pub const NEG_ONE: F16 = F16(0xbc00);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7c00);
     /// Negative infinity.
@@ -537,8 +535,8 @@ mod tests {
 
     #[test]
     fn neg_and_abs() {
-        assert_eq!(F16::ONE.neg(), F16::NEG_ONE);
-        assert_eq!(F16::NEG_ONE.abs(), F16::ONE);
+        assert_eq!(F16::ONE.neg(), F16(0xbc00));
+        assert_eq!(F16(0xbc00).abs(), F16::ONE);
         assert_eq!(F16::ZERO.neg(), F16::NEG_ZERO);
     }
 

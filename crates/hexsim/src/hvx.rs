@@ -15,7 +15,7 @@ pub const HVX_BYTES: usize = 128;
 /// Halfword (16-bit) lanes per register.
 pub const HVX_HALVES: usize = 64;
 /// Word (32-bit) lanes per register.
-pub const HVX_WORDS: usize = 32;
+const HVX_WORDS: usize = 32;
 
 /// A 1024-bit HVX vector register value.
 #[derive(Clone, Copy, PartialEq, Eq)]

@@ -48,7 +48,6 @@ pub mod f16;
 pub mod hmx;
 pub mod hvx;
 pub mod mem;
-pub mod timeline;
 
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
@@ -58,7 +57,6 @@ pub mod prelude {
     pub use crate::error::{SimError, SimResult};
     pub use crate::f16::F16;
     pub use crate::hmx::{HmxAccumulator, TILE_BYTES, TILE_DIM};
-    pub use crate::hvx::{HvxVec, HVX_BYTES, HVX_HALVES, HVX_WORDS};
+    pub use crate::hvx::{HvxVec, HVX_BYTES, HVX_HALVES};
     pub use crate::mem::{DdrBuffer, TcmAddr};
-    pub use crate::timeline::{TaskId, Timeline};
 }

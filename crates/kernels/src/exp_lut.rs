@@ -35,9 +35,9 @@ impl ExpMethod {
 }
 
 /// Number of LUT entries (all FP16 bit patterns with the sign bit cleared).
-pub const LUT_ENTRIES: usize = 32768;
+const LUT_ENTRIES: usize = 32768;
 /// LUT footprint in bytes (64 KiB, ~0.8% of the 8 MiB TCM).
-pub const LUT_BYTES: usize = LUT_ENTRIES * 2;
+const LUT_BYTES: usize = LUT_ENTRIES * 2;
 
 /// The precomputed `exp` lookup table resident in TCM.
 pub struct ExpLut16 {

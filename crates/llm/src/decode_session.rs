@@ -208,8 +208,9 @@ impl<'m> DecodeSession<'m> {
     /// Opens a session: allocates a KV cache of `max_batch` slots with a
     /// shared `kv_budget` (total tokens across slots), prefills the prompt
     /// once, snapshots its KV as the shared admission state, and frees
-    /// every slot. An empty prompt is [`SimError::InvalidConfig`],
-    /// returned before the cache is mapped or anything is charged.
+    /// every slot. Zero slots or an empty prompt is
+    /// [`SimError::InvalidConfig`], returned before the cache is mapped or
+    /// anything is charged.
     pub fn new(
         ctx: &mut NpuContext,
         model: &'m Model,
@@ -217,7 +218,7 @@ impl<'m> DecodeSession<'m> {
         max_batch: usize,
         kv_budget: usize,
     ) -> SimResult<Self> {
-        assert!(max_batch >= 1, "session needs at least one slot");
+        invalid_if(max_batch == 0, "a session needs at least one slot")?;
         check_prompt(prompt_tokens)?;
         let mut cache = KvCache::new(ctx, &model.cfg, max_batch, kv_budget)?;
         let out = match model.prefill(ctx, &mut cache, 0, prompt_tokens) {
@@ -260,8 +261,11 @@ impl<'m> DecodeSession<'m> {
     /// KV snapshot into the freed slot. Heterogeneous per-request
     /// prompts go through [`Self::admit_prompt`], which prefills the
     /// request's own prompt into its slot chunk by chunk instead.
+    ///
+    /// A zero `max_new_tokens` is [`SimError::InvalidConfig`], returned
+    /// before the sequence takes an id.
     pub fn admit(&mut self, first_token: u32, max_new_tokens: usize) -> SimResult<SeqId> {
-        assert!(max_new_tokens >= 1, "a sequence emits at least one token");
+        invalid_if(max_new_tokens == 0, ZERO_BUDGET)?;
         let id = self.next_id;
         self.next_id += 1;
         if max_new_tokens == 1 {
@@ -294,15 +298,19 @@ impl<'m> DecodeSession<'m> {
     /// (errors otherwise): a gateway holds its own admission queue and
     /// only admits when capacity exists, so queueing whole prompts here
     /// would duplicate that machinery.
+    ///
+    /// An empty prompt, a zero `max_new_tokens` or a zero `chunk_tokens`
+    /// is [`SimError::InvalidConfig`], returned before the sequence takes
+    /// an id or a slot.
     pub fn admit_prompt(
         &mut self,
         prompt_tokens: &[u32],
         max_new_tokens: usize,
         chunk_tokens: usize,
     ) -> SimResult<SeqId> {
-        assert!(max_new_tokens >= 1, "a sequence emits at least one token");
-        assert!(chunk_tokens >= 1, "chunks carry at least one token");
-        assert!(!prompt_tokens.is_empty(), "prompt must be non-empty");
+        check_prompt(prompt_tokens)?;
+        invalid_if(max_new_tokens == 0, ZERO_BUDGET)?;
+        invalid_if(chunk_tokens == 0, "prompt chunks carry at least one token")?;
         let Some(slot) = self.free_slot() else {
             return Err(SimError::Unsupported {
                 reason: format!(
@@ -692,6 +700,19 @@ impl<'m> DecodeSession<'m> {
     }
 }
 
+/// Why an admission with a zero `max_new_tokens` is rejected.
+const ZERO_BUDGET: &str = "a sequence emits at least one token";
+
+/// [`SimError::InvalidConfig`] with `reason` when `bad` holds.
+fn invalid_if(bad: bool, reason: &str) -> SimResult<()> {
+    if bad {
+        return Err(SimError::InvalidConfig {
+            reason: reason.into(),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,15 +738,82 @@ mod tests {
         per_step
     }
 
+    /// Every engine-second bit, the counters and the mapped DDR bytes.
+    fn charged(ctx: &NpuContext) -> impl PartialEq + std::fmt::Debug {
+        let secs = Engine::ALL.map(|e| ctx.cost.engine_secs(e).to_bits());
+        (secs, *ctx.cost.counters(), ctx.ddr_mapped_bytes())
+    }
+
+    /// `err` is [`SimError::InvalidConfig`] naming `why`, and the session
+    /// is as it was: nothing queued, prefilling or finished, and the next
+    /// good admission takes id 0 and the session's one slot.
+    fn assert_rejected(s: &mut DecodeSession<'_>, err: SimError, why: &str) {
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains(why)),
+            "{err}"
+        );
+        let counts = (s.active_count(), s.queued_count(), s.prefilling_count());
+        assert_eq!(counts, (0, 0, 0));
+        assert!(s.finished().is_empty());
+        assert_eq!(s.admit(40, 2).unwrap(), 0);
+        assert_eq!(s.active_count(), 1);
+    }
+
+    #[test]
+    fn a_session_without_slots_is_rejected_before_mapping_anything() {
+        let (mut ctx, model) = setup();
+        let before = charged(&ctx);
+        let err = DecodeSession::new(&mut ctx, &model, &[2u32, 10], 0, 32)
+            .err()
+            .expect("zero slots must not open a session");
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains("one slot")),
+            "{err}"
+        );
+        assert_eq!(charged(&ctx), before);
+    }
+
+    #[test]
+    fn a_zero_budget_admission_takes_no_id() {
+        let (mut ctx, model) = setup();
+        let mut s = DecodeSession::new(&mut ctx, &model, &[2u32, 10], 1, 32).unwrap();
+        let err = s.admit(40, 0).unwrap_err();
+        assert_rejected(&mut s, err, ZERO_BUDGET);
+        s.release(&mut ctx);
+    }
+
+    #[test]
+    fn an_empty_own_prompt_takes_no_id_or_slot() {
+        let (mut ctx, model) = setup();
+        let mut s = DecodeSession::new(&mut ctx, &model, &[2u32, 10], 1, 32).unwrap();
+        let err = s.admit_prompt(&[], 3, 2).unwrap_err();
+        assert_rejected(&mut s, err, "empty prompt");
+        s.release(&mut ctx);
+    }
+
+    #[test]
+    fn a_zero_budget_own_prompt_takes_no_id_or_slot() {
+        let (mut ctx, model) = setup();
+        let mut s = DecodeSession::new(&mut ctx, &model, &[2u32, 10], 1, 32).unwrap();
+        let err = s.admit_prompt(&[2u32, 5, 6], 0, 2).unwrap_err();
+        assert_rejected(&mut s, err, ZERO_BUDGET);
+        s.release(&mut ctx);
+    }
+
+    #[test]
+    fn zero_token_prompt_chunks_take_no_id_or_slot() {
+        let (mut ctx, model) = setup();
+        let mut s = DecodeSession::new(&mut ctx, &model, &[2u32, 10], 1, 32).unwrap();
+        let err = s.admit_prompt(&[2u32, 5, 6], 3, 0).unwrap_err();
+        assert_rejected(&mut s, err, "chunks carry");
+        s.release(&mut ctx);
+    }
+
     #[test]
     fn an_empty_prompt_opens_no_session_and_charges_nothing() {
         let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::CostOnly);
         let model =
             Model::new(&mut ctx, ModelId::Qwen1_5B, DequantVariant::CoalescedLut, 1).unwrap();
-        let charged = |ctx: &NpuContext| {
-            let secs = Engine::ALL.map(|e| ctx.cost.engine_secs(e).to_bits());
-            (secs, *ctx.cost.counters(), ctx.ddr_mapped_bytes())
-        };
         let before = charged(&ctx);
         let err = DecodeSession::new(&mut ctx, &model, &[], 8, 8 * 320)
             .err()

@@ -9,8 +9,8 @@
 //! layers of token *t+1*, command submission for layer *N+1* rides the
 //! double-buffered ring while layer *N* executes, and a session switch
 //! overlaps the previous shard's tail kernels. This module prices that
-//! schedule with the list-scheduling rule of [`hexsim::timeline::Timeline`]
-//! and reports its critical path as
+//! schedule as a list scheduler over serial lanes (see *Evaluation*) and
+//! reports its critical path as
 //! [`crate::model::StepCost::overlapped_secs`].
 //!
 //! # Stage graph
@@ -117,12 +117,12 @@
 //! pricing keeps no task list: it runs the graph over that carry alone —
 //! each lane's free time and busy seconds, a running makespan and the
 //! handful of finish times the next iteration reads — with the same `max`
-//! and `+` per task, in the same order, as a [`hexsim::timeline::Timeline`]
-//! holding every task. The period, every lane utilization and
-//! [`single_pass_secs`] equal that timeline's bit for bit; the unit tests
-//! keep the timeline-built graph as the oracle and compare the two on
-//! random stage vectors. A negative, infinite or NaN stage duration
-//! panics, as `Timeline::submit` does.
+//! and `+` per task, in the same order, as a list scheduler holding every
+//! task. The period, every lane utilization and [`single_pass_secs`] equal
+//! that scheduler's bit for bit; the unit tests keep such a scheduler (a
+//! `Timeline` of every task) as the oracle and compare the two on random
+//! stage vectors. A negative, infinite or NaN stage duration panics, as
+//! the oracle's `submit` does.
 
 /// How the runtime composes a step's stages in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -161,7 +161,7 @@ pub mod lane {
     /// empty.
     pub const DRAFT: usize = 5;
     /// Number of lanes.
-    pub const COUNT: usize = 6;
+    pub(super) const COUNT: usize = 6;
 }
 
 /// One transformer layer's contribution to a step.
@@ -322,12 +322,12 @@ impl StepStages {
 }
 
 /// The carry-only evaluation of the stage graph: each lane's free time and
-/// busy seconds, and the latest finish so far. A task runs as
-/// [`hexsim::timeline::Timeline::submit`] schedules it: it starts at the
-/// `max` of its lane's free time and its dependencies' finish times, in
-/// that order, and finishes `+ secs` later. Lane sums and the makespan
-/// accumulate in submission order, so every value is the one a timeline
-/// of the whole task list reports, bit for bit, without keeping the list.
+/// busy seconds, and the latest finish so far. A task runs as the tests'
+/// `Timeline` oracle schedules it: it starts at the `max` of its lane's
+/// free time and its dependencies' finish times, in that order, and
+/// finishes `+ secs` later. Lane sums and the makespan accumulate in
+/// submission order, so every value is the one a timeline of the whole
+/// task list reports, bit for bit, without keeping the list.
 #[derive(Clone, Copy, Debug, Default)]
 struct Lanes {
     free: [f64; lane::COUNT],
@@ -576,7 +576,7 @@ pub fn single_pass_secs(st: &StepStages) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hexsim::timeline::{TaskId, Timeline};
+    use timeline::{TaskId, Timeline};
 
     fn stages(batch: usize) -> StepStages {
         StepStages {
@@ -995,6 +995,204 @@ mod tests {
         assert!(single_pass_secs(&st) <= st.serial_secs() + 1e-15);
     }
 
+    /// The oracle's scheduler: serial lanes and finish-to-start edges,
+    /// keeping every task. A task starts at the latest of its lane's free
+    /// time and its dependencies' finish times; dependencies point at
+    /// already submitted tasks, so one forward pass schedules the graph.
+    /// [`Lanes`] applies the same rule carry-only.
+    mod timeline {
+        /// Handle to a task submitted to a [`Timeline`].
+        #[derive(Clone, Copy)]
+        pub struct TaskId(usize);
+
+        /// A deterministic multi-lane list scheduler.
+        pub struct Timeline {
+            lane_free: Vec<f64>,
+            lane_busy: Vec<f64>,
+            finish: Vec<f64>,
+        }
+
+        impl Timeline {
+            /// A timeline with `lanes` serial resources, all free at t=0.
+            pub fn new(lanes: usize) -> Self {
+                assert!(lanes >= 1, "a timeline needs at least one lane");
+                Timeline {
+                    lane_free: vec![0.0; lanes],
+                    lane_busy: vec![0.0; lanes],
+                    finish: Vec::new(),
+                }
+            }
+
+            /// Number of submitted tasks.
+            pub fn task_count(&self) -> usize {
+                self.finish.len()
+            }
+
+            /// Submits a task that occupies `lane` for `duration` seconds
+            /// once the lane is free and every dependency has finished.
+            ///
+            /// # Panics
+            ///
+            /// Panics if `lane` is out of range or `duration` is negative,
+            /// infinite or NaN.
+            pub fn submit<'a>(
+                &mut self,
+                lane: usize,
+                duration: f64,
+                deps: impl IntoIterator<Item = &'a TaskId>,
+            ) -> TaskId {
+                assert!(lane < self.lane_free.len(), "lane {lane} out of range");
+                assert!(
+                    duration >= 0.0 && duration.is_finite(),
+                    "task duration must be finite and non-negative, got {duration}"
+                );
+                let mut start = self.lane_free[lane];
+                for d in deps {
+                    start = start.max(self.finish[d.0]);
+                }
+                let finish = start + duration;
+                self.lane_free[lane] = finish;
+                self.lane_busy[lane] += duration;
+                self.finish.push(finish);
+                TaskId(self.finish.len() - 1)
+            }
+
+            /// Finish time of a task.
+            pub fn finish(&self, t: TaskId) -> f64 {
+                self.finish[t.0]
+            }
+
+            /// Latest finish time across all tasks (0 when empty): the
+            /// schedule's critical-path wall time.
+            pub fn makespan(&self) -> f64 {
+                self.finish.iter().fold(0.0f64, |acc, &f| acc.max(f))
+            }
+
+            /// Total busy seconds accumulated on one lane.
+            pub fn lane_busy_secs(&self, lane: usize) -> f64 {
+                self.lane_busy[lane]
+            }
+
+            /// Busy fraction of one lane over the makespan (0 for an empty
+            /// timeline).
+            pub fn lane_utilization(&self, lane: usize) -> f64 {
+                let span = self.makespan();
+                if span > 0.0 {
+                    self.lane_busy[lane] / span
+                } else {
+                    0.0
+                }
+            }
+        }
+
+        #[test]
+        fn a_dependency_waits_while_another_lane_runs_alongside() {
+            // Two lanes, three tasks: `b` depends on `a`, while `c` runs
+            // on the other lane concurrently with both.
+            let mut tl = Timeline::new(2);
+            let a = tl.submit(0, 2.0, &[]);
+            let b = tl.submit(0, 1.0, &[a]);
+            let c = tl.submit(1, 2.5, &[]);
+            assert_eq!(tl.finish(b), 3.0);
+            assert_eq!(tl.finish(c), 2.5);
+            assert_eq!(tl.makespan(), 3.0);
+        }
+
+        #[test]
+        fn same_lane_tasks_serialize_in_submission_order() {
+            let mut tl = Timeline::new(1);
+            let a = tl.submit(0, 1.0, &[]);
+            let b = tl.submit(0, 2.0, &[]);
+            assert_eq!(tl.finish(a), 1.0);
+            assert_eq!(tl.finish(b), 3.0);
+            assert_eq!(tl.makespan(), 3.0);
+            assert_eq!(tl.lane_busy_secs(0), 3.0);
+        }
+
+        #[test]
+        fn independent_lanes_overlap() {
+            let mut tl = Timeline::new(3);
+            tl.submit(0, 1.0, &[]);
+            tl.submit(1, 2.0, &[]);
+            tl.submit(2, 0.5, &[]);
+            assert_eq!(tl.makespan(), 2.0);
+            let serial: f64 = (0..3).map(|l| tl.lane_busy_secs(l)).sum();
+            assert_eq!(serial, 3.5);
+        }
+
+        #[test]
+        fn dependencies_delay_start_across_lanes() {
+            let mut tl = Timeline::new(2);
+            let a = tl.submit(0, 2.0, &[]);
+            let b = tl.submit(1, 1.0, &[a]);
+            assert_eq!(tl.finish(b), 3.0);
+        }
+
+        #[test]
+        fn lane_free_and_deps_combine_with_max() {
+            let mut tl = Timeline::new(2);
+            // Lane 0 frees at 1.0, but the dependency on lane 1 holds
+            // until 5.0.
+            let a = tl.submit(0, 1.0, &[]);
+            let long = tl.submit(1, 5.0, &[]);
+            let c = tl.submit(0, 1.0, &[a, long]);
+            assert_eq!(tl.finish(c), 6.0);
+            assert_eq!(tl.makespan(), 6.0);
+        }
+
+        #[test]
+        fn pipelined_iterations_reach_steady_state() {
+            // Producer lane feeds consumer lane: after the fill, the
+            // period is the max stage time (classic two-stage pipeline).
+            let mut tl = Timeline::new(2);
+            let mut prev_consume: Option<TaskId> = None;
+            let mut finishes = Vec::new();
+            for _ in 0..6 {
+                let p = tl.submit(0, 1.0, &[]);
+                let c = tl.submit(1, 3.0, Some(&p).into_iter().chain(prev_consume.iter()));
+                prev_consume = Some(c);
+                finishes.push(tl.finish(c));
+            }
+            // Steady-state period = slowest stage (3.0), not the sum (4.0).
+            let period = finishes[5] - finishes[4];
+            assert!((period - 3.0).abs() < 1e-12);
+            assert!(tl.makespan() < tl.lane_busy_secs(0) + tl.lane_busy_secs(1));
+        }
+
+        #[test]
+        fn zero_duration_tasks_are_events() {
+            let mut tl = Timeline::new(1);
+            let a = tl.submit(0, 0.0, &[]);
+            assert_eq!(tl.finish(a), 0.0);
+            assert_eq!(tl.makespan(), 0.0);
+            assert_eq!(tl.lane_utilization(0), 0.0);
+        }
+
+        #[test]
+        fn lane_utilization_is_busy_over_makespan() {
+            let mut tl = Timeline::new(2);
+            tl.submit(0, 1.0, &[]);
+            tl.submit(0, 1.0, &[]);
+            tl.submit(1, 4.0, &[]);
+            assert!((tl.lane_utilization(0) - 0.5).abs() < 1e-12);
+            assert!((tl.lane_utilization(1) - 1.0).abs() < 1e-12);
+        }
+
+        #[test]
+        #[should_panic(expected = "out of range")]
+        fn bad_lane_panics() {
+            let mut tl = Timeline::new(1);
+            tl.submit(1, 1.0, &[]);
+        }
+
+        #[test]
+        #[should_panic(expected = "finite and non-negative")]
+        fn negative_duration_panics() {
+            let mut tl = Timeline::new(1);
+            tl.submit(0, -1.0, &[]);
+        }
+    }
+
     /// Tasks of one oracle iteration that later iterations depend on.
     struct IterTasks {
         last_layer: Option<TaskId>,
@@ -1007,8 +1205,8 @@ mod tests {
         draft_done: Option<TaskId>,
     }
 
-    /// The oracle: the stage graph as a task list on a
-    /// [`hexsim::timeline::Timeline`], every dependency list a `Vec`.
+    /// The oracle: the stage graph as a task list on a [`Timeline`], every
+    /// dependency list a `Vec`.
     /// [`run_iteration`] must reproduce every finish time, lane sum and
     /// makespan it yields bit for bit.
     fn oracle_iteration(tl: &mut Timeline, st: &StepStages, prev: Option<&IterTasks>) -> IterTasks {

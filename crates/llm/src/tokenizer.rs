@@ -6,13 +6,13 @@
 //! token per byte) and keeps everything dependency-free and reversible.
 
 /// Beginning-of-sequence token id.
-pub const BOS: u32 = 0;
+const BOS: u32 = 0;
 /// End-of-sequence token id.
 pub const EOS: u32 = 1;
 /// Separator between reasoning steps (maps to '\n').
 pub const STEP_SEP: u32 = 2;
 /// First byte token id (byte `b` encodes as `BYTE_BASE + b`).
-pub const BYTE_BASE: u32 = 4;
+const BYTE_BASE: u32 = 4;
 
 /// Byte-level tokenizer with reserved control ids.
 #[derive(Clone, Debug, Default)]

@@ -15,7 +15,7 @@ use hexsim::f16::F16;
 use crate::block::{BlockQ4_0, BlockQ8_0, GROUP_SIZE};
 
 /// Q4_0 groups per super-block.
-pub const GROUPS_PER_SUPER: usize = 8;
+const GROUPS_PER_SUPER: usize = 8;
 /// Elements per super-block (256).
 pub const SUPER_ELEMS: usize = GROUPS_PER_SUPER * GROUP_SIZE;
 /// Serialized size of a Q4 super-block: 128 B quants + 16 B scales.

@@ -12,7 +12,7 @@ use mathsynth::mathgen::DatasetKind;
 /// Steepness of the per-task solve-probability logistic. Large values give
 /// the heavy-tailed task hardness that makes parallel-scaling curves
 /// saturate the way Figure 5 does.
-pub const SOLVE_STEEPNESS: f64 = 12.0;
+const SOLVE_STEEPNESS: f64 = 12.0;
 
 /// Paper-reported pass@1 baselines (percent), read from Figures 5/10 and
 /// Table 1: `(model, dataset) -> accuracy`.

@@ -174,7 +174,7 @@ pub struct DraftLenController {
 }
 
 /// Proposals per adaptation window.
-pub const ADAPT_WINDOW: usize = 16;
+const ADAPT_WINDOW: usize = 16;
 /// Windowed acceptance rate above which `k` grows.
 const GROW_THRESHOLD: f64 = 0.8;
 /// Windowed acceptance rate below which `k` shrinks.
@@ -220,8 +220,8 @@ impl DraftLenController {
     }
 
     /// Feeds one round's outcome into the acceptance window; once the
-    /// window has seen [`ADAPT_WINDOW`] proposals the rate decides whether
-    /// `k` grows, shrinks or holds, and the window resets.
+    /// window has seen 16 proposals the rate decides whether `k` grows,
+    /// shrinks or holds, and the window resets.
     pub fn record_round(&mut self, proposed: usize, accepted: usize) {
         debug_assert!(accepted <= proposed);
         if !self.adaptive {

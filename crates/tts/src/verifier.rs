@@ -12,7 +12,7 @@ use rand::Rng;
 use crate::policy::{Step, Trajectory};
 
 /// Default discrimination for both reward models.
-pub const DEFAULT_DISCRIMINATION: f64 = 1.8;
+const DEFAULT_DISCRIMINATION: f64 = 1.8;
 
 /// Gaussian sample via Box-Muller.
 fn normal(rng: &mut StdRng) -> f64 {

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Public-function audit: finds non-test `pub fn`s that nothing else calls.
+"""Public-surface audit: finds non-test `pub fn`s and `pub const`s that
+nothing else uses.
 
 Scans the non-test part (everything before the first `#[cfg(test)]`) of
-each .rs file under crates/*/src for `pub fn` declarations. A name counts
-as used when a whole-word match appears in another .rs file under crates,
-src, examples, tests or perfbench/src. None of these is a call, so none
-counts: a `//` comment line, a whole `pub use ...;` re-export (every line
-of a multi-line one), and a `fn <name>` declaration.
+each .rs file under crates/*/src for `pub fn` (`pub const fn` too) and
+`pub const` declarations. A name counts as used when a whole-word match
+appears in another .rs file under crates, src, examples, tests or
+perfbench/src. None of these is a use, so none counts: a `//` comment
+line, a whole `pub use ...;` re-export (every line of a multi-line one),
+and a `fn <name>` (for a function) or `const <name>` (for a constant)
+declaration.
 
 The scan matches names, not paths: a name shared with another type's
-method or function, such as `new`, still counts as a use.
+method, function or constant, such as `new`, still counts as a use.
 
-Prints the unused functions, then exits 1 if one is not on KEEP, or if a
-KEEP entry is no longer unused (so the list stays exact).
+Prints the unused items, then exits 1 if one is not on KEEP, or if a KEEP
+entry is no longer unused (so the list stays exact).
 
 Usage, from anywhere in the repo:
 
@@ -23,7 +26,7 @@ import os
 import re
 import sys
 
-# Public on purpose although nothing outside their own file calls them.
+# Public on purpose although nothing outside their own file uses them.
 KEEP = {
     # ISA ops of the simulated NPU, kept with the rest of the instruction set.
     ("crates/hexsim/src/ctx.rs", "dma_t2h"),
@@ -38,6 +41,11 @@ KEEP = {
 
 USE_DIRS = ("crates", "src", "examples", "tests", "perfbench/src")
 REEXPORT = re.compile(r"^\s*pub use\b[^;]*;", re.M)
+# (kind, declaration pattern): a `<kind> <name>` declaration is not a use.
+KINDS = (
+    ("fn", re.compile(r"^\s*pub (?:const )?fn (\w+)", re.M)),
+    ("const", re.compile(r"^\s*pub const (\w+)\s*:", re.M)),
+)
 
 
 def rust_files(*dirs):
@@ -57,25 +65,30 @@ def main():
         )
         for p, t in raw.items()
     }
-    fns = [
-        (p, m.group(1))
-        for p in sorted(raw)
-        if p.startswith("crates/") and "/src/" in p
-        for m in re.finditer(r"^\s*pub fn (\w+)", raw[p].split("#[cfg(test)]")[0], re.M)
-    ]
-    unused = [
-        (p, n)
-        for p, n in fns
-        if not any(re.search(rf"(?<!\bfn )\b{n}\b", t) for q, t in uses.items() if q != p)
-    ]
-    print(f"{len(unused)} of {len(fns)} non-test pub fns unused outside their own file")
     failed = False
-    for p, n in unused:
-        print(" ", p, n)
-        if (p, n) not in KEEP:
-            print(f"error: {p}: `{n}` is public but unused: delete it, make it "
-                  "private, or add it to KEEP with a reason", file=sys.stderr)
-            failed = True
+    unused = []
+    for kind, decl in KINDS:
+        items = [
+            (p, m.group(1))
+            for p in sorted(raw)
+            if p.startswith("crates/") and "/src/" in p
+            for m in decl.finditer(raw[p].split("#[cfg(test)]")[0])
+        ]
+        dead = [
+            (p, n)
+            for p, n in items
+            if not any(
+                re.search(rf"(?<!\b{kind} )\b{n}\b", t) for q, t in uses.items() if q != p
+            )
+        ]
+        print(f"{len(dead)} of {len(items)} non-test pub {kind}s unused outside their own file")
+        for p, n in dead:
+            print(" ", p, n)
+            if (p, n) not in KEEP:
+                print(f"error: {p}: `{n}` is public but unused: delete it, make it "
+                      "private, or add it to KEEP with a reason", file=sys.stderr)
+                failed = True
+        unused += dead
     for p, n in sorted(KEEP - set(unused)):
         print(f"error: {p}: KEEP lists `{n}`, which is used elsewhere or gone: "
               "drop it from KEEP", file=sys.stderr)

@@ -4,7 +4,7 @@
 
 use mathsynth::mathgen::DatasetKind;
 use npuscale::experiments;
-use npuscale::pareto::Method;
+use npuscale::pareto::{pareto_panel, Method};
 use npuscale_repro::prelude::*;
 
 /// The serial NPU runtime alone: Figures 16 and 17 measure *our*
@@ -140,8 +140,9 @@ fn fig17_prompt_length_effect_is_mild() {
 
 #[test]
 fn fig10_tts_advances_the_frontier() {
-    // One panel suffices for the integration check; the bench sweeps all.
-    let points = experiments::fig10_rows(
+    // One panel suffices for the integration check; the paper_figures
+    // example prints all eight.
+    let points = pareto_panel(
         &DeviceProfile::v75(),
         DatasetKind::Math500Like,
         Method::BestOfN,
