@@ -38,7 +38,7 @@ use crate::serve::{
     ThermalPolicy,
 };
 use crate::session::ShardPlan;
-use crate::thermal::sustained_decode_curve;
+use crate::thermal::{sustained_decode_curve, SustainedCurve};
 
 // ---------------------------------------------------------------------
 // Table 1 — per-group (AWQ) vs per-channel (QNN) W4A16 accuracy.
@@ -821,70 +821,17 @@ pub const THERMAL_WORKLOAD: (ModelId, usize, usize) = (ModelId::Qwen3B, 8, 1024)
 /// time constants: long enough that the sustained plateau dominates).
 pub const THERMAL_WINDOW_SECS: f64 = 120.0;
 
-/// One sustained-vs-burst decode row.
-#[derive(Clone, Debug)]
-pub struct ThermalDecodeRow {
-    /// Device SoC label.
-    pub device: String,
-    /// Model label.
-    pub model: String,
-    /// Decode batch size.
-    pub batch: usize,
-    /// Context length per sequence.
-    pub ctx_len: usize,
-    /// Tokens/sec at burst clocks — must equal the pre-thermal decode
-    /// number for the same deployment bit-for-bit (the CI gate).
-    pub burst_tps: f64,
-    /// Tokens/sec at the sustained operating point.
-    pub sustained_tps: f64,
-    /// Average tokens/sec over the whole window (burst ramp included).
-    pub avg_tps: f64,
-    /// `sustained_tps / burst_tps` — gated at >= the device's sustained
-    /// clock multiplier (fixed switch costs only soften the drop).
-    pub degradation: f64,
-    /// Average watts at burst clocks.
-    pub burst_power_w: f64,
-    /// Average watts while throttled.
-    pub sustained_power_w: f64,
-    /// Tokens per joule at burst clocks.
-    pub burst_tokens_per_joule: f64,
-    /// Tokens per joule at the sustained point.
-    pub sustained_tokens_per_joule: f64,
-    /// Step index at which the device first throttled.
-    pub first_throttle_step: Option<usize>,
-    /// Simulated seconds at which the device first throttled.
-    pub first_throttle_secs: Option<f64>,
-    /// Hottest die temperature reached.
-    pub peak_temp_c: f64,
-}
-
-/// Regenerates the sustained-vs-burst rows: the fixed Qwen-3B b8 workload
-/// decoded for [`THERMAL_WINDOW_SECS`] on each Snapdragon generation with
-/// the thermal/DVFS loop closed.
-pub fn thermal_decode_rows() -> Vec<ThermalDecodeRow> {
+/// Regenerates the sustained-vs-burst curves: the fixed Qwen-3B b8
+/// workload decoded for [`THERMAL_WINDOW_SECS`] on each Snapdragon
+/// generation with the thermal/DVFS loop closed. A curve's burst
+/// tokens/sec must equal the pre-thermal decode number for the same
+/// deployment bit for bit (the CI gate).
+pub fn thermal_decode_rows() -> Vec<SustainedCurve> {
     let (model, batch, ctx_len) = THERMAL_WORKLOAD;
     DeviceProfile::all()
         .iter()
         .filter_map(|device| {
-            let c =
-                sustained_decode_curve(device, model, batch, ctx_len, THERMAL_WINDOW_SECS).ok()?;
-            Some(ThermalDecodeRow {
-                device: c.device.clone(),
-                model: c.model.clone(),
-                batch,
-                ctx_len,
-                burst_tps: c.burst_tokens_per_sec,
-                sustained_tps: c.sustained_tokens_per_sec,
-                avg_tps: c.avg_tokens_per_sec,
-                degradation: c.sustained_tokens_per_sec / c.burst_tokens_per_sec,
-                burst_power_w: c.burst_power_w,
-                sustained_power_w: c.sustained_power_w,
-                burst_tokens_per_joule: c.burst_tokens_per_joule,
-                sustained_tokens_per_joule: c.sustained_tokens_per_joule,
-                first_throttle_step: c.first_throttle_step,
-                first_throttle_secs: c.first_throttle_secs,
-                peak_temp_c: c.peak_temp_c,
-            })
+            sustained_decode_curve(device, model, batch, ctx_len, THERMAL_WINDOW_SECS).ok()
         })
         .collect()
 }
@@ -907,72 +854,21 @@ fn thermal_fleet_trace(seed: u64) -> Vec<Request> {
     poisson_trace(&tenants, 3.0, 540, seed)
 }
 
-/// One thermal fleet-dispatch comparison row.
-#[derive(Clone, Debug)]
-pub struct FleetThermalRow {
-    /// Dispatch policy label ("blind" / "aware").
-    pub policy: String,
-    /// Requests completed.
-    pub completed: usize,
-    /// Requests rejected.
-    pub rejected: usize,
-    /// Completed requests that met the SLO.
-    pub slo_good: usize,
-    /// SLO-good requests per simulated second — the headline the CI gate
-    /// holds: aware >= blind.
-    pub goodput_rps: f64,
-    /// 99th-percentile time-to-first-token.
-    pub ttft_p99_secs: f64,
-    /// 99th-percentile time-between-tokens.
-    pub tbt_p99_secs: f64,
-    /// Simulated seconds from first arrival to last worker idle.
-    pub makespan_secs: f64,
-    /// Decode tokens per simulated second.
-    pub tokens_per_sec: f64,
-    /// Fleet-wide steps executed at the sustained clock point.
-    pub throttled_steps: usize,
-    /// Hottest die temperature across the fleet.
-    pub peak_temp_c: f64,
-}
-
-fn fleet_thermal_row(
-    policy: ThermalPolicy,
-    label: &str,
-    trace: &[Request],
-) -> SimResult<(FleetThermalRow, ServingReport)> {
-    let config = GatewayConfig {
-        thermal: policy,
-        ..GatewayConfig::default()
-    };
-    let gw = FleetGateway::new(FleetSpec::heterogeneous(ModelId::Qwen1_5B), config)?;
-    let r = gw.serve_trace(trace)?;
-    let row = FleetThermalRow {
-        policy: label.to_string(),
-        completed: r.completed,
-        rejected: r.rejected,
-        slo_good: r.slo_good,
-        goodput_rps: r.goodput_rps,
-        ttft_p99_secs: r.ttft_p99_secs,
-        tbt_p99_secs: r.tbt_p99_secs,
-        makespan_secs: r.makespan_secs,
-        tokens_per_sec: r.tokens_per_sec,
-        throttled_steps: r.workers.iter().map(|w| w.throttled_steps).sum(),
-        peak_temp_c: r.workers.iter().map(|w| w.peak_temp_c).fold(0.0, f64::max),
-    };
-    Ok((row, r))
-}
-
 /// Serves the seeded thermal fleet trace (a sustained mixed-tenant stream
 /// heavy enough to keep the fleet busy past its thermal time constants)
 /// through the heterogeneous fleet under thermal-blind and thermal-aware
-/// dispatch: identical physics, identical
-/// trace, only the dispatcher's completion oracle differs. Returns
-/// `[blind, aware]`.
-pub fn fleet_thermal_rows(seed: u64) -> SimResult<Vec<FleetThermalRow>> {
+/// dispatch: identical physics, identical trace, only the dispatcher's
+/// completion oracle differs. Returns `[blind, aware]`.
+pub fn fleet_thermal_rows(seed: u64) -> SimResult<[ServingReport; 2]> {
     let trace = thermal_fleet_trace(seed);
-    let (blind, _) = fleet_thermal_row(ThermalPolicy::Blind, "blind", &trace)?;
-    let (aware, _) = fleet_thermal_row(ThermalPolicy::Aware, "aware", &trace)?;
-    Ok(vec![blind, aware])
+    let serve = |thermal| {
+        let config = GatewayConfig {
+            thermal,
+            ..GatewayConfig::default()
+        };
+        FleetGateway::new(FleetSpec::heterogeneous(ModelId::Qwen1_5B), config)?.serve_trace(&trace)
+    };
+    Ok([serve(ThermalPolicy::Blind)?, serve(ThermalPolicy::Aware)?])
 }
 
 // ---------------------------------------------------------------------
@@ -1535,9 +1431,11 @@ mod tests {
             );
             // Throttling costs throughput but the fixed switch overheads
             // keep the drop milder than the raw clock cut.
-            assert!(r.sustained_tps < r.burst_tps, "{:?}", r);
-            assert!(r.degradation >= 0.55, "{}: {}", r.device, r.degradation);
-            assert!(r.avg_tps > r.sustained_tps && r.avg_tps < r.burst_tps);
+            let (burst_tps, sustained_tps) = (r.burst_tokens_per_sec, r.sustained_tokens_per_sec);
+            assert!(sustained_tps < burst_tps, "{:?}", r);
+            let degradation = sustained_tps / burst_tps;
+            assert!(degradation >= 0.55, "{}: {}", r.device, degradation);
+            assert!(r.avg_tokens_per_sec > sustained_tps && r.avg_tokens_per_sec < burst_tps);
             // Cube-law power: the sustained point is the efficient one.
             assert!(r.sustained_power_w < r.burst_power_w);
             assert!(r.sustained_tokens_per_joule > r.burst_tokens_per_joule);
@@ -1546,10 +1444,9 @@ mod tests {
 
     #[test]
     fn thermal_aware_dispatch_beats_blind_on_the_pinned_trace() {
-        let rows = fleet_thermal_rows(20260808).unwrap();
-        let (blind, aware) = (&rows[0], &rows[1]);
-        assert_eq!(blind.policy, "blind");
-        assert_eq!(aware.policy, "aware");
+        let [blind, aware] = fleet_thermal_rows(20260808).unwrap();
+        let throttled_steps =
+            |r: &ServingReport| r.workers.iter().map(|w| w.throttled_steps).sum::<usize>();
         // Same physics, same trace — only the dispatch oracle differs.
         // Routing around hot workers lets dies recover to burst clocks,
         // so aware wins goodput and spends fewer steps throttled.
@@ -1560,10 +1457,15 @@ mod tests {
             blind.goodput_rps
         );
         assert!(aware.tbt_p99_secs <= blind.tbt_p99_secs);
-        assert!(aware.throttled_steps < blind.throttled_steps);
+        assert!(throttled_steps(&aware) < throttled_steps(&blind));
         // Both run hot enough for the comparison to be about thermals.
-        assert!(blind.throttled_steps > 0);
-        assert!(blind.peak_temp_c > DeviceProfile::v75().ambient_temp_c);
+        assert!(throttled_steps(&blind) > 0);
+        let blind_peak_c = blind
+            .workers
+            .iter()
+            .map(|w| w.peak_temp_c)
+            .fold(0.0, f64::max);
+        assert!(blind_peak_c > DeviceProfile::v75().ambient_temp_c);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use ttscale::verifier::{SimOrm, SimPrm};
 
 use crate::pipeline::{Deployment, DispatchMode};
 use crate::session::ShardPlan;
-use crate::thermal::sustained_decode_curve;
 
 /// Scaling method of a Pareto point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,56 +180,6 @@ pub fn pareto_panel(
     out
 }
 
-/// One cell of the tokens/sec/watt efficiency surface: the same
-/// (device, model, batch) decode priced at both DVFS operating points.
-///
-/// Burst is the paper's snapshot; sustained is what the die delivers once
-/// the thermal capacitance has filled (see [`crate::thermal`]). The
-/// per-watt axis is what battery-bound test-time scaling actually buys.
-#[derive(Clone, Debug)]
-pub struct EfficiencyPoint {
-    /// Device SoC label.
-    pub device: String,
-    /// Model label.
-    pub model: String,
-    /// Decode batch size (generation budget).
-    pub batch: usize,
-    /// Tokens/sec at burst clocks.
-    pub burst_tokens_per_sec: f64,
-    /// Tokens/sec at the sustained operating point.
-    pub sustained_tokens_per_sec: f64,
-    /// Tokens/sec/watt at burst clocks.
-    pub burst_tokens_per_sec_per_watt: f64,
-    /// Tokens/sec/watt at the sustained operating point.
-    pub sustained_tokens_per_sec_per_watt: f64,
-}
-
-/// Computes the burst-vs-sustained efficiency surface for one model over
-/// a batch sweep. Batches that do not fit the device are skipped.
-pub fn efficiency_panel(
-    device: &DeviceProfile,
-    model: ModelId,
-    batches: &[usize],
-    ctx_len: usize,
-) -> Vec<EfficiencyPoint> {
-    batches
-        .iter()
-        .filter_map(|&batch| {
-            // Duration 0: operating points only, no trajectory.
-            let curve = sustained_decode_curve(device, model, batch, ctx_len, 0.0).ok()?;
-            Some(EfficiencyPoint {
-                device: curve.device,
-                model: curve.model,
-                batch,
-                burst_tokens_per_sec: curve.burst_tokens_per_sec,
-                sustained_tokens_per_sec: curve.sustained_tokens_per_sec,
-                burst_tokens_per_sec_per_watt: curve.burst_tokens_per_joule,
-                sustained_tokens_per_sec_per_watt: curve.sustained_tokens_per_joule,
-            })
-        })
-        .collect()
-}
-
 /// Maps a generation budget to a beam configuration (width x expansion =
 /// budget, following the common W = E = sqrt(N) split).
 pub fn beam_width_for_budget(budget: usize) -> BeamSearchConfig {
@@ -364,41 +313,6 @@ mod tests {
         let a1 = q15.iter().find(|p| p.budget == 1).unwrap().accuracy_pct;
         let a16 = q15.iter().find(|p| p.budget == 16).unwrap().accuracy_pct;
         assert!(a16 > a1 + 8.0, "beam a1={a1} a16={a16}");
-    }
-
-    #[test]
-    fn efficiency_surface_sustained_point_is_slower_but_bounded() {
-        use edgellm::config::ModelId;
-        let d = DeviceProfile::v75();
-        let panel = efficiency_panel(&d, ModelId::Qwen1_5B, &[1, 8, 16], 1024);
-        assert_eq!(panel.len(), 3);
-        for p in &panel {
-            assert!(
-                p.sustained_tokens_per_sec < p.burst_tokens_per_sec,
-                "batch {}",
-                p.batch
-            );
-            // Fixed switch costs mean degradation never exceeds the clock
-            // ratio itself.
-            assert!(
-                p.sustained_tokens_per_sec
-                    >= p.burst_tokens_per_sec * d.sustained_clock_mult * 0.999,
-                "batch {}: sustained {} burst {}",
-                p.batch,
-                p.sustained_tokens_per_sec,
-                p.burst_tokens_per_sec
-            );
-            assert!(p.burst_tokens_per_sec_per_watt > 0.0);
-            assert!(p.sustained_tokens_per_sec_per_watt > 0.0);
-        }
-        // Batching is the efficiency lever on both operating points.
-        assert!(
-            panel[1].burst_tokens_per_sec_per_watt > 2.0 * panel[0].burst_tokens_per_sec_per_watt
-        );
-        assert!(
-            panel[1].sustained_tokens_per_sec_per_watt
-                > 2.0 * panel[0].sustained_tokens_per_sec_per_watt
-        );
     }
 
     #[test]

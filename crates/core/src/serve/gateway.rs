@@ -143,13 +143,25 @@ pub struct ServingReport {
     pub tenants: Vec<TenantReport>,
 }
 
-/// One request's lifecycle while (and after) it is in flight.
+/// One request's fate: the dispatcher updates it as the request moves,
+/// and the report is a fold over these records.
 #[derive(Clone, Debug, Default)]
 struct ReqRecord {
+    /// Seconds from arrival to admission, or to rejection: a request the
+    /// full queue evicts, that no worker can place, or that is still
+    /// queued when the trace drains keeps the wait it had.
+    queue_wait: Option<f64>,
     ttft: Option<f64>,
     finished: Option<f64>,
     max_tbt: f64,
     rejected: bool,
+    /// Worker the request was admitted to, and where a paused decode
+    /// resumes (its KV cannot migrate). Read only once admitted.
+    worker: usize,
+    /// Tokens emitted so far (first token included once prefill lands).
+    emitted: usize,
+    /// Simulated time of the last emission (admission time before it).
+    last_token: f64,
 }
 
 /// A sequence the gateway is tracking on one worker.
@@ -157,27 +169,17 @@ struct SeqTrack {
     seq: SeqId,
     /// Index into the trace.
     req: usize,
-    /// Tokens emitted so far (first token included once prefill lands).
-    emitted: usize,
-    /// Simulated time of the last emission (admission time before it).
-    last_token: f64,
 }
 
 /// A decode the dispatcher paused mid-stream. The KV snapshot lives in
-/// `paused`; the request resumes only on the worker that holds its
-/// history (KV cannot migrate), competing for a slot alongside queued
-/// requests under the active scheduling discipline.
+/// `paused`; the request resumes only on its record's worker, competing
+/// for a slot alongside queued requests under the active scheduling
+/// discipline.
 struct PreemptedTrack {
-    /// Worker the sequence ran (and must resume) on.
-    worker: usize,
     /// The session-layer pause: KV snapshot plus decode cursor.
     paused: PreemptedSeq,
     /// Index into the trace.
     req: usize,
-    /// Tokens emitted before the pause.
-    emitted: usize,
-    /// Simulated time of the last pre-pause emission.
-    last_token: f64,
 }
 
 /// Mutable per-worker simulation state.
@@ -185,7 +187,6 @@ struct WorkerState {
     clock: f64,
     busy_secs: f64,
     steps: usize,
-    served: usize,
     seqs: Vec<SeqTrack>,
     /// Die temperature (lumped RC model).
     thermal: ThermalState,
@@ -203,13 +204,11 @@ struct WorkerState {
 /// Everything the event handlers mutate, minus the borrow-sensitive
 /// session/context pair (passed alongside).
 struct SimState<'t> {
-    prefill: PrefillMode,
-    thermal: ThermalPolicy,
-    scheduling: SchedulingPolicy,
-    preemption: PreemptionPolicy,
+    config: GatewayConfig,
     oracles: &'t [WorkerOracle],
     trace: &'t [Request],
     states: Vec<WorkerState>,
+    /// One record per trace entry.
     records: Vec<ReqRecord>,
     /// Tenant index (first-appearance order) of each trace entry.
     tenant_of: Vec<usize>,
@@ -222,10 +221,22 @@ struct SimState<'t> {
     /// Decodes paused mid-stream, awaiting a slot on their worker.
     preempted: Vec<PreemptedTrack>,
     preemptions: usize,
-    ttfts: Vec<f64>,
+    /// Time between tokens of every decode emission (one sample per
+    /// token, not per request).
     tbts: Vec<f64>,
-    queue_waits: Vec<f64>,
-    rejected: usize,
+}
+
+/// What one dispatch scan decided to do next.
+enum Action {
+    Admit { req: usize, worker: usize },
+    Resume { idx: usize },
+    Reject { req: usize },
+    Preempt { worker: usize, track: usize },
+}
+
+/// Whether a worker's session holds no sequence at all.
+fn is_idle(sess: &DecodeSession<'_>) -> bool {
+    sess.active_count() + sess.prefilling_count() == 0
 }
 
 /// The serving gateway: admission control in front of a heterogeneous
@@ -284,10 +295,10 @@ impl FleetGateway {
     /// A trace with a duplicate id, an empty prompt, a zero decode
     /// budget, an output length outside `1..=max_new`, an arrival that
     /// is not finite or is before the trace starts (below 0 s; -0.0 is
-    /// 0), or a tenant weight that is not positive is
-    /// [`SimError::InvalidTrace`].
+    /// 0), a tenant weight that is not positive, or a tenant whose
+    /// requests carry two different weights is [`SimError::InvalidTrace`].
     pub fn serve_trace(&self, trace: &[Request]) -> SimResult<ServingReport> {
-        validate_trace(trace)?;
+        let (tenant_weights, tenant_of) = validate_trace(trace)?;
         let n = self.fleet.workers.len();
         // Each worker runs the deployment its oracle measured, its context
         // and model split apart so a decode session can borrow the model
@@ -314,24 +325,6 @@ impl FleetGateway {
             )?);
         }
 
-        // Tenant table in first-appearance (trace index) order — the
-        // order TenantReport rows use — with each tenant's fair-share
-        // weight for the WFQ virtual clock.
-        let mut tenant_names: Vec<&str> = Vec::new();
-        let mut tenant_weights: Vec<f64> = Vec::new();
-        let mut tenant_of: Vec<usize> = Vec::with_capacity(trace.len());
-        for r in trace {
-            let t = match tenant_names.iter().position(|n| *n == r.tenant) {
-                Some(t) => t,
-                None => {
-                    tenant_names.push(&r.tenant);
-                    tenant_weights.push(r.weight);
-                    tenant_names.len() - 1
-                }
-            };
-            tenant_of.push(t);
-        }
-
         let mut order: Vec<usize> = (0..trace.len()).collect();
         order.sort_by(|&a, &b| {
             trace[a]
@@ -340,10 +333,7 @@ impl FleetGateway {
                 .then(trace[a].id.cmp(&trace[b].id))
         });
         let mut sim = SimState {
-            prefill: self.config.prefill,
-            thermal: self.config.thermal,
-            scheduling: self.config.scheduling,
-            preemption: self.config.preemption,
+            config: self.config,
             oracles: &self.oracles,
             trace,
             states: self
@@ -354,7 +344,6 @@ impl FleetGateway {
                     clock: 0.0,
                     busy_secs: 0.0,
                     steps: 0,
-                    served: 0,
                     seqs: Vec::new(),
                     thermal: ThermalState::ambient(&w.device),
                     temp_at: 0.0,
@@ -366,28 +355,23 @@ impl FleetGateway {
                 .collect(),
             records: vec![ReqRecord::default(); trace.len()],
             tenant_of,
-            outstanding: vec![0; tenant_names.len()],
+            outstanding: vec![0; tenant_weights.len()],
             wfq: WfqState::new(&tenant_weights),
             preempted: Vec::new(),
             preemptions: 0,
-            ttfts: Vec::new(),
             tbts: Vec::new(),
-            queue_waits: Vec::new(),
-            rejected: 0,
         };
         let mut queue = AdmissionQueue::new(self.config.queue_capacity);
         let mut next_arrival = 0usize;
 
         loop {
             let arrival = order.get(next_arrival).map(|&ri| trace[ri].arrival_secs);
-            let busy_worker = (0..n)
-                .filter(|&i| sessions[i].active_count() + sessions[i].prefilling_count() > 0)
-                .min_by(|&a, &b| {
-                    sim.states[a]
-                        .clock
-                        .total_cmp(&sim.states[b].clock)
-                        .then(a.cmp(&b))
-                });
+            let busy_worker = (0..n).filter(|&i| !is_idle(&sessions[i])).min_by(|&a, &b| {
+                sim.states[a]
+                    .clock
+                    .total_cmp(&sim.states[b].clock)
+                    .then(a.cmp(&b))
+            });
             let take_arrival = match (arrival, busy_worker) {
                 (Some(ta), Some(w)) => ta <= sim.states[w].clock,
                 (Some(_), None) => true,
@@ -396,39 +380,19 @@ impl FleetGateway {
             let now = if take_arrival {
                 let ri = order[next_arrival];
                 next_arrival += 1;
-                let r = &trace[ri];
                 let t = sim.tenant_of[ri];
-                if sim.scheduling == SchedulingPolicy::Wfq && sim.outstanding[t] == 0 {
+                if sim.config.scheduling == SchedulingPolicy::Wfq && sim.outstanding[t] == 0 {
                     // The tenant went idle: re-floor its virtual time so
                     // it cannot spend banked credit starving the others.
                     sim.wfq.wake(t);
                 }
                 sim.outstanding[t] += 1;
-                let entry = QueueEntry {
-                    req: ri,
-                    priority: r.priority,
-                    arrival_secs: r.arrival_secs,
-                    id: r.id,
-                    tenant: t,
-                };
-                let rej = match sim.scheduling {
-                    SchedulingPolicy::StrictPriority => queue.offer(entry, &strict_before),
-                    SchedulingPolicy::Wfq => {
-                        let vt = sim.wfq.vtimes().to_vec();
-                        queue.offer(entry, &|a, b| wfq_before(&vt, a, b))
-                    }
-                };
+                let now = trace[ri].arrival_secs;
+                let rej = queue.offer(sim.entry(ri), &sim.before());
                 if let Some(rej) = rej {
-                    sim.records[rej].rejected = true;
-                    sim.rejected += 1;
-                    sim.outstanding[sim.tenant_of[rej]] -= 1;
-                    // Evicted requests leave their wait in the record —
-                    // a request that waited seconds and got shed must
-                    // show up in queue_wait_p99.
-                    sim.queue_waits
-                        .push(r.arrival_secs - trace[rej].arrival_secs);
+                    sim.reject(rej, now);
                 }
-                r.arrival_secs
+                now
             } else if let Some(w) = busy_worker {
                 sim.step_worker(w, &mut sessions[w], &mut ctxs[w])?
             } else {
@@ -441,10 +405,7 @@ impl FleetGateway {
                 debug_assert!(sim.preempted.is_empty(), "paused decode stranded at drain");
                 let drain_at = sim.states.iter().map(|s| s.clock).fold(0.0f64, f64::max);
                 while let Some(ri) = queue.pop(&strict_before) {
-                    sim.records[ri].rejected = true;
-                    sim.rejected += 1;
-                    sim.outstanding[sim.tenant_of[ri]] -= 1;
-                    sim.queue_waits.push(drain_at - trace[ri].arrival_secs);
+                    sim.reject(ri, drain_at);
                 }
                 break;
             };
@@ -466,18 +427,25 @@ impl FleetGateway {
     ) -> ServingReport {
         let trace = sim.trace;
         let makespan_secs = sim.states.iter().map(|s| s.clock).fold(0.0f64, f64::max);
-        let completed = sim.records.iter().filter(|r| r.finished.is_some()).count();
-        let mut slo_good = 0usize;
+        let (mut completed, mut rejected, mut slo_good) = (0usize, 0usize, 0usize);
+        let mut served = vec![0usize; sessions.len()];
+        let (mut ttfts, mut queue_waits) = (Vec::new(), Vec::new());
         let mut tenants: Vec<TenantReport> = Vec::new();
         let mut tenant_ttfts: Vec<Vec<f64>> = Vec::new();
-        for (i, req) in trace.iter().enumerate() {
-            let rec = &sim.records[i];
+        for (i, (req, rec)) in trace.iter().zip(&sim.records).enumerate() {
             let good = rec.finished.is_some()
                 && rec
                     .ttft
                     .map(|t| self.config.slo.met(t, rec.max_tbt))
                     .unwrap_or(false);
+            if rec.finished.is_some() {
+                completed += 1;
+                served[rec.worker] += 1;
+            }
+            rejected += usize::from(rec.rejected);
             slo_good += usize::from(good);
+            ttfts.extend(rec.ttft);
+            queue_waits.extend(rec.queue_wait);
             let t = sim.tenant_of[i];
             if t == tenants.len() {
                 tenants.push(TenantReport {
@@ -497,9 +465,7 @@ impl FleetGateway {
             entry.completed += usize::from(rec.finished.is_some());
             entry.rejected += usize::from(rec.rejected);
             entry.slo_good += usize::from(good);
-            if let Some(ttft) = rec.ttft {
-                tenant_ttfts[t].push(ttft);
-            }
+            tenant_ttfts[t].extend(rec.ttft);
         }
         let total_served: u64 = (0..tenants.len()).map(|t| sim.wfq.served_tokens(t)).sum();
         for (t, entry) in tenants.iter_mut().enumerate() {
@@ -521,7 +487,7 @@ impl FleetGateway {
                 WorkerReport {
                     name: self.oracles[i].name.clone(),
                     sessions: self.oracles[i].sessions,
-                    served: st.served,
+                    served: served[i],
                     steps: st.steps,
                     busy_secs: st.busy_secs,
                     utilization: if makespan_secs > 0.0 {
@@ -543,14 +509,14 @@ impl FleetGateway {
         ServingReport {
             requests: trace.len(),
             completed,
-            rejected: sim.rejected,
+            rejected,
             makespan_secs,
-            ttft_p50_secs: percentile(&sim.ttfts, 50.0),
-            ttft_p99_secs: percentile(&sim.ttfts, 99.0),
+            ttft_p50_secs: percentile(&ttfts, 50.0),
+            ttft_p99_secs: percentile(&ttfts, 99.0),
             tbt_p50_secs: percentile(&sim.tbts, 50.0),
             tbt_p99_secs: percentile(&sim.tbts, 99.0),
-            queue_wait_p50_secs: percentile(&sim.queue_waits, 50.0),
-            queue_wait_p99_secs: percentile(&sim.queue_waits, 99.0),
+            queue_wait_p50_secs: percentile(&queue_waits, 50.0),
+            queue_wait_p99_secs: percentile(&queue_waits, 99.0),
             peak_queue_depth: queue.peak_depth(),
             slo_good,
             goodput_rps: if makespan_secs > 0.0 {
@@ -572,11 +538,16 @@ impl FleetGateway {
     }
 }
 
-/// Checks every request of a trace before any of it is served.
-fn validate_trace(trace: &[Request]) -> SimResult<()> {
+/// Checks every request of a trace before any of it is served, and
+/// numbers its tenants in first-appearance order (the order
+/// [`TenantReport`] rows use). Returns each tenant's WFQ weight and each
+/// request's tenant index.
+fn validate_trace(trace: &[Request]) -> SimResult<(Vec<f64>, Vec<usize>)> {
     let invalid = |r: &Request, problem: String| SimError::InvalidTrace {
         reason: format!("request {}: {problem}", r.id),
     };
+    let mut tenants: Vec<(&str, f64)> = Vec::new();
+    let mut tenant_of = Vec::with_capacity(trace.len());
     for r in trace {
         if r.prompt_len == 0 {
             return Err(invalid(r, "empty prompt".into()));
@@ -597,21 +568,37 @@ fn validate_trace(trace: &[Request]) -> SimResult<()> {
             let problem = format!("tenant {:?} has weight {}", r.tenant, r.weight);
             return Err(invalid(r, problem));
         }
+        let t = match tenants.iter().position(|(name, _)| *name == r.tenant) {
+            Some(t) => t,
+            None => {
+                tenants.push((&r.tenant, r.weight));
+                tenants.len() - 1
+            }
+        };
+        // One WFQ virtual clock per tenant advances at one weight.
+        if tenants[t].1 != r.weight {
+            let problem = format!(
+                "tenant {:?} has weights {} and {}",
+                r.tenant, tenants[t].1, r.weight
+            );
+            return Err(invalid(r, problem));
+        }
+        tenant_of.push(t);
     }
     // Duplicate ids would corrupt every deterministic tie-break in the
     // queue and dispatcher.
     let mut ids: Vec<u64> = trace.iter().map(|r| r.id).collect();
     ids.sort_unstable();
-    match ids.windows(2).find(|w| w[0] == w[1]) {
-        Some(w) => Err(SimError::InvalidTrace {
+    if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+        return Err(SimError::InvalidTrace {
             reason: format!(
                 "duplicate request id {}; compose traces with merge_traces or \
                  replay_trace_from instead of concatenating",
                 w[0]
             ),
-        }),
-        None => Ok(()),
+        });
     }
+    Ok((tenants.into_iter().map(|(_, w)| w).collect(), tenant_of))
 }
 
 impl SimState<'_> {
@@ -645,7 +632,7 @@ impl SimState<'_> {
         let has_prefill = sess.prefilling_count() > 0;
         // A monolithic prompt was registered as one chunk: its pass
         // completes it while every active decode stalls.
-        let monolithic = self.prefill == PrefillMode::Monolithic && has_prefill;
+        let monolithic = self.config.prefill == PrefillMode::Monolithic && has_prefill;
         let mut emitted: Vec<(SeqId, u32)> = Vec::new();
         let decode_stages = if sess.active_count() > 0 && !monolithic {
             emitted = sess.step(ctx, |_, _| 0)?;
@@ -706,70 +693,101 @@ impl SimState<'_> {
 
         // First token of a request whose prompt just completed.
         if let Some(sid) = chunk_done {
-            let k = state
-                .seqs
-                .iter()
-                .position(|s| s.seq == sid)
-                .expect("prefilling sequence is tracked");
-            let req_i = state.seqs[k].req;
-            let r = &self.trace[req_i];
-            state.seqs[k].emitted = 1;
-            state.seqs[k].last_token = t_end;
-            let ttft = t_end - r.arrival_secs;
-            self.records[req_i].ttft = Some(ttft);
-            self.ttfts.push(ttft);
+            let k = self.track_index(w, sid);
+            let req = self.states[w].seqs[k].req;
+            let r = &self.trace[req];
+            let rec = &mut self.records[req];
+            rec.emitted = 1;
+            rec.last_token = t_end;
+            rec.ttft = Some(t_end - r.arrival_secs);
             // The tenant's prompt tokens land with its first token —
             // prefill work is what the fleet just spent on it.
             self.wfq
-                .charge(self.tenant_of[req_i], r.prompt_len as u64 + 1);
+                .charge(self.tenant_of[req], r.prompt_len as u64 + 1);
             if r.output_len.min(r.max_new) <= 1 {
-                // The first token is the whole output. A budget of one
-                // already finished inside the session; otherwise the
-                // EOS retires the freshly activated sequence.
-                if r.max_new > 1 {
-                    sess.retire(sid)?;
-                }
-                state.seqs.remove(k);
-                self.records[req_i].finished = Some(t_end);
-                state.served += 1;
-                self.outstanding[self.tenant_of[req_i]] -= 1;
+                // The first token is the whole output.
+                self.complete(w, k, sess, t_end)?;
             }
         }
 
         // Decode emissions: TBT samples, EOS-driven retirement.
         for (sid, _token) in &emitted {
-            let k = state
-                .seqs
-                .iter()
-                .position(|s| s.seq == *sid)
-                .expect("decoding sequence is tracked");
-            let (req_i, finished_now, tbt) = {
-                let tr = &mut state.seqs[k];
-                tr.emitted += 1;
-                let tbt = t_end - tr.last_token;
-                tr.last_token = t_end;
-                let r = &self.trace[tr.req];
-                (tr.req, tr.emitted >= r.output_len.min(r.max_new), tbt)
-            };
-            self.tbts.push(tbt);
-            self.wfq.charge(self.tenant_of[req_i], 1);
-            let rec = &mut self.records[req_i];
+            let k = self.track_index(w, *sid);
+            let req = self.states[w].seqs[k].req;
+            let r = &self.trace[req];
+            let rec = &mut self.records[req];
+            rec.emitted += 1;
+            let tbt = t_end - rec.last_token;
+            rec.last_token = t_end;
             if tbt > rec.max_tbt {
                 rec.max_tbt = tbt;
             }
-            if finished_now {
-                let tr = state.seqs.remove(k);
-                // EOS before the budget: retire explicitly, freeing the
-                // KV slot now. At the budget the session auto-retired.
-                if tr.emitted < self.trace[req_i].max_new {
-                    sess.retire(tr.seq)?;
-                }
-                rec.finished = Some(t_end);
-                state.served += 1;
-                self.outstanding[self.tenant_of[req_i]] -= 1;
+            self.tbts.push(tbt);
+            self.wfq.charge(self.tenant_of[req], 1);
+            if rec.emitted >= r.output_len.min(r.max_new) {
+                self.complete(w, k, sess, t_end)?;
             }
         }
         Ok(t_end)
+    }
+
+    /// Index into worker `w`'s tracks of sequence `seq`.
+    fn track_index(&self, w: usize, seq: SeqId) -> usize {
+        self.states[w]
+            .seqs
+            .iter()
+            .position(|s| s.seq == seq)
+            .expect("a stepped sequence is tracked")
+    }
+
+    /// Completes the request tracked at `seqs[k]` on worker `w`, whose
+    /// last token landed at `t`.
+    fn complete(
+        &mut self,
+        w: usize,
+        k: usize,
+        sess: &mut DecodeSession<'_>,
+        t: f64,
+    ) -> SimResult<()> {
+        let tr = self.states[w].seqs.remove(k);
+        let rec = &mut self.records[tr.req];
+        // EOS before the budget: retire explicitly, freeing the KV slot
+        // now. At the budget the session auto-retired.
+        if rec.emitted < self.trace[tr.req].max_new {
+            sess.retire(tr.seq)?;
+        }
+        rec.finished = Some(t);
+        self.outstanding[self.tenant_of[tr.req]] -= 1;
+        Ok(())
+    }
+
+    /// Rejects request `req` at `now`: the full queue shed it, no worker
+    /// can place it, or it was still queued when the trace drained.
+    fn reject(&mut self, req: usize, now: f64) {
+        let rec = &mut self.records[req];
+        rec.rejected = true;
+        rec.queue_wait = Some(now - self.trace[req].arrival_secs);
+        self.outstanding[self.tenant_of[req]] -= 1;
+    }
+
+    /// The queue entry request `req` orders by.
+    fn entry(&self, req: usize) -> QueueEntry {
+        let r = &self.trace[req];
+        QueueEntry {
+            req,
+            priority: r.priority,
+            arrival_secs: r.arrival_secs,
+            id: r.id,
+            tenant: self.tenant_of[req],
+        }
+    }
+
+    /// The configured discipline's order, over the live WFQ virtual times.
+    fn before(&self) -> impl Fn(&QueueEntry, &QueueEntry) -> bool + '_ {
+        move |a: &QueueEntry, b: &QueueEntry| match self.config.scheduling {
+            SchedulingPolicy::StrictPriority => strict_before(a, b),
+            SchedulingPolicy::Wfq => wfq_before(self.wfq.vtimes(), a, b),
+        }
     }
 
     /// Die temperature worker `w` would have at time `t`: the last
@@ -790,7 +808,7 @@ impl SimState<'_> {
     /// `w` at time `now`, under the configured thermal policy.
     fn predict(&self, w: usize, now: f64, r: &Request) -> f64 {
         let free = self.states[w].clock.max(now);
-        match self.thermal {
+        match self.config.thermal {
             ThermalPolicy::Aware => {
                 let temp = self.projected_temp(w, free);
                 let mut governor = self.states[w].governor.clone();
@@ -837,25 +855,14 @@ impl SimState<'_> {
         let mut best: Option<(VictimKey, (usize, usize))> = None;
         for &w in workers {
             for (k, s) in self.states[w].seqs.iter().enumerate() {
-                if s.emitted == 0 {
-                    // Still prefilling: no decode stream to pause.
+                let emitted = self.records[s.req].emitted;
+                let victim = self.entry(s.req);
+                // A sequence still prefilling has no decode stream to
+                // pause.
+                if emitted == 0 || victim.priority >= cand.priority || !before(cand, &victim) {
                     continue;
                 }
-                let r = &self.trace[s.req];
-                if r.priority >= cand.priority {
-                    continue;
-                }
-                let ventry = QueueEntry {
-                    req: s.req,
-                    priority: r.priority,
-                    arrival_secs: r.arrival_secs,
-                    id: r.id,
-                    tenant: self.tenant_of[s.req],
-                };
-                if !before(cand, &ventry) {
-                    continue;
-                }
-                let key = (r.priority, s.emitted, w, r.id);
+                let key = (victim.priority, emitted, w, victim.id);
                 if best.as_ref().is_none_or(|(bk, _)| key < *bk) {
                     best = Some((key, (w, k)));
                 }
@@ -864,18 +871,87 @@ impl SimState<'_> {
         best.map(|(_, wk)| wk)
     }
 
-    /// Admits waiting work while fleet capacity exists.
-    ///
-    /// Each scan orders every candidate — queued requests plus paused
-    /// decodes (resumable only on the worker holding their KV) — under
-    /// the configured discipline and walks it front to back, skipping
-    /// any tenant whose best candidate is blocked so a stuck head of
-    /// line cannot idle a worker another tenant could use (per-tenant
-    /// order is preserved; cross-tenant order is not sacrificed to it).
-    /// The first actionable candidate is admitted, resumed, rejected
-    /// (infeasible on every worker — the per-request half of the `fits`
-    /// gate), or unblocked by preempting a strictly-lower-priority
-    /// active decode; the scan then restarts against the new fleet
+    /// One dispatch scan: orders every candidate — queued requests plus
+    /// paused decodes (resumable only on the worker holding their KV) —
+    /// under the configured discipline and walks it front to back,
+    /// skipping any tenant whose best candidate is blocked so a stuck
+    /// head of line cannot idle a worker another tenant could use
+    /// (per-tenant order is preserved; cross-tenant order is not
+    /// sacrificed to it). Returns what the first actionable candidate
+    /// needs: admission, resumption, rejection (infeasible on every
+    /// worker — the per-request half of the `fits` gate), or the
+    /// preemption of a strictly-lower-priority active decode.
+    fn next_action(
+        &self,
+        now: f64,
+        queue: &AdmissionQueue,
+        sessions: &[DecodeSession<'_>],
+        fleet: &FleetSpec,
+    ) -> Option<Action> {
+        let before = self.before();
+        // Queued entries carry no paused index; paused decodes join the
+        // scan with their original request's ordering keys.
+        let mut cands: Vec<(QueueEntry, Option<usize>)> =
+            queue.entries().iter().map(|e| (*e, None)).collect();
+        let paused = self.preempted.iter().enumerate();
+        cands.extend(paused.map(|(pi, p)| (self.entry(p.req), Some(pi))));
+        // Ids are unique, so `before` is a strict total order.
+        cands.sort_by(|(a, _), (b, _)| {
+            if before(a, b) {
+                std::cmp::Ordering::Less
+            } else {
+                std::cmp::Ordering::Greater
+            }
+        });
+        let mut blocked = vec![false; self.outstanding.len()];
+        for (e, paused_idx) in &cands {
+            if blocked[e.tenant] {
+                continue;
+            }
+            // The workers a preemption could free a slot on.
+            let workers = match paused_idx {
+                Some(pi) => {
+                    let w = self.records[e.req].worker;
+                    if sessions[w].has_free_slot() {
+                        return Some(Action::Resume { idx: *pi });
+                    }
+                    vec![w]
+                }
+                None => {
+                    let r = &self.trace[e.req];
+                    let feasible: Vec<usize> = (0..fleet.workers.len())
+                        .filter(|&w| r.prompt_len + r.max_new <= fleet.workers[w].max_ctx)
+                        .collect();
+                    if feasible.is_empty() {
+                        return Some(Action::Reject { req: e.req });
+                    }
+                    let open = feasible
+                        .iter()
+                        .copied()
+                        .filter(|&w| sessions[w].has_free_slot())
+                        .min_by(|&a, &b| {
+                            let pa = self.predict(a, now, r);
+                            let pb = self.predict(b, now, r);
+                            pa.total_cmp(&pb).then(a.cmp(&b))
+                        });
+                    if let Some(worker) = open {
+                        return Some(Action::Admit { req: e.req, worker });
+                    }
+                    feasible
+                }
+            };
+            if self.config.preemption == PreemptionPolicy::Enabled {
+                if let Some((worker, track)) = self.find_victim(&workers, e, &before) {
+                    return Some(Action::Preempt { worker, track });
+                }
+            }
+            blocked[e.tenant] = true;
+        }
+        None
+    }
+
+    /// Admits waiting work while fleet capacity exists: carries out what
+    /// each dispatch scan decides, then rescans against the new fleet
     /// state until nothing is actionable.
     fn try_dispatch(
         &mut self,
@@ -884,181 +960,75 @@ impl SimState<'_> {
         sessions: &mut [DecodeSession<'_>],
         fleet: &FleetSpec,
     ) -> SimResult<()> {
-        enum Action {
-            Admit { req: usize, worker: usize },
-            Resume { idx: usize },
-            Reject { req: usize },
-            Preempt { worker: usize, track: usize },
-        }
-        loop {
-            let vt = self.wfq.vtimes().to_vec();
-            let use_wfq = self.scheduling == SchedulingPolicy::Wfq;
-            let before = |a: &QueueEntry, b: &QueueEntry| {
-                if use_wfq {
-                    wfq_before(&vt, a, b)
-                } else {
-                    strict_before(a, b)
-                }
-            };
-            // Queued entries carry no paused index; paused decodes join
-            // the scan with their original request's ordering keys.
-            let mut cands: Vec<(QueueEntry, Option<usize>)> =
-                queue.entries().iter().map(|e| (*e, None)).collect();
-            for (pi, p) in self.preempted.iter().enumerate() {
-                let r = &self.trace[p.req];
-                cands.push((
-                    QueueEntry {
-                        req: p.req,
-                        priority: r.priority,
-                        arrival_secs: r.arrival_secs,
-                        id: r.id,
-                        tenant: self.tenant_of[p.req],
-                    },
-                    Some(pi),
-                ));
-            }
-            // Ids are unique, so `before` is a strict total order.
-            cands.sort_by(|(a, _), (b, _)| {
-                if before(a, b) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
-                }
-            });
-            let mut blocked = vec![false; self.outstanding.len()];
-            let mut action: Option<Action> = None;
-            for (e, paused_idx) in &cands {
-                if blocked[e.tenant] {
-                    continue;
-                }
-                match paused_idx {
-                    Some(pi) => {
-                        let w = self.preempted[*pi].worker;
-                        if sessions[w].has_free_slot() {
-                            action = Some(Action::Resume { idx: *pi });
-                            break;
-                        }
-                        if self.preemption == PreemptionPolicy::Enabled {
-                            if let Some((vw, vk)) = self.find_victim(&[w], e, &before) {
-                                action = Some(Action::Preempt {
-                                    worker: vw,
-                                    track: vk,
-                                });
-                                break;
-                            }
-                        }
-                        blocked[e.tenant] = true;
-                    }
-                    None => {
-                        let r = &self.trace[e.req];
-                        let feasible: Vec<usize> = (0..fleet.workers.len())
-                            .filter(|&w| r.prompt_len + r.max_new <= fleet.workers[w].max_ctx)
-                            .collect();
-                        if feasible.is_empty() {
-                            action = Some(Action::Reject { req: e.req });
-                            break;
-                        }
-                        let open = feasible
-                            .iter()
-                            .copied()
-                            .filter(|&w| sessions[w].has_free_slot())
-                            .min_by(|&a, &b| {
-                                let pa = self.predict(a, now, r);
-                                let pb = self.predict(b, now, r);
-                                pa.total_cmp(&pb).then(a.cmp(&b))
-                            });
-                        if let Some(best) = open {
-                            action = Some(Action::Admit {
-                                req: e.req,
-                                worker: best,
-                            });
-                            break;
-                        }
-                        if self.preemption == PreemptionPolicy::Enabled {
-                            if let Some((vw, vk)) = self.find_victim(&feasible, e, &before) {
-                                action = Some(Action::Preempt {
-                                    worker: vw,
-                                    track: vk,
-                                });
-                                break;
-                            }
-                        }
-                        blocked[e.tenant] = true;
-                    }
-                }
-            }
+        while let Some(action) = self.next_action(now, queue, sessions, fleet) {
             match action {
-                None => return Ok(()),
-                Some(Action::Reject { req }) => {
+                Action::Reject { req } => {
                     queue.remove(req).expect("rejected request was queued");
-                    self.records[req].rejected = true;
-                    self.rejected += 1;
-                    self.outstanding[self.tenant_of[req]] -= 1;
-                    self.queue_waits.push(now - self.trace[req].arrival_secs);
+                    self.reject(req, now);
                 }
-                Some(Action::Admit { req, worker }) => {
+                Action::Admit { req, worker } => {
                     queue.remove(req).expect("admitted request was queued");
                     let r = &self.trace[req];
-                    let chunk = match self.prefill {
+                    let chunk = match self.config.prefill {
                         PrefillMode::Chunked { chunk_tokens } => chunk_tokens,
                         PrefillMode::Monolithic => r.prompt_len,
                     };
-                    let was_idle =
-                        sessions[worker].active_count() + sessions[worker].prefilling_count() == 0;
                     // Cost-only prompts: token values never matter,
                     // length does.
-                    let sid = sessions[worker].admit_prompt(
-                        &vec![0u32; r.prompt_len],
-                        r.max_new,
-                        chunk,
-                    )?;
-                    if was_idle {
-                        self.touch_idle_worker(worker, now);
-                    }
-                    self.states[worker].seqs.push(SeqTrack {
-                        seq: sid,
-                        req,
-                        emitted: 0,
-                        last_token: now,
-                    });
-                    self.queue_waits.push(now - r.arrival_secs);
+                    let prompt = vec![0u32; r.prompt_len];
+                    self.start(worker, req, now, &mut sessions[worker], |s| {
+                        s.admit_prompt(&prompt, r.max_new, chunk)
+                    })?;
+                    let rec = &mut self.records[req];
+                    rec.worker = worker;
+                    rec.last_token = now;
+                    rec.queue_wait = Some(now - r.arrival_secs);
                 }
-                Some(Action::Resume { idx }) => {
+                Action::Resume { idx } => {
                     let p = self.preempted.swap_remove(idx);
-                    let w = p.worker;
-                    let was_idle = sessions[w].active_count() + sessions[w].prefilling_count() == 0;
-                    let sid = sessions[w].resume(&p.paused)?;
-                    if was_idle {
-                        self.touch_idle_worker(w, now);
-                    }
-                    self.states[w].seqs.push(SeqTrack {
-                        seq: sid,
-                        req: p.req,
-                        emitted: p.emitted,
-                        last_token: p.last_token,
-                    });
+                    let w = self.records[p.req].worker;
+                    self.start(w, p.req, now, &mut sessions[w], |s| s.resume(&p.paused))?;
                 }
-                Some(Action::Preempt { worker, track }) => {
+                Action::Preempt { worker, track } => {
                     let tr = self.states[worker].seqs.remove(track);
                     let paused = sessions[worker].preempt(tr.seq)?;
                     self.preempted.push(PreemptedTrack {
-                        worker,
                         paused,
                         req: tr.req,
-                        emitted: tr.emitted,
-                        last_token: tr.last_token,
                     });
                     self.preemptions += 1;
                 }
             }
         }
+        Ok(())
+    }
+
+    /// Starts request `req` on worker `w` at `now` through `start_seq`
+    /// (an admission or a resume), first waking the worker if it was idle.
+    fn start<'m>(
+        &mut self,
+        w: usize,
+        req: usize,
+        now: f64,
+        sess: &mut DecodeSession<'m>,
+        start_seq: impl FnOnce(&mut DecodeSession<'m>) -> SimResult<SeqId>,
+    ) -> SimResult<()> {
+        let was_idle = is_idle(sess);
+        let seq = start_seq(sess)?;
+        if was_idle {
+            self.touch_idle_worker(w, now);
+        }
+        self.states[w].seqs.push(SeqTrack { seq, req });
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::arrivals::{merge_traces, poisson_trace, replay_trace, TenantSpec};
+    use crate::serve::arrivals::{
+        bursty_trace, merge_traces, poisson_trace, replay_trace, BurstSpec, TenantSpec,
+    };
     use crate::serve::metrics::SloConfig;
     use crate::serve::scheduler::WorkerSpec;
     use edgellm::config::ModelId;
@@ -1340,6 +1310,30 @@ mod tests {
     }
 
     #[test]
+    fn serve_trace_rejects_a_tenant_with_two_weights() {
+        // A tenant has one WFQ virtual clock, which advances at one
+        // weight: a second weight is an error, not ignored.
+        let light = TenantSpec::batch("batch");
+        let heavy = TenantSpec {
+            weight: 3.0,
+            ..TenantSpec::batch("batch")
+        };
+        let trace = merge_traces(&[
+            replay_trace(&light, &[(0.0, 32, 4)]),
+            replay_trace(&heavy, &[(0.5, 32, 4)]),
+        ]);
+        let gw = FleetGateway::new(
+            FleetSpec::single(ModelId::Qwen1_5B, DeviceProfile::v75(), false),
+            GatewayConfig::default(),
+        )
+        .unwrap();
+        let err = gw.serve_trace(&trace).unwrap_err();
+        assert!(matches!(err, SimError::InvalidTrace { .. }), "{err:?}");
+        let named = "request 1: tenant \"batch\" has weights 1 and 3";
+        assert!(err.to_string().contains(named), "{err}");
+    }
+
+    #[test]
     fn defaults_are_strict_priority_thermal_blind_without_preemption() {
         let cfg = GatewayConfig::default();
         assert_eq!(cfg.scheduling, SchedulingPolicy::StrictPriority);
@@ -1618,6 +1612,146 @@ mod tests {
             rep.queue_wait_p99_secs >= 0.5,
             "eviction wait missing from queue-wait record: {rep:?}"
         );
+    }
+
+    /// Every field of `r`, its worker rows and its tenant rows, one line
+    /// each, with every number as its hex bits (a float's `to_bits`).
+    fn report_lines(label: &str, r: &ServingReport) -> Vec<String> {
+        let hex = |v: &[u64]| v.iter().map(|b| format!("{b:x}")).collect::<Vec<_>>();
+        let mut lines = vec![format!(
+            "{label}: {}",
+            hex(&[
+                r.requests as u64,
+                r.completed as u64,
+                r.rejected as u64,
+                r.makespan_secs.to_bits(),
+                r.ttft_p50_secs.to_bits(),
+                r.ttft_p99_secs.to_bits(),
+                r.tbt_p50_secs.to_bits(),
+                r.tbt_p99_secs.to_bits(),
+                r.queue_wait_p50_secs.to_bits(),
+                r.queue_wait_p99_secs.to_bits(),
+                r.peak_queue_depth as u64,
+                r.slo_good as u64,
+                r.goodput_rps.to_bits(),
+                r.decoded_tokens as u64,
+                r.tokens_per_sec.to_bits(),
+                r.jain_fairness.to_bits(),
+                r.preemptions as u64,
+            ])
+            .join(" ")
+        )];
+        for w in &r.workers {
+            let bits = hex(&[
+                w.sessions as u64,
+                w.served as u64,
+                w.steps as u64,
+                w.busy_secs.to_bits(),
+                w.utilization.to_bits(),
+                w.npu_lane_utilization.to_bits(),
+                w.decoded_tokens as u64,
+                w.peak_temp_c.to_bits(),
+                w.throttled_steps as u64,
+            ]);
+            lines.push(format!("{label} worker {}: {}", w.name, bits.join(" ")));
+        }
+        for t in &r.tenants {
+            let bits = hex(&[
+                t.requests as u64,
+                t.completed as u64,
+                t.rejected as u64,
+                t.slo_good as u64,
+                t.served_tokens,
+                t.token_share.to_bits(),
+                t.ttft_p99_secs.to_bits(),
+            ]);
+            lines.push(format!("{label} tenant {}: {}", t.name, bits.join(" ")));
+        }
+        lines
+    }
+
+    /// The pinned reports: a Poisson trace behind a 2-deep queue and a
+    /// merged bursty trace behind the default 8-deep one, each served
+    /// under all 16 policy combinations. The fleet is two 2-slot workers
+    /// whose 512-token context leaves the longest batch prompts
+    /// unplaceable; the streamed V73's cap sits one degree above ambient,
+    /// so it throttles and recovers within the traces.
+    fn pinned_report_lines() -> Vec<String> {
+        let hot_v73 = DeviceProfile {
+            throttle_temp_c: 26.0,
+            throttle_hysteresis_c: 0.5,
+            ..DeviceProfile::v73()
+        };
+        let fleet = FleetSpec {
+            model: ModelId::Qwen1_5B,
+            workers: vec![
+                WorkerSpec {
+                    max_batch: 2,
+                    max_ctx: 512,
+                    ..WorkerSpec::resident(DeviceProfile::v75())
+                },
+                WorkerSpec {
+                    max_batch: 2,
+                    max_ctx: 512,
+                    ..WorkerSpec::streamed(hot_v73)
+                },
+            ],
+        };
+        let [chat, batch] = tenants();
+        let bursty = merge_traces(&[
+            bursty_trace(&[chat], &BurstSpec::default(), 12, 17),
+            bursty_trace(&[batch], &BurstSpec::default(), 12, 18),
+        ]);
+        let traces = [
+            ("poisson q2", poisson_trace(&tenants(), 6.0, 24, 7), 2),
+            ("bursty q8", bursty, 8),
+        ];
+        let mut lines = Vec::new();
+        for (name, trace, queue_capacity) in &traces {
+            let prefills = [
+                ("chunked", PrefillMode::Chunked { chunk_tokens: 32 }),
+                ("monolithic", PrefillMode::Monolithic),
+            ];
+            for (prefill_name, prefill) in prefills {
+                for scheduling in [SchedulingPolicy::StrictPriority, SchedulingPolicy::Wfq] {
+                    for preemption in [PreemptionPolicy::Disabled, PreemptionPolicy::Enabled] {
+                        for thermal in [ThermalPolicy::Blind, ThermalPolicy::Aware] {
+                            let config = GatewayConfig {
+                                queue_capacity: *queue_capacity,
+                                prefill,
+                                scheduling,
+                                preemption,
+                                thermal,
+                                ..GatewayConfig::default()
+                            };
+                            let gw = FleetGateway::new(fleet.clone(), config).unwrap();
+                            let report = gw.serve_trace(trace).unwrap();
+                            let label = format!(
+                                "{name} {prefill_name} {scheduling:?} {preemption:?} {thermal:?}"
+                            );
+                            lines.extend(report_lines(&label, &report));
+                        }
+                    }
+                }
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn reports_match_the_pinned_bits() {
+        // Pins every report field of 32 runs that cover evictions,
+        // unplaceable rejections, preemptions and throttling. A change
+        // that moves one re-pins the file and says so.
+        let pinned: Vec<&str> = include_str!("../../testdata/serving_reports.txt")
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .collect();
+        let served = pinned_report_lines();
+        assert_eq!(served.len(), pinned.len());
+        for (got, want) in served.iter().zip(&pinned) {
+            assert_eq!(got, want);
+        }
     }
 
     #[test]

@@ -53,6 +53,8 @@
 //! }
 //! ```
 
+use std::ops::Range;
+
 use hexsim::prelude::*;
 
 pub use edgellm::decode_session::{DecodeSession, FinishedSeq, PreemptedSeq, SeqId};
@@ -199,35 +201,7 @@ impl ShardPlan {
         batch: usize,
         ctx_len: usize,
     ) -> SimResult<Self> {
-        let kv_budget = batch * (ctx_len + 2);
-        let mut ms = MultiSession::new(va_per_session);
-        // A layer travels as one unit: its weights plus its slice of the
-        // per-layer KV cache, so attention never reaches across sessions.
-        let layer_bytes = cfg.npu_layer_weight_bytes() + cfg.kv_cache_layer_bytes(kv_budget);
-        let mut shards: Vec<LayerShard> = Vec::new();
-        let mut bytes = 0u64;
-        for layer in 0..cfg.layers {
-            let session = ms.map(layer_bytes)?;
-            bytes += layer_bytes;
-            match shards.last_mut() {
-                Some(shard) if shard.session == session => shard.end = layer + 1,
-                _ => shards.push(LayerShard {
-                    session,
-                    start: layer,
-                    end: layer + 1,
-                }),
-            }
-        }
-        Ok(ShardPlan {
-            shards,
-            bytes,
-            session_bytes: ms.mapped.clone(),
-            switch_secs: SESSION_SWITCH_SECS,
-            streamed: Vec::new(),
-            stream_layer_bytes: 0,
-            window_bytes: 0,
-            staged_bytes: 0,
-        })
+        Self::place(cfg, va_per_session, batch, ctx_len, 0..0)
     }
 
     /// Plans the paper's single-session deployment: the resident plan of
@@ -268,26 +242,41 @@ impl ShardPlan {
         batch: usize,
         ctx_len: usize,
     ) -> SimResult<Self> {
-        if cfg.layers < 3 {
-            // Nothing between the hot first and last layer to stream.
-            return Self::build(cfg, va_per_session, batch, ctx_len);
-        }
-        let kv_budget = batch * (ctx_len + 2);
+        // With fewer than three layers nothing lies between the hot first
+        // and last layer, and the plan is the resident one.
+        let cold = 1..cfg.layers.saturating_sub(1);
+        Self::place(cfg, va_per_session, batch, ctx_len, cold)
+    }
+
+    /// First-fit placement of every layer through [`MultiSession`]: a
+    /// layer in `streamed` maps only its KV slice, any other layer its
+    /// weights plus its KV slice. With streamed layers, the two-slot
+    /// streaming window maps first, so it shares session 0 with the entry
+    /// layer's weights (fetches and the walk start in one session); a
+    /// resident plan (`streamed` empty) maps no window.
+    fn place(
+        cfg: &edgellm::config::ModelConfig,
+        va_per_session: u64,
+        batch: usize,
+        ctx_len: usize,
+        streamed: Range<usize>,
+    ) -> SimResult<Self> {
         let weight_bytes = cfg.npu_layer_weight_bytes();
-        let kv_bytes = cfg.kv_cache_layer_bytes(kv_budget);
-        let window_bytes = 2 * weight_bytes;
+        let kv_bytes = cfg.kv_cache_layer_bytes(batch * (ctx_len + 2));
+        let stream_layer_bytes = if streamed.is_empty() { 0 } else { weight_bytes };
+        let window_bytes = 2 * stream_layer_bytes;
         let mut ms = MultiSession::new(va_per_session);
-        // The window maps first so it shares session 0 with the entry
-        // layer's weights — fetches and the walk start in one session.
         ms.map(window_bytes)?;
         let mut shards: Vec<LayerShard> = Vec::new();
         let mut bytes = window_bytes;
         for layer in 0..cfg.layers {
-            let hot = layer == 0 || layer == cfg.layers - 1;
-            let unit = if hot {
-                weight_bytes + kv_bytes
-            } else {
+            // A layer travels as one unit: its KV slice plus, unless it
+            // streams, its weights, so attention never reaches across
+            // sessions.
+            let unit = if streamed.contains(&layer) {
                 kv_bytes
+            } else {
+                weight_bytes + kv_bytes
             };
             let session = ms.map(unit)?;
             bytes += unit;
@@ -300,17 +289,16 @@ impl ShardPlan {
                 }),
             }
         }
-        let streamed: Vec<usize> = (1..cfg.layers - 1).collect();
-        let staged_bytes = streamed.len() as u64 * weight_bytes;
+        let streamed: Vec<usize> = streamed.collect();
         Ok(ShardPlan {
             shards,
             bytes,
-            session_bytes: ms.mapped.clone(),
+            session_bytes: ms.mapped,
             switch_secs: SESSION_SWITCH_SECS,
+            staged_bytes: streamed.len() as u64 * weight_bytes,
             streamed,
-            stream_layer_bytes: weight_bytes,
+            stream_layer_bytes,
             window_bytes,
-            staged_bytes,
         })
     }
 

@@ -353,6 +353,41 @@ mod tests {
     }
 
     #[test]
+    fn efficiency_surface_sustained_point_is_slower_but_bounded() {
+        let d = DeviceProfile::v75();
+        // Duration 0: operating points only, no trajectory.
+        let panel: Vec<SustainedCurve> = [1, 8, 16]
+            .iter()
+            .filter_map(|&batch| {
+                sustained_decode_curve(&d, ModelId::Qwen1_5B, batch, 1024, 0.0).ok()
+            })
+            .collect();
+        assert_eq!(panel.len(), 3);
+        for p in &panel {
+            assert!(
+                p.sustained_tokens_per_sec < p.burst_tokens_per_sec,
+                "batch {}",
+                p.batch
+            );
+            // Fixed switch costs mean degradation never exceeds the clock
+            // ratio itself.
+            assert!(
+                p.sustained_tokens_per_sec
+                    >= p.burst_tokens_per_sec * d.sustained_clock_mult * 0.999,
+                "batch {}: sustained {} burst {}",
+                p.batch,
+                p.sustained_tokens_per_sec,
+                p.burst_tokens_per_sec
+            );
+            assert!(p.burst_tokens_per_joule > 0.0);
+            assert!(p.sustained_tokens_per_joule > 0.0);
+        }
+        // Batching is the efficiency lever on both operating points.
+        assert!(panel[1].burst_tokens_per_joule > 2.0 * panel[0].burst_tokens_per_joule);
+        assert!(panel[1].sustained_tokens_per_joule > 2.0 * panel[0].sustained_tokens_per_joule);
+    }
+
+    #[test]
     fn cold_short_run_never_throttles() {
         let d = DeviceProfile::v79();
         // Two seconds of decode barely warms a 5.5 J/C die.

@@ -28,10 +28,9 @@
 
 use benchutil::json::Json;
 use npuscale::experiments::{
-    fleet_thermal_rows, thermal_decode_rows, FleetThermalRow, ThermalDecodeRow,
-    THERMAL_WINDOW_SECS, THERMAL_WORKLOAD,
+    fleet_thermal_rows, thermal_decode_rows, THERMAL_WINDOW_SECS, THERMAL_WORKLOAD,
 };
-use npuscale::pareto::efficiency_panel;
+use npuscale::thermal::{sustained_decode_curve, SustainedCurve};
 use npuscale_repro::prelude::*;
 
 /// Seed for the fleet trace (the CI gate relies on it).
@@ -100,20 +99,21 @@ fn sustained_decode_section() -> (Json, bool) {
         let cold = NpuSimBackend::overlapped(device.clone())
             .decode(model, batch, ctx_len)
             .expect("cold decode");
-        if r.burst_tps != cold.tokens_per_sec {
+        if r.burst_tokens_per_sec != cold.tokens_per_sec {
             eprintln!(
                 "GATE: {} burst {} != pre-thermal decode {} (must be bit-for-bit)",
-                r.device, r.burst_tps, cold.tokens_per_sec
+                r.device, r.burst_tokens_per_sec, cold.tokens_per_sec
             );
             failed = true;
         }
         // Claim 2: throttling is bounded. The clock multiplier is the
         // hard floor (switch costs do not scale), the pinned measured
         // floor is the regression tripwire.
-        if r.degradation < device.sustained_clock_mult * (1.0 - 1e-6) {
+        let degradation = degradation(r);
+        if degradation < device.sustained_clock_mult * (1.0 - 1e-6) {
             eprintln!(
                 "GATE: {} degradation {} below the clock multiplier {}",
-                r.device, r.degradation, device.sustained_clock_mult
+                r.device, degradation, device.sustained_clock_mult
             );
             failed = true;
         }
@@ -122,10 +122,10 @@ fn sustained_decode_section() -> (Json, bool) {
             .find(|(d, _)| *d == r.device)
             .map(|(_, f)| *f)
             .unwrap_or(0.0);
-        if r.degradation < floor {
+        if degradation < floor {
             eprintln!(
                 "GATE: {} degradation {} below the pinned floor {}",
-                r.device, r.degradation, floor
+                r.device, degradation, floor
             );
             failed = true;
         }
@@ -153,17 +153,20 @@ fn efficiency_section() -> Json {
     println!("\n== Efficiency surface: tokens/sec/watt, burst vs sustained ==");
     let mut out = Vec::new();
     for device in DeviceProfile::all() {
-        let panel = efficiency_panel(&device, ModelId::Qwen1_5B, &[1, 4, 8], 1024);
-        for p in panel {
+        for batch in [1, 4, 8] {
+            // Duration 0: operating points only, no trajectory.
+            let Ok(p) = sustained_decode_curve(&device, ModelId::Qwen1_5B, batch, 1024, 0.0) else {
+                continue;
+            };
             println!(
                 "{:<4} b{:<2} | burst {:>7.2} tok/s {:>6.2} tok/s/W | \
                  sustained {:>7.2} tok/s {:>6.2} tok/s/W",
                 p.device,
                 p.batch,
                 p.burst_tokens_per_sec,
-                p.burst_tokens_per_sec_per_watt,
+                p.burst_tokens_per_joule,
                 p.sustained_tokens_per_sec,
-                p.sustained_tokens_per_sec_per_watt
+                p.sustained_tokens_per_joule
             );
             out.push(Json::obj([
                 ("device", Json::str(&p.device)),
@@ -171,13 +174,10 @@ fn efficiency_section() -> Json {
                 ("batch", Json::from(p.batch)),
                 ("burst_tps", Json::from(p.burst_tokens_per_sec)),
                 ("sustained_tps", Json::from(p.sustained_tokens_per_sec)),
-                (
-                    "burst_tps_per_watt",
-                    Json::from(p.burst_tokens_per_sec_per_watt),
-                ),
+                ("burst_tps_per_watt", Json::from(p.burst_tokens_per_joule)),
                 (
                     "sustained_tps_per_watt",
-                    Json::from(p.sustained_tokens_per_sec_per_watt),
+                    Json::from(p.sustained_tokens_per_joule),
                 ),
             ]));
         }
@@ -188,11 +188,11 @@ fn efficiency_section() -> Json {
 /// Claim 3: thermal-aware dispatch beats thermal-blind on the same trace.
 fn fleet_dispatch_section() -> (Json, bool) {
     println!("\n== Fleet dispatch: thermal-blind vs thermal-aware, seed {SEED} ==");
-    let rows = fleet_thermal_rows(SEED).expect("fleet thermal rows");
-    for r in &rows {
-        print_fleet_row(r);
+    let [blind, aware] = fleet_thermal_rows(SEED).expect("fleet thermal rows");
+    let rows = [("blind", &blind), ("aware", &aware)];
+    for (policy, r) in rows {
+        print_fleet_row(policy, r);
     }
-    let (blind, aware) = (&rows[0], &rows[1]);
     let mut failed = false;
     if aware.goodput_rps < blind.goodput_rps {
         eprintln!(
@@ -208,19 +208,24 @@ fn fleet_dispatch_section() -> (Json, bool) {
         );
         failed = true;
     }
-    if blind.throttled_steps == 0 {
+    if throttled_steps(&blind) == 0 {
         eprintln!("GATE: trace never throttled the blind fleet — comparison is vacuous");
         failed = true;
     }
-    if aware.throttled_steps >= blind.throttled_steps {
+    if throttled_steps(&aware) >= throttled_steps(&blind) {
         eprintln!(
             "GATE: aware throttled {} steps, blind {} — routing around hot \
              dies should reduce throttling",
-            aware.throttled_steps, blind.throttled_steps
+            throttled_steps(&aware),
+            throttled_steps(&blind)
         );
         failed = true;
     }
-    let json = Json::Arr(rows.iter().map(fleet_row_json).collect());
+    let json = Json::Arr(
+        rows.iter()
+            .map(|&(policy, r)| fleet_row_json(policy, r))
+            .collect(),
+    );
     (json, failed)
 }
 
@@ -231,62 +236,77 @@ fn device_by_label(label: &str) -> DeviceProfile {
         .unwrap_or_else(|| panic!("unknown device label {label}"))
 }
 
-fn print_decode_row(r: &ThermalDecodeRow) {
-    let throttle = match (r.first_throttle_step, r.first_throttle_secs) {
+/// Sustained over burst tokens/sec.
+fn degradation(c: &SustainedCurve) -> f64 {
+    c.sustained_tokens_per_sec / c.burst_tokens_per_sec
+}
+
+/// Steps the whole fleet ran at the sustained clock point.
+fn throttled_steps(r: &ServingReport) -> usize {
+    r.workers.iter().map(|w| w.throttled_steps).sum()
+}
+
+/// Hottest die temperature across the fleet.
+fn peak_temp_c(r: &ServingReport) -> f64 {
+    r.workers.iter().map(|w| w.peak_temp_c).fold(0.0, f64::max)
+}
+
+fn print_decode_row(c: &SustainedCurve) {
+    let throttle = match (c.first_throttle_step, c.first_throttle_secs) {
         (Some(step), Some(secs)) => format!("step {step} @ {secs:.1} s"),
         _ => "never".to_string(),
     };
     println!(
         "{:<4} | burst {:>7.2} tok/s {:>5.2} W | sustained {:>7.2} tok/s \
          {:>5.2} W | x{:.4} | throttles {throttle} | peak {:.2} C",
-        r.device,
-        r.burst_tps,
-        r.burst_power_w,
-        r.sustained_tps,
-        r.sustained_power_w,
-        r.degradation,
-        r.peak_temp_c
+        c.device,
+        c.burst_tokens_per_sec,
+        c.burst_power_w,
+        c.sustained_tokens_per_sec,
+        c.sustained_power_w,
+        degradation(c),
+        c.peak_temp_c
     );
 }
 
-fn decode_row_json(r: &ThermalDecodeRow) -> Json {
+fn decode_row_json(c: &SustainedCurve) -> Json {
     Json::obj([
-        ("device", Json::str(&r.device)),
-        ("model", Json::str(&r.model)),
-        ("batch", Json::from(r.batch)),
-        ("ctx_len", Json::from(r.ctx_len)),
-        ("burst_tps", Json::from(r.burst_tps)),
-        ("sustained_tps", Json::from(r.sustained_tps)),
-        ("avg_tps", Json::from(r.avg_tps)),
-        ("degradation", Json::from(r.degradation)),
-        ("burst_power_w", Json::from(r.burst_power_w)),
-        ("sustained_power_w", Json::from(r.sustained_power_w)),
+        ("device", Json::str(&c.device)),
+        ("model", Json::str(&c.model)),
+        ("batch", Json::from(c.batch)),
+        ("ctx_len", Json::from(c.ctx_len)),
+        ("burst_tps", Json::from(c.burst_tokens_per_sec)),
+        ("sustained_tps", Json::from(c.sustained_tokens_per_sec)),
+        ("avg_tps", Json::from(c.avg_tokens_per_sec)),
+        ("degradation", Json::from(degradation(c))),
+        ("burst_power_w", Json::from(c.burst_power_w)),
+        ("sustained_power_w", Json::from(c.sustained_power_w)),
         (
             "burst_tokens_per_joule",
-            Json::from(r.burst_tokens_per_joule),
+            Json::from(c.burst_tokens_per_joule),
         ),
         (
             "sustained_tokens_per_joule",
-            Json::from(r.sustained_tokens_per_joule),
+            Json::from(c.sustained_tokens_per_joule),
         ),
         (
             "first_throttle_step",
-            r.first_throttle_step.map(Json::from).unwrap_or(Json::Null),
+            c.first_throttle_step.map(Json::from).unwrap_or(Json::Null),
         ),
         (
             "first_throttle_secs",
-            r.first_throttle_secs.map(Json::from).unwrap_or(Json::Null),
+            c.first_throttle_secs.map(Json::from).unwrap_or(Json::Null),
         ),
-        ("peak_temp_c", Json::from(r.peak_temp_c)),
+        ("peak_temp_c", Json::from(c.peak_temp_c)),
     ])
 }
 
-fn print_fleet_row(r: &FleetThermalRow) {
+fn print_fleet_row(policy: &str, r: &ServingReport) {
     println!(
         "{:<6} | done {:>3} rej {:>2} good {:>3} | goodput {:>6.3} req/s | \
          ttft p99 {:>6.3} s tbt p99 {:>6.4} s | makespan {:>6.1} s | \
          throttled {:>5} steps | peak {:.2} C",
-        r.policy,
+        policy,
         r.completed,
         r.rejected,
         r.slo_good,
@@ -294,14 +314,14 @@ fn print_fleet_row(r: &FleetThermalRow) {
         r.ttft_p99_secs,
         r.tbt_p99_secs,
         r.makespan_secs,
-        r.throttled_steps,
-        r.peak_temp_c
+        throttled_steps(r),
+        peak_temp_c(r)
     );
 }
 
-fn fleet_row_json(r: &FleetThermalRow) -> Json {
+fn fleet_row_json(policy: &str, r: &ServingReport) -> Json {
     Json::obj([
-        ("policy", Json::str(&r.policy)),
+        ("policy", Json::str(policy)),
         ("completed", Json::from(r.completed)),
         ("rejected", Json::from(r.rejected)),
         ("slo_good", Json::from(r.slo_good)),
@@ -310,7 +330,7 @@ fn fleet_row_json(r: &FleetThermalRow) -> Json {
         ("tbt_p99_secs", Json::from(r.tbt_p99_secs)),
         ("makespan_secs", Json::from(r.makespan_secs)),
         ("tokens_per_sec", Json::from(r.tokens_per_sec)),
-        ("throttled_steps", Json::from(r.throttled_steps)),
-        ("peak_temp_c", Json::from(r.peak_temp_c)),
+        ("throttled_steps", Json::from(throttled_steps(r))),
+        ("peak_temp_c", Json::from(peak_temp_c(r))),
     ])
 }

@@ -637,3 +637,90 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    // Each case builds a two-worker gateway and serves a short trace.
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The gateway conserves requests under every policy combination: a
+    /// random two-tenant trace is served `Ok`, every request completes or
+    /// is rejected, and the tenant and worker rows add up to the report.
+    /// Both workers cap the context at 512 tokens, so prompts near 480
+    /// with large budgets fit nowhere and are rejected, not stuck.
+    #[test]
+    fn gateway_conserves_requests_under_every_policy(
+        n in 1usize..=12,
+        tenants in prop::collection::vec(0usize..2, 12),
+        arrivals in prop::collection::vec(0.0f64..3.0, 12),
+        prompts in prop::collection::vec(1usize..=480, 12),
+        budgets in prop::collection::vec(1usize..=64, 12),
+        outputs in prop::collection::vec(1usize..=64, 12),
+        policy in 0usize..16,
+        queue_capacity in 1usize..=4
+    ) {
+        use npuscale::serve::{PreemptionPolicy, SchedulingPolicy, ThermalPolicy, WorkerSpec};
+        use npuscale_repro::prelude::*;
+
+        let specs = [TenantSpec::interactive("chat"), TenantSpec::batch("batch")];
+        let trace: Vec<Request> = (0..n)
+            .map(|i| {
+                let t = &specs[tenants[i]];
+                Request {
+                    id: i as u64,
+                    tenant: t.name.clone(),
+                    priority: t.priority,
+                    arrival_secs: arrivals[i],
+                    prompt_len: prompts[i],
+                    output_len: outputs[i].min(budgets[i]),
+                    max_new: budgets[i],
+                    weight: t.weight,
+                }
+            })
+            .collect();
+        let preemption = [PreemptionPolicy::Disabled, PreemptionPolicy::Enabled][policy & 1];
+        let config = GatewayConfig {
+            queue_capacity,
+            prefill: [PrefillMode::Chunked { chunk_tokens: 32 }, PrefillMode::Monolithic]
+                [policy >> 1 & 1],
+            scheduling: [SchedulingPolicy::StrictPriority, SchedulingPolicy::Wfq][policy >> 2 & 1],
+            preemption,
+            thermal: [ThermalPolicy::Blind, ThermalPolicy::Aware][policy >> 3],
+            ..GatewayConfig::default()
+        };
+        let worker = |spec: WorkerSpec| WorkerSpec {
+            max_batch: 2,
+            max_ctx: 512,
+            ..spec
+        };
+        let fleet = FleetSpec {
+            model: ModelId::Qwen1_5B,
+            workers: vec![
+                worker(WorkerSpec::resident(DeviceProfile::v75())),
+                worker(WorkerSpec::streamed(DeviceProfile::v73())),
+            ],
+        };
+        let r = FleetGateway::new(fleet, config).unwrap().serve_trace(&trace);
+        prop_assert!(r.is_ok(), "{:?}", r.err());
+        let r = r.unwrap();
+        prop_assert_eq!(r.requests, n);
+        prop_assert_eq!(r.completed + r.rejected, n);
+        let tenant_sum = |f: fn(&npuscale::serve::TenantReport) -> usize| {
+            r.tenants.iter().map(f).sum::<usize>()
+        };
+        prop_assert_eq!(tenant_sum(|t| t.requests), r.requests);
+        prop_assert_eq!(tenant_sum(|t| t.completed), r.completed);
+        prop_assert_eq!(tenant_sum(|t| t.rejected), r.rejected);
+        prop_assert_eq!(tenant_sum(|t| t.slo_good), r.slo_good);
+        prop_assert_eq!(r.workers.iter().map(|w| w.served).sum::<usize>(), r.completed);
+        prop_assert_eq!(
+            r.workers.iter().map(|w| w.decoded_tokens).sum::<usize>(),
+            r.decoded_tokens
+        );
+        if preemption == PreemptionPolicy::Disabled {
+            prop_assert_eq!(r.preemptions, 0);
+        }
+        prop_assert!(r.ttft_p50_secs <= r.ttft_p99_secs, "{:?}", r);
+        prop_assert!(r.tbt_p50_secs <= r.tbt_p99_secs, "{:?}", r);
+        prop_assert!(r.queue_wait_p50_secs <= r.queue_wait_p99_secs, "{:?}", r);
+    }
+}
