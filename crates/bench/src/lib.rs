@@ -1,9 +1,12 @@
 //! Benchmark harness: the [`json`] emitter the gate examples write their
-//! `BENCH_*.json` artifacts with, and the `kernel_microbench` criterion
-//! target (host time of the kernels and of cost-only decode work).
+//! `BENCH_*.json` artifacts with, the [`gate`] they check their claims
+//! through, and the `kernel_microbench` criterion target (host time of the
+//! kernels and of cost-only decode work).
 //!
 //! The paper's tables and figures print from the `paper_figures` example
 //! (README's "Regenerating paper figures and tables").
+
+pub mod gate;
 
 pub mod json {
     //! Minimal JSON emitter for machine-readable `BENCH_*.json` bench

@@ -902,4 +902,16 @@ mod tests {
         assert_eq!(fit.sessions, device.max_sessions);
         assert!(at_cap.decode(ModelId::Qwen7B, 16, 1024).is_ok());
     }
+
+    #[test]
+    fn a_zero_batch_decode_is_a_typed_error() {
+        for backend in NpuSimBackend::variants(&DeviceProfile::v75()) {
+            let err = backend.decode(ModelId::Qwen1_5B, 0, 1024).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty decode step")),
+                "{}: {err}",
+                backend.name()
+            );
+        }
+    }
 }

@@ -31,13 +31,14 @@ use ttscale::verifier::SimOrm;
 
 use crate::backend::Backend;
 use crate::memory::{measure_overhead, OverheadPoint};
-use crate::pipeline::{Deployment, DispatchMode};
+use crate::pipeline::{DecodePoint, Deployment, DispatchMode, PrefillPoint};
 use crate::power::{PowerModel, PowerPoint};
 use crate::serve::{
     poisson_trace, FleetGateway, FleetSpec, GatewayConfig, Request, ServingReport, TenantSpec,
     ThermalPolicy,
 };
 use crate::session::ShardPlan;
+use crate::spec::SpecDecodePoint;
 use crate::thermal::{sustained_decode_curve, SustainedCurve};
 
 // ---------------------------------------------------------------------
@@ -409,49 +410,20 @@ pub fn fig12_rows() -> Vec<PowerPoint> {
 // Figure 13 — comparison with GPU and QNN baselines.
 // ---------------------------------------------------------------------
 
-/// One Figure 13 decode point.
-#[derive(Clone, Debug)]
-pub struct Fig13DecodeRow {
-    /// System label.
-    pub system: String,
-    /// Model label.
-    pub model: String,
-    /// Batch size.
-    pub batch: usize,
-    /// Decode throughput, tokens/second.
-    pub tokens_per_sec: f64,
-}
-
-/// One Figure 13 prefill point.
-#[derive(Clone, Debug)]
-pub struct Fig13PrefillRow {
-    /// System label.
-    pub system: String,
-    /// Model label.
-    pub model: String,
-    /// Prompt length.
-    pub prompt_len: usize,
-    /// Prefill throughput, tokens/second.
-    pub tokens_per_sec: f64,
-}
-
 /// Regenerates Figure 13's decode panels over a backend set
 /// (conventionally the serial [`crate::backend::NpuSimBackend`] followed
-/// by the GPU and QNN [`crate::backend::baselines`]). Configurations
-/// a backend cannot run — the VA gate, QNN's batch-1 static graphs — are
-/// skipped, exactly as they are absent from the paper's plot.
-pub fn fig13_decode_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig13DecodeRow> {
+/// by the GPU and QNN [`crate::backend::baselines`]): one
+/// `(Backend::name(), point)` pair per model, batch and backend, at
+/// context 1024. Configurations a backend cannot run — the VA gate,
+/// QNN's batch-1 static graphs — are skipped, exactly as they are absent
+/// from the paper's plot.
+pub fn fig13_decode_rows(backends: &[Box<dyn Backend>]) -> Vec<(&'static str, DecodePoint)> {
     let mut out = Vec::new();
     for model in [ModelId::Qwen1_5B, ModelId::Qwen3B] {
         for batch in [1usize, 2, 4, 8, 16] {
             for b in backends {
                 if let Ok(p) = b.decode(model, batch, 1024) {
-                    out.push(Fig13DecodeRow {
-                        system: b.name().to_string(),
-                        model: model.label().to_string(),
-                        batch,
-                        tokens_per_sec: p.tokens_per_sec,
-                    });
+                    out.push((b.name(), p));
                 }
             }
         }
@@ -459,19 +431,15 @@ pub fn fig13_decode_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig13DecodeRow> {
     out
 }
 
-/// Regenerates Figure 13's prefill panels over a backend set.
-pub fn fig13_prefill_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig13PrefillRow> {
+/// Regenerates Figure 13's prefill panels over a backend set: one
+/// `(Backend::name(), point)` pair per model, prompt length and backend.
+pub fn fig13_prefill_rows(backends: &[Box<dyn Backend>]) -> Vec<(&'static str, PrefillPoint)> {
     let mut out = Vec::new();
     for model in [ModelId::Qwen1_5B, ModelId::Qwen3B] {
         for prompt in [128usize, 256, 512, 1024, 2048] {
             for b in backends {
                 if let Ok(p) = b.prefill(model, prompt) {
-                    out.push(Fig13PrefillRow {
-                        system: b.name().to_string(),
-                        model: model.label().to_string(),
-                        prompt_len: prompt,
-                        tokens_per_sec: p.tokens_per_sec,
-                    });
+                    out.push((b.name(), p));
                 }
             }
         }
@@ -660,36 +628,16 @@ pub fn fig16_rows(backends: &[Box<dyn Backend>]) -> Vec<OverheadPoint> {
 // Overlap extension — serial vs. async-dispatch decode (Section 7.2.2).
 // ---------------------------------------------------------------------
 
-/// One serial-vs-overlapped decode comparison point (the rows behind the
-/// `BENCH_decode.json` artifact).
-#[derive(Clone, Debug)]
-pub struct DecodeOverlapRow {
-    /// Device SoC label.
-    pub device: String,
-    /// Model label.
-    pub model: String,
-    /// Decode batch size.
-    pub batch: usize,
-    /// Context length per sequence.
-    pub ctx_len: usize,
-    /// Decode throughput with serial dispatch, tokens/second.
-    pub serial_tps: f64,
-    /// Decode throughput with overlap-aware async dispatch, tokens/second.
-    pub overlapped_tps: f64,
-    /// `overlapped_tps / serial_tps` (>= 1 by construction: the critical
-    /// path never exceeds the serial stage sum).
-    pub speedup: f64,
-    /// NPU sessions the deployment ran across (> 1 = Section 8 sharding,
-    /// whose switches the overlapped schedule hides behind tail kernels).
-    pub sessions: usize,
-}
-
 /// Measures serial vs. overlap-aware decode across the three Snapdragon
 /// generations: Qwen2.5-1.5B at batches 1/8/16 everywhere, plus the
 /// sharded Qwen-7B deployment (where the session switches are on the
-/// line). CI regenerates these rows each push and fails if any overlapped
-/// point regresses above its serial baseline.
-pub fn decode_overlap_rows() -> Vec<DecodeOverlapRow> {
+/// line). Returns one `[serial, overlapped]` pair per configuration: the
+/// rows behind the `BENCH_decode.json` artifact, whose speedup is the
+/// overlapped throughput over the serial one (>= 1 by construction: the
+/// critical path never exceeds the serial stage sum). CI regenerates
+/// these rows each push and fails if any overlapped point regresses above
+/// its serial baseline.
+pub fn decode_overlap_rows() -> Vec<[DecodePoint; 2]> {
     let mut out = Vec::new();
     for device in DeviceProfile::all() {
         let [serial, overlapped, _] = crate::backend::NpuSimBackend::variants(&device);
@@ -698,22 +646,12 @@ pub fn decode_overlap_rows() -> Vec<DecodeOverlapRow> {
             // StepCost carries both views, but the regression gate is only
             // meaningful when serial goes through its own full pipeline —
             // comparing a number against itself would always pass.
-            let (Ok(s), Ok(o)) = (
+            if let (Ok(s), Ok(o)) = (
                 serial.decode(model, batch, ctx_len),
                 overlapped.decode(model, batch, ctx_len),
-            ) else {
-                return;
-            };
-            out.push(DecodeOverlapRow {
-                device: device.arch.soc_label().to_string(),
-                model: model.label().to_string(),
-                batch,
-                ctx_len,
-                serial_tps: s.tokens_per_sec,
-                overlapped_tps: o.tokens_per_sec,
-                speedup: o.tokens_per_sec / s.tokens_per_sec,
-                sessions: o.sessions,
-            });
+            ) {
+                out.push([s, o]);
+            }
         };
         for batch in [1usize, 8, 16] {
             push(ModelId::Qwen1_5B, batch, 1024);
@@ -898,56 +836,23 @@ pub const SPEC_LOW_ACCEPTANCE: f64 = 0.25;
 /// see the identical accept/reject stream).
 const SPEC_TRACE_SEED: u64 = 20260808;
 
-/// One plain-vs-speculative decode row (the headline rows of the
-/// `BENCH_spec.json` artifact).
-#[derive(Clone, Debug)]
-pub struct SpecDecodeRow {
-    /// Device SoC label.
-    pub device: String,
-    /// Target model label.
-    pub target: String,
-    /// Draft model label.
-    pub draft: String,
-    /// Context length.
-    pub ctx_len: usize,
-    /// Fixed draft length of this row.
-    pub draft_len: usize,
-    /// Acceptance rate of the replayed trace.
-    pub acceptance: f64,
-    /// Mean drafted tokens accepted per verify round.
-    pub mean_accepted: f64,
-    /// Draft step cost over target step cost.
-    pub draft_step_frac: f64,
-    /// Plain decode, serial dispatch, tokens/second.
-    pub plain_tps: f64,
-    /// Plain decode, overlap-aware dispatch, tokens/second.
-    pub plain_overlapped_tps: f64,
-    /// Speculative decode, every stage sequential, accepted-tokens/second.
-    pub spec_serial_tps: f64,
-    /// Speculative decode with the draft round overlapped behind the
-    /// verify kernels, accepted-tokens/second — the headline.
-    pub spec_overlapped_tps: f64,
-    /// `spec_overlapped_tps / plain_tps` — the CI-gated end-to-end win.
-    pub speedup: f64,
-    /// `spec_overlapped_tps / spec_serial_tps` — what the DRAFT lane
-    /// alone buys (1/(1 + exposed_draft_fraction) in the Section 9
-    /// decomposition).
-    pub overlap_gain: f64,
-}
-
 /// Measures plain vs spec-serial vs spec-overlapped decode on each
 /// Snapdragon generation: Qwen-1.5B verifies chunks drafted by Qwen-0.5B,
 /// at a fixed draft length of 3, on the seeded [`SPEC_ACCEPTANCE`] trace.
-/// CI regenerates these rows each push and fails if spec-overlapped stops
-/// beating plain decode anywhere.
-pub fn spec_decode_rows() -> Vec<SpecDecodeRow> {
+/// These points are the headline rows of the `BENCH_spec.json` artifact:
+/// the CI-gated end-to-end win is `spec_overlapped_tps /
+/// plain_serial_tps`, and `spec_overlapped_tps / spec_serial_tps` is what
+/// the DRAFT lane alone buys (1/(1 + exposed_draft_fraction) in the
+/// Section 9 decomposition). CI regenerates these rows each push and
+/// fails if spec-overlapped stops beating plain decode anywhere.
+pub fn spec_decode_rows() -> Vec<SpecDecodePoint> {
     use ttscale::spec_decode::{AcceptanceTrace, DraftLenController};
     DeviceProfile::all()
         .iter()
         .filter_map(|device| {
             let mut ctrl = DraftLenController::fixed(SPEC_DRAFT_LEN);
             let mut trace = AcceptanceTrace::seeded(SPEC_TRACE_SEED, SPEC_ACCEPTANCE);
-            let p = crate::spec::measure_spec_decode(
+            crate::spec::measure_spec_decode(
                 device,
                 SPEC_TARGET,
                 SPEC_DRAFT,
@@ -956,54 +861,22 @@ pub fn spec_decode_rows() -> Vec<SpecDecodeRow> {
                 &mut trace,
                 SPEC_ROUNDS,
             )
-            .ok()?;
-            Some(SpecDecodeRow {
-                device: p.device.clone(),
-                target: p.target.clone(),
-                draft: p.draft.clone(),
-                ctx_len: p.ctx_len,
-                draft_len: SPEC_DRAFT_LEN,
-                acceptance: SPEC_ACCEPTANCE,
-                mean_accepted: p.mean_accepted,
-                draft_step_frac: p.draft_step_frac,
-                plain_tps: p.plain_serial_tps,
-                plain_overlapped_tps: p.plain_overlapped_tps,
-                spec_serial_tps: p.spec_serial_tps,
-                spec_overlapped_tps: p.spec_overlapped_tps,
-                speedup: p.spec_overlapped_tps / p.plain_serial_tps,
-                overlap_gain: p.spec_overlapped_tps / p.spec_serial_tps,
-            })
+            .ok()
         })
         .collect()
-}
-
-/// One adaptive-vs-fixed draft-length comparison row: identical device,
-/// pair, context and acceptance trace — only the controller differs.
-#[derive(Clone, Debug)]
-pub struct SpecAdaptiveRow {
-    /// Device SoC label.
-    pub device: String,
-    /// Acceptance rate of the replayed (cold) trace.
-    pub acceptance: f64,
-    /// Draft length the fixed policy clings to.
-    pub fixed_k: usize,
-    /// Fixed policy, overlapped accepted-tokens/second.
-    pub fixed_tps: f64,
-    /// Mean draft length the adaptive controller settled on.
-    pub adaptive_mean_k: f64,
-    /// Adaptive policy, overlapped accepted-tokens/second.
-    pub adaptive_tps: f64,
-    /// `adaptive_tps / fixed_tps` — the CI-gated controller win.
-    pub advantage: f64,
 }
 
 /// Replays the cold [`SPEC_LOW_ACCEPTANCE`] trace under a fixed `k = 6`
 /// draft length and under the acceptance-adaptive controller (start 3,
 /// bounds `1..=k_max` with `k_max` capped by the device's
-/// [`crate::spec::max_verify_draft_len`] probe), on each generation. The
+/// [`crate::spec::max_verify_draft_len`] probe), on each generation:
+/// one `[fixed, adaptive]` pair per device, identical in pair, context
+/// and acceptance trace, with only the controller differing. The
 /// adaptive controller shrinks toward `k = 1` and stops paying for
-/// doomed draft steps; CI fails if it ever loses to the fixed policy.
-pub fn spec_adaptive_rows() -> Vec<SpecAdaptiveRow> {
+/// doomed draft steps; its CI-gated win is the adaptive
+/// `spec_overlapped_tps` over the fixed one, and CI fails if it ever
+/// loses to the fixed policy.
+pub fn spec_adaptive_rows() -> Vec<[SpecDecodePoint; 2]> {
     use ttscale::spec_decode::{AcceptanceTrace, DraftLenController};
     let fixed_k = 6usize;
     DeviceProfile::all()
@@ -1026,15 +899,7 @@ pub fn spec_adaptive_rows() -> Vec<SpecAdaptiveRow> {
             let k_max = crate::spec::max_verify_draft_len(device, SPEC_TARGET, SPEC_CTX_LEN, 6);
             let mut adaptive = DraftLenController::adaptive(3.min(k_max), 1, k_max);
             let a = run(&mut adaptive).ok()?;
-            Some(SpecAdaptiveRow {
-                device: f.device.clone(),
-                acceptance: SPEC_LOW_ACCEPTANCE,
-                fixed_k,
-                fixed_tps: f.spec_overlapped_tps,
-                adaptive_mean_k: a.mean_draft_len,
-                adaptive_tps: a.spec_overlapped_tps,
-                advantage: a.spec_overlapped_tps / f.spec_overlapped_tps,
-            })
+            Some([f, a])
         })
         .collect()
 }
@@ -1043,37 +908,18 @@ pub fn spec_adaptive_rows() -> Vec<SpecAdaptiveRow> {
 // Figure 17 — prompt length sensitivity.
 // ---------------------------------------------------------------------
 
-/// One Figure 17 point.
-#[derive(Clone, Debug)]
-pub struct Fig17Row {
-    /// System label.
-    pub system: String,
-    /// Model label.
-    pub model: String,
-    /// Prompt length (context at decode time).
-    pub prompt_len: usize,
-    /// Batch size.
-    pub batch: usize,
-    /// Decode throughput, tokens/second.
-    pub tokens_per_sec: f64,
-}
-
 /// Regenerates Figure 17 over a backend set (conventionally the serial
-/// [`crate::backend::NpuSimBackend`] alone).
-pub fn fig17_rows(backends: &[Box<dyn Backend>]) -> Vec<Fig17Row> {
+/// [`crate::backend::NpuSimBackend`] alone): one `(Backend::name(),
+/// point)` pair per backend, model, prompt length (the point's context
+/// at decode time) and batch.
+pub fn fig17_rows(backends: &[Box<dyn Backend>]) -> Vec<(&'static str, DecodePoint)> {
     let mut out = Vec::new();
     for b in backends {
         for model in [ModelId::Qwen1_5B, ModelId::Qwen3B] {
             for &prompt in &[512usize, 1024, 2048, 4096] {
                 for &batch in &[1usize, 2, 4, 8, 16] {
                     if let Ok(p) = b.decode(model, batch, prompt) {
-                        out.push(Fig17Row {
-                            system: b.name().to_string(),
-                            model: model.label().to_string(),
-                            prompt_len: prompt,
-                            batch,
-                            tokens_per_sec: p.tokens_per_sec,
-                        });
+                        out.push((b.name(), p));
                     }
                 }
             }
@@ -1476,18 +1322,20 @@ mod tests {
             // The CI gate: overlapped speculation must beat plain decode
             // in end-to-end accepted-tokens/sec at the pinned trace
             // (measured 1.21-1.31x across the generations).
+            let speedup = r.spec_overlapped_tps / r.plain_serial_tps;
             assert!(
-                r.speedup > 1.1,
+                speedup > 1.1,
                 "{}: spec-overlapped {} vs plain {}",
                 r.device,
                 r.spec_overlapped_tps,
-                r.plain_tps
+                r.plain_serial_tps
             );
             // The DRAFT lane is doing real work: overlapped speculation
             // beats its own serial schedule by ~1.5x (the draft's CPU
             // share — lm_head over the 152k vocab — hides behind the
             // verify kernels).
-            assert!(r.overlap_gain > 1.3, "{}: {}", r.device, r.overlap_gain);
+            let overlap_gain = r.spec_overlapped_tps / r.spec_serial_tps;
+            assert!(overlap_gain > 1.3, "{}: {}", r.device, overlap_gain);
             // And the decomposition's inputs are in the expected regime.
             assert!((0.3..0.8).contains(&r.draft_step_frac), "{r:?}");
             assert!((1.3..1.8).contains(&r.mean_accepted), "{r:?}");
@@ -1498,23 +1346,24 @@ mod tests {
     fn adaptive_draft_length_beats_fixed_on_the_cold_trace() {
         let rows = spec_adaptive_rows();
         assert_eq!(rows.len(), 3);
-        for r in &rows {
+        for [fixed, adaptive] in &rows {
             // The CI gate: on a cold trace the adaptive controller stops
             // paying for doomed draft steps and wins throughput
             // (measured ~5.5x against a fixed k=6).
+            let advantage = adaptive.spec_overlapped_tps / fixed.spec_overlapped_tps;
             assert!(
-                r.advantage > 2.0,
+                advantage > 2.0,
                 "{}: adaptive {} vs fixed {}",
-                r.device,
-                r.adaptive_tps,
-                r.fixed_tps
+                fixed.device,
+                adaptive.spec_overlapped_tps,
+                fixed.spec_overlapped_tps
             );
             // It wins by actually shrinking the draft length.
             assert!(
-                r.adaptive_mean_k < r.fixed_k as f64,
+                adaptive.mean_draft_len < fixed.mean_draft_len,
                 "{}: mean k {}",
-                r.device,
-                r.adaptive_mean_k
+                fixed.device,
+                adaptive.mean_draft_len
             );
         }
     }

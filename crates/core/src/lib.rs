@@ -21,10 +21,14 @@
 //!   [`backend`].
 //! - [`pareto`] — accuracy-vs-latency joins for the test-time-scaling
 //!   trade-off (Figure 10).
-//! - [`experiments`] — one typed row-generator per paper table/figure;
-//!   the `paper_figures` example prints exactly these rows. The
+//! - [`experiments`] — one row-generator per paper table/figure; the
+//!   `paper_figures` example prints exactly these rows. The
 //!   system-comparison generators (Figures 13, 16, 17) consume
-//!   `&[Box<dyn Backend>]`.
+//!   `&[Box<dyn Backend>]`. Where a row would only copy a measurement,
+//!   a generator returns the measurement itself: `(Backend::name(),
+//!   point)` pairs for Figures 13 and 17, `[serial, overlapped]`
+//!   decode points, speculation points and `[fixed, adaptive]` pairs,
+//!   whose ratios each caller divides out.
 //! - [`serve`] — the fleet-scale serving gateway: seeded Poisson /
 //!   trace-replay arrivals, bounded priority admission, chunked prefill
 //!   interleaved with continuous-batching decode, SLO metrics

@@ -21,9 +21,8 @@
 
 use edgellm::config::ModelId;
 use edgellm::kv_cache::KvCache;
-use edgellm::model::{DecodeOutput, Model};
+use edgellm::model::Model;
 pub use edgellm::overlap::DispatchMode;
-use edgellm::overlap::{single_pass_secs, steady_state_step_secs, StepStages};
 use hexsim::cost::NUM_ENGINES;
 use hexsim::prelude::*;
 use htpops::gemm::DequantVariant;
@@ -156,7 +155,7 @@ impl Deployment {
             .model
             .decode_step(&mut self.ctx, &mut cache, &vec![0u32; batch])?;
         let delta = self.ctx.cost.delta_since(&snap, "decode");
-        let step_secs = self.secs(&out, steady_state_step_secs);
+        let step_secs = self.dispatch.price(out.cost.wall_secs(), &out.stages, true);
         Ok(DecodePoint {
             model: self.model.cfg.id.label().to_string(),
             device: self.ctx.device().arch.soc_label().to_string(),
@@ -180,7 +179,9 @@ impl Deployment {
         let out = self
             .model
             .prefill(&mut self.ctx, &mut cache, 0, &vec![0u32; prompt_len])?;
-        let total_secs = self.secs(&out, single_pass_secs);
+        let total_secs = self
+            .dispatch
+            .price(out.cost.wall_secs(), &out.stages, false);
         Ok(PrefillPoint {
             model: self.model.cfg.id.label().to_string(),
             device: self.ctx.device().arch.soc_label().to_string(),
@@ -189,17 +190,6 @@ impl Deployment {
             tokens_per_sec: prompt_len as f64 / total_secs,
             sessions: self.sessions,
         })
-    }
-
-    /// Wall seconds of a recorded pass under the deployment's dispatch
-    /// mode: the additive stage sum when serial, the critical path of the
-    /// recorded stages when overlapped (`overlapped`: the steady-state
-    /// period of a repeating decode step, or one standalone prefill pass).
-    fn secs(&self, out: &DecodeOutput, overlapped: fn(&StepStages) -> f64) -> f64 {
-        match self.dispatch {
-            DispatchMode::Serial => out.cost.wall_secs(),
-            DispatchMode::Overlapped => overlapped(&out.stages),
-        }
     }
 }
 

@@ -103,7 +103,9 @@ pub fn max_verify_draft_len(
 ///
 /// Errors when the pair does not fit the device's session VA space
 /// (both models and both KV caches share one session here — paper-scale
-/// sharding of the *pair* is out of scope).
+/// sharding of the *pair* is out of scope), and with
+/// [`SimError::InvalidConfig`] for zero `rounds`, before building
+/// anything.
 pub fn measure_spec_decode(
     device: &DeviceProfile,
     target_id: ModelId,
@@ -113,7 +115,11 @@ pub fn measure_spec_decode(
     trace: &mut AcceptanceTrace,
     rounds: usize,
 ) -> SimResult<SpecDecodePoint> {
-    assert!(rounds > 0, "at least one verify round");
+    if rounds == 0 {
+        return Err(SimError::InvalidConfig {
+            reason: "speculative decode needs at least one verify round".into(),
+        });
+    }
     let max_k = ctrl.max_draft_len();
     let mut ctx = NpuContext::new(device.clone(), ExecMode::CostOnly);
     let target = Model::new(&mut ctx, target_id, DequantVariant::CoalescedLut, 1)?;
@@ -206,6 +212,24 @@ mod tests {
             32,
         )
         .unwrap()
+    }
+
+    #[test]
+    fn zero_rounds_is_a_typed_error() {
+        let err = measure_spec_decode(
+            &DeviceProfile::v75(),
+            ModelId::Qwen1_5B,
+            ModelId::Qwen0_5B,
+            1024,
+            &mut DraftLenController::fixed(3),
+            &mut AcceptanceTrace::seeded(7, 0.7),
+            0,
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&err, SimError::InvalidConfig { reason } if reason.contains("verify round")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@ use htpops::misc::{self, RopeTable};
 
 use crate::config::{ModelConfig, ModelId};
 use crate::kv_cache::KvCache;
-use crate::overlap::{self, DispatchMode, LayerStage, StepStages};
+use crate::overlap::{DispatchMode, LayerStage, StepStages};
 use crate::weights::ModelWeights;
 
 /// Number of NPU ops one transformer layer dispatches, in submission
@@ -382,18 +382,7 @@ impl Model {
             draft_cpu_secs: 0.0,
             draft_npu_secs: 0.0,
         };
-        // Decode steps repeat, so the overlap-aware wall time is the
-        // steady-state period of the pipelined schedule: the CPU tail of
-        // step t hides behind the first layers of step t+1 (Section
-        // 7.2.2), dispatch rides the double-buffered ring, and session
-        // switches hide behind the previous shard's tail kernels. A
-        // prefill is one standalone pass with no next step to pipeline
-        // into.
-        cost.overlapped_secs = match self.dispatch {
-            DispatchMode::Serial => cost.wall_secs(),
-            DispatchMode::Overlapped if step.repeats => overlap::steady_state_step_secs(&stages),
-            DispatchMode::Overlapped => overlap::single_pass_secs(&stages),
-        };
+        cost.overlapped_secs = self.dispatch.price(cost.wall_secs(), &stages, step.repeats);
         Ok(DecodeOutput {
             logits,
             cost,
@@ -675,7 +664,9 @@ impl Model {
     /// `tokens[i]` is the newest token of slot `seqs[i]`. Slots may sit at
     /// different context depths — continuous batching admits and retires
     /// sequences mid-stream — and each row attends to its own slot's KV at
-    /// its own length. Returns per-row logits in `seqs` order.
+    /// its own length. Returns per-row logits in `seqs` order. An empty
+    /// step is [`SimError::InvalidConfig`], returned before anything is
+    /// charged.
     pub fn decode_step_for(
         &self,
         ctx: &mut NpuContext,
@@ -684,7 +675,11 @@ impl Model {
         tokens: &[u32],
     ) -> SimResult<DecodeOutput> {
         assert_eq!(tokens.len(), seqs.len(), "one token per decoded slot");
-        assert!(!seqs.is_empty(), "decode step needs at least one sequence");
+        if seqs.is_empty() {
+            return Err(SimError::InvalidConfig {
+                reason: "empty decode step: a decode step needs at least one sequence".into(),
+            });
+        }
         assert!(
             seqs.iter().all(|&s| s < cache.batch()),
             "slot index out of range"
@@ -719,7 +714,8 @@ struct Step {
     /// Trailing rows that reach the final norm and the lm_head.
     head_rows: usize,
     /// Whether the step repeats (decode): its overlap-aware wall time is
-    /// then the pipelined steady-state period, not one pass.
+    /// then the pipelined steady-state period, not one pass
+    /// ([`DispatchMode::price`]).
     repeats: bool,
 }
 
@@ -1174,6 +1170,33 @@ mod tests {
                 }
                 assert_eq!(charged_state(&ctx), before, "{mode:?} slot {seq}");
             }
+            assert_eq!((cache.len(0), cache.len(1)), (0, 5));
+        }
+    }
+
+    #[test]
+    fn an_empty_decode_step_is_rejected_before_anything_is_charged() {
+        for (mode, id) in [
+            (ExecMode::CostOnly, ModelId::Qwen1_5B),
+            (ExecMode::Functional, ModelId::Tiny),
+        ] {
+            let mut ctx = NpuContext::new(DeviceProfile::v75(), mode);
+            let model = Model::new(&mut ctx, id, DequantVariant::CoalescedLut, 1).unwrap();
+            let mut cache = KvCache::new(&mut ctx, &model.cfg, 2, 64).unwrap();
+            model.prefill(&mut ctx, &mut cache, 1, &[1; 5]).unwrap();
+            let before = charged_state(&ctx);
+            let outcomes = [
+                model.decode_step(&mut ctx, &mut cache, &[]),
+                model.decode_step_for(&mut ctx, &mut cache, &[], &[]),
+            ];
+            for out in outcomes {
+                let err = out.unwrap_err();
+                assert!(
+                    matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty decode step")),
+                    "{mode:?}: {err}"
+                );
+            }
+            assert_eq!(charged_state(&ctx), before, "{mode:?}");
             assert_eq!((cache.len(0), cache.len(1)), (0, 5));
         }
     }

@@ -137,6 +137,26 @@ pub enum DispatchMode {
     Overlapped,
 }
 
+impl DispatchMode {
+    /// Wall seconds of one recorded pass under this mode: `serial_secs`
+    /// (the pass's additive stage sum, `StepCost::wall_secs`) when serial.
+    /// Overlapped, a pass that `repeats` (a decode step) takes the
+    /// steady-state period of the pipelined schedule
+    /// ([`steady_state_step_secs`]): the CPU tail of step *t* hides behind
+    /// the first layers of step *t+1*, dispatch rides the double-buffered
+    /// ring, and session switches hide behind the previous shard's tail
+    /// kernels. A pass that does not repeat (a prefill) has no next step
+    /// to pipeline into and takes one standalone pass
+    /// ([`single_pass_secs`]).
+    pub fn price(self, serial_secs: f64, stages: &StepStages, repeats: bool) -> f64 {
+        match self {
+            DispatchMode::Serial => serial_secs,
+            DispatchMode::Overlapped if repeats => steady_state_step_secs(stages),
+            DispatchMode::Overlapped => single_pass_secs(stages),
+        }
+    }
+}
+
 /// Lane indices of the step schedule.
 pub mod lane {
     /// Host CPU worker (embedding, lm_head, sampling).

@@ -14,15 +14,17 @@
 //! OFF (paper Section 7.2.2), then compares the fully resident placement
 //! against the weight-streaming hot/cold hierarchy (DDR staging + DMA
 //! prefetch lane): it writes the machine-readable `BENCH_decode.json`
-//! artifact and **fails the process** if any overlapped point regresses
-//! above its serial baseline, if any streamed point drops below 90% of
-//! its resident baseline, or if the larger-than-cap rescue configuration
-//! stops running — CI runs this example on every push, so the sharded
-//! execution path, the overlap win and the streaming placement are
-//! exercised — not just compiled — continuously.
+//! artifact and, through `benchutil::gate`, **fails the process** if any
+//! overlapped point regresses above its serial baseline, if any streamed
+//! point drops below 90% of its resident baseline, or if the
+//! larger-than-cap rescue configuration stops running — CI runs this
+//! example on every push, so the sharded execution path, the overlap win
+//! and the streaming placement are exercised — not just compiled —
+//! continuously.
 //!
 //! Run with: `cargo run --release --example device_sweep`
 
+use benchutil::gate::Gate;
 use benchutil::json::Json;
 use npuscale::backend::{decode_sweep, SweepOutcome};
 use npuscale::experiments::{decode_overlap_rows, decode_stream_rows};
@@ -114,7 +116,8 @@ fn main() {
 
 /// Serial vs. overlap-aware async dispatch (paper Section 7.2.2): prints
 /// the comparison, writes `BENCH_decode.json`, and exits non-zero if any
-/// overlapped point regresses above its serial baseline.
+/// overlapped point regresses above its serial baseline or a streaming
+/// claim fails.
 fn overlap_section() {
     println!("\n=== Async dispatch overlap (Section 7.2.2): serial vs overlapped ===");
     println!(
@@ -122,41 +125,41 @@ fn overlap_section() {
         "device", "model", "batch", "ctx", "serial t/s", "async t/s", "speedup", "sessions"
     );
     let rows = decode_overlap_rows();
-    let mut regressed = false;
+    let mut gate = Gate::default();
     let mut json_rows = Vec::new();
-    for r in &rows {
+    for [s, o] in &rows {
+        let speedup = o.tokens_per_sec / s.tokens_per_sec;
         println!(
             "{:<6} {:<6} {:>5} {:>6} {:>12.1} {:>12.1} {:>7.2}x {:>9}",
-            r.device,
-            r.model,
-            r.batch,
-            r.ctx_len,
-            r.serial_tps,
-            r.overlapped_tps,
-            r.speedup,
-            r.sessions
+            o.device,
+            o.model,
+            o.batch,
+            o.ctx_len,
+            s.tokens_per_sec,
+            o.tokens_per_sec,
+            speedup,
+            o.sessions
         );
         // The critical path can never exceed the serial stage sum; a
         // violation means the timeline scheduler regressed.
-        if r.overlapped_tps < r.serial_tps * (1.0 - 1e-9) {
-            eprintln!(
-                "REGRESSION: {}/{} b{}: overlapped {} tok/s below serial {} tok/s",
-                r.device, r.model, r.batch, r.overlapped_tps, r.serial_tps
-            );
-            regressed = true;
-        }
+        gate.fail_if(o.tokens_per_sec < s.tokens_per_sec * (1.0 - 1e-9), || {
+            format!(
+                "{}/{} b{}: overlapped {} tok/s below serial {} tok/s",
+                o.device, o.model, o.batch, o.tokens_per_sec, s.tokens_per_sec
+            )
+        });
         json_rows.push(Json::obj([
-            ("device", Json::str(r.device.clone())),
-            ("model", Json::str(r.model.clone())),
-            ("batch", Json::from(r.batch)),
-            ("ctx_len", Json::from(r.ctx_len)),
-            ("serial_tps", Json::Num(r.serial_tps)),
-            ("overlapped_tps", Json::Num(r.overlapped_tps)),
-            ("speedup", Json::Num(r.speedup)),
-            ("sessions", Json::from(r.sessions)),
+            ("device", Json::str(o.device.clone())),
+            ("model", Json::str(o.model.clone())),
+            ("batch", Json::from(o.batch)),
+            ("ctx_len", Json::from(o.ctx_len)),
+            ("serial_tps", Json::Num(s.tokens_per_sec)),
+            ("overlapped_tps", Json::Num(o.tokens_per_sec)),
+            ("speedup", Json::Num(speedup)),
+            ("sessions", Json::from(o.sessions)),
         ]));
     }
-    let (stream_json, stream_regressed) = streaming_section();
+    let stream_json = streaming_section(&mut gate);
     let stream_rows = stream_json.len();
     let artifact = Json::obj([
         ("bench", Json::str("decode_overlap")),
@@ -179,21 +182,15 @@ fn overlap_section() {
         rows.len(),
         stream_rows
     );
-    if regressed {
-        eprintln!("overlapped decode regressed above the serial baseline");
-        std::process::exit(1);
-    }
-    if stream_regressed {
-        eprintln!("weight streaming regressed against its resident baseline");
-        std::process::exit(1);
-    }
+    gate.finish("decode regression gate tripped");
 }
 
 /// Resident vs. weight-streamed decode (hot/cold weight hierarchy):
-/// prints the comparison and returns the JSON rows plus whether any gate
-/// tripped — streamed throughput below 90% of resident, sessions not
-/// saved, or the larger-than-cap rescue configuration failing to run.
-fn streaming_section() -> (Vec<Json>, bool) {
+/// prints the comparison, checks its claims through `gate` — streamed
+/// throughput at least 90% of resident, sessions saved, and the
+/// larger-than-cap rescue configuration running — and returns the JSON
+/// rows.
+fn streaming_section(gate: &mut Gate) -> Vec<Json> {
     println!("\n=== Weight streaming (hot/cold hierarchy): resident vs streamed ===");
     println!(
         "{:<6} {:<6} {:>5} {:>6} {:>13} {:>13} {:>7} {:>7} {:>6}",
@@ -208,8 +205,6 @@ fn streaming_section() -> (Vec<Json>, bool) {
         "ratio"
     );
     let rows = decode_stream_rows();
-    let mut regressed = false;
-    let mut rescue_ran = false;
     let mut json_rows = Vec::new();
     for r in &rows {
         let resident_tps = if r.resident_runs {
@@ -231,24 +226,18 @@ fn streaming_section() -> (Vec<Json>, bool) {
         if r.resident_runs {
             // The DMA prefetch lane must hide all but <=10% of the
             // cold-layer fetches, while freeing at least one session.
-            if r.throughput_ratio < 0.9 {
-                eprintln!(
-                    "REGRESSION: {}/{} b{}: streamed keeps only {:.3} of resident",
+            gate.fail_if(r.throughput_ratio < 0.9, || {
+                format!(
+                    "{}/{} b{}: streamed keeps only {:.3} of resident",
                     r.device, r.model, r.batch, r.throughput_ratio
-                );
-                regressed = true;
-            }
-            if r.sessions_saved == 0 {
-                eprintln!(
-                    "REGRESSION: {}/{} b{}: streaming saved no sessions",
+                )
+            });
+            gate.fail_if(r.sessions_saved == 0, || {
+                format!(
+                    "{}/{} b{}: streaming saved no sessions",
                     r.device, r.model, r.batch
-                );
-                regressed = true;
-            }
-        } else {
-            // Resident cannot run here: streaming running at all IS the
-            // result (a previously undeployable configuration).
-            rescue_ran = true;
+                )
+            });
         }
         json_rows.push(Json::obj([
             ("device", Json::str(r.device.clone())),
@@ -264,9 +253,11 @@ fn streaming_section() -> (Vec<Json>, bool) {
             ("throughput_ratio", Json::Num(r.throughput_ratio)),
         ]));
     }
-    if !rescue_ran {
-        eprintln!("REGRESSION: no larger-than-cap configuration ran streamed");
-        regressed = true;
-    }
-    (json_rows, regressed)
+    // A row whose resident plan cannot run is the streaming headline:
+    // running at all is the result (a previously undeployable
+    // configuration).
+    gate.fail_if(rows.iter().all(|r| r.resident_runs), || {
+        "no larger-than-cap configuration ran streamed"
+    });
+    json_rows
 }

@@ -228,14 +228,14 @@ fn fig13() {
     let backends: Vec<Box<dyn Backend>> = vec![Box::new(serial), gpu, qnn, Box::new(overlapped)];
     println!("--- decode (tok/s) ---");
     println!("system             model   batch      tok/s");
-    for r in experiments::fig13_decode_rows(&backends) {
-        let (system, model, batch, tps) = (r.system, r.model, r.batch, r.tokens_per_sec);
+    for (system, p) in experiments::fig13_decode_rows(&backends) {
+        let (model, batch, tps) = (p.model, p.batch, p.tokens_per_sec);
         println!("{system:<18} {model:<6} {batch:>6} {tps:>10.1}");
     }
     println!("\n--- prefill (tok/s) ---");
     println!("system             model    prompt      tok/s");
-    for r in experiments::fig13_prefill_rows(&backends) {
-        let (system, model, prompt, tps) = (r.system, r.model, r.prompt_len, r.tokens_per_sec);
+    for (system, p) in experiments::fig13_prefill_rows(&backends) {
+        let (model, prompt, tps) = (p.model, p.prompt_len, p.tokens_per_sec);
         println!("{system:<18} {model:<6} {prompt:>8} {tps:>10.1}");
     }
 }
@@ -311,10 +311,10 @@ fn fig17() {
         "paper Fig 17: mild decline from 512 to 4096 tokens",
     );
     println!("system   model    prompt  batch      tok/s");
-    for r in experiments::fig17_rows(&serial_and_async()) {
+    for (system, p) in experiments::fig17_rows(&serial_and_async()) {
         println!(
             "{:<8} {:<6} {:>8} {:>6} {:>10.1}",
-            r.system, r.model, r.prompt_len, r.batch, r.tokens_per_sec
+            system, p.model, p.ctx_len, p.batch, p.tokens_per_sec
         );
     }
 }

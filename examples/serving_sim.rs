@@ -26,13 +26,14 @@
 //!    low-priority tenant's token share at least 2x its strict-priority
 //!    share and raises the fleet's Jain fairness index.
 //!
-//! Writes the machine-readable `BENCH_serving.json` and **fails the
-//! process** if any claim regresses — including absolute pins on p99
-//! TTFT and goodput for the mixed-tenant trace. Every trace is seeded,
-//! so the gate is deterministic.
+//! Writes the machine-readable `BENCH_serving.json` and, through
+//! `benchutil::gate`, **fails the process** if any claim regresses —
+//! including absolute pins on p99 TTFT and goodput for the mixed-tenant
+//! trace. Every trace is seeded, so the gate is deterministic.
 //!
 //! Run with: `cargo run --release --example serving_sim`
 
+use benchutil::gate::Gate;
 use benchutil::json::Json;
 use npuscale::serve::{
     bursty_trace, merge_traces, poisson_trace, replay_trace, BurstSpec, FleetGateway, FleetSpec,
@@ -60,17 +61,12 @@ const PREEMPT_TTFT_GAIN_MIN: f64 = 1.3;
 const WFQ_SHARE_GAIN_MIN: f64 = 2.0;
 
 fn main() {
-    let mut failed = false;
-    let (chunked_json, f1) = chunked_prefill_section();
-    failed |= f1;
-    let (eos_json, f2) = eos_goodput_section();
-    failed |= f2;
-    let (fleet_json, f3) = fleet_section();
-    failed |= f3;
-    let (preempt_json, f4) = preemption_section();
-    failed |= f4;
-    let (fairness_json, f5) = fairness_section();
-    failed |= f5;
+    let mut gate = Gate::default();
+    let chunked_json = chunked_prefill_section(&mut gate);
+    let eos_json = eos_goodput_section(&mut gate);
+    let fleet_json = fleet_section(&mut gate);
+    let preempt_json = preemption_section(&mut gate);
+    let fairness_json = fairness_section(&mut gate);
 
     let artifact = Json::obj([
         ("bench", Json::str("serving_gateway")),
@@ -94,10 +90,7 @@ fn main() {
     benchutil::json::write_file("BENCH_serving.json", &artifact)
         .expect("writing BENCH_serving.json");
     println!("\nWrote BENCH_serving.json.");
-    if failed {
-        eprintln!("serving gateway regression gate tripped");
-        std::process::exit(1);
-    }
+    gate.finish("serving gateway regression gate tripped");
 }
 
 fn print_report(tag: &str, r: &ServingReport) {
@@ -157,7 +150,7 @@ fn tenant_json(r: &ServingReport) -> Json {
 /// Claim 1: chunked prefill keeps p99 TBT within 2x of the no-arrivals
 /// steady state while 512/448-token prompts land mid-run; monolithic
 /// prefill is strictly worse.
-fn chunked_prefill_section() -> (Json, bool) {
+fn chunked_prefill_section(gate: &mut Gate) -> Json {
     println!("=== Chunked prefill vs monolithic (single V75, Qwen-1.5B) ===");
     let tenant = TenantSpec {
         name: "mixed".into(),
@@ -206,28 +199,24 @@ fn chunked_prefill_section() -> (Json, bool) {
         ratio,
         mono.tbt_p99_secs / steady_step
     );
-    let mut failed = false;
-    if ratio > 2.0 {
-        eprintln!("REGRESSION: chunked p99 TBT {ratio:.2}x exceeds 2x steady state");
-        failed = true;
-    }
-    if mono.tbt_p99_secs <= chunked.tbt_p99_secs {
-        eprintln!("REGRESSION: monolithic prefill no longer stalls worse than chunked");
-        failed = true;
-    }
-    let json = Json::obj([
+    gate.fail_if(ratio > 2.0, || {
+        format!("chunked p99 TBT {ratio:.2}x exceeds 2x steady state")
+    });
+    gate.fail_if(mono.tbt_p99_secs <= chunked.tbt_p99_secs, || {
+        "monolithic prefill no longer stalls worse than chunked"
+    });
+    Json::obj([
         ("steady_step_secs", Json::Num(steady_step)),
         ("tbt_p99_over_steady", Json::Num(ratio)),
         ("chunked", report_json(&chunked)),
         ("monolithic", report_json(&mono)),
-    ]);
-    (json, failed)
+    ])
 }
 
 /// Claim 2: EOS-driven retirement + re-admission beats fixed-budget
 /// serving on a mixed-length trace, at the gateway and at the functional
 /// policy layer.
-fn eos_goodput_section() -> (Json, bool) {
+fn eos_goodput_section(gate: &mut Gate) -> Json {
     println!("\n=== EOS retirement vs fixed budgets (mixed-tenant trace) ===");
     let tenants = [TenantSpec::interactive("chat"), TenantSpec::batch("batch")];
     let trace = poisson_trace(&tenants, 2.0, 16, SEED);
@@ -250,25 +239,21 @@ fn eos_goodput_section() -> (Json, bool) {
     let fixed = gw.serve_trace(&fixed_trace).expect("trace must serve");
     print_report("eos-retire", &eos);
     print_report("fixed", &fixed);
-    let mut failed = false;
-    if eos.goodput_rps <= fixed.goodput_rps {
-        eprintln!("REGRESSION: EOS retirement no longer beats fixed budgets on goodput");
-        failed = true;
-    }
-    if eos.ttft_p99_secs > TTFT_P99_MAX_SECS {
-        eprintln!(
-            "REGRESSION: p99 TTFT {:.3} s exceeds the pinned {:.3} s",
+    gate.fail_if(eos.goodput_rps <= fixed.goodput_rps, || {
+        "EOS retirement no longer beats fixed budgets on goodput"
+    });
+    gate.fail_if(eos.ttft_p99_secs > TTFT_P99_MAX_SECS, || {
+        format!(
+            "p99 TTFT {:.3} s exceeds the pinned {:.3} s",
             eos.ttft_p99_secs, TTFT_P99_MAX_SECS
-        );
-        failed = true;
-    }
-    if eos.goodput_rps < GOODPUT_MIN_RPS {
-        eprintln!(
-            "REGRESSION: goodput {:.3} req/s below the pinned {:.3}",
+        )
+    });
+    gate.fail_if(eos.goodput_rps < GOODPUT_MIN_RPS, || {
+        format!(
+            "goodput {:.3} req/s below the pinned {:.3}",
             eos.goodput_rps, GOODPUT_MIN_RPS
-        );
-        failed = true;
-    }
+        )
+    });
 
     // The same claim with real tokens: functional tiny-model serving
     // where an EOS predicate realizes the lengths, vs static waves.
@@ -301,11 +286,10 @@ fn eos_goodput_section() -> (Json, bool) {
          {} of {} samples ended at EOS)",
         eos_fn.report.tokens_per_sec, fixed_fn.tokens_per_sec, fn_ratio, eos_fn.eos_finishes, cfg.n
     );
-    if fn_ratio <= 1.1 {
-        eprintln!("REGRESSION: functional EOS serving ratio {fn_ratio:.2}x fell to <= 1.1x");
-        failed = true;
-    }
-    let json = Json::obj([
+    gate.fail_if(fn_ratio <= 1.1, || {
+        format!("functional EOS serving ratio {fn_ratio:.2}x fell to <= 1.1x")
+    });
+    Json::obj([
         ("eos", report_json(&eos)),
         ("fixed_budget", report_json(&fixed)),
         (
@@ -319,13 +303,12 @@ fn eos_goodput_section() -> (Json, bool) {
         ("functional_ratio", Json::Num(fn_ratio)),
         ("ttft_p99_max_secs", Json::Num(TTFT_P99_MAX_SECS)),
         ("goodput_min_rps", Json::Num(GOODPUT_MIN_RPS)),
-    ]);
-    (json, failed)
+    ])
 }
 
 /// Claim 3: the V73/V75/V79 fleet (streamed plan included) absorbs a
 /// burst that overloads any single device's bounded queue.
-fn fleet_section() -> (Json, bool) {
+fn fleet_section(gate: &mut Gate) -> Json {
     println!("\n=== Heterogeneous fleet vs single device (12 req/s burst) ===");
     let tenants = [TenantSpec::interactive("chat"), TenantSpec::batch("batch")];
     let trace = poisson_trace(&tenants, 12.0, 24, SEED ^ 0xF1EE7);
@@ -360,19 +343,19 @@ fn fleet_section() -> (Json, bool) {
             w.npu_lane_utilization * 100.0
         );
     }
-    let mut failed = false;
-    if alone.rejected == 0 {
-        eprintln!("REGRESSION: single device no longer sheds load at 12 req/s");
-        failed = true;
-    }
-    if spread.rejected >= alone.rejected || spread.completed <= alone.completed {
-        eprintln!(
-            "REGRESSION: fleet ({} rejected, {} completed) no longer absorbs what \
-             the single device sheds ({} rejected, {} completed)",
-            spread.rejected, spread.completed, alone.rejected, alone.completed
-        );
-        failed = true;
-    }
+    gate.fail_if(alone.rejected == 0, || {
+        "single device no longer sheds load at 12 req/s"
+    });
+    gate.fail_if(
+        spread.rejected >= alone.rejected || spread.completed <= alone.completed,
+        || {
+            format!(
+                "fleet ({} rejected, {} completed) no longer absorbs what the \
+                 single device sheds ({} rejected, {} completed)",
+                spread.rejected, spread.completed, alone.rejected, alone.completed
+            )
+        },
+    );
     let workers_json: Vec<Json> = spread
         .workers
         .iter()
@@ -386,18 +369,17 @@ fn fleet_section() -> (Json, bool) {
             ])
         })
         .collect();
-    let json = Json::obj([
+    Json::obj([
         ("single", report_json(&alone)),
         ("fleet", report_json(&spread)),
         ("fleet_workers", Json::Arr(workers_json)),
-    ]);
-    (json, failed)
+    ])
 }
 
 /// Claim 4: mid-stream KV preemption cuts the interactive tenant's p99
 /// TTFT by >= 1.3x on a burst-over-batch trace, completing exactly the
 /// same set of requests (paused decodes resume bit-identically).
-fn preemption_section() -> (Json, bool) {
+fn preemption_section(gate: &mut Gate) -> Json {
     println!("\n=== Preemption under a bursty interactive stream (single V75) ===");
     let batch = TenantSpec {
         name: "batch".into(),
@@ -460,41 +442,36 @@ fn preemption_section() -> (Json, bool) {
         chat_ttft(&preempting),
         preempting.preemptions
     );
-    let mut failed = false;
-    if gain < PREEMPT_TTFT_GAIN_MIN {
-        eprintln!(
-            "REGRESSION: preemption TTFT gain {gain:.2}x below the pinned \
-             {PREEMPT_TTFT_GAIN_MIN:.1}x"
-        );
-        failed = true;
-    }
-    if preempting.completed != plain.completed || preempting.completed != trace.len() {
-        eprintln!(
-            "REGRESSION: preemption changed completions ({} vs {} of {})",
-            preempting.completed,
-            plain.completed,
-            trace.len()
-        );
-        failed = true;
-    }
-    if preempting.preemptions == 0 {
-        eprintln!("REGRESSION: the burst no longer triggers any preemption");
-        failed = true;
-    }
-    let json = Json::obj([
+    gate.fail_if(gain < PREEMPT_TTFT_GAIN_MIN, || {
+        format!("preemption TTFT gain {gain:.2}x below the pinned {PREEMPT_TTFT_GAIN_MIN:.1}x")
+    });
+    gate.fail_if(
+        preempting.completed != plain.completed || preempting.completed != trace.len(),
+        || {
+            format!(
+                "preemption changed completions ({} vs {} of {})",
+                preempting.completed,
+                plain.completed,
+                trace.len()
+            )
+        },
+    );
+    gate.fail_if(preempting.preemptions == 0, || {
+        "the burst no longer triggers any preemption"
+    });
+    Json::obj([
         ("ttft_gain", Json::Num(gain)),
         ("ttft_gain_min", Json::Num(PREEMPT_TTFT_GAIN_MIN)),
         ("no_preemption", report_json(&plain)),
         ("preempting", report_json(&preempting)),
         ("preempting_tenants", tenant_json(&preempting)),
-    ]);
-    (json, failed)
+    ])
 }
 
 /// Claim 5: WFQ keeps the starved tenant's token share >= 2x its
 /// strict-priority share under a high-priority flood, and raises the
 /// Jain fairness index.
-fn fairness_section() -> (Json, bool) {
+fn fairness_section(gate: &mut Gate) -> Json {
     println!("\n=== WFQ vs strict priority under a flood (streamed V73) ===");
     let chat = TenantSpec {
         name: "chat".into(),
@@ -563,29 +540,27 @@ fn fairness_section() -> (Json, bool) {
         strict.jain_fairness,
         wfq.jain_fairness
     );
-    let mut failed = false;
-    if batch_share(&wfq) < WFQ_SHARE_GAIN_MIN * batch_share(&strict) {
-        eprintln!(
-            "REGRESSION: WFQ batch share {:.3} below {WFQ_SHARE_GAIN_MIN:.1}x the \
-             strict share {:.3}",
-            batch_share(&wfq),
-            batch_share(&strict)
-        );
-        failed = true;
-    }
-    if wfq.jain_fairness <= strict.jain_fairness {
-        eprintln!(
-            "REGRESSION: WFQ Jain fairness {:.3} no longer beats strict {:.3}",
+    gate.fail_if(
+        batch_share(&wfq) < WFQ_SHARE_GAIN_MIN * batch_share(&strict),
+        || {
+            format!(
+                "WFQ batch share {:.3} below {WFQ_SHARE_GAIN_MIN:.1}x the strict share {:.3}",
+                batch_share(&wfq),
+                batch_share(&strict)
+            )
+        },
+    );
+    gate.fail_if(wfq.jain_fairness <= strict.jain_fairness, || {
+        format!(
+            "WFQ Jain fairness {:.3} no longer beats strict {:.3}",
             wfq.jain_fairness, strict.jain_fairness
-        );
-        failed = true;
-    }
-    let json = Json::obj([
+        )
+    });
+    Json::obj([
         ("share_gain_min", Json::Num(WFQ_SHARE_GAIN_MIN)),
         ("strict", report_json(&strict)),
         ("wfq", report_json(&wfq)),
         ("strict_tenants", tenant_json(&strict)),
         ("wfq_tenants", tenant_json(&wfq)),
-    ]);
-    (json, failed)
+    ])
 }

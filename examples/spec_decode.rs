@@ -5,22 +5,24 @@
 //! Part 1 runs the tiny functional models bit-faithfully: plain greedy
 //! decoding, single-model speculation (bigram and oracle drafts), and the
 //! real two-model draft/target pipeline — every variant must produce the
-//! *identical* token stream, or the process exits non-zero (speculation
-//! may only accelerate, never alter).
+//! *identical* token stream, or the process exits non-zero once the
+//! artifact is written (speculation may only accelerate, never alter).
 //!
 //! Part 2 prices the Qwen-1.5B target + Qwen-0.5B draft pair on the three
 //! Snapdragon generations in cost mode: plain decode vs spec-serial vs
 //! spec-overlapped (the draft round scheduled behind the verify kernels
 //! on the DRAFT lane), then the acceptance-adaptive draft-length
 //! controller against a fixed `k = 6` on a cold trace. It writes the
-//! machine-readable `BENCH_spec.json` artifact and **fails the process**
-//! if spec-overlapped stops beating plain decode on any generation at the
-//! pinned acceptance trace, or if the adaptive controller ever loses to
-//! the fixed policy on the cold trace — CI runs this example on every
-//! push, so the speculative path is exercised, not just compiled.
+//! machine-readable `BENCH_spec.json` artifact and, through
+//! `benchutil::gate`, **fails the process** if spec-overlapped stops
+//! beating plain decode on any generation at the pinned acceptance trace,
+//! or if the adaptive controller ever loses to the fixed policy on the
+//! cold trace — CI runs this example on every push, so the speculative
+//! path is exercised, not just compiled.
 //!
 //! Run with: `cargo run --release --example spec_decode`
 
+use benchutil::gate::Gate;
 use benchutil::json::Json;
 use npuscale::experiments::{
     spec_adaptive_rows, spec_decode_rows, SPEC_ACCEPTANCE, SPEC_CTX_LEN, SPEC_LOW_ACCEPTANCE,
@@ -49,27 +51,24 @@ impl DraftModel for OracleDraft {
 }
 
 fn main() {
-    let lossless = functional_section();
-    let gated = cost_section();
-    if !lossless {
-        eprintln!("speculative output diverged from plain greedy decoding");
-        std::process::exit(1);
-    }
-    if gated {
-        std::process::exit(1);
-    }
+    let mut gate = Gate::default();
+    functional_section(&mut gate);
+    cost_section(&mut gate);
+    gate.finish("speculative decoding regression gate tripped");
 }
 
 /// Bit-identity of every speculative variant against plain greedy
-/// decoding on the tiny functional models. Returns `false` on mismatch
-/// instead of panicking so the cost section still prints its rows.
-fn functional_section() -> bool {
+/// decoding on the tiny functional models. A mismatch fails its claim
+/// instead of panicking, so the cost section still prints its rows.
+fn functional_section(gate: &mut Gate) {
     println!("=== Functional losslessness (tiny models, bit-faithful) ===");
     let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
     let target = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 21).unwrap();
     let prompt = vec![1u32, 50, 60, 70, 80];
     let new_tokens = 16;
-    let mut ok = true;
+    let diverged = |variant: &str| {
+        format!("{variant}: speculative output diverged from plain greedy decoding")
+    };
 
     // Reference: plain greedy decoding of the target.
     let (greedy, greedy_cost) = greedy_generate(&mut ctx, &target, &prompt, new_tokens).unwrap();
@@ -84,7 +83,7 @@ fn functional_section() -> bool {
     let mut bigram = BigramDraft::new(4);
     let weak =
         speculative_generate(&mut ctx, &target, &mut bigram, &prompt, new_tokens, 3).unwrap();
-    ok &= weak.tokens == greedy;
+    gate.fail_if(weak.tokens != greedy, || diverged("bigram draft"));
     println!(
         "bigram draft:  {} target steps, {:.2} tokens accepted/step, lossless: {}",
         weak.target_steps,
@@ -100,7 +99,7 @@ fn functional_section() -> bool {
     };
     let perfect =
         speculative_generate(&mut ctx, &target, &mut oracle, &prompt, new_tokens, 3).unwrap();
-    ok &= perfect.tokens == greedy;
+    gate.fail_if(perfect.tokens != greedy, || diverged("oracle draft"));
     println!(
         "oracle draft:  {} target steps ({:.2}x fewer), lossless: {}",
         perfect.target_steps,
@@ -116,7 +115,7 @@ fn functional_section() -> bool {
     let pipe =
         speculative_decode_pipeline(&mut ctx, &target, &draft, &prompt, new_tokens, &mut ctrl)
             .unwrap();
-    ok &= pipe.tokens == greedy;
+    gate.fail_if(pipe.tokens != greedy, || diverged("two-model pipeline"));
     println!(
         "two-model:     {} verify rounds, {:.2} committed/round, overlap {:.2}x, lossless: {}",
         pipe.target_steps,
@@ -124,12 +123,11 @@ fn functional_section() -> bool {
         pipe.serial_secs / pipe.overlapped_secs,
         pipe.tokens == greedy
     );
-    ok
 }
 
-/// Paper-scale cost rows: prints both tables, writes `BENCH_spec.json`,
-/// and returns whether any CI gate tripped.
-fn cost_section() -> bool {
+/// Paper-scale cost rows: prints both tables, checks the speedup claims
+/// through `gate` and writes `BENCH_spec.json`.
+fn cost_section(gate: &mut Gate) {
     println!(
         "\n=== Speculative decode (Section 9): plain vs spec-serial vs spec-overlapped ===\n\
          target+draft co-resident, ctx {SPEC_CTX_LEN}, {SPEC_ROUNDS} verify rounds, \
@@ -150,58 +148,56 @@ fn cost_section() -> bool {
         "draft%"
     );
     let rows = spec_decode_rows();
-    let mut tripped = false;
     let mut json_rows = Vec::new();
-    for r in &rows {
+    for p in &rows {
+        let speedup = p.spec_overlapped_tps / p.plain_serial_tps;
+        let overlap_gain = p.spec_overlapped_tps / p.spec_serial_tps;
+        // A fixed controller drafts one length every round, so its mean
+        // draft length is the row's `k`.
         println!(
             "{:<6} {:<6} {:<6} {:>2} {:>9.2} {:>10.1} {:>10.1} {:>10.1} {:>7.2}x {:>7.2}x {:>7.0}%",
-            r.device,
-            r.target,
-            r.draft,
-            r.draft_len,
-            r.mean_accepted,
-            r.plain_tps,
-            r.spec_serial_tps,
-            r.spec_overlapped_tps,
-            r.speedup,
-            r.overlap_gain,
-            r.draft_step_frac * 100.0
+            p.device,
+            p.target,
+            p.draft,
+            p.mean_draft_len,
+            p.mean_accepted,
+            p.plain_serial_tps,
+            p.spec_serial_tps,
+            p.spec_overlapped_tps,
+            speedup,
+            overlap_gain,
+            p.draft_step_frac * 100.0
         );
         // Gate 1: overlapped speculation must beat plain decode in
         // accepted-tokens/sec on every generation (measured 1.21-1.31x;
         // the floor is pinned below that to catch real regressions, not
         // noise).
-        if r.speedup < 1.1 {
-            eprintln!(
-                "REGRESSION: {}: spec-overlapped {:.1} acc-tok/s vs plain {:.1} tok/s ({:.2}x < 1.1x)",
-                r.device, r.spec_overlapped_tps, r.plain_tps, r.speedup
-            );
-            tripped = true;
-        }
+        gate.fail_if(speedup < 1.1, || {
+            format!(
+                "{}: spec-overlapped {:.1} acc-tok/s vs plain {:.1} tok/s ({:.2}x < 1.1x)",
+                p.device, p.spec_overlapped_tps, p.plain_serial_tps, speedup
+            )
+        });
         json_rows.push(Json::obj([
-            ("device", Json::str(r.device.clone())),
-            ("target", Json::str(r.target.clone())),
-            ("draft", Json::str(r.draft.clone())),
-            ("ctx_len", Json::from(r.ctx_len)),
-            ("draft_len", Json::from(r.draft_len)),
-            ("acceptance", Json::Num(r.acceptance)),
-            ("mean_accepted", Json::Num(r.mean_accepted)),
-            ("draft_step_frac", Json::Num(r.draft_step_frac)),
-            ("plain_tps", Json::Num(r.plain_tps)),
-            ("plain_overlapped_tps", Json::Num(r.plain_overlapped_tps)),
-            ("spec_serial_tps", Json::Num(r.spec_serial_tps)),
-            ("spec_overlapped_tps", Json::Num(r.spec_overlapped_tps)),
-            ("speedup", Json::Num(r.speedup)),
-            ("overlap_gain", Json::Num(r.overlap_gain)),
+            ("device", Json::str(p.device.clone())),
+            ("target", Json::str(p.target.clone())),
+            ("draft", Json::str(p.draft.clone())),
+            ("ctx_len", Json::from(p.ctx_len)),
+            ("draft_len", Json::Num(p.mean_draft_len)),
+            ("acceptance", Json::Num(SPEC_ACCEPTANCE)),
+            ("mean_accepted", Json::Num(p.mean_accepted)),
+            ("draft_step_frac", Json::Num(p.draft_step_frac)),
+            ("plain_tps", Json::Num(p.plain_serial_tps)),
+            ("plain_overlapped_tps", Json::Num(p.plain_overlapped_tps)),
+            ("spec_serial_tps", Json::Num(p.spec_serial_tps)),
+            ("spec_overlapped_tps", Json::Num(p.spec_overlapped_tps)),
+            ("speedup", Json::Num(speedup)),
+            ("overlap_gain", Json::Num(overlap_gain)),
         ]));
     }
-    if rows.len() < 3 {
-        eprintln!(
-            "REGRESSION: only {} of 3 generations produced a row",
-            rows.len()
-        );
-        tripped = true;
-    }
+    gate.fail_if(rows.len() < 3, || {
+        format!("only {} of 3 generations produced a row", rows.len())
+    });
 
     println!(
         "\n=== Adaptive vs fixed draft length on a cold trace (alpha={SPEC_LOW_ACCEPTANCE}) ==="
@@ -210,39 +206,43 @@ fn cost_section() -> bool {
         "{:<6} {:>7} {:>11} {:>8} {:>13} {:>10}",
         "device", "fixed k", "fixed t/s", "mean k", "adaptive t/s", "advantage"
     );
-    let adaptive = spec_adaptive_rows();
+    let adaptive_rows = spec_adaptive_rows();
     let mut adaptive_json = Vec::new();
-    for r in &adaptive {
+    for [fixed, adaptive] in &adaptive_rows {
+        let advantage = adaptive.spec_overlapped_tps / fixed.spec_overlapped_tps;
         println!(
             "{:<6} {:>7} {:>11.1} {:>8.2} {:>13.1} {:>9.2}x",
-            r.device, r.fixed_k, r.fixed_tps, r.adaptive_mean_k, r.adaptive_tps, r.advantage
+            fixed.device,
+            fixed.mean_draft_len,
+            fixed.spec_overlapped_tps,
+            adaptive.mean_draft_len,
+            adaptive.spec_overlapped_tps,
+            advantage
         );
         // Gate 2: on the cold trace the adaptive controller must beat the
         // fixed policy (measured ~5.5x; floor pinned well below).
-        if r.advantage < 1.5 {
-            eprintln!(
-                "REGRESSION: {}: adaptive {:.1} vs fixed {:.1} acc-tok/s ({:.2}x < 1.5x)",
-                r.device, r.adaptive_tps, r.fixed_tps, r.advantage
-            );
-            tripped = true;
-        }
+        gate.fail_if(advantage < 1.5, || {
+            format!(
+                "{}: adaptive {:.1} vs fixed {:.1} acc-tok/s ({:.2}x < 1.5x)",
+                fixed.device, adaptive.spec_overlapped_tps, fixed.spec_overlapped_tps, advantage
+            )
+        });
         adaptive_json.push(Json::obj([
-            ("device", Json::str(r.device.clone())),
-            ("acceptance", Json::Num(r.acceptance)),
-            ("fixed_k", Json::from(r.fixed_k)),
-            ("fixed_tps", Json::Num(r.fixed_tps)),
-            ("adaptive_mean_k", Json::Num(r.adaptive_mean_k)),
-            ("adaptive_tps", Json::Num(r.adaptive_tps)),
-            ("advantage", Json::Num(r.advantage)),
+            ("device", Json::str(fixed.device.clone())),
+            ("acceptance", Json::Num(SPEC_LOW_ACCEPTANCE)),
+            ("fixed_k", Json::Num(fixed.mean_draft_len)),
+            ("fixed_tps", Json::Num(fixed.spec_overlapped_tps)),
+            ("adaptive_mean_k", Json::Num(adaptive.mean_draft_len)),
+            ("adaptive_tps", Json::Num(adaptive.spec_overlapped_tps)),
+            ("advantage", Json::Num(advantage)),
         ]));
     }
-    if adaptive.len() < 3 {
-        eprintln!(
-            "REGRESSION: only {} of 3 adaptive comparisons produced a row",
-            adaptive.len()
-        );
-        tripped = true;
-    }
+    gate.fail_if(adaptive_rows.len() < 3, || {
+        format!(
+            "only {} of 3 adaptive comparisons produced a row",
+            adaptive_rows.len()
+        )
+    });
 
     let artifact = Json::obj([
         ("bench", Json::str("spec_decode")),
@@ -265,7 +265,6 @@ fn cost_section() -> bool {
     println!(
         "\nWrote BENCH_spec.json ({} spec rows, {} adaptive rows).",
         rows.len(),
-        adaptive.len()
+        adaptive_rows.len()
     );
-    tripped
 }

@@ -20,12 +20,13 @@
 //! Also emits the sustained-vs-burst efficiency surface (tokens/sec and
 //! tokens/sec/watt at both operating points) per device and batch.
 //!
-//! Writes the machine-readable `BENCH_power.json` and **fails the
-//! process** if any claim regresses. Everything is seeded and
-//! deterministic.
+//! Writes the machine-readable `BENCH_power.json` and, through
+//! `benchutil::gate`, **fails the process** if any claim regresses.
+//! Everything is seeded and deterministic.
 //!
 //! Run with: `cargo run --release --example thermal_sweep`
 
+use benchutil::gate::Gate;
 use benchutil::json::Json;
 use npuscale::experiments::{
     fleet_thermal_rows, thermal_decode_rows, THERMAL_WINDOW_SECS, THERMAL_WORKLOAD,
@@ -44,12 +45,10 @@ const SEED: u64 = 20260808;
 const DEGRADATION_FLOORS: [(&str, f64); 3] = [("8G2", 0.61), ("8G3", 0.59), ("8G4", 0.80)];
 
 fn main() {
-    let mut failed = false;
-    let (decode_json, f1) = sustained_decode_section();
-    failed |= f1;
+    let mut gate = Gate::default();
+    let decode_json = sustained_decode_section(&mut gate);
     let efficiency_json = efficiency_section();
-    let (fleet_json, f2) = fleet_dispatch_section();
-    failed |= f2;
+    let fleet_json = fleet_dispatch_section(&mut gate);
 
     let artifact = Json::obj([
         ("bench", Json::str("thermal_dvfs")),
@@ -70,28 +69,21 @@ fn main() {
     ]);
     benchutil::json::write_file("BENCH_power.json", &artifact).expect("writing BENCH_power.json");
     println!("\nWrote BENCH_power.json.");
-    if failed {
-        eprintln!("thermal/DVFS regression gate tripped");
-        std::process::exit(1);
-    }
+    gate.finish("thermal/DVFS regression gate tripped");
 }
 
 /// Claims 1 + 2: burst bit-for-bit against the pre-thermal backend,
 /// sustained degradation bounded per device.
-fn sustained_decode_section() -> (Json, bool) {
+fn sustained_decode_section(gate: &mut Gate) -> Json {
     let (model, batch, ctx_len) = THERMAL_WORKLOAD;
     println!(
         "== Sustained-vs-burst decode: {model:?} b{batch} ctx {ctx_len}, \
          {THERMAL_WINDOW_SECS:.0} s of back-to-back decode =="
     );
     let rows = thermal_decode_rows();
-    let mut failed = rows.len() != DeviceProfile::all().len();
-    if failed {
-        eprintln!(
-            "GATE: expected a thermal row per device, got {}",
-            rows.len()
-        );
-    }
+    gate.fail_if(rows.len() != DeviceProfile::all().len(), || {
+        format!("expected a thermal row per device, got {}", rows.len())
+    });
     for r in &rows {
         print_decode_row(r);
         // Claim 1: the burst operating point is the pre-thermal number.
@@ -99,53 +91,50 @@ fn sustained_decode_section() -> (Json, bool) {
         let cold = NpuSimBackend::overlapped(device.clone())
             .decode(model, batch, ctx_len)
             .expect("cold decode");
-        if r.burst_tokens_per_sec != cold.tokens_per_sec {
-            eprintln!(
-                "GATE: {} burst {} != pre-thermal decode {} (must be bit-for-bit)",
+        gate.fail_if(r.burst_tokens_per_sec != cold.tokens_per_sec, || {
+            format!(
+                "{} burst {} != pre-thermal decode {} (must be bit-for-bit)",
                 r.device, r.burst_tokens_per_sec, cold.tokens_per_sec
-            );
-            failed = true;
-        }
+            )
+        });
         // Claim 2: throttling is bounded. The clock multiplier is the
         // hard floor (switch costs do not scale), the pinned measured
         // floor is the regression tripwire.
         let degradation = degradation(r);
-        if degradation < device.sustained_clock_mult * (1.0 - 1e-6) {
-            eprintln!(
-                "GATE: {} degradation {} below the clock multiplier {}",
-                r.device, degradation, device.sustained_clock_mult
-            );
-            failed = true;
-        }
+        gate.fail_if(
+            degradation < device.sustained_clock_mult * (1.0 - 1e-6),
+            || {
+                format!(
+                    "{} degradation {} below the clock multiplier {}",
+                    r.device, degradation, device.sustained_clock_mult
+                )
+            },
+        );
         let floor = DEGRADATION_FLOORS
             .iter()
             .find(|(d, _)| *d == r.device)
             .map(|(_, f)| *f)
             .unwrap_or(0.0);
-        if degradation < floor {
-            eprintln!(
-                "GATE: {} degradation {} below the pinned floor {}",
+        gate.fail_if(degradation < floor, || {
+            format!(
+                "{} degradation {} below the pinned floor {}",
                 r.device, degradation, floor
-            );
-            failed = true;
-        }
+            )
+        });
         // Sanity: the device actually throttled inside the window and
         // stayed essentially at its cap (one step of overshoot slack).
-        if r.first_throttle_step.is_none() {
-            eprintln!("GATE: {} never throttled in the window", r.device);
-            failed = true;
-        }
+        gate.fail_if(r.first_throttle_step.is_none(), || {
+            format!("{} never throttled in the window", r.device)
+        });
         let slack = 0.5;
-        if r.peak_temp_c > device.throttle_temp_c + slack {
-            eprintln!(
-                "GATE: {} peak {} exceeds cap {} + {} slack",
+        gate.fail_if(r.peak_temp_c > device.throttle_temp_c + slack, || {
+            format!(
+                "{} peak {} exceeds cap {} + {} slack",
                 r.device, r.peak_temp_c, device.throttle_temp_c, slack
-            );
-            failed = true;
-        }
+            )
+        });
     }
-    let json = Json::Arr(rows.iter().map(decode_row_json).collect());
-    (json, failed)
+    Json::Arr(rows.iter().map(decode_row_json).collect())
 }
 
 /// Tokens/sec/watt at both operating points across batch sizes.
@@ -186,47 +175,41 @@ fn efficiency_section() -> Json {
 }
 
 /// Claim 3: thermal-aware dispatch beats thermal-blind on the same trace.
-fn fleet_dispatch_section() -> (Json, bool) {
+fn fleet_dispatch_section(gate: &mut Gate) -> Json {
     println!("\n== Fleet dispatch: thermal-blind vs thermal-aware, seed {SEED} ==");
     let [blind, aware] = fleet_thermal_rows(SEED).expect("fleet thermal rows");
     let rows = [("blind", &blind), ("aware", &aware)];
     for (policy, r) in rows {
         print_fleet_row(policy, r);
     }
-    let mut failed = false;
-    if aware.goodput_rps < blind.goodput_rps {
-        eprintln!(
-            "GATE: aware goodput {} below blind {}",
+    gate.fail_if(aware.goodput_rps < blind.goodput_rps, || {
+        format!(
+            "aware goodput {} below blind {}",
             aware.goodput_rps, blind.goodput_rps
-        );
-        failed = true;
-    }
-    if aware.tbt_p99_secs > blind.tbt_p99_secs {
-        eprintln!(
-            "GATE: aware p99 TBT {} above blind {}",
+        )
+    });
+    gate.fail_if(aware.tbt_p99_secs > blind.tbt_p99_secs, || {
+        format!(
+            "aware p99 TBT {} above blind {}",
             aware.tbt_p99_secs, blind.tbt_p99_secs
-        );
-        failed = true;
-    }
-    if throttled_steps(&blind) == 0 {
-        eprintln!("GATE: trace never throttled the blind fleet — comparison is vacuous");
-        failed = true;
-    }
-    if throttled_steps(&aware) >= throttled_steps(&blind) {
-        eprintln!(
-            "GATE: aware throttled {} steps, blind {} — routing around hot \
-             dies should reduce throttling",
+        )
+    });
+    gate.fail_if(throttled_steps(&blind) == 0, || {
+        "trace never throttled the blind fleet — comparison is vacuous"
+    });
+    gate.fail_if(throttled_steps(&aware) >= throttled_steps(&blind), || {
+        format!(
+            "aware throttled {} steps, blind {} — routing around hot dies \
+             should reduce throttling",
             throttled_steps(&aware),
             throttled_steps(&blind)
-        );
-        failed = true;
-    }
-    let json = Json::Arr(
+        )
+    });
+    Json::Arr(
         rows.iter()
             .map(|&(policy, r)| fleet_row_json(policy, r))
             .collect(),
-    );
-    (json, failed)
+    )
 }
 
 fn device_by_label(label: &str) -> DeviceProfile {

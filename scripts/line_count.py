@@ -4,7 +4,8 @@
 A non-test line is one before the first `#[cfg(test)]` of a .rs file
 under crates/*/src or src (the umbrella crate). Prints each crate's
 non-test lines and their total, then the lines of the examples under
-examples/ (every line: an example has no test module).
+examples/ (every line: an example has no test module), in total and per
+example, so a change that trims one example shows which.
 
 Usage, from anywhere in the repo:
 
@@ -48,8 +49,11 @@ def main():
         total += lines
         print(f"{os.path.relpath(src, ROOT):<22} {lines:>6}")
     print(f"{'non-test total':<22} {total:>6}")
-    examples = sum(all_lines(p) for p in rs_files(os.path.join(ROOT, "examples")))
-    print(f"{'examples':<22} {examples:>6}")
+    examples = sorted(rs_files(os.path.join(ROOT, "examples")))
+    per_example = [(os.path.basename(p), all_lines(p)) for p in examples]
+    print(f"{'examples':<22} {sum(n for _, n in per_example):>6}")
+    for name, lines in per_example:
+        print(f"  {name:<20} {lines:>6}")
 
 
 if __name__ == "__main__":

@@ -75,8 +75,8 @@ fn fig13_crossover_gpu_vs_npu() {
     let rows = experiments::fig13_decode_rows(&backends);
     let get = |system: &str, batch: usize| {
         rows.iter()
-            .find(|r| r.system == system && r.model == "Q1.5" && r.batch == batch)
-            .map(|r| r.tokens_per_sec)
+            .find(|(s, p)| *s == system && p.model == "Q1.5" && p.batch == batch)
+            .map(|(_, p)| p.tokens_per_sec)
             .unwrap()
     };
     // Paper: GPU decodes faster at batch 1; ours wins at large batch.
@@ -86,14 +86,14 @@ fn fig13_crossover_gpu_vs_npu() {
     // Prefill: ours consistently above the GPU.
     let prefill = experiments::fig13_prefill_rows(&backends);
     for prompt in [512usize, 1024, 2048] {
-        let ours = prefill
-            .iter()
-            .find(|r| r.system == "Ours" && r.model == "Q1.5" && r.prompt_len == prompt)
-            .unwrap();
-        let gpu = prefill
-            .iter()
-            .find(|r| r.system == "llama.cpp-OpenCL" && r.model == "Q1.5" && r.prompt_len == prompt)
-            .unwrap();
+        let point = |system: &str| {
+            prefill
+                .iter()
+                .find(|(s, p)| *s == system && p.model == "Q1.5" && p.prompt_len == prompt)
+                .map(|(_, p)| p)
+                .unwrap()
+        };
+        let (ours, gpu) = (point("Ours"), point("llama.cpp-OpenCL"));
         assert!(
             ours.tokens_per_sec > gpu.tokens_per_sec,
             "prompt {prompt}: ours {} vs gpu {}",
@@ -126,10 +126,10 @@ fn fig17_prompt_length_effect_is_mild() {
     let rows = experiments::fig17_rows(&serial_npu(&DeviceProfile::v75()));
     for model in ["Q1.5", "Q3"] {
         for batch in [1usize, 8] {
-            let get = |p: usize| {
+            let get = |prompt: usize| {
                 rows.iter()
-                    .find(|r| r.model == model && r.batch == batch && r.prompt_len == p)
-                    .map(|r| r.tokens_per_sec)
+                    .find(|(_, p)| p.model == model && p.batch == batch && p.ctx_len == prompt)
+                    .map(|(_, p)| p.tokens_per_sec)
                     .unwrap()
             };
             let drop = 1.0 - get(4096) / get(512);
