@@ -1,10 +1,10 @@
-//! Benchmark harness: the [`json`] emitter the gate examples write their
-//! `BENCH_*.json` artifacts with, the [`gate`] they check their claims
-//! through, and the `kernel_microbench` criterion target (host time of the
-//! kernels and of cost-only decode work).
+//! Gate-example support, with no dependencies: the [`json`] emitter the
+//! gate examples write their `BENCH_*.json` artifacts with, and the
+//! [`gate`] they check their claims through.
 //!
 //! The paper's tables and figures print from the `paper_figures` example
-//! (README's "Regenerating paper figures and tables").
+//! (README's "Regenerating paper figures and tables"); `perfbench`
+//! measures the simulator's host time.
 
 pub mod gate;
 

@@ -94,15 +94,21 @@ pub trait Backend {
 }
 
 /// Builds a [`DecodePoint`] for an analytic (roofline) backend: pure
-/// throughput, no engine activity, no CPU share.
+/// throughput, no engine activity, no CPU share. A zero batch is
+/// [`SimError::InvalidConfig`], as it is on the NPU.
 fn analytic_decode_point(
     device: &str,
     model: ModelId,
     batch: usize,
     ctx_len: usize,
     tokens_per_sec: f64,
-) -> DecodePoint {
-    DecodePoint {
+) -> SimResult<DecodePoint> {
+    if batch == 0 {
+        return Err(SimError::InvalidConfig {
+            reason: "empty decode step: a decode step needs at least one sequence".into(),
+        });
+    }
+    Ok(DecodePoint {
         model: model.label().to_string(),
         device: device.to_string(),
         batch,
@@ -112,24 +118,30 @@ fn analytic_decode_point(
         cpu_share: 0.0,
         engine_secs: [0.0; NUM_ENGINES],
         sessions: 1,
-    }
+    })
 }
 
-/// Builds a [`PrefillPoint`] for an analytic backend.
+/// Builds a [`PrefillPoint`] for an analytic backend. An empty prompt is
+/// [`SimError::InvalidConfig`], as it is on the NPU.
 fn analytic_prefill_point(
     device: &str,
     model: ModelId,
     prompt_len: usize,
     tokens_per_sec: f64,
-) -> PrefillPoint {
-    PrefillPoint {
+) -> SimResult<PrefillPoint> {
+    if prompt_len == 0 {
+        return Err(SimError::InvalidConfig {
+            reason: "empty prompt: a prefill needs at least one token".into(),
+        });
+    }
+    Ok(PrefillPoint {
         model: model.label().to_string(),
         device: device.to_string(),
         prompt_len,
         total_secs: prompt_len as f64 / tokens_per_sec,
         tokens_per_sec,
         sessions: 1,
-    }
+    })
 }
 
 /// The paper's runtime on the simulated Hexagon NPU — the "Ours" series
@@ -313,22 +325,22 @@ impl Backend for GpuBaseline {
     }
 
     fn decode(&self, model: ModelId, batch: usize, ctx_len: usize) -> SimResult<DecodePoint> {
-        Ok(analytic_decode_point(
+        analytic_decode_point(
             "GPU",
             model,
             batch,
             ctx_len,
             self.decode_tps(model, batch, ctx_len),
-        ))
+        )
     }
 
     fn prefill(&self, model: ModelId, prompt_len: usize) -> SimResult<PrefillPoint> {
-        Ok(analytic_prefill_point(
+        analytic_prefill_point(
             "GPU",
             model,
             prompt_len,
             self.prefill_tps(model, prompt_len),
-        ))
+        )
     }
 }
 
@@ -351,22 +363,16 @@ impl Backend for QnnFp16Baseline {
 
     fn decode(&self, model: ModelId, batch: usize, ctx_len: usize) -> SimResult<DecodePoint> {
         self.fits(model, batch, ctx_len)?;
-        Ok(analytic_decode_point(
-            "QNN",
-            model,
-            batch,
-            ctx_len,
-            self.decode_tps(model),
-        ))
+        analytic_decode_point("QNN", model, batch, ctx_len, self.decode_tps(model))
     }
 
     fn prefill(&self, model: ModelId, prompt_len: usize) -> SimResult<PrefillPoint> {
-        Ok(analytic_prefill_point(
+        analytic_prefill_point(
             "QNN",
             model,
             prompt_len,
             self.prefill_tps(model, prompt_len),
-        ))
+        )
     }
 }
 
@@ -383,22 +389,22 @@ impl Backend for CpuRefBackend {
     }
 
     fn decode(&self, model: ModelId, batch: usize, ctx_len: usize) -> SimResult<DecodePoint> {
-        Ok(analytic_decode_point(
+        analytic_decode_point(
             "CPU",
             model,
             batch,
             ctx_len,
             self.decode_tps(model, batch, ctx_len),
-        ))
+        )
     }
 
     fn prefill(&self, model: ModelId, prompt_len: usize) -> SimResult<PrefillPoint> {
-        Ok(analytic_prefill_point(
+        analytic_prefill_point(
             "CPU",
             model,
             prompt_len,
             self.prefill_tps(model, prompt_len),
-        ))
+        )
     }
 }
 
@@ -903,12 +909,30 @@ mod tests {
         assert!(at_cap.decode(ModelId::Qwen7B, 16, 1024).is_ok());
     }
 
+    /// All six backends: the three runtime variants, then the baselines.
+    fn every_backend(device: &DeviceProfile) -> Vec<Box<dyn Backend>> {
+        let variants = NpuSimBackend::variants(device).map(|b| Box::new(b) as Box<dyn Backend>);
+        variants.into_iter().chain(baselines()).collect()
+    }
+
     #[test]
     fn a_zero_batch_decode_is_a_typed_error() {
-        for backend in NpuSimBackend::variants(&DeviceProfile::v75()) {
+        for backend in every_backend(&DeviceProfile::v75()) {
             let err = backend.decode(ModelId::Qwen1_5B, 0, 1024).unwrap_err();
             assert!(
                 matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty decode step")),
+                "{}: {err}",
+                backend.name()
+            );
+        }
+    }
+
+    #[test]
+    fn an_empty_prompt_prefill_is_a_typed_error() {
+        for backend in every_backend(&DeviceProfile::v75()) {
+            let err = backend.prefill(ModelId::Qwen1_5B, 0).unwrap_err();
+            assert!(
+                matches!(&err, SimError::InvalidConfig { reason } if reason.contains("empty prompt")),
                 "{}: {err}",
                 backend.name()
             );

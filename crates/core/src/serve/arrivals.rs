@@ -14,10 +14,10 @@
 //! so every run of a given `(tenants, rate, n, seed)` tuple produces the
 //! identical trace (the CI gate depends on this). [`bursty_trace`] layers
 //! production-like structure on top: an on/off Markov-modulated rate with
-//! a diurnal envelope, sampled exactly by thinning. [`replay_trace`]
-//! wraps explicit `(arrival, prompt, output)` tuples for trace-driven
-//! tests; [`replay_trace_from`] and [`merge_traces`] compose replayed
-//! traces without colliding ids.
+//! a diurnal envelope, sampled exactly by thinning. Both pick each
+//! arrival's tenant and lengths the same way. [`replay_trace`] wraps
+//! explicit `(arrival, prompt, output)` tuples for trace-driven tests,
+//! and [`merge_traces`] composes traces without colliding ids.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -63,6 +63,21 @@ impl TenantSpec {
             output_lens: (8, 32),
         }
     }
+
+    /// Request `id` of this tenant, arriving at `arrival_secs`, with the
+    /// tenant's decode budget.
+    fn request(&self, id: u64, arrival_secs: f64, prompt_len: usize, output_len: usize) -> Request {
+        Request {
+            id,
+            tenant: self.name.clone(),
+            priority: self.priority,
+            arrival_secs,
+            prompt_len,
+            output_len,
+            max_new: self.output_lens.1,
+            weight: self.weight,
+        }
+    }
 }
 
 /// One serving request: arrival time plus the prompt/output shape drawn
@@ -102,6 +117,43 @@ fn draw_range(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
     }
 }
 
+/// The tenants' total weight.
+///
+/// # Panics
+///
+/// Panics unless every weight is positive.
+fn checked_total_weight(tenants: &[TenantSpec]) -> f64 {
+    let total: f64 = tenants.iter().map(|t| t.weight).sum();
+    assert!(
+        total > 0.0 && tenants.iter().all(|t| t.weight > 0.0),
+        "tenant weights must be positive"
+    );
+    total
+}
+
+/// Request `id`, arriving at `arrival_secs`: picks its tenant by weight,
+/// then draws its prompt length and then its output length from that
+/// tenant's ranges.
+fn draw_request(
+    rng: &mut StdRng,
+    tenants: &[TenantSpec],
+    total_weight: f64,
+    id: u64,
+    arrival_secs: f64,
+) -> Request {
+    let mut pick = rng.gen_range(0.0..total_weight);
+    let tenant = tenants
+        .iter()
+        .find(|t| {
+            pick -= t.weight;
+            pick < 0.0
+        })
+        .unwrap_or(&tenants[tenants.len() - 1]);
+    let prompt_len = draw_range(rng, tenant.prompt_lens);
+    let output_len = draw_range(rng, tenant.output_lens);
+    tenant.request(id, arrival_secs, prompt_len, output_len)
+}
+
 /// Generates `n` requests from a seeded Poisson process at `rate_rps`
 /// total requests/second, splitting arrivals across `tenants` by weight.
 /// Deterministic in `(tenants, rate_rps, n, seed)`.
@@ -113,11 +165,7 @@ fn draw_range(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
 pub fn poisson_trace(tenants: &[TenantSpec], rate_rps: f64, n: usize, seed: u64) -> Vec<Request> {
     assert!(!tenants.is_empty(), "need at least one tenant");
     assert!(rate_rps > 0.0, "arrival rate must be positive");
-    let total_weight: f64 = tenants.iter().map(|t| t.weight).sum();
-    assert!(
-        total_weight > 0.0 && tenants.iter().all(|t| t.weight > 0.0),
-        "tenant weights must be positive"
-    );
+    let total_weight = checked_total_weight(tenants);
     let mut rng = StdRng::seed_from_u64(seed);
     let mut clock = 0.0f64;
     let mut out = Vec::with_capacity(n);
@@ -126,26 +174,7 @@ pub fn poisson_trace(tenants: &[TenantSpec], rate_rps: f64, n: usize, seed: u64)
         // the log argument strictly positive.
         let u: f64 = rng.gen_range(0.0..1.0);
         clock += -(1.0 - u).ln() / rate_rps;
-        let mut pick = rng.gen_range(0.0..total_weight);
-        let tenant = tenants
-            .iter()
-            .find(|t| {
-                pick -= t.weight;
-                pick < 0.0
-            })
-            .unwrap_or(&tenants[tenants.len() - 1]);
-        let prompt_len = draw_range(&mut rng, tenant.prompt_lens);
-        let output_len = draw_range(&mut rng, tenant.output_lens);
-        out.push(Request {
-            id,
-            tenant: tenant.name.clone(),
-            priority: tenant.priority,
-            arrival_secs: clock,
-            prompt_len,
-            output_len,
-            max_new: tenant.output_lens.1,
-            weight: tenant.weight,
-        });
+        out.push(draw_request(&mut rng, tenants, total_weight, id, clock));
     }
     out
 }
@@ -207,11 +236,7 @@ pub fn bursty_trace(tenants: &[TenantSpec], spec: &BurstSpec, n: usize, seed: u6
         (0.0..1.0).contains(&spec.diurnal_depth),
         "diurnal depth must be in [0, 1)"
     );
-    let total_weight: f64 = tenants.iter().map(|t| t.weight).sum();
-    assert!(
-        total_weight > 0.0 && tenants.iter().all(|t| t.weight > 0.0),
-        "tenant weights must be positive"
-    );
+    let total_weight = checked_total_weight(tenants);
     fn exp_draw(rng: &mut StdRng, mean: f64) -> f64 {
         let u: f64 = rng.gen_range(0.0..1.0);
         -(1.0 - u).ln() * mean
@@ -252,26 +277,8 @@ pub fn bursty_trace(tenants: &[TenantSpec], spec: &BurstSpec, n: usize, seed: u6
         if keep * peak_rps >= state_rps * envelope {
             continue;
         }
-        let mut pick = rng.gen_range(0.0..total_weight);
-        let tenant = tenants
-            .iter()
-            .find(|t| {
-                pick -= t.weight;
-                pick < 0.0
-            })
-            .unwrap_or(&tenants[tenants.len() - 1]);
-        let prompt_len = draw_range(&mut rng, tenant.prompt_lens);
-        let output_len = draw_range(&mut rng, tenant.output_lens);
-        out.push(Request {
-            id: out.len() as u64,
-            tenant: tenant.name.clone(),
-            priority: tenant.priority,
-            arrival_secs: clock,
-            prompt_len,
-            output_len,
-            max_new: tenant.output_lens.1,
-            weight: tenant.weight,
-        });
+        let id = out.len() as u64;
+        out.push(draw_request(&mut rng, tenants, total_weight, id, clock));
     }
     out
 }
@@ -279,21 +286,11 @@ pub fn bursty_trace(tenants: &[TenantSpec], spec: &BurstSpec, n: usize, seed: u6
 /// Wraps explicit `(arrival_secs, prompt_len, output_len)` tuples as a
 /// request trace for `tenant` — the trace-replay arrival path. The decode
 /// budget of every request is the tenant's output upper bound. Ids count
-/// from zero; compose multiple replayed traces with
-/// [`replay_trace_from`] or [`merge_traces`], never by concatenation
-/// (duplicate ids corrupt the gateway's deterministic tie-breaks, and
-/// [`crate::serve::FleetGateway::serve_trace`] rejects them).
+/// from zero; compose multiple traces with [`merge_traces`], never by
+/// concatenation (duplicate ids corrupt the gateway's deterministic
+/// tie-breaks, and [`crate::serve::FleetGateway::serve_trace`] rejects
+/// them).
 pub fn replay_trace(tenant: &TenantSpec, points: &[(f64, usize, usize)]) -> Vec<Request> {
-    replay_trace_from(tenant, points, 0)
-}
-
-/// [`replay_trace`] with ids counting from `first_id` — the offset that
-/// lets several replayed tenants coexist in one trace without colliding.
-pub fn replay_trace_from(
-    tenant: &TenantSpec,
-    points: &[(f64, usize, usize)],
-    first_id: u64,
-) -> Vec<Request> {
     points
         .iter()
         .enumerate()
@@ -303,16 +300,7 @@ pub fn replay_trace_from(
                 "replayed output {output_len} exceeds the tenant budget {}",
                 tenant.output_lens.1
             );
-            Request {
-                id: first_id + i as u64,
-                tenant: tenant.name.clone(),
-                priority: tenant.priority,
-                arrival_secs,
-                prompt_len,
-                output_len,
-                max_new: tenant.output_lens.1,
-                weight: tenant.weight,
-            }
+            tenant.request(i as u64, arrival_secs, prompt_len, output_len)
         })
         .collect()
 }
@@ -413,7 +401,7 @@ mod tests {
             &TenantSpec::interactive("chat"),
             &[(0.0, 32, 4), (0.2, 48, 8)],
         );
-        let batch = replay_trace_from(&TenantSpec::batch("batch"), &[(0.1, 256, 8)], 0);
+        let batch = replay_trace(&TenantSpec::batch("batch"), &[(0.1, 256, 8)]);
         let merged = merge_traces(&[chat.clone(), batch, chat]);
         assert_eq!(merged.len(), 5);
         let mut ids: Vec<u64> = merged.iter().map(|r| r.id).collect();

@@ -592,8 +592,8 @@ fn validate_trace(trace: &[Request]) -> SimResult<(Vec<f64>, Vec<usize>)> {
     if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
         return Err(SimError::InvalidTrace {
             reason: format!(
-                "duplicate request id {}; compose traces with merge_traces or \
-                 replay_trace_from instead of concatenating",
+                "duplicate request id {}; compose traces with merge_traces \
+                 instead of concatenating",
                 w[0]
             ),
         });

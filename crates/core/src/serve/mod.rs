@@ -56,8 +56,7 @@ pub mod metrics;
 pub mod scheduler;
 
 pub use arrivals::{
-    bursty_trace, merge_traces, poisson_trace, replay_trace, replay_trace_from, BurstSpec, Request,
-    TenantSpec,
+    bursty_trace, merge_traces, poisson_trace, replay_trace, BurstSpec, Request, TenantSpec,
 };
 pub use gateway::{FleetGateway, ServingReport, TenantReport, WorkerReport};
 pub use metrics::{jain_index, percentile, SloConfig};

@@ -498,11 +498,6 @@ impl AdmissionQueue {
         Some(self.items.swap_remove(i))
     }
 
-    /// Requests currently waiting.
-    pub fn depth(&self) -> usize {
-        self.items.len()
-    }
-
     /// Deepest the queue has been.
     pub fn peak_depth(&self) -> usize {
         self.peak_depth
@@ -561,7 +556,7 @@ mod tests {
         assert_eq!(q.offer(entry(2, 3, 0.2, 2, 1), &strict_before), Some(1));
         // A low-priority newcomer bounces off a full queue of betters.
         assert_eq!(q.offer(entry(3, 0, 0.3, 3, 2), &strict_before), Some(3));
-        assert_eq!(q.depth(), 2);
+        assert_eq!(q.entries().len(), 2);
         assert_eq!(q.peak_depth(), 2);
         assert_eq!(q.pop(&strict_before), Some(2));
         assert_eq!(q.pop(&strict_before), Some(0));
@@ -574,7 +569,7 @@ mod tests {
         assert!(q.offer(entry(9, 2, 0.1, 1, 1), &strict_before).is_none());
         assert_eq!(q.remove(9).map(|e| e.id), Some(1));
         assert!(q.remove(9).is_none());
-        assert_eq!(q.depth(), 1);
+        assert_eq!(q.entries().len(), 1);
         assert_eq!(q.entries()[0].req, 7);
     }
 

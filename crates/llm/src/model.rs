@@ -169,11 +169,6 @@ impl LayerSchedule {
             self.boundaries.len() + 1
         }
     }
-
-    /// Whether any layer streams its weights from the DDR staging region.
-    pub fn is_streaming(&self) -> bool {
-        !self.streamed.is_empty()
-    }
 }
 
 /// Output of one decode step.

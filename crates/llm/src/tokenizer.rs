@@ -4,13 +4,17 @@
 //! workloads are synthetic ASCII math, so a byte-level vocabulary with a
 //! handful of special tokens is faithful to the throughput picture (one
 //! token per byte) and keeps everything dependency-free and reversible.
+//!
+//! Ids below the first byte token are control tokens: BOS (0) and the
+//! reasoning-step separator (2, decoded as `'\n'`); decoding drops the
+//! others. End of sequence is not the tokenizer's call: a serving loop
+//! takes its EOS predicate from the caller (see
+//! `ttscale::llm_policy::llm_serve_eos`).
 
 /// Beginning-of-sequence token id.
 const BOS: u32 = 0;
-/// End-of-sequence token id.
-pub const EOS: u32 = 1;
 /// Separator between reasoning steps (maps to '\n').
-pub const STEP_SEP: u32 = 2;
+const STEP_SEP: u32 = 2;
 /// First byte token id (byte `b` encodes as `BYTE_BASE + b`).
 const BYTE_BASE: u32 = 4;
 
@@ -44,8 +48,8 @@ impl Tokenizer {
         out
     }
 
-    /// Decodes token ids back to text; control tokens other than
-    /// [`STEP_SEP`] are dropped.
+    /// Decodes token ids back to text; control tokens other than the step
+    /// separator are dropped.
     pub fn decode(&self, tokens: &[u32]) -> String {
         let mut bytes = Vec::with_capacity(tokens.len());
         for &t in tokens {
@@ -56,11 +60,6 @@ impl Tokenizer {
             }
         }
         String::from_utf8_lossy(&bytes).into_owned()
-    }
-
-    /// Whether a token terminates generation.
-    pub fn is_eos(&self, token: u32) -> bool {
-        token == EOS
     }
 }
 
@@ -89,8 +88,7 @@ mod tests {
         let toks = t.encode_with_bos("x");
         assert_eq!(toks[0], BOS);
         assert_eq!(t.decode(&toks), "x");
-        assert!(t.is_eos(EOS));
-        assert!(!t.is_eos(BYTE_BASE));
+        assert_eq!(t.decode(&[1, BYTE_BASE + b'x' as u32, 1]), "x");
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Coarse-grained quantization: per-channel and per-tensor symmetric INT4,
-//! the only schemes QNN supports for weights (paper Section 3.3).
+//! Coarse-grained quantization: per-channel symmetric INT4, the weight
+//! scheme QNN supports (paper Section 3.3).
 //!
 //! Table 1 of the paper shows that per-channel W4 quantization collapses
 //! mathematical-reasoning accuracy (MATH500 15.9 -> 2.1) while fine-grained
 //! group quantization survives. The mechanism is scale dilution: one scale
 //! must cover an entire output channel (thousands of weights), so outlier
-//! weights inflate the step size for everyone. These implementations exist
+//! weights inflate the step size for everyone. This implementation exists
 //! to reproduce that comparison.
 
 use hexsim::f16::F16;
@@ -75,63 +75,6 @@ impl PerChannelQ4 {
     }
 }
 
-/// Per-tensor symmetric INT4: a single scale for the whole matrix (the
-/// coarsest scheme; included for completeness of the QNN comparison).
-#[derive(Clone, Debug)]
-pub struct PerTensorQ4 {
-    /// Accumulation dimension.
-    pub k: usize,
-    /// Output channels.
-    pub n: usize,
-    /// The single tensor-wide scale.
-    pub scale: F16,
-    /// 4-bit codes, two per byte in flat row-major order.
-    pub quants: Vec<u8>,
-}
-
-impl PerTensorQ4 {
-    /// Quantizes with one scale for the entire tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights.len() != k * n` or `k * n` is odd.
-    pub fn quantize(weights: &[f32], k: usize, n: usize) -> Self {
-        assert_eq!(weights.len(), k * n);
-        assert_eq!((k * n) % 2, 0);
-        let amax = weights.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-        let scale = F16::from_f32(amax / 7.0);
-        let d = scale.to_f32();
-        let id = if d != 0.0 { 1.0 / d } else { 0.0 };
-        let mut quants = vec![0u8; k * n / 2];
-        for (flat, &w) in weights.iter().enumerate() {
-            let q = ((w * id).round().clamp(-8.0, 7.0) as i32 + 8) as u8;
-            if flat % 2 == 0 {
-                quants[flat / 2] |= q;
-            } else {
-                quants[flat / 2] |= q << 4;
-            }
-        }
-        PerTensorQ4 {
-            k,
-            n,
-            scale,
-            quants,
-        }
-    }
-
-    /// Dequantizes back to a row-major f32 matrix.
-    pub fn dequantize(&self) -> Vec<f32> {
-        let d = self.scale.to_f32();
-        let mut out = vec![0.0f32; self.k * self.n];
-        for (flat, o) in out.iter_mut().enumerate() {
-            let byte = self.quants[flat / 2];
-            let q = if flat % 2 == 0 { byte & 0xf } else { byte >> 4 };
-            *o = (q as i32 - 8) as f32 * d;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,25 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn per_tensor_worse_than_per_channel() {
-        let (k, n) = (128, 64);
-        let w = gaussian_matrix(k, n, 9, 1.0, 0.02);
-        let e_pt = QuantError::measure(&w, &PerTensorQ4::quantize(&w, k, n).dequantize());
-        let e_pc = QuantError::measure(&w, &PerChannelQ4::quantize(&w, k, n).dequantize());
-        assert!(
-            e_pt.mse >= e_pc.mse * 0.99,
-            "pt {} pc {}",
-            e_pt.mse,
-            e_pc.mse
-        );
-    }
-
-    #[test]
     fn zero_matrix_is_fixed_point() {
         let w = vec![0.0f32; 64];
         let pc = PerChannelQ4::quantize(&w, 8, 8);
         assert!(pc.dequantize().iter().all(|&v| v == 0.0));
-        let pt = PerTensorQ4::quantize(&w, 8, 8);
-        assert!(pt.dequantize().iter().all(|&v| v == 0.0));
     }
 }

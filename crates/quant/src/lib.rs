@@ -13,9 +13,9 @@
 //! - **Super-group coalescing** ([`super_group`], paper Figure 7) — eight
 //!   Q4_0 groups repacked so 256 INT4 values fill one 128-byte HVX register,
 //!   with the eight scales gathered behind them.
-//! - **Per-channel / per-tensor quantization** ([`channel`]) — the
-//!   coarse-grained schemes QNN supports, which Table 1 shows destroy
-//!   reasoning accuracy.
+//! - **Per-channel quantization** ([`channel`]) — the coarse-grained
+//!   scheme QNN supports, which Table 1 shows destroys reasoning
+//!   accuracy.
 //! - **AWQ-lite** ([`awq`]) — activation-aware per-input-channel
 //!   equalization before group quantization, the paper's accuracy baseline.
 //! - **Error metrics** ([`metrics`]) and a synthetic LLM-like weight

@@ -24,7 +24,8 @@
 //! 5. **WFQ stops priority starvation.** Under a high-priority flood on
 //!    a capacity-starved worker, weighted fair queueing keeps the
 //!    low-priority tenant's token share at least 2x its strict-priority
-//!    share and raises the fleet's Jain fairness index.
+//!    share and at least its weight share (from the tenant specs), and
+//!    raises the fleet's Jain fairness index.
 //!
 //! Writes the machine-readable `BENCH_serving.json` and, through
 //! `benchutil::gate`, **fails the process** if any claim regresses —
@@ -45,6 +46,12 @@ use ttscale::llm_policy::{llm_bon_fixed_batch, llm_serve_eos, ServeEosConfig};
 
 /// Seed for every stochastic trace in this run (the CI gate relies on it).
 const SEED: u64 = 20260808;
+
+/// Claim 1's bound: chunked prefill's p99 TBT over the steady-state step.
+const TBT_OVER_STEADY_MAX: f64 = 2.0;
+
+/// Claim 2's functional floor: EOS over fixed-batch useful tok/s.
+const FN_EOS_RATIO_MIN: f64 = 1.1;
 
 /// Pinned absolute thresholds for the mixed-tenant EOS run (claim 2's
 /// gateway half). Measured 0.741 s p99 TTFT and 2.37 SLO-good req/s at
@@ -199,8 +206,8 @@ fn chunked_prefill_section(gate: &mut Gate) -> Json {
         ratio,
         mono.tbt_p99_secs / steady_step
     );
-    gate.fail_if(ratio > 2.0, || {
-        format!("chunked p99 TBT {ratio:.2}x exceeds 2x steady state")
+    gate.fail_if(ratio > TBT_OVER_STEADY_MAX, || {
+        format!("chunked p99 TBT {ratio:.2}x exceeds {TBT_OVER_STEADY_MAX}x steady state")
     });
     gate.fail_if(mono.tbt_p99_secs <= chunked.tbt_p99_secs, || {
         "monolithic prefill no longer stalls worse than chunked"
@@ -286,8 +293,8 @@ fn eos_goodput_section(gate: &mut Gate) -> Json {
          {} of {} samples ended at EOS)",
         eos_fn.report.tokens_per_sec, fixed_fn.tokens_per_sec, fn_ratio, eos_fn.eos_finishes, cfg.n
     );
-    gate.fail_if(fn_ratio <= 1.1, || {
-        format!("functional EOS serving ratio {fn_ratio:.2}x fell to <= 1.1x")
+    gate.fail_if(fn_ratio <= FN_EOS_RATIO_MIN, || {
+        format!("functional EOS serving ratio {fn_ratio:.2}x fell to <= {FN_EOS_RATIO_MIN}x")
     });
     Json::obj([
         ("eos", report_json(&eos)),
@@ -469,8 +476,8 @@ fn preemption_section(gate: &mut Gate) -> Json {
 }
 
 /// Claim 5: WFQ keeps the starved tenant's token share >= 2x its
-/// strict-priority share under a high-priority flood, and raises the
-/// Jain fairness index.
+/// strict-priority share and >= its weight share under a high-priority
+/// flood, and raises the Jain fairness index.
 fn fairness_section(gate: &mut Gate) -> Json {
     println!("\n=== WFQ vs strict priority under a flood (streamed V73) ===");
     let chat = TenantSpec {
@@ -550,6 +557,15 @@ fn fairness_section(gate: &mut Gate) -> Json {
             )
         },
     );
+    // The strict share is 0 on this trace, so the gain check alone would
+    // pass any WFQ share; the weight share is the floor that bites.
+    let weight_share = batch.weight / (batch.weight + chat.weight);
+    gate.fail_if(batch_share(&wfq) < weight_share, || {
+        format!(
+            "WFQ batch share {:.3} below its weight share {weight_share:.3}",
+            batch_share(&wfq)
+        )
+    });
     gate.fail_if(wfq.jain_fairness <= strict.jain_fairness, || {
         format!(
             "WFQ Jain fairness {:.3} no longer beats strict {:.3}",

@@ -34,6 +34,11 @@ use ttscale::spec_decode::{
     DraftLenController, DraftModel,
 };
 
+/// Gate 1's floor: spec-overlapped over plain decode, in accepted tok/s.
+const SPEEDUP_MIN: f64 = 1.1;
+/// Gate 2's floor: the adaptive controller over the fixed policy.
+const ADAPTIVE_ADVANTAGE_MIN: f64 = 1.5;
+
 struct OracleDraft {
     stream: Vec<u32>,
     prompt_len: usize,
@@ -172,9 +177,9 @@ fn cost_section(gate: &mut Gate) {
         // accepted-tokens/sec on every generation (measured 1.21-1.31x;
         // the floor is pinned below that to catch real regressions, not
         // noise).
-        gate.fail_if(speedup < 1.1, || {
+        gate.fail_if(speedup < SPEEDUP_MIN, || {
             format!(
-                "{}: spec-overlapped {:.1} acc-tok/s vs plain {:.1} tok/s ({:.2}x < 1.1x)",
+                "{}: spec-overlapped {:.1} acc-tok/s vs plain {:.1} tok/s ({:.2}x < {SPEEDUP_MIN}x)",
                 p.device, p.spec_overlapped_tps, p.plain_serial_tps, speedup
             )
         });
@@ -221,9 +226,9 @@ fn cost_section(gate: &mut Gate) {
         );
         // Gate 2: on the cold trace the adaptive controller must beat the
         // fixed policy (measured ~5.5x; floor pinned well below).
-        gate.fail_if(advantage < 1.5, || {
+        gate.fail_if(advantage < ADAPTIVE_ADVANTAGE_MIN, || {
             format!(
-                "{}: adaptive {:.1} vs fixed {:.1} acc-tok/s ({:.2}x < 1.5x)",
+                "{}: adaptive {:.1} vs fixed {:.1} acc-tok/s ({:.2}x < {ADAPTIVE_ADVANTAGE_MIN}x)",
                 fixed.device, adaptive.spec_overlapped_tps, fixed.spec_overlapped_tps, advantage
             )
         });
