@@ -9,6 +9,13 @@
 //! Kernels report the resulting [`PhaseCost`] breakdown, which is exactly
 //! the data behind the paper's Figure 8 latency decomposition and the
 //! Figure 14/15 ablations.
+//!
+//! A cost-only kernel's host time is its chain of dependent additions to
+//! the engine totals, so the bookkeeping around the chain does only what
+//! changes a bit: [`CostModel::scale_since`] skips untouched fields and
+//! [`CostModel::delta_since`] takes its maximum with `>`. Both rest on one
+//! fact: an engine total starts at +0.0, and a float sum is −0.0 only when
+//! both addends are, so no total is ever −0.0.
 
 use crate::device::DeviceProfile;
 
@@ -103,10 +110,13 @@ pub struct Counters {
 impl Counters {
     #[inline]
     fn scale(&mut self, base: &Counters, factor: u64) {
-        // self = base + (self - base) * factor, elementwise.
+        // self = base + (self - base) * factor, elementwise. A counter that
+        // did not move already holds that value.
         macro_rules! sc {
             ($f:ident) => {
-                self.$f = base.$f + (self.$f - base.$f) * factor;
+                if self.$f != base.$f {
+                    self.$f = base.$f + (self.$f - base.$f) * factor;
+                }
             };
         }
         sc!(hvx_instructions);
@@ -331,14 +341,22 @@ impl CostModel {
     /// Difference between now and a snapshot, as a [`PhaseCost`]: the
     /// busy seconds each engine gained, and their maximum as the wall
     /// time. This is the one way to take a cost delta.
+    ///
+    /// The maximum is a plain `>` fold from 0.0, which skips a NaN delta
+    /// (an engine whose total is infinite on both sides) just as
+    /// `f64::max` does. A delta is never −0.0, because no total is, so
+    /// the two folds agree bit for bit.
     #[allow(clippy::needless_range_loop)]
     #[inline]
     pub fn delta_since(&self, snap: &CostSnapshot, label: &'static str) -> PhaseCost {
         let mut engine_secs = [0.0; NUM_ENGINES];
+        let mut wall_secs = 0.0f64;
         for i in 0..NUM_ENGINES {
             engine_secs[i] = self.engine_secs[i] - snap.engine_secs[i];
+            if engine_secs[i] > wall_secs {
+                wall_secs = engine_secs[i];
+            }
         }
-        let wall_secs = engine_secs.iter().fold(0.0f64, |acc, &s| acc.max(s));
         PhaseCost {
             label,
             engine_secs,
@@ -349,11 +367,18 @@ impl CostModel {
     /// Multiplies everything charged since `snap` by `factor`. Used by
     /// [`crate::ctx::NpuContext::replay`] to extrapolate one representative
     /// block execution to `factor` identical blocks.
+    ///
+    /// Every field becomes `snap + (now − snap)·factor`. An engine whose
+    /// delta is exactly 0.0 and a counter that did not move are left as
+    /// they are: they already hold that value (no total is −0.0). An
+    /// infinite total has a NaN delta and is written as before.
     #[inline]
     pub fn scale_since(&mut self, snap: &CostSnapshot, factor: u64) {
         for i in 0..NUM_ENGINES {
             let delta = self.engine_secs[i] - snap.engine_secs[i];
-            self.engine_secs[i] = snap.engine_secs[i] + delta * factor as f64;
+            if delta != 0.0 {
+                self.engine_secs[i] = snap.engine_secs[i] + delta * factor as f64;
+            }
         }
         self.counters.scale(&snap.counters, factor);
     }
@@ -469,6 +494,128 @@ mod tests {
         // Tiny flops, huge bytes: memory-bound.
         m.charge_cpu(1, 32_000_000_000);
         assert!((m.engine_secs(Engine::Cpu) - 1.0).abs() < 1e-9);
+    }
+
+    /// Every counter, in declaration order.
+    fn counter_fields(c: &Counters) -> [u64; 10] {
+        [
+            c.hvx_instructions,
+            c.vgathers,
+            c.vluts,
+            c.hmx_tile_ops,
+            c.dma_bytes,
+            c.l2fetch_bytes,
+            c.hvx_ddr_load_bytes,
+            c.tcm_bytes,
+            c.cpu_flops,
+            c.cpu_bytes,
+        ]
+    }
+
+    /// Equal bits, or both NaN (a NaN's payload is not pinned).
+    fn same_f64(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// One charge of a random kind and size on one of the engines `mask`
+    /// selects (bit `Engine::index`), or nothing if the mask is empty.
+    fn random_charge(m: &mut CostModel, next: &mut impl FnMut(u64) -> u64, mask: u8) {
+        let engines: Vec<Engine> = Engine::ALL
+            .into_iter()
+            .filter(|e| mask & (1 << e.index()) != 0)
+            .collect();
+        if engines.is_empty() {
+            return;
+        }
+        let n = 1 + next(1 << 20);
+        match engines[next(engines.len() as u64) as usize] {
+            Engine::Scalar => m.charge_secs(Engine::Scalar, n as f64 * 1e-9),
+            Engine::Hvx => match next(5) {
+                0 => m.charge_hvx_packets(n),
+                1 => m.charge_vgather(n.is_multiple_of(2)),
+                2 => m.charge_vlut16(),
+                3 => m.charge_hvx_ddr_bytes(n),
+                _ => m.charge_tcm_bytes(n),
+            },
+            Engine::Hmx => m.charge_hmx_tile_ops(n),
+            Engine::Dma => match next(2) {
+                0 => m.charge_dma(n),
+                _ => {
+                    m.charge_ddr_stream(n);
+                }
+            },
+            Engine::L2fetch => m.charge_l2fetch(n),
+            Engine::Cpu => m.charge_cpu(n, next(1 << 24)),
+        }
+    }
+
+    /// `delta_since` and `scale_since` against the formulas they replaced:
+    /// the wall as an `f64::max` fold from 0.0, and `snap + (now − snap)·n`
+    /// written to every engine and every counter. Covers engines left
+    /// untouched between the snapshot and the call, an engine total at
+    /// +∞ before or after the snapshot (a NaN or an infinite delta) and a
+    /// NaN total.
+    #[test]
+    fn delta_and_scale_match_the_unskipped_formulas_bit_for_bit() {
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..600 {
+            let mut m = CostModel::new(DeviceProfile::v75());
+            m.set_hvx_parallelism(1 + next(6) as u32);
+            for _ in 0..next(8) {
+                random_charge(&mut m, &mut next, 0x3f);
+            }
+            let odd = Engine::ALL[next(NUM_ENGINES as u64) as usize];
+            // Cases 0-3 of every 8 poison one engine: at +inf or NaN,
+            // before or after the snapshot.
+            let poison = [f64::INFINITY, f64::NAN][case % 2];
+            if case % 8 < 2 {
+                m.charge_secs(odd, poison);
+            }
+            let snap = m.snapshot();
+            // Charge some engines and leave the others (and their
+            // counters) where the snapshot found them.
+            let moved = next(64) as u8;
+            for _ in 0..next(6) {
+                random_charge(&mut m, &mut next, moved);
+            }
+            if (2..4).contains(&(case % 8)) {
+                m.charge_secs(odd, poison);
+            }
+            let now = m.engine_secs;
+            let now_counters = m.counters;
+
+            let delta = m.delta_since(&snap, "");
+            let want: [f64; NUM_ENGINES] = std::array::from_fn(|i| now[i] - snap.engine_secs[i]);
+            let want_wall = want.iter().fold(0.0f64, |acc, &s| acc.max(s));
+            for (got, want) in delta.engine_secs.iter().zip(want) {
+                assert!(same_f64(*got, want), "case {case}: {got} vs {want}");
+            }
+            assert!(same_f64(delta.wall_secs, want_wall), "case {case} wall");
+
+            let factor = next(40);
+            m.scale_since(&snap, factor);
+            let want: [f64; NUM_ENGINES] = std::array::from_fn(|i| {
+                snap.engine_secs[i] + (now[i] - snap.engine_secs[i]) * factor as f64
+            });
+            for (got, want) in m.engine_secs.iter().zip(want) {
+                assert!(
+                    same_f64(*got, want),
+                    "case {case} x{factor}: {got} vs {want}"
+                );
+            }
+            let (base, cur) = (
+                counter_fields(&snap.counters),
+                counter_fields(&now_counters),
+            );
+            let want: [u64; 10] = std::array::from_fn(|i| base[i] + (cur[i] - base[i]) * factor);
+            assert_eq!(counter_fields(&m.counters), want, "case {case}");
+        }
     }
 
     /// From-scratch scalar reference for one charge sequence at a DVFS

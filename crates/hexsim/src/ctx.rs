@@ -885,6 +885,62 @@ mod tests {
         assert!(matches!(err, SimError::BadDma { .. }));
     }
 
+    /// A context with one live buffer, and three handles that name no
+    /// buffer in it: a freed one, 0, and the next one it would issue.
+    fn dead_handles() -> (NpuContext, [DdrBuffer; 3]) {
+        let mut c = ctx();
+        let freed = c.ddr_alloc(64).unwrap();
+        let live = c.ddr_alloc(64).unwrap();
+        c.ddr_free(freed);
+        (c, [freed, DdrBuffer(0), DdrBuffer(live.0 + 1)])
+    }
+
+    /// A 64-byte DMA into TCM from handle `which` of [`dead_handles`].
+    fn dma_from_dead(which: usize) {
+        let (mut c, dead) = dead_handles();
+        let t = c.tcm_alloc(64, 8).unwrap();
+        c.dma_h2t(dead[which], 0, t, 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn dma_from_a_freed_buffer_panics() {
+        dma_from_dead(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn dma_from_handle_zero_panics() {
+        dma_from_dead(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn dma_from_a_never_issued_handle_panics() {
+        dma_from_dead(2);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn reading_a_freed_buffer_panics() {
+        let (c, [freed, _, _]) = dead_handles();
+        c.ddr_read(freed, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn reading_handle_zero_panics() {
+        let (c, [_, zero, _]) = dead_handles();
+        c.ddr_read(zero, 0, 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "use of freed or foreign DdrBuffer")]
+    fn reading_a_never_issued_handle_panics() {
+        let (c, _) = dead_handles();
+        c.ddr_read(DdrBuffer(u64::MAX), 0, 4);
+    }
+
     #[test]
     fn vector_tcm_roundtrip() {
         let mut c = ctx();

@@ -7,8 +7,13 @@
 //! This module provides the storage; bandwidth costs are charged by
 //! [`crate::ctx::NpuContext`], which owns both the storage and the cost
 //! model.
-
-use std::collections::HashMap;
+//!
+//! A [`DdrBuffer`] handle is an index into the heap's slab of buffer
+//! slots, so every DMA finds its buffer with one bounds-checked load
+//! instead of a hash lookup. Handles are issued in increasing order from
+//! 1 and never reused: a freed buffer leaves an empty slot behind (one
+//! slot per allocation the context ever made), so a freed, never-issued
+//! or zero handle finds no buffer and panics.
 
 use crate::error::{SimError, SimResult};
 
@@ -61,8 +66,9 @@ pub(crate) const STAGING_SESSION: usize = usize::MAX;
 /// falling back to the least-used session rather than failing, precisely
 /// because allocation order is not placement.
 pub(crate) struct DdrHeap {
-    buffers: HashMap<u64, DdrBufferState>,
-    next_id: u64,
+    /// Every buffer this heap ever allocated, at the index of its handle:
+    /// slot 0 is never issued and a freed buffer's slot stays `None`.
+    buffers: Vec<Option<DdrBufferState>>,
     pub mapped_bytes: u64,
     /// Bytes in the CPU-owned staging region (outside every session's VA).
     pub staged_bytes: u64,
@@ -78,8 +84,7 @@ impl DdrHeap {
     pub fn with_sessions(va_per_session: u64, max_sessions: usize) -> Self {
         assert!(max_sessions >= 1, "a heap needs at least one session");
         DdrHeap {
-            buffers: HashMap::new(),
-            next_id: 1,
+            buffers: vec![None],
             mapped_bytes: 0,
             staged_bytes: 0,
             va_per_session,
@@ -130,26 +135,22 @@ impl DdrHeap {
         Ok(least)
     }
 
+    /// Fills the next slot and returns its handle.
+    fn push(&mut self, size: u64, session: usize, materialize: bool) -> DdrBuffer {
+        let data = materialize.then(|| vec![0u8; size as usize]);
+        self.buffers.push(Some(DdrBufferState {
+            size,
+            session,
+            data,
+        }));
+        DdrBuffer(self.buffers.len() as u64 - 1)
+    }
+
     pub fn alloc(&mut self, size: u64, materialize: bool) -> SimResult<DdrBuffer> {
         let session = self.place(size)?;
-        let id = self.next_id;
-        self.next_id += 1;
         self.mapped_bytes += size;
         self.session_used[session] += size;
-        let data = if materialize {
-            Some(vec![0u8; size as usize])
-        } else {
-            None
-        };
-        self.buffers.insert(
-            id,
-            DdrBufferState {
-                size,
-                session,
-                data,
-            },
-        );
-        Ok(DdrBuffer(id))
+        Ok(self.push(size, session, materialize))
     }
 
     /// Allocates in the CPU-owned staging region: no session VA is
@@ -157,27 +158,14 @@ impl DdrHeap {
     /// The weight-streaming path parks cold layers here and copies each
     /// into a small session-resident window right before its layer runs.
     pub fn alloc_staged(&mut self, size: u64, materialize: bool) -> DdrBuffer {
-        let id = self.next_id;
-        self.next_id += 1;
         self.staged_bytes += size;
-        let data = if materialize {
-            Some(vec![0u8; size as usize])
-        } else {
-            None
-        };
-        self.buffers.insert(
-            id,
-            DdrBufferState {
-                size,
-                session: STAGING_SESSION,
-                data,
-            },
-        );
-        DdrBuffer(id)
+        self.push(size, STAGING_SESSION, materialize)
     }
 
+    /// Returns a buffer's bytes to its session (or the staging region).
+    /// Freeing a freed or foreign handle does nothing.
     pub fn free(&mut self, buf: DdrBuffer) {
-        if let Some(state) = self.buffers.remove(&buf.0) {
+        if let Some(state) = self.buffers.get_mut(slot(buf)).and_then(Option::take) {
             if state.session == STAGING_SESSION {
                 self.staged_bytes -= state.size;
             } else {
@@ -187,22 +175,210 @@ impl DdrHeap {
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics if `buf` was freed or never issued by this heap.
+    #[inline]
     pub fn get(&self, buf: DdrBuffer) -> &DdrBufferState {
         self.buffers
-            .get(&buf.0)
+            .get(slot(buf))
+            .and_then(Option::as_ref)
             .expect("use of freed or foreign DdrBuffer")
     }
 
+    /// # Panics
+    ///
+    /// Panics if `buf` was freed or never issued by this heap.
+    #[inline]
     pub fn get_mut(&mut self, buf: DdrBuffer) -> &mut DdrBufferState {
         self.buffers
-            .get_mut(&buf.0)
+            .get_mut(slot(buf))
+            .and_then(Option::as_mut)
             .expect("use of freed or foreign DdrBuffer")
     }
 }
 
+/// The slab index of a handle; one no slab reaches if it does not fit.
+#[inline]
+fn slot(buf: DdrBuffer) -> usize {
+    usize::try_from(buf.0).unwrap_or(usize::MAX)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
+
+    /// The heap as a map from handle to buffer, with the same placement
+    /// rule: the reference the slab must agree with.
+    struct MapHeap {
+        buffers: HashMap<u64, (u64, usize, bool)>,
+        next_id: u64,
+        mapped_bytes: u64,
+        staged_bytes: u64,
+        va_per_session: u64,
+        max_sessions: usize,
+        session_used: Vec<u64>,
+    }
+
+    impl MapHeap {
+        fn new(va_per_session: u64, max_sessions: usize) -> Self {
+            MapHeap {
+                buffers: HashMap::new(),
+                next_id: 1,
+                mapped_bytes: 0,
+                staged_bytes: 0,
+                va_per_session,
+                max_sessions,
+                session_used: vec![0],
+            }
+        }
+
+        /// First fit, else a new session, else the least used one; `None`
+        /// if the buffer exceeds one session or the envelope.
+        fn place(&mut self, size: u64) -> Option<usize> {
+            let cap = self.va_per_session;
+            if size > cap || self.mapped_bytes + size > cap * self.max_sessions as u64 {
+                return None;
+            }
+            if let Some(s) =
+                (0..self.session_used.len()).find(|&s| self.session_used[s] + size <= cap)
+            {
+                return Some(s);
+            }
+            if self.session_used.len() < self.max_sessions {
+                self.session_used.push(0);
+                return Some(self.session_used.len() - 1);
+            }
+            (0..self.session_used.len()).min_by_key(|&s| self.session_used[s])
+        }
+
+        fn alloc(&mut self, size: u64, materialize: bool, staged: bool) -> Option<u64> {
+            let session = if staged {
+                self.staged_bytes += size;
+                STAGING_SESSION
+            } else {
+                let s = self.place(size)?;
+                self.mapped_bytes += size;
+                self.session_used[s] += size;
+                s
+            };
+            let id = self.next_id;
+            self.next_id += 1;
+            self.buffers.insert(id, (size, session, materialize));
+            Some(id)
+        }
+
+        fn free(&mut self, id: u64) {
+            if let Some((size, session, _)) = self.buffers.remove(&id) {
+                if session == STAGING_SESSION {
+                    self.staged_bytes -= size;
+                } else {
+                    self.mapped_bytes -= size;
+                    self.session_used[session] -= size;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_heap_matches_the_map_reference_on_random_sequences() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for case in 0..60 {
+            let va = 500 + next(2000);
+            let sessions = 1 + next(3) as usize;
+            let mut heap = DdrHeap::with_sessions(va, sessions);
+            let mut want = MapHeap::new(va, sessions);
+            for step in 0..150 {
+                let size = next(va + va / 4);
+                let materialize = next(4) == 0;
+                match next(8) {
+                    0..=2 => {
+                        let got = heap.alloc(size, materialize);
+                        let id = want.alloc(size, materialize, false);
+                        assert_eq!(
+                            got.as_ref().ok().map(|b| b.0),
+                            id,
+                            "case {case} step {step}"
+                        );
+                        assert!(
+                            got.is_ok() || matches!(got, Err(SimError::VaSpaceExceeded { .. }))
+                        );
+                    }
+                    3 => {
+                        let got = heap.alloc_staged(size, materialize);
+                        assert_eq!(Some(got.0), want.alloc(size, materialize, true));
+                    }
+                    // Frees reach live, freed, never-issued and zero handles.
+                    4..=6 => {
+                        let id = next(want.next_id + 2);
+                        heap.free(DdrBuffer(id));
+                        want.free(id);
+                    }
+                    _ => {}
+                }
+                assert_eq!(
+                    heap.mapped_bytes, want.mapped_bytes,
+                    "case {case} step {step}"
+                );
+                assert_eq!(
+                    heap.staged_bytes, want.staged_bytes,
+                    "case {case} step {step}"
+                );
+                assert_eq!(
+                    heap.session_used, want.session_used,
+                    "case {case} step {step}"
+                );
+                for (&id, &(size, session, materialized)) in &want.buffers {
+                    let got = heap.get(DdrBuffer(id));
+                    assert_eq!(
+                        (got.size, got.session),
+                        (size, session),
+                        "case {case} id {id}"
+                    );
+                    let len = got.data.as_ref().map(Vec::len);
+                    assert_eq!(len, materialized.then_some(size as usize));
+                }
+                let live = heap.buffers.iter().filter(|b| b.is_some()).count();
+                assert_eq!(live, want.buffers.len(), "case {case} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn freeing_twice_is_a_no_op() {
+        let mut heap = DdrHeap::with_sessions(1000, 2);
+        let a = heap.alloc(600, false).unwrap();
+        let b = heap.alloc(700, false).unwrap();
+        let s = heap.alloc_staged(50, true);
+        heap.free(a);
+        heap.free(s);
+        let after_first = (
+            heap.mapped_bytes,
+            heap.staged_bytes,
+            heap.session_used.clone(),
+        );
+        heap.free(a);
+        heap.free(s);
+        heap.free(DdrBuffer(0));
+        assert_eq!(
+            (
+                heap.mapped_bytes,
+                heap.staged_bytes,
+                heap.session_used.clone()
+            ),
+            after_first
+        );
+        assert_eq!(after_first, (700, 0, vec![0, 700]));
+        assert_eq!(heap.get(b).size, 700);
+    }
 
     #[test]
     fn va_space_is_enforced() {

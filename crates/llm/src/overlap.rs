@@ -115,14 +115,19 @@
 //! dependencies' finish times, and every dependency points back at most
 //! one iteration, at a task whose finish time the iteration carries. So
 //! pricing keeps no task list: it runs the graph over that carry alone —
-//! each lane's free time and busy seconds, a running makespan and the
-//! handful of finish times the next iteration reads — with the same `max`
-//! and `+` per task, in the same order, as a list scheduler holding every
-//! task. The period, every lane utilization and [`single_pass_secs`] equal
-//! that scheduler's bit for bit; the unit tests keep such a scheduler (a
-//! `Timeline` of every task) as the oracle and compare the two on random
-//! stage vectors. A negative, infinite or NaN stage duration panics, as
-//! the oracle's `submit` does.
+//! each lane's free time and busy seconds, and the handful of finish
+//! times the next iteration reads — with the same `max` and `+` per task,
+//! in the same order, as a list scheduler holding every task. The
+//! makespan is read once, at the end, as the latest lane free time: every
+//! finish becomes its lane's free time, and a lane's free time never
+//! falls. The maxima are plain `>` comparisons: every time is finite and
+//! never −0.0, so they pick what `f64::max` picks. The period, every lane
+//! utilization and [`single_pass_secs`] equal that scheduler's bit for
+//! bit; the unit tests keep such a scheduler (a `Timeline` of every task,
+//! with `f64::max` and a running makespan) as the oracle and compare the
+//! two on random stage vectors, −0.0 durations and exact ties included. A
+//! negative, infinite or NaN stage duration panics, as the oracle's
+//! `submit` does.
 
 /// How the runtime composes a step's stages in time.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -342,17 +347,18 @@ impl StepStages {
 }
 
 /// The carry-only evaluation of the stage graph: each lane's free time and
-/// busy seconds, and the latest finish so far. A task runs as the tests'
-/// `Timeline` oracle schedules it: it starts at the `max` of its lane's
-/// free time and its dependencies' finish times, in that order, and
-/// finishes `+ secs` later. Lane sums and the makespan accumulate in
-/// submission order, so every value is the one a timeline of the whole
-/// task list reports, bit for bit, without keeping the list.
+/// busy seconds. A task runs as the tests' `Timeline` oracle schedules it:
+/// it starts at the latest of its lane's free time and its dependencies'
+/// finish times, in that order, and finishes `+ secs` later. Lane sums
+/// accumulate in submission order, so every value is the one a timeline of
+/// the whole task list reports, bit for bit, without keeping the list.
+///
+/// Every time here is finite and never −0.0: a start is +0.0 or later,
+/// and adding a duration that is not negative keeps it there.
 #[derive(Clone, Copy, Debug, Default)]
 struct Lanes {
     free: [f64; lane::COUNT],
     busy: [f64; lane::COUNT],
-    makespan: f64,
 }
 
 impl Lanes {
@@ -369,22 +375,40 @@ impl Lanes {
             secs >= 0.0 && secs.is_finite(),
             "task duration must be finite and non-negative, got {secs}"
         );
-        let start = after.into_iter().fold(self.free[lane], f64::max);
+        // A fold, not a `for` loop: an NPU task's dependencies are a
+        // `Chain`, which `for` steps through one checked item at a time
+        // (pricing ran 28% slower that way).
+        let start = after.into_iter().fold(self.free[lane], latest);
         let finish = start + secs;
         self.free[lane] = finish;
         self.busy[lane] += secs;
-        self.makespan = self.makespan.max(finish);
         finish
     }
 
-    /// Busy fraction of one lane over the makespan (0 before any time
+    /// The latest finish of any task (0 before any time passed). Every
+    /// finish becomes its lane's free time, and a lane's free time never
+    /// falls, so the latest free time is the latest finish.
+    fn makespan(&self) -> f64 {
+        self.free.into_iter().fold(0.0, latest)
+    }
+
+    /// Busy fraction of every lane over the makespan (0 before any time
     /// passed).
-    fn utilization(&self, lane: usize) -> f64 {
-        if self.makespan > 0.0 {
-            self.busy[lane] / self.makespan
-        } else {
-            0.0
-        }
+    fn utilization(&self) -> [f64; lane::COUNT] {
+        let span = self.makespan();
+        std::array::from_fn(|l| if span > 0.0 { self.busy[l] / span } else { 0.0 })
+    }
+}
+
+/// The later of two [`Lanes`] times by `>`: for times that are finite and
+/// never −0.0 that is what `f64::max` returns, ties included, without its
+/// NaN handling.
+#[inline]
+fn latest(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
     }
 }
 
@@ -556,7 +580,7 @@ pub fn steady_state(st: &StepStages) -> SteadyState {
     let (lanes, period_secs) = schedule_steady_state(st);
     SteadyState {
         period_secs,
-        lane_util: std::array::from_fn(|l| lanes.utilization(l)),
+        lane_util: lanes.utilization(),
     }
 }
 
@@ -580,7 +604,7 @@ pub fn steady_state_step_secs(st: &StepStages) -> f64 {
 ///
 /// Panics if `lane_idx` is not a [`lane`] index.
 pub fn steady_state_lane_utilization(st: &StepStages, lane_idx: usize) -> f64 {
-    schedule_steady_state(st).0.utilization(lane_idx)
+    schedule_steady_state(st).0.utilization()[lane_idx]
 }
 
 /// Wall seconds of one *standalone* pass (prefill): a single iteration
@@ -590,7 +614,7 @@ pub fn single_pass_secs(st: &StepStages) -> f64 {
     let mut lanes = Lanes::default();
     let it = run_iteration(&mut lanes, st, None);
     lanes.run(lane::CPU, st.cpu_head_secs, [it.final_norm]);
-    lanes.makespan.min(st.serial_secs())
+    lanes.makespan().min(st.serial_secs())
 }
 
 #[cfg(test)]
@@ -1030,6 +1054,11 @@ mod tests {
             lane_free: Vec<f64>,
             lane_busy: Vec<f64>,
             finish: Vec<f64>,
+            task_lane: Vec<usize>,
+            /// Dependencies on another lane that finished, after time 0,
+            /// exactly when the task could otherwise start: the ties a
+            /// latest-time fold breaks.
+            pub cross_lane_ties: usize,
         }
 
         impl Timeline {
@@ -1040,6 +1069,8 @@ mod tests {
                     lane_free: vec![0.0; lanes],
                     lane_busy: vec![0.0; lanes],
                     finish: Vec::new(),
+                    task_lane: Vec::new(),
+                    cross_lane_ties: 0,
                 }
             }
 
@@ -1068,12 +1099,17 @@ mod tests {
                 );
                 let mut start = self.lane_free[lane];
                 for d in deps {
-                    start = start.max(self.finish[d.0]);
+                    let f = self.finish[d.0];
+                    if f == start && f > 0.0 && self.task_lane[d.0] != lane {
+                        self.cross_lane_ties += 1;
+                    }
+                    start = start.max(f);
                 }
                 let finish = start + duration;
                 self.lane_free[lane] = finish;
                 self.lane_busy[lane] += duration;
                 self.finish.push(finish);
+                self.task_lane.push(lane);
                 TaskId(self.finish.len() - 1)
             }
 
@@ -1401,36 +1437,46 @@ mod tests {
             self.0.wrapping_mul(0x2545_f491_4f6c_dd1d) % n
         }
 
-        /// A duration below 10 ms, exactly zero one time in four.
-        fn secs(&mut self) -> f64 {
-            match self.below(4) {
+        /// A duration below 10 ms: exactly zero one time in four, of
+        /// either sign. On a `grid`, the rest are whole multiples of
+        /// 2^-10 s, whose sums are exact, so finish times on different
+        /// lanes tie exactly.
+        fn secs(&mut self, grid: bool) -> f64 {
+            match self.below(8) {
                 0 => 0.0,
+                1 => -0.0,
+                _ if grid => self.below(11) as f64 / 1024.0,
                 _ => self.below(10_000_000) as f64 * 1e-9,
             }
         }
     }
 
     /// Random stages: batch 1–16 and 1–40 layers, with shard boundaries
-    /// (and the wrap switch), streamed layers and draft rounds each in
-    /// some of the draws.
+    /// (and the wrap switch), streamed layers, draft rounds and grid
+    /// durations (exact ties) each in some of the draws. A draft round's
+    /// CPU half runs up to 80 ms, longer than many walks, and half the
+    /// rounds have no NPU half (a host-only proposer), so the draft lane
+    /// can finish a schedule last.
     fn random_stages(rng: &mut Rng) -> StepStages {
         let sharded = rng.below(2) == 0;
         let streamed = rng.below(3) == 0;
         let draft = rng.below(3) == 0;
+        let draft_npu = draft && rng.below(2) == 0;
+        let grid = rng.below(3) == 0;
         let layers = (0..1 + rng.below(40))
             .map(|_| LayerStage {
-                npu_secs: rng.secs(),
-                dispatch_secs: rng.secs(),
+                npu_secs: rng.secs(grid),
+                dispatch_secs: rng.secs(grid),
                 switch_before: sharded && rng.below(5) == 0,
                 weight_fetch_secs: if streamed && rng.below(2) == 0 {
-                    rng.secs()
+                    rng.secs(grid)
                 } else {
                     0.0
                 },
             })
             .collect();
         let batch = 1 + rng.below(16) as usize;
-        let mut pick = |on: bool| if on { rng.secs() } else { 0.0 };
+        let mut pick = |on: bool| if on { rng.secs(grid) } else { 0.0 };
         StepStages {
             cpu_embed_secs: pick(true),
             layers,
@@ -1439,25 +1485,35 @@ mod tests {
             switch_secs: pick(sharded),
             wrap_switch: sharded,
             batch,
-            draft_cpu_secs: pick(draft),
-            draft_npu_secs: pick(draft),
+            draft_cpu_secs: 8.0 * pick(draft),
+            draft_npu_secs: pick(draft_npu),
         }
     }
 
+    /// The evaluator's `>` maxima and the makespan it reads off the lane
+    /// free times against the oracle's `f64::max` and running makespan,
+    /// on draws with −0.0 durations, exact ties between lanes and
+    /// schedules that end on the NPU, switch or draft lane.
     #[test]
     fn stack_scheduler_matches_the_vec_oracle_bit_for_bit() {
         let mut rng = Rng(0x5eed_2026_0b0e_0001);
+        let mut ties = 0;
+        let mut last_lane = [0; lane::COUNT];
         for case in 0..400 {
             let st = random_stages(&mut rng);
             let (want_tl, want_period) = oracle_steady_state(&st);
+            ties += want_tl.cross_lane_ties;
             // The evaluator keeps no task list: its lane sums and makespan
             // must be the timeline's, bit for bit.
             let (lanes, _) = schedule_steady_state(&st);
             assert_eq!(
-                lanes.makespan.to_bits(),
+                lanes.makespan().to_bits(),
                 want_tl.makespan().to_bits(),
                 "case {case}"
             );
+            for (l, &free) in lanes.free.iter().enumerate() {
+                last_lane[l] += usize::from(free > 0.0 && free == lanes.makespan());
+            }
             for (l, busy) in lanes.busy.iter().enumerate() {
                 let want = want_tl.lane_busy_secs(l);
                 assert_eq!(busy.to_bits(), want.to_bits(), "case {case} lane {l}");
@@ -1480,6 +1536,12 @@ mod tests {
                 oracle_single_pass(&st).to_bits(),
                 "case {case}: {st:?}"
             );
+        }
+        // The draws reach the cases where the folds could differ, and
+        // every lane that can finish a steady-state schedule last does.
+        assert!(ties > 1_000, "only {ties} tied dependencies");
+        for l in [lane::NPU, lane::SWITCH, lane::DRAFT] {
+            assert!(last_lane[l] > 0, "lane {l} never finished last");
         }
     }
 
