@@ -208,8 +208,10 @@ impl F16 {
 // their main consumers.
 // ---------------------------------------------------------------------
 
-/// Elements per inner chunk of the slice converters (two HVX-width rows;
-/// also a comfortable width for NEON/AVX2 autovectorization).
+/// Elements per inner chunk of the slice converters. Sixteen f32 fill two
+/// 256-bit AVX2 registers (x86-64 builds target x86-64-v3, see
+/// `.cargo/config.toml`) or four 128-bit NEON or SSE2 ones; sixteen
+/// binary16 values fill one AVX2 register.
 const CONVERT_CHUNK: usize = 16;
 
 /// f32 -> binary16 conversion on raw bits, round-to-nearest-even.

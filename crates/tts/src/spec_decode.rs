@@ -866,44 +866,63 @@ mod tests {
         assert_eq!(e.round_accepts(5), 5);
     }
 
-    #[test]
-    fn two_model_pipeline_is_lossless() {
-        // A *different* draft transformer (other seed, so other weights)
-        // proposes; the output must still equal the target's greedy
-        // stream bit for bit.
+    /// Runs the two-model pipeline with tiny target and draft models of
+    /// the given seeds, and checks that it emits the target's greedy
+    /// stream and that the target's KV grows by `accepted + 1` a round.
+    fn lossless_pipeline(
+        (target_seed, draft_seed): (u64, u64),
+        prompt: &[u32],
+        tokens: usize,
+        ctrl: &mut DraftLenController,
+    ) -> SpecOutcome {
         let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-        let target = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 21).unwrap();
-        let draft = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 7).unwrap();
-        let prompt = vec![1u32, 50, 60, 70, 80];
-        let (greedy, _) = greedy_generate(&mut ctx, &target, &prompt, 12).unwrap();
-        let mut ctrl = DraftLenController::fixed(3);
+        let variant = DequantVariant::CoalescedLut;
+        let target = Model::new(&mut ctx, ModelId::Tiny, variant, target_seed).unwrap();
+        let draft = Model::new(&mut ctx, ModelId::Tiny, variant, draft_seed).unwrap();
+        let (greedy, _) = greedy_generate(&mut ctx, &target, prompt, tokens).unwrap();
         let out =
-            speculative_decode_pipeline(&mut ctx, &target, &draft, &prompt, 12, &mut ctrl).unwrap();
+            speculative_decode_pipeline(&mut ctx, &target, &draft, prompt, tokens, ctrl).unwrap();
         assert_eq!(out.tokens, greedy, "two-model speculation must be lossless");
-        assert!(out.target_steps <= 12);
-        assert!(out.overlapped_secs <= out.serial_secs + 1e-12);
-        assert!(out.draft_cost.wall_secs() > 0.0);
-        // KV invariant holds round by round.
         let mut expect = prompt.len();
         for r in &out.rounds {
             expect += r.accepted + 1;
             assert_eq!(r.kv_len, expect, "KV invariant violated at {r:?}");
         }
+        out
+    }
+
+    #[test]
+    fn two_model_pipeline_is_lossless() {
+        // A *different* draft transformer (other seed, so other weights)
+        // proposes; the output must still equal the target's greedy
+        // stream bit for bit.
+        let prompt = [1u32, 50, 60, 70, 80];
+        let out = lossless_pipeline((21, 7), &prompt, 12, &mut DraftLenController::fixed(3));
+        assert!(out.target_steps <= 12);
+        assert!(out.overlapped_secs <= out.serial_secs + 1e-12);
+        assert!(out.draft_cost.wall_secs() > 0.0);
+    }
+
+    #[test]
+    fn partly_accepted_drafts_roll_the_draft_kv_back() {
+        // These seeds accept every count from 0 to k = 3. The draft feeds
+        // itself p1..p_{k-1} while drafting, so after the round that
+        // accepts 1 its KV holds a proposal the target rejected, which
+        // `ModelDraft::accept` must drop before the next round drafts.
+        // Left in, it steers the later drafts and moves these counts (the
+        // stream stays greedy either way).
+        let prompt = [1u32, 50, 60, 70, 80];
+        let out = lossless_pipeline((3, 4), &prompt, 16, &mut DraftLenController::fixed(3));
+        let accepted: Vec<usize> = out.rounds.iter().map(|r| r.accepted).collect();
+        assert_eq!(accepted, [3, 3, 0, 1, 0, 2]);
     }
 
     #[test]
     fn same_weights_draft_accepts_everything() {
         // Draft == target (same seed): every proposal is the target's own
         // greedy choice, so acceptance is total and rounds commit k+1.
-        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-        let target = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 21).unwrap();
-        let draft = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 21).unwrap();
-        let prompt = vec![1u32, 30, 40];
-        let (greedy, _) = greedy_generate(&mut ctx, &target, &prompt, 9).unwrap();
-        let mut ctrl = DraftLenController::fixed(3);
-        let out =
-            speculative_decode_pipeline(&mut ctx, &target, &draft, &prompt, 9, &mut ctrl).unwrap();
-        assert_eq!(out.tokens, greedy);
+        let prompt = [1u32, 30, 40];
+        let out = lossless_pipeline((21, 21), &prompt, 9, &mut DraftLenController::fixed(3));
         assert!(
             out.mean_accepted > 2.5,
             "identical draft should accept nearly all: {}",
@@ -914,15 +933,8 @@ mod tests {
 
     #[test]
     fn adaptive_pipeline_stays_lossless() {
-        let mut ctx = NpuContext::new(DeviceProfile::v75(), ExecMode::Functional);
-        let target = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 21).unwrap();
-        let draft = Model::new(&mut ctx, ModelId::Tiny, DequantVariant::CoalescedLut, 7).unwrap();
-        let prompt = vec![1u32, 50, 60];
-        let (greedy, _) = greedy_generate(&mut ctx, &target, &prompt, 14).unwrap();
         let mut ctrl = DraftLenController::adaptive(3, 1, 5);
-        let out =
-            speculative_decode_pipeline(&mut ctx, &target, &draft, &prompt, 14, &mut ctrl).unwrap();
-        assert_eq!(out.tokens, greedy, "adaptive speculation must be lossless");
+        let out = lossless_pipeline((21, 7), &[1, 50, 60], 14, &mut ctrl);
         // Rounds may use different k, but every k stays in bounds.
         for r in &out.rounds {
             assert!((1..=5).contains(&r.draft_len));

@@ -11,7 +11,12 @@ choosing-metrics section 8 (the change wins at least nine tenths of the
 pairs, ties counting for neither, and the medians differ by more than
 the parent's interquartile range), and names any metric whose median is
 worse than the parent's by more than its BENCHMARK.json bound. It also
-prints each side's share of failed operations.
+prints each side's share of failed operations, and the medians and
+quartiles of each run's printed `host.floor_s` (the raw host seconds) and
+`host.speed_scale` (the calibration kernel's speed factor). perfbench
+scales `host_s` by the calibration kernel, which is compiled with the same
+flags as the code it times, so a change of build flags moves both: read
+`host_s` beside the raw floor.
 
 A perfbench binary finds BENCHMARK.json through the source tree it was
 built from, so build the parent and the change each in its own checkout:
@@ -32,10 +37,15 @@ the verdicts are printed, not enforced.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Printed metric lines (`name = value unit`) read beside the result line.
+RAW = {"host.floor_s": "s", "host.speed_scale": "ratio"}
+PRINTED = re.compile(r"^(\S+)\s+=\s+(\S+)\s")
 
 
 def parse_seeds(text):
@@ -73,6 +83,8 @@ def run_once(binary, workload, seed, seconds, trace):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"perf_pairs: no result line from {' '.join(cmd)}")
     result["ok"] = proc.returncode == 0 and result.get("correct") is True
+    result["raw"] = {m[1]: float(m[2]) for m in map(PRINTED.match, lines)
+                     if m and m[1] in RAW}
     return result
 
 
@@ -85,22 +97,29 @@ def relative(a, base):
     return (a - base) / base if base else 0.0
 
 
-def report(workload, metric, pairs, end_to_end):
-    """Prints one metric's summary; returns True if it is out of bound."""
-    name, kind = metric["name"], metric["better"]
-    parent = [p["metrics"][name]["value"] for p, _ in pairs]
-    change = [c["metrics"][name]["value"] for _, c in pairs]
+def spread(parent, change):
+    """Prints both sides' medians and quartiles and every pair's delta;
+    returns the medians and the parent's quartiles."""
     p1, pm, p3 = quartiles(parent)
     c1, cm, c3 = quartiles(change)
-    wins = sum(better(kind, c, p) for p, c in zip(parent, change))
     deltas = " ".join(f"{100 * relative(c, p):+.1f}%" for p, c in zip(parent, change))
-    print(f"{workload} {name} ({kind} is better, {metric['unit']}):")
     print(f"  parent median {pm:.6g} [q1 {p1:.6g}, q3 {p3:.6g}]")
     print(f"  change median {cm:.6g} [q1 {c1:.6g}, q3 {c3:.6g}]"
           f"  ({100 * relative(cm, pm):+.1f}% vs parent)")
     print("  pairs (parent -> change): "
           + ", ".join(f"{p:.6g} -> {c:.6g}" for p, c in zip(parent, change)))
     print(f"  pair deltas: {deltas}")
+    return pm, cm, p1, p3
+
+
+def report(workload, metric, pairs, end_to_end):
+    """Prints one metric's summary; returns True if it is out of bound."""
+    name, kind = metric["name"], metric["better"]
+    parent = [p["metrics"][name]["value"] for p, _ in pairs]
+    change = [c["metrics"][name]["value"] for _, c in pairs]
+    print(f"{workload} {name} ({kind} is better, {metric['unit']}):")
+    pm, cm, p1, p3 = spread(parent, change)
+    wins = sum(better(kind, c, p) for p, c in zip(parent, change))
     print(f"  change wins {wins} of {len(pairs)}")
     if not end_to_end:
         return False
@@ -153,6 +172,9 @@ def main():
         for metric in metrics:
             if report(workload, metric, pairs, not args.trace):
                 out_of_bound.append(f"{workload} {metric['name']}")
+        for name, unit in RAW.items():
+            print(f"{workload} {name} (printed, {unit}):")
+            spread([p["raw"][name] for p, _ in pairs], [c["raw"][name] for _, c in pairs])
     if not args.trace:
         print("worse than the bound: " + (", ".join(out_of_bound) or "none"))
     if failed_runs:
